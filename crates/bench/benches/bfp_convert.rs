@@ -2,7 +2,7 @@
 //! paper Fig 14), nearest vs stochastic rounding, across group sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fast_bfp::{fake_quantize_slice, BfpFormat, Lfsr16, Rounding};
+use fast_bfp::{fake_quantize_slice, BfpFormat, Lfsr16, Noise, Rounding};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -16,7 +16,13 @@ fn bench(c: &mut Criterion) {
             let mut lfsr = Lfsr16::default();
             b.iter(|| {
                 let mut data = xs.clone();
-                fake_quantize_slice(&mut data, fmt, Rounding::Nearest, &mut lfsr, None);
+                fake_quantize_slice(
+                    &mut data,
+                    fmt,
+                    Rounding::Nearest,
+                    Noise::Stream(&mut lfsr),
+                    None,
+                );
                 black_box(data)
             })
         });
@@ -24,7 +30,13 @@ fn bench(c: &mut Criterion) {
             let mut lfsr = Lfsr16::default();
             b.iter(|| {
                 let mut data = xs.clone();
-                fake_quantize_slice(&mut data, fmt, Rounding::STOCHASTIC8, &mut lfsr, None);
+                fake_quantize_slice(
+                    &mut data,
+                    fmt,
+                    Rounding::STOCHASTIC8,
+                    Noise::Stream(&mut lfsr),
+                    None,
+                );
                 black_box(data)
             })
         });

@@ -2,7 +2,7 @@
 //! f32 GEMM — the cost of BFP-aware training at the software level.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fast_bfp::{GroupAxis, Lfsr16};
+use fast_bfp::{GroupAxis, Lfsr16, Noise};
 use fast_nn::NumericFormat;
 use fast_tensor::{matmul, Tensor};
 use std::hint::black_box;
@@ -39,8 +39,8 @@ fn bench(c: &mut Criterion) {
             bch.iter(|| {
                 let mut aq = a.clone();
                 let mut bq = b.clone();
-                fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, &mut lfsr);
-                fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, &mut lfsr);
+                fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, Noise::Stream(&mut lfsr));
+                fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, Noise::Stream(&mut lfsr));
                 black_box(matmul(&aq, &bq))
             })
         });

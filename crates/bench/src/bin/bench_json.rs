@@ -15,11 +15,10 @@
 //! embeds a previously written measurement object under `"baseline"` and
 //! reports speedup ratios against it.
 
-use fast_bfp::kernel::{fake_quantize_slice_counter, fake_quantize_slice_with};
 use fast_bfp::GroupAxis;
-use fast_bfp::{BfpFormat, CounterRng, Lfsr16, Rounding};
+use fast_bfp::{fake_quantize_slice, BfpFormat, CounterRng, Lfsr16, Noise, Rounding};
 use fast_nn::models::{resnet_lite, ResNetConfig};
-use fast_nn::qgemm::{execute, execute_with, prepare, Orient};
+use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::{
     set_uniform_precision, ExecMode, LayerPrecision, NoopHook, NumericFormat, Session, Sgd, Trainer,
 };
@@ -84,11 +83,11 @@ fn main() {
         "quant_slice_m4_nearest_ns",
         time_ns(warmup, iters, || {
             buf.copy_from_slice(&base);
-            black_box(fake_quantize_slice_with(
+            black_box(fake_quantize_slice(
                 &mut buf,
                 fmt,
                 Rounding::Nearest,
-                &mut lfsr,
+                Noise::Stream(&mut lfsr),
                 None,
             ));
         }),
@@ -97,11 +96,11 @@ fn main() {
         "quant_slice_m4_stochastic_ns",
         time_ns(warmup, iters, || {
             buf.copy_from_slice(&base);
-            black_box(fake_quantize_slice_with(
+            black_box(fake_quantize_slice(
                 &mut buf,
                 fmt,
                 Rounding::STOCHASTIC8,
-                &mut lfsr,
+                Noise::Stream(&mut lfsr),
                 None,
             ));
         }),
@@ -115,19 +114,23 @@ fn main() {
     // one-core runner the two rows coincide. Compare either against
     // `quant_slice_m4_stochastic_ns` (the `counter_sr_over_lfsr_sr_x`
     // ratio below).
-    let crng = CounterRng::new(0xACE1);
+    let counter = |workers: usize| -> Noise<'static, Lfsr16> {
+        Noise::Counter {
+            rng: CounterRng::new(0xACE1),
+            base: 0,
+            workers,
+        }
+    };
     results.push((
         "quant_slice_m4_counter_sr_ns",
         time_ns(warmup, iters, || {
             buf.copy_from_slice(&base);
-            black_box(fake_quantize_slice_counter(
+            black_box(fake_quantize_slice(
                 &mut buf,
                 fmt,
                 Rounding::STOCHASTIC8,
-                crng,
-                0,
+                counter(1),
                 None,
-                1,
             ));
         }),
     ));
@@ -135,14 +138,12 @@ fn main() {
         "quant_slice_m4_counter_sr_par_ns",
         time_ns(warmup, iters, || {
             buf.copy_from_slice(&base);
-            black_box(fake_quantize_slice_counter(
+            black_box(fake_quantize_slice(
                 &mut buf,
                 fmt,
                 Rounding::STOCHASTIC8,
-                crng,
-                0,
+                counter(fast_tensor::parallelism().workers()),
                 None,
-                fast_tensor::parallelism().workers(),
             ));
         }),
     ));
@@ -182,8 +183,8 @@ fn main() {
             time_ns(warmup, iters, || {
                 let mut aq = a.clone();
                 let mut bq = b.clone();
-                numfmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, &mut lfsr);
-                numfmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, &mut lfsr);
+                numfmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, Noise::Stream(&mut lfsr));
+                numfmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, Noise::Stream(&mut lfsr));
                 black_box(matmul(&aq, &bq));
             }),
         ));
@@ -227,6 +228,7 @@ fn main() {
     // reused (frozen weights, plan caches). Compare against
     // `fp32_gemm_ns`, which likewise times only `matmul` over
     // pre-materialized tensors.
+    let env_mode = std::mem::replace(&mut session.exec_mode, ExecMode::Integer);
     for (key, numfmt) in [
         (
             "qgemm_int_bfp_m4_ns",
@@ -246,9 +248,8 @@ fn main() {
         results.push((
             key,
             time_ns(warmup, iters, || {
-                black_box(execute_with(
+                black_box(execute(
                     &mut session,
-                    ExecMode::Integer,
                     Orient::Nn,
                     black_box(&ap),
                     black_box(&bp),
@@ -256,6 +257,7 @@ fn main() {
             }),
         ));
     }
+    session.exec_mode = env_mode;
 
     // Within-run plan-vs-pipeline ratios (same machine state for both
     // sides, unlike the cross-commit "speedup" section).

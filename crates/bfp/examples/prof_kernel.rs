@@ -3,7 +3,7 @@
 //! floor, in ns/element. Handy when tuning `fast_bfp::kernel` —
 //! `cargo run --release -p fast_bfp --example prof_kernel`.
 
-use fast_bfp::{BfpFormat, Lfsr16, Rounding};
+use fast_bfp::{BfpFormat, Lfsr16, Noise, Rounding};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -28,11 +28,11 @@ fn main() {
     let t = Instant::now();
     for _ in 0..200 {
         buf.copy_from_slice(&base);
-        black_box(fast_bfp::kernel::fake_quantize_slice_with(
+        black_box(fast_bfp::fake_quantize_slice(
             &mut buf,
             fmt,
             Rounding::Nearest,
-            &mut lfsr,
+            Noise::Stream(&mut lfsr),
             None,
         ));
     }
@@ -43,11 +43,11 @@ fn main() {
     let t = Instant::now();
     for _ in 0..200 {
         buf.copy_from_slice(&base);
-        black_box(fast_bfp::kernel::fake_quantize_slice_with(
+        black_box(fast_bfp::fake_quantize_slice(
             &mut buf,
             fmt,
             Rounding::STOCHASTIC8,
-            &mut lfsr,
+            Noise::Stream(&mut lfsr),
             None,
         ));
     }

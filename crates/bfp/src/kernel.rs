@@ -5,8 +5,12 @@
 //! group and an f64 multiply per element. This module is the production
 //! substrate behind it: the same align-shift-round pipeline executed as
 //! integer bit manipulation on `f32::to_bits` patterns, monomorphized over
-//! the rounding mode and the [`BitSource`] so the per-element `dyn` call of
-//! the seed implementation disappears from the hot loop.
+//! the rounding mode and the noise source so the per-element `dyn` call of
+//! the seed implementation disappears from the hot loop. The public entry
+//! points — [`fake_quantize_slice`], [`fake_quantize_matrix`] and
+//! [`crate::packed::pack_matrix`], one per shape — validate, resolve the
+//! exponent window and dispatch the rounding op once per operand, then hand
+//! these kernels whichever source their [`Noise`] argument names.
 //!
 //! The kernels are *bit-identical* to the f64 reference for every finite,
 //! infinite and NaN input, every `m ∈ 1..=16`, every exponent window and
@@ -591,6 +595,10 @@ fn slice_kernel<R: RoundOp, N: NoiseSource>(
     stats
 }
 
+/// Matrix quantization against an already-resolved window — also the
+/// sharding entry point: counter-mode stripes quantize sub-matrices against
+/// the window computed once over the whole matrix, with their noise offsets
+/// biased to the stripe's first element.
 #[allow(clippy::too_many_arguments)] // mirrors the converter signature
 #[inline]
 fn matrix_kernel<R: RoundOp, N: NoiseSource>(
@@ -601,32 +609,8 @@ fn matrix_kernel<R: RoundOp, N: NoiseSource>(
     fmt: BfpFormat,
     round: &R,
     bits: &mut N,
-    use_window: bool,
-) -> QuantStats {
-    let window = use_window.then(|| ExponentWindow {
-        reference_exponent: max_exponent(data).unwrap_or(0),
-        exponent_bits: fmt.exponent_bits(),
-    });
-    matrix_kernel_windowed(data, rows, cols, axis, fmt, round, bits, window)
-}
-
-/// [`matrix_kernel`] after window resolution — the sharding entry point:
-/// counter-mode stripes quantize sub-matrices against the window computed
-/// once over the whole matrix, with their noise offsets biased to the
-/// stripe's first element.
-#[allow(clippy::too_many_arguments)] // mirrors the converter signature
-#[inline]
-fn matrix_kernel_windowed<R: RoundOp, N: NoiseSource>(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    axis: GroupAxis,
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut N,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
     match axis {
         GroupAxis::AlongRow => {
             let mut stats = QuantStats::default();
@@ -849,6 +833,71 @@ fn along_col_panels<R: RoundOp, N: NoiseSource>(
     stats
 }
 
+/// The stochastic-rounding noise one quantization pass draws from — the
+/// single argument that selects between the two [`crate::SrMode`] sources.
+/// Deterministic rounding modes draw nothing from either arm.
+#[derive(Debug)]
+pub enum Noise<'a, B: BitSource + ?Sized> {
+    /// A serialized bit stream (the paper's LFSR semantics): draws follow
+    /// the reference element order — row-major, columns left to right for
+    /// `AlongCol` — and zeros never draw.
+    Stream(&'a mut B),
+    /// Counter noise keyed by `(seed, element offset)`: the element at
+    /// linear index `i` of the pass draws at `base + i` from `rng`,
+    /// whichever path, order or thread visits it (zeros draw too), so the
+    /// pass shards across up to `workers` threads bit-invisibly.
+    Counter {
+        /// The pure noise function.
+        rng: CounterRng,
+        /// Offset of the pass's first element in the noise stream.
+        base: u64,
+        /// Upper bound on the threads the pass may shard across.
+        workers: usize,
+    },
+}
+
+impl<B: BitSource + ?Sized> Noise<'_, B> {
+    /// A second handle on the same noise, for a caller that tries one
+    /// representation and falls back to another (`pack_matrix` refusal
+    /// consumes nothing from either arm).
+    pub fn reborrow(&mut self) -> Noise<'_, B> {
+        match self {
+            Noise::Stream(bits) => Noise::Stream(&mut **bits),
+            Noise::Counter { rng, base, workers } => Noise::Counter {
+                rng: *rng,
+                base: *base,
+                workers: *workers,
+            },
+        }
+    }
+}
+
+/// Evaluates `$body` with `$op` bound to the monomorphized [`RoundOp`] for
+/// `$rounding` — the crate's one rounding dispatch, taken once per operand.
+macro_rules! with_round_op {
+    ($rounding:expr, $op:ident => $body:expr) => {
+        match $rounding {
+            Rounding::Nearest => {
+                let $op = &NearestOp;
+                $body
+            }
+            Rounding::Truncate => {
+                let $op = &TruncateOp;
+                $body
+            }
+            Rounding::Stochastic { noise_bits: 8 } => {
+                let $op = &Stochastic8Op;
+                $body
+            }
+            Rounding::Stochastic { noise_bits } => {
+                let $op = &StochasticOp { noise_bits };
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_round_op;
+
 /// Computes the signed mantissas of one group against a fixed shared
 /// exponent, appending to `out` (the [`crate::BfpGroup`] construction path).
 ///
@@ -870,40 +919,27 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
         fmt.max_magnitude() as u64,
     );
     let bits = &mut SeqSource(bits);
-    match rounding {
-        Rounding::Nearest => group_mantissas(values, e, m, max_mag, &NearestOp, bits, out),
-        Rounding::Truncate => group_mantissas(values, e, m, max_mag, &TruncateOp, bits, out),
-        Rounding::Stochastic { noise_bits: 8 } => {
-            group_mantissas(values, e, m, max_mag, &Stochastic8Op, bits, out)
-        }
-        Rounding::Stochastic { noise_bits } => group_mantissas(
-            values,
-            e,
-            m,
-            max_mag,
-            &StochasticOp { noise_bits },
-            bits,
-            out,
-        ),
-    }
+    with_round_op!(rounding, op => group_mantissas(values, e, m, max_mag, op, bits, out))
 }
 
 /// Fake-quantizes a contiguous slice in groups of `fmt.group_size()`,
-/// monomorphized over the [`BitSource`]. Semantically identical to
-/// [`crate::fake_quantize_slice`] (which wraps this with a `dyn` source).
+/// overwriting each value with its BFP reconstruction. The final group may
+/// be shorter than `g`.
+///
+/// If `window` is `Some`, the shared exponents are clamped into the `e`-bit
+/// window (per-tensor reference model; see [`ExponentWindow`]).
 ///
 /// ```
-/// use fast_bfp::kernel::fake_quantize_slice_with;
-/// use fast_bfp::{BfpFormat, Lfsr16, Rounding};
+/// use fast_bfp::{fake_quantize_slice, BfpFormat, Lfsr16, Noise, Rounding};
 ///
 /// // One HighBFP group (g=16, m=4): the largest magnitude anchors the
 /// // shared exponent and survives with full m-bit fidelity.
 /// let mut xs: Vec<f32> = (1..=16).map(|i| 0.01 * i as f32).collect();
-/// let stats = fake_quantize_slice_with(
+/// let stats = fake_quantize_slice(
 ///     &mut xs,
 ///     BfpFormat::high(),
 ///     Rounding::Nearest,
-///     &mut Lfsr16::default(),
+///     Noise::Stream(&mut Lfsr16::default()),
 ///     None,
 /// );
 /// assert_eq!(stats.groups, 1);
@@ -914,76 +950,60 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
 /// # Panics
 ///
 /// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`.
-pub fn fake_quantize_slice_with<B: BitSource + ?Sized>(
+pub fn fake_quantize_slice<B: BitSource + ?Sized>(
     values: &mut [f32],
     fmt: BfpFormat,
     rounding: Rounding,
-    bits: &mut B,
+    noise: Noise<'_, B>,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
     check_noise_bits(rounding);
-    let bits = &mut SeqSource(bits);
-    match rounding {
-        Rounding::Nearest => slice_kernel(values, fmt, &NearestOp, bits, window),
-        Rounding::Truncate => slice_kernel(values, fmt, &TruncateOp, bits, window),
-        Rounding::Stochastic { noise_bits: 8 } => {
-            slice_kernel(values, fmt, &Stochastic8Op, bits, window)
+    with_round_op!(rounding, op => match noise {
+        Noise::Stream(bits) => slice_kernel(values, fmt, op, &mut SeqSource(bits), window),
+        Noise::Counter { rng, base, workers } => {
+            slice_counter(values, fmt, op, rng, base, window, workers)
         }
-        Rounding::Stochastic { noise_bits } => {
-            slice_kernel(values, fmt, &StochasticOp { noise_bits }, bits, window)
-        }
-    }
+    })
 }
 
-/// Fake-quantizes a row-major `rows × cols` matrix with groups along
-/// `axis`, monomorphized over the [`BitSource`]. Semantically identical to
-/// [`crate::fake_quantize_matrix`] (which wraps this with a `dyn` source).
+/// Fake-quantizes a row-major `rows × cols` matrix with groups running
+/// along `axis`. When `use_window` is set, an [`ExponentWindow`] anchored at
+/// the matrix-wide max exponent models the finite `e`-bit exponent field.
+///
+/// Under [`Noise::Counter`] the `AlongCol` stochastic path runs
+/// column-vertical (no panel staging) and shards across threads like
+/// deterministic rounding.
 ///
 /// # Panics
 ///
 /// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
 /// with `noise_bits` outside `1..=31`.
-#[allow(clippy::too_many_arguments)] // mirrors the converter signature
-pub fn fake_quantize_matrix_with<B: BitSource + ?Sized>(
+#[allow(clippy::too_many_arguments)] // mirrors the paper's converter signature
+pub fn fake_quantize_matrix<B: BitSource + ?Sized>(
     data: &mut [f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     rounding: Rounding,
-    bits: &mut B,
+    noise: Noise<'_, B>,
     use_window: bool,
 ) -> QuantStats {
+    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
     check_noise_bits(rounding);
-    let bits = &mut SeqSource(bits);
-    match rounding {
-        Rounding::Nearest => {
-            matrix_kernel(data, rows, cols, axis, fmt, &NearestOp, bits, use_window)
+    let window = use_window.then(|| ExponentWindow {
+        reference_exponent: max_exponent(data).unwrap_or(0),
+        exponent_bits: fmt.exponent_bits(),
+    });
+    with_round_op!(rounding, op => match noise {
+        Noise::Stream(bits) => {
+            let bits = &mut SeqSource(bits);
+            matrix_kernel(data, rows, cols, axis, fmt, op, bits, window)
         }
-        Rounding::Truncate => {
-            matrix_kernel(data, rows, cols, axis, fmt, &TruncateOp, bits, use_window)
+        Noise::Counter { rng, base, workers } => {
+            matrix_counter(data, rows, cols, axis, fmt, op, rng, base, window, workers)
         }
-        Rounding::Stochastic { noise_bits: 8 } => matrix_kernel(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &Stochastic8Op,
-            bits,
-            use_window,
-        ),
-        Rounding::Stochastic { noise_bits } => matrix_kernel(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &StochasticOp { noise_bits },
-            bits,
-            use_window,
-        ),
-    }
+    })
 }
 
 /// Effective worker count for counter-mode sharding: capped so every worker
@@ -993,8 +1013,21 @@ pub(crate) fn effective_workers(workers: usize, numel: usize) -> usize {
     workers.min(numel / MIN_ELEMS_PER_WORKER).max(1)
 }
 
-/// Counter-mode slice quantization, monomorphized over the rounding rule and
-/// sharded across `workers` threads at group granularity.
+/// Rows per stripe when a matrix pass shards across `workers` threads:
+/// stripes align to single rows for `AlongRow` and to `group_size()` rows
+/// for `AlongCol`, so stripe-local group decomposition matches the
+/// unsharded kernel.
+#[inline]
+pub(crate) fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers: usize) -> usize {
+    let granule = match axis {
+        GroupAxis::AlongRow => 1,
+        GroupAxis::AlongCol => fmt.group_size(),
+    };
+    rows.div_ceil(granule).div_ceil(workers) * granule
+}
+
+/// Counter-mode slice quantization, sharded across `workers` threads at
+/// group granularity.
 ///
 /// Element `i` of `values` draws its noise at offset `base + i`, no matter
 /// which stripe or thread quantizes it — the output is bitwise identical for
@@ -1041,53 +1074,9 @@ fn slice_counter<R: RoundOp + Sync>(
     stats
 }
 
-/// Fake-quantizes a contiguous slice with counter-based noise: element `i`
-/// draws at offset `base + i` from `rng`, independent of visitation order
-/// and of `workers` (the quantization shards across threads at group
-/// granularity; deterministic rounding modes simply ignore the noise).
-///
-/// This is the order-free twin of [`fake_quantize_slice_with`] — same
-/// arithmetic, same [`QuantStats`], but the stochastic noise is keyed by
-/// `(seed, offset)` instead of a serialized stream (DESIGN.md §12).
-///
-/// # Panics
-///
-/// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`.
-pub fn fake_quantize_slice_counter(
-    values: &mut [f32],
-    fmt: BfpFormat,
-    rounding: Rounding,
-    rng: CounterRng,
-    base: u64,
-    window: Option<ExponentWindow>,
-    workers: usize,
-) -> QuantStats {
-    check_noise_bits(rounding);
-    match rounding {
-        Rounding::Nearest => slice_counter(values, fmt, &NearestOp, rng, base, window, workers),
-        Rounding::Truncate => slice_counter(values, fmt, &TruncateOp, rng, base, window, workers),
-        Rounding::Stochastic { noise_bits: 8 } => {
-            slice_counter(values, fmt, &Stochastic8Op, rng, base, window, workers)
-        }
-        Rounding::Stochastic { noise_bits } => slice_counter(
-            values,
-            fmt,
-            &StochasticOp { noise_bits },
-            rng,
-            base,
-            window,
-            workers,
-        ),
-    }
-}
-
-/// Counter-mode matrix quantization, monomorphized over the rounding rule
-/// and sharded across `workers` threads in row stripes.
-///
-/// Stripes align to single rows for `AlongRow` and to `group_size()` rows
-/// for `AlongCol`, so stripe-local group decomposition matches the
-/// unsharded kernel; the exponent window is resolved once over the whole
-/// matrix before sharding.
+/// Counter-mode matrix quantization, sharded across `workers` threads in
+/// row stripes ([`stripe_rows`]); the exponent window was resolved once over
+/// the whole matrix before sharding.
 #[allow(clippy::too_many_arguments)]
 fn matrix_counter<R: RoundOp + Sync>(
     data: &mut [f32],
@@ -1098,25 +1087,15 @@ fn matrix_counter<R: RoundOp + Sync>(
     round: &R,
     rng: CounterRng,
     base: u64,
-    use_window: bool,
+    window: Option<ExponentWindow>,
     workers: usize,
 ) -> QuantStats {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
-    let window = use_window.then(|| ExponentWindow {
-        reference_exponent: max_exponent(data).unwrap_or(0),
-        exponent_bits: fmt.exponent_bits(),
-    });
     let workers = effective_workers(workers, data.len());
     if workers == 1 {
         let mut bits = CounterBits::new(rng, base);
-        return matrix_kernel_windowed(data, rows, cols, axis, fmt, round, &mut bits, window);
+        return matrix_kernel(data, rows, cols, axis, fmt, round, &mut bits, window);
     }
-    let granule = match axis {
-        GroupAxis::AlongRow => 1,
-        GroupAxis::AlongCol => fmt.group_size(),
-    };
-    let blocks = rows.div_ceil(granule);
-    let stripe_rows = blocks.div_ceil(workers) * granule;
+    let stripe_rows = stripe_rows(rows, axis, fmt, workers);
     let mut stats = QuantStats::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = data
@@ -1127,7 +1106,7 @@ fn matrix_counter<R: RoundOp + Sync>(
                 scope.spawn(move || {
                     let mut bits = CounterBits::new(rng, origin);
                     let srows = stripe.len() / cols;
-                    matrix_kernel_windowed(stripe, srows, cols, axis, fmt, round, &mut bits, window)
+                    matrix_kernel(stripe, srows, cols, axis, fmt, round, &mut bits, window)
                 })
             })
             .collect();
@@ -1136,73 +1115,4 @@ fn matrix_counter<R: RoundOp + Sync>(
         }
     });
     stats
-}
-
-/// Fake-quantizes a row-major `rows × cols` matrix with counter-based
-/// noise: the element at `(r, c)` draws at offset `base + r·cols + c` from
-/// `rng`, independent of axis path, visitation order, and `workers`.
-///
-/// Order-free twin of [`fake_quantize_matrix_with`]; in stochastic modes the
-/// `AlongCol` path runs column-vertical (no panel staging) and shards across
-/// threads like deterministic rounding (DESIGN.md §12).
-///
-/// # Panics
-///
-/// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
-/// with `noise_bits` outside `1..=31`.
-#[allow(clippy::too_many_arguments)] // mirrors the converter signature
-pub fn fake_quantize_matrix_counter(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    axis: GroupAxis,
-    fmt: BfpFormat,
-    rounding: Rounding,
-    rng: CounterRng,
-    base: u64,
-    use_window: bool,
-    workers: usize,
-) -> QuantStats {
-    check_noise_bits(rounding);
-    match rounding {
-        Rounding::Nearest => matrix_counter(
-            data, rows, cols, axis, fmt, &NearestOp, rng, base, use_window, workers,
-        ),
-        Rounding::Truncate => matrix_counter(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &TruncateOp,
-            rng,
-            base,
-            use_window,
-            workers,
-        ),
-        Rounding::Stochastic { noise_bits: 8 } => matrix_counter(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &Stochastic8Op,
-            rng,
-            base,
-            use_window,
-            workers,
-        ),
-        Rounding::Stochastic { noise_bits } => matrix_counter(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &StochasticOp { noise_bits },
-            rng,
-            base,
-            use_window,
-            workers,
-        ),
-    }
 }

@@ -74,9 +74,8 @@ pub use error::FormatError;
 pub use format::BfpFormat;
 pub use fp::{exponent_of, quantize_minifloat, Minifloat};
 pub use group::{BfpGroup, ExponentWindow};
+pub use kernel::{fake_quantize_matrix, fake_quantize_slice, Noise};
 pub use lfsr::{BitSource, Lfsr16, RngBits};
 pub use rng::{CounterRng, SrMode};
 pub use rounding::Rounding;
-pub use tensor_quant::{
-    fake_quantize_matrix, fake_quantize_slice, relative_improvement, GroupAxis, QuantStats,
-};
+pub use tensor_quant::{relative_improvement, GroupAxis, QuantStats};

@@ -21,19 +21,20 @@
 //!   inputs force the kernel's general (f64) path, whose subnormal-scale
 //!   rounding an `i8 × f32` pair cannot replay.
 //!
-//! [`pack_matrix_with`] detects both conditions with a draw-free prescan
-//! and returns `None` — having consumed **no** stochastic-rounding bits —
-//! so the caller can fall back to the fake-quantize + dense-GEMM path with
-//! an unperturbed bit stream. Stochastic draws, when packing does proceed,
-//! happen in exactly the element order of the strided reference
-//! ([`crate::fake_quantize_matrix`]), so a packed operand and a
-//! fake-quantized one consume identical bit streams.
+//! [`pack_matrix`] detects both conditions with a draw-free prescan and
+//! returns `None` — having consumed **no** stochastic-rounding noise — so
+//! the caller can fall back to the fake-quantize + dense-GEMM path with an
+//! unperturbed noise source. Stochastic draws, when packing does proceed,
+//! are exactly those of [`crate::fake_quantize_matrix`] under the same
+//! [`Noise`]: a stream is consumed in the strided reference's element
+//! order, counter noise at each element's own offset.
 
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
 use crate::kernel::{
-    check_noise_bits, effective_workers, exponent_of_parts, pow2_f32, scan_group, NearestOp,
-    NoiseSource, RoundOp, SeqSource, Stochastic8Op, StochasticOp, TruncateOp,
+    check_noise_bits, effective_workers, exponent_of_parts, pow2_f32, scan_group, stripe_rows,
+    with_round_op, NearestOp, Noise, NoiseSource, RoundOp, SeqSource, Stochastic8Op, StochasticOp,
+    TruncateOp,
 };
 use crate::lfsr::BitSource;
 use crate::rng::{CounterBits, CounterRng};
@@ -80,10 +81,16 @@ pub struct PackedData {
 }
 
 /// Packs a row-major `rows × cols` matrix into BFP mantissas + scales with
-/// groups along `axis`, or returns `None` — consuming no random bits — when
-/// the packed fast path cannot reproduce the fake-quantize kernel's bits
-/// (mantissa wider than [`MAX_PACKED_MANTISSA_BITS`], or any non-normal
-/// non-zero input value).
+/// groups along `axis`, or returns `None` when the packed fast path cannot
+/// reproduce the fake-quantize kernel's bits (mantissa wider than
+/// [`MAX_PACKED_MANTISSA_BITS`], or any non-normal non-zero input value).
+///
+/// A refusal consumes nothing from `noise` — no stream bits, and counter
+/// noise is positional anyway — so the caller's
+/// [`crate::fake_quantize_matrix`] fallback over a
+/// [`Noise::reborrow`] quantizes exactly as if packing had never been tried.
+/// When packing proceeds, every element draws what the fake-quantize kernel
+/// would have drawn for it, under either [`Noise`] arm.
 ///
 /// When `use_window` is set, the shared exponents are clamped into an
 /// `e`-bit [`ExponentWindow`] anchored at the matrix-wide maximum exponent,
@@ -94,14 +101,14 @@ pub struct PackedData {
 /// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
 /// with `noise_bits` outside `1..=31`.
 #[allow(clippy::too_many_arguments)] // mirrors the converter signature
-pub fn pack_matrix_with<B: BitSource + ?Sized>(
+pub fn pack_matrix<B: BitSource + ?Sized>(
     data: &[f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     rounding: Rounding,
-    bits: &mut B,
+    noise: Noise<'_, B>,
     use_window: bool,
 ) -> Option<PackedData> {
     assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
@@ -127,120 +134,20 @@ pub fn pack_matrix_with<B: BitSource + ?Sized>(
         },
         exponent_bits: fmt.exponent_bits(),
     });
-    let bits = &mut SeqSource(bits);
-    Some(match rounding {
-        Rounding::Nearest => pack_kernel(data, rows, cols, axis, fmt, &NearestOp, bits, window),
-        Rounding::Truncate => pack_kernel(data, rows, cols, axis, fmt, &TruncateOp, bits, window),
-        Rounding::Stochastic { noise_bits: 8 } => {
-            pack_kernel(data, rows, cols, axis, fmt, &Stochastic8Op, bits, window)
+    Some(with_round_op!(rounding, op => match noise {
+        Noise::Stream(bits) => {
+            let bits = &mut SeqSource(bits);
+            pack_kernel(data, rows, cols, axis, fmt, op, bits, window)
         }
-        Rounding::Stochastic { noise_bits } => pack_kernel(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &StochasticOp { noise_bits },
-            bits,
-            window,
-        ),
-    })
-}
-
-/// Counter-mode packing: the element at `(r, c)` draws its stochastic noise
-/// at offset `base + r·cols + c` from `rng`, independent of axis path,
-/// visitation order, and `workers` — and bit-identical to what
-/// [`crate::kernel::fake_quantize_matrix_counter`] writes for the same
-/// `(rng, base)`, so the packed fast path and the dense fallback remain
-/// interchangeable per operand.
-///
-/// Returns `None` under exactly the same conditions as
-/// [`pack_matrix_with`]; counter noise is positional, so a refusal "costs"
-/// nothing and the caller's fallback quantizes with the same offsets.
-///
-/// # Panics
-///
-/// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
-/// with `noise_bits` outside `1..=31`.
-#[allow(clippy::too_many_arguments)] // mirrors the converter signature
-pub fn pack_matrix_counter(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    axis: GroupAxis,
-    fmt: BfpFormat,
-    rounding: Rounding,
-    rng: CounterRng,
-    base: u64,
-    use_window: bool,
-    workers: usize,
-) -> Option<PackedData> {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
-    check_noise_bits(rounding);
-    if fmt.mantissa_bits() > MAX_PACKED_MANTISSA_BITS {
-        return None;
-    }
-    let (max_bits, plain) = scan_group(data);
-    if !plain {
-        return None;
-    }
-    let window = use_window.then(|| ExponentWindow {
-        reference_exponent: if max_bits == 0 {
-            0
-        } else {
-            let (sig, p) = crate::kernel::decompose(max_bits);
-            exponent_of_parts(sig, p)
-        },
-        exponent_bits: fmt.exponent_bits(),
-    });
-    Some(match rounding {
-        Rounding::Nearest => pack_counter(
-            data, rows, cols, axis, fmt, &NearestOp, rng, base, window, workers,
-        ),
-        Rounding::Truncate => pack_counter(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &TruncateOp,
-            rng,
-            base,
-            window,
-            workers,
-        ),
-        Rounding::Stochastic { noise_bits: 8 } => pack_counter(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &Stochastic8Op,
-            rng,
-            base,
-            window,
-            workers,
-        ),
-        Rounding::Stochastic { noise_bits } => pack_counter(
-            data,
-            rows,
-            cols,
-            axis,
-            fmt,
-            &StochasticOp { noise_bits },
-            rng,
-            base,
-            window,
-            workers,
-        ),
-    })
+        Noise::Counter { rng, base, workers } => {
+            pack_counter(data, rows, cols, axis, fmt, op, rng, base, window, workers)
+        }
+    }))
 }
 
 /// Counter-mode packing sharded across `workers` threads in row stripes
-/// (single rows for `AlongRow`, `group_size()` rows for `AlongCol`, so
-/// stripe-local group decomposition matches the unsharded packer). Stripe
-/// outputs concatenate exactly because both mantissa and scale layouts are
-/// row-major in the striped dimension.
+/// ([`stripe_rows`]). Stripe outputs concatenate exactly because both
+/// mantissa and scale layouts are row-major in the striped dimension.
 #[allow(clippy::too_many_arguments)]
 fn pack_counter<R: RoundOp + Sync>(
     data: &[f32],
@@ -259,12 +166,7 @@ fn pack_counter<R: RoundOp + Sync>(
         let mut bits = CounterBits::new(rng, base);
         return pack_kernel(data, rows, cols, axis, fmt, round, &mut bits, window);
     }
-    let granule = match axis {
-        GroupAxis::AlongRow => 1,
-        GroupAxis::AlongCol => fmt.group_size(),
-    };
-    let blocks = rows.div_ceil(granule);
-    let stripe_rows = blocks.div_ceil(workers) * granule;
+    let stripe_rows = stripe_rows(rows, axis, fmt, workers);
     let parts: Vec<PackedData> = std::thread::scope(|scope| {
         let handles: Vec<_> = data
             .chunks(stripe_rows * cols)
@@ -550,7 +452,7 @@ fn pack_along_col_stochastic<R: RoundOp, N: NoiseSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::fake_quantize_matrix_with;
+    use crate::kernel::fake_quantize_matrix;
     use crate::lfsr::{Lfsr16, RngBits};
     use rand::{Rng, SeedableRng};
 
@@ -597,12 +499,26 @@ mod tests {
                     for windowed in [false, true] {
                         let mut want = data.clone();
                         let mut bits = Lfsr16::default();
-                        fake_quantize_matrix_with(
-                            &mut want, rows, cols, axis, fmt, rounding, &mut bits, windowed,
+                        fake_quantize_matrix(
+                            &mut want,
+                            rows,
+                            cols,
+                            axis,
+                            fmt,
+                            rounding,
+                            Noise::Stream(&mut bits),
+                            windowed,
                         );
                         let mut bits2 = Lfsr16::default();
-                        let packed = pack_matrix_with(
-                            &data, rows, cols, axis, fmt, rounding, &mut bits2, windowed,
+                        let packed = pack_matrix(
+                            &data,
+                            rows,
+                            cols,
+                            axis,
+                            fmt,
+                            rounding,
+                            Noise::Stream(&mut bits2),
+                            windowed,
                         )
                         .expect("plain data must pack");
                         assert_eq!(bits, bits2, "bit streams must advance identically");
@@ -625,24 +541,24 @@ mod tests {
         let data = rand_data(8 * 24, 5);
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
             let mut buf = data.clone();
-            let want = fake_quantize_matrix_with(
+            let want = fake_quantize_matrix(
                 &mut buf,
                 8,
                 24,
                 axis,
                 BfpFormat::low(),
                 Rounding::Nearest,
-                &mut NoBits,
+                Noise::Stream(&mut NoBits),
                 false,
             );
-            let packed = pack_matrix_with(
+            let packed = pack_matrix(
                 &data,
                 8,
                 24,
                 axis,
                 BfpFormat::low(),
                 Rounding::Nearest,
-                &mut NoBits,
+                Noise::Stream(&mut NoBits),
                 false,
             )
             .unwrap();
@@ -656,14 +572,14 @@ mod tests {
             let data = vec![1.0f32, bad, 0.5, -2.0];
             let mut bits = Lfsr16::default();
             let fresh = bits.clone();
-            let got = pack_matrix_with(
+            let got = pack_matrix(
                 &data,
                 2,
                 2,
                 GroupAxis::AlongRow,
                 BfpFormat::high(),
                 Rounding::STOCHASTIC8,
-                &mut bits,
+                Noise::Stream(&mut bits),
                 false,
             );
             assert!(got.is_none(), "{bad} must force the fallback");
@@ -675,14 +591,14 @@ mod tests {
     fn wide_mantissas_refuse_to_pack() {
         let data = vec![1.0f32; 16];
         let fmt = BfpFormat::new(16, 8, 3).unwrap();
-        assert!(pack_matrix_with(
+        assert!(pack_matrix(
             &data,
             1,
             16,
             GroupAxis::AlongRow,
             fmt,
             Rounding::Nearest,
-            &mut NoBits,
+            Noise::Stream(&mut NoBits),
             false,
         )
         .is_none());
@@ -696,25 +612,25 @@ mod tests {
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
             let mut want = data.clone();
             let mut b1 = RngBits(rand::rngs::StdRng::seed_from_u64(3));
-            fake_quantize_matrix_with(
+            fake_quantize_matrix(
                 &mut want,
                 48,
                 5,
                 axis,
                 BfpFormat::high(),
                 Rounding::STOCHASTIC8,
-                &mut b1,
+                Noise::Stream(&mut b1),
                 false,
             );
             let mut b2 = RngBits(rand::rngs::StdRng::seed_from_u64(3));
-            let packed = pack_matrix_with(
+            let packed = pack_matrix(
                 &data,
                 48,
                 5,
                 axis,
                 BfpFormat::high(),
                 Rounding::STOCHASTIC8,
-                &mut b2,
+                Noise::Stream(&mut b2),
                 false,
             )
             .unwrap();
@@ -743,8 +659,17 @@ mod tests {
                 (BfpFormat::new(7, 7, 5).unwrap(), Rounding::Nearest),
             ] {
                 let mut bits = Lfsr16::default();
-                let packed =
-                    pack_matrix_with(&data, 24, 24, axis, fmt, rounding, &mut bits, true).unwrap();
+                let packed = pack_matrix(
+                    &data,
+                    24,
+                    24,
+                    axis,
+                    fmt,
+                    rounding,
+                    Noise::Stream(&mut bits),
+                    true,
+                )
+                .unwrap();
                 let cap = fmt.max_magnitude() as i16;
                 assert!(cap <= 127);
                 for &m in &packed.mantissas {
@@ -761,14 +686,14 @@ mod tests {
     #[test]
     fn all_zero_matrix_packs_to_zero_scales() {
         let data = vec![0.0f32; 32];
-        let packed = pack_matrix_with(
+        let packed = pack_matrix(
             &data,
             2,
             16,
             GroupAxis::AlongRow,
             BfpFormat::high(),
             Rounding::Nearest,
-            &mut NoBits,
+            Noise::Stream(&mut NoBits),
             true,
         )
         .unwrap();

@@ -23,9 +23,9 @@ use crate::kernel::NoiseSource;
 
 /// Which noise source drives stochastic rounding.
 ///
-/// Selected per [`Session`] (env default `FAST_SR_MODE=counter`), per layer,
-/// or per `CompiledModel` in the `fast_nn`/`fast_serve` crates, mirroring
-/// the execution-mode plumbing of DESIGN.md §11.
+/// Selected per [`Session`] (env default `FAST_SR_MODE=counter`) or per
+/// `CompiledModel` in the `fast_nn`/`fast_serve` crates (DESIGN.md §16),
+/// which hand the kernels the matching [`Noise`](crate::Noise).
 ///
 /// [`Session`]: ../fast_nn/struct.Session.html
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

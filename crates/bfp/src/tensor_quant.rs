@@ -9,16 +9,13 @@
 //! a fake-quantized f32 GEMM is bit-faithful to the fMAC pipeline (see
 //! `dot::tests::chunked_dot_is_bit_identical_to_direct_dot`).
 //!
-//! The `dyn`-sourced entry points here draw stochastic noise in element
-//! order (the paper's serialized LFSR semantics). For order-independent,
-//! worker-shardable stochastic rounding keyed by `(seed, element offset)`,
-//! see [`crate::kernel::fake_quantize_slice_counter`] and
-//! [`crate::kernel::fake_quantize_matrix_counter`] (DESIGN.md §12).
+//! The quantization entry points themselves — [`crate::fake_quantize_slice`]
+//! and [`crate::fake_quantize_matrix`] — live in [`crate::kernel`]; this
+//! module holds the vocabulary they share ([`GroupAxis`], [`QuantStats`])
+//! and the `r(X)` statistic.
 
 use crate::format::BfpFormat;
-use crate::group::{BfpGroup, ExponentWindow};
-use crate::lfsr::BitSource;
-use crate::rounding::Rounding;
+use crate::group::BfpGroup;
 
 /// Which way quantization groups run through a row-major matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,54 +47,6 @@ impl QuantStats {
         self.saturated += other.saturated;
         self.zeros += other.zeros;
     }
-}
-
-/// Fake-quantizes a contiguous slice in groups of `fmt.group_size()`,
-/// overwriting each value with its BFP reconstruction. The final group may
-/// be shorter than `g`.
-///
-/// If `window` is `Some`, the shared exponents are clamped into the `e`-bit
-/// window (per-tensor reference model; see [`ExponentWindow`]).
-///
-/// Thin `dyn`-sourced wrapper over the integer batch kernel; callers with a
-/// concrete [`BitSource`] should prefer
-/// [`kernel::fake_quantize_slice_with`](crate::kernel::fake_quantize_slice_with)
-/// to monomorphize the stochastic-rounding draw.
-pub fn fake_quantize_slice(
-    values: &mut [f32],
-    fmt: BfpFormat,
-    rounding: Rounding,
-    bits: &mut dyn BitSource,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    crate::kernel::fake_quantize_slice_with(values, fmt, rounding, bits, window)
-}
-
-/// Fake-quantizes a row-major `rows × cols` matrix with groups running
-/// along `axis`. When `use_window` is set, an [`ExponentWindow`] with the
-/// matrix-wide max exponent models the finite `e`-bit exponent field.
-///
-/// Thin `dyn`-sourced wrapper over the integer batch kernel; callers with a
-/// concrete [`BitSource`] should prefer
-/// [`kernel::fake_quantize_matrix_with`](crate::kernel::fake_quantize_matrix_with).
-///
-/// # Panics
-///
-/// Panics if `data.len() != rows * cols`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's converter signature
-pub fn fake_quantize_matrix(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    axis: GroupAxis,
-    fmt: BfpFormat,
-    rounding: Rounding,
-    bits: &mut dyn BitSource,
-    use_window: bool,
-) -> QuantStats {
-    crate::kernel::fake_quantize_matrix_with(
-        data, rows, cols, axis, fmt, rounding, bits, use_window,
-    )
 }
 
 /// Computes the FAST relative improvement `r(X)` of paper Eq. 2:
@@ -144,7 +93,9 @@ pub fn relative_improvement(values: &[f32], group_size: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lfsr::RngBits;
+    use crate::kernel::{fake_quantize_matrix, fake_quantize_slice, Noise};
+    use crate::lfsr::{BitSource, RngBits};
+    use crate::rounding::Rounding;
     use rand::{Rng, SeedableRng};
 
     struct NoBits;
@@ -162,7 +113,13 @@ mod tests {
             .chunks(4)
             .flat_map(|c| BfpGroup::quantize_nearest(c, fmt).dequantize())
             .collect();
-        fake_quantize_slice(&mut xs, fmt, Rounding::Nearest, &mut NoBits, None);
+        fake_quantize_slice(
+            &mut xs,
+            fmt,
+            Rounding::Nearest,
+            Noise::Stream(&mut NoBits),
+            None,
+        );
         assert_eq!(xs, expect);
     }
 
@@ -170,7 +127,13 @@ mod tests {
     fn partial_final_group_is_handled() {
         let fmt = BfpFormat::new(4, 4, 8).unwrap();
         let mut xs = vec![1.0f32; 7];
-        let stats = fake_quantize_slice(&mut xs, fmt, Rounding::Nearest, &mut NoBits, None);
+        let stats = fake_quantize_slice(
+            &mut xs,
+            fmt,
+            Rounding::Nearest,
+            Noise::Stream(&mut NoBits),
+            None,
+        );
         assert_eq!(stats.groups, 2);
         assert!(xs.iter().all(|&v| v == 1.0));
     }
@@ -193,7 +156,7 @@ mod tests {
             GroupAxis::AlongCol,
             fmt,
             Rounding::Nearest,
-            &mut NoBits,
+            Noise::Stream(&mut NoBits),
             false,
         );
 
@@ -211,7 +174,7 @@ mod tests {
             GroupAxis::AlongRow,
             fmt,
             Rounding::Nearest,
-            &mut NoBits,
+            Noise::Stream(&mut NoBits),
             false,
         );
         for r in 0..rows {
@@ -227,7 +190,13 @@ mod tests {
         // Group: max 1.0 -> scale 2; 1.0->2, 1.6->3.2->3(sat),
         // 0.1->0.2->0 (zero), 0.5->1.
         let mut xs = vec![1.0f32, 1.6, 0.1, 0.5];
-        let stats = fake_quantize_slice(&mut xs, fmt, Rounding::Nearest, &mut NoBits, None);
+        let stats = fake_quantize_slice(
+            &mut xs,
+            fmt,
+            Rounding::Nearest,
+            Noise::Stream(&mut NoBits),
+            None,
+        );
         assert_eq!(stats.groups, 1);
         assert_eq!(stats.saturated, 1);
         assert_eq!(stats.zeros, 1);
@@ -312,7 +281,7 @@ mod tests {
                 GroupAxis::AlongRow,
                 fmt,
                 Rounding::STOCHASTIC8,
-                &mut bits,
+                Noise::Stream(&mut bits),
                 false,
             );
             data

@@ -8,13 +8,22 @@
 //! (slice/matrix, AlongRow/AlongCol, packed/dense) yields bitwise
 //! identical results.
 
-use fast_bfp::kernel::{fake_quantize_matrix_counter, fake_quantize_slice_counter};
-use fast_bfp::packed::{pack_matrix_counter, PackedData};
-use fast_bfp::{BfpFormat, CounterRng, GroupAxis, Rounding};
+use fast_bfp::packed::{pack_matrix, PackedData};
+use fast_bfp::{
+    fake_quantize_matrix, fake_quantize_slice, BfpFormat, CounterRng, GroupAxis, Lfsr16, Noise,
+    Rounding,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 const SR8: Rounding = Rounding::Stochastic { noise_bits: 8 };
+
+/// Counter noise for a pass whose first element sits at `base`. The stream
+/// type parameter is unused by this arm; pinning it spares every call site
+/// an annotation.
+fn counter(rng: CounterRng, base: u64, workers: usize) -> Noise<'static, Lfsr16> {
+    Noise::Counter { rng, base, workers }
+}
 
 /// The 10-format zoo: the paper's reference settings plus group-size /
 /// mantissa-width extremes that exercise partial groups, i8-unpackable
@@ -73,7 +82,7 @@ proptest! {
         let rounding = Rounding::Stochastic { noise_bits: nb };
         let rng = CounterRng::new(seed);
         let mut whole = data.clone();
-        fake_quantize_slice_counter(&mut whole, fmt, rounding, rng, 0, None, 1);
+        fake_quantize_slice(&mut whole, fmt, rounding, counter(rng, 0, 1), None);
 
         // Split at group boundaries, visit segments back to front.
         let g = fmt.group_size();
@@ -82,8 +91,8 @@ proptest! {
         let starts: Vec<usize> = (0..data.len()).step_by(seg).collect();
         for &s in starts.iter().rev() {
             let end = (s + seg).min(data.len());
-            fake_quantize_slice_counter(
-                &mut pieced[s..end], fmt, rounding, rng, s as u64, None, 1,
+            fake_quantize_slice(
+                &mut pieced[s..end], fmt, rounding, counter(rng, s as u64, 1), None,
             );
         }
         prop_assert_eq!(bits_of(&whole), bits_of(&pieced));
@@ -105,9 +114,7 @@ proptest! {
         let axis = if along_col { GroupAxis::AlongCol } else { GroupAxis::AlongRow };
         let rng = CounterRng::new(seed);
         let mut whole = data.to_vec();
-        fake_quantize_matrix_counter(
-            &mut whole, rows, cols, axis, fmt, SR8, rng, 0, false, 1,
-        );
+        fake_quantize_matrix(&mut whole, rows, cols, axis, fmt, SR8, counter(rng, 0, 1), false);
 
         // Stripe rows: group-aligned for AlongCol so block decomposition
         // (and per-column shared exponents) match the unsharded kernel.
@@ -119,17 +126,15 @@ proptest! {
         let starts: Vec<usize> = (0..rows).step_by(granule).collect();
         for &r0 in starts.iter().rev() {
             let r1 = (r0 + granule).min(rows);
-            fake_quantize_matrix_counter(
+            fake_quantize_matrix(
                 &mut pieced[r0 * cols..r1 * cols],
                 r1 - r0,
                 cols,
                 axis,
                 fmt,
                 SR8,
-                rng,
-                (r0 * cols) as u64,
+                counter(rng, (r0 * cols) as u64, 1),
                 false,
-                1,
             );
         }
         prop_assert_eq!(bits_of(&whole), bits_of(&pieced));
@@ -145,10 +150,10 @@ fn slice_workers_are_bit_invisible() {
     let rng = CounterRng::new(0xFEED);
     for fmt in [BfpFormat::high(), BfpFormat::new(5, 7, 8).unwrap()] {
         let mut reference = data.clone();
-        fake_quantize_slice_counter(&mut reference, fmt, SR8, rng, 7, None, 1);
+        fake_quantize_slice(&mut reference, fmt, SR8, counter(rng, 7, 1), None);
         for workers in [2usize, 3, 8, 64] {
             let mut buf = data.clone();
-            let stats = fake_quantize_slice_counter(&mut buf, fmt, SR8, rng, 7, None, workers);
+            let stats = fake_quantize_slice(&mut buf, fmt, SR8, counter(rng, 7, workers), None);
             assert_eq!(
                 bits_of(&reference),
                 bits_of(&buf),
@@ -170,31 +175,27 @@ fn matrix_workers_are_bit_invisible() {
     for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
         for use_window in [false, true] {
             let mut reference = data.clone();
-            fake_quantize_matrix_counter(
+            fake_quantize_matrix(
                 &mut reference,
                 rows,
                 cols,
                 axis,
                 BfpFormat::high(),
                 SR8,
-                rng,
-                0,
+                counter(rng, 0, 1),
                 use_window,
-                1,
             );
             for workers in [2usize, 3, 8, 64] {
                 let mut buf = data.clone();
-                fake_quantize_matrix_counter(
+                fake_quantize_matrix(
                     &mut buf,
                     rows,
                     cols,
                     axis,
                     BfpFormat::high(),
                     SR8,
-                    rng,
-                    0,
+                    counter(rng, 0, workers),
                     use_window,
-                    workers,
                 );
                 assert_eq!(
                     bits_of(&reference),
@@ -220,72 +221,37 @@ fn dequantize(p: &PackedData, rows: usize, cols: usize, axis: GroupAxis, g: usiz
         .collect()
 }
 
-/// Packed counter-mode operands reconstruct bit-identically to the dense
-/// counter-mode kernel for the same `(rng, base)` — pack refusal and dense
-/// fallback stay interchangeable per operand — and the packed output is
-/// itself worker-invariant.
+/// The packed output is itself worker-invariant (its agreement with the
+/// dense kernel is pinned by
+/// `pack_and_dense_agree_through_one_call_for_both_noise_arms`). Needs a
+/// matrix big enough for sharding to engage.
 #[test]
-fn counter_packing_matches_dense_and_workers() {
-    let (rows, cols) = (96, 48);
-    let data = rand_data(rows * cols, 31);
+fn counter_packing_is_worker_invariant() {
     let rng = CounterRng::new(0xACE1);
-    for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
-        for (fmt, rounding) in [
-            (BfpFormat::high(), SR8),
-            (BfpFormat::mid(), Rounding::Stochastic { noise_bits: 3 }),
-            (BfpFormat::high(), Rounding::Nearest),
-        ] {
-            let mut dense = data.clone();
-            fake_quantize_matrix_counter(
-                &mut dense, rows, cols, axis, fmt, rounding, rng, 5, true, 1,
-            );
-            let packed =
-                pack_matrix_counter(&data, rows, cols, axis, fmt, rounding, rng, 5, true, 1)
-                    .expect("plain data must pack");
-            let got = dequantize(&packed, rows, cols, axis, fmt.group_size());
-            assert_eq!(
-                bits_of(&dense),
-                bits_of(&got),
-                "{axis:?} {fmt} {rounding:?}"
-            );
-            assert_eq!(packed.stats, {
-                let mut buf = data.clone();
-                fake_quantize_matrix_counter(
-                    &mut buf, rows, cols, axis, fmt, rounding, rng, 5, true, 1,
-                )
-            });
-        }
-    }
-    // Worker invariance of the packed form itself (needs a matrix big
-    // enough for sharding to engage).
     let (rows, cols) = (1024, 256);
     let data = rand_data(rows * cols, 37);
     for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
-        let reference = pack_matrix_counter(
+        let reference = pack_matrix(
             &data,
             rows,
             cols,
             axis,
             BfpFormat::high(),
             SR8,
-            rng,
-            0,
+            counter(rng, 0, 1),
             true,
-            1,
         )
         .unwrap();
         for workers in [2usize, 8] {
-            let p = pack_matrix_counter(
+            let p = pack_matrix(
                 &data,
                 rows,
                 cols,
                 axis,
                 BfpFormat::high(),
                 SR8,
-                rng,
-                0,
+                counter(rng, 0, workers),
                 true,
-                workers,
             )
             .unwrap();
             assert_eq!(
@@ -302,41 +268,134 @@ fn counter_packing_matches_dense_and_workers() {
     }
 }
 
-/// Deterministic rounding through the counter entry points is identical to
-/// the sequential entry points (no draws → the noise plumbing must be
-/// arithmetically invisible).
+/// An owner for either noise source, so one test body drives both
+/// [`Noise`] arms through literally the same calls.
+#[derive(Debug, Clone, PartialEq)]
+enum Arm {
+    Stream(Lfsr16),
+    Counter(CounterRng, u64),
+}
+
+impl Arm {
+    fn noise(&mut self) -> Noise<'_, Lfsr16> {
+        match self {
+            Arm::Stream(lfsr) => Noise::Stream(lfsr),
+            Arm::Counter(rng, base) => counter(*rng, *base, 1),
+        }
+    }
+}
+
+/// The one thing the unified entry points add: over the format zoo × both
+/// axes × plain/NaN/subnormal inputs, `pack_matrix` reconstructed to dense
+/// and `fake_quantize_matrix` agree bitwise with equal `QuantStats` under
+/// *both* noise arms through the same call — and a pack refusal consumes
+/// nothing: the stream is left bit-for-bit where it was, and the dense
+/// fallback re-draws exactly the counter positions packing would have used.
+#[test]
+fn pack_and_dense_agree_through_one_call_for_both_noise_arms() {
+    let (rows, cols) = (19, 23);
+    let plain = rand_data(rows * cols, 61);
+    let with = |at: usize, v: f32| {
+        let mut d = plain.clone();
+        d[at] = v;
+        d
+    };
+    let inputs = [
+        ("plain", plain.clone()),
+        ("nan", with(40, f32::NAN)),
+        ("subnormal", with(207, 1e-40)),
+    ];
+    let arms = [
+        Arm::Stream(Lfsr16::new(0xBEEF)),
+        Arm::Counter(CounterRng::new(0xBEEF), 77),
+    ];
+    for fmt in format_zoo() {
+        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+            for (tag, data) in &inputs {
+                for rounding in [
+                    SR8,
+                    Rounding::Stochastic { noise_bits: 3 },
+                    Rounding::Nearest,
+                ] {
+                    for fresh in &arms {
+                        let ctx = format!("{fmt} {axis:?} {tag} {rounding:?} {fresh:?}");
+                        let (mut a, mut b) = (fresh.clone(), fresh.clone());
+                        let mut dense = data.clone();
+                        let want = fake_quantize_matrix(
+                            &mut dense,
+                            rows,
+                            cols,
+                            axis,
+                            fmt,
+                            rounding,
+                            a.noise(),
+                            true,
+                        );
+                        let packed =
+                            pack_matrix(data, rows, cols, axis, fmt, rounding, b.noise(), true);
+                        let unpackable = fmt.mantissa_bits() > 7 || *tag != "plain";
+                        assert_eq!(packed.is_none(), unpackable, "{ctx}");
+                        let (got, stats) = match packed {
+                            Some(p) => {
+                                (dequantize(&p, rows, cols, axis, fmt.group_size()), p.stats)
+                            }
+                            None => {
+                                assert_eq!(&b, fresh, "{ctx}: refusal must consume no noise");
+                                let mut fallback = data.clone();
+                                let stats = fake_quantize_matrix(
+                                    &mut fallback,
+                                    rows,
+                                    cols,
+                                    axis,
+                                    fmt,
+                                    rounding,
+                                    b.noise(),
+                                    true,
+                                );
+                                (fallback, stats)
+                            }
+                        };
+                        assert_eq!(bits_of(&dense), bits_of(&got), "{ctx}");
+                        assert_eq!(want, stats, "{ctx}");
+                        assert_eq!(a, b, "{ctx}: both paths must consume identical noise");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Deterministic rounding under counter noise is identical to the same call
+/// under a stream (no draws → the noise plumbing must be arithmetically
+/// invisible).
 #[test]
 fn deterministic_counter_matches_sequential() {
-    use fast_bfp::kernel::fake_quantize_matrix_with;
-    use fast_bfp::Lfsr16;
     let (rows, cols) = (33, 21);
     let data = rand_data(rows * cols, 41);
     for fmt in format_zoo() {
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
             for rounding in [Rounding::Nearest, Rounding::Truncate] {
                 let mut seq = data.clone();
-                fake_quantize_matrix_with(
+                fake_quantize_matrix(
                     &mut seq,
                     rows,
                     cols,
                     axis,
                     fmt,
                     rounding,
-                    &mut Lfsr16::default(),
+                    Noise::Stream(&mut Lfsr16::default()),
                     true,
                 );
                 let mut ctr = data.clone();
-                fake_quantize_matrix_counter(
+                fake_quantize_matrix(
                     &mut ctr,
                     rows,
                     cols,
                     axis,
                     fmt,
                     rounding,
-                    CounterRng::new(9),
-                    123,
+                    counter(CounterRng::new(9), 123, 1),
                     true,
-                    1,
                 );
                 assert_eq!(bits_of(&seq), bits_of(&ctr), "{fmt} {axis:?} {rounding:?}");
             }
@@ -407,14 +466,12 @@ fn counter_sr_is_mean_unbiased_across_offsets() {
         let mut sums = vec![0.0f64; g];
         for k in 0..K {
             let mut buf = group.clone();
-            fake_quantize_slice_counter(
+            fake_quantize_slice(
                 &mut buf,
                 fmt,
                 Rounding::Stochastic { noise_bits: nb },
-                rng,
-                (k * g) as u64,
+                counter(rng, (k * g) as u64, 1),
                 None,
-                1,
             );
             for (s, &q) in sums.iter_mut().zip(&buf) {
                 *s += q as f64;
@@ -443,22 +500,20 @@ fn same_seed_and_base_replays_bitwise() {
     let rng = CounterRng::new(42);
     let mut a = data.clone();
     let mut b = data.clone();
-    fake_quantize_slice_counter(&mut a, BfpFormat::high(), SR8, rng, 1000, None, 1);
-    fake_quantize_slice_counter(&mut b, BfpFormat::high(), SR8, rng, 1000, None, 1);
+    fake_quantize_slice(&mut a, BfpFormat::high(), SR8, counter(rng, 1000, 1), None);
+    fake_quantize_slice(&mut b, BfpFormat::high(), SR8, counter(rng, 1000, 1), None);
     assert_eq!(bits_of(&a), bits_of(&b));
     // ... while a different base or seed decorrelates.
     let mut c = data.clone();
-    fake_quantize_slice_counter(&mut c, BfpFormat::high(), SR8, rng, 1001, None, 1);
+    fake_quantize_slice(&mut c, BfpFormat::high(), SR8, counter(rng, 1001, 1), None);
     assert_ne!(bits_of(&a), bits_of(&c));
     let mut d = data.clone();
-    fake_quantize_slice_counter(
+    fake_quantize_slice(
         &mut d,
         BfpFormat::high(),
         SR8,
-        CounterRng::new(43),
-        1000,
+        counter(CounterRng::new(43), 1000, 1),
         None,
-        1,
     );
     assert_ne!(bits_of(&a), bits_of(&d));
 }

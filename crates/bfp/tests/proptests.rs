@@ -8,7 +8,7 @@
 use fast_bfp::dot::{dot_chunked, dot_dequantized, dot_f32};
 use fast_bfp::{
     exponent_of, relative_improvement, BfpFormat, BfpGroup, BitSource, ChunkedGroup, GroupAxis,
-    Lfsr16, RngBits, Rounding,
+    Lfsr16, Noise, RngBits, Rounding,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -437,8 +437,8 @@ proptest! {
         let mut want_buf = values.clone();
         let mut lfsr_a = Lfsr16::new(seed);
         let mut lfsr_b = lfsr_a.clone();
-        let stats = fast_bfp::kernel::fake_quantize_slice_with(
-            &mut got_buf, fmt, rounding, &mut lfsr_a, window);
+        let stats = fast_bfp::fake_quantize_slice(
+            &mut got_buf, fmt, rounding, Noise::Stream(&mut lfsr_a), window);
         let (groups, saturated, zeros) = seed_reference::fake_quantize_slice(
             &mut want_buf, fmt, rounding, &mut lfsr_b, window);
         prop_assert_eq!((stats.groups, stats.saturated, stats.zeros), (groups, saturated, zeros));
@@ -473,8 +473,9 @@ proptest! {
         let mut want_buf = values;
         let mut lfsr_a = Lfsr16::new(seed);
         let mut lfsr_b = lfsr_a.clone();
-        let stats = fast_bfp::kernel::fake_quantize_matrix_with(
-            &mut got_buf, rows, cols, axis, fmt, rounding, &mut lfsr_a, use_window == 1);
+        let stats = fast_bfp::fake_quantize_matrix(
+            &mut got_buf, rows, cols, axis, fmt, rounding, Noise::Stream(&mut lfsr_a),
+            use_window == 1);
         let (groups, saturated, zeros) = seed_reference::fake_quantize_matrix(
             &mut want_buf, rows, cols, along_col == 1, fmt, rounding, &mut lfsr_b, use_window == 1);
         prop_assert_eq!((stats.groups, stats.saturated, stats.zeros), (groups, saturated, zeros));

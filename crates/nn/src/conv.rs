@@ -10,10 +10,10 @@ use crate::frozen::FrozenWeight;
 use crate::layer::{GemmShape, Layer, Param, QuantControlled, Session};
 use crate::qgemm::{self, GemmOperand, Orient};
 use crate::quant::LayerPrecision;
-use fast_bfp::{GroupAxis, SrMode};
+use fast_bfp::GroupAxis;
 use fast_tensor::{
     col2im, gemm_out_to_nchw, im2col, im2row, kaiming_normal, nchw_to_gemm_out, row_sums,
-    Conv2dDims, ExecMode, Tensor,
+    Conv2dDims, Tensor,
 };
 use rand::Rng;
 
@@ -31,8 +31,6 @@ pub struct Conv2d {
     pad: usize,
     use_bias: bool,
     precision: LayerPrecision,
-    exec_mode: Option<ExecMode>,
-    sr_mode: Option<SrMode>,
     frozen_w: FrozenWeight,
     saved_input: Option<Tensor>,
     last_grad: Option<Tensor>,
@@ -65,8 +63,6 @@ impl Conv2d {
             pad,
             use_bias,
             precision: LayerPrecision::default(),
-            exec_mode: None,
-            sr_mode: None,
             frozen_w: FrozenWeight::default(),
             saved_input: None,
             last_grad: None,
@@ -101,8 +97,6 @@ const IM2ROW_MAX_P: usize = 32;
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, session: &mut Session) -> Tensor {
         let d = self.dims_for(input);
-        let mode = self.exec_mode.unwrap_or(session.exec_mode);
-        let sr = self.sr_mode.unwrap_or(session.sr_mode);
         let mut out_mat = if session.freeze_weights {
             // The im2col weight matrix is the (out_c, C·k²) reshape of the
             // master tensor — same row-major buffer, so the cache can build
@@ -113,7 +107,7 @@ impl Layer for Conv2d {
                 d.k_dim(),
                 self.precision.weights,
                 GroupAxis::AlongRow,
-                sr,
+                session.sr_mode,
             );
             if d.p_dim() < IM2ROW_MAX_P {
                 // Transposed patches: the quantization groups that run down
@@ -125,45 +119,41 @@ impl Layer for Conv2d {
                 // bit-identical. See DESIGN.md §8.) Patches stay dense:
                 // they are request scratch for one narrow GEMM, so packing
                 // would cost more staging than it saves.
-                let rows = qgemm::prepare_owned_dense_sr(
+                let rows = qgemm::prepare_owned_dense(
                     session,
-                    sr,
                     im2row(input, d),
                     self.precision.activations,
                     GroupAxis::AlongRow,
                 );
-                qgemm::execute_with(session, mode, Orient::Bt, &GemmOperand::Cached(wq), &rows)
+                qgemm::execute(session, Orient::Bt, &GemmOperand::Cached(wq), &rows)
             } else {
-                let cols = qgemm::prepare_owned_dense_sr(
+                let cols = qgemm::prepare_owned_dense(
                     session,
-                    sr,
                     im2col(input, d),
                     self.precision.activations,
                     GroupAxis::AlongCol,
                 );
-                qgemm::execute_with(session, mode, Orient::Nn, &GemmOperand::Cached(wq), &cols)
+                qgemm::execute(session, Orient::Nn, &GemmOperand::Cached(wq), &cols)
             }
         } else {
             // Forward GEMM `O = W_mat · cols` reduces over K = C·k²: groups
             // run down the rows of `cols` (AlongCol) and along the rows of
             // `W_mat`.
-            let cols = qgemm::prepare_owned_sr(
+            let cols = qgemm::prepare_owned(
                 session,
-                sr,
                 im2col(input, d),
                 self.precision.activations,
                 GroupAxis::AlongCol,
             );
-            let wq = qgemm::prepare_slice_sr(
+            let wq = qgemm::prepare_slice(
                 session,
-                sr,
                 self.w.data(),
                 self.out_c,
                 d.k_dim(),
                 self.precision.weights,
                 GroupAxis::AlongRow,
             );
-            qgemm::execute_with(session, mode, Orient::Nn, &wq, &cols)
+            qgemm::execute(session, Orient::Nn, &wq, &cols)
         };
         if self.use_bias {
             let p = d.p_dim();
@@ -197,25 +187,21 @@ impl Layer for Conv2d {
             .as_ref()
             .expect("Conv2d::backward requires a training-mode forward pass");
         let g_mat = nchw_to_gemm_out(grad_output, d); // (out_c, P)
-        let mode = self.exec_mode.unwrap_or(session.exec_mode);
-        let sr = self.sr_mode.unwrap_or(session.sr_mode);
 
         // ∇W = ∇O · colsᵀ, reduction over P.
-        let gq = qgemm::prepare_sr(
+        let gq = qgemm::prepare(
             session,
-            sr,
             &g_mat,
             self.precision.gradients,
             GroupAxis::AlongRow,
         );
-        let cols = qgemm::prepare_owned_sr(
+        let cols = qgemm::prepare_owned(
             session,
-            sr,
             im2col(x, d),
             self.precision.activations,
             GroupAxis::AlongRow,
         );
-        let gw = qgemm::execute_with(session, mode, Orient::Nt, &gq, &cols).reshape(vec![
+        let gw = qgemm::execute(session, Orient::Nt, &gq, &cols).reshape(vec![
             self.out_c,
             self.in_c,
             self.kernel,
@@ -231,23 +217,21 @@ impl Layer for Conv2d {
         }
 
         // ∇cols = Wᵀ · ∇O, reduction over out_c.
-        let gq2 = qgemm::prepare_owned_sr(
+        let gq2 = qgemm::prepare_owned(
             session,
-            sr,
             g_mat,
             self.precision.gradients,
             GroupAxis::AlongCol,
         );
-        let wq = qgemm::prepare_slice_sr(
+        let wq = qgemm::prepare_slice(
             session,
-            sr,
             self.w.data(),
             self.out_c,
             d.k_dim(),
             self.precision.weights,
             GroupAxis::AlongCol,
         );
-        let grad_cols = qgemm::execute_with(session, mode, Orient::Tn, &wq, &gq2);
+        let grad_cols = qgemm::execute(session, Orient::Tn, &wq, &gq2);
         let grad_input = col2im(&grad_cols, d);
 
         if session.record_sensitivity {
@@ -297,14 +281,6 @@ impl QuantControlled for Conv2d {
         &mut self.precision
     }
 
-    fn exec_mode_mut(&mut self) -> &mut Option<ExecMode> {
-        &mut self.exec_mode
-    }
-
-    fn sr_mode_mut(&mut self) -> &mut Option<SrMode> {
-        &mut self.sr_mode
-    }
-
     fn precision(&self) -> LayerPrecision {
         self.precision
     }
@@ -346,8 +322,6 @@ pub struct DepthwiseConv2d {
     stride: usize,
     pad: usize,
     precision: LayerPrecision,
-    exec_mode: Option<ExecMode>,
-    sr_mode: Option<SrMode>,
     frozen_w: FrozenWeight,
     saved_input: Option<Tensor>,
     last_grad: Option<Tensor>,
@@ -372,8 +346,6 @@ impl DepthwiseConv2d {
             stride,
             pad,
             precision: LayerPrecision::default(),
-            exec_mode: None,
-            sr_mode: None,
             frozen_w: FrozenWeight::default(),
             saved_input: None,
             last_grad: None,
@@ -415,8 +387,6 @@ impl Layer for DepthwiseConv2d {
         assert_eq!(input.rank(), 4, "DepthwiseConv2d expects NCHW input");
         assert_eq!(input.shape()[1], self.channels, "channel mismatch");
         let d = self.channel_dims(input);
-        let mode = self.exec_mode.unwrap_or(session.exec_mode);
-        let sr = self.sr_mode.unwrap_or(session.sr_mode);
         let (b, oh, ow) = (d.batch, d.out_h(), d.out_w());
         let mut out = Tensor::zeros(vec![b, self.channels, oh, ow]);
         let k2 = self.kernel * self.kernel;
@@ -428,16 +398,21 @@ impl Layer for DepthwiseConv2d {
         // (tiny) row copy.
         let frozen_rows: Option<&Tensor> = if session.freeze_weights {
             self.frozen_w
-                .get_per_row(&self.w, self.channels, k2, self.precision.weights, sr)
+                .get_per_row(
+                    &self.w,
+                    self.channels,
+                    k2,
+                    self.precision.weights,
+                    session.sr_mode,
+                )
                 .dense()
         } else {
             None
         };
         for c in 0..self.channels {
             let xc = Self::slice_channel(input, c);
-            let cols = qgemm::prepare_owned_sr(
+            let cols = qgemm::prepare_owned(
                 session,
-                sr,
                 im2col(&xc, d), // (k², B·OH·OW)
                 self.precision.activations,
                 GroupAxis::AlongCol,
@@ -447,9 +422,8 @@ impl Layer for DepthwiseConv2d {
                     vec![1, k2],
                     rows.data()[c * k2..(c + 1) * k2].to_vec(),
                 ))),
-                None => qgemm::prepare_slice_sr(
+                None => qgemm::prepare_slice(
                     session,
-                    sr,
                     &self.w.data()[c * k2..(c + 1) * k2],
                     1,
                     k2,
@@ -457,7 +431,7 @@ impl Layer for DepthwiseConv2d {
                     GroupAxis::AlongRow,
                 ),
             };
-            let out_mat = qgemm::execute_with(session, mode, Orient::Nn, &w_row, &cols); // (1, B·OH·OW)
+            let out_mat = qgemm::execute(session, Orient::Nn, &w_row, &cols); // (1, B·OH·OW)
             let od = out.data_mut();
             for bi in 0..b {
                 for p in 0..oh * ow {
@@ -482,8 +456,6 @@ impl Layer for DepthwiseConv2d {
             .as_ref()
             .expect("DepthwiseConv2d::backward requires a training-mode forward pass");
         let d = self.channel_dims(x);
-        let mode = self.exec_mode.unwrap_or(session.exec_mode);
-        let sr = self.sr_mode.unwrap_or(session.sr_mode);
         let (b, h, w) = (d.batch, d.in_h, d.in_w);
         let k2 = self.kernel * self.kernel;
         let mut grad_input = Tensor::zeros(vec![b, self.channels, h, w]);
@@ -493,44 +465,40 @@ impl Layer for DepthwiseConv2d {
             let g_mat = nchw_to_gemm_out(&gc, d); // (1, B·OH·OW)
 
             // ∇W row = ∇O · colsᵀ.
-            let gq = qgemm::prepare_sr(
+            let gq = qgemm::prepare(
                 session,
-                sr,
                 &g_mat,
                 self.precision.gradients,
                 GroupAxis::AlongRow,
             );
-            let cols = qgemm::prepare_owned_sr(
+            let cols = qgemm::prepare_owned(
                 session,
-                sr,
                 im2col(&xc, d),
                 self.precision.activations,
                 GroupAxis::AlongRow,
             );
-            let gw_row = qgemm::execute_with(session, mode, Orient::Nt, &gq, &cols); // (1, k²)
+            let gw_row = qgemm::execute(session, Orient::Nt, &gq, &cols); // (1, k²)
             drop(gq);
             for (i, &v) in gw_row.data().iter().enumerate() {
                 self.gw.data_mut()[c * k2 + i] += v;
             }
 
             // ∇cols = wᵀ · ∇O.
-            let gq2 = qgemm::prepare_owned_sr(
+            let gq2 = qgemm::prepare_owned(
                 session,
-                sr,
                 g_mat,
                 self.precision.gradients,
                 GroupAxis::AlongCol,
             );
-            let wq = qgemm::prepare_slice_sr(
+            let wq = qgemm::prepare_slice(
                 session,
-                sr,
                 &self.w.data()[c * k2..(c + 1) * k2],
                 1,
                 k2,
                 self.precision.weights,
                 GroupAxis::AlongCol,
             );
-            let grad_cols = qgemm::execute_with(session, mode, Orient::Tn, &wq, &gq2); // (k², B·OH·OW)
+            let grad_cols = qgemm::execute(session, Orient::Tn, &wq, &gq2); // (k², B·OH·OW)
             let gic = col2im(&grad_cols, d); // (B,1,H,W)
             for bi in 0..b {
                 for p in 0..h * w {
@@ -574,14 +542,6 @@ impl Layer for DepthwiseConv2d {
 impl QuantControlled for DepthwiseConv2d {
     fn precision_mut(&mut self) -> &mut LayerPrecision {
         &mut self.precision
-    }
-
-    fn exec_mode_mut(&mut self) -> &mut Option<ExecMode> {
-        &mut self.exec_mode
-    }
-
-    fn sr_mode_mut(&mut self) -> &mut Option<SrMode> {
-        &mut self.sr_mode
     }
 
     fn precision(&self) -> LayerPrecision {

@@ -17,17 +17,16 @@
 //! * any weight update invalidates it — weight-bearing layers bump their
 //!   version in `visit_params`, the only mutable access path optimizers
 //!   have — as does any change of format or grouping axis;
-//! * cache builds use a deterministic bit source, so every replica of a
+//! * cache builds use a deterministic noise source, so every replica of a
 //!   model quantizes to bit-identical weights regardless of request order,
 //!   and for deterministic rounding the cached operand is bit-identical to
 //!   what the training-path forward would have produced.
 //!
 //! [`Session::freeze_weights`]: crate::Session
 
-use crate::qgemm::{prepare_slice_counter, prepare_slice_with, CounterCtx, Prepared};
+use crate::qgemm::{quantize_operand, Prepared};
 use crate::quant::NumericFormat;
-use fast_bfp::kernel::fake_quantize_matrix_counter;
-use fast_bfp::{CounterRng, GroupAxis, Lfsr16, QuantStats, Rounding, SrMode};
+use fast_bfp::{CounterRng, GroupAxis, Lfsr16, Noise, QuantStats, SrMode};
 use fast_tensor::Tensor;
 
 /// Seed of the deterministic counter source frozen builds draw from — the
@@ -36,17 +35,19 @@ use fast_tensor::Tensor;
 /// depends only on the build, never on request order.
 const FROZEN_COUNTER_SEED: u64 = 0xACE1;
 
-/// Whether a counter-mode frozen build applies to `fmt` (only SR-rounded
-/// BFP draws noise; everything else builds identically in both modes).
-fn counter_applies(sr: SrMode, fmt: &NumericFormat) -> bool {
-    sr == SrMode::Counter
-        && matches!(
-            fmt,
-            NumericFormat::Bfp {
-                rounding: Rounding::Stochastic { .. },
-                ..
-            }
-        )
+/// The deterministic noise a frozen build draws from under `sr` (only
+/// relevant for SR weight formats): the freshly powered-up hardware `lfsr`
+/// under [`SrMode::Lfsr`], the fixed-seed counter source positioned at
+/// element offset `base` under [`SrMode::Counter`].
+fn frozen_noise(sr: SrMode, lfsr: &mut Lfsr16, base: u64) -> Noise<'_, Lfsr16> {
+    match sr {
+        SrMode::Lfsr => Noise::Stream(lfsr),
+        SrMode::Counter => Noise::Counter {
+            rng: CounterRng::new(FROZEN_COUNTER_SEED),
+            base,
+            workers: 1,
+        },
+    }
 }
 
 /// A cached quantized copy of one weight operand.
@@ -77,11 +78,9 @@ impl FrozenWeight {
     /// rebuilding from `master` if the weights, the format, or the axis
     /// changed since the last build.
     ///
-    /// Builds draw stochastic-rounding bits (only relevant for SR weight
-    /// formats) from a freshly seeded deterministic source — the hardware
-    /// LFSR under [`SrMode::Lfsr`], a fixed-seed counter source at base
-    /// offset 0 under [`SrMode::Counter`] — so rebuilds and replicas are
-    /// deterministic — see DESIGN.md §8 and §12.
+    /// Builds draw from a freshly seeded deterministic source (see
+    /// `frozen_noise`), so rebuilds and replicas are deterministic — see
+    /// DESIGN.md §8 and §12.
     pub fn get(
         &mut self,
         master: &Tensor,
@@ -94,31 +93,15 @@ impl FrozenWeight {
         let key = (fmt, axis, false, sr, self.version);
         if self.built != Some(key) || self.prepared.is_none() {
             let mut stats = QuantStats::default(); // build-once cost, unmetered
-            self.prepared = Some(if counter_applies(sr, &fmt) {
-                prepare_slice_counter(
-                    &mut stats,
-                    master.data(),
-                    rows,
-                    cols,
-                    fmt,
-                    axis,
-                    CounterCtx {
-                        rng: CounterRng::new(FROZEN_COUNTER_SEED),
-                        base: 0,
-                        workers: 1,
-                    },
-                )
-            } else {
-                prepare_slice_with(
-                    &mut Lfsr16::default(),
-                    &mut stats,
-                    master.data(),
-                    rows,
-                    cols,
-                    fmt,
-                    axis,
-                )
-            });
+            self.prepared = Some(quantize_operand(
+                frozen_noise(sr, &mut Lfsr16::default(), 0),
+                &mut stats,
+                master.data(),
+                rows,
+                cols,
+                fmt,
+                axis,
+            ));
             self.built = Some(key);
         }
         self.prepared.as_ref().expect("frozen operand just built")
@@ -144,39 +127,15 @@ impl FrozenWeight {
         let key = (fmt, GroupAxis::AlongRow, true, sr, self.version);
         if self.built != Some(key) || self.prepared.is_none() {
             let mut buf = master.data().to_vec();
-            if let (
-                true,
-                NumericFormat::Bfp {
-                    format,
-                    rounding,
-                    windowed,
-                },
-            ) = (counter_applies(sr, &fmt), fmt)
-            {
+            let mut lfsr = Lfsr16::default();
+            for (r, row) in buf.chunks_mut(cols).enumerate() {
                 // Row `r` draws at counter positions `r·cols ..`, matching
-                // the element offsets of the whole-matrix builds — each row
-                // still takes its own exponent window because it is
-                // quantized as an independent `1 × cols` matrix.
-                let rng = CounterRng::new(FROZEN_COUNTER_SEED);
-                for (r, row) in buf.chunks_mut(cols).enumerate() {
-                    fake_quantize_matrix_counter(
-                        row,
-                        1,
-                        cols,
-                        GroupAxis::AlongRow,
-                        format,
-                        rounding,
-                        rng,
-                        (r * cols) as u64,
-                        windowed,
-                        1,
-                    );
-                }
-            } else {
-                let mut bits = Lfsr16::default();
-                for row in buf.chunks_mut(cols) {
-                    fmt.quantize_slice(row, 1, cols, GroupAxis::AlongRow, &mut bits);
-                }
+                // the element offsets of the whole-matrix builds (a stream
+                // simply continues) — each row still takes its own exponent
+                // window because it is quantized as an independent
+                // `1 × cols` matrix.
+                let noise = frozen_noise(sr, &mut lfsr, (r * cols) as u64);
+                fmt.quantize_slice(row, 1, cols, GroupAxis::AlongRow, noise);
             }
             self.prepared = Some(Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf)));
             self.built = Some(key);
@@ -211,7 +170,11 @@ mod tests {
         assert_eq!(first, second);
         // And it matches a direct quantization of the master copy.
         let mut direct = w.clone();
-        fmt.quantize_matrix(&mut direct, GroupAxis::AlongRow, &mut Lfsr16::default());
+        fmt.quantize_matrix(
+            &mut direct,
+            GroupAxis::AlongRow,
+            Noise::Stream(&mut Lfsr16::default()),
+        );
         assert_eq!(first, direct);
     }
 
@@ -338,5 +301,58 @@ mod tests {
         let mut d = FrozenWeight::default();
         let p2 = d.get_per_row(&w, 2, 16, fmt, SrMode::Counter).to_tensor();
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn frozen_weights_follow_the_session_sr_mode() {
+        use crate::{Dense, Layer, LayerPrecision, QuantControlled, Session};
+        use fast_bfp::{fake_quantize_matrix, Rounding};
+        use rand::SeedableRng;
+        // An SR *weight* format under FP32 activations: the frozen output is
+        // exactly `x · Wq`, so it pins the cached operand itself — the path
+        // that used to be threaded through the per-layer `sr` argument.
+        let mut r = rand::rngs::StdRng::seed_from_u64(7);
+        let mut layer = Dense::new(16, 8, false, &mut r);
+        *layer.precision_mut() = LayerPrecision {
+            weights: NumericFormat::bfp_stochastic(BfpFormat::high()),
+            activations: NumericFormat::Fp32,
+            gradients: NumericFormat::Fp32,
+        };
+        let x = Tensor::from_vec(
+            vec![3, 16],
+            (0..48)
+                .map(|i| ((i * 31) % 19) as f32 * 0.04 - 0.3)
+                .collect(),
+        );
+        let direct = |noise: Noise<'_, Lfsr16>| {
+            let mut wq = layer.weights().clone();
+            fake_quantize_matrix(
+                wq.data_mut(),
+                16,
+                8,
+                GroupAxis::AlongCol,
+                BfpFormat::high(),
+                Rounding::STOCHASTIC8,
+                noise,
+                false,
+            );
+            fast_tensor::matmul(&x, &wq)
+        };
+        // The frozen counter build: fixed seed 0xACE1, offset 0, whatever
+        // the session's own seed is.
+        let want_counter = direct(Noise::Counter {
+            rng: CounterRng::new(0xACE1),
+            base: 0,
+            workers: 1,
+        });
+        let want_lfsr = direct(Noise::Stream(&mut Lfsr16::default()));
+        assert_ne!(want_counter, want_lfsr);
+        for (sr, want) in [(SrMode::Counter, &want_counter), (SrMode::Lfsr, &want_lfsr)] {
+            for seed in [1, 2] {
+                let mut s = Session::inference(seed);
+                s.sr_mode = sr;
+                assert_eq!(&layer.forward(&x, &mut s), want, "{sr:?} seed {seed}");
+            }
+        }
     }
 }

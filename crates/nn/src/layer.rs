@@ -3,8 +3,8 @@
 //! controller.
 
 use crate::qgemm::PlanStats;
-use crate::quant::LayerPrecision;
-use fast_bfp::{BitSource, CounterRng, QuantStats, RngBits, SrMode};
+use crate::quant::{LayerPrecision, NumericFormat};
+use fast_bfp::{CounterRng, Noise, QuantStats, RngBits, Rounding, SrMode};
 use fast_ckpt::{StateVisitor, VisitState};
 use fast_tensor::{ExecMode, Tensor};
 use rand::rngs::StdRng;
@@ -42,18 +42,16 @@ pub struct Session {
     pub plan_stats: PlanStats,
     /// How packed×packed GEMMs routed through [`crate::qgemm::execute`]
     /// run: the bit-exact replay path (the default) or the integer-domain
-    /// kernels of DESIGN.md §11. Layers may override it per layer via
-    /// [`QuantControlled::exec_mode_mut`]. Like the mode flags above this is
-    /// *not* checkpoint state — a training loop (or serving compile)
-    /// reasserts it; see [`Session::default_exec_mode`] for the
-    /// `FAST_QGEMM_MODE` environment override.
+    /// kernels of DESIGN.md §11. Like the mode flags above this is *not*
+    /// checkpoint state — a training loop (or serving compile) reasserts
+    /// it; see [`Session::default_exec_mode`] for the `FAST_QGEMM_MODE`
+    /// environment override (DESIGN.md §16).
     pub exec_mode: ExecMode,
     /// Which stochastic-rounding noise source the quantized-GEMM plan draws
     /// from: the sequential LFSR-seeded stream (the default, bit-exact with
     /// every artifact recorded so far) or the counter-based source of
     /// DESIGN.md §12, whose draws are a pure function of `(seed, element
-    /// offset)` and therefore order-independent and shardable. Layers may
-    /// override it per layer via [`QuantControlled::sr_mode_mut`]. Unlike
+    /// offset)` and therefore order-independent and shardable. Unlike
     /// [`Session::exec_mode`] the choice *is* reflected in checkpoints —
     /// the artifact's RNG section self-describes which mode produced it —
     /// but new sessions start from [`Session::default_sr_mode`].
@@ -83,30 +81,32 @@ impl Session {
         }
     }
 
-    /// The process-wide default [`SrMode`] for new sessions:
-    /// [`SrMode::Counter`] when the `FAST_SR_MODE` environment variable is
-    /// set to `counter` (the CI lever that forces the whole gate suite
-    /// through the counter-based noise source), [`SrMode::Lfsr`] otherwise —
-    /// the sequential stream stays the default for fidelity with the paper's
-    /// LFSR converter and with previously recorded artifacts.
+    /// The process-wide default [`SrMode`] for new sessions, read once from
+    /// the `FAST_SR_MODE` environment variable: `counter` (the CI lever
+    /// that forces the whole gate suite through the counter-based noise
+    /// source) or `lfsr`; unset means [`SrMode::Lfsr`] — the sequential
+    /// stream stays the default for fidelity with the paper's LFSR
+    /// converter and with previously recorded artifacts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, naming the variable and the accepted set.
     pub fn default_sr_mode() -> SrMode {
         static ENV: std::sync::OnceLock<SrMode> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("FAST_SR_MODE").as_deref() {
-            Ok("counter") => SrMode::Counter,
-            _ => SrMode::Lfsr,
-        })
+        *ENV.get_or_init(|| env_lever("FAST_SR_MODE", SR_MODES))
     }
 
-    /// The process-wide default [`ExecMode`] for new sessions:
-    /// [`ExecMode::Integer`] when the `FAST_QGEMM_MODE` environment variable
-    /// is set to `integer` (the CI lever that forces the whole gate suite
-    /// through the integer-domain kernels), [`ExecMode::Replay`] otherwise.
+    /// The process-wide default [`ExecMode`] for new sessions, read once
+    /// from the `FAST_QGEMM_MODE` environment variable: `integer` (the CI
+    /// lever that forces the whole gate suite through the integer-domain
+    /// kernels) or `replay`; unset means [`ExecMode::Replay`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, naming the variable and the accepted set.
     pub fn default_exec_mode() -> ExecMode {
         static ENV: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("FAST_QGEMM_MODE").as_deref() {
-            Ok("integer") => ExecMode::Integer,
-            _ => ExecMode::Replay,
-        })
+        *ENV.get_or_init(|| env_lever("FAST_QGEMM_MODE", EXEC_MODES))
     }
 
     /// Creates an evaluation session: no training-mode caching, but weights
@@ -130,11 +130,6 @@ impl Session {
         }
     }
 
-    /// The stochastic-rounding bit source, type-erased.
-    pub fn bits(&mut self) -> &mut dyn BitSource {
-        &mut self.bits
-    }
-
     /// The stochastic-rounding bit source with its concrete type, so layer
     /// hot paths monomorphize the quantization kernels (no virtual call per
     /// stochastic draw; see `fast_bfp::kernel`).
@@ -142,28 +137,42 @@ impl Session {
         &mut self.bits
     }
 
-    /// Split borrow for the plan: the bit source and the fused quantization
-    /// counters, simultaneously.
-    pub(crate) fn quant_parts(&mut self) -> (&mut RngBits<StdRng>, &mut QuantStats) {
-        (&mut self.bits, &mut self.plan_stats.quant)
-    }
-
-    /// The counter-mode noise source of this session. Draws are a pure
-    /// function of `(seed, position)`, so the returned value is `Copy` and
-    /// never needs to be handed back.
-    pub fn counter_rng(&self) -> CounterRng {
-        CounterRng::new(self.sr_seed)
-    }
-
-    /// Claims the next `n` counter-noise positions, returning the base
-    /// offset of the claimed range. The quantized-GEMM plan reserves one
-    /// position per element of every stochastically rounded BFP operand, so
-    /// distinct operands never share noise and a resumed run continues the
-    /// reservation sequence exactly where the checkpoint left it.
-    pub(crate) fn reserve_sr(&mut self, n: u64) -> u64 {
-        let base = self.sr_cursor;
-        self.sr_cursor = self.sr_cursor.wrapping_add(n);
-        base
+    /// Split borrow for the plan: the noise one operand of `numel` elements
+    /// in format `fmt` quantizes with, and the fused quantization counters.
+    ///
+    /// This is the one place the run's [`SrMode`] becomes a [`Noise`].
+    /// Under [`SrMode::Counter`] an operand that actually draws — an
+    /// SR-rounded BFP format — claims the next `numel` positions of the
+    /// session's counter stream (one per element, so distinct operands
+    /// never share noise and a resumed run continues the reservation
+    /// sequence exactly where the checkpoint left it) and may shard across
+    /// the worker pool. Everything else gets the sequential stream, which
+    /// deterministic and scalar formats never touch.
+    pub(crate) fn quant_parts(
+        &mut self,
+        fmt: NumericFormat,
+        numel: usize,
+    ) -> (Noise<'_, RngBits<StdRng>>, &mut QuantStats) {
+        let draws = matches!(
+            fmt,
+            NumericFormat::Bfp {
+                rounding: Rounding::Stochastic { .. },
+                ..
+            }
+        );
+        let noise = match self.sr_mode {
+            SrMode::Counter if draws => {
+                let base = self.sr_cursor;
+                self.sr_cursor = self.sr_cursor.wrapping_add(numel as u64);
+                Noise::Counter {
+                    rng: CounterRng::new(self.sr_seed),
+                    base,
+                    workers: fast_tensor::parallelism().workers(),
+                }
+            }
+            _ => Noise::Stream(&mut self.bits),
+        };
+        (noise, &mut self.plan_stats.quant)
     }
 
     /// The counter-mode RNG state `(seed, cursor)` — everything a bit-exact
@@ -193,6 +202,48 @@ impl Session {
     pub fn set_rng_state(&mut self, state: [u64; 4]) {
         self.bits.0 = StdRng::from_state(state);
     }
+}
+
+/// Accepted `FAST_QGEMM_MODE` values, default first.
+const EXEC_MODES: &[(&str, ExecMode)] =
+    &[("replay", ExecMode::Replay), ("integer", ExecMode::Integer)];
+
+/// Accepted `FAST_SR_MODE` values, default first.
+const SR_MODES: &[(&str, SrMode)] = &[("lfsr", SrMode::Lfsr), ("counter", SrMode::Counter)];
+
+/// Resolves one environment lever: unset selects the default (the first
+/// accepted entry), a set value must name an accepted entry exactly.
+///
+/// # Errors
+///
+/// A message naming the variable, the offending value and the accepted set
+/// — a typo must not silently run the default.
+fn parse_lever<T: Copy>(
+    var: &str,
+    value: Option<&str>,
+    accepted: &[(&str, T)],
+) -> Result<T, String> {
+    let Some(value) = value else {
+        return Ok(accepted[0].1);
+    };
+    accepted
+        .iter()
+        .find(|(name, _)| *name == value)
+        .map(|&(_, mode)| mode)
+        .ok_or_else(|| {
+            let names: Vec<&str> = accepted.iter().map(|&(name, _)| name).collect();
+            format!(
+                "{var}={value:?} is not recognised: accepted values are {} (unset = {})",
+                names.join("|"),
+                names[0]
+            )
+        })
+}
+
+/// [`parse_lever`] over the process environment, panicking on a bad value.
+fn env_lever<T: Copy>(var: &str, accepted: &[(&str, T)]) -> T {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse_lever(var, value.as_deref(), accepted).unwrap_or_else(|why| panic!("{why}"))
 }
 
 /// The session state that determines a training trajectory: the
@@ -279,17 +330,6 @@ impl GemmShape {
 pub trait QuantControlled {
     /// Mutable access to the layer's (W, A, G) format assignment.
     fn precision_mut(&mut self) -> &mut LayerPrecision;
-    /// Per-layer [`ExecMode`] override: `Some(mode)` pins this layer's
-    /// GEMMs to `mode`, `None` (the default) inherits
-    /// [`Session::exec_mode`]. Like the session flag this is asserted by
-    /// the run, not carried in checkpoints — an artifact restored on a
-    /// machine without AVX2 must not smuggle in an execution-mode choice.
-    fn exec_mode_mut(&mut self) -> &mut Option<ExecMode>;
-    /// Per-layer [`SrMode`] override: `Some(mode)` pins this layer's
-    /// stochastic-rounding noise source, `None` (the default) inherits
-    /// [`Session::sr_mode`]. A run-configuration knob like the exec-mode
-    /// override above, not checkpoint state.
-    fn sr_mode_mut(&mut self) -> &mut Option<SrMode>;
     /// The current format assignment.
     fn precision(&self) -> LayerPrecision;
     /// The FP32 master weights.
@@ -377,29 +417,51 @@ pub fn set_uniform_precision(layer: &mut dyn Layer, precision: LayerPrecision) {
     layer.visit_quant(&mut |q| *q.precision_mut() = precision);
 }
 
-/// Sets every quantized layer's [`ExecMode`] override: `Some(mode)` pins
-/// the layers regardless of [`Session::exec_mode`], `None` restores
-/// session-controlled execution. The per-layer knob exists because the
-/// integer-domain mode is an *accuracy* decision per layer (DESIGN.md §11),
-/// not just a speed switch — e.g. keep a sensitive head on
-/// [`ExecMode::Replay`] while the backbone runs integer.
-pub fn set_exec_mode(layer: &mut dyn Layer, mode: Option<ExecMode>) {
-    layer.visit_quant(&mut |q| *q.exec_mode_mut() = mode);
-}
-
-/// Sets every quantized layer's [`SrMode`] override: `Some(mode)` pins the
-/// layers' stochastic-rounding noise source regardless of
-/// [`Session::sr_mode`], `None` restores session-controlled selection. The
-/// per-layer knob mirrors [`set_exec_mode`]: e.g. keep one layer on the
-/// sequential LFSR stream for an apples-to-apples ablation while the rest
-/// of the model draws counter noise.
-pub fn set_sr_mode(layer: &mut dyn Layer, mode: Option<SrMode>) {
-    layer.visit_quant(&mut |q| *q.sr_mode_mut() = mode);
-}
-
 /// Collects `(label, precision)` for every quantized layer.
 pub fn collect_precisions(layer: &mut dyn Layer) -> Vec<(String, LayerPrecision)> {
     let mut out = Vec::new();
     layer.visit_quant(&mut |q| out.push((q.label(), q.precision())));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn levers_accept_exactly_their_documented_values() {
+        assert_eq!(parse_lever("V", None, EXEC_MODES), Ok(ExecMode::Replay));
+        assert_eq!(
+            parse_lever("V", Some("replay"), EXEC_MODES),
+            Ok(ExecMode::Replay)
+        );
+        assert_eq!(
+            parse_lever("V", Some("integer"), EXEC_MODES),
+            Ok(ExecMode::Integer)
+        );
+        assert_eq!(parse_lever("V", None, SR_MODES), Ok(SrMode::Lfsr));
+        assert_eq!(parse_lever("V", Some("lfsr"), SR_MODES), Ok(SrMode::Lfsr));
+        assert_eq!(
+            parse_lever("V", Some("counter"), SR_MODES),
+            Ok(SrMode::Counter)
+        );
+    }
+
+    #[test]
+    fn unrecognised_lever_values_are_errors_not_the_default() {
+        // The typos that used to run a CI leg on the default silently.
+        for bad in ["Counter", "COUNTER", "ctr", " counter", "counter ", ""] {
+            let err = parse_lever("FAST_SR_MODE", Some(bad), SR_MODES).unwrap_err();
+            assert!(err.contains("FAST_SR_MODE"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("lfsr|counter"), "{err}");
+        }
+        let err = parse_lever("FAST_QGEMM_MODE", Some("int"), EXEC_MODES).unwrap_err();
+        assert!(
+            err.contains("FAST_QGEMM_MODE")
+                && err.contains("\"int\"")
+                && err.contains("replay|integer"),
+            "{err}"
+        );
+    }
 }

@@ -70,8 +70,8 @@ pub use attention::MultiHeadSelfAttention;
 pub use conv::{Conv2d, DepthwiseConv2d};
 pub use embed::{Embedding, PositionalEmbedding};
 pub use layer::{
-    collect_precisions, parameter_count, quant_layer_count, set_exec_mode, set_sr_mode,
-    set_uniform_precision, GemmShape, Layer, Param, QuantControlled, Session,
+    collect_precisions, parameter_count, quant_layer_count, set_uniform_precision, GemmShape,
+    Layer, Param, QuantControlled, Session,
 };
 pub use linear::Dense;
 pub use loss::{bce_with_logit, mse_loss, softmax_cross_entropy};

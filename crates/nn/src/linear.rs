@@ -18,8 +18,8 @@ use crate::frozen::FrozenWeight;
 use crate::layer::{GemmShape, Layer, Param, QuantControlled, Session};
 use crate::qgemm::{self, GemmOperand, Orient};
 use crate::quant::LayerPrecision;
-use fast_bfp::{GroupAxis, SrMode};
-use fast_tensor::{col_sums, kaiming_normal, ExecMode, Tensor};
+use fast_bfp::GroupAxis;
+use fast_tensor::{col_sums, kaiming_normal, Tensor};
 use rand::Rng;
 
 /// A dense layer `y = x·W + b` with independently quantized W/A/G tensors.
@@ -31,8 +31,6 @@ pub struct Dense {
     gb: Tensor,
     use_bias: bool,
     precision: LayerPrecision,
-    exec_mode: Option<ExecMode>,
-    sr_mode: Option<SrMode>,
     frozen_w: FrozenWeight,
     saved_input: Option<Tensor>,
     last_grad: Option<Tensor>,
@@ -51,8 +49,6 @@ impl Dense {
             gb: Tensor::zeros(vec![out_dim]),
             use_bias,
             precision: LayerPrecision::default(),
-            exec_mode: None,
-            sr_mode: None,
             frozen_w: FrozenWeight::default(),
             saved_input: None,
             last_grad: None,
@@ -99,11 +95,8 @@ impl Layer for Dense {
         });
 
         let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
-        let mode = self.exec_mode.unwrap_or(session.exec_mode);
-        let sr = self.sr_mode.unwrap_or(session.sr_mode);
-        let xq = qgemm::prepare_sr(
+        let xq = qgemm::prepare(
             session,
-            sr,
             input,
             self.precision.activations,
             GroupAxis::AlongRow,
@@ -115,18 +108,17 @@ impl Layer for Dense {
                 out_dim,
                 self.precision.weights,
                 GroupAxis::AlongCol,
-                sr,
+                session.sr_mode,
             );
-            qgemm::execute_with(session, mode, Orient::Nn, &xq, &GemmOperand::Cached(wq))
+            qgemm::execute(session, Orient::Nn, &xq, &GemmOperand::Cached(wq))
         } else {
-            let wq = qgemm::prepare_sr(
+            let wq = qgemm::prepare(
                 session,
-                sr,
                 &self.w,
                 self.precision.weights,
                 GroupAxis::AlongCol,
             );
-            qgemm::execute_with(session, mode, Orient::Nn, &xq, &wq)
+            qgemm::execute(session, Orient::Nn, &xq, &wq)
         };
         if self.use_bias {
             let n = self.out_dim();
@@ -151,23 +143,14 @@ impl Layer for Dense {
         assert_eq!(grad_output.shape(), &[x.shape()[0], self.out_dim()]);
 
         // ∇W = Aᵀ·∇O, reduction over the batch dimension.
-        let mode = self.exec_mode.unwrap_or(session.exec_mode);
-        let sr = self.sr_mode.unwrap_or(session.sr_mode);
-        let xq = qgemm::prepare_sr(
+        let xq = qgemm::prepare(session, x, self.precision.activations, GroupAxis::AlongCol);
+        let gq = qgemm::prepare(
             session,
-            sr,
-            x,
-            self.precision.activations,
-            GroupAxis::AlongCol,
-        );
-        let gq = qgemm::prepare_sr(
-            session,
-            sr,
             grad_output,
             self.precision.gradients,
             GroupAxis::AlongCol,
         );
-        let gw = qgemm::execute_with(session, mode, Orient::Tn, &xq, &gq);
+        let gw = qgemm::execute(session, Orient::Tn, &xq, &gq);
         self.gw.add_assign(&gw);
         if self.use_bias {
             let sums = col_sums(grad_output);
@@ -177,23 +160,21 @@ impl Layer for Dense {
         }
 
         // ∇A = ∇O·Wᵀ, reduction over the output dimension.
-        let gq2 = qgemm::prepare_sr(
+        let gq2 = qgemm::prepare(
             session,
-            sr,
             grad_output,
             self.precision.gradients,
             GroupAxis::AlongRow,
         );
-        let wq = qgemm::prepare_sr(
+        let wq = qgemm::prepare(
             session,
-            sr,
             &self.w,
             self.precision.weights,
             GroupAxis::AlongRow,
         );
         // The NT kernel over g (B,N) and W (K,N) reduces over N and yields
         // (B,K) = g·Wᵀ.
-        let grad_input = qgemm::execute_with(session, mode, Orient::Nt, &gq2, &wq);
+        let grad_input = qgemm::execute(session, Orient::Nt, &gq2, &wq);
         if session.record_sensitivity {
             self.last_grad = Some(grad_output.clone());
         }
@@ -243,14 +224,6 @@ impl Layer for Dense {
 impl QuantControlled for Dense {
     fn precision_mut(&mut self) -> &mut LayerPrecision {
         &mut self.precision
-    }
-
-    fn exec_mode_mut(&mut self) -> &mut Option<ExecMode> {
-        &mut self.exec_mode
-    }
-
-    fn sr_mode_mut(&mut self) -> &mut Option<SrMode> {
-        &mut self.sr_mode
     }
 
     fn precision(&self) -> LayerPrecision {

@@ -11,8 +11,7 @@
 //!    mantissas + per-group scales, no dequantized f32 copy), and
 //!    everything else falls back to a quantized dense copy.
 //! 2. [`execute`] multiplies the prepared operands with the packed-operand
-//!    kernels of `fast_tensor::qgemm`, under the session's [`ExecMode`]
-//!    ([`execute_with`] takes an explicit one).
+//!    kernels of `fast_tensor::qgemm`, under the session's [`ExecMode`].
 //!
 //! Under the default [`ExecMode::Replay`] the composition is
 //! **bit-identical** to the historical `quantize_copy` +
@@ -24,12 +23,13 @@
 //! products, the paper's actual cost model — gated by its own accuracy
 //! proptests (`crates/nn/tests/integer_mode.rs`, DESIGN.md §11).
 //!
-//! Operand preparation likewise honors the resolved [`SrMode`]: under
-//! [`SrMode::Counter`] every stochastically rounded BFP operand reserves
-//! `rows × cols` positions of the session's counter noise stream and
-//! quantizes order-independently — shardable across worker threads with
-//! bit-identical results (DESIGN.md §12) — while the default sequential
-//! mode replays the historical LFSR-stream draws bit for bit.
+//! Operand preparation never asks which noise source the run uses: it
+//! quantizes with whatever [`Noise`] the [`Session`] hands it for the
+//! operand (DESIGN.md §16). Under `SrMode::Counter` that handle carries
+//! `rows × cols` freshly reserved positions of the session's counter
+//! stream and quantizes order-independently — shardable across worker
+//! threads with bit-identical results (DESIGN.md §12) — while the default
+//! sequential mode replays the historical LFSR-stream draws bit for bit.
 //!
 //! [`execute`] is also the system's single software instrumentation point:
 //! it accumulates GEMM/MAC counts and fused [`QuantStats`] into
@@ -41,12 +41,10 @@
 
 use crate::layer::Session;
 use crate::quant::NumericFormat;
-use fast_bfp::kernel::fake_quantize_matrix_counter;
-use fast_bfp::packed::{pack_matrix_counter, pack_matrix_with};
-use fast_bfp::{BitSource, CounterRng, GroupAxis, QuantStats, Rounding, SrMode};
+use fast_bfp::packed::pack_matrix;
+use fast_bfp::{BitSource, GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
-    qmatmul_bt_ex, qmatmul_ex, qmatmul_nt_ex, qmatmul_tn_ex, ExecMode, Operand, PackLayout,
-    PackedMat,
+    qmatmul, qmatmul_bt, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
 };
 use fast_tensor::Tensor;
 
@@ -153,57 +151,17 @@ fn layout_of(axis: GroupAxis) -> PackLayout {
     }
 }
 
-/// One operand's claim on the counter noise stream (DESIGN.md §12): the
-/// session's pure noise function, the base position reserved for this
-/// operand, and how many worker threads to shard the quantization over.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CounterCtx {
-    pub(crate) rng: CounterRng,
-    pub(crate) base: u64,
-    pub(crate) workers: usize,
-}
-
-/// Returns the counter-noise context for an operand prepared under `sr`:
-/// `Some` only when the operand actually draws stochastic noise (an
-/// SR-rounded BFP format) *and* the resolved mode is [`SrMode::Counter`],
-/// reserving one noise position per element from the session cursor.
-/// Deterministic and scalar formats draw nothing, so they stay on the
-/// shared sequential path in both modes (the counter and sequential entry
-/// families are pinned bit-identical for them).
-fn counter_ctx(
-    session: &mut Session,
-    sr: SrMode,
-    fmt: NumericFormat,
-    numel: usize,
-) -> Option<CounterCtx> {
-    match (sr, fmt) {
-        (
-            SrMode::Counter,
-            NumericFormat::Bfp {
-                rounding: Rounding::Stochastic { .. },
-                ..
-            },
-        ) => Some(CounterCtx {
-            rng: session.counter_rng(),
-            base: session.reserve_sr(numel as u64),
-            workers: fast_tensor::parallelism().workers(),
-        }),
-        _ => None,
-    }
-}
-
-/// Tries to pack a counter-mode operand; `None` on pack refusal (wide
-/// mantissas, non-plain inputs). Refusal consumes no noise — the dense
-/// fallback re-draws the same reserved positions, so both representations
-/// quantize bit-identically.
-fn counter_pack(
+/// Tries the packed representation of one operand; `None` for non-BFP
+/// formats and on pack refusal (wide mantissas, non-plain inputs), which
+/// consumes nothing from `noise`.
+fn try_pack<B: BitSource + ?Sized>(
+    noise: Noise<'_, B>,
     stats: &mut QuantStats,
     data: &[f32],
     rows: usize,
     cols: usize,
     fmt: NumericFormat,
     axis: GroupAxis,
-    ctx: CounterCtx,
 ) -> Option<Prepared> {
     let NumericFormat::Bfp {
         format,
@@ -213,19 +171,7 @@ fn counter_pack(
     else {
         return None;
     };
-    pack_matrix_counter(
-        data,
-        rows,
-        cols,
-        axis,
-        format,
-        rounding,
-        ctx.rng,
-        ctx.base,
-        windowed,
-        ctx.workers,
-    )
-    .map(|p| {
+    pack_matrix(data, rows, cols, axis, format, rounding, noise, windowed).map(|p| {
         stats.merge(p.stats);
         Prepared::Packed(PackedMat::new(
             rows,
@@ -238,99 +184,39 @@ fn counter_pack(
     })
 }
 
-/// In-place dense counter-mode quantization — the fallback half of
-/// [`counter_pack`], drawing the same reserved noise positions.
-fn counter_dense(
-    stats: &mut QuantStats,
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-    ctx: CounterCtx,
-) {
-    let NumericFormat::Bfp {
-        format,
-        rounding,
-        windowed,
-    } = fmt
-    else {
-        unreachable!("only SR-BFP operands route through the counter path")
-    };
-    stats.merge(fake_quantize_matrix_counter(
-        data,
-        rows,
-        cols,
-        axis,
-        format,
-        rounding,
-        ctx.rng,
-        ctx.base,
-        windowed,
-        ctx.workers,
-    ));
-}
-
-/// Counter-mode core behind the `prepare*` entry points and the
-/// frozen-weight cache builds: quantizes a raw `rows × cols` slice into an
-/// owned operand, drawing noise at positions `ctx.base + r·cols + c` —
-/// independent of visitation order, representation, and worker count.
-pub(crate) fn prepare_slice_counter(
+/// Quantizes a raw `rows × cols` slice into an owned operand — the shared
+/// core behind [`prepare`] / [`prepare_slice`] and the frozen-weight cache
+/// builds (which bring their own deterministic noise instead of the
+/// session's).
+pub(crate) fn quantize_operand<B: BitSource + ?Sized>(
+    mut noise: Noise<'_, B>,
     stats: &mut QuantStats,
     data: &[f32],
     rows: usize,
     cols: usize,
     fmt: NumericFormat,
     axis: GroupAxis,
-    ctx: CounterCtx,
 ) -> Prepared {
-    if let Some(p) = counter_pack(stats, data, rows, cols, fmt, axis, ctx) {
+    if let Some(p) = try_pack(noise.reborrow(), stats, data, rows, cols, fmt, axis) {
         return p;
-    }
-    let mut buf = data.to_vec();
-    counter_dense(stats, &mut buf, rows, cols, fmt, axis, ctx);
-    Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf))
-}
-
-/// Quantizes a raw `rows × cols` slice into an owned operand with an
-/// explicit bit source — the shared core behind the session-level `prepare*`
-/// entry points and the frozen-weight cache builds (which draw from a
-/// deterministic hardware LFSR rather than the session stream).
-pub fn prepare_slice_with<B: BitSource + ?Sized>(
-    bits: &mut B,
-    stats: &mut QuantStats,
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> Prepared {
-    if let NumericFormat::Bfp {
-        format,
-        rounding,
-        windowed,
-    } = fmt
-    {
-        if let Some(p) = pack_matrix_with(data, rows, cols, axis, format, rounding, bits, windowed)
-        {
-            stats.merge(p.stats);
-            return Prepared::Packed(PackedMat::new(
-                rows,
-                cols,
-                format.group_size(),
-                layout_of(axis),
-                p.mantissas,
-                p.scales,
-            ));
-        }
     }
     // Dense fallback: wide mantissas, non-plain inputs, scalar formats —
     // and the identity copy for FP32 (callers that can borrow instead use
-    // `prepare`). `pack_matrix_with` consumed no bits on refusal, so the
-    // stochastic stream here matches the historical quantize-copy path.
+    // `prepare`). The refused pack consumed no noise, so the quantization
+    // here matches the historical quantize-copy path draw for draw.
     let mut buf = data.to_vec();
-    stats.merge(fmt.quantize_slice_stats(&mut buf, rows, cols, axis, bits));
+    stats.merge(fmt.quantize_slice_stats(&mut buf, rows, cols, axis, noise));
     Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf))
+}
+
+/// `(rows, cols)` of a GEMM operand tensor.
+///
+/// # Panics
+///
+/// Panics if `t` is not rank-2.
+fn dims_of(t: &Tensor) -> (usize, usize) {
+    assert_eq!(t.rank(), 2, "GEMM operands must be rank-2");
+    (t.shape()[0], t.shape()[1])
 }
 
 /// Prepares a borrowed rank-2 tensor operand: FP32 formats borrow the
@@ -346,43 +232,14 @@ pub fn prepare<'a>(
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> GemmOperand<'a> {
-    let sr = session.sr_mode;
-    prepare_sr(session, sr, t, fmt, axis)
-}
-
-/// [`prepare`] under an explicit [`SrMode`], overriding
-/// [`Session::sr_mode`] for this one operand — the entry point layers use
-/// to honor their per-layer override
-/// ([`QuantControlled::sr_mode_mut`](crate::QuantControlled::sr_mode_mut)).
-pub fn prepare_sr<'a>(
-    session: &mut Session,
-    sr: SrMode,
-    t: &'a Tensor,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> GemmOperand<'a> {
     let _span = fast_telemetry::span!("qgemm.prepare");
-    if matches!(fmt, NumericFormat::Fp32) {
-        let op = GemmOperand::Borrowed(t);
-        crate::telemetry::note_operand(&op);
-        return op;
-    }
-    assert_eq!(t.rank(), 2, "GEMM operands must be rank-2");
-    let (rows, cols) = (t.shape()[0], t.shape()[1]);
-    let op = if let Some(ctx) = counter_ctx(session, sr, fmt, rows * cols) {
-        GemmOperand::Own(prepare_slice_counter(
-            &mut session.plan_stats.quant,
-            t.data(),
-            rows,
-            cols,
-            fmt,
-            axis,
-            ctx,
-        ))
+    let op = if matches!(fmt, NumericFormat::Fp32) {
+        GemmOperand::Borrowed(t)
     } else {
-        let (bits, stats) = session.quant_parts();
-        GemmOperand::Own(prepare_slice_with(
-            bits,
+        let (rows, cols) = dims_of(t);
+        let (noise, stats) = session.quant_parts(fmt, rows * cols);
+        GemmOperand::Own(quantize_operand(
+            noise,
             stats,
             t.data(),
             rows,
@@ -404,78 +261,23 @@ pub fn prepare_sr<'a>(
 /// Panics if `t` is not rank-2.
 pub fn prepare_owned(
     session: &mut Session,
-    t: Tensor,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> GemmOperand<'static> {
-    let sr = session.sr_mode;
-    prepare_owned_sr(session, sr, t, fmt, axis)
-}
-
-/// [`prepare_owned`] under an explicit [`SrMode`] (see [`prepare_sr`]).
-pub fn prepare_owned_sr(
-    session: &mut Session,
-    sr: SrMode,
     mut t: Tensor,
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> GemmOperand<'static> {
     let _span = fast_telemetry::span!("qgemm.prepare");
-    let op = prepare_owned_sr_inner(session, sr, &mut t, fmt, axis);
-    let op = match op {
-        Some(p) => GemmOperand::Own(p),
-        None => GemmOperand::Own(Prepared::Dense(t)),
-    };
+    let mut packed = None;
+    if !matches!(fmt, NumericFormat::Fp32) {
+        let (rows, cols) = dims_of(&t);
+        let (mut noise, stats) = session.quant_parts(fmt, rows * cols);
+        packed = try_pack(noise.reborrow(), stats, t.data(), rows, cols, fmt, axis);
+        if packed.is_none() {
+            stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
+        }
+    }
+    let op = GemmOperand::Own(packed.unwrap_or(Prepared::Dense(t)));
     crate::telemetry::note_operand(&op);
     op
-}
-
-/// The body of [`prepare_owned_sr`]: `Some(packed)` when the operand packed,
-/// `None` when `t` was quantized in place (or borrowed through as FP32) and
-/// should be wrapped dense by the caller.
-fn prepare_owned_sr_inner(
-    session: &mut Session,
-    sr: SrMode,
-    t: &mut Tensor,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> Option<Prepared> {
-    if matches!(fmt, NumericFormat::Fp32) {
-        return None;
-    }
-    assert_eq!(t.rank(), 2, "GEMM operands must be rank-2");
-    let (rows, cols) = (t.shape()[0], t.shape()[1]);
-    if let Some(ctx) = counter_ctx(session, sr, fmt, rows * cols) {
-        let stats = &mut session.plan_stats.quant;
-        if let Some(p) = counter_pack(stats, t.data(), rows, cols, fmt, axis, ctx) {
-            return Some(p);
-        }
-        counter_dense(stats, t.data_mut(), rows, cols, fmt, axis, ctx);
-        return None;
-    }
-    let (bits, stats) = session.quant_parts();
-    if let NumericFormat::Bfp {
-        format,
-        rounding,
-        windowed,
-    } = fmt
-    {
-        if let Some(p) =
-            pack_matrix_with(t.data(), rows, cols, axis, format, rounding, bits, windowed)
-        {
-            stats.merge(p.stats);
-            return Some(Prepared::Packed(PackedMat::new(
-                rows,
-                cols,
-                format.group_size(),
-                layout_of(axis),
-                p.mantissas,
-                p.scales,
-            )));
-        }
-    }
-    stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, bits));
-    None
 }
 
 /// Like [`prepare_owned`], but always yields a *dense* operand (in-place
@@ -491,34 +293,15 @@ fn prepare_owned_sr_inner(
 /// Panics if `t` is not rank-2.
 pub fn prepare_owned_dense(
     session: &mut Session,
-    t: Tensor,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> GemmOperand<'static> {
-    let sr = session.sr_mode;
-    prepare_owned_dense_sr(session, sr, t, fmt, axis)
-}
-
-/// [`prepare_owned_dense`] under an explicit [`SrMode`] (see
-/// [`prepare_sr`]).
-pub fn prepare_owned_dense_sr(
-    session: &mut Session,
-    sr: SrMode,
     mut t: Tensor,
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> GemmOperand<'static> {
     let _span = fast_telemetry::span!("qgemm.prepare");
     if !matches!(fmt, NumericFormat::Fp32) {
-        assert_eq!(t.rank(), 2, "GEMM operands must be rank-2");
-        let (rows, cols) = (t.shape()[0], t.shape()[1]);
-        if let Some(ctx) = counter_ctx(session, sr, fmt, rows * cols) {
-            let stats = &mut session.plan_stats.quant;
-            counter_dense(stats, t.data_mut(), rows, cols, fmt, axis, ctx);
-        } else {
-            let (bits, stats) = session.quant_parts();
-            stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, bits));
-        }
+        let (rows, cols) = dims_of(&t);
+        let (noise, stats) = session.quant_parts(fmt, rows * cols);
+        stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
     }
     let op = GemmOperand::Own(Prepared::Dense(t));
     crate::telemetry::note_operand(&op);
@@ -526,8 +309,7 @@ pub fn prepare_owned_dense_sr(
 }
 
 /// Prepares an operand straight from a raw `rows × cols` slice (e.g. a
-/// conv weight tensor viewed as its im2col matrix) using the session bit
-/// source.
+/// conv weight tensor viewed as its im2col matrix).
 pub fn prepare_slice(
     session: &mut Session,
     data: &[f32],
@@ -536,35 +318,9 @@ pub fn prepare_slice(
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> GemmOperand<'static> {
-    let sr = session.sr_mode;
-    prepare_slice_sr(session, sr, data, rows, cols, fmt, axis)
-}
-
-/// [`prepare_slice`] under an explicit [`SrMode`] (see [`prepare_sr`]).
-pub fn prepare_slice_sr(
-    session: &mut Session,
-    sr: SrMode,
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> GemmOperand<'static> {
     let _span = fast_telemetry::span!("qgemm.prepare");
-    let op = if let Some(ctx) = counter_ctx(session, sr, fmt, rows * cols) {
-        GemmOperand::Own(prepare_slice_counter(
-            &mut session.plan_stats.quant,
-            data,
-            rows,
-            cols,
-            fmt,
-            axis,
-            ctx,
-        ))
-    } else {
-        let (bits, stats) = session.quant_parts();
-        GemmOperand::Own(prepare_slice_with(bits, stats, data, rows, cols, fmt, axis))
-    };
+    let (noise, stats) = session.quant_parts(fmt, rows * cols);
+    let op = GemmOperand::Own(quantize_operand(noise, stats, data, rows, cols, fmt, axis));
     crate::telemetry::note_operand(&op);
     op
 }
@@ -573,6 +329,12 @@ pub fn prepare_slice_sr(
 /// accumulating [`Session::plan_stats`]. Under the default
 /// [`ExecMode::Replay`] this is bit-identical to running the corresponding
 /// dense kernel on dequantized copies of both operands.
+///
+/// [`ExecMode::Integer`] applies only to packed×packed operand pairs whose
+/// quantization groups run along the reduction dimension; every other pair
+/// silently executes on the replay path, so requesting integer execution
+/// never changes *whether* a GEMM is faithful, only which deterministic f32
+/// association an eligible pair is summed in (DESIGN.md §11).
 ///
 /// ```
 /// use fast_bfp::{BfpFormat, GroupAxis};
@@ -603,30 +365,6 @@ pub fn execute(
     b: &GemmOperand<'_>,
 ) -> Tensor {
     let mode = session.exec_mode;
-    execute_with(session, mode, orient, a, b)
-}
-
-/// [`execute`] under an explicit [`ExecMode`], overriding
-/// [`Session::exec_mode`] for this one GEMM — the entry point layers use to
-/// honor their per-layer override
-/// ([`QuantControlled::exec_mode_mut`](crate::QuantControlled::exec_mode_mut)).
-///
-/// [`ExecMode::Integer`] applies only to packed×packed operand pairs whose
-/// quantization groups run along the reduction dimension; every other pair
-/// silently executes on the replay path, so requesting integer execution
-/// never changes *whether* a GEMM is faithful, only which deterministic f32
-/// association an eligible pair is summed in (DESIGN.md §11).
-///
-/// # Panics
-///
-/// Panics if the operand shapes disagree for the orientation.
-pub fn execute_with(
-    session: &mut Session,
-    mode: ExecMode,
-    orient: Orient,
-    a: &GemmOperand<'_>,
-    b: &GemmOperand<'_>,
-) -> Tensor {
     let (av, bv) = (a.operand(), b.operand());
     let (ar, ac) = av.dims();
     let (br, bc) = bv.dims();
@@ -645,10 +383,10 @@ pub fn execute_with(
         ExecMode::Integer => fast_telemetry::span!("qgemm.execute.integer"),
     };
     match orient {
-        Orient::Nn => qmatmul_ex(mode, av, bv),
-        Orient::Nt => qmatmul_nt_ex(mode, av, bv),
-        Orient::Tn => qmatmul_tn_ex(mode, av, bv),
-        Orient::Bt => qmatmul_bt_ex(mode, av, bv),
+        Orient::Nn => qmatmul(mode, av, bv),
+        Orient::Nt => qmatmul_nt(mode, av, bv),
+        Orient::Tn => qmatmul_tn(mode, av, bv),
+        Orient::Bt => qmatmul_bt(mode, av, bv),
     }
 }
 
@@ -700,17 +438,16 @@ mod tests {
     fn execute_matches_reference_composition_and_meters() {
         let mut s = Session::new(0);
         // This test pins the *replay* composition by definition; keep it
-        // meaningful when CI forces FAST_QGEMM_MODE=integer or
-        // FAST_SR_MODE=counter (the reference draws from `s.rng()`).
+        // meaningful when CI forces FAST_QGEMM_MODE=integer (the formats
+        // are deterministic, so FAST_SR_MODE cannot matter).
         s.exec_mode = ExecMode::Replay;
-        s.sr_mode = SrMode::Lfsr;
         let a = tensor(5, 32, 4);
         let b = tensor(32, 9, 5);
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let mut aq = a.clone();
         let mut bq = b.clone();
-        fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, s.rng());
-        fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, s.rng());
+        fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, Noise::Stream(s.rng()));
+        fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, Noise::Stream(s.rng()));
         let want = matmul(&aq, &bq);
 
         let ap = prepare(&mut s, &a, fmt, GroupAxis::AlongRow);

@@ -2,7 +2,8 @@
 //! per-layer precision assignment that the FAST controller manipulates.
 
 use fast_bfp::{
-    quantize_minifloat, BfpFormat, BitSource, GroupAxis, Minifloat, QuantStats, Rounding,
+    fake_quantize_matrix, quantize_minifloat, BfpFormat, BitSource, GroupAxis, Minifloat, Noise,
+    QuantStats, Rounding,
 };
 use fast_tensor::Tensor;
 
@@ -127,9 +128,9 @@ impl NumericFormat {
     /// Quantizes a rank-2 tensor in place, grouping along `axis` for BFP
     /// formats (scalar formats ignore the axis).
     ///
-    /// Generic over the [`BitSource`] so BFP quantization dispatches into
-    /// the monomorphized batch kernels of `fast_bfp::kernel`; `&mut dyn
-    /// BitSource` still works (and erases the source as before).
+    /// BFP formats draw stochastic-rounding noise from `noise`; generic
+    /// over the stream's [`BitSource`] so quantization dispatches into the
+    /// monomorphized batch kernels of `fast_bfp::kernel`.
     ///
     /// # Panics
     ///
@@ -138,11 +139,11 @@ impl NumericFormat {
         &self,
         t: &mut Tensor,
         axis: GroupAxis,
-        bits: &mut B,
+        noise: Noise<'_, B>,
     ) {
         assert_eq!(t.rank(), 2, "quantize_matrix requires a rank-2 tensor");
         let (rows, cols) = (t.shape()[0], t.shape()[1]);
-        self.quantize_slice(t.data_mut(), rows, cols, axis, bits);
+        self.quantize_slice(t.data_mut(), rows, cols, axis, noise);
     }
 
     /// Slice-level form of [`NumericFormat::quantize_matrix`]: quantizes a
@@ -159,9 +160,9 @@ impl NumericFormat {
         rows: usize,
         cols: usize,
         axis: GroupAxis,
-        bits: &mut B,
+        noise: Noise<'_, B>,
     ) {
-        let _ = self.quantize_slice_stats(data, rows, cols, axis, bits);
+        let _ = self.quantize_slice_stats(data, rows, cols, axis, noise);
     }
 
     /// [`NumericFormat::quantize_slice`] returning the [`QuantStats`] of the
@@ -176,7 +177,7 @@ impl NumericFormat {
         rows: usize,
         cols: usize,
         axis: GroupAxis,
-        bits: &mut B,
+        noise: Noise<'_, B>,
     ) -> QuantStats {
         assert_eq!(data.len(), rows * cols, "quantize_slice shape mismatch");
         match self {
@@ -196,9 +197,7 @@ impl NumericFormat {
                 format,
                 rounding,
                 windowed,
-            } => fast_bfp::kernel::fake_quantize_matrix_with(
-                data, rows, cols, axis, *format, *rounding, bits, *windowed,
-            ),
+            } => fake_quantize_matrix(data, rows, cols, axis, *format, *rounding, noise, *windowed),
         }
     }
 
@@ -208,10 +207,10 @@ impl NumericFormat {
         &self,
         src: &Tensor,
         axis: GroupAxis,
-        bits: &mut B,
+        noise: Noise<'_, B>,
     ) -> Tensor {
         let mut out = src.clone();
-        self.quantize_matrix(&mut out, axis, bits);
+        self.quantize_matrix(&mut out, axis, noise);
         out
     }
 
@@ -543,14 +542,22 @@ mod tests {
     fn fp32_is_identity() {
         let mut t = Tensor::from_vec(vec![2, 2], vec![0.1, -0.2, 0.3, 0.7]);
         let orig = t.clone();
-        NumericFormat::Fp32.quantize_matrix(&mut t, GroupAxis::AlongRow, &mut NoBits);
+        NumericFormat::Fp32.quantize_matrix(
+            &mut t,
+            GroupAxis::AlongRow,
+            Noise::Stream(&mut NoBits),
+        );
         assert_eq!(t, orig);
     }
 
     #[test]
     fn int8_respects_levels() {
         let mut t = Tensor::from_vec(vec![1, 4], vec![1.0, -1.0, 0.337, 0.0]);
-        NumericFormat::int8().quantize_matrix(&mut t, GroupAxis::AlongRow, &mut NoBits);
+        NumericFormat::int8().quantize_matrix(
+            &mut t,
+            GroupAxis::AlongRow,
+            Noise::Stream(&mut NoBits),
+        );
         // max_abs=1.0, scale=1/127; all outputs are multiples of the scale.
         for &v in t.data() {
             let q = v * 127.0;
@@ -567,7 +574,11 @@ mod tests {
         let mut prev = f64::INFINITY;
         for bits in [4u32, 8, 12] {
             let mut t = Tensor::from_vec(vec![16, 16], data.clone());
-            NumericFormat::Int { bits }.quantize_matrix(&mut t, GroupAxis::AlongRow, &mut NoBits);
+            NumericFormat::Int { bits }.quantize_matrix(
+                &mut t,
+                GroupAxis::AlongRow,
+                Noise::Stream(&mut NoBits),
+            );
             let mse: f64 = t
                 .data()
                 .iter()
@@ -583,7 +594,11 @@ mod tests {
     #[test]
     fn bf16_quantization_truncates_mantissa() {
         let mut t = Tensor::from_vec(vec![1, 2], vec![1.0000001, std::f32::consts::PI]);
-        NumericFormat::bf16().quantize_matrix(&mut t, GroupAxis::AlongRow, &mut NoBits);
+        NumericFormat::bf16().quantize_matrix(
+            &mut t,
+            GroupAxis::AlongRow,
+            Noise::Stream(&mut NoBits),
+        );
         assert_eq!(t.data()[0], 1.0);
         assert!((t.data()[1] - std::f32::consts::PI).abs() < 0.02);
     }
@@ -600,8 +615,8 @@ mod tests {
         let fmt = NumericFormat::bfp_nearest(BfpFormat::new(8, 4, 8).unwrap());
         let mut by_row = Tensor::from_vec(vec![8, 8], data.clone());
         let mut by_col = Tensor::from_vec(vec![8, 8], data.clone());
-        fmt.quantize_matrix(&mut by_row, GroupAxis::AlongRow, &mut NoBits);
-        fmt.quantize_matrix(&mut by_col, GroupAxis::AlongCol, &mut NoBits);
+        fmt.quantize_matrix(&mut by_row, GroupAxis::AlongRow, Noise::Stream(&mut NoBits));
+        fmt.quantize_matrix(&mut by_col, GroupAxis::AlongCol, Noise::Stream(&mut NoBits));
         assert_ne!(by_row, by_col, "axis must affect grouping");
     }
 
@@ -720,7 +735,7 @@ mod tests {
         let fmt = NumericFormat::bfp_stochastic(BfpFormat::high());
         let mut t = Tensor::from_vec(vec![1, 16], (0..16).map(|i| 0.01 * i as f32).collect());
         let mut bits = fast_bfp::RngBits(rand::rngs::StdRng::seed_from_u64(1));
-        fmt.quantize_matrix(&mut t, GroupAxis::AlongRow, &mut bits);
+        fmt.quantize_matrix(&mut t, GroupAxis::AlongRow, Noise::Stream(&mut bits));
         // Should not panic and should produce quantized values.
         assert!(t.data().iter().any(|&v| v != 0.0));
     }

@@ -16,18 +16,16 @@
 //!   subnormal values, mantissas wider than `i8`) fall back to the replay
 //!   kernels *bitwise*; integer mode never invents bits for data it cannot
 //!   represent.
-//! * **Mode plumbing** — `FAST_QGEMM_MODE` selects the session default,
-//!   per-layer overrides beat the session, and clearing an override
-//!   restores replay bits exactly.
+//! * **Mode plumbing** — `FAST_QGEMM_MODE` selects the session default.
 //! * **Training parity** — a small MLP trained end-to-end under integer
 //!   mode reaches the same loss neighborhood as the replay run.
 
-use fast_bfp::{BfpFormat, GroupAxis, RngBits, Rounding};
+use fast_bfp::{BfpFormat, GroupAxis, Noise, RngBits, Rounding};
 use fast_nn::models::mlp;
-use fast_nn::qgemm::{execute_with, prepare, Orient};
+use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::{
-    set_exec_mode, set_uniform_precision, softmax_cross_entropy, ExecMode, Layer, LayerPrecision,
-    NumericFormat, Session, Sgd,
+    set_uniform_precision, softmax_cross_entropy, ExecMode, Layer, LayerPrecision, NumericFormat,
+    Session, Sgd,
 };
 use fast_tensor::Tensor;
 use proptest::prelude::*;
@@ -192,8 +190,8 @@ proptest! {
 
         // Quantized f64 reference on the same bit stream `prepare` consumes.
         let mut bits = RngBits(rand::rngs::StdRng::seed_from_u64(seed));
-        let aq = fa.quantize_copy(&a, a_axis, &mut bits);
-        let bq = fb.quantize_copy(&b, b_axis, &mut bits);
+        let aq = fa.quantize_copy(&a, a_axis, Noise::Stream(&mut bits));
+        let bq = fb.quantize_copy(&b, b_axis, Noise::Stream(&mut bits));
         let (want, mag) = reference_f64(&aq, &bq, orient, m, k, n);
 
         // Pin the LFSR noise source: the f64 reference above quantized on a
@@ -204,7 +202,7 @@ proptest! {
         session.sr_mode = fast_bfp::SrMode::Lfsr;
         let ap = prepare(&mut session, &a, fa, a_axis);
         let bp = prepare(&mut session, &b, fb, b_axis);
-        let got = execute_with(&mut session, ExecMode::Integer, orient, &ap, &bp);
+        let got = execute(&mut session, orient, &ap, &bp);
 
         prop_assert_eq!(got.shape(), &[m, n]);
         for (idx, &g) in got.data().iter().enumerate() {
@@ -246,7 +244,7 @@ proptest! {
             s.exec_mode = mode;
             let ap = prepare(&mut s, &a, fa, a_axis);
             let bp = prepare(&mut s, &b, fb, b_axis);
-            execute_with(&mut s, mode, orient, &ap, &bp)
+            execute(&mut s, orient, &ap, &bp)
         };
         let want = run(ExecMode::Replay);
         let got = run(ExecMode::Integer);
@@ -290,34 +288,6 @@ fn sample_batch() -> Tensor {
         vec![3, 40],
         (0..120).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
     )
-}
-
-/// A per-layer `Some(mode)` override beats the session mode bitwise, and
-/// clearing it (`None`) restores the session's behavior exactly.
-#[test]
-fn per_layer_override_beats_session_mode() {
-    let x = sample_batch();
-
-    // Ground truths: whole-session integer and whole-session replay runs.
-    let mut s = Session::new(0);
-    s.exec_mode = ExecMode::Integer;
-    let want_integer = quantized_model(3).forward(&x, &mut s);
-    let mut s = Session::new(0);
-    s.exec_mode = ExecMode::Replay;
-    let want_replay = quantized_model(3).forward(&x, &mut s);
-
-    // Override on a replay session: every layer runs integer.
-    let mut model = quantized_model(3);
-    set_exec_mode(&mut model, Some(ExecMode::Integer));
-    let mut s = Session::new(0);
-    s.exec_mode = ExecMode::Replay;
-    assert_eq!(model.forward(&x, &mut s), want_integer);
-
-    // Clearing the override restores the session's replay bits.
-    set_exec_mode(&mut model, None);
-    let mut s = Session::new(0);
-    s.exec_mode = ExecMode::Replay;
-    assert_eq!(model.forward(&x, &mut s), want_replay);
 }
 
 /// Trains one small quantized MLP under each mode and compares the loss

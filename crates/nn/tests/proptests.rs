@@ -168,7 +168,7 @@ mod fast_dnn_test_helpers {
     pub use fast_bfp::{BfpFormat, Rounding};
     pub use fast_nn::NumericFormat;
 }
-use fast_bfp::{GroupAxis, RngBits};
+use fast_bfp::{GroupAxis, Noise, RngBits};
 use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::NumericFormat;
 use fast_tensor::{matmul, matmul_bt, matmul_nt, matmul_tn};
@@ -235,8 +235,8 @@ proptest! {
 
         // Reference: the historical composition on one bit stream.
         let mut bits = RngBits(rand::rngs::StdRng::seed_from_u64(seed));
-        let aq = fa.quantize_copy(&a, a_axis, &mut bits);
-        let bq = fb.quantize_copy(&b, b_axis, &mut bits);
+        let aq = fa.quantize_copy(&a, a_axis, Noise::Stream(&mut bits));
+        let bq = fb.quantize_copy(&b, b_axis, Noise::Stream(&mut bits));
         let want = match orient {
             Orient::Nn => matmul(&aq, &bq),
             Orient::Nt => matmul_nt(&aq, &bq),

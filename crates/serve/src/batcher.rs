@@ -13,40 +13,19 @@
 use crate::request::Response;
 use fast_tensor::Tensor;
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Batching policy for the dispatcher.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Maximum samples coalesced into one forward pass.
     pub max_batch: usize,
-    /// Compatibility knob from the round-robin dispatcher, which held an
-    /// under-full batch open for up to this long. Continuous batching
-    /// (DESIGN.md §14) never holds a batch: an idle worker ships whatever
-    /// is queued and stragglers join the next batch at its boundary, so
-    /// this field is **ignored** — and has been since the dispatch rebuild.
-    /// It is now deprecated so the no-op stops being silent: starting a
-    /// server with a non-zero `max_wait` also bumps the
-    /// `fast_serve_config_warnings_total{warning="max_wait_ignored"}`
-    /// counter on the server's registry, so a fleet can audit for configs
-    /// still setting it. Use [`BatchConfig::no_wait`] or struct update from
-    /// `BatchConfig::default()` instead of writing the field.
-    #[deprecated(
-        since = "0.1.0",
-        note = "continuous batching never holds a batch open; the value is ignored \
-                (a non-zero value is surfaced via fast_serve_config_warnings_total)"
-    )]
-    pub max_wait: Duration,
 }
 
 impl Default for BatchConfig {
     /// 8-sample batches.
     fn default() -> Self {
-        #[allow(deprecated)]
-        BatchConfig {
-            max_batch: 8,
-            max_wait: Duration::ZERO,
-        }
+        BatchConfig { max_batch: 8 }
     }
 }
 
@@ -56,19 +35,7 @@ impl BatchConfig {
     /// continuous-batching dispatcher never holds a batch open, so this is
     /// now just a `max_batch` constructor.)
     pub fn no_wait(max_batch: usize) -> Self {
-        #[allow(deprecated)]
-        BatchConfig {
-            max_batch,
-            max_wait: Duration::ZERO,
-        }
-    }
-
-    /// Whether this config sets the deprecated, ignored `max_wait` knob to
-    /// a non-zero value (surfaced as a config warning at server start).
-    pub(crate) fn sets_ignored_max_wait(&self) -> bool {
-        #[allow(deprecated)]
-        let w = self.max_wait;
-        w > Duration::ZERO
+        BatchConfig { max_batch }
     }
 }
 

@@ -73,7 +73,8 @@ impl CompiledModel {
     }
 
     /// Selects the quantized-GEMM execution mode for this replica's
-    /// requests (DESIGN.md §11).
+    /// requests (DESIGN.md §11), overriding the `FAST_QGEMM_MODE` default
+    /// the compile-time session started from (DESIGN.md §16).
     ///
     /// The default, [`ExecMode::Replay`], replays the training kernels'
     /// f32 arithmetic bit-for-bit; [`ExecMode::Integer`] computes packed×
@@ -87,59 +88,29 @@ impl CompiledModel {
     /// use fast_nn::{ExecMode, Sequential};
     /// use fast_serve::CompiledModel;
     ///
-    /// let mut replica = CompiledModel::compile(Sequential::new(), 0);
     /// // Opt this replica into the integer-domain fast path.
-    /// replica.set_exec_mode(ExecMode::Integer);
-    /// ```
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.session.exec_mode = mode;
-    }
-
-    /// Builder-style variant of [`Self::set_exec_mode`] for use at
-    /// compile time:
-    ///
-    /// ```
-    /// use fast_nn::{ExecMode, Sequential};
-    /// use fast_serve::CompiledModel;
-    ///
     /// let replica =
     ///     CompiledModel::compile(Sequential::new(), 0).with_exec_mode(ExecMode::Integer);
     /// # let _ = replica;
     /// ```
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.set_exec_mode(mode);
+        self.session.exec_mode = mode;
         self
     }
 
-    /// The execution mode this replica serves under.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.session.exec_mode
-    }
-
-    /// Selects the stochastic-rounding noise source for this replica's
-    /// requests (DESIGN.md §12).
+    /// Selects the stochastic-rounding noise source for this replica
+    /// (DESIGN.md §12), overriding the `FAST_SR_MODE` default.
     ///
-    /// Only matters when a layer's *activation* format uses stochastic
-    /// rounding (frozen weight caches always build from their own
-    /// deterministic source): under [`SrMode::Counter`] each SR operand
-    /// draws order-independent counter noise, so the quantization itself can
-    /// shard across worker threads. Like [`Self::set_exec_mode`] this is
-    /// per-replica serving configuration — [`Self::apply_state`] hot
-    /// reloads leave it untouched.
-    pub fn set_sr_mode(&mut self, mode: SrMode) {
-        self.session.sr_mode = mode;
-    }
-
-    /// Builder-style variant of [`Self::set_sr_mode`] for use at compile
-    /// time.
+    /// Matters for layers whose *activation* format uses stochastic
+    /// rounding — under [`SrMode::Counter`] each SR operand draws
+    /// order-independent counter noise, so the quantization itself can
+    /// shard across worker threads — and for SR *weight* formats, whose
+    /// frozen caches build from the deterministic source of the same mode.
+    /// Like [`Self::with_exec_mode`] this is per-replica serving
+    /// configuration — [`Self::apply_state`] hot reloads leave it untouched.
     pub fn with_sr_mode(mut self, mode: SrMode) -> Self {
-        self.set_sr_mode(mode);
+        self.session.sr_mode = mode;
         self
-    }
-
-    /// The stochastic-rounding mode this replica serves under.
-    pub fn sr_mode(&self) -> SrMode {
-        self.session.sr_mode
     }
 
     /// Replaces the model's weights (and buffers/formats) with a decoded
@@ -272,10 +243,9 @@ mod tests {
     #[test]
     fn integer_mode_is_per_replica_and_stays_close_to_replay() {
         let x = sample();
-        let mut replay = CompiledModel::compile(model(11), 0);
-        replay.set_exec_mode(ExecMode::Replay); // independent of FAST_QGEMM_MODE
+        // Pinned explicitly: independent of FAST_QGEMM_MODE.
+        let mut replay = CompiledModel::compile(model(11), 0).with_exec_mode(ExecMode::Replay);
         let mut integer = CompiledModel::compile(model(11), 0).with_exec_mode(ExecMode::Integer);
-        assert_eq!(integer.exec_mode(), ExecMode::Integer);
 
         let want = replay.infer(&x);
         let got = integer.infer(&x);
@@ -284,11 +254,16 @@ mod tests {
             let tol = 1e-5 * w.abs().max(1.0);
             assert!((g - w).abs() <= tol, "integer {g} vs replay {w}");
         }
+        // The replica really runs what it was told to: its output is the
+        // integer-session forward of the same model, bit for bit.
+        let mut session = Session::inference(0);
+        session.exec_mode = ExecMode::Integer;
+        assert_eq!(got, model(11).forward(&x, &mut session));
 
         // A checkpoint hot reload must not reset the serving configuration.
         let dict = capture_state(replay.model_mut());
         integer.apply_state(&dict).unwrap();
-        assert_eq!(integer.exec_mode(), ExecMode::Integer);
+        assert_eq!(integer.infer(&x), got);
     }
 
     #[test]
@@ -310,18 +285,52 @@ mod tests {
         let x = sample();
         let mut a = with_sr(0);
         let mut b = with_sr(0);
-        assert_eq!(a.sr_mode(), SrMode::Counter);
         // Same seed → same counter noise → bit-identical replicas.
-        assert_eq!(a.infer(&x), b.infer(&x));
+        let first = a.infer(&x);
+        assert_eq!(first, b.infer(&x));
         // A different seed decorrelates the SR activation noise.
         let mut c = with_sr(1);
-        assert_ne!(a.infer(&x), c.infer(&x));
-        // A checkpoint hot reload must not reset the serving configuration.
+        assert_ne!(first, c.infer(&x));
+        // A checkpoint hot reload must not reset the serving configuration:
+        // reloading the same weights into a fresh replica replays the first
+        // request's counter noise, which an LFSR replica cannot produce.
         let mut trained = model(13);
         set_uniform_precision(&mut trained, sr_precision);
         let dict = capture_state(&mut trained);
-        a.apply_state(&dict).unwrap();
-        assert_eq!(a.sr_mode(), SrMode::Counter);
+        let mut d = with_sr(0);
+        d.apply_state(&dict).unwrap();
+        assert_eq!(d.infer(&x), first);
+    }
+
+    #[test]
+    fn compiled_sr_mode_builds_the_same_frozen_weights_as_a_session() {
+        use fast_bfp::BfpFormat;
+        use fast_nn::NumericFormat;
+        // SR *weights* under deterministic activations: the output pins the
+        // frozen weight operands, which build from the replica's SR mode.
+        let sr_weights = LayerPrecision {
+            weights: NumericFormat::bfp_stochastic(BfpFormat::high()),
+            activations: NumericFormat::bfp_nearest(BfpFormat::high()),
+            gradients: NumericFormat::bfp_stochastic(BfpFormat::high()),
+        };
+        let build = || {
+            let mut m = model(17);
+            set_uniform_precision(&mut m, sr_weights);
+            m
+        };
+        let x = sample();
+        let served = |mode: SrMode| {
+            CompiledModel::compile(build(), 0)
+                .with_sr_mode(mode)
+                .infer(&x)
+        };
+        for mode in [SrMode::Counter, SrMode::Lfsr] {
+            // A different session seed: frozen builds never consume it.
+            let mut session = Session::inference(5);
+            session.sr_mode = mode;
+            assert_eq!(served(mode), build().forward(&x, &mut session), "{mode:?}");
+        }
+        assert_ne!(served(SrMode::Counter), served(SrMode::Lfsr));
     }
 
     #[test]

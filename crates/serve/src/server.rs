@@ -361,11 +361,12 @@ fn serve_coalesced(model: &mut CompiledModel, batch: &[Request]) -> bool {
 /// let build = |seed, fast| {
 ///     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 ///     let model = Sequential::new().push(Dense::new(4, 2, true, &mut rng));
-///     let mut c = CompiledModel::compile(model, 0);
+///     let c = CompiledModel::compile(model, 0);
 ///     if fast {
-///         c.set_exec_mode(ExecMode::Integer); // per-model precision profile
+///         c.with_exec_mode(ExecMode::Integer) // per-model precision profile
+///     } else {
+///         c
 ///     }
-///     c
 /// };
 /// let server = Server::builder(BatchConfig::default())
 ///     .model("exact", vec![build(1, false)])
@@ -417,18 +418,6 @@ impl ServerBuilder {
         // registry (spans, train/qgemm counters) is appended at scrape
         // time by [`Server::metrics_text`] / [`Server::metrics_snapshot`].
         let registry = Arc::new(Registry::new());
-        if self.cfg.sets_ignored_max_wait() {
-            // Satellite of the telemetry rebase: the deprecated `max_wait`
-            // knob is a documented no-op — make setting it visible instead
-            // of silent.
-            registry
-                .counter(
-                    "fast_serve_config_warnings_total",
-                    "server configurations carrying deprecated or ignored knobs",
-                    &[("warning", "max_wait_ignored")],
-                )
-                .inc();
-        }
         let mut queues = Vec::with_capacity(self.models.len());
         let mut workers = Vec::new();
         for (name, replicas) in self.models {
@@ -1064,27 +1053,6 @@ mod tests {
         );
         let stats = server.shutdown();
         assert_eq!(stats.samples, 2, "stats view sums both models");
-    }
-
-    #[test]
-    fn nonzero_max_wait_bumps_config_warning_counter() {
-        #[allow(deprecated)]
-        let cfg = BatchConfig {
-            max_batch: 4,
-            max_wait: Duration::from_millis(5),
-        };
-        let server = Server::start(vec![replica(1)], cfg);
-        assert!(server
-            .metrics_text()
-            .contains("fast_serve_config_warnings_total{warning=\"max_wait_ignored\"} 1"));
-        server.shutdown();
-
-        // The default (zero) config stays warning-free.
-        let clean = Server::start(vec![replica(1)], BatchConfig::default());
-        assert!(!clean
-            .metrics_text()
-            .contains("fast_serve_config_warnings_total"));
-        clean.shutdown();
     }
 
     #[test]

@@ -13,7 +13,6 @@ use fast_serve::{BatchConfig, CompiledModel, Pending, Server};
 use fast_tensor::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// A deterministic-rounding format drawn from the zoo of paper Fig 2
 /// (no stochastic rounding: SR streams are consumed differently by the
@@ -173,10 +172,7 @@ proptest! {
         let mut reference = build();
         let want: Vec<Tensor> = (0..requests).map(|i| reference.infer(&sample(i))).collect();
 
-        // Deliberately sets the deprecated, ignored `max_wait` knob: the
-        // dispatcher must serve identically with it present.
-        #[allow(deprecated)]
-        let cfg = BatchConfig { max_batch, max_wait: Duration::from_millis(5) };
+        let cfg = BatchConfig { max_batch };
         let server = Server::start((0..workers).map(|_| build()).collect(), cfg);
         let pending: Vec<Pending> = (0..requests).map(|i| server.submit(sample(i))).collect();
         for (p, w) in pending.into_iter().zip(&want) {

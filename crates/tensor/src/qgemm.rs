@@ -21,14 +21,14 @@
 //!
 //! **Execution modes.** The replay path above is the default. When both
 //! operands are packed with their quantization groups along the reduction
-//! dimension, the [`ExecMode::Integer`] entry points ([`qmatmul_ex`] and
-//! friends) instead run the integer-domain kernels of DESIGN.md §11:
-//! `i8×i8→i32` mantissa dot products with one f32 scale multiply per group
-//! pair, never touching an f32 panel — the software realization of the
-//! fMAC pipeline modeled by `fast_hw`'s `fmac` module. Integer-domain
-//! results are a few ULPs away from replay (different cross-group f32
-//! association), but remain deterministic: bit-identical across worker
-//! counts, across the SIMD/scalar dispatch, and across replicas.
+//! dimension, [`ExecMode::Integer`] instead runs the integer-domain kernels
+//! of DESIGN.md §11: `i8×i8→i32` mantissa dot products with one f32 scale
+//! multiply per group pair, never touching an f32 panel — the software
+//! realization of the fMAC pipeline modeled by `fast_hw`'s `fmac` module.
+//! Integer-domain results are a few ULPs away from replay (different
+//! cross-group f32 association), but remain deterministic: bit-identical
+//! across worker counts, across the SIMD/scalar dispatch, and across
+//! replicas.
 
 use crate::matmul::{matmul, matmul_bt, matmul_nt, matmul_tn, tree_dot, JB, MR, NR};
 use crate::parallel::shard_rows;
@@ -100,7 +100,7 @@ pub struct PackedMat {
 
 impl PackedMat {
     /// Wraps packed storage produced by a quantizer (e.g.
-    /// `fast_bfp::packed::pack_matrix_with`).
+    /// `fast_bfp::packed::pack_matrix`).
     ///
     /// # Panics
     ///
@@ -419,20 +419,53 @@ impl ColSrc for PackedCols<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points: dense×dense delegates, anything packed runs the
-// staged generic kernels.
+// Public entry points. Under `ExecMode::Integer` an eligible packed×packed
+// pair runs the integer-domain kernels: the quantization groups of *both*
+// operands must run along the reduction dimension (so the group-scale
+// product factors out of each integer segment) and the segment length must
+// respect `MAX_INT_SEGMENT`. Everything else replays: dense×dense
+// delegates, anything packed runs the staged generic kernels.
 // ---------------------------------------------------------------------------
 
-/// `C (m×n) = A (m×k) · B (k×n)` over quantized operands — bit-identical to
-/// [`matmul`] on the dequantized copies.
+/// The packed pair to run in the integer domain, if `mode` asks for it,
+/// both operands are packed with layouts `la`/`lb`, and the length-`k`
+/// reduction respects the i32 segment bound.
+fn integer_pair<'a>(
+    mode: ExecMode,
+    a: Operand<'a>,
+    b: Operand<'a>,
+    la: PackLayout,
+    lb: PackLayout,
+    k: usize,
+) -> Option<(&'a PackedMat, &'a PackedMat)> {
+    match (mode, a, b) {
+        (ExecMode::Integer, Operand::Packed(x), Operand::Packed(y))
+            if x.layout == la
+                && y.layout == lb
+                && qgemm_int::segment_bound_ok(k, x.group, y.group) =>
+        {
+            Some((x, y))
+        }
+        _ => None,
+    }
+}
+
+/// `C (m×n) = A (m×k) · B (k×n)` over quantized operands — under
+/// [`ExecMode::Replay`] bit-identical to [`matmul`] on the dequantized
+/// copies. The integer path needs `A` in [`PackLayout::RowGroups`] and `B`
+/// in [`PackLayout::ColGroups`].
 ///
 /// # Panics
 ///
 /// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul(a: Operand<'_>, b: Operand<'_>) -> Tensor {
+pub fn qmatmul(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     let (m, ka) = a.dims();
     let (kb, n) = b.dims();
     assert_eq!(ka, kb, "qmatmul inner dimensions disagree: {ka} vs {kb}");
+    if let Some((x, y)) = integer_pair(mode, a, b, PackLayout::RowGroups, PackLayout::ColGroups, ka)
+    {
+        return qgemm_int::int_nn(x, y);
+    }
     match (a, b) {
         (Operand::Dense(x), Operand::Dense(y)) => matmul(x, y),
         (Operand::Dense(x), Operand::Packed(y)) => nn_impl(
@@ -455,16 +488,22 @@ pub fn qmatmul(a: Operand<'_>, b: Operand<'_>) -> Tensor {
     }
 }
 
-/// `C (m×n) = A (m×k) · Bᵀ` with `B` stored `n×k` — bit-identical to
-/// [`matmul_nt`] on the dequantized copies.
+/// `C (m×n) = A (m×k) · Bᵀ` with `B` stored `n×k` — under
+/// [`ExecMode::Replay`] bit-identical to [`matmul_nt`] on the dequantized
+/// copies. The integer path needs both operands in
+/// [`PackLayout::RowGroups`] (both store the reduction along their rows).
 ///
 /// # Panics
 ///
 /// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_nt(a: Operand<'_>, b: Operand<'_>) -> Tensor {
+pub fn qmatmul_nt(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     let (m, ka) = a.dims();
     let (n, kb) = b.dims();
     assert_eq!(ka, kb, "qmatmul_nt inner dimensions disagree: {ka} vs {kb}");
+    if let Some((x, y)) = integer_pair(mode, a, b, PackLayout::RowGroups, PackLayout::RowGroups, ka)
+    {
+        return qgemm_int::int_nt(x, y);
+    }
     match (a, b) {
         (Operand::Dense(x), Operand::Dense(y)) => matmul_nt(x, y),
         (Operand::Dense(x), Operand::Packed(y)) => nt_impl(
@@ -487,16 +526,22 @@ pub fn qmatmul_nt(a: Operand<'_>, b: Operand<'_>) -> Tensor {
     }
 }
 
-/// `C (m×n) = Aᵀ · B` with `A` stored `k×m`, `B` stored `k×n` —
-/// bit-identical to [`matmul_tn`] on the dequantized copies.
+/// `C (m×n) = Aᵀ · B` with `A` stored `k×m`, `B` stored `k×n` — under
+/// [`ExecMode::Replay`] bit-identical to [`matmul_tn`] on the dequantized
+/// copies. The integer path needs both operands in
+/// [`PackLayout::ColGroups`] (the reduction runs down their columns).
 ///
 /// # Panics
 ///
 /// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_tn(a: Operand<'_>, b: Operand<'_>) -> Tensor {
+pub fn qmatmul_tn(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     let (ka, m) = a.dims();
     let (kb, n) = b.dims();
     assert_eq!(ka, kb, "qmatmul_tn inner dimensions disagree: {ka} vs {kb}");
+    if let Some((x, y)) = integer_pair(mode, a, b, PackLayout::ColGroups, PackLayout::ColGroups, ka)
+    {
+        return qgemm_int::int_tn(x, y);
+    }
     match (a, b) {
         (Operand::Dense(x), Operand::Dense(y)) => matmul_tn(x, y),
         (Operand::Dense(x), Operand::Packed(y)) => tn_impl(
@@ -520,16 +565,23 @@ pub fn qmatmul_tn(a: Operand<'_>, b: Operand<'_>) -> Tensor {
 }
 
 /// `C (m×n) = A (m×k) · B` with `B` supplied pre-transposed as `n×k` —
-/// bit-identical to [`matmul_bt`] (and therefore to [`matmul`]) on the
-/// dequantized copies.
+/// under [`ExecMode::Replay`] bit-identical to [`matmul_bt`] (and therefore
+/// to [`matmul`]) on the dequantized copies. Storage-wise identical to
+/// [`qmatmul_nt`], and in the integer domain the NT/BT distinction (which
+/// dense summation tree gets replayed) vanishes: both compute the same
+/// exact integer segments.
 ///
 /// # Panics
 ///
 /// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_bt(a: Operand<'_>, b: Operand<'_>) -> Tensor {
+pub fn qmatmul_bt(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     let (m, ka) = a.dims();
     let (n, kb) = b.dims();
     assert_eq!(ka, kb, "qmatmul_bt inner dimensions disagree: {ka} vs {kb}");
+    if let Some((x, y)) = integer_pair(mode, a, b, PackLayout::RowGroups, PackLayout::RowGroups, ka)
+    {
+        return qgemm_int::int_nt(x, y);
+    }
     match (a, b) {
         (Operand::Dense(x), Operand::Dense(y)) => matmul_bt(x, y),
         (Operand::Dense(x), Operand::Packed(y)) => bt_impl(
@@ -552,103 +604,11 @@ pub fn qmatmul_bt(a: Operand<'_>, b: Operand<'_>) -> Tensor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Mode-dispatching entry points. `ExecMode::Replay` is exactly the plain
-// functions above; `ExecMode::Integer` routes eligible packed×packed pairs
-// to the integer-domain kernels and silently replays everything else.
-// Eligibility means the quantization groups of *both* operands run along
-// the reduction dimension (so the group-scale product factors out of each
-// integer segment) and the segment length respects `MAX_INT_SEGMENT`.
-// ---------------------------------------------------------------------------
-
-/// [`qmatmul`] under an explicit [`ExecMode`]. For `A (m×k) · B (k×n)` the
-/// integer path needs `A` in [`PackLayout::RowGroups`] and `B` in
-/// [`PackLayout::ColGroups`].
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_ex(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
-    if mode == ExecMode::Integer {
-        if let (Operand::Packed(x), Operand::Packed(y)) = (a, b) {
-            if x.layout == PackLayout::RowGroups
-                && y.layout == PackLayout::ColGroups
-                && x.cols == y.rows
-                && qgemm_int::segment_bound_ok(x.cols, x.group, y.group)
-            {
-                return qgemm_int::int_nn(x, y);
-            }
-        }
-    }
-    qmatmul(a, b)
-}
-
-/// [`qmatmul_nt`] under an explicit [`ExecMode`]. For `A (m×k) · Bᵀ` with
-/// `B` stored `n×k`, the integer path needs both operands in
-/// [`PackLayout::RowGroups`] (both store the reduction along their rows).
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_nt_ex(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
-    if mode == ExecMode::Integer {
-        if let (Operand::Packed(x), Operand::Packed(y)) = (a, b) {
-            if x.layout == PackLayout::RowGroups
-                && y.layout == PackLayout::RowGroups
-                && x.cols == y.cols
-                && qgemm_int::segment_bound_ok(x.cols, x.group, y.group)
-            {
-                return qgemm_int::int_nt(x, y);
-            }
-        }
-    }
-    qmatmul_nt(a, b)
-}
-
-/// [`qmatmul_tn`] under an explicit [`ExecMode`]. For `Aᵀ · B` with `A`
-/// stored `k×m` and `B` stored `k×n`, the integer path needs both operands
-/// in [`PackLayout::ColGroups`] (the reduction runs down their columns).
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_tn_ex(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
-    if mode == ExecMode::Integer {
-        if let (Operand::Packed(x), Operand::Packed(y)) = (a, b) {
-            if x.layout == PackLayout::ColGroups
-                && y.layout == PackLayout::ColGroups
-                && x.rows == y.rows
-                && qgemm_int::segment_bound_ok(x.rows, x.group, y.group)
-            {
-                return qgemm_int::int_tn(x, y);
-            }
-        }
-    }
-    qmatmul_tn(a, b)
-}
-
-/// [`qmatmul_bt`] under an explicit [`ExecMode`]. Storage-wise identical to
-/// [`qmatmul_nt_ex`] — in the integer domain the NT/BT distinction (which
-/// dense summation tree gets replayed) vanishes, because both compute the
-/// same exact integer segments.
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_bt_ex(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
-    if mode == ExecMode::Integer {
-        if let (Operand::Packed(x), Operand::Packed(y)) = (a, b) {
-            if x.layout == PackLayout::RowGroups
-                && y.layout == PackLayout::RowGroups
-                && x.cols == y.cols
-                && qgemm_int::segment_bound_ok(x.cols, x.group, y.group)
-            {
-                return qgemm_int::int_nt(x, y);
-            }
-        }
-    }
-    qmatmul_bt(a, b)
-}
+// The four `*_impl` kernels below are `#[inline(never)]`: every
+// instantiation stays a standalone function, so its register allocation
+// cannot depend on what else the dispatching entry point contains.
+// (Measured: inlined into the mode-taking `qmatmul`, the packed×packed NN
+// kernel served the benchmark's k = 1024 GEMMs ~1.8× slower.)
 
 fn scratch(needed: bool, len: usize) -> Vec<f32> {
     if needed {
@@ -664,6 +624,7 @@ fn scratch(needed: bool, len: usize) -> Vec<f32> {
 // `accumulate_row`'s pairwise trees on the `m % 4` remainder rows.
 // ---------------------------------------------------------------------------
 
+#[inline(never)]
 fn nn_impl<A: RowSrc, B: PanelSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
@@ -815,6 +776,7 @@ fn nn_rem_row<B: PanelSrc>(c_seg: &mut [f32], a: &[f32], b: &B, bbuf: &[f32], j0
 // eight at a time, A rows once per (panel, row).
 // ---------------------------------------------------------------------------
 
+#[inline(never)]
 fn nt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
@@ -877,6 +839,7 @@ fn nt_chain4(c4: &mut [f32], ar: &[f32], b4: [&[f32]; 4]) {
 // skip on the A column scalars, then single-`k` steps with the scalar skip.
 // ---------------------------------------------------------------------------
 
+#[inline(never)]
 fn tn_impl<A: ColSrc, B: PanelSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
@@ -941,6 +904,7 @@ fn tn_row_seg<B: PanelSrc>(
 // `tree_dot` remainder rows.
 // ---------------------------------------------------------------------------
 
+#[inline(never)]
 fn bt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) -> Tensor {
     let n_full = (n / NR) * NR;
     let b_all_finite = n_full == n || m < MR || b.all_finite();
@@ -1111,7 +1075,11 @@ mod tests {
                 (Operand::Dense(&da), Operand::Packed(&pb), "dp"),
                 (Operand::Packed(&pa), Operand::Packed(&pb), "pp"),
             ] {
-                assert_bits_eq(&qmatmul(a, b), &want, &format!("nn {tag} ({m},{k},{n})"));
+                assert_bits_eq(
+                    &qmatmul(ExecMode::Replay, a, b),
+                    &want,
+                    &format!("nn {tag} ({m},{k},{n})"),
+                );
             }
         }
     }
@@ -1127,7 +1095,11 @@ mod tests {
                 (Operand::Dense(&da), Operand::Packed(&pb), "dp"),
                 (Operand::Packed(&pa), Operand::Packed(&pb), "pp"),
             ] {
-                assert_bits_eq(&qmatmul_nt(a, b), &want, &format!("nt {tag} ({m},{k},{n})"));
+                assert_bits_eq(
+                    &qmatmul_nt(ExecMode::Replay, a, b),
+                    &want,
+                    &format!("nt {tag} ({m},{k},{n})"),
+                );
             }
         }
     }
@@ -1143,7 +1115,11 @@ mod tests {
                 (Operand::Dense(&da), Operand::Packed(&pb), "dp"),
                 (Operand::Packed(&pa), Operand::Packed(&pb), "pp"),
             ] {
-                assert_bits_eq(&qmatmul_tn(a, b), &want, &format!("tn {tag} ({m},{k},{n})"));
+                assert_bits_eq(
+                    &qmatmul_tn(ExecMode::Replay, a, b),
+                    &want,
+                    &format!("tn {tag} ({m},{k},{n})"),
+                );
             }
         }
     }
@@ -1159,7 +1135,11 @@ mod tests {
                 (Operand::Dense(&da), Operand::Packed(&pb), "dp"),
                 (Operand::Packed(&pa), Operand::Packed(&pb), "pp"),
             ] {
-                assert_bits_eq(&qmatmul_bt(a, b), &want, &format!("bt {tag} ({m},{k},{n})"));
+                assert_bits_eq(
+                    &qmatmul_bt(ExecMode::Replay, a, b),
+                    &want,
+                    &format!("bt {tag} ({m},{k},{n})"),
+                );
             }
         }
     }
@@ -1186,7 +1166,7 @@ mod tests {
             let db = Tensor::from_vec(vec![n, k], bdata);
             let want = matmul_bt(&da, &db);
             assert_bits_eq(
-                &qmatmul_bt(Operand::Packed(&pa), Operand::Dense(&db)),
+                &qmatmul_bt(ExecMode::Replay, Operand::Packed(&pa), Operand::Dense(&db)),
                 &want,
                 &format!("bt-nonfinite ({m},{k},{n})"),
             );
@@ -1202,14 +1182,39 @@ mod tests {
         let (pbt, _) = random_pack(67, 256, 16, PackLayout::RowGroups, 4, 53);
         let (pat, _) = random_pack(256, 37, 16, PackLayout::ColGroups, 4, 54);
         set_parallelism(Parallelism::sequential());
-        let s1 = qmatmul(Operand::Packed(&pa), Operand::Packed(&pb));
-        let s2 = qmatmul_nt(Operand::Packed(&pa), Operand::Packed(&pbt));
-        let s3 = qmatmul_tn(Operand::Packed(&pat), Operand::Packed(&pb));
+        let s1 = qmatmul(ExecMode::Replay, Operand::Packed(&pa), Operand::Packed(&pb));
+        let s2 = qmatmul_nt(
+            ExecMode::Replay,
+            Operand::Packed(&pa),
+            Operand::Packed(&pbt),
+        );
+        let s3 = qmatmul_tn(
+            ExecMode::Replay,
+            Operand::Packed(&pat),
+            Operand::Packed(&pb),
+        );
         for workers in [2, 5, 8] {
             set_parallelism(Parallelism::new(workers));
-            assert_eq!(qmatmul(Operand::Packed(&pa), Operand::Packed(&pb)), s1);
-            assert_eq!(qmatmul_nt(Operand::Packed(&pa), Operand::Packed(&pbt)), s2);
-            assert_eq!(qmatmul_tn(Operand::Packed(&pat), Operand::Packed(&pb)), s3);
+            assert_eq!(
+                qmatmul(ExecMode::Replay, Operand::Packed(&pa), Operand::Packed(&pb)),
+                s1
+            );
+            assert_eq!(
+                qmatmul_nt(
+                    ExecMode::Replay,
+                    Operand::Packed(&pa),
+                    Operand::Packed(&pbt)
+                ),
+                s2
+            );
+            assert_eq!(
+                qmatmul_tn(
+                    ExecMode::Replay,
+                    Operand::Packed(&pat),
+                    Operand::Packed(&pb)
+                ),
+                s3
+            );
         }
         set_parallelism(saved);
     }
@@ -1232,43 +1237,20 @@ mod tests {
     }
 
     #[test]
-    fn replay_mode_entry_points_are_the_plain_kernels() {
-        let (pa, _) = random_pack(5, 40, 16, PackLayout::RowGroups, 4, 101);
-        let (pb, _) = random_pack(40, 9, 16, PackLayout::ColGroups, 4, 102);
-        let (pbt, _) = random_pack(9, 40, 16, PackLayout::RowGroups, 4, 103);
-        let a = Operand::Packed(&pa);
-        assert_bits_eq(
-            &qmatmul_ex(ExecMode::Replay, a, Operand::Packed(&pb)),
-            &qmatmul(a, Operand::Packed(&pb)),
-            "nn replay",
-        );
-        assert_bits_eq(
-            &qmatmul_nt_ex(ExecMode::Replay, a, Operand::Packed(&pbt)),
-            &qmatmul_nt(a, Operand::Packed(&pbt)),
-            "nt replay",
-        );
-        assert_bits_eq(
-            &qmatmul_bt_ex(ExecMode::Replay, a, Operand::Packed(&pbt)),
-            &qmatmul_bt(a, Operand::Packed(&pbt)),
-            "bt replay",
-        );
-    }
-
-    #[test]
     fn ineligible_integer_requests_fall_back_to_replay_bits() {
         // Dense operand: integer domain inapplicable.
         let (pa, da) = random_pack(5, 40, 16, PackLayout::RowGroups, 4, 111);
         let (pb, db) = random_pack(40, 9, 16, PackLayout::ColGroups, 4, 112);
         assert_bits_eq(
-            &qmatmul_ex(ExecMode::Integer, Operand::Dense(&da), Operand::Packed(&pb)),
-            &qmatmul(Operand::Dense(&da), Operand::Packed(&pb)),
+            &qmatmul(ExecMode::Integer, Operand::Dense(&da), Operand::Packed(&pb)),
+            &qmatmul(ExecMode::Replay, Operand::Dense(&da), Operand::Packed(&pb)),
             "dense a",
         );
         // Groups along the wrong axis: the scale product does not factor
         // per reduction segment, so the pair must replay.
         let (pb_wrong, db_wrong) = random_pack(40, 9, 16, PackLayout::RowGroups, 4, 113);
         assert_bits_eq(
-            &qmatmul_ex(
+            &qmatmul(
                 ExecMode::Integer,
                 Operand::Packed(&pa),
                 Operand::Packed(&pb_wrong),
@@ -1286,7 +1268,7 @@ mod tests {
         let (pa, da) = random_pack(16, 64, 16, PackLayout::RowGroups, 4, 121);
         let (pb, db) = random_pack(64, 24, 16, PackLayout::ColGroups, 4, 122);
         let replay = matmul(&da, &db);
-        let int = qmatmul_ex(
+        let int = qmatmul(
             ExecMode::Integer,
             Operand::Packed(&pa),
             Operand::Packed(&pb),
@@ -1305,6 +1287,6 @@ mod tests {
     fn dimension_mismatch_panics() {
         let (pa, _) = random_pack(2, 3, 16, PackLayout::RowGroups, 4, 71);
         let (pb, _) = random_pack(4, 2, 16, PackLayout::ColGroups, 4, 72);
-        let _ = qmatmul(Operand::Packed(&pa), Operand::Packed(&pb));
+        let _ = qmatmul(ExecMode::Replay, Operand::Packed(&pa), Operand::Packed(&pb));
     }
 }

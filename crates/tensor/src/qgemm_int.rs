@@ -538,7 +538,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qgemm::{qmatmul_ex, qmatmul_nt_ex, qmatmul_tn_ex, ExecMode, Operand, PackLayout};
+    use crate::qgemm::{qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout};
     use rand::{Rng, SeedableRng};
 
     fn random_pack(
@@ -624,7 +624,7 @@ mod tests {
             for g in [2usize, 6, 16] {
                 let a = random_pack(m, k, g, PackLayout::RowGroups, 7 + m as u64 + g as u64);
                 let b = random_pack(k, n, g, PackLayout::ColGroups, 9 + n as u64 + g as u64);
-                let got = qmatmul_ex(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&b));
+                let got = qmatmul(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&b));
                 assert_close(
                     &got,
                     &reference(&a, &b, false, false),
@@ -639,7 +639,7 @@ mod tests {
         for (ga, gb) in [(3usize, 3usize), (4, 8), (5, 7), (16, 2)] {
             let a = random_pack(6, 24, ga, PackLayout::RowGroups, 31 + ga as u64);
             let b = random_pack(24, 19, gb, PackLayout::ColGroups, 37 + gb as u64);
-            let got = qmatmul_ex(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&b));
+            let got = qmatmul(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&b));
             assert_close(
                 &got,
                 &reference(&a, &b, false, false),
@@ -653,7 +653,7 @@ mod tests {
         for (m, k, n) in SHAPES {
             let a = random_pack(m, k, 16, PackLayout::RowGroups, 41 + m as u64);
             let bt = random_pack(n, k, 16, PackLayout::RowGroups, 43 + n as u64);
-            let got = qmatmul_nt_ex(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&bt));
+            let got = qmatmul_nt(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&bt));
             assert_close(
                 &got,
                 &reference(&a, &bt, false, true),
@@ -662,7 +662,7 @@ mod tests {
 
             let at = random_pack(k, m, 16, PackLayout::ColGroups, 47 + m as u64);
             let b = random_pack(k, n, 16, PackLayout::ColGroups, 53 + n as u64);
-            let got = qmatmul_tn_ex(ExecMode::Integer, Operand::Packed(&at), Operand::Packed(&b));
+            let got = qmatmul_tn(ExecMode::Integer, Operand::Packed(&at), Operand::Packed(&b));
             assert_close(
                 &got,
                 &reference(&at, &b, true, false),

@@ -259,9 +259,109 @@ fn main() {
     }
     session.exec_mode = env_mode;
 
+    // --- The three training GEMMs of one conv layer (paper Fig 3) at the
+    // three conv shape families of the `fast_perf` ResNet: forward `Nn`,
+    // weight-gradient `Nt` on the same `m×k×n`, input-gradient `Tn` on its
+    // transpose — equal MACs, execute-only over pre-packed HighBFP
+    // operands, in both exec modes. Samples alternate between the three
+    // orientations and each row is the floor of its samples (the
+    // `overhead_pair` argument below), so the `*_over_nn_x` ratios compare
+    // one machine state. ---
+    const BWD_SHAPES: [(usize, usize, usize); 3] = [(8, 4096, 72), (16, 1024, 144), (32, 256, 288)];
+    const BWD_KEYS: [[[&str; 3]; 3]; 2] = [
+        [
+            [
+                "qgemm_nn_bwd_c8_ns",
+                "qgemm_nt_bwd_c8_ns",
+                "qgemm_tn_bwd_c8_ns",
+            ],
+            [
+                "qgemm_nn_bwd_c16_ns",
+                "qgemm_nt_bwd_c16_ns",
+                "qgemm_tn_bwd_c16_ns",
+            ],
+            [
+                "qgemm_nn_bwd_c32_ns",
+                "qgemm_nt_bwd_c32_ns",
+                "qgemm_tn_bwd_c32_ns",
+            ],
+        ],
+        [
+            [
+                "qgemm_int_nn_bwd_c8_ns",
+                "qgemm_int_nt_bwd_c8_ns",
+                "qgemm_int_tn_bwd_c8_ns",
+            ],
+            [
+                "qgemm_int_nn_bwd_c16_ns",
+                "qgemm_int_nt_bwd_c16_ns",
+                "qgemm_int_tn_bwd_c16_ns",
+            ],
+            [
+                "qgemm_int_nn_bwd_c32_ns",
+                "qgemm_int_nt_bwd_c32_ns",
+                "qgemm_int_tn_bwd_c32_ns",
+            ],
+        ],
+    ];
+    let wave = |rows: usize, cols: usize, f: f32| {
+        Tensor::from_vec(
+            vec![rows, cols],
+            (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
+        )
+    };
+    let bwd_fmt = NumericFormat::bfp_nearest(BfpFormat::high());
+    // Σ over the shape families of the [Nn, Nt, Tn] floors, per exec mode.
+    let mut bwd_totals = [[0.0f64; 3]; 2];
+    for (mode_at, mode) in [ExecMode::Replay, ExecMode::Integer]
+        .into_iter()
+        .enumerate()
+    {
+        let env_mode = std::mem::replace(&mut session.exec_mode, mode);
+        for (&(m, k, n), keys) in BWD_SHAPES.iter().zip(BWD_KEYS[mode_at]) {
+            let (a, b, bt) = (wave(m, k, 0.13), wave(k, n, 0.29), wave(n, k, 0.31));
+            // Tn on the transposed shape: (n×k) = (m×n)ᵀ · (m×k).
+            let (at, b2) = (wave(m, n, 0.17), wave(m, k, 0.23));
+            let (row, col) = (GroupAxis::AlongRow, GroupAxis::AlongCol);
+            let mut pack = |t, axis| prepare(&mut session, t, bwd_fmt, axis);
+            let gemms = [
+                (Orient::Nn, pack(&a, row), pack(&b, col)),
+                (Orient::Nt, pack(&a, row), pack(&bt, row)),
+                (Orient::Tn, pack(&at, col), pack(&b2, col)),
+            ];
+            let mut floors = [f64::INFINITY; 3];
+            for sample in 0..warmup + 3 * iters {
+                for ((orient, x, y), floor) in gemms.iter().zip(&mut floors) {
+                    let t = Instant::now();
+                    black_box(execute(&mut session, *orient, black_box(x), black_box(y)));
+                    if sample >= warmup {
+                        *floor = floor.min(t.elapsed().as_nanos() as f64);
+                    }
+                }
+            }
+            for ((key, ns), total) in keys.into_iter().zip(floors).zip(&mut bwd_totals[mode_at]) {
+                results.push((key, ns));
+                *total += ns;
+            }
+        }
+        session.exec_mode = env_mode;
+    }
+
     // Within-run plan-vs-pipeline ratios (same machine state for both
     // sides, unlike the cross-commit "speedup" section).
     let mut ratios: Vec<(String, f64)> = Vec::new();
+    // Backward-orientation rate over the forward rate on equal MACs: FAST's
+    // fMAC runs all three training GEMMs at one rate, so these sit near 1.0
+    // when the kernels do; under `BWD_FLOOR` the run fails (below).
+    let bwd_ratios = [
+        ("qgemm_nt_over_nn_x", bwd_totals[0][0] / bwd_totals[0][1]),
+        ("qgemm_tn_over_nn_x", bwd_totals[0][0] / bwd_totals[0][2]),
+        (
+            "qgemm_int_nt_over_nn_x",
+            bwd_totals[1][0] / bwd_totals[1][1],
+        ),
+    ];
+    ratios.extend(bwd_ratios.iter().map(|&(key, x)| (key.to_string(), x)));
     for fmt_key in ["bfp_m4", "bfp_m2", "bfp_m4_sr"] {
         let find = |k: &str| results.iter().find(|(key, _)| *key == k).map(|&(_, ns)| ns);
         if let (Some(pipeline), Some(plan)) = (
@@ -473,4 +573,15 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("{json}");
     println!("wrote {out_path}");
+
+    // The one gate this binary enforces itself: a within-run ratio, so it
+    // holds on any machine. A backward orientation under half the forward
+    // rate means a kernel has stopped keeping its accumulators in registers
+    // (DESIGN.md §7).
+    const BWD_FLOOR: f64 = 0.5;
+    let slow: Vec<_> = bwd_ratios.iter().filter(|(_, x)| *x < BWD_FLOOR).collect();
+    if !slow.is_empty() {
+        eprintln!("backward GEMM rate under {BWD_FLOOR}x the Nn rate on equal MACs: {slow:?}");
+        std::process::exit(1);
+    }
 }

@@ -8,14 +8,19 @@
 //! (matched to the `4×32` micro-kernel of [`crate::matmul`]), never as a
 //! whole tensor.
 //!
-//! **Bit identity.** Every kernel replays the exact per-element summation
+//! **Bit identity.** Every kernel produces the exact per-element summation
 //! tree of its dense counterpart ([`matmul`], [`matmul_nt`], [`matmul_tn`],
-//! [`matmul_bt`]) — same accumulation order, same pairwise-reduction
-//! shapes, same zero-coefficient skip rules in the same column regions —
-//! and the dequantized value `mantissa as f32 * scale` is bit-identical to
-//! what fake quantization would have written (see `fast_bfp::packed` and
-//! DESIGN.md §9). A packed-operand GEMM therefore produces the same f32
-//! result bits as quantize-copy + dense GEMM, for every worker count.
+//! [`matmul_bt`]), and the dequantized value `mantissa as f32 * scale` is
+//! bit-identical to what fake quantization would have written (see
+//! `fast_bfp::packed` and DESIGN.md §9). A packed-operand GEMM therefore
+//! produces the same f32 result bits as quantize-copy + dense GEMM, for
+//! every worker count. For `NN`/`BT` that means replaying [`matmul`]'s
+//! region-dependent trees — same pairwise-reduction shapes, same
+//! zero-coefficient skip rules in the same column regions. For `NT`/`TN`
+//! there is nothing to replay: every element is one serial ascending-`k`
+//! chain, the dense functions are the all-dense instantiations of the same
+//! generic kernels, and any tile that gives each element its own
+//! accumulator yields the chain's bits (DESIGN.md §7).
 //!
 //! Dense×dense operand pairs delegate to the dense kernels directly.
 //!
@@ -196,16 +201,18 @@ impl PackedMat {
                 let g = self.group;
                 let gpr = self.cols.div_ceil(g).max(1);
                 let srow = &self.scales[i * gpr..(i + 1) * gpr];
-                let mut x = 0;
+                // One division per call, not per group: the NT kernel's
+                // `KC`-long segments span many groups.
+                let (mut x, mut gi) = (0, j0 / g);
+                let mut run = ((gi + 1) * g - j0).min(out.len());
                 while x < out.len() {
-                    let j = j0 + x;
-                    let gi = j / g;
-                    let run = ((gi + 1) * g - j).min(out.len() - x);
                     let s = srow[gi];
                     for (o, &mv) in out[x..x + run].iter_mut().zip(&mans[x..x + run]) {
                         *o = mv as f32 * s;
                     }
                     x += run;
+                    gi += 1;
+                    run = g.min(out.len() - x);
                 }
             }
             PackLayout::ColGroups => {
@@ -213,25 +220,6 @@ impl PackedMat {
                 let srow = &self.scales[base..base + out.len()];
                 for ((o, &mv), &s) in out.iter_mut().zip(mans).zip(srow) {
                     *o = mv as f32 * s;
-                }
-            }
-        }
-    }
-
-    /// Dequantizes column `j` into `out` (length `rows`).
-    fn fill_col(&self, j: usize, out: &mut [f32]) {
-        match self.layout {
-            PackLayout::RowGroups => {
-                let gpr = self.cols.div_ceil(self.group).max(1);
-                let sj = j / self.group;
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.mans[i * self.cols + j] as f32 * self.scales[i * gpr + sj];
-                }
-            }
-            PackLayout::ColGroups => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.mans[i * self.cols + j] as f32
-                        * self.scales[(i / self.group) * self.cols + j];
                 }
             }
         }
@@ -283,30 +271,30 @@ impl Operand<'_> {
 // ---------------------------------------------------------------------------
 
 /// Stored-row access (contiguous runs along the storage row).
-trait RowSrc: Sync {
+pub(crate) trait RowSrc: Sync {
     const NEEDS_BUF: bool;
-    /// Row `i` as dequantized f32s (`buf` must hold the row width).
-    fn row<'s>(&'s self, i: usize, buf: &'s mut [f32]) -> &'s [f32];
     /// Rows `i0..i0+N` (`buf` must hold `N * width()`).
     fn block<'s, const N: usize>(&'s self, i0: usize, buf: &'s mut [f32]) -> [&'s [f32]; N];
+    /// Columns `[k0, k0+len)` of row `i` (`buf` must hold `len`).
+    fn seg<'s>(&'s self, i: usize, k0: usize, len: usize, buf: &'s mut [f32]) -> &'s [f32];
     /// Whether every stored value is finite (packed values always are).
     fn all_finite(&self) -> bool;
 }
 
-struct DenseRows<'a> {
-    d: &'a [f32],
-    w: usize,
+pub(crate) struct DenseRows<'a> {
+    pub(crate) d: &'a [f32],
+    pub(crate) w: usize,
 }
 
 impl RowSrc for DenseRows<'_> {
     const NEEDS_BUF: bool = false;
     #[inline]
-    fn row<'s>(&'s self, i: usize, _buf: &'s mut [f32]) -> &'s [f32] {
-        &self.d[i * self.w..(i + 1) * self.w]
-    }
-    #[inline]
     fn block<'s, const N: usize>(&'s self, i0: usize, _buf: &'s mut [f32]) -> [&'s [f32]; N] {
         std::array::from_fn(|q| &self.d[(i0 + q) * self.w..(i0 + q + 1) * self.w])
+    }
+    #[inline]
+    fn seg<'s>(&'s self, i: usize, k0: usize, len: usize, _buf: &'s mut [f32]) -> &'s [f32] {
+        &self.d[i * self.w + k0..][..len]
     }
     fn all_finite(&self) -> bool {
         self.d.iter().all(|v| v.is_finite())
@@ -320,12 +308,6 @@ struct PackedRows<'a> {
 impl RowSrc for PackedRows<'_> {
     const NEEDS_BUF: bool = true;
     #[inline]
-    fn row<'s>(&'s self, i: usize, buf: &'s mut [f32]) -> &'s [f32] {
-        let w = self.p.cols;
-        self.p.fill_row_seg(i, 0, &mut buf[..w]);
-        &buf[..w]
-    }
-    #[inline]
     fn block<'s, const N: usize>(&'s self, i0: usize, buf: &'s mut [f32]) -> [&'s [f32]; N] {
         let w = self.p.cols;
         for (q, chunk) in buf[..N * w].chunks_mut(w.max(1)).take(N).enumerate() {
@@ -334,24 +316,32 @@ impl RowSrc for PackedRows<'_> {
         let buf: &'s [f32] = buf;
         std::array::from_fn(|q| &buf[q * w..(q + 1) * w])
     }
+    #[inline]
+    fn seg<'s>(&'s self, i: usize, k0: usize, len: usize, buf: &'s mut [f32]) -> &'s [f32] {
+        self.p.fill_row_seg(i, k0, &mut buf[..len]);
+        &buf[..len]
+    }
     fn all_finite(&self) -> bool {
         true // packed values are sanitized finite by construction
     }
 }
 
-/// Column-panel access for the `k × n` right-hand operand of the NN/TN
-/// kernels: `stage` dequantizes columns `[j0, j0+w)` of all `k` stored rows
-/// into scratch once per panel; `krow` then serves row segments from it
-/// (dense sources skip staging and borrow directly).
-trait PanelSrc: Sync {
+/// Column-panel access to a stored `k × n` operand — the right-hand side of
+/// the NN kernel, both sides of the TN kernel: `stage` dequantizes columns
+/// `[j0, j0+w)` of all `k` stored rows into scratch once per panel; `krow`
+/// then serves row segments from it (dense sources skip staging and borrow
+/// directly).
+pub(crate) trait PanelSrc: Sync {
     const NEEDS_BUF: bool;
     fn stage(&self, j0: usize, w: usize, buf: &mut [f32]);
     fn krow<'s>(&'s self, buf: &'s [f32], kk: usize, j0: usize, w: usize) -> &'s [f32];
+    /// Whether every stored value is finite (packed values always are).
+    fn all_finite(&self) -> bool;
 }
 
-struct DensePanel<'a> {
-    d: &'a [f32],
-    n: usize,
+pub(crate) struct DensePanel<'a> {
+    pub(crate) d: &'a [f32],
+    pub(crate) n: usize,
 }
 
 impl PanelSrc for DensePanel<'_> {
@@ -361,6 +351,9 @@ impl PanelSrc for DensePanel<'_> {
     #[inline]
     fn krow<'s>(&'s self, _buf: &'s [f32], kk: usize, j0: usize, w: usize) -> &'s [f32] {
         &self.d[kk * self.n + j0..kk * self.n + j0 + w]
+    }
+    fn all_finite(&self) -> bool {
+        self.d.iter().all(|v| v.is_finite())
     }
 }
 
@@ -380,41 +373,8 @@ impl PanelSrc for PackedPanel<'_> {
     fn krow<'s>(&'s self, buf: &'s [f32], kk: usize, _j0: usize, w: usize) -> &'s [f32] {
         &buf[kk * w..kk * w + w]
     }
-}
-
-/// Stored-column access for the `ka × m` left operand of the TN kernel.
-/// Both implementations stage the (strided) column into scratch; the staged
-/// values are the same f32s the dense kernel reads in place.
-trait ColSrc: Sync {
-    fn col<'s>(&'s self, i: usize, buf: &'s mut [f32]) -> &'s [f32];
-}
-
-struct DenseCols<'a> {
-    d: &'a [f32],
-    m: usize,
-    ka: usize,
-}
-
-impl ColSrc for DenseCols<'_> {
-    #[inline]
-    fn col<'s>(&'s self, i: usize, buf: &'s mut [f32]) -> &'s [f32] {
-        for (kk, o) in buf[..self.ka].iter_mut().enumerate() {
-            *o = self.d[kk * self.m + i];
-        }
-        &buf[..self.ka]
-    }
-}
-
-struct PackedCols<'a> {
-    p: &'a PackedMat,
-}
-
-impl ColSrc for PackedCols<'_> {
-    #[inline]
-    fn col<'s>(&'s self, i: usize, buf: &'s mut [f32]) -> &'s [f32] {
-        let ka = self.p.rows;
-        self.p.fill_col(i, &mut buf[..ka]);
-        &buf[..ka]
+    fn all_finite(&self) -> bool {
+        true
     }
 }
 
@@ -545,21 +505,21 @@ pub fn qmatmul_tn(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     match (a, b) {
         (Operand::Dense(x), Operand::Dense(y)) => matmul_tn(x, y),
         (Operand::Dense(x), Operand::Packed(y)) => tn_impl(
-            &DenseCols { d: x.data(), m, ka },
+            &DensePanel { d: x.data(), n: m },
             &PackedPanel { p: y },
             m,
             ka,
             n,
         ),
         (Operand::Packed(x), Operand::Dense(y)) => tn_impl(
-            &PackedCols { p: x },
+            &PackedPanel { p: x },
             &DensePanel { d: y.data(), n },
             m,
             ka,
             n,
         ),
         (Operand::Packed(x), Operand::Packed(y)) => {
-            tn_impl(&PackedCols { p: x }, &PackedPanel { p: y }, m, ka, n)
+            tn_impl(&PackedPanel { p: x }, &PackedPanel { p: y }, m, ka, n)
         }
     }
 }
@@ -604,11 +564,14 @@ pub fn qmatmul_bt(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     }
 }
 
-// The four `*_impl` kernels below are `#[inline(never)]`: every
-// instantiation stays a standalone function, so its register allocation
-// cannot depend on what else the dispatching entry point contains.
-// (Measured: inlined into the mode-taking `qmatmul`, the packed×packed NN
-// kernel served the benchmark's k = 1024 GEMMs ~1.8× slower.)
+// The four `*_impl` kernels below and the register tiles `nn_full_tile` /
+// `tn_tile` are `#[inline(never)]`: every instantiation stays a standalone
+// function, so its register allocation cannot depend on what else its
+// caller contains. (Measured, twice: inlined into the mode-taking
+// `qmatmul`, the packed×packed NN kernel served the benchmark's k = 1024
+// GEMMs ~1.8× slower; and with `nn_full_tile` left at `#[inline]`, one
+// changed line in `nn_impl`'s remainder-row path was enough for LLVM to
+// inline the tile, spill its accumulators, and cost `serve_mlp_sat` 1.7×.)
 
 fn scratch(needed: bool, len: usize) -> Vec<f32> {
     if needed {
@@ -662,7 +625,7 @@ fn nn_impl<A: RowSrc, B: PanelSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -
                     ri += MR;
                 }
                 while ri < rows {
-                    let ar = a.row(row_start + ri, &mut abuf);
+                    let ar = a.seg(row_start + ri, 0, k, &mut abuf);
                     nn_rem_row(
                         &mut panel[ri * n + j0..ri * n + j0 + w],
                         ar,
@@ -682,7 +645,7 @@ fn nn_impl<A: RowSrc, B: PanelSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -
 
 /// One full `MR×NR` register tile: serial ascending-`k` chains, no skip —
 /// `micro_tile`'s exact arithmetic.
-#[inline]
+#[inline(never)]
 #[allow(clippy::needless_range_loop)] // kk walks two operands in lockstep
 fn nn_full_tile<B: PanelSrc>(
     aq: &[&[f32]; MR],
@@ -771,130 +734,286 @@ fn nn_rem_row<B: PanelSrc>(c_seg: &mut [f32], a: &[f32], b: &B, bbuf: &[f32], j0
 }
 
 // ---------------------------------------------------------------------------
-// NT: every output element is one serial ascending-`k` dot product (no skip
-// in the dense kernel), so only the staged values matter. B rows are staged
-// eight at a time, A rows once per (panel, row).
+// NT and TN: serial-chain tiles. Every output element of either orientation
+// is one chain `acc = +0.0; acc += a·b` in ascending `k` — no pairwise
+// tree, no cross-element term — so a tile of any shape that advances its
+// elements together down `k` produces the bits of the one-element-at-a-time
+// triple loop (`crates/tensor/tests/proptests.rs` holds that loop as the
+// oracle). The dense `matmul_nt` / `matmul_tn` are the all-dense
+// instantiations of these two generics.
 // ---------------------------------------------------------------------------
 
+/// Reduction chunk of the NT kernel: a `KC×NR` f32 panel is 32 KiB, which
+/// stays L1-resident under the tile loop. Chains cross a chunk boundary
+/// through `C` (an f32 store/load is exact).
+const KC: usize = 256;
+
+/// Rows of the TN tile. Both tiles below hold 64 accumulators — 8 of the 16
+/// `ymm` registers, so none spills. A 128-accumulator tile (the `MR×NR` of
+/// `nn_full_tile`) is no faster here, and its spill slots put stores on the
+/// stack inside the `k` loop: when the stack lands where those slots share
+/// their low 12 address bits with the staged panels (about one process
+/// start in thirty under ASLR), every panel load waits on a spill store and
+/// a shallow-`k` TN runs 2.5× slower for the life of the process.
+const TR: usize = 2;
+
+/// NT: both operands store the reduction along their rows, so neither can
+/// feed a lane-parallel tile as stored. The operand with *fewer* rows is
+/// staged transposed, `KC` reduction steps at a time, into a `kc×L` panel
+/// (each of its elements dequantized exactly once per shard); the other
+/// operand's rows stream past it `RB` at a time.
 #[inline(never)]
-fn nt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
+pub(crate) fn nt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
-        shard_rows(&mut out, n, 2 * k * n, 1, |row_start, panel| {
-            let mut bbuf = scratch(B::NEEDS_BUF, 2 * MR * k);
-            let mut abuf = scratch(A::NEEDS_BUF, k);
-            let mut j = 0;
-            while j + 2 * MR <= n {
-                let b8: [&[f32]; 8] = b.block(j, &mut bbuf);
-                for (ri, c_row) in panel.chunks_mut(n).enumerate() {
-                    let ar = a.row(row_start + ri, &mut abuf);
-                    nt_chain4(&mut c_row[j..j + 4], ar, [b8[0], b8[1], b8[2], b8[3]]);
-                    nt_chain4(&mut c_row[j + 4..j + 8], ar, [b8[4], b8[5], b8[6], b8[7]]);
-                }
-                j += 2 * MR;
-            }
-            if j + 4 <= n {
-                let b4: [&[f32]; 4] = b.block(j, &mut bbuf);
-                for (ri, c_row) in panel.chunks_mut(n).enumerate() {
-                    let ar = a.row(row_start + ri, &mut abuf);
-                    nt_chain4(&mut c_row[j..j + 4], ar, b4);
-                }
-                j += 4;
-            }
-            while j < n {
-                let bj = b.row(j, &mut bbuf);
-                for (ri, c_row) in panel.chunks_mut(n).enumerate() {
-                    let ar = a.row(row_start + ri, &mut abuf);
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in ar.iter().zip(bj) {
-                        acc += av * bv;
-                    }
-                    c_row[j] = acc;
-                }
-                j += 1;
+        shard_rows(&mut out, n, 2 * k * n, 1, |row_start, c| {
+            let rows = row_start..row_start + c.len() / n;
+            if m <= n {
+                // Lanes run over A's rows: the tile holds a piece of Cᵀ.
+                nt_panels(b, 0..n, a, rows, k, c, (1, n));
+            } else {
+                nt_panels(a, rows, b, 0..n, k, c, (n, 1));
             }
         });
     }
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// Four independent serial dot chains — `matmul_nt`'s inner block.
-#[inline]
-fn nt_chain4(c4: &mut [f32], ar: &[f32], b4: [&[f32]; 4]) {
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (p, &av) in ar.iter().enumerate() {
-        s0 += av * b4[0][p];
-        s1 += av * b4[1][p];
-        s2 += av * b4[2][p];
-        s3 += av * b4[3][p];
+/// `D[s][p] = Σ_k S[s][k]·P[p][k]` over the given row ranges, `D[s][p]`
+/// living at `d[(s − s_rows.start)·ss + (p − p_rows.start)·ps]`. `P` is
+/// the staged side: its rows are taken up to `NR` at a time and laid across
+/// 8, 16 or 32 lanes (`RB·L = 64` accumulators either way).
+fn nt_panels<S: RowSrc, P: RowSrc>(
+    s: &S,
+    s_rows: std::ops::Range<usize>,
+    p: &P,
+    p_rows: std::ops::Range<usize>,
+    k: usize,
+    d: &mut [f32],
+    (ss, ps): (usize, usize),
+) {
+    let kc = k.min(KC);
+    let mut panel = vec![0.0f32; kc * NR];
+    let mut pbuf = scratch(P::NEEDS_BUF, kc);
+    let mut sbuf = scratch(S::NEEDS_BUF, 8 * kc); // 8: the tallest `RB` below
+    for p0 in p_rows.clone().step_by(NR) {
+        let p_blk = p0..p_rows.end.min(p0 + NR);
+        let d = &mut d[(p0 - p_rows.start) * ps..];
+        let bufs = (&mut panel[..], &mut pbuf[..], &mut sbuf[..]);
+        match p_blk.len() {
+            ..=8 => nt_panel::<S, P, 8, 8>(s, s_rows.clone(), p, p_blk, k, d, (ss, ps), bufs),
+            9..=16 => nt_panel::<S, P, 4, 16>(s, s_rows.clone(), p, p_blk, k, d, (ss, ps), bufs),
+            _ => nt_panel::<S, P, 2, NR>(s, s_rows.clone(), p, p_blk, k, d, (ss, ps), bufs),
+        }
     }
-    c4[0] = s0;
-    c4[1] = s1;
-    c4[2] = s2;
-    c4[3] = s3;
 }
 
-// ---------------------------------------------------------------------------
-// TN: replay of `matmul_tn` — four-wide reduction blocks with the all-zero
-// skip on the A column scalars, then single-`k` steps with the scalar skip.
-// ---------------------------------------------------------------------------
-
-#[inline(never)]
-fn tn_impl<A: ColSrc, B: PanelSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) -> Tensor {
-    let mut out = vec![0.0f32; m * n];
-    if n > 0 {
-        shard_rows(&mut out, n, 2 * ka * n, MR, |row_start, panel| {
-            let mut bbuf = scratch(B::NEEDS_BUF, ka * NR);
-            let mut abuf = vec![0.0f32; ka];
-            let n_full = (n / NR) * NR;
-            let mut j0 = 0;
-            while j0 < n {
-                let w = if j0 < n_full { NR } else { n - n_full };
-                b.stage(j0, w, &mut bbuf);
-                for (ri, c_row) in panel.chunks_mut(n).enumerate() {
-                    let acol = a.col(row_start + ri, &mut abuf);
-                    tn_row_seg(&mut c_row[j0..j0 + w], acol, b, &bbuf, j0, w);
-                }
-                j0 += w;
+/// One staged block of at most `L` `P` rows against every `S` row.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn nt_panel<S: RowSrc, P: RowSrc, const RB: usize, const L: usize>(
+    s: &S,
+    s_rows: std::ops::Range<usize>,
+    p: &P,
+    p_blk: std::ops::Range<usize>,
+    k: usize,
+    d: &mut [f32],
+    (ss, ps): (usize, usize),
+    (panel, pbuf, sbuf): (&mut [f32], &mut [f32], &mut [f32]),
+) {
+    let np = p_blk.len();
+    if np < L {
+        panel.fill(0.0); // idle lanes multiply zeros, and are never stored
+    }
+    for k0 in (0..k).step_by(KC) {
+        let kc = (k - k0).min(KC);
+        let panel = &mut panel[..kc * L];
+        for (lane, pi) in p_blk.clone().enumerate() {
+            let row = p.seg(pi, k0, kc, pbuf);
+            for (dst, &v) in panel[lane..].iter_mut().step_by(L).zip(row) {
+                *dst = v;
             }
-        });
+        }
+        for s0 in s_rows.clone().step_by(RB) {
+            let rs = (s_rows.end - s0).min(RB);
+            // An edge block repeats its last row; those chains are not stored.
+            let mut bufs = sbuf.chunks_mut(kc);
+            let srows: [&[f32]; RB] = std::array::from_fn(|r| {
+                let buf = bufs.next().unwrap_or_default();
+                s.seg((s0 + r).min(s_rows.end - 1), k0, kc, buf)
+            });
+            let d = &mut d[(s0 - s_rows.start) * ss..];
+            let mut acc = [[0.0f32; L]; RB];
+            for (r, acc_r) in acc.iter_mut().enumerate().take(rs) {
+                for (lane, x) in acc_r.iter_mut().enumerate().take(np) {
+                    *x = d[r * ss + lane * ps];
+                }
+            }
+            let acc = nt_tile(&srows, panel, acc);
+            for (r, acc_r) in acc.iter().enumerate().take(rs) {
+                for (lane, &x) in acc_r.iter().enumerate().take(np) {
+                    d[r * ss + lane * ps] = x;
+                }
+            }
+        }
     }
-    Tensor::from_vec(vec![m, n], out)
 }
 
-#[inline]
-fn tn_row_seg<B: PanelSrc>(
-    c_seg: &mut [f32],
-    acol: &[f32],
+/// `RB×L` chains advanced together through one staged chunk: each panel row
+/// is loaded once and meets `RB` broadcast stream values.
+#[inline(always)]
+fn nt_tile<const RB: usize, const L: usize>(
+    srows: &[&[f32]; RB],
+    panel: &[f32],
+    mut acc: [[f32; L]; RB],
+) -> [[f32; L]; RB] {
+    for (kk, prow) in panel.chunks_exact(L).enumerate() {
+        for (acc_r, srow) in acc.iter_mut().zip(srows) {
+            let sv = srow[kk];
+            for (x, &pv) in acc_r.iter_mut().zip(prow) {
+                *x += sv * pv;
+            }
+        }
+    }
+    acc
+}
+
+/// TN: both operands store the reduction down their columns, so row `kk` of
+/// each already holds what an outer-product step needs — `TR` contiguous A
+/// values against `NR` contiguous B values. No gather, no reduction
+/// chunking; `C` is written once per tile. Packed operands are staged
+/// `NR` columns at a time like the NN kernel's B panel.
+///
+/// The dense kernel this replaces skipped all-zero blocks of four A
+/// coefficients (and single zero coefficients in the `k % 4` tail). For
+/// finite `B` a skipped `±0.0` product is an exact no-op — a chain that
+/// starts at `+0.0` never becomes `-0.0` — so the rule survives literally
+/// only where it is observable: a dense `B` holding `∞`/`NaN`, found by one
+/// scan.
+#[inline(never)]
+pub(crate) fn tn_impl<A: PanelSrc, B: PanelSrc>(
+    a: &A,
     b: &B,
-    bbuf: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Tensor {
+    let skip = !b.all_finite();
+    let mut out = vec![0.0f32; m * n];
+    if n > 0 {
+        shard_rows(&mut out, n, 2 * k * n, TR, |row_start, c| {
+            let rows = c.len() / n;
+            let mut bbuf = scratch(B::NEEDS_BUF, k * NR);
+            let mut abuf = scratch(A::NEEDS_BUF, k * NR);
+            for j0 in (0..n).step_by(NR) {
+                let w = (n - j0).min(NR);
+                b.stage(j0, w, &mut bbuf);
+                let bs = Staged {
+                    src: b,
+                    buf: &bbuf,
+                    j0,
+                    w,
+                };
+                for i0 in (0..rows).step_by(NR) {
+                    let wa = (rows - i0).min(NR);
+                    a.stage(row_start + i0, wa, &mut abuf);
+                    let a_s = Staged {
+                        src: a,
+                        buf: &abuf,
+                        j0: row_start + i0,
+                        w: wa,
+                    };
+                    for r0 in (0..wa).step_by(TR) {
+                        let rw = (wa - r0).min(TR);
+                        let c_tile = &mut c[(i0 + r0) * n + j0..];
+                        if skip {
+                            tn_skip_tile(&a_s, &bs, k, (r0, rw), n, c_tile);
+                        } else if rw == TR && w == NR {
+                            tn_tile::<A, B, true>(&a_s, &bs, k, (r0, rw), n, c_tile);
+                        } else {
+                            tn_tile::<A, B, false>(&a_s, &bs, k, (r0, rw), n, c_tile);
+                        }
+                    }
+                }
+            }
+        });
+    }
+    Tensor::from_vec(vec![m, n], out)
+}
+
+/// Columns `[j0, j0+w)` of a [`PanelSrc`], staged in `buf` if it needs to be.
+struct Staged<'s, S> {
+    src: &'s S,
+    buf: &'s [f32],
     j0: usize,
     w: usize,
-) {
-    let ka = acol.len();
-    let mut kk = 0;
-    while kk + 4 <= ka {
-        let (a0, a1, a2, a3) = (acol[kk], acol[kk + 1], acol[kk + 2], acol[kk + 3]);
-        if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
-            let b0 = b.krow(bbuf, kk, j0, w);
-            let b1 = b.krow(bbuf, kk + 1, j0, w);
-            let b2 = b.krow(bbuf, kk + 2, j0, w);
-            let b3 = b.krow(bbuf, kk + 3, j0, w);
-            for (j, c) in c_seg.iter_mut().enumerate() {
-                *c = *c + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-            }
-        }
-        kk += 4;
+}
+
+impl<S: PanelSrc> Staged<'_, S> {
+    #[inline]
+    fn krow(&self, kk: usize) -> &[f32] {
+        self.src.krow(self.buf, kk, self.j0, self.w)
     }
-    while kk < ka {
-        let av = acol[kk];
-        if av != 0.0 {
-            let brow = b.krow(bbuf, kk, j0, w);
-            for (c, &bv) in c_seg.iter_mut().zip(brow) {
-                *c += av * bv;
+}
+
+/// One `rw×w` outer-product tile (`rw ≤ TR`, `w = b.w ≤ NR`) over columns
+/// `r0..r0+rw` of the staged A panel. `FULL` promises `rw == TR && w == NR`:
+/// the extents are then compile-time constants and the `TR·NR` accumulators
+/// stay in registers; edge tiles run the same loops with the zips cut short.
+/// A standalone function for the reason given above `nn_impl`.
+#[inline(never)]
+fn tn_tile<A: PanelSrc, B: PanelSrc, const FULL: bool>(
+    a: &Staged<A>,
+    b: &Staged<B>,
+    k: usize,
+    (r0, rw): (usize, usize),
+    n: usize,
+    c_tile: &mut [f32],
+) {
+    let (rw, w) = if FULL { (TR, NR) } else { (rw, b.w) };
+    let mut acc = [[0.0f32; NR]; TR];
+    for kk in 0..k {
+        let (arow, brow) = (&a.krow(kk)[r0..r0 + rw], &b.krow(kk)[..w]);
+        for (r, acc_r) in acc.iter_mut().enumerate().take(rw) {
+            let av = arow[r];
+            for (x, &bv) in acc_r.iter_mut().zip(brow) {
+                *x += av * bv;
             }
         }
-        kk += 1;
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(rw) {
+        c_tile[r * n..r * n + w].copy_from_slice(&acc_r[..w]);
+    }
+}
+
+/// The replaced kernel's zero-skip rule, element by element (non-finite
+/// dense `B` only): an aligned block of four reduction steps is left out
+/// when all four A coefficients are zero, a `k % 4` tail step when its one is.
+fn tn_skip_tile<A: PanelSrc, B: PanelSrc>(
+    a: &Staged<A>,
+    b: &Staged<B>,
+    k: usize,
+    (r0, rw): (usize, usize),
+    n: usize,
+    c_tile: &mut [f32],
+) {
+    for r in 0..rw {
+        let at = |kk: usize| a.krow(kk)[r0 + r];
+        for x in 0..b.w {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                let q0 = kk / 4 * 4;
+                let skipped = if q0 + 4 <= k {
+                    (q0..q0 + 4).all(|q| at(q) == 0.0)
+                } else {
+                    at(kk) == 0.0
+                };
+                if !skipped {
+                    acc += at(kk) * b.krow(kk)[x];
+                }
+            }
+            c_tile[r * n + x] = acc;
+        }
     }
 }
 
@@ -935,7 +1054,7 @@ fn bt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) ->
                 }
                 // Column singles (always in matmul's tail region).
                 for j in j0..n {
-                    let bj = b.row(j, &mut bbuf);
+                    let bj = b.seg(j, 0, ka, &mut bbuf);
                     let mut s = [0.0f32; MR];
                     for (p, &bv) in bj.iter().enumerate() {
                         for (r, s_r) in s.iter_mut().enumerate() {
@@ -953,7 +1072,7 @@ fn bt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) ->
             }
             // Remainder rows (`m % 4`): `tree_dot` across every column.
             while ri < rows {
-                let ar = a.row(row_start + ri, &mut abuf);
+                let ar = a.seg(row_start + ri, 0, ka, &mut abuf);
                 let mut j0 = 0;
                 while j0 + JB <= n {
                     let b8: [&[f32]; JB] = b.block(j0, &mut bbuf);
@@ -963,7 +1082,7 @@ fn bt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) ->
                     j0 += JB;
                 }
                 for j in j0..n {
-                    let bj = b.row(j, &mut bbuf);
+                    let bj = b.seg(j, 0, ka, &mut bbuf);
                     panel[ri * n + j] = tree_dot(ar, bj);
                 }
                 ri += 1;
@@ -1045,10 +1164,16 @@ mod tests {
         (p, dense)
     }
 
+    /// Finite values must agree bit for bit. NaNs only have to be NaN on
+    /// both sides: which operand's payload and sign a NaN product inherits
+    /// depends on the operand order the optimizer picks for `a * b`.
     fn assert_bits_eq(got: &Tensor, want: &Tensor, tag: &str) {
         assert_eq!(got.shape(), want.shape(), "{tag} shape");
         for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "{tag} elem {i}: {g} vs {w}");
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{tag} elem {i}: {g} vs {w}"
+            );
         }
     }
 

@@ -84,6 +84,15 @@ struct ColSide<'a> {
     scale: &'a [f32],
 }
 
+/// The right-hand operand of the staged vector kernel, as stored.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum BSide<'a> {
+    /// `k × n`, scale blocks down the columns (NN, TN).
+    Cols(&'a ColSide<'a>),
+    /// `n × k`, scale blocks along the rows (NT, BT).
+    Rows(&'a RowSide<'a>),
+}
+
 // ---------------------------------------------------------------------------
 // NN: A (m×k, RowGroups) · B (k×n, ColGroups).
 // ---------------------------------------------------------------------------
@@ -114,7 +123,7 @@ fn nn_from_parts(
 ) -> Tensor {
     let (m, k, n) = dims;
     let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 && k > 0 && !nn_avx2(a, b, ga, gb, dims, &mut out) {
+    if m > 0 && n > 0 && k > 0 && !staged_avx2(a, BSide::Cols(b), ga, gb, dims, &mut out) {
         nn_scalar(a, b, ga, gb, dims, &mut out);
     }
     Tensor::from_vec(vec![m, n], out)
@@ -162,24 +171,29 @@ fn nn_scalar(
     });
 }
 
-/// Runs the AVX2 NN kernel when the operand pair supports it (equal even
-/// group sizes — so `madd` k-pairs never straddle a scale block — on a CPU
-/// with AVX2). Returns `false` to fall back to [`nn_scalar`].
+/// Output rows per register block of the vector kernel; also its shard
+/// granule, so the row decomposition is identical for every worker count.
+const ROW_QUAD: usize = 4;
+
+/// Restages the pair for the vector kernel and runs it — when the pair
+/// supports it: equal even group sizes, so `madd` k-pairs never straddle a
+/// scale block, on a CPU with AVX2. Returns `false` otherwise, and the
+/// caller takes its portable path.
 #[cfg(target_arch = "x86_64")]
-fn nn_avx2(
+fn staged_avx2(
     a: &RowSide,
-    b: &ColSide,
+    b: BSide,
     ga: usize,
     gb: usize,
     dims: (usize, usize, usize),
     out: &mut [f32],
 ) -> bool {
-    let (m, k, n) = dims;
+    let (_m, k, n) = dims;
     if ga != gb || !ga.is_multiple_of(2) || !avx2_available() {
         return false;
     }
-    let stage = avx2::NnStage::build(a, b, ga, (m, k, n));
-    shard_rows(out, n, 2 * k * n, avx2::ROW_QUAD, |row_start, panel| {
+    let stage = avx2::NnStage::build(a, b, ga, dims);
+    shard_rows(out, n, 2 * k * n, ROW_QUAD, |row_start, panel| {
         // SAFETY: `avx2_available()` confirmed the target feature at runtime.
         unsafe { avx2::nn_worker(&stage, row_start, panel) }
     });
@@ -187,9 +201,9 @@ fn nn_avx2(
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn nn_avx2(
+fn staged_avx2(
     _a: &RowSide,
-    _b: &ColSide,
+    _b: BSide,
     _ga: usize,
     _gb: usize,
     _dims: (usize, usize, usize),
@@ -199,10 +213,14 @@ fn nn_avx2(
 }
 
 // ---------------------------------------------------------------------------
-// NT / BT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. Every output
-// element is a sum of per-segment dot products over two contiguous i8 rows,
-// so the SIMD lever is a straight madd dot; integer exactness makes the
-// vector and scalar dots interchangeable bit-for-bit.
+// NT / BT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
+// `ROW_QUAD` output rows up, B's rows are interleaved straight into the NN
+// kernel's k-pair panel and `nn_worker` runs. Below that — serving's `Bt`
+// with one patch row, where staging B costs more than the product — and for
+// the pairs the vector kernel refuses, every element is a sum of
+// per-segment dot products over two contiguous i8 rows. Both apply the same
+// three f32 operations per segment in the same order over exact integer
+// sums, so they agree bit for bit (`staged_nt_matches_segment_dots_bitwise`).
 // ---------------------------------------------------------------------------
 
 /// `C = A·Bᵀ` in the integer domain (also serves BT: same storage contract).
@@ -210,9 +228,14 @@ pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     debug_assert_eq!(b.cols(), k);
     let (av, bv) = (RowSide::of(a), RowSide::of(b));
-    let segs = segments(k, a.group(), b.group());
+    let (ga, gb) = (a.group(), b.group());
     let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 {
+    let staged = m >= ROW_QUAD
+        && n > 0
+        && k > 0
+        && staged_avx2(&av, BSide::Rows(&bv), ga, gb, (m, k, n), &mut out);
+    if !staged && m > 0 && n > 0 {
+        let segs = segments(k, ga, gb);
         #[cfg(target_arch = "x86_64")]
         if avx2_available() {
             nt_core(&Avx2Dot, &av, &bv, &segs, (k, n), &mut out);
@@ -340,15 +363,12 @@ mod avx2 {
     //! exact for 8-bit mantissas, and pairing never crosses a scale block
     //! because the NN vector path requires an even shared group size.
 
-    use super::{ColSide, RowSide};
+    use super::{BSide, RowSide, ROW_QUAD};
     use core::arch::x86_64::*;
 
     /// Output columns processed per staged panel step (two 256-bit i16
     /// vectors per k-pair).
     const W: usize = 16;
-    /// Output rows per register block; also the shard granule so the row
-    /// decomposition is identical for every worker count.
-    pub(super) const ROW_QUAD: usize = 4;
 
     /// Operands restaged for the vector NN kernel. Built once on the caller
     /// thread (the restage is deterministic and shared read-only by all
@@ -377,7 +397,7 @@ mod avx2 {
     impl<'a> NnStage<'a> {
         pub(super) fn build(
             a: &RowSide<'a>,
-            b: &ColSide,
+            b: BSide,
             g: usize,
             dims: (usize, usize, usize),
         ) -> Self {
@@ -398,25 +418,51 @@ mod avx2 {
             }
 
             let mut bp = vec![0i16; pairs * 2 * npad];
-            for (p, row) in bp.chunks_exact_mut(2 * npad).enumerate() {
-                let k0 = 2 * p;
-                let b0 = &b.man[k0 * n..k0 * n + n];
-                if k0 + 1 < k {
-                    let b1 = &b.man[(k0 + 1) * n..(k0 + 1) * n + n];
-                    for ((d, &x), &y) in row.chunks_exact_mut(2).zip(b0).zip(b1) {
-                        d[0] = x as i16;
-                        d[1] = y as i16;
+            let mut sp = vec![0.0f32; nblocks * npad];
+            match b {
+                BSide::Cols(b) => {
+                    for (p, row) in bp.chunks_exact_mut(2 * npad).enumerate() {
+                        let k0 = 2 * p;
+                        let b0 = &b.man[k0 * n..k0 * n + n];
+                        if k0 + 1 < k {
+                            let b1 = &b.man[(k0 + 1) * n..(k0 + 1) * n + n];
+                            for ((d, &x), &y) in row.chunks_exact_mut(2).zip(b0).zip(b1) {
+                                d[0] = x as i16;
+                                d[1] = y as i16;
+                            }
+                        } else {
+                            for (d, &x) in row.chunks_exact_mut(2).zip(b0) {
+                                d[0] = x as i16;
+                            }
+                        }
                     }
-                } else {
-                    for (d, &x) in row.chunks_exact_mut(2).zip(b0) {
-                        d[0] = x as i16;
+                    for (srow, dst) in b.scale.chunks_exact(n).zip(sp.chunks_exact_mut(npad)) {
+                        dst[..n].copy_from_slice(srow);
                     }
                 }
-            }
-
-            let mut sp = vec![0.0f32; nblocks * npad];
-            for (srow, dst) in b.scale.chunks_exact(n).zip(sp.chunks_exact_mut(npad)) {
-                dst[..n].copy_from_slice(srow);
+                // Stored row `j` is panel column `j`: its k-pairs go down
+                // the panel, `W` rows at a time so each panel row receives
+                // one contiguous `W`-column run. Built straight from the
+                // stored rows — going through a `k×n` i8 transpose first
+                // would add a whole-operand copy to the peak working set.
+                BSide::Rows(b) => {
+                    for (jb, rows) in b.man.chunks(W * k).enumerate() {
+                        for (p, prow) in bp.chunks_exact_mut(2 * npad).enumerate() {
+                            let dst = prow[2 * jb * W..].chunks_exact_mut(2);
+                            for (d, brow) in dst.zip(rows.chunks_exact(k)) {
+                                d[0] = brow[2 * p] as i16;
+                                if 2 * p + 1 < k {
+                                    d[1] = brow[2 * p + 1] as i16;
+                                }
+                            }
+                        }
+                    }
+                    for (j, srow) in b.scale.chunks_exact(b.bpr).enumerate() {
+                        for (bb, &sc) in srow.iter().enumerate() {
+                            sp[bb * npad + j] = sc;
+                        }
+                    }
+                }
             }
 
             NnStage {
@@ -715,6 +761,46 @@ mod tests {
         }
     }
 
+    /// `int_nt` against the per-segment `ScalarDot` reference, bit for bit:
+    /// equal even groups with `m` on both sides of the `ROW_QUAD` switch
+    /// (staged panel above it, vector dots below), odd `k` (pair padding),
+    /// `n` off the 16-column panel, and the odd / unequal groups that the
+    /// vector kernel refuses.
+    #[test]
+    fn staged_nt_matches_segment_dots_bitwise() {
+        let shapes = [
+            (1, 9, 40),
+            (3, 64, 17),
+            (4, 32, 32),
+            (5, 47, 17),
+            (9, 40, 33),
+            (64, 96, 70),
+        ];
+        for (m, k, n) in shapes {
+            for (ga, gb) in [(16usize, 16usize), (2, 2), (6, 6), (3, 3), (4, 8), (5, 7)] {
+                let a = random_pack(m, k, ga, PackLayout::RowGroups, 91 + (m + ga) as u64);
+                let b = random_pack(n, k, gb, PackLayout::RowGroups, 93 + (n + gb) as u64);
+                let mut want = vec![0.0f32; m * n];
+                nt_core(
+                    &ScalarDot,
+                    &RowSide::of(&a),
+                    &RowSide::of(&b),
+                    &segments(k, ga, gb),
+                    (k, n),
+                    &mut want,
+                );
+                let got = int_nt(&a, &b);
+                for (i, (g, w)) in got.data().iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "({m},{k},{n}) ga={ga} gb={gb} elem {i}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn worker_count_does_not_change_bits() {
         use crate::parallel::{parallelism, set_parallelism, Parallelism};
@@ -722,13 +808,24 @@ mod tests {
         let a = random_pack(37, 96, 16, PackLayout::RowGroups, 81);
         let b = random_pack(96, 41, 16, PackLayout::ColGroups, 83);
         let bt = random_pack(41, 96, 16, PackLayout::RowGroups, 85);
+        // `a3` keeps `int_nt` on the dot path, `a` puts it on the staged one.
+        let a3 = random_pack(3, 96, 16, PackLayout::RowGroups, 87);
+        // Deep enough that the work-size heuristic shards the staged path.
+        let (abig, btbig) = (
+            random_pack(64, 512, 16, PackLayout::RowGroups, 88),
+            random_pack(96, 512, 16, PackLayout::RowGroups, 89),
+        );
         set_parallelism(Parallelism::sequential());
         let s1 = int_nn(&a, &b);
         let s2 = int_nt(&a, &bt);
-        for workers in [2, 5, 8] {
+        let s3 = int_nt(&a3, &bt);
+        let s4 = int_nt(&abig, &btbig);
+        for workers in [2, 3, 5, 8] {
             set_parallelism(Parallelism::new(workers));
             assert_eq!(int_nn(&a, &b), s1, "nn workers={workers}");
             assert_eq!(int_nt(&a, &bt), s2, "nt workers={workers}");
+            assert_eq!(int_nt(&a3, &bt), s3, "nt dots workers={workers}");
+            assert_eq!(int_nt(&abig, &btbig), s4, "nt staged workers={workers}");
         }
         set_parallelism(saved);
     }

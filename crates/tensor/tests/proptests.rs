@@ -1,11 +1,14 @@
 //! Property-based tests for the tensor substrate: GEMM algebra, im2col
 //! adjointness, pooling invariants.
 
+use fast_tensor::qgemm::{qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat};
 use fast_tensor::{
     col2im, col_sums, conv2d, global_avg_pool, im2col, im2row, matmul, matmul_bt, matmul_nt,
     matmul_tn, max_pool2d, row_sums, Conv2dDims, Tensor,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rand::{Rng, SeedableRng};
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-2.0f32..2.0, rows * cols)
@@ -213,11 +216,222 @@ proptest! {
 }
 
 fn tensor_from_seed(shape: Vec<usize>, seed: u64) -> Tensor {
-    use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let len: usize = shape.iter().product();
     Tensor::from_vec(
         shape,
         (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
     )
+}
+
+// ---------------------------------------------------------------------------
+// The oracle for the backward orientations. `matmul_nt` / `matmul_tn` and
+// the packed `qmatmul_nt` / `qmatmul_tn` share their kernels, so pinning one
+// against the other proves nothing about either; this loop shares nothing
+// with them. It is the definition the kernels must reproduce bit for bit:
+// one chain per output element, `acc = 0.0; acc += a·b`, ascending `k`.
+// ---------------------------------------------------------------------------
+
+/// `C[i][j] = Σ_p a(i, p) · b(p, j)` as one serial chain per element.
+/// `skip` applies `matmul_tn`'s documented zero-skip rule (visible only
+/// against non-finite `b`): aligned blocks of four steps whose `a`
+/// coefficients are all zero are left out, as are zero steps of the
+/// `k % 4` tail.
+fn chain_oracle(
+    (m, k, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+    skip: bool,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                let p4 = p / 4 * 4;
+                let skipped = skip
+                    && if p4 + 4 <= k {
+                        (p4..p4 + 4).all(|q| a(i, q) == 0.0)
+                    } else {
+                        a(i, p) == 0.0
+                    };
+                if !skipped {
+                    acc += a(i, p) * b(p, j);
+                }
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// Finite values bit for bit; NaNs by NaN-ness (the payload and sign a NaN
+/// product inherits depend on the operand order the optimizer picks).
+fn same_bits(got: &Tensor, want: &[f32], tag: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.data().len(), want.len(), "{} length", tag);
+    for (i, (g, w)) in got.data().iter().zip(want).enumerate() {
+        prop_assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{} elem {}: {} vs {}",
+            tag,
+            i,
+            g,
+            w
+        );
+    }
+    Ok(())
+}
+
+/// A random packed matrix (a quarter of the mantissas and a tenth of the
+/// scales exactly zero) and its dense twin, read back value by value.
+fn random_pack(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> (PackedMat, Tensor) {
+    let group = [3usize, 16][rng.gen_range(0usize..2)];
+    let layout = [PackLayout::RowGroups, PackLayout::ColGroups][rng.gen_range(0usize..2)];
+    let mans = (0..rows * cols)
+        .map(|_| {
+            if rng.gen_bool(0.25) {
+                0
+            } else {
+                rng.gen_range(-15i32..=15) as i8
+            }
+        })
+        .collect();
+    let n_scales = match layout {
+        PackLayout::RowGroups => rows * cols.div_ceil(group).max(1),
+        PackLayout::ColGroups => rows.div_ceil(group).max(1) * cols,
+    };
+    let scales = (0..n_scales)
+        .map(|_| {
+            if rng.gen_bool(0.1) {
+                0.0
+            } else {
+                2.0f32.powi(rng.gen_range(-12..4))
+            }
+        })
+        .collect();
+    let p = PackedMat::new(rows, cols, group, layout, mans, scales);
+    let dense = (0..rows * cols)
+        .map(|at| p.value(at / cols.max(1), at % cols.max(1)))
+        .collect();
+    (p, Tensor::from_vec(vec![rows, cols], dense))
+}
+
+/// Random dense data; with `wild`, a sprinkling of `±∞` and `NaN`.
+fn random_dense(rows: usize, cols: usize, wild: bool, rng: &mut rand::rngs::StdRng) -> Tensor {
+    let data = (0..rows * cols)
+        .map(|_| match rng.gen_range(0u32..16) {
+            0..=3 => 0.0,
+            4 if wild => f32::INFINITY,
+            5 if wild => f32::NEG_INFINITY,
+            6 if wild => f32::NAN,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect();
+    Tensor::from_vec(vec![rows, cols], data)
+}
+
+/// Row counts on every side of the tile edges: one lane, 7/8/9 around the
+/// 8-lane panel, 16/17 around the 16-lane one, 33 past a full 32, odd
+/// counts off every block height, and 70 so the work-size heuristic really
+/// shards.
+fn edge_rows() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1usize, 3, 4, 7, 8, 9, 16, 17, 33, 40, 70])
+}
+
+/// Reduction depths on both sides of the NT kernel's 256-step chunk (and
+/// of the four-step skip blocks).
+fn edge_depths() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1usize, 3, 6, 7, 64, 255, 256, 257, 513])
+}
+
+proptest! {
+    /// `matmul_nt`, `matmul_tn` and all four dense/packed mixes of
+    /// `qmatmul_nt` / `qmatmul_tn` against the chain oracle, for 1, 2 and 3
+    /// workers. `m` and `n` are drawn independently, so both NT staging
+    /// sides (`m ≤ n`, `m > n`) run.
+    #[test]
+    fn backward_orientations_match_the_chain_oracle(
+        m in edge_rows(),
+        k in edge_depths(),
+        n in edge_rows(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let saved = fast_tensor::parallelism();
+        let result = (|| -> Result<(), TestCaseError> {
+            // NT: A m×k, B n×k.
+            let (pa, da) = random_pack(m, k, &mut rng);
+            let (pb, db) = random_pack(n, k, &mut rng);
+            let nt_want = chain_oracle(
+                (m, k, n),
+                |i, p| da.data()[i * k + p],
+                |p, j| db.data()[j * k + p],
+                false,
+            );
+            // TN: A k×m, B k×n.
+            let (pat, dat) = random_pack(k, m, &mut rng);
+            let (pbn, dbn) = random_pack(k, n, &mut rng);
+            let tn_want = chain_oracle(
+                (m, k, n),
+                |i, p| dat.data()[p * m + i],
+                |p, j| dbn.data()[p * n + j],
+                false,
+            );
+            // Dense kernels on arbitrary input: non-finite values anywhere
+            // for NT; for TN a finite B (no skip visible) and a non-finite
+            // one (the documented skip rule).
+            let (wa, wb) = (random_dense(m, k, true, &mut rng), random_dense(n, k, true, &mut rng));
+            let wild_nt = chain_oracle(
+                (m, k, n),
+                |i, p| wa.data()[i * k + p],
+                |p, j| wb.data()[j * k + p],
+                false,
+            );
+            let wat = random_dense(k, m, true, &mut rng);
+            let fin_b = random_dense(k, n, false, &mut rng);
+            let mut inf_b = fin_b.clone();
+            for _ in 0..1 + k * n / 16 {
+                inf_b.data_mut()[rng.gen_range(0..k * n)] = f32::INFINITY;
+            }
+            let tn_oracle = |b: &Tensor, skip: bool| {
+                chain_oracle(
+                    (m, k, n),
+                    |i, p| wat.data()[p * m + i],
+                    |p, j| b.data()[p * n + j],
+                    skip,
+                )
+            };
+            let (fin_tn, inf_tn) = (tn_oracle(&fin_b, false), tn_oracle(&inf_b, true));
+
+            for workers in 1..=3 {
+                fast_tensor::set_parallelism(fast_tensor::Parallelism::new(workers));
+                let tag = |what: &str| format!("{what} ({m},{k},{n}) workers={workers}");
+                same_bits(&matmul_nt(&wa, &wb), &wild_nt, &tag("matmul_nt wild"))?;
+                same_bits(&matmul_tn(&wat, &fin_b), &fin_tn, &tag("matmul_tn finite B"))?;
+                same_bits(&matmul_tn(&wat, &inf_b), &inf_tn, &tag("matmul_tn non-finite B"))?;
+                use Operand::{Dense as D, Packed as P};
+                for (a, b, mix) in [
+                    (D(&da), D(&db), "dd"),
+                    (D(&da), P(&pb), "dp"),
+                    (P(&pa), D(&db), "pd"),
+                    (P(&pa), P(&pb), "pp"),
+                ] {
+                    let got = qmatmul_nt(ExecMode::Replay, a, b);
+                    same_bits(&got, &nt_want, &tag(&format!("qmatmul_nt {mix}")))?;
+                }
+                for (a, b, mix) in [
+                    (D(&dat), D(&dbn), "dd"),
+                    (D(&dat), P(&pbn), "dp"),
+                    (P(&pat), D(&dbn), "pd"),
+                    (P(&pat), P(&pbn), "pp"),
+                ] {
+                    let got = qmatmul_tn(ExecMode::Replay, a, b);
+                    same_bits(&got, &tn_want, &tag(&format!("qmatmul_tn {mix}")))?;
+                }
+            }
+            Ok(())
+        })();
+        fast_tensor::set_parallelism(saved);
+        result?;
+    }
 }

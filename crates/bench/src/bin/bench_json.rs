@@ -16,13 +16,15 @@
 //! reports speedup ratios against it.
 
 use fast_bfp::GroupAxis;
-use fast_bfp::{fake_quantize_slice, BfpFormat, CounterRng, Lfsr16, Noise, Rounding};
+use fast_bfp::{
+    fake_quantize_slice, relative_improvement, BfpFormat, CounterRng, Lfsr16, Noise, Rounding,
+};
 use fast_nn::models::{resnet_lite, ResNetConfig};
 use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::{
     set_uniform_precision, ExecMode, LayerPrecision, NoopHook, NumericFormat, Session, Sgd, Trainer,
 };
-use fast_tensor::{matmul, Tensor};
+use fast_tensor::{col2im, im2col, matmul, Conv2dDims, Tensor};
 
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -43,6 +45,29 @@ fn time_ns<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
+}
+
+/// Floors of `N` bodies sampled in turn (`body(which)` runs one).
+/// Deterministic bodies cost the floor of their timing distribution, and
+/// alternating samples draw every floor from one machine state (the
+/// `overhead_pair` argument in `main`), so ratios between them hold on any
+/// machine.
+fn alternating_floors<const N: usize>(
+    warmup: usize,
+    iters: usize,
+    mut body: impl FnMut(usize),
+) -> [f64; N] {
+    let mut floors = [f64::INFINITY; N];
+    for sample in 0..warmup + 3 * iters {
+        for (which, floor) in floors.iter_mut().enumerate() {
+            let t = Instant::now();
+            body(which);
+            if sample >= warmup {
+                *floor = floor.min(t.elapsed().as_nanos() as f64);
+            }
+        }
+    }
+    floors
 }
 
 /// Pulls `"key": <number>` out of a flat JSON object without a JSON parser
@@ -105,6 +130,55 @@ fn main() {
             ));
         }),
     ));
+
+    // --- r(X) of paper Eq. 2 on the same 64k values: what the precision
+    // controller pays per tensor per step. It reads what the quantize above
+    // reads and writes nothing back, so only its serial f64 adds keep the
+    // ratio (quantize time / r(X) time) under 1; a `BfpGroup` per 16 values
+    // read 0.33. ---
+    let [quant_floor, r_floor] = alternating_floors(warmup, iters, |which| {
+        if which == 0 {
+            buf.copy_from_slice(&base);
+            black_box(fake_quantize_slice(
+                &mut buf,
+                fmt,
+                Rounding::Nearest,
+                Noise::Stream(&mut lfsr),
+                None,
+            ));
+        } else {
+            black_box(relative_improvement(black_box(&base), 16));
+        }
+    });
+    results.push(("improvement_r_64k_ns", r_floor));
+
+    // --- The two conv reorders on the `fast_perf` ResNet's stage-0 shape
+    // (batch 16, 8→8 channels, 16×16, 3×3, pad 1): `col2im` is `im2col`'s
+    // loop nest with an add for the copy, so the two run at one rate. ---
+    let conv_dims = Conv2dDims {
+        batch: 16,
+        in_c: 8,
+        in_h: 16,
+        in_w: 16,
+        out_c: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let image = Tensor::from_vec(
+        vec![16, 8, 16, 16],
+        (0..16 * 8 * 256).map(|i| (i as f32 * 0.11).sin()).collect(),
+    );
+    let grad_cols = im2col(&image, conv_dims);
+    let [im2col_floor, col2im_floor] = alternating_floors(warmup, iters, |which| {
+        if which == 0 {
+            black_box(im2col(black_box(&image), conv_dims));
+        } else {
+            black_box(col2im(black_box(&grad_cols), conv_dims));
+        }
+    });
+    results.push(("im2col_c8_ns", im2col_floor));
+    results.push(("col2im_c8_ns", col2im_floor));
 
     // --- The same SR quantize under the counter noise source (DESIGN.md
     // §12): one SplitMix64 hash yields eight 8-bit lanes, and draws are
@@ -264,9 +338,9 @@ fn main() {
     // weight-gradient `Nt` on the same `m×k×n`, input-gradient `Tn` on its
     // transpose — equal MACs, execute-only over pre-packed HighBFP
     // operands, in both exec modes. Samples alternate between the three
-    // orientations and each row is the floor of its samples (the
-    // `overhead_pair` argument below), so the `*_over_nn_x` ratios compare
-    // one machine state. ---
+    // orientations and each row is the floor of its samples
+    // (`alternating_floors`), so the `*_over_nn_x` ratios compare one
+    // machine state. ---
     const BWD_SHAPES: [(usize, usize, usize); 3] = [(8, 4096, 72), (16, 1024, 144), (32, 256, 288)];
     const BWD_KEYS: [[[&str; 3]; 3]; 2] = [
         [
@@ -329,16 +403,10 @@ fn main() {
                 (Orient::Nt, pack(&a, row), pack(&bt, row)),
                 (Orient::Tn, pack(&at, col), pack(&b2, col)),
             ];
-            let mut floors = [f64::INFINITY; 3];
-            for sample in 0..warmup + 3 * iters {
-                for ((orient, x, y), floor) in gemms.iter().zip(&mut floors) {
-                    let t = Instant::now();
-                    black_box(execute(&mut session, *orient, black_box(x), black_box(y)));
-                    if sample >= warmup {
-                        *floor = floor.min(t.elapsed().as_nanos() as f64);
-                    }
-                }
-            }
+            let floors: [f64; 3] = alternating_floors(warmup, iters, |which| {
+                let (orient, x, y) = &gemms[which];
+                black_box(execute(&mut session, *orient, black_box(x), black_box(y)));
+            });
             for ((key, ns), total) in keys.into_iter().zip(floors).zip(&mut bwd_totals[mode_at]) {
                 results.push((key, ns));
                 *total += ns;
@@ -350,18 +418,40 @@ fn main() {
     // Within-run plan-vs-pipeline ratios (same machine state for both
     // sides, unlike the cross-commit "speedup" section).
     let mut ratios: Vec<(String, f64)> = Vec::new();
+    // The ratios this binary gates itself (below): `(key, ratio, floor)`.
     // Backward-orientation rate over the forward rate on equal MACs: FAST's
     // fMAC runs all three training GEMMs at one rate, so these sit near 1.0
-    // when the kernels do; under `BWD_FLOOR` the run fails (below).
-    let bwd_ratios = [
-        ("qgemm_nt_over_nn_x", bwd_totals[0][0] / bwd_totals[0][1]),
-        ("qgemm_tn_over_nn_x", bwd_totals[0][0] / bwd_totals[0][2]),
+    // when the kernels do; under half, a kernel has stopped keeping its
+    // accumulators in registers (DESIGN.md §7). Then the non-GEMM kernels
+    // against their same-traffic twins: `r(X)` under 0.45× the quantize rate
+    // or `col2im` under 0.6× the `im2col` rate means the allocating /
+    // per-element form is back (they read 0.33 and 0.29 on the recording
+    // machine; `r(X)` summed strictly element by element reads 0.56).
+    const BWD_FLOOR: f64 = 0.5;
+    let gated_ratios = [
+        (
+            "qgemm_nt_over_nn_x",
+            bwd_totals[0][0] / bwd_totals[0][1],
+            BWD_FLOOR,
+        ),
+        (
+            "qgemm_tn_over_nn_x",
+            bwd_totals[0][0] / bwd_totals[0][2],
+            BWD_FLOOR,
+        ),
         (
             "qgemm_int_nt_over_nn_x",
             bwd_totals[1][0] / bwd_totals[1][1],
+            BWD_FLOOR,
         ),
+        (
+            "improvement_r_over_quant_slice_x",
+            quant_floor / r_floor,
+            0.45,
+        ),
+        ("col2im_over_im2col_x", im2col_floor / col2im_floor, 0.6),
     ];
-    ratios.extend(bwd_ratios.iter().map(|&(key, x)| (key.to_string(), x)));
+    ratios.extend(gated_ratios.iter().map(|&(key, x, _)| (key.to_string(), x)));
     for fmt_key in ["bfp_m4", "bfp_m2", "bfp_m4_sr"] {
         let find = |k: &str| results.iter().find(|(key, _)| *key == k).map(|&(_, ns)| ns);
         if let (Some(pipeline), Some(plan)) = (
@@ -574,14 +664,14 @@ fn main() {
     println!("{json}");
     println!("wrote {out_path}");
 
-    // The one gate this binary enforces itself: a within-run ratio, so it
-    // holds on any machine. A backward orientation under half the forward
-    // rate means a kernel has stopped keeping its accumulators in registers
-    // (DESIGN.md §7).
-    const BWD_FLOOR: f64 = 0.5;
-    let slow: Vec<_> = bwd_ratios.iter().filter(|(_, x)| *x < BWD_FLOOR).collect();
+    // The gates this binary enforces itself: within-run ratios, so they hold
+    // on any machine (`gated_ratios` above).
+    let slow: Vec<_> = gated_ratios
+        .iter()
+        .filter(|(_, x, floor)| x < floor)
+        .collect();
     if !slow.is_empty() {
-        eprintln!("backward GEMM rate under {BWD_FLOOR}x the Nn rate on equal MACs: {slow:?}");
+        eprintln!("within-run ratio under its floor (name, ratio, floor): {slow:?}");
         std::process::exit(1);
     }
 }

@@ -54,7 +54,7 @@ pub struct BfpGroup {
     mantissas: Vec<i32>,
 }
 
-struct NoNoise;
+pub(crate) struct NoNoise;
 impl BitSource for NoNoise {
     fn next_bits(&mut self, _n: u32) -> u32 {
         unreachable!("deterministic rounding draws no random bits")

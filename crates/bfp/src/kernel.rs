@@ -174,7 +174,7 @@ pub(crate) fn scan_group(values: &[f32]) -> (u32, bool) {
 /// can push `e` anywhere in `i32`, including under/overflow — `powi`'s
 /// `0.0`/`inf` results reproduce the reference behavior there.
 #[inline(always)]
-fn pow2_f64(e: i32) -> f64 {
+pub(crate) fn pow2_f64(e: i32) -> f64 {
     if (-1022..=1023).contains(&e) {
         f64::from_bits(((e + 1023) as u64) << 52)
     } else {

@@ -12,10 +12,15 @@
 //! The quantization entry points themselves — [`crate::fake_quantize_slice`]
 //! and [`crate::fake_quantize_matrix`] — live in [`crate::kernel`]; this
 //! module holds the vocabulary they share ([`GroupAxis`], [`QuantStats`])
-//! and the `r(X)` statistic.
+//! and the `r(X)` statistic, which runs on the same integer machinery: in the
+//! FAST hardware it is the magnitude of the low-order 2-bit chunk the BFP
+//! converter produces anyway (Section V-D), and here it is one read-only
+//! pass at about the quantize kernel's rate ([`relative_improvement`]).
 
-use crate::format::BfpFormat;
-use crate::group::BfpGroup;
+use crate::group::NoNoise;
+use crate::kernel::{
+    decompose, exponent_of_parts, pow2_f64, scan_group, NearestOp, RoundOp, SeqSource,
+};
 
 /// Which way quantization groups run through a row-major matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,28 +62,22 @@ impl QuantStats {
 ///
 /// As in the hardware (Section V-D), the 2-bit quantization is the 4-bit
 /// quantization with its low-order chunk discarded, so the numerator is the
-/// total magnitude carried by the discarded chunks.
+/// total magnitude carried by the discarded chunks: with `mag` an element's
+/// 4-bit nearest-rounded magnitude and `ulp4 = 2^(E−3)` its group's ulp, the
+/// element adds `(mag & 3)·ulp4` to the numerator and `(mag >> 2)·4·ulp4`
+/// to the denominator, both accumulated in f64 in element order.
+///
+/// One pass over the bit patterns, no allocation: the magnitudes come from
+/// the same integer shifts as [`crate::fake_quantize_slice`] (nothing is
+/// written back). The sums, and so the result, are bit for bit those of the
+/// `BfpGroup`-per-chunk evaluation this replaced (the oracle in
+/// `tests/support/r_oracle.rs`).
 ///
 /// Returns `0.0` for an all-zero tensor and `f32::INFINITY` when the 2-bit
 /// representation is entirely zero but the 4-bit one is not (the improvement
 /// from the extra bits is then unbounded).
 pub fn relative_improvement(values: &[f32], group_size: usize) -> f32 {
-    assert!(group_size > 0, "group size must be positive");
-    let fmt4 = BfpFormat::new(group_size, 4, 8).expect("static format is valid");
-    let mut numer = 0.0f64;
-    let mut denom = 0.0f64;
-    for chunk in values.chunks(group_size) {
-        let g4 = BfpGroup::quantize_nearest(chunk, fmt4);
-        // ulp of the 4-bit representation: 2^(E - 3).
-        let ulp4 = g4.scale();
-        for &m in g4.mantissas() {
-            let mag = m.unsigned_abs();
-            let low = (mag & 0b11) as f64;
-            let high = (mag >> 2) as f64;
-            numer += low * ulp4;
-            denom += high * 4.0 * ulp4;
-        }
-    }
+    let (numer, denom) = improvement_sums(values, group_size);
     if denom == 0.0 {
         if numer == 0.0 {
             0.0
@@ -90,9 +89,93 @@ pub fn relative_improvement(values: &[f32], group_size: usize) -> f32 {
     }
 }
 
+/// Numerator and denominator of Eq. 2, with the bits of an f64 accumulation
+/// in element order.
+///
+/// A group's elements are summed as integers and added once — no serial f64
+/// add per element — whenever that provably gives the same bits (DESIGN.md
+/// §7): every addend so far is an integer multiple of `w_min`, the smallest
+/// `ulp4` so far, and so are `numer` and `denom`, even after an inexact add
+/// (which rounds to a multiple of a *larger* power of two). Multiples of a
+/// power of two `w` below `2^53·w` are exact in f64, so if the group's last
+/// partial sum stays below that bound every element-order add in the group
+/// is exact, and the integer sum added once is the same real number, also
+/// exact. Otherwise the group is accumulated element by element.
+fn improvement_sums(values: &[f32], group_size: usize) -> (f64, f64) {
+    assert!(group_size > 0, "group size must be positive");
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let mut numer = 0.0f64;
+    let mut denom = 0.0f64;
+    let mut w_min = f64::INFINITY;
+    for chunk in values.chunks(group_size) {
+        let (max_bits, plain) = scan_group(chunk);
+        if max_bits == 0 {
+            continue; // every mantissa is zero: the element-order adds are +0.0
+        }
+        let (sig, p) = decompose(max_bits);
+        let e = exponent_of_parts(sig, p);
+        let ulp4 = pow2_f64(e - 3);
+        w_min = w_min.min(ulp4);
+        // `low ≤ 3` and `4·high ≤ 12` per element. The guard's own add may
+        // round, but rounding is monotone and the bound is representable, so
+        // a sum that reaches the bound never passes.
+        let most = (3 * chunk.len()) as f64 * ulp4;
+        let bound = EXACT * w_min;
+        let exact = numer + most < bound && denom + 4.0 * most < bound;
+        if exact && chunk.len() <= (u32::MAX / 3) as usize {
+            let (mut low, mut high) = (0u32, 0u32);
+            for_each_mag4(chunk, e, plain, |mag| {
+                low += mag & 0b11;
+                high += mag >> 2;
+            });
+            numer += low as f64 * ulp4;
+            denom += high as f64 * (4.0 * ulp4);
+        } else {
+            for_each_mag4(chunk, e, plain, |mag| {
+                numer += (mag & 0b11) as f64 * ulp4;
+                denom += (mag >> 2) as f64 * (4.0 * ulp4);
+            });
+        }
+    }
+    (numer, denom)
+}
+
+/// Hands `f` the 4-bit nearest-rounded magnitude (`≤ 15`) of each element of
+/// one group with shared exponent `e`, in element order — the mantissas of
+/// `BfpGroup::quantize_nearest` at `m = 4` without the group. Zeros and NaNs
+/// of a non-`plain` group are skipped: their magnitude is 0.
+#[inline(always)]
+fn for_each_mag4(chunk: &[f32], e: i32, plain: bool, mut f: impl FnMut(u32)) {
+    let t_base = e - 3; // E + 1 − m
+    let noise = &mut SeqSource(&mut NoNoise);
+    if plain {
+        // All normal or zero: the branch-free loop of the quantize kernel.
+        for &v in chunk {
+            let raw = v.to_bits();
+            let abs = raw & 0x7FFF_FFFF;
+            let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
+            let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
+            let p = (abs >> 23) as i32 - 150;
+            f(NearestOp.round_aligned(sig, t_base - p, noise).min(15));
+        }
+    } else {
+        for &v in chunk {
+            let abs = v.to_bits() & 0x7FFF_FFFF;
+            if abs == 0 || abs > 0x7F80_0000 {
+                continue;
+            }
+            let abs = if abs == 0x7F80_0000 { 0x7F7F_FFFF } else { abs };
+            let (sig, p) = decompose(abs);
+            f(NearestOp.round(sig, (t_base - p) as i64, noise).min(15) as u32);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::BfpFormat;
+    use crate::group::BfpGroup;
     use crate::kernel::{fake_quantize_matrix, fake_quantize_slice, Noise};
     use crate::lfsr::{BitSource, RngBits};
     use crate::rounding::Rounding;
@@ -265,6 +348,85 @@ mod tests {
         assert!(relative_improvement(&zs, 4).is_finite());
         // All-zero input.
         assert_eq!(relative_improvement(&[0.0; 8], 4), 0.0);
+    }
+
+    /// Eq. 2's two sums by the book: one `BfpGroup` per chunk, one f64 add
+    /// per element.
+    fn element_order_sums(xs: &[f32], g: usize) -> (f64, f64) {
+        let fmt4 = BfpFormat::new(g, 4, 8).unwrap();
+        let (mut numer, mut denom) = (0.0f64, 0.0f64);
+        for chunk in xs.chunks(g) {
+            let g4 = BfpGroup::quantize_nearest(chunk, fmt4);
+            for &m in g4.mantissas() {
+                numer += (m.unsigned_abs() & 3) as f64 * g4.scale();
+                denom += (m.unsigned_abs() >> 2) as f64 * 4.0 * g4.scale();
+            }
+        }
+        (numer, denom)
+    }
+
+    #[test]
+    fn group_sums_are_taken_only_where_element_order_adds_are_exact() {
+        // One group of mantissa 15 at ulp 1 (numer 48, denom 192), then 4096
+        // groups fifty binades down. Element by element every small addend
+        // is under half an ulp of the running sum and is absorbed; a group's
+        // integer sum added at once would not be — the guard must refuse.
+        let mut xs = vec![15.0f32; 16];
+        xs.extend(std::iter::repeat_n(15.0 * (-50.0f32).exp2(), 16 * 4096));
+        assert_eq!(improvement_sums(&xs, 16), (48.0, 192.0));
+        assert_eq!(element_order_sums(&xs, 16), (48.0, 192.0));
+
+        // Right at the bound, numerator side (g = 16, u = 2^-60): two groups
+        // leave numer = (2^53 + 6)·u, where an ulp is 2u. Four adds of 1u
+        // then go tie-to-even 6 → 8 → 8 → 8 → 8; their sum 4u added once
+        // would give 2^53 + 10.
+        let u = (-60.0f32).exp2();
+        let at = |scale: f32, mags: &[u32]| {
+            let mut group = vec![0.0f32; 16];
+            for (v, &m) in group.iter_mut().zip(mags) {
+                *v = m as f32 * scale;
+            }
+            group
+        };
+        let mut xs = at(u, &[8, 3, 3]);
+        xs.extend(at(u * 49.0f32.exp2(), &[8, 3, 3, 3, 3, 3, 1]));
+        xs.extend(at(u, &[8, 1, 1, 1, 1]));
+        let (numer, denom) = improvement_sums(&xs, 16);
+        assert_eq!(numer, ((1u64 << 53) + 8) as f64 * u as f64);
+        assert_eq!((numer, denom), element_order_sums(&xs, 16));
+        // Denominator side: denom = (2^55 + 8)·u with an ulp of 8u, then
+        // four adds of 12u round 20 → 16, 28 → 32, 44 → 48, 60 → 64, against
+        // 8 + 48 = 56 for the sum added once.
+        let mut xs = at(u, &[8]);
+        xs.extend(at(u * 51.0f32.exp2(), &[8, 8]));
+        xs.extend(at(u, &[12, 12, 12, 12]));
+        let (numer, denom) = improvement_sums(&xs, 16);
+        assert_eq!((numer, denom), (0.0, ((1u64 << 55) + 64) as f64 * u as f64));
+        assert_eq!((numer, denom), element_order_sums(&xs, 16));
+
+        // Group scales wandering over ~70 binades put the running sums on
+        // both sides of the 2^53 bound within one tensor.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        for case in 0..200 {
+            let g = [1usize, 4, 16, 32][case % 4];
+            let n = rng.gen_range(1usize..600);
+            let mut scale = 1.0f32;
+            let xs: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % g == 0 {
+                        scale = (rng.gen_range(-35i32..35) as f32).exp2();
+                    }
+                    rng.gen_range(-1.0f32..1.0) * scale
+                })
+                .collect();
+            let got = improvement_sums(&xs, g);
+            let want = element_order_sums(&xs, g);
+            assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits()),
+                "case {case} g={g}"
+            );
+        }
     }
 
     #[test]

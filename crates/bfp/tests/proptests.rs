@@ -13,6 +13,10 @@ use fast_bfp::{
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+#[path = "support/r_oracle.rs"]
+mod r_oracle;
+use r_oracle::relative_improvement_oracle;
+
 fn finite_f32(mag: f32) -> impl Strategy<Value = f32> {
     prop_oneof![
         5 => -mag..mag,
@@ -482,6 +486,123 @@ proptest! {
         prop_assert_eq!(lfsr_a.state(), lfsr_b.state(), "bit streams diverged");
         for (g, w) in got_buf.iter().zip(&want_buf) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// r(X): the allocation-free integer kernel must return the oracle's f32 bits
+// on every input — the precision controller's decisions, and with them every
+// trajectory pin, hang on this.
+// ---------------------------------------------------------------------------
+
+fn assert_r_matches_oracle(xs: &[f32]) -> Result<(), proptest::test_runner::TestCaseError> {
+    for g in [1usize, 4, 16, 32] {
+        let got = relative_improvement(xs, g);
+        let want = relative_improvement_oracle(xs, g);
+        prop_assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "g={} got {} want {}",
+            g,
+            got,
+            want
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Full f32 range — NaN, ±inf, subnormals, signed zeros — with ragged
+    /// final groups (lengths are not multiples of g).
+    #[test]
+    fn relative_improvement_is_bit_identical_to_oracle_on_any_bits(
+        xs in prop::collection::vec(any_f32_bits(), 0..=200),
+    ) {
+        assert_r_matches_oracle(&xs)?;
+    }
+
+    /// Training-like tensors: one scale, ReLU-style zero runs (whole groups
+    /// of zeros included) — the shape on which group sums are taken.
+    #[test]
+    fn relative_improvement_is_bit_identical_to_oracle_on_sparse_tensors(
+        xs in prop::collection::vec(finite_f32(4.0), 0..=600),
+        zero_from in 0usize..600,
+        zero_len in 0usize..80,
+    ) {
+        let mut xs = xs;
+        for v in xs.iter_mut().skip(zero_from).take(zero_len) {
+            *v = 0.0;
+        }
+        assert_r_matches_oracle(&xs)?;
+    }
+
+    /// Groups alternating between `2^100` and `2^-100` magnitudes: the
+    /// running sums span far more than 53 bits, so the exactness guard of the
+    /// group-sum path must refuse and the element-order fallback run (and
+    /// round) exactly as the oracle does.
+    #[test]
+    fn relative_improvement_is_bit_identical_to_oracle_across_binades(
+        vals in prop::collection::vec(0.5f32..1.0, 1..=160),
+        kinds in prop::collection::vec(0u32..=3, 160),
+        g in prop::sample::select(vec![1usize, 4, 16, 32]),
+        phase in 0usize..=1,
+    ) {
+        let xs: Vec<f32> = vals
+            .iter()
+            .zip(&kinds)
+            .enumerate()
+            .map(|(i, (&v, &kind))| {
+                let exp = if (i / g) % 2 == phase { 100.0f32 } else { -100.0 };
+                match kind {
+                    0 => 0.0,
+                    1 => -v * exp.exp2(),
+                    _ => v * exp.exp2(),
+                }
+            })
+            .collect();
+        assert_r_matches_oracle(&xs)?;
+    }
+}
+
+/// Edge inputs the strategies above reach only by luck.
+#[test]
+fn relative_improvement_matches_oracle_on_edge_tensors() {
+    let sub = f32::from_bits(1); // smallest subnormal
+    let cases: Vec<Vec<f32>> = vec![
+        vec![],
+        vec![0.0; 40],
+        vec![-0.0; 17],
+        vec![f32::NAN; 16],
+        vec![f32::INFINITY, f32::NEG_INFINITY, 1.0, f32::MAX],
+        vec![sub; 33],
+        (0..64).map(|i| f32::from_bits(i * 0x1F_FFFF)).collect(),
+        // One huge group then many tiny ones: the sums stop being exact.
+        (0..400)
+            .map(|i| {
+                if i < 16 {
+                    3.0e38
+                } else {
+                    1.1e-38 * (1 + i % 7) as f32
+                }
+            })
+            .collect(),
+        // Tiny first, then huge: the guard's running minimum is set early.
+        (0..400)
+            .map(|i| {
+                if i < 16 {
+                    1.3e-40
+                } else {
+                    2.9e38 / (1 + i % 5) as f32
+                }
+            })
+            .collect(),
+    ];
+    for xs in &cases {
+        for g in [1usize, 3, 4, 16, 32] {
+            let got = relative_improvement(xs, g);
+            let want = relative_improvement_oracle(xs, g);
+            assert_eq!(got.to_bits(), want.to_bits(), "g={g} xs.len()={}", xs.len());
         }
     }
 }

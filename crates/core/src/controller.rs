@@ -7,6 +7,11 @@
 //! mantissa, otherwise the tensor is promoted to 4 bits. Activations and
 //! gradients are judged from the previous iteration's tensors (the freshest
 //! available before the pass runs).
+//!
+//! One evaluation is one walk over the model and one allocation-free
+//! `fast_bfp::relative_improvement` pass per tensor — about as long as
+//! quantizing those tensors once (span `core.controller`; budget in
+//! DESIGN.md §7).
 
 use crate::threshold::EpsilonSchedule;
 use crate::trace::{PrecisionTrace, Setting};
@@ -40,8 +45,12 @@ pub struct FastController {
     total_iters: usize,
     group_size: usize,
     /// Re-evaluate every `stride` iterations (1 = every iteration as in the
-    /// paper; larger strides amortize controller cost in experiments).
+    /// paper); between evaluations the current settings are held.
     stride: usize,
+    /// `L` of Eq. 1, counted on the first evaluation: ε needs it before the
+    /// first layer is judged, and the architecture is fixed for a
+    /// controller's lifetime.
+    total_layers: Option<usize>,
     /// The recorded precision history (Fig 17).
     pub trace: PrecisionTrace,
     current: Vec<Setting>,
@@ -62,13 +71,18 @@ impl FastController {
             total_iters,
             group_size: 16,
             stride: 1,
+            total_layers: None,
             trace: PrecisionTrace::new(),
             current: Vec::new(),
             gauges: Vec::new(),
         }
     }
 
-    /// Sets the re-evaluation stride (1 = every iteration).
+    /// Sets the re-evaluation stride (1 = every iteration, the paper's
+    /// Algorithm 1). A larger stride holds each decision for `stride`
+    /// iterations: coarser Fig 17 traces, and held settings that a resumed
+    /// run must restore (what the lifecycle harness's resume test checks).
+    /// It is not a cost knob — an evaluation costs about one quantize pass.
     pub fn with_stride(mut self, stride: usize) -> Self {
         assert!(stride >= 1);
         self.stride = stride;
@@ -80,11 +94,14 @@ impl FastController {
         &self.current
     }
 
-    fn decide(&self, r: f32, eps: f32) -> u32 {
-        if r < eps {
-            2
-        } else {
-            4
+    /// Algorithm 1's comparison for one tensor: `r(X) < ε` keeps 2 bits.
+    /// A tensor not yet seen (first iteration) starts cheap — Fig 17 starts
+    /// at (2,2,2).
+    fn decide(values: Option<&[f32]>, group_size: usize, eps: f32) -> u32 {
+        match values {
+            Some(xs) if relative_improvement(xs, group_size) < eps => 2,
+            Some(_) => 4,
+            None => 2,
         }
     }
 
@@ -170,36 +187,32 @@ impl TrainHook for FastController {
             self.trace.record(iter, self.current.clone());
             return;
         }
-        // Count layers first (Algorithm 1 needs L).
-        let total_layers = fast_nn::quant_layer_count(model).max(1);
+        let _span = fast_telemetry::span!("core.controller");
+        let total_layers = *self
+            .total_layers
+            .get_or_insert_with(|| fast_nn::quant_layer_count(model).max(1));
         let mut settings = Vec::with_capacity(total_layers);
-        let mut labels = Vec::with_capacity(total_layers);
-        let mut layer_idx = 0usize;
+        // Labels are recorded once; later evaluations skip the `String`s.
+        let mut labels = Vec::new();
+        let want_labels = self.trace.layer_labels.is_empty();
         let schedule = self.schedule;
         let total_iters = self.total_iters;
         let g = self.group_size;
         model.visit_quant(&mut |q| {
-            let eps = schedule.epsilon(layer_idx, total_layers, iter, total_iters);
-            let r_w = relative_improvement(q.weight().data(), g);
-            let m_w = if r_w < eps { 2 } else { 4 };
-            let m_a = match q.last_input() {
-                Some(t) => self.decide(relative_improvement(t.data(), g), eps),
-                None => 2, // first iteration: start cheap (Fig 17 starts at (2,2,2))
+            let eps = schedule.epsilon(settings.len(), total_layers, iter, total_iters);
+            let s = Setting {
+                w: Self::decide(Some(q.weight().data()), g, eps),
+                a: Self::decide(q.last_input().map(|t| t.data()), g, eps),
+                g: Self::decide(q.last_grad_output().map(|t| t.data()), g, eps),
             };
-            let m_g = match q.last_grad_output() {
-                Some(t) => self.decide(relative_improvement(t.data(), g), eps),
-                None => 2,
-            };
-            *q.precision_mut() = LayerPrecision::fast(m_w, m_a, m_g);
-            settings.push(Setting {
-                w: m_w,
-                a: m_a,
-                g: m_g,
-            });
-            labels.push(q.label());
-            layer_idx += 1;
+            *q.precision_mut() = LayerPrecision::fast(s.w, s.a, s.g);
+            settings.push(s);
+            if want_labels {
+                labels.push(q.label());
+            }
         });
-        if self.trace.layer_labels.is_empty() {
+        debug_assert_eq!(settings.len().max(1), total_layers, "architecture changed");
+        if want_labels {
             self.trace.layer_labels = labels;
         }
         self.trace.record(iter, settings.clone());

@@ -7,6 +7,11 @@
 //! * forward:        `O (O_c×P)  = W (O_c×K) · cols (K×P)`
 //! * weight gradient: `∇W (O_c×K) = ∇O (O_c×P) · colsᵀ`
 //! * input gradient:  `∇cols (K×P) = Wᵀ · ∇O`, then [`col2im`].
+//!
+//! [`im2col`] and [`col2im`] are one loop nest — `(b, c, kh, kw, oy)` outer,
+//! a row of `OW` positions inner — with a copy in one and an add in the
+//! other; at unit stride the in-bounds run of a row is a contiguous slice, so
+//! both move whole spans rather than bounds-checked elements.
 
 use crate::matmul::{matmul, matmul_nt, matmul_tn};
 use crate::tensor::Tensor;
@@ -190,6 +195,10 @@ pub fn im2row(input: &Tensor, d: Conv2dDims) -> Tensor {
 /// Folds an im2col-shaped gradient `(K, P)` back to an NCHW tensor, summing
 /// contributions of overlapping patches (the adjoint of [`im2col`]).
 ///
+/// Same loop nest as [`im2col`] with source and destination swapped, so each
+/// input pixel receives its `(kh, kw)` contributions in one fixed order and
+/// the f32 sums do not depend on how a row's run is added.
+///
 /// # Panics
 ///
 /// Panics if `cols` is not `(K, P)` for the given dims.
@@ -217,14 +226,30 @@ pub fn col2im(cols: &Tensor, d: Conv2dDims) -> Tensor {
                             continue;
                         }
                         let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * d.stride + kw) as isize - d.pad as isize;
-                            if ix < 0 || ix >= d.in_w as isize {
-                                continue;
+                        let img_row =
+                            &mut od[((b * d.in_c + c) * d.in_h + iy) * d.in_w..][..d.in_w];
+                        let col_row = &cd[krow * p_dim + (b * oh + oy) * ow..][..ow];
+                        if d.stride == 1 {
+                            // Unit stride: the in-bounds run of `im2col`'s
+                            // copy, as one contiguous slice add.
+                            let shift = kw as isize - d.pad as isize;
+                            let ox_lo = (-shift).max(0) as usize;
+                            let ox_hi = (d.in_w as isize - shift).clamp(0, ow as isize) as usize;
+                            if ox_lo < ox_hi {
+                                let dst_lo = (ox_lo as isize + shift) as usize;
+                                let dst = &mut img_row[dst_lo..dst_lo + (ox_hi - ox_lo)];
+                                for (o, &g) in dst.iter_mut().zip(&col_row[ox_lo..ox_hi]) {
+                                    *o += g;
+                                }
                             }
-                            let p = (b * oh + oy) * ow + ox;
-                            od[((b * d.in_c + c) * d.in_h + iy) * d.in_w + ix as usize] +=
-                                cd[krow * p_dim + p];
+                        } else {
+                            for (ox, &g) in col_row.iter().enumerate() {
+                                let ix = (ox * d.stride + kw) as isize - d.pad as isize;
+                                if ix < 0 || ix >= d.in_w as isize {
+                                    continue;
+                                }
+                                img_row[ix as usize] += g;
+                            }
                         }
                     }
                 }

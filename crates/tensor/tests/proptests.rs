@@ -282,6 +282,89 @@ fn same_bits(got: &Tensor, want: &[f32], tag: &str) -> Result<(), TestCaseError>
     Ok(())
 }
 
+/// `col2im` as the per-element scatter it was before it added row spans —
+/// the definition of the order in which each input pixel receives its
+/// `(kh, kw)` contributions.
+fn col2im_scatter(cols: &Tensor, d: Conv2dDims) -> Vec<f32> {
+    let (oh, ow) = (d.out_h(), d.out_w());
+    let p_dim = d.p_dim();
+    let mut od = vec![0.0f32; d.batch * d.in_c * d.in_h * d.in_w];
+    let cd = cols.data();
+    for b in 0..d.batch {
+        for c in 0..d.in_c {
+            for kh in 0..d.kernel {
+                for kw in 0..d.kernel {
+                    let krow = (c * d.kernel + kh) * d.kernel + kw;
+                    for oy in 0..oh {
+                        let iy = (oy * d.stride + kh) as isize - d.pad as isize;
+                        if iy < 0 || iy >= d.in_h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..ow {
+                            let ix = (ox * d.stride + kw) as isize - d.pad as isize;
+                            if ix < 0 || ix >= d.in_w as isize {
+                                continue;
+                            }
+                            let p = (b * oh + oy) * ow + ox;
+                            od[((b * d.in_c + c) * d.in_h + iy) * d.in_w + ix as usize] +=
+                                cd[krow * p_dim + p];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    od
+}
+
+proptest! {
+    /// `col2im` adds the same f32 values in the same order as the scatter
+    /// (the adjoint tests above would pass a reordered sum): unit stride —
+    /// the span add — and strided, kernels that overhang the padding on
+    /// both sides, single-column and 17-wide output rows, non-square planes
+    /// whose last rows/columns no window reaches, and `±∞`/`NaN`/`−0.0`
+    /// payloads.
+    #[test]
+    fn col2im_matches_the_scatter_bitwise(
+        kernel in prop::sample::select(vec![1usize, 3, 5]),
+        stride in 1usize..=3,
+        pad in 0usize..=2,
+        ow in prop::sample::select(vec![1usize, 3, 4, 16, 17]),
+        oh in prop::sample::select(vec![1usize, 2, 5]),
+        slack in 0usize..3,
+        batch in 2usize..=3,
+        in_c in 1usize..=3,
+        seed in 0u64..1 << 32,
+    ) {
+        // Planes sized back from the output shape; `slack` adds trailing
+        // rows/columns that floor division leaves uncovered.
+        let extent = |o: usize| ((o - 1) * stride + kernel + slack % stride).checked_sub(2 * pad);
+        let (in_h, in_w) = match (extent(oh), extent(ow)) {
+            (Some(h), Some(w)) if h > 0 && w > 0 => (h, w),
+            _ => return Err(TestCaseError::Reject),
+        };
+        let d = Conv2dDims { batch, in_c, in_h, in_w, out_c: 1, kernel, stride, pad };
+        prop_assert_eq!((d.out_h(), d.out_w()), (oh, ow));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let wild = seed % 2 == 0;
+        let data = (0..d.k_dim() * d.p_dim())
+            .map(|_| match rng.gen_range(0u32..20) {
+                0..=2 => 0.0,
+                3 => -0.0,
+                4 if wild => f32::INFINITY,
+                5 if wild => f32::NEG_INFINITY,
+                6 if wild => f32::NAN,
+                _ => rng.gen_range(-2.0f32..2.0) * (rng.gen_range(-20i32..20) as f32).exp2(),
+            })
+            .collect();
+        let cols = Tensor::from_vec(vec![d.k_dim(), d.p_dim()], data);
+        let got = col2im(&cols, d);
+        prop_assert_eq!(got.shape(), &[batch, in_c, in_h, in_w][..]);
+        same_bits(&got, &col2im_scatter(&cols, d), "col2im")?;
+    }
+}
+
 /// A random packed matrix (a quarter of the mantissas and a tenth of the
 /// scales exactly zero) and its dense twin, read back value by value.
 fn random_pack(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> (PackedMat, Tensor) {

@@ -2,41 +2,32 @@
 //! paper Fig 14), nearest vs stochastic rounding, across group sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fast_bfp::{fake_quantize_slice, BfpFormat, Lfsr16, Noise, Rounding};
+use fast_bfp::{fake_quantize_slice, BfpFormat, CounterRng, Noise, Rounding};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let n = 16 * 1024;
     let xs: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.37).sin()).collect();
+    let noise = Noise {
+        rng: CounterRng::new(0xACE1),
+        base: 0,
+        workers: 1,
+    };
     let mut group = c.benchmark_group("bfp_convert");
     for g in [8usize, 16, 32] {
         let fmt = BfpFormat::new(g, 4, 8).expect("valid");
         group.bench_with_input(BenchmarkId::new("nearest", g), &fmt, |b, &fmt| {
-            let mut lfsr = Lfsr16::default();
             b.iter(|| {
                 let mut data = xs.clone();
-                fake_quantize_slice(
-                    &mut data,
-                    fmt,
-                    Rounding::Nearest,
-                    Noise::Stream(&mut lfsr),
-                    None,
-                );
+                fake_quantize_slice(&mut data, fmt, Rounding::Nearest, noise, None);
                 black_box(data)
             })
         });
         group.bench_with_input(BenchmarkId::new("stochastic", g), &fmt, |b, &fmt| {
-            let mut lfsr = Lfsr16::default();
             b.iter(|| {
                 let mut data = xs.clone();
-                fake_quantize_slice(
-                    &mut data,
-                    fmt,
-                    Rounding::STOCHASTIC8,
-                    Noise::Stream(&mut lfsr),
-                    None,
-                );
+                fake_quantize_slice(&mut data, fmt, Rounding::STOCHASTIC8, noise, None);
                 black_box(data)
             })
         });

@@ -2,7 +2,7 @@
 //! f32 GEMM — the cost of BFP-aware training at the software level.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fast_bfp::{GroupAxis, Lfsr16, Noise};
+use fast_bfp::{CounterRng, GroupAxis, Noise};
 use fast_nn::NumericFormat;
 use fast_tensor::{matmul, Tensor};
 use std::hint::black_box;
@@ -18,6 +18,11 @@ fn bench(c: &mut Criterion) {
         vec![k, n],
         (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect(),
     );
+    let noise = Noise {
+        rng: CounterRng::new(0xACE1),
+        base: 0,
+        workers: 1,
+    };
     let mut group = c.benchmark_group("quant_matmul");
     group.bench_function("fp32_gemm", |bch| {
         bch.iter(|| black_box(matmul(black_box(&a), black_box(&b))))
@@ -35,12 +40,11 @@ fn bench(c: &mut Criterion) {
         ("bf16", NumericFormat::bf16()),
     ] {
         group.bench_function(format!("quantize+gemm/{name}"), |bch| {
-            let mut lfsr = Lfsr16::default();
             bch.iter(|| {
                 let mut aq = a.clone();
                 let mut bq = b.clone();
-                fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, Noise::Stream(&mut lfsr));
-                fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, Noise::Stream(&mut lfsr));
+                fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, noise);
+                fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, noise);
                 black_box(matmul(&aq, &bq))
             })
         });

@@ -16,9 +16,7 @@
 //! reports speedup ratios against it.
 
 use fast_bfp::GroupAxis;
-use fast_bfp::{
-    fake_quantize_slice, relative_improvement, BfpFormat, CounterRng, Lfsr16, Noise, Rounding,
-};
+use fast_bfp::{fake_quantize_slice, relative_improvement, BfpFormat, CounterRng, Noise, Rounding};
 use fast_nn::models::{resnet_lite, ResNetConfig};
 use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::{
@@ -103,7 +101,11 @@ fn main() {
     let fmt = BfpFormat::high();
     let base: Vec<f32> = (0..65536).map(|i| (i as f32 * 0.137).sin() * 3.0).collect();
     let mut buf = base.clone();
-    let mut lfsr = Lfsr16::default();
+    let noise = |workers: usize| Noise {
+        rng: CounterRng::new(0xACE1),
+        base: 0,
+        workers,
+    };
     results.push((
         "quant_slice_m4_nearest_ns",
         time_ns(warmup, iters, || {
@@ -112,25 +114,11 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::Nearest,
-                Noise::Stream(&mut lfsr),
+                noise(1),
                 None,
             ));
         }),
     ));
-    results.push((
-        "quant_slice_m4_stochastic_ns",
-        time_ns(warmup, iters, || {
-            buf.copy_from_slice(&base);
-            black_box(fake_quantize_slice(
-                &mut buf,
-                fmt,
-                Rounding::STOCHASTIC8,
-                Noise::Stream(&mut lfsr),
-                None,
-            ));
-        }),
-    ));
-
     // --- r(X) of paper Eq. 2 on the same 64k values: what the precision
     // controller pays per tensor per step. It reads what the quantize above
     // reads and writes nothing back, so only its serial f64 adds keep the
@@ -143,7 +131,7 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::Nearest,
-                Noise::Stream(&mut lfsr),
+                noise(1),
                 None,
             ));
         } else {
@@ -180,21 +168,11 @@ fn main() {
     results.push(("im2col_c8_ns", im2col_floor));
     results.push(("col2im_c8_ns", col2im_floor));
 
-    // --- The same SR quantize under the counter noise source (DESIGN.md
-    // §12): one SplitMix64 hash yields eight 8-bit lanes, and draws are
-    // indexed by element offset instead of threaded through a serial
-    // generator. The `_par` row shards the identical draws across the
-    // worker pool — bit-identical output to the single-thread row; on a
-    // one-core runner the two rows coincide. Compare either against
-    // `quant_slice_m4_stochastic_ns` (the `counter_sr_over_lfsr_sr_x`
-    // ratio below).
-    let counter = |workers: usize| -> Noise<'static, Lfsr16> {
-        Noise::Counter {
-            rng: CounterRng::new(0xACE1),
-            base: 0,
-            workers,
-        }
-    };
+    // --- The same slice under 8-bit stochastic rounding (DESIGN.md §12):
+    // one SplitMix64 hash yields eight 8-bit lanes, and draws are indexed
+    // by element offset. The `_par` row shards the identical draws across
+    // the worker pool — bit-identical output to the single-thread row; on a
+    // one-core runner the two rows coincide.
     results.push((
         "quant_slice_m4_counter_sr_ns",
         time_ns(warmup, iters, || {
@@ -203,7 +181,7 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::STOCHASTIC8,
-                counter(1),
+                noise(1),
                 None,
             ));
         }),
@@ -216,7 +194,7 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::STOCHASTIC8,
-                counter(fast_tensor::parallelism().workers()),
+                noise(fast_tensor::parallelism().workers()),
                 None,
             ));
         }),
@@ -257,8 +235,8 @@ fn main() {
             time_ns(warmup, iters, || {
                 let mut aq = a.clone();
                 let mut bq = b.clone();
-                numfmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, Noise::Stream(&mut lfsr));
-                numfmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, Noise::Stream(&mut lfsr));
+                numfmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, noise(1));
+                numfmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, noise(1));
                 black_box(matmul(&aq, &bq));
             }),
         ));
@@ -473,23 +451,6 @@ fn main() {
         ) {
             if int > 0.0 {
                 ratios.push((format!("fp32_over_qgemm_int_{fmt_key}_x"), fp32 / int));
-            }
-        }
-    }
-
-    // Counter SR vs LFSR SR on the 64k-value slice quantize, same run
-    // (> 1.0 means the counter source is faster).
-    {
-        let find = |k: &str| results.iter().find(|(key, _)| *key == k).map(|&(_, ns)| ns);
-        if let (Some(lfsr_ns), Some(counter_ns)) = (
-            find("quant_slice_m4_stochastic_ns"),
-            find("quant_slice_m4_counter_sr_ns"),
-        ) {
-            if counter_ns > 0.0 {
-                ratios.push((
-                    "counter_sr_over_lfsr_sr_x".to_string(),
-                    lfsr_ns / counter_ns,
-                ));
             }
         }
     }

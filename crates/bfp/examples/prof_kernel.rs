@@ -3,7 +3,7 @@
 //! floor, in ns/element. Handy when tuning `fast_bfp::kernel` —
 //! `cargo run --release -p fast_bfp --example prof_kernel`.
 
-use fast_bfp::{BfpFormat, Lfsr16, Noise, Rounding};
+use fast_bfp::{BfpFormat, CounterRng, Noise, Rounding};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -11,7 +11,11 @@ fn main() {
     let fmt = BfpFormat::high();
     let base: Vec<f32> = (0..65536).map(|i| (i as f32 * 0.137).sin() * 3.0).collect();
     let mut buf = base.clone();
-    let mut lfsr = Lfsr16::default();
+    let noise = Noise {
+        rng: CounterRng::new(0xACE1),
+        base: 0,
+        workers: 1,
+    };
     // max_exponent alone
     let t = Instant::now();
     for _ in 0..200 {
@@ -32,7 +36,7 @@ fn main() {
             &mut buf,
             fmt,
             Rounding::Nearest,
-            Noise::Stream(&mut lfsr),
+            noise,
             None,
         ));
     }
@@ -47,7 +51,7 @@ fn main() {
             &mut buf,
             fmt,
             Rounding::STOCHASTIC8,
-            Noise::Stream(&mut lfsr),
+            noise,
             None,
         ));
     }

@@ -10,7 +10,10 @@
 //! points — [`fake_quantize_slice`], [`fake_quantize_matrix`] and
 //! [`crate::packed::pack_matrix`], one per shape — validate, resolve the
 //! exponent window and dispatch the rounding op once per operand, then hand
-//! these kernels whichever source their [`Noise`] argument names.
+//! these kernels a cursor over the counter noise their [`Noise`] argument
+//! names. Only the single-group entry [`quantize_group_mantissas`] — the
+//! paper's converter model — still rounds against a serialized
+//! [`BitSource`].
 //!
 //! The kernels are *bit-identical* to the f64 reference for every finite,
 //! infinite and NaN input, every `m ∈ 1..=16`, every exponent window and
@@ -34,78 +37,10 @@ use crate::rng::{CounterBits, CounterRng};
 use crate::rounding::Rounding;
 use crate::tensor_quant::{GroupAxis, QuantStats};
 
-/// Number of columns staged per panel by the `AlongCol` matrix kernel.
-///
-/// 32 columns × f32 keeps a panel row inside two cache lines while the
-/// gather/scatter walks the matrix row-major.
-const COL_PANEL: usize = 32;
-
-/// Minimum elements each extra worker must be handed before counter-mode
-/// quantization shards — below this the thread-spawn cost dominates the
+/// Minimum elements each extra worker must be handed before a quantization
+/// pass shards — below this the thread-spawn cost dominates the
 /// ~2-3 ns/element quantization work.
 const MIN_ELEMS_PER_WORKER: usize = 1 << 14;
-
-/// The noise stream the quantization kernels draw from, generalizing
-/// [`BitSource`] with *positioning*: order-free sources key every draw on an
-/// element offset, sequential sources ignore the position calls entirely.
-///
-/// The kernels announce each group's position via [`NoiseSource::seek`]
-/// (linear offset of its first element plus the stride between consecutive
-/// elements) and account skipped elements via [`NoiseSource::skip`], so an
-/// order-free source hands every element the noise at its own offset no
-/// matter which path, order, or worker visits it.
-pub(crate) trait NoiseSource {
-    /// Whether draws are keyed purely by element position. Order-free
-    /// sources unlock the column-vertical stochastic paths and worker
-    /// sharding; sequential sources must see elements in the reference
-    /// order (and skip zeros, for stream parity with the seed
-    /// implementation).
-    const ORDER_FREE: bool;
-
-    /// The next `n`-bit draw (low bits), advancing the position by one
-    /// stride step.
-    fn draw(&mut self, n: u32) -> u32;
-
-    /// Positions the source at linear element offset `base`, with
-    /// consecutive draws `stride` elements apart. No-op for sequential
-    /// sources.
-    fn seek(&mut self, base: u64, stride: u64);
-
-    /// Advances the position by `k` stride steps without drawing (an
-    /// element that consumes no noise). No-op for sequential sources.
-    fn skip(&mut self, k: u64);
-
-    /// Fills `out` with consecutive 8-bit draws (requires stride 1),
-    /// advancing the position by `out.len()`. Equivalent to `out.len()`
-    /// calls of `draw(8)`; order-free sources override this with bulk word
-    /// extraction so the caller's consuming loop can go branch-free.
-    #[inline]
-    fn fill8(&mut self, out: &mut [u8]) {
-        for b in out {
-            *b = self.draw(8) as u8;
-        }
-    }
-}
-
-/// A [`BitSource`] consumed in element-visitation order — the paper's
-/// serialized LFSR semantics. Positioning calls are no-ops; draw order *is*
-/// the stream order.
-pub(crate) struct SeqSource<'a, B: BitSource + ?Sized>(pub(crate) &'a mut B);
-
-impl<B: BitSource + ?Sized> NoiseSource for SeqSource<'_, B> {
-    const ORDER_FREE: bool = false;
-
-    #[inline(always)]
-    fn draw(&mut self, n: u32) -> u32 {
-        self.0.next_bits(n)
-    }
-
-    #[inline(always)]
-    fn seek(&mut self, _base: u64, _stride: u64) {}
-
-    #[inline(always)]
-    fn skip(&mut self, _k: u64) {}
-}
 
 /// Splits a finite non-zero f32 magnitude bit pattern into `(sig, p)` with
 /// `|x| = sig · 2^p` and `sig < 2^24` (subnormals keep their raw fraction).
@@ -200,27 +135,19 @@ pub(crate) fn pow2_f32(e: i32) -> f32 {
 /// Magnitudes far beyond any representable mantissa are clamped to
 /// `u64::MAX`; the caller's `min(max_mag)` saturation makes that exact.
 pub(crate) trait RoundOp {
-    /// Whether this rule consumes random bits. Deterministic rules may be
-    /// evaluated in any element order (enabling column-parallel kernels);
-    /// stochastic rules need a sequential source to see elements in the
-    /// reference order — or an order-free source, which restores free
-    /// ordering (DESIGN.md §12).
-    const DRAWS_BITS: bool;
-
     /// Whether this rule is exactly 8-bit stochastic rounding — the paper's
-    /// gradient configuration. Combined with an order-free source it
-    /// unlocks the branch-free bulk-noise loops (`fill8` + u32 shift math),
-    /// which is where counter mode's single-thread speedup comes from.
+    /// gradient configuration, which the tensor kernels run as branch-free
+    /// bulk-noise loops (`fill8` + u32 shift math).
     const NOISE8: bool = false;
 
-    fn round<N: NoiseSource>(&self, sig: u32, t: i64, bits: &mut N) -> u64;
+    fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, bits: &mut B) -> u64;
 
     /// Fast-path variant with the precondition `t >= 1` (guaranteed when
     /// the shared exponent is at least the group's natural exponent, since
     /// then `t >= 24 - m >= 8`): branch-free for the deterministic modes
     /// via shift clamping — for `sig < 2^24` every clamped shift yields the
     /// same result as the exact one. The result fits u32 (`<= 2^16`).
-    fn round_aligned<N: NoiseSource>(&self, sig: u32, t: i32, bits: &mut N) -> u32;
+    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, bits: &mut B) -> u32;
 }
 
 /// Shifts the already-integer scaled mantissa into place (`t <= 0` case
@@ -236,10 +163,8 @@ fn shift_up(sig: u32, t: i64) -> u64 {
 
 pub(crate) struct NearestOp;
 impl RoundOp for NearestOp {
-    const DRAWS_BITS: bool = false;
-
     #[inline(always)]
-    fn round<N: NoiseSource>(&self, sig: u32, t: i64, _bits: &mut N) -> u64 {
+    fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, _bits: &mut B) -> u64 {
         if t <= 0 {
             shift_up(sig, t)
         } else if t >= 25 {
@@ -250,7 +175,7 @@ impl RoundOp for NearestOp {
     }
 
     #[inline(always)]
-    fn round_aligned<N: NoiseSource>(&self, sig: u32, t: i32, _bits: &mut N) -> u32 {
+    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, _bits: &mut B) -> u32 {
         let t = t.min(25) as u32; // t = 25: sig + 2^24 < 2^25, result 0
         (sig + (1u32 << (t - 1))) >> t
     }
@@ -258,10 +183,8 @@ impl RoundOp for NearestOp {
 
 pub(crate) struct TruncateOp;
 impl RoundOp for TruncateOp {
-    const DRAWS_BITS: bool = false;
-
     #[inline(always)]
-    fn round<N: NoiseSource>(&self, sig: u32, t: i64, _bits: &mut N) -> u64 {
+    fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, _bits: &mut B) -> u64 {
         if t <= 0 {
             shift_up(sig, t)
         } else if t >= 24 {
@@ -272,7 +195,7 @@ impl RoundOp for TruncateOp {
     }
 
     #[inline(always)]
-    fn round_aligned<N: NoiseSource>(&self, sig: u32, t: i32, _bits: &mut N) -> u32 {
+    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, _bits: &mut B) -> u32 {
         sig >> t.min(24) as u32
     }
 }
@@ -283,13 +206,11 @@ pub(crate) struct StochasticOp {
     pub(crate) noise_bits: u32,
 }
 impl RoundOp for StochasticOp {
-    const DRAWS_BITS: bool = true;
-
     #[inline(always)]
-    fn round<N: NoiseSource>(&self, sig: u32, t: i64, bits: &mut N) -> u64 {
+    fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, bits: &mut B) -> u64 {
         // The reference draws noise for every non-zero element, including
         // ones the shift decides outright, so the stream stays aligned.
-        let r = bits.draw(self.noise_bits) as u64;
+        let r = bits.next_bits(self.noise_bits) as u64;
         let nb = self.noise_bits as i64;
         if t <= 0 {
             shift_up(sig, t) // floor(integer + noise) = integer
@@ -305,14 +226,11 @@ impl RoundOp for StochasticOp {
     }
 
     #[inline(always)]
-    fn round_aligned<N: NoiseSource>(&self, sig: u32, t: i32, bits: &mut N) -> u32 {
-        if !N::ORDER_FREE && sig == 0 {
-            return 0; // zeros never draw noise (stream parity with seed)
-        }
-        // Order-free sources draw for zeros too — the draw is positional,
-        // costs nothing downstream (the result is still 0: r < 2^nb), and
-        // keeps every element pinned to its own offset.
-        let r = bits.draw(self.noise_bits) as u64;
+    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, bits: &mut B) -> u32 {
+        // Zeros draw too — the draw is positional, costs nothing downstream
+        // (the result is still 0: r < 2^nb), and keeps every element pinned
+        // to its own offset.
+        let r = bits.next_bits(self.noise_bits) as u64;
         let nb = self.noise_bits as i64;
         // Clamping t at 63 is exact: for t >= 63 both terms shift to zero
         // (sig < 2^24 and r·2^(63-nb) + sig < 2^63 for nb <= 31).
@@ -329,13 +247,13 @@ impl RoundOp for StochasticOp {
 /// Quantizes one group of `values` against shared exponent `e`, pushing the
 /// signed integer mantissas onto `out`.
 #[inline]
-fn group_mantissas<R: RoundOp, N: NoiseSource>(
+fn group_mantissas<R: RoundOp, B: BitSource + ?Sized>(
     values: &[f32],
     e: i32,
     m: u32,
     max_mag: u64,
     round: &R,
-    bits: &mut N,
+    bits: &mut B,
     out: &mut Vec<i32>,
 ) {
     let t_base = e as i64 + 1 - m as i64;
@@ -343,8 +261,7 @@ fn group_mantissas<R: RoundOp, N: NoiseSource>(
         let raw = v.to_bits();
         let abs = raw & 0x7FFF_FFFF;
         if abs == 0 || abs > 0x7F80_0000 {
-            bits.skip(1); // zero or NaN: consumes its position, never a draw
-            out.push(0);
+            out.push(0); // zero or NaN: never a draw
             continue;
         }
         let abs = if abs == 0x7F80_0000 { 0x7F7F_FFFF } else { abs };
@@ -358,13 +275,13 @@ fn group_mantissas<R: RoundOp, N: NoiseSource>(
 /// the same pass. Write-back matches `BfpGroup::dequantize_into` bit for
 /// bit: `mantissa · 2^(E-m+1)` with a single rounding to f32.
 #[inline]
-fn fake_quantize_group<R: RoundOp, N: NoiseSource>(
+fn fake_quantize_group<R: RoundOp>(
     chunk: &mut [f32],
     m: u32,
     max_mag: u64,
     window: Option<ExponentWindow>,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     stats: &mut QuantStats,
 ) {
     stats.groups += 1;
@@ -400,16 +317,16 @@ fn fake_quantize_group<R: RoundOp, N: NoiseSource>(
 /// `2^(E-m+1) ∈ [2^-141, 2^127]` is itself exact), which is precisely what
 /// the f64 multiply followed by an f32 narrowing computes.
 #[inline]
-fn fake_quantize_group_plain<R: RoundOp, N: NoiseSource>(
+fn fake_quantize_group_plain<R: RoundOp>(
     chunk: &mut [f32],
     e: i32,
     m: u32,
     max_mag: u64,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     stats: &mut QuantStats,
 ) {
-    if R::NOISE8 && N::ORDER_FREE {
+    if R::NOISE8 {
         return fake_quantize_group_plain_noise8(chunk, e, m, max_mag, bits, stats);
     }
     let t_base = e + 1 - m as i32;
@@ -440,12 +357,11 @@ fn fake_quantize_group_plain<R: RoundOp, N: NoiseSource>(
 /// larger groups just loop.
 const NOISE_CHUNK: usize = 256;
 
-/// 8-bit-stochastic twin of [`fake_quantize_group_plain`] for order-free
-/// noise: the group's draws are prefetched with [`NoiseSource::fill8`] (one
-/// SplitMix64 word per eight lanes), and the consuming loop is branch-free
-/// u32 arithmetic — the same auto-vectorizable shape as the deterministic
-/// plain loop, which is where counter mode's single-thread speedup over the
-/// serialized LFSR comes from (DESIGN.md §12).
+/// 8-bit-stochastic twin of [`fake_quantize_group_plain`]: the group's
+/// draws are prefetched with `CounterBits::fill8` (one SplitMix64 word per
+/// eight lanes), and the consuming loop is branch-free u32 arithmetic — the
+/// same auto-vectorizable shape as the deterministic plain loop (DESIGN.md
+/// §12).
 ///
 /// Bit-equivalence with `Stochastic8Op::round_aligned` against the same
 /// positional draws: with `t ≥ 8` (the plain-path precondition) and noise
@@ -455,12 +371,12 @@ const NOISE_CHUNK: usize = 256;
 /// mask forces. Zeros draw too (`sig = 0` → `mag = r >> 8 = 0`), keeping
 /// every element pinned to its own offset.
 #[inline]
-fn fake_quantize_group_plain_noise8<N: NoiseSource>(
+fn fake_quantize_group_plain_noise8(
     chunk: &mut [f32],
     e: i32,
     m: u32,
     max_mag: u64,
-    bits: &mut N,
+    bits: &mut CounterBits,
     stats: &mut QuantStats,
 ) {
     let t_base = e + 1 - m as i32;
@@ -496,13 +412,13 @@ fn fake_quantize_group_plain_noise8<N: NoiseSource>(
 
 /// General per-element loop: NaN/infinity sanitization, subnormal inputs,
 /// and shared exponents pushed anywhere by a hand-built window.
-fn fake_quantize_group_general<R: RoundOp, N: NoiseSource>(
+fn fake_quantize_group_general<R: RoundOp>(
     chunk: &mut [f32],
     e: i32,
     m: u32,
     max_mag: u64,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     stats: &mut QuantStats,
 ) {
     let t_base = e as i64 + 1 - m as i64;
@@ -540,22 +456,18 @@ fn fake_quantize_group_general<R: RoundOp, N: NoiseSource>(
 /// the shift arithmetic fold into straight-line code.
 pub(crate) struct Stochastic8Op;
 impl RoundOp for Stochastic8Op {
-    const DRAWS_BITS: bool = true;
     const NOISE8: bool = true;
 
     #[inline(always)]
-    fn round<N: NoiseSource>(&self, sig: u32, t: i64, bits: &mut N) -> u64 {
+    fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, bits: &mut B) -> u64 {
         StochasticOp { noise_bits: 8 }.round(sig, t, bits)
     }
 
     #[inline(always)]
-    fn round_aligned<N: NoiseSource>(&self, sig: u32, t: i32, bits: &mut N) -> u32 {
-        if !N::ORDER_FREE && sig == 0 {
-            return 0; // zeros never draw noise (stream parity with seed)
-        }
-        // Order-free: positional draw even for zeros (result still 0; for
-        // sig = 0 the fast-path t is t_base + 150 >= 9, so the assert holds).
-        let r = bits.draw(8) as u64;
+    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, bits: &mut B) -> u32 {
+        // Positional draw even for zeros (result still 0; for sig = 0 the
+        // fast-path t is t_base + 150 >= 9, so the assert holds).
+        let r = bits.next_bits(8) as u64;
         // Fast-path precondition t >= 24 - m >= 8 = noise_bits, so only the
         // single-shift form is needed; clamping at 63 is exact (see
         // `StochasticOp::round_aligned`).
@@ -577,11 +489,11 @@ pub(crate) fn check_noise_bits(rounding: Rounding) {
 }
 
 #[inline]
-fn slice_kernel<R: RoundOp, N: NoiseSource>(
+fn slice_kernel<R: RoundOp>(
     values: &mut [f32],
     fmt: BfpFormat,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
     let mut stats = QuantStats::default();
@@ -596,19 +508,19 @@ fn slice_kernel<R: RoundOp, N: NoiseSource>(
 }
 
 /// Matrix quantization against an already-resolved window — also the
-/// sharding entry point: counter-mode stripes quantize sub-matrices against
-/// the window computed once over the whole matrix, with their noise offsets
-/// biased to the stripe's first element.
+/// sharding entry point: stripes quantize sub-matrices against the window
+/// computed once over the whole matrix, with their noise offsets biased to
+/// the stripe's first element.
 #[allow(clippy::too_many_arguments)] // mirrors the converter signature
 #[inline]
-fn matrix_kernel<R: RoundOp, N: NoiseSource>(
+fn matrix_kernel<R: RoundOp>(
     data: &mut [f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
     match axis {
@@ -625,44 +537,23 @@ fn matrix_kernel<R: RoundOp, N: NoiseSource>(
             }
             stats
         }
-        GroupAxis::AlongCol => along_col_kernel(data, rows, cols, fmt, round, bits, window),
+        GroupAxis::AlongCol => along_col_vertical(data, rows, cols, fmt, round, bits, window),
     }
 }
 
-/// `AlongCol` quantization: column-parallel whenever element order is free
-/// (deterministic rounding, or stochastic rounding with an order-free noise
-/// source), panel-staged sequential only for stochastic rounding against a
-/// sequential stream — counter mode deletes the SR panel-staging entirely.
-fn along_col_kernel<R: RoundOp, N: NoiseSource>(
+/// `AlongCol` quantization: every column group in a row block is quantized
+/// simultaneously, lane-wise across the columns — the natural SIMD layout
+/// for a row-major matrix, with no transpose staging at all. Valid because
+/// nearest/truncate rounding draws nothing and stochastic rounding keys its
+/// noise on element offsets, so element order is free; each element still
+/// gets exactly the arithmetic of [`fake_quantize_group`].
+fn along_col_vertical<R: RoundOp>(
     data: &mut [f32],
     rows: usize,
     cols: usize,
     fmt: BfpFormat,
     round: &R,
-    bits: &mut N,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    if !R::DRAWS_BITS || N::ORDER_FREE {
-        along_col_vertical(data, rows, cols, fmt, round, bits, window)
-    } else {
-        along_col_panels(data, rows, cols, fmt, round, bits, window)
-    }
-}
-
-/// Order-free `AlongCol` path: every column group in a row block is
-/// quantized simultaneously, lane-wise across the columns — the natural
-/// SIMD layout for a row-major matrix, with no transpose staging at all.
-/// Valid because nearest/truncate rounding consumes no bit stream and
-/// counter-mode stochastic rounding keys noise on element offsets, so
-/// element order is free; each element still gets exactly the arithmetic of
-/// [`fake_quantize_group`].
-fn along_col_vertical<R: RoundOp, N: NoiseSource>(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
     let mut stats = QuantStats::default();
@@ -696,9 +587,8 @@ fn along_col_vertical<R: RoundOp, N: NoiseSource>(
         }
         if odd != 0 {
             // Subnormal/inf/NaN present: gather each column group and run
-            // the general scalar pipeline (deterministic rounding draws
-            // nothing; an order-free source is seeked to the column's
-            // strided offsets so every element keeps its own noise).
+            // the general scalar pipeline, the cursor seeked to the column's
+            // strided offsets so every element keeps its own noise.
             scratch.resize(rb, 0.0);
             for c in 0..cols {
                 for (k, s) in scratch.iter_mut().enumerate() {
@@ -737,14 +627,14 @@ fn along_col_vertical<R: RoundOp, N: NoiseSource>(
             }
         }
         // Lane-wise quantization of the block, same arithmetic as
-        // `fake_quantize_group_plain`. The row-major walk advances an
-        // order-free source one offset per element; for 8-bit stochastic
+        // `fake_quantize_group_plain`. The row-major walk advances the
+        // cursor one offset per element; for 8-bit stochastic
         // rounding the row's draws are prefetched in bulk and the loop goes
         // branch-free, mirroring `fake_quantize_group_plain_noise8`.
         for r in row0..row0 + rb {
             bits.seek((r * cols) as u64, 1);
             let row = &mut data[r * cols..(r + 1) * cols];
-            if R::NOISE8 && N::ORDER_FREE {
+            if R::NOISE8 {
                 noise_row.resize(cols, 0);
                 bits.fill8(&mut noise_row[..cols]);
                 for (c, (v, &rn)) in row.iter_mut().zip(noise_row.iter()).enumerate() {
@@ -787,89 +677,20 @@ fn along_col_vertical<R: RoundOp, N: NoiseSource>(
     stats
 }
 
-/// Sequential-stochastic `AlongCol` path via cache-friendly column panels.
-///
-/// Columns are staged [`COL_PANEL`] at a time into a contiguous transposed
-/// scratch buffer (streaming the matrix row-major for both gather and
-/// scatter), quantized as contiguous slices, and written back. Columns are
-/// still consumed left to right, rows top to bottom, so a sequential
-/// stochastic bit stream sees exactly the element order of the strided
-/// reference. Only reached when `N::ORDER_FREE` is false — counter mode
-/// takes [`along_col_vertical`] instead.
-fn along_col_panels<R: RoundOp, N: NoiseSource>(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut N,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    let mut stats = QuantStats::default();
-    let m = fmt.mantissa_bits();
-    let max_mag = fmt.max_magnitude() as u64;
-    let g = fmt.group_size();
-    let mut scratch = vec![0.0f32; rows * COL_PANEL.min(cols.max(1))];
-    let mut col = 0;
-    while col < cols {
-        let pc = COL_PANEL.min(cols - col);
-        for (r, row) in data.chunks(cols).enumerate() {
-            for (c, &v) in row[col..col + pc].iter().enumerate() {
-                scratch[c * rows + r] = v;
-            }
-        }
-        for colbuf in scratch[..pc * rows].chunks_mut(rows) {
-            for chunk in colbuf.chunks_mut(g) {
-                fake_quantize_group(chunk, m, max_mag, window, round, bits, &mut stats);
-            }
-        }
-        for (r, row) in data.chunks_mut(cols).enumerate() {
-            for (c, v) in row[col..col + pc].iter_mut().enumerate() {
-                *v = scratch[c * rows + r];
-            }
-        }
-        col += pc;
-    }
-    stats
-}
-
-/// The stochastic-rounding noise one quantization pass draws from — the
-/// single argument that selects between the two [`crate::SrMode`] sources.
-/// Deterministic rounding modes draw nothing from either arm.
-#[derive(Debug)]
-pub enum Noise<'a, B: BitSource + ?Sized> {
-    /// A serialized bit stream (the paper's LFSR semantics): draws follow
-    /// the reference element order — row-major, columns left to right for
-    /// `AlongCol` — and zeros never draw.
-    Stream(&'a mut B),
-    /// Counter noise keyed by `(seed, element offset)`: the element at
-    /// linear index `i` of the pass draws at `base + i` from `rng`,
-    /// whichever path, order or thread visits it (zeros draw too), so the
-    /// pass shards across up to `workers` threads bit-invisibly.
-    Counter {
-        /// The pure noise function.
-        rng: CounterRng,
-        /// Offset of the pass's first element in the noise stream.
-        base: u64,
-        /// Upper bound on the threads the pass may shard across.
-        workers: usize,
-    },
-}
-
-impl<B: BitSource + ?Sized> Noise<'_, B> {
-    /// A second handle on the same noise, for a caller that tries one
-    /// representation and falls back to another (`pack_matrix` refusal
-    /// consumes nothing from either arm).
-    pub fn reborrow(&mut self) -> Noise<'_, B> {
-        match self {
-            Noise::Stream(bits) => Noise::Stream(&mut **bits),
-            Noise::Counter { rng, base, workers } => Noise::Counter {
-                rng: *rng,
-                base: *base,
-                workers: *workers,
-            },
-        }
-    }
+/// The stochastic-rounding noise one quantization pass draws from: counter
+/// noise keyed by `(seed, element offset)`. The element at linear index `i`
+/// of the pass draws at `base + i` from `rng`, whichever path, order or
+/// thread visits it (zeros draw too), so the pass shards across up to
+/// `workers` threads bit-invisibly. Deterministic rounding modes draw
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Noise {
+    /// The pure noise function.
+    pub rng: CounterRng,
+    /// Offset of the pass's first element in the noise stream.
+    pub base: u64,
+    /// Upper bound on the threads the pass may shard across.
+    pub workers: usize,
 }
 
 /// Evaluates `$body` with `$op` bound to the monomorphized [`RoundOp`] for
@@ -918,7 +739,6 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
         fmt.mantissa_bits(),
         fmt.max_magnitude() as u64,
     );
-    let bits = &mut SeqSource(bits);
     with_round_op!(rounding, op => group_mantissas(values, e, m, max_mag, op, bits, out))
 }
 
@@ -930,7 +750,7 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
 /// window (per-tensor reference model; see [`ExponentWindow`]).
 ///
 /// ```
-/// use fast_bfp::{fake_quantize_slice, BfpFormat, Lfsr16, Noise, Rounding};
+/// use fast_bfp::{fake_quantize_slice, BfpFormat, CounterRng, Noise, Rounding};
 ///
 /// // One HighBFP group (g=16, m=4): the largest magnitude anchors the
 /// // shared exponent and survives with full m-bit fidelity.
@@ -939,7 +759,7 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
 ///     &mut xs,
 ///     BfpFormat::high(),
 ///     Rounding::Nearest,
-///     Noise::Stream(&mut Lfsr16::default()),
+///     Noise { rng: CounterRng::new(0), base: 0, workers: 1 },
 ///     None,
 /// );
 /// assert_eq!(stats.groups, 1);
@@ -950,43 +770,34 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
 /// # Panics
 ///
 /// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`.
-pub fn fake_quantize_slice<B: BitSource + ?Sized>(
+pub fn fake_quantize_slice(
     values: &mut [f32],
     fmt: BfpFormat,
     rounding: Rounding,
-    noise: Noise<'_, B>,
+    noise: Noise,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
     check_noise_bits(rounding);
-    with_round_op!(rounding, op => match noise {
-        Noise::Stream(bits) => slice_kernel(values, fmt, op, &mut SeqSource(bits), window),
-        Noise::Counter { rng, base, workers } => {
-            slice_counter(values, fmt, op, rng, base, window, workers)
-        }
-    })
+    with_round_op!(rounding, op => slice_sharded(values, fmt, op, noise, window))
 }
 
 /// Fake-quantizes a row-major `rows × cols` matrix with groups running
 /// along `axis`. When `use_window` is set, an [`ExponentWindow`] anchored at
 /// the matrix-wide max exponent models the finite `e`-bit exponent field.
 ///
-/// Under [`Noise::Counter`] the `AlongCol` stochastic path runs
-/// column-vertical (no panel staging) and shards across threads like
-/// deterministic rounding.
-///
 /// # Panics
 ///
 /// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
 /// with `noise_bits` outside `1..=31`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's converter signature
-pub fn fake_quantize_matrix<B: BitSource + ?Sized>(
+pub fn fake_quantize_matrix(
     data: &mut [f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     rounding: Rounding,
-    noise: Noise<'_, B>,
+    noise: Noise,
     use_window: bool,
 ) -> QuantStats {
     assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
@@ -995,19 +806,11 @@ pub fn fake_quantize_matrix<B: BitSource + ?Sized>(
         reference_exponent: max_exponent(data).unwrap_or(0),
         exponent_bits: fmt.exponent_bits(),
     });
-    with_round_op!(rounding, op => match noise {
-        Noise::Stream(bits) => {
-            let bits = &mut SeqSource(bits);
-            matrix_kernel(data, rows, cols, axis, fmt, op, bits, window)
-        }
-        Noise::Counter { rng, base, workers } => {
-            matrix_counter(data, rows, cols, axis, fmt, op, rng, base, window, workers)
-        }
-    })
+    with_round_op!(rounding, op => matrix_sharded(data, rows, cols, axis, fmt, op, noise, window))
 }
 
-/// Effective worker count for counter-mode sharding: capped so every worker
-/// gets at least [`MIN_ELEMS_PER_WORKER`] elements, never below one.
+/// Effective worker count for a sharded pass: capped so every worker gets
+/// at least [`MIN_ELEMS_PER_WORKER`] elements, never below one.
 #[inline]
 pub(crate) fn effective_workers(workers: usize, numel: usize) -> usize {
     workers.min(numel / MIN_ELEMS_PER_WORKER).max(1)
@@ -1026,22 +829,20 @@ pub(crate) fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers:
     rows.div_ceil(granule).div_ceil(workers) * granule
 }
 
-/// Counter-mode slice quantization, sharded across `workers` threads at
-/// group granularity.
+/// Slice quantization, sharded across `noise.workers` threads at group
+/// granularity.
 ///
-/// Element `i` of `values` draws its noise at offset `base + i`, no matter
-/// which stripe or thread quantizes it — the output is bitwise identical for
-/// every worker count and visitation order.
-#[allow(clippy::too_many_arguments)]
-fn slice_counter<R: RoundOp + Sync>(
+/// Element `i` of `values` draws its noise at offset `noise.base + i`, no
+/// matter which stripe or thread quantizes it — the output is bitwise
+/// identical for every worker count and visitation order.
+fn slice_sharded<R: RoundOp + Sync>(
     values: &mut [f32],
     fmt: BfpFormat,
     round: &R,
-    rng: CounterRng,
-    base: u64,
+    noise: Noise,
     window: Option<ExponentWindow>,
-    workers: usize,
 ) -> QuantStats {
+    let Noise { rng, base, workers } = noise;
     let numel = values.len();
     let workers = effective_workers(workers, numel);
     if workers == 1 {
@@ -1068,28 +869,27 @@ fn slice_counter<R: RoundOp + Sync>(
             })
             .collect();
         for h in handles {
-            stats.merge(h.join().expect("counter-SR worker panicked"));
+            stats.merge(h.join().expect("quantize worker panicked"));
         }
     });
     stats
 }
 
-/// Counter-mode matrix quantization, sharded across `workers` threads in
-/// row stripes ([`stripe_rows`]); the exponent window was resolved once over
-/// the whole matrix before sharding.
+/// Matrix quantization, sharded across `noise.workers` threads in row
+/// stripes ([`stripe_rows`]); the exponent window was resolved once over the
+/// whole matrix before sharding.
 #[allow(clippy::too_many_arguments)]
-fn matrix_counter<R: RoundOp + Sync>(
+fn matrix_sharded<R: RoundOp + Sync>(
     data: &mut [f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     round: &R,
-    rng: CounterRng,
-    base: u64,
+    noise: Noise,
     window: Option<ExponentWindow>,
-    workers: usize,
 ) -> QuantStats {
+    let Noise { rng, base, workers } = noise;
     let workers = effective_workers(workers, data.len());
     if workers == 1 {
         let mut bits = CounterBits::new(rng, base);
@@ -1111,7 +911,7 @@ fn matrix_counter<R: RoundOp + Sync>(
             })
             .collect();
         for h in handles {
-            stats.merge(h.join().expect("counter-SR worker panicked"));
+            stats.merge(h.join().expect("quantize worker panicked"));
         }
     });
     stats

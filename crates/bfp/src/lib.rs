@@ -9,12 +9,13 @@
 //! * [`BfpGroup`] — a quantized group of values sharing one exponent, with
 //!   the conversion pipeline of paper Fig 4: find max exponent → align
 //!   mantissas → add stochastic noise (gradients) → truncate.
-//! * [`Rounding`] — nearest / truncate / stochastic rounding, the latter
-//!   driven by an [`Lfsr16`] linear-feedback shift register exactly as in the
-//!   paper's BFP converter (Fig 14), or — under [`SrMode::Counter`] — by
-//!   [`CounterRng`], an order-independent counter-based noise source keyed
-//!   on `(seed, element offset)` that makes stochastic rounding
-//!   embarrassingly parallel (DESIGN.md §12).
+//! * [`Rounding`] — nearest / truncate / stochastic rounding. One group
+//!   ([`BfpGroup::quantize`]) draws its noise from an [`Lfsr16`]
+//!   linear-feedback shift register exactly as in the paper's BFP converter
+//!   (Fig 14); every tensor-level pass draws from [`CounterRng`], an
+//!   order-independent counter-based noise source keyed on `(seed, element
+//!   offset)` that makes stochastic rounding embarrassingly parallel
+//!   (DESIGN.md §12).
 //! * [`ChunkedGroup`] — the 2-bit-chunk mantissa memory layout of Fig 15
 //!   that enables variable-precision arithmetic (Fig 13).
 //! * [`kernel`] — the zero-allocation integer batch kernels behind all of
@@ -76,6 +77,6 @@ pub use fp::{exponent_of, quantize_minifloat, Minifloat};
 pub use group::{BfpGroup, ExponentWindow};
 pub use kernel::{fake_quantize_matrix, fake_quantize_slice, Noise};
 pub use lfsr::{BitSource, Lfsr16, RngBits};
-pub use rng::{CounterRng, SrMode};
+pub use rng::CounterRng;
 pub use rounding::Rounding;
 pub use tensor_quant::{relative_improvement, GroupAxis, QuantStats};

@@ -26,18 +26,15 @@
 //! the caller can fall back to the fake-quantize + dense-GEMM path with an
 //! unperturbed noise source. Stochastic draws, when packing does proceed,
 //! are exactly those of [`crate::fake_quantize_matrix`] under the same
-//! [`Noise`]: a stream is consumed in the strided reference's element
-//! order, counter noise at each element's own offset.
+//! [`Noise`]: each element draws at its own offset.
 
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
 use crate::kernel::{
     check_noise_bits, effective_workers, exponent_of_parts, pow2_f32, scan_group, stripe_rows,
-    with_round_op, NearestOp, Noise, NoiseSource, RoundOp, SeqSource, Stochastic8Op, StochasticOp,
-    TruncateOp,
+    with_round_op, NearestOp, Noise, RoundOp, Stochastic8Op, StochasticOp, TruncateOp,
 };
-use crate::lfsr::BitSource;
-use crate::rng::{CounterBits, CounterRng};
+use crate::rng::CounterBits;
 use crate::rounding::Rounding;
 use crate::tensor_quant::{GroupAxis, QuantStats};
 
@@ -85,12 +82,11 @@ pub struct PackedData {
 /// reproduce the fake-quantize kernel's bits (mantissa wider than
 /// [`MAX_PACKED_MANTISSA_BITS`], or any non-normal non-zero input value).
 ///
-/// A refusal consumes nothing from `noise` — no stream bits, and counter
-/// noise is positional anyway — so the caller's
-/// [`crate::fake_quantize_matrix`] fallback over a
-/// [`Noise::reborrow`] quantizes exactly as if packing had never been tried.
-/// When packing proceeds, every element draws what the fake-quantize kernel
-/// would have drawn for it, under either [`Noise`] arm.
+/// A refusal consumes nothing — `noise` is positional — so the caller's
+/// [`crate::fake_quantize_matrix`] fallback over the same [`Noise`]
+/// quantizes exactly as if packing had never been tried. When packing
+/// proceeds, every element draws what the fake-quantize kernel would have
+/// drawn for it.
 ///
 /// When `use_window` is set, the shared exponents are clamped into an
 /// `e`-bit [`ExponentWindow`] anchored at the matrix-wide maximum exponent,
@@ -101,14 +97,14 @@ pub struct PackedData {
 /// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
 /// with `noise_bits` outside `1..=31`.
 #[allow(clippy::too_many_arguments)] // mirrors the converter signature
-pub fn pack_matrix<B: BitSource + ?Sized>(
+pub fn pack_matrix(
     data: &[f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     rounding: Rounding,
-    noise: Noise<'_, B>,
+    noise: Noise,
     use_window: bool,
 ) -> Option<PackedData> {
     assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
@@ -134,33 +130,26 @@ pub fn pack_matrix<B: BitSource + ?Sized>(
         },
         exponent_bits: fmt.exponent_bits(),
     });
-    Some(with_round_op!(rounding, op => match noise {
-        Noise::Stream(bits) => {
-            let bits = &mut SeqSource(bits);
-            pack_kernel(data, rows, cols, axis, fmt, op, bits, window)
-        }
-        Noise::Counter { rng, base, workers } => {
-            pack_counter(data, rows, cols, axis, fmt, op, rng, base, window, workers)
-        }
-    }))
+    Some(
+        with_round_op!(rounding, op => pack_sharded(data, rows, cols, axis, fmt, op, noise, window)),
+    )
 }
 
-/// Counter-mode packing sharded across `workers` threads in row stripes
+/// Packing sharded across `noise.workers` threads in row stripes
 /// ([`stripe_rows`]). Stripe outputs concatenate exactly because both
 /// mantissa and scale layouts are row-major in the striped dimension.
 #[allow(clippy::too_many_arguments)]
-fn pack_counter<R: RoundOp + Sync>(
+fn pack_sharded<R: RoundOp + Sync>(
     data: &[f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     round: &R,
-    rng: CounterRng,
-    base: u64,
+    noise: Noise,
     window: Option<ExponentWindow>,
-    workers: usize,
 ) -> PackedData {
+    let Noise { rng, base, workers } = noise;
     let workers = effective_workers(workers, data.len());
     if workers == 1 {
         let mut bits = CounterBits::new(rng, base);
@@ -182,7 +171,7 @@ fn pack_counter<R: RoundOp + Sync>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("counter-SR pack worker panicked"))
+            .map(|h| h.join().expect("pack worker panicked"))
             .collect()
     });
     let mut parts = parts.into_iter();
@@ -196,24 +185,19 @@ fn pack_counter<R: RoundOp + Sync>(
 }
 
 #[allow(clippy::too_many_arguments)] // monomorphization split of the above
-fn pack_kernel<R: RoundOp, N: NoiseSource>(
+fn pack_kernel<R: RoundOp>(
     data: &[f32],
     rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> PackedData {
     match axis {
         GroupAxis::AlongRow => pack_along_row(data, rows, cols, fmt, round, bits, window),
-        GroupAxis::AlongCol if !R::DRAWS_BITS || N::ORDER_FREE => {
-            pack_along_col_vertical(data, rows, cols, fmt, round, bits, window)
-        }
-        GroupAxis::AlongCol => {
-            pack_along_col_stochastic(data, rows, cols, fmt, round, bits, window)
-        }
+        GroupAxis::AlongCol => pack_along_col_vertical(data, rows, cols, fmt, round, bits, window),
     }
 }
 
@@ -223,13 +207,13 @@ fn pack_kernel<R: RoundOp, N: NoiseSource>(
 /// `man as f32 * scale` therefore reproduces its written f32s bit for bit.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the fake-quantize group kernel
-fn pack_group_plain<R: RoundOp, N: NoiseSource>(
+fn pack_group_plain<R: RoundOp>(
     values: &[f32],
     m: u32,
     max_mag: u32,
     window: Option<ExponentWindow>,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     stats: &mut QuantStats,
     out: &mut [i8],
 ) -> f32 {
@@ -269,16 +253,14 @@ fn pack_group_plain<R: RoundOp, N: NoiseSource>(
     scale
 }
 
-/// `AlongRow` packing: groups are contiguous within each row, visited in
-/// the strided reference's element order (row-major), so stochastic draws
-/// line up stream-for-stream.
-fn pack_along_row<R: RoundOp, N: NoiseSource>(
+/// `AlongRow` packing: groups are contiguous within each row.
+fn pack_along_row<R: RoundOp>(
     data: &[f32],
     rows: usize,
     cols: usize,
     fmt: BfpFormat,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> PackedData {
     let g = fmt.group_size();
@@ -311,17 +293,17 @@ fn pack_along_row<R: RoundOp, N: NoiseSource>(
     }
 }
 
-/// Order-free `AlongCol` packing: lane-wise over row blocks (the same
-/// traversal as the fake-quantize kernel's vertical path — element order is
-/// free because nearest/truncate rounding draws no bits, and counter-mode
-/// stochastic rounding keys its noise on element offsets).
-fn pack_along_col_vertical<R: RoundOp, N: NoiseSource>(
+/// `AlongCol` packing: lane-wise over row blocks (the same traversal as the
+/// fake-quantize kernel's vertical path — element order is free because
+/// nearest/truncate rounding draws no bits, and stochastic rounding keys its
+/// noise on element offsets).
+fn pack_along_col_vertical<R: RoundOp>(
     data: &[f32],
     rows: usize,
     cols: usize,
     fmt: BfpFormat,
     round: &R,
-    bits: &mut N,
+    bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> PackedData {
     let g = fmt.group_size();
@@ -387,79 +369,18 @@ fn pack_along_col_vertical<R: RoundOp, N: NoiseSource>(
     }
 }
 
-/// Number of columns staged per panel by the stochastic `AlongCol` packer
-/// (matches the fake-quantize kernel's panel width).
-const COL_PANEL: usize = 32;
-
-/// Sequential-stochastic `AlongCol` packing via cache-friendly column
-/// panels, exactly like the fake-quantize kernel's sequential stochastic
-/// path: [`COL_PANEL`] columns are gathered into a contiguous transposed
-/// scratch (streaming the matrix row-major), packed column by column, and
-/// the mantissas scattered back row-major. Columns are consumed left to
-/// right, rows top to bottom, so the noise stream sees the exact element
-/// order of the strided reference. Only reached when `N::ORDER_FREE` is
-/// false — counter mode takes [`pack_along_col_vertical`] instead.
-fn pack_along_col_stochastic<R: RoundOp, N: NoiseSource>(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut N,
-    window: Option<ExponentWindow>,
-) -> PackedData {
-    let g = fmt.group_size();
-    let m = fmt.mantissa_bits();
-    let max_mag = fmt.max_magnitude() as u32;
-    let mut mans = vec![0i8; rows * cols];
-    let gpr = rows.div_ceil(g).max(1);
-    let mut scales = vec![0.0f32; gpr * cols];
-    let mut stats = QuantStats::default();
-    let pw = COL_PANEL.min(cols.max(1));
-    let mut gather = vec![0.0f32; rows * pw];
-    let mut packed = vec![0i8; rows * pw];
-    let mut col = 0;
-    while col < cols {
-        let pc = COL_PANEL.min(cols - col);
-        for (r, row) in data.chunks(cols).enumerate() {
-            for (c, &v) in row[col..col + pc].iter().enumerate() {
-                gather[c * rows + r] = v;
-            }
-        }
-        for c in 0..pc {
-            let colbuf = &gather[c * rows..c * rows + rows];
-            let manbuf = &mut packed[c * rows..c * rows + rows];
-            for (gi, (chunk, out)) in colbuf.chunks(g).zip(manbuf.chunks_mut(g)).enumerate() {
-                let scale =
-                    pack_group_plain(chunk, m, max_mag, window, round, bits, &mut stats, out);
-                scales[gi * cols + col + c] = scale;
-            }
-        }
-        for (r, row) in mans.chunks_mut(cols).enumerate() {
-            for (c, o) in row[col..col + pc].iter_mut().enumerate() {
-                *o = packed[c * rows + r];
-            }
-        }
-        col += pc;
-    }
-    PackedData {
-        mantissas: mans,
-        scales,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::fake_quantize_matrix;
-    use crate::lfsr::{Lfsr16, RngBits};
+    use crate::rng::CounterRng;
     use rand::{Rng, SeedableRng};
 
-    struct NoBits;
-    impl BitSource for NoBits {
-        fn next_bits(&mut self, _n: u32) -> u32 {
-            unreachable!("deterministic rounding draws no bits")
+    fn noise() -> Noise {
+        Noise {
+            rng: CounterRng::new(0xACE1),
+            base: 5,
+            workers: 1,
         }
     }
 
@@ -498,7 +419,6 @@ mod tests {
                 ] {
                     for windowed in [false, true] {
                         let mut want = data.clone();
-                        let mut bits = Lfsr16::default();
                         fake_quantize_matrix(
                             &mut want,
                             rows,
@@ -506,22 +426,12 @@ mod tests {
                             axis,
                             fmt,
                             rounding,
-                            Noise::Stream(&mut bits),
+                            noise(),
                             windowed,
                         );
-                        let mut bits2 = Lfsr16::default();
-                        let packed = pack_matrix(
-                            &data,
-                            rows,
-                            cols,
-                            axis,
-                            fmt,
-                            rounding,
-                            Noise::Stream(&mut bits2),
-                            windowed,
-                        )
-                        .expect("plain data must pack");
-                        assert_eq!(bits, bits2, "bit streams must advance identically");
+                        let packed =
+                            pack_matrix(&data, rows, cols, axis, fmt, rounding, noise(), windowed)
+                                .expect("plain data must pack");
                         let got = dequantize(&packed, rows, cols, axis, fmt.group_size());
                         for (idx, (w, g)) in want.iter().zip(&got).enumerate() {
                             assert_eq!(
@@ -548,7 +458,7 @@ mod tests {
                 axis,
                 BfpFormat::low(),
                 Rounding::Nearest,
-                Noise::Stream(&mut NoBits),
+                noise(),
                 false,
             );
             let packed = pack_matrix(
@@ -558,7 +468,7 @@ mod tests {
                 axis,
                 BfpFormat::low(),
                 Rounding::Nearest,
-                Noise::Stream(&mut NoBits),
+                noise(),
                 false,
             )
             .unwrap();
@@ -567,11 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn non_plain_inputs_refuse_to_pack_without_drawing_bits() {
+    fn non_plain_inputs_refuse_to_pack() {
         for bad in [f32::NAN, f32::INFINITY, 1e-40f32] {
             let data = vec![1.0f32, bad, 0.5, -2.0];
-            let mut bits = Lfsr16::default();
-            let fresh = bits.clone();
             let got = pack_matrix(
                 &data,
                 2,
@@ -579,11 +487,10 @@ mod tests {
                 GroupAxis::AlongRow,
                 BfpFormat::high(),
                 Rounding::STOCHASTIC8,
-                Noise::Stream(&mut bits),
+                noise(),
                 false,
             );
             assert!(got.is_none(), "{bad} must force the fallback");
-            assert_eq!(bits, fresh, "fallback must not consume noise bits");
         }
     }
 
@@ -598,49 +505,10 @@ mod tests {
             GroupAxis::AlongRow,
             fmt,
             Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
+            noise(),
             false,
         )
         .is_none());
-    }
-
-    #[test]
-    fn stochastic_packing_matches_reference_draw_order() {
-        // A host RNG (not the LFSR) as the bit source: stream alignment must
-        // hold for any BitSource, including AlongCol's column-major order.
-        let data = rand_data(48 * 5, 9);
-        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
-            let mut want = data.clone();
-            let mut b1 = RngBits(rand::rngs::StdRng::seed_from_u64(3));
-            fake_quantize_matrix(
-                &mut want,
-                48,
-                5,
-                axis,
-                BfpFormat::high(),
-                Rounding::STOCHASTIC8,
-                Noise::Stream(&mut b1),
-                false,
-            );
-            let mut b2 = RngBits(rand::rngs::StdRng::seed_from_u64(3));
-            let packed = pack_matrix(
-                &data,
-                48,
-                5,
-                axis,
-                BfpFormat::high(),
-                Rounding::STOCHASTIC8,
-                Noise::Stream(&mut b2),
-                false,
-            )
-            .unwrap();
-            let got = dequantize(&packed, 48, 5, axis, 16);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{axis:?}"
-            );
-        }
     }
 
     #[test]
@@ -658,18 +526,8 @@ mod tests {
                 (BfpFormat::low(), Rounding::Truncate),
                 (BfpFormat::new(7, 7, 5).unwrap(), Rounding::Nearest),
             ] {
-                let mut bits = Lfsr16::default();
-                let packed = pack_matrix(
-                    &data,
-                    24,
-                    24,
-                    axis,
-                    fmt,
-                    rounding,
-                    Noise::Stream(&mut bits),
-                    true,
-                )
-                .unwrap();
+                let packed =
+                    pack_matrix(&data, 24, 24, axis, fmt, rounding, noise(), true).unwrap();
                 let cap = fmt.max_magnitude() as i16;
                 assert!(cap <= 127);
                 for &m in &packed.mantissas {
@@ -693,7 +551,7 @@ mod tests {
             GroupAxis::AlongRow,
             BfpFormat::high(),
             Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
+            noise(),
             true,
         )
         .unwrap();

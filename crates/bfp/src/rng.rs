@@ -3,8 +3,9 @@
 //!
 //! The paper's converter serializes stochastic rounding through a single
 //! [`Lfsr16`](crate::Lfsr16) stream, so the noise an element receives
-//! depends on *when* it is visited — AlongCol quantization must stage
-//! column panels to preserve the reference element order, and SR can never
+//! depends on *when* it is visited. That is the right model for one
+//! hardware converter ([`crate::BfpGroup::quantize`]), but a tensor-level
+//! pass would have to visit elements in one reference order and could never
 //! shard across workers. [`CounterRng`] removes the ordering dependency:
 //! the noise for the element at linear offset `i` is a pure function
 //! `mix(seed, i)` (the `tl.randint(seed, offsets)` pattern of GPU SR
@@ -16,28 +17,10 @@
 //! offset's *block* index, and consecutive offsets extract disjoint
 //! `n`-bit lanes of the mixed 64-bit word — one 3-multiply mix per
 //! `⌊64/n⌋`-ish elements (8 for the paper's 8-bit gradient noise), which
-//! is what lets counter-mode SR approach nearest-rounding cost even
+//! is what lets stochastic rounding approach nearest-rounding cost even
 //! single-threaded (DESIGN.md §12).
 
-use crate::kernel::NoiseSource;
-
-/// Which noise source drives stochastic rounding.
-///
-/// Selected per [`Session`] (env default `FAST_SR_MODE=counter`) or per
-/// `CompiledModel` in the `fast_nn`/`fast_serve` crates (DESIGN.md §16),
-/// which hand the kernels the matching [`Noise`](crate::Noise).
-///
-/// [`Session`]: ../fast_nn/struct.Session.html
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SrMode {
-    /// The paper-fidelity serialized LFSR stream (Fig 14): draws follow the
-    /// reference element order, zeros never draw. The default.
-    #[default]
-    Lfsr,
-    /// Counter-based noise keyed by `(seed, element offset)`: bitwise
-    /// order-independent and parallel across workers (DESIGN.md §12).
-    Counter,
-}
+use crate::lfsr::BitSource;
 
 /// A stateless counter-based noise generator: `bits_at(offset, n)` is a
 /// pure function of `(seed, offset, n)`.
@@ -115,7 +98,7 @@ impl CounterRng {
 /// and advances `pos` by the configured stride, so the quantization loops'
 /// sequential draw pattern lands each element exactly on its own offset.
 /// Caches the current mixed word (consecutive offsets share it), which is
-/// what makes counter-mode SR nearly free per element.
+/// what makes stochastic rounding nearly free per element.
 #[derive(Debug, Clone)]
 pub(crate) struct CounterBits {
     rng: CounterRng,
@@ -143,11 +126,10 @@ impl CounterBits {
     }
 }
 
-impl NoiseSource for CounterBits {
-    const ORDER_FREE: bool = true;
-
+impl BitSource for CounterBits {
+    /// The `n`-bit draw at the cursor, advancing it by one stride step.
     #[inline(always)]
-    fn draw(&mut self, n: u32) -> u32 {
+    fn next_bits(&mut self, n: u32) -> u32 {
         debug_assert!((1..=32).contains(&n));
         let shift = lane_shift_for(n);
         let block = self.pos >> shift;
@@ -159,27 +141,34 @@ impl NoiseSource for CounterBits {
         self.pos += self.stride;
         ((self.cached_word >> (lane * n)) & ((1u64 << n) - 1)) as u32
     }
+}
 
+impl CounterBits {
+    /// Positions the cursor at local element offset `base`, with consecutive
+    /// draws `stride` elements apart.
     #[inline(always)]
-    fn seek(&mut self, base: u64, stride: u64) {
+    pub(crate) fn seek(&mut self, base: u64, stride: u64) {
         self.pos = self.origin + base;
         self.stride = stride;
     }
 
+    /// Advances the cursor by `k` stride steps without drawing (an element
+    /// that consumes no noise).
     #[inline(always)]
-    fn skip(&mut self, k: u64) {
+    pub(crate) fn skip(&mut self, k: u64) {
         self.pos += k * self.stride;
     }
 
-    /// Bulk 8-bit draws: lane `l` of a mixed word is `word >> (8·l) & 0xFF`,
+    /// Fills `out` with consecutive 8-bit draws, advancing the cursor by
+    /// `out.len()` steps: lane `l` of a mixed word is `word >> (8·l) & 0xFF`,
     /// i.e. byte `l` of its little-endian encoding — so eight consecutive
     /// offsets are one `mix64` plus a `to_le_bytes` copy. This is the form
     /// the branch-free quantization loops consume (DESIGN.md §12). Strided
     /// cursors (the rare column-gather fallback) take the per-draw path.
-    fn fill8(&mut self, out: &mut [u8]) {
+    pub(crate) fn fill8(&mut self, out: &mut [u8]) {
         if self.stride != 1 {
             for b in out {
-                *b = self.draw(8) as u8;
+                *b = self.next_bits(8) as u8;
             }
             return;
         }
@@ -225,7 +214,7 @@ mod tests {
                 bits.seek(base, stride);
                 for k in 0..count as u64 {
                     assert_eq!(
-                        bits.draw(n),
+                        bits.next_bits(n),
                         rng.bits_at(1000 + base + k * stride, n),
                         "n={n} base={base} stride={stride} k={k}"
                     );
@@ -240,7 +229,7 @@ mod tests {
         let mut bits = CounterBits::new(rng, 0);
         bits.seek(10, 4);
         bits.skip(3);
-        assert_eq!(bits.draw(8), rng.bits_at(22, 8));
+        assert_eq!(bits.next_bits(8), rng.bits_at(22, 8));
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //! pass at about the quantize kernel's rate ([`relative_improvement`]).
 
 use crate::group::NoNoise;
-use crate::kernel::{
-    decompose, exponent_of_parts, pow2_f64, scan_group, NearestOp, RoundOp, SeqSource,
-};
+use crate::kernel::{decompose, exponent_of_parts, pow2_f64, scan_group, NearestOp, RoundOp};
 
 /// Which way quantization groups run through a row-major matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +145,7 @@ fn improvement_sums(values: &[f32], group_size: usize) -> (f64, f64) {
 #[inline(always)]
 fn for_each_mag4(chunk: &[f32], e: i32, plain: bool, mut f: impl FnMut(u32)) {
     let t_base = e - 3; // E + 1 − m
-    let noise = &mut SeqSource(&mut NoNoise);
+    let noise = &mut NoNoise;
     if plain {
         // All normal or zero: the branch-free loop of the quantize kernel.
         for &v in chunk {
@@ -177,14 +175,15 @@ mod tests {
     use crate::format::BfpFormat;
     use crate::group::BfpGroup;
     use crate::kernel::{fake_quantize_matrix, fake_quantize_slice, Noise};
-    use crate::lfsr::{BitSource, RngBits};
+    use crate::rng::CounterRng;
     use crate::rounding::Rounding;
     use rand::{Rng, SeedableRng};
 
-    struct NoBits;
-    impl BitSource for NoBits {
-        fn next_bits(&mut self, _n: u32) -> u32 {
-            unreachable!()
+    fn noise(seed: u64) -> Noise {
+        Noise {
+            rng: CounterRng::new(seed),
+            base: 0,
+            workers: 1,
         }
     }
 
@@ -196,13 +195,7 @@ mod tests {
             .chunks(4)
             .flat_map(|c| BfpGroup::quantize_nearest(c, fmt).dequantize())
             .collect();
-        fake_quantize_slice(
-            &mut xs,
-            fmt,
-            Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
-            None,
-        );
+        fake_quantize_slice(&mut xs, fmt, Rounding::Nearest, noise(0), None);
         assert_eq!(xs, expect);
     }
 
@@ -210,13 +203,7 @@ mod tests {
     fn partial_final_group_is_handled() {
         let fmt = BfpFormat::new(4, 4, 8).unwrap();
         let mut xs = vec![1.0f32; 7];
-        let stats = fake_quantize_slice(
-            &mut xs,
-            fmt,
-            Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
-            None,
-        );
+        let stats = fake_quantize_slice(&mut xs, fmt, Rounding::Nearest, noise(0), None);
         assert_eq!(stats.groups, 2);
         assert!(xs.iter().all(|&v| v == 1.0));
     }
@@ -239,7 +226,7 @@ mod tests {
             GroupAxis::AlongCol,
             fmt,
             Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
+            noise(0),
             false,
         );
 
@@ -257,7 +244,7 @@ mod tests {
             GroupAxis::AlongRow,
             fmt,
             Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
+            noise(0),
             false,
         );
         for r in 0..rows {
@@ -273,13 +260,7 @@ mod tests {
         // Group: max 1.0 -> scale 2; 1.0->2, 1.6->3.2->3(sat),
         // 0.1->0.2->0 (zero), 0.5->1.
         let mut xs = vec![1.0f32, 1.6, 0.1, 0.5];
-        let stats = fake_quantize_slice(
-            &mut xs,
-            fmt,
-            Rounding::Nearest,
-            Noise::Stream(&mut NoBits),
-            None,
-        );
+        let stats = fake_quantize_slice(&mut xs, fmt, Rounding::Nearest, noise(0), None);
         assert_eq!(stats.groups, 1);
         assert_eq!(stats.saturated, 1);
         assert_eq!(stats.zeros, 1);
@@ -435,7 +416,6 @@ mod tests {
         let xs: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
         let run = |seed: u64| {
             let mut data = xs.clone();
-            let mut bits = RngBits(rand::rngs::StdRng::seed_from_u64(seed));
             fake_quantize_matrix(
                 &mut data,
                 8,
@@ -443,7 +423,7 @@ mod tests {
                 GroupAxis::AlongRow,
                 fmt,
                 Rounding::STOCHASTIC8,
-                Noise::Stream(&mut bits),
+                noise(seed),
                 false,
             );
             data

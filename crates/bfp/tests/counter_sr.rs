@@ -1,4 +1,4 @@
-//! Counter-mode stochastic rounding: order-independence, worker
+//! Counter-noise stochastic rounding: order-independence, worker
 //! invariance, pack/dense bit-identity, and mean-unbiasedness (DESIGN.md
 //! §12).
 //!
@@ -10,19 +10,16 @@
 
 use fast_bfp::packed::{pack_matrix, PackedData};
 use fast_bfp::{
-    fake_quantize_matrix, fake_quantize_slice, BfpFormat, CounterRng, GroupAxis, Lfsr16, Noise,
-    Rounding,
+    fake_quantize_matrix, fake_quantize_slice, BfpFormat, CounterRng, GroupAxis, Noise, Rounding,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 const SR8: Rounding = Rounding::Stochastic { noise_bits: 8 };
 
-/// Counter noise for a pass whose first element sits at `base`. The stream
-/// type parameter is unused by this arm; pinning it spares every call site
-/// an annotation.
-fn counter(rng: CounterRng, base: u64, workers: usize) -> Noise<'static, Lfsr16> {
-    Noise::Counter { rng, base, workers }
+/// Counter noise for a pass whose first element sits at `base`.
+fn counter(rng: CounterRng, base: u64, workers: usize) -> Noise {
+    Noise { rng, base, workers }
 }
 
 /// The 10-format zoo: the paper's reference settings plus group-size /
@@ -222,9 +219,8 @@ fn dequantize(p: &PackedData, rows: usize, cols: usize, axis: GroupAxis, g: usiz
 }
 
 /// The packed output is itself worker-invariant (its agreement with the
-/// dense kernel is pinned by
-/// `pack_and_dense_agree_through_one_call_for_both_noise_arms`). Needs a
-/// matrix big enough for sharding to engage.
+/// dense kernel is pinned by `pack_and_dense_agree_through_one_call`). Needs
+/// a matrix big enough for sharding to engage.
 #[test]
 fn counter_packing_is_worker_invariant() {
     let rng = CounterRng::new(0xACE1);
@@ -268,31 +264,12 @@ fn counter_packing_is_worker_invariant() {
     }
 }
 
-/// An owner for either noise source, so one test body drives both
-/// [`Noise`] arms through literally the same calls.
-#[derive(Debug, Clone, PartialEq)]
-enum Arm {
-    Stream(Lfsr16),
-    Counter(CounterRng, u64),
-}
-
-impl Arm {
-    fn noise(&mut self) -> Noise<'_, Lfsr16> {
-        match self {
-            Arm::Stream(lfsr) => Noise::Stream(lfsr),
-            Arm::Counter(rng, base) => counter(*rng, *base, 1),
-        }
-    }
-}
-
-/// The one thing the unified entry points add: over the format zoo × both
-/// axes × plain/NaN/subnormal inputs, `pack_matrix` reconstructed to dense
-/// and `fake_quantize_matrix` agree bitwise with equal `QuantStats` under
-/// *both* noise arms through the same call — and a pack refusal consumes
-/// nothing: the stream is left bit-for-bit where it was, and the dense
-/// fallback re-draws exactly the counter positions packing would have used.
+/// Over the format zoo × both axes, `pack_matrix` reconstructed to dense and
+/// `fake_quantize_matrix` agree bitwise with equal `QuantStats` under the
+/// same [`Noise`], and NaN/subnormal inputs or wide mantissas are refused
+/// (the caller then quantizes dense with that same positional noise).
 #[test]
-fn pack_and_dense_agree_through_one_call_for_both_noise_arms() {
+fn pack_and_dense_agree_through_one_call() {
     let (rows, cols) = (19, 23);
     let plain = rand_data(rows * cols, 61);
     let with = |at: usize, v: f32| {
@@ -305,10 +282,7 @@ fn pack_and_dense_agree_through_one_call_for_both_noise_arms() {
         ("nan", with(40, f32::NAN)),
         ("subnormal", with(207, 1e-40)),
     ];
-    let arms = [
-        Arm::Stream(Lfsr16::new(0xBEEF)),
-        Arm::Counter(CounterRng::new(0xBEEF), 77),
-    ];
+    let noise = counter(CounterRng::new(0xBEEF), 77, 1);
     for fmt in format_zoo() {
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
             for (tag, data) in &inputs {
@@ -317,87 +291,19 @@ fn pack_and_dense_agree_through_one_call_for_both_noise_arms() {
                     Rounding::Stochastic { noise_bits: 3 },
                     Rounding::Nearest,
                 ] {
-                    for fresh in &arms {
-                        let ctx = format!("{fmt} {axis:?} {tag} {rounding:?} {fresh:?}");
-                        let (mut a, mut b) = (fresh.clone(), fresh.clone());
-                        let mut dense = data.clone();
-                        let want = fake_quantize_matrix(
-                            &mut dense,
-                            rows,
-                            cols,
-                            axis,
-                            fmt,
-                            rounding,
-                            a.noise(),
-                            true,
-                        );
-                        let packed =
-                            pack_matrix(data, rows, cols, axis, fmt, rounding, b.noise(), true);
-                        let unpackable = fmt.mantissa_bits() > 7 || *tag != "plain";
-                        assert_eq!(packed.is_none(), unpackable, "{ctx}");
-                        let (got, stats) = match packed {
-                            Some(p) => {
-                                (dequantize(&p, rows, cols, axis, fmt.group_size()), p.stats)
-                            }
-                            None => {
-                                assert_eq!(&b, fresh, "{ctx}: refusal must consume no noise");
-                                let mut fallback = data.clone();
-                                let stats = fake_quantize_matrix(
-                                    &mut fallback,
-                                    rows,
-                                    cols,
-                                    axis,
-                                    fmt,
-                                    rounding,
-                                    b.noise(),
-                                    true,
-                                );
-                                (fallback, stats)
-                            }
-                        };
-                        assert_eq!(bits_of(&dense), bits_of(&got), "{ctx}");
-                        assert_eq!(want, stats, "{ctx}");
-                        assert_eq!(a, b, "{ctx}: both paths must consume identical noise");
-                    }
+                    let ctx = format!("{fmt} {axis:?} {tag} {rounding:?}");
+                    let mut dense = data.clone();
+                    let want = fake_quantize_matrix(
+                        &mut dense, rows, cols, axis, fmt, rounding, noise, true,
+                    );
+                    let packed = pack_matrix(data, rows, cols, axis, fmt, rounding, noise, true);
+                    let unpackable = fmt.mantissa_bits() > 7 || *tag != "plain";
+                    assert_eq!(packed.is_none(), unpackable, "{ctx}");
+                    let Some(p) = packed else { continue };
+                    let got = dequantize(&p, rows, cols, axis, fmt.group_size());
+                    assert_eq!(bits_of(&dense), bits_of(&got), "{ctx}");
+                    assert_eq!(want, p.stats, "{ctx}");
                 }
-            }
-        }
-    }
-}
-
-/// Deterministic rounding under counter noise is identical to the same call
-/// under a stream (no draws → the noise plumbing must be arithmetically
-/// invisible).
-#[test]
-fn deterministic_counter_matches_sequential() {
-    let (rows, cols) = (33, 21);
-    let data = rand_data(rows * cols, 41);
-    for fmt in format_zoo() {
-        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
-            for rounding in [Rounding::Nearest, Rounding::Truncate] {
-                let mut seq = data.clone();
-                fake_quantize_matrix(
-                    &mut seq,
-                    rows,
-                    cols,
-                    axis,
-                    fmt,
-                    rounding,
-                    Noise::Stream(&mut Lfsr16::default()),
-                    true,
-                );
-                let mut ctr = data.clone();
-                fake_quantize_matrix(
-                    &mut ctr,
-                    rows,
-                    cols,
-                    axis,
-                    fmt,
-                    rounding,
-                    counter(CounterRng::new(9), 123, 1),
-                    true,
-                );
-                assert_eq!(bits_of(&seq), bits_of(&ctr), "{fmt} {axis:?} {rounding:?}");
             }
         }
     }

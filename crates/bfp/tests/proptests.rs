@@ -6,9 +6,10 @@
 //! paper Theorem 1.
 
 use fast_bfp::dot::{dot_chunked, dot_dequantized, dot_f32};
+use fast_bfp::packed::{pack_matrix, PackedData};
 use fast_bfp::{
-    exponent_of, relative_improvement, BfpFormat, BfpGroup, BitSource, ChunkedGroup, GroupAxis,
-    Lfsr16, Noise, RngBits, Rounding,
+    exponent_of, relative_improvement, BfpFormat, BfpGroup, BitSource, ChunkedGroup, CounterRng,
+    GroupAxis, Lfsr16, Noise, RngBits, Rounding,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -202,11 +203,60 @@ impl BitSource for NoBitsNeeded {
 // Integer-kernel equivalence: the batch kernel of `fast_bfp::kernel` must be
 // bit-identical to the seed f64 implementation (PR 2) for every f32 bit
 // pattern, format, exponent window and rounding mode. The `seed_reference`
-// module below is a verbatim transcription of the pre-kernel implementation.
+// module below is a transcription of the pre-kernel implementation, one
+// `BfpGroup` per chunk in f64. The seed drew from a serialized stream; the
+// one change is that the source is told which element it rounds next
+// (`ElementBits::at`), so the tensor-level references can hand every element
+// the counter noise at its own offset — what the kernels draw — while the
+// group-level reference still consumes an LFSR.
 // ---------------------------------------------------------------------------
 
 mod seed_reference {
-    use fast_bfp::{exponent_of, BfpFormat, BitSource, ExponentWindow, Rounding};
+    use fast_bfp::{
+        exponent_of, BfpFormat, BitSource, CounterRng, ExponentWindow, Lfsr16, Rounding,
+    };
+
+    /// A [`BitSource`] told, before each draw, the index within its group of
+    /// the element being rounded. A serialized stream ignores it.
+    pub trait ElementBits: BitSource {
+        fn at(&mut self, _k: usize) {}
+    }
+
+    impl ElementBits for Lfsr16 {}
+
+    /// Positional noise: element `k` of the current group draws
+    /// `rng.bits_at(first + k·stride, n)`.
+    pub struct CounterAt {
+        pub rng: CounterRng,
+        /// Noise offset of the current group's first element.
+        pub first: u64,
+        /// Offset distance between consecutive elements of the group.
+        pub stride: u64,
+        pos: u64,
+    }
+
+    impl CounterAt {
+        pub fn new(rng: CounterRng) -> Self {
+            CounterAt {
+                rng,
+                first: 0,
+                stride: 1,
+                pos: 0,
+            }
+        }
+    }
+
+    impl BitSource for CounterAt {
+        fn next_bits(&mut self, n: u32) -> u32 {
+            self.rng.bits_at(self.pos, n)
+        }
+    }
+
+    impl ElementBits for CounterAt {
+        fn at(&mut self, k: usize) {
+            self.pos = self.first + k as u64 * self.stride;
+        }
+    }
 
     fn sanitize(v: f32) -> f32 {
         if v.is_nan() {
@@ -236,7 +286,7 @@ mod seed_reference {
         values: &[f32],
         format: BfpFormat,
         rounding: Rounding,
-        bits: &mut dyn BitSource,
+        bits: &mut dyn ElementBits,
         window: Option<ExponentWindow>,
     ) -> (i32, Vec<i32>) {
         let m = format.mantissa_bits();
@@ -258,12 +308,14 @@ mod seed_reference {
         let scale = 2.0f64.powi(m as i32 - 1 - shared_exponent);
         let mantissas = values
             .iter()
-            .map(|&v| {
+            .enumerate()
+            .map(|(k, &v)| {
                 let v = sanitize(v);
                 if v == 0.0 {
                     return 0;
                 }
                 let scaled = (v.abs() as f64) * scale;
+                bits.at(k);
                 let mag = round(rounding, scaled, bits).min(max_mag) as i32;
                 if v < 0.0 {
                     -mag
@@ -281,17 +333,21 @@ mod seed_reference {
         mantissas.iter().map(|&m| (m as f64 * s) as f32).collect()
     }
 
-    /// Seed `fake_quantize_slice`, returning `(groups, saturated, zeros)`.
+    /// Seed `fake_quantize_slice`, returning `(groups, saturated, zeros)`;
+    /// element `i` draws at noise offset `base + i`.
     pub fn fake_quantize_slice(
         values: &mut [f32],
         fmt: BfpFormat,
         rounding: Rounding,
-        bits: &mut dyn BitSource,
+        bits: &mut CounterAt,
+        base: u64,
         window: Option<ExponentWindow>,
     ) -> (usize, u64, u64) {
         let mut stats = (0usize, 0u64, 0u64);
         let max_mag = fmt.max_magnitude() as i32;
-        for chunk in values.chunks_mut(fmt.group_size()) {
+        let g = fmt.group_size();
+        for (gi, chunk) in values.chunks_mut(g).enumerate() {
+            (bits.first, bits.stride) = (base + (gi * g) as u64, 1);
             let (e, mantissas) = quantize(chunk, fmt, rounding, bits, window);
             stats.0 += 1;
             for &m in &mantissas {
@@ -306,7 +362,8 @@ mod seed_reference {
         stats
     }
 
-    /// Seed `fake_quantize_matrix` with the strided per-column gather.
+    /// Seed `fake_quantize_matrix` with the strided per-column gather;
+    /// element `(r, c)` draws at noise offset `base + r·cols + c`.
     #[allow(clippy::too_many_arguments)]
     pub fn fake_quantize_matrix(
         data: &mut [f32],
@@ -315,14 +372,16 @@ mod seed_reference {
         along_col: bool,
         fmt: BfpFormat,
         rounding: Rounding,
-        bits: &mut dyn BitSource,
+        bits: &mut CounterAt,
+        base: u64,
         use_window: bool,
     ) -> (usize, u64, u64) {
         let window = use_window.then(|| ExponentWindow::from_values(data, fmt.exponent_bits()));
         if !along_col {
             let mut stats = (0usize, 0u64, 0u64);
-            for row in data.chunks_mut(cols) {
-                let (g, s, z) = fake_quantize_slice(row, fmt, rounding, bits, window);
+            for (r, row) in data.chunks_mut(cols).enumerate() {
+                let row_base = base + (r * cols) as u64;
+                let (g, s, z) = fake_quantize_slice(row, fmt, rounding, bits, row_base, window);
                 stats.0 += g;
                 stats.1 += s;
                 stats.2 += z;
@@ -340,6 +399,7 @@ mod seed_reference {
                 for (k, s) in scratch[..n].iter_mut().enumerate() {
                     *s = data[(row + k) * cols + col];
                 }
+                (bits.first, bits.stride) = (base + (row * cols + col) as u64, cols as u64);
                 let (e, mantissas) = quantize(&scratch[..n], fmt, rounding, bits, window);
                 stats.0 += 1;
                 for &m in &mantissas {
@@ -374,6 +434,19 @@ fn any_f32_bits() -> impl Strategy<Value = f32> {
         1 => Just(f32::NAN),
         2 => (-120.0f32..120.0).prop_map(|e| e.exp2()),
     ]
+}
+
+use seed_reference::CounterAt;
+
+/// Bits of element `idx` of a packed row-major matrix, reconstructed the way
+/// the GEMM kernels do: `mantissa as f32 * group scale`.
+fn packed_bits(p: &PackedData, idx: usize, cols: usize, g: usize, axis: GroupAxis) -> u32 {
+    let (i, j) = (idx / cols, idx % cols);
+    let scale = match axis {
+        GroupAxis::AlongRow => p.scales[i * cols.div_ceil(g) + j / g],
+        GroupAxis::AlongCol => p.scales[(i / g) * cols + j],
+    };
+    (p.mantissas[idx] as f32 * scale).to_bits()
 }
 
 fn any_rounding() -> impl Strategy<Value = Rounding> {
@@ -424,7 +497,8 @@ proptest! {
     }
 
     /// Slice fake-quantization (the batched entry point) is bit-identical to
-    /// the seed path, including the fused `QuantStats` counters.
+    /// the seed path, including the fused `QuantStats` counters, with every
+    /// element drawing the counter noise at its own offset.
     #[test]
     fn kernel_slice_is_bit_identical_to_seed(
         values in prop::collection::vec(any_f32_bits(), 1..=64),
@@ -433,29 +507,27 @@ proptest! {
         rounding in any_rounding(),
         win_sel in 0u32..=8,
         win_ref in -200i32..=200,
-        seed in 0u16..=u16::MAX,
+        seed in 0u64..=u64::MAX,
+        base in 0u64..=1 << 40,
     ) {
         let fmt = BfpFormat::new(g, m, 8).expect("valid format");
         let window = window_from(win_sel, win_ref);
+        let rng = CounterRng::new(seed);
         let mut got_buf = values.clone();
         let mut want_buf = values.clone();
-        let mut lfsr_a = Lfsr16::new(seed);
-        let mut lfsr_b = lfsr_a.clone();
         let stats = fast_bfp::fake_quantize_slice(
-            &mut got_buf, fmt, rounding, Noise::Stream(&mut lfsr_a), window);
+            &mut got_buf, fmt, rounding, Noise { rng, base, workers: 1 }, window);
         let (groups, saturated, zeros) = seed_reference::fake_quantize_slice(
-            &mut want_buf, fmt, rounding, &mut lfsr_b, window);
+            &mut want_buf, fmt, rounding, &mut CounterAt::new(rng), base, window);
         prop_assert_eq!((stats.groups, stats.saturated, stats.zeros), (groups, saturated, zeros));
-        prop_assert_eq!(lfsr_a.state(), lfsr_b.state(), "bit streams diverged");
         for (g, w) in got_buf.iter().zip(&want_buf) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }
     }
 
     /// Matrix fake-quantization — both group axes — is bit-identical to the
-    /// seed's strided implementation: the `AlongCol` panel kernel must
-    /// consume the stochastic bit stream in exactly the seed's element
-    /// order (columns left to right, rows top to bottom).
+    /// seed's strided implementation, and so is the packed representation
+    /// whenever `pack_matrix` accepts the operand.
     #[test]
     fn kernel_matrix_is_bit_identical_to_seed(
         rows in 1usize..=40,
@@ -465,29 +537,129 @@ proptest! {
         rounding in any_rounding(),
         along_col in 0u32..=1,
         use_window in 0u32..=1,
-        seed in 0u16..=u16::MAX,
+        seed in 0u64..=u64::MAX,
+        base in 0u64..=1 << 40,
         fill in 0u32..=u32::MAX,
+        plain in 0u32..=1,
     ) {
         let fmt = BfpFormat::new(g, m, 3).expect("valid format");
+        // `plain` confines the bit patterns to normal numbers, the only
+        // inputs the packer accepts.
         let values: Vec<f32> = (0..rows * cols)
-            .map(|i| f32::from_bits(fill.wrapping_mul(i as u32 + 1).rotate_left(i as u32 % 31)))
+            .map(|i| {
+                let bits = fill.wrapping_mul(i as u32 + 1).rotate_left(i as u32 % 31);
+                if plain == 1 {
+                    f32::from_bits(bits & 0x807F_FFFF | (1 + bits % 254) << 23)
+                } else {
+                    f32::from_bits(bits)
+                }
+            })
             .collect();
         let axis = if along_col == 1 { GroupAxis::AlongCol } else { GroupAxis::AlongRow };
+        let noise = Noise { rng: CounterRng::new(seed), base, workers: 1 };
         let mut got_buf = values.clone();
-        let mut want_buf = values;
-        let mut lfsr_a = Lfsr16::new(seed);
-        let mut lfsr_b = lfsr_a.clone();
+        let mut want_buf = values.clone();
         let stats = fast_bfp::fake_quantize_matrix(
-            &mut got_buf, rows, cols, axis, fmt, rounding, Noise::Stream(&mut lfsr_a),
-            use_window == 1);
+            &mut got_buf, rows, cols, axis, fmt, rounding, noise, use_window == 1);
         let (groups, saturated, zeros) = seed_reference::fake_quantize_matrix(
-            &mut want_buf, rows, cols, along_col == 1, fmt, rounding, &mut lfsr_b, use_window == 1);
+            &mut want_buf, rows, cols, along_col == 1, fmt, rounding,
+            &mut CounterAt::new(noise.rng), base, use_window == 1);
         prop_assert_eq!((stats.groups, stats.saturated, stats.zeros), (groups, saturated, zeros));
-        prop_assert_eq!(lfsr_a.state(), lfsr_b.state(), "bit streams diverged");
         for (g, w) in got_buf.iter().zip(&want_buf) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }
+        let packed = pack_matrix(&values, rows, cols, axis, fmt, rounding, noise, use_window == 1);
+        let packable = values.iter().all(|v| *v == 0.0 || v.is_normal());
+        prop_assert_eq!(packed.is_some(), m <= 7 && packable);
+        if let Some(p) = packed {
+            prop_assert_eq!((p.stats.groups, p.stats.saturated, p.stats.zeros), (groups, saturated, zeros));
+            for (idx, w) in want_buf.iter().enumerate() {
+                prop_assert_eq!(packed_bits(&p, idx, cols, g, axis), w.to_bits());
+            }
+        }
     }
+}
+
+/// The worker-sharded kernels against the same reference: operands large
+/// enough that four stripes engage, dense and packed, both axes.
+#[test]
+fn sharded_kernels_are_bit_identical_to_seed() {
+    let (rows, cols) = (160, 512);
+    let fmt = BfpFormat::high();
+    let values: Vec<f32> = (0..rows * cols)
+        .map(|i| ((i as f32 * 0.37).sin() * 3.0) * 2.0f32.powi(i as i32 % 9 - 4))
+        .collect();
+    let noise = Noise {
+        rng: CounterRng::new(0xFA57),
+        base: 12_345,
+        workers: 4,
+    };
+    for (axis, along_col) in [(GroupAxis::AlongRow, false), (GroupAxis::AlongCol, true)] {
+        for use_window in [false, true] {
+            let mut want = values.clone();
+            let want_stats = seed_reference::fake_quantize_matrix(
+                &mut want,
+                rows,
+                cols,
+                along_col,
+                fmt,
+                Rounding::STOCHASTIC8,
+                &mut CounterAt::new(noise.rng),
+                noise.base,
+                use_window,
+            );
+            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let mut got = values.clone();
+            let stats = fast_bfp::fake_quantize_matrix(
+                &mut got,
+                rows,
+                cols,
+                axis,
+                fmt,
+                Rounding::STOCHASTIC8,
+                noise,
+                use_window,
+            );
+            assert_eq!(
+                (stats.groups, stats.saturated, stats.zeros),
+                want_stats,
+                "{axis:?} window={use_window}"
+            );
+            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "{axis:?} window={use_window}");
+            let p = pack_matrix(
+                &values,
+                rows,
+                cols,
+                axis,
+                fmt,
+                Rounding::STOCHASTIC8,
+                noise,
+                use_window,
+            )
+            .expect("normal values at m=4 pack");
+            let got_packed: Vec<u32> = (0..rows * cols)
+                .map(|idx| packed_bits(&p, idx, cols, fmt.group_size(), axis))
+                .collect();
+            assert_eq!(got_packed, want_bits, "packed {axis:?} window={use_window}");
+        }
+    }
+    // The slice entry shards at group granularity.
+    let mut want = values.clone();
+    seed_reference::fake_quantize_slice(
+        &mut want,
+        fmt,
+        Rounding::STOCHASTIC8,
+        &mut CounterAt::new(noise.rng),
+        noise.base,
+        None,
+    );
+    let mut got = values.clone();
+    fast_bfp::fake_quantize_slice(&mut got, fmt, Rounding::STOCHASTIC8, noise, None);
+    assert!(got
+        .iter()
+        .zip(&want)
+        .all(|(g, w)| g.to_bits() == w.to_bits()));
 }
 
 // ---------------------------------------------------------------------------

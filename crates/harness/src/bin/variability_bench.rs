@@ -5,8 +5,8 @@
 //! variability_bench [--quick] [--out FILE] [--baseline-file FILE] [--metrics-out FILE]
 //! ```
 //!
-//! * Default: the full sweep (3 seeds × format zoo × both SR modes on
-//!   MLP + ResNet-lite), printed to stdout or written to `--out`.
+//! * Default: the full sweep (3 seeds × format zoo on MLP + ResNet-lite),
+//!   printed to stdout or written to `--out`.
 //! * `--quick`: the CI subset — a strict subset of the full sweep's cells
 //!   with identical training budgets, so every record it produces must be
 //!   bit-identical to the committed one.
@@ -62,12 +62,8 @@ fn main() {
     } else {
         VariabilitySweep::full()
     };
-    let cells: usize = sweep
-        .plans
-        .iter()
-        .map(|p| p.formats.len() * 2)
-        .sum::<usize>()
-        * sweep.seeds.len();
+    let cells: usize =
+        sweep.plans.iter().map(|p| p.formats.len()).sum::<usize>() * sweep.seeds.len();
     eprintln!(
         "running {} variability sweep: {cells} cells ({} seeds)...",
         if quick { "quick" } else { "full" },

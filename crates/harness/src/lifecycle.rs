@@ -2,8 +2,8 @@
 //! serve → hot-reload, with every hand-off invariant asserted in place.
 //!
 //! [`run_lifecycle`] pushes one zoo workload through the full pipeline
-//! under a chosen `(ExecMode, SrMode)` cell and panics with a
-//! cell-labelled message the moment any stage breaks its contract:
+//! under a chosen [`ExecMode`] cell and panics with a cell-labelled message
+//! the moment any stage breaks its contract:
 //!
 //! 1. **Train** under the FAST-Adaptive controller, checkpointing mid-run.
 //! 2. **Resume** the mid-run artifact into fresh objects and replay the
@@ -20,12 +20,13 @@
 //! The paper's training story (variable-precision BFP + stochastic
 //! rounding) runs through the controller exactly as in the experiments;
 //! weights and activations use nearest rounding, so the serving stages are
-//! deterministic and parity can be asserted even in the stochastic cells.
+//! deterministic and parity can be asserted although gradients round
+//! stochastically.
 
 use crate::workloads::Workload;
 use fast_ckpt::StateDict;
 use fast_core::{EpsilonSchedule, FastController};
-use fast_nn::{ExecMode, Layer, Session, Sgd, SrMode, Trainer};
+use fast_nn::{ExecMode, Layer, Session, Sgd, Trainer};
 use fast_serve::{BatchConfig, CompiledModel, Server};
 use fast_tensor::Tensor;
 
@@ -34,8 +35,6 @@ use fast_tensor::Tensor;
 pub struct LifecycleConfig {
     /// GEMM execution mode for training, eval and serving sessions.
     pub exec_mode: ExecMode,
-    /// Stochastic-rounding noise source for all sessions.
-    pub sr_mode: SrMode,
     /// Training steps before the mid-run checkpoint.
     pub head_steps: usize,
     /// Steps after the checkpoint (the resume window replayed twice).
@@ -57,12 +56,11 @@ pub struct LifecycleConfig {
 impl LifecycleConfig {
     /// The CI-scale configuration: a handful of steps per stage, two
     /// replicas, three submitters — small enough that the full 6-workload ×
-    /// 4-cell matrix runs in test time, large enough that every stage
+    /// 2-cell matrix runs in test time, large enough that every stage
     /// genuinely executes (multiple batches, coalescing, two reloads).
-    pub fn quick(exec_mode: ExecMode, sr_mode: SrMode) -> Self {
+    pub fn quick(exec_mode: ExecMode) -> Self {
         LifecycleConfig {
             exec_mode,
-            sr_mode,
             head_steps: 3,
             tail_steps: 3,
             rounds: 2,
@@ -79,7 +77,7 @@ impl LifecycleConfig {
 /// inside [`run_lifecycle`]).
 #[derive(Debug, Clone)]
 pub struct LifecycleReport {
-    /// `workload[exec,sr]` label of the matrix cell.
+    /// `workload[exec]` label of the matrix cell.
     pub cell: String,
     /// Loss curve of the reference training run (head + tail + rounds).
     pub losses: Vec<f64>,
@@ -94,15 +92,9 @@ pub struct LifecycleReport {
 /// Number of serving-parity probe inputs per round.
 const PROBES: usize = 4;
 
-fn eval_forward(
-    model: &mut fast_nn::Sequential,
-    x: &Tensor,
-    exec_mode: ExecMode,
-    sr_mode: SrMode,
-) -> Tensor {
+fn eval_forward(model: &mut fast_nn::Sequential, x: &Tensor, exec_mode: ExecMode) -> Tensor {
     let mut s = Session::eval(0);
     s.exec_mode = exec_mode;
-    s.sr_mode = sr_mode;
     model.forward(x, &mut s)
 }
 
@@ -121,7 +113,7 @@ fn param_bits(model: &mut fast_nn::Sequential) -> Vec<u32> {
 /// not bit-exact, the compiled forward diverges from eval, a request is
 /// dropped, or a reload fails or serves stale weights.
 pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleReport {
-    let cell = format!("{}[{:?},{:?}]", workload.name(), cfg.exec_mode, cfg.sr_mode).to_lowercase();
+    let cell = format!("{}[{:?}]", workload.name(), cfg.exec_mode).to_lowercase();
     let total_steps = cfg.head_steps + cfg.tail_steps + cfg.rounds * cfg.round_steps;
     let stream = workload.training_stream(total_steps);
     let opt = || Sgd::new(0.05, 0.9, 0.0);
@@ -130,7 +122,6 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     let mut ctl = FastController::new(total_steps, EpsilonSchedule::paper_default()).with_stride(2);
     let mut trainer = Trainer::new(workload.build(cfg.seed), opt(), cfg.seed);
     trainer.session.exec_mode = cfg.exec_mode;
-    trainer.session.sr_mode = cfg.sr_mode;
     let mut losses = Vec::with_capacity(total_steps);
     for batch in &stream[..cfg.head_steps] {
         losses.push(workload.step(&mut trainer, batch, &mut ctl).loss);
@@ -159,10 +150,6 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
         Some(&mut ctl2),
     )
     .unwrap_or_else(|e| panic!("{cell}: resume failed: {e}"));
-    assert_eq!(
-        resumed.session.sr_mode, cfg.sr_mode,
-        "{cell}: artifact must self-describe its SR mode"
-    );
     resumed.session.exec_mode = cfg.exec_mode; // exec mode is serving config, not state
     for (i, batch) in stream[cfg.head_steps..cfg.head_steps + cfg.tail_steps]
         .iter()
@@ -185,13 +172,11 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     let probes: Vec<Tensor> = (0..PROBES).map(|i| workload.sample_input(i)).collect();
     let want: Vec<Tensor> = probes
         .iter()
-        .map(|x| eval_forward(&mut trainer.model, x, cfg.exec_mode, cfg.sr_mode))
+        .map(|x| eval_forward(&mut trainer.model, x, cfg.exec_mode))
         .collect();
     // The resumed model is bit-identical (asserted above), so freezing it
     // keeps `trainer` free to continue the continual-learning rounds.
-    let mut compiled = CompiledModel::compile(resumed.model, 0)
-        .with_exec_mode(cfg.exec_mode)
-        .with_sr_mode(cfg.sr_mode);
+    let mut compiled = CompiledModel::compile(resumed.model, 0).with_exec_mode(cfg.exec_mode);
     for (x, w) in probes.iter().zip(&want) {
         assert_eq!(
             &compiled.infer(x),
@@ -207,8 +192,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     let replicas: Vec<CompiledModel> = (0..cfg.replicas)
         .map(|r| {
             let mut c = CompiledModel::compile(workload.build(cfg.seed ^ (r as u64 + 1)), 0)
-                .with_exec_mode(cfg.exec_mode)
-                .with_sr_mode(cfg.sr_mode);
+                .with_exec_mode(cfg.exec_mode);
             c.apply_state(&model_state)
                 .unwrap_or_else(|e| panic!("{cell}: replica {r} rejected trained state: {e}"));
             c
@@ -254,7 +238,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
         // The reload call returned inside the scope, so by now every new
         // request must see the round's weights (bit-transparent swap).
         for x in probes.iter() {
-            let w = eval_forward(&mut trainer.model, x, cfg.exec_mode, cfg.sr_mode);
+            let w = eval_forward(&mut trainer.model, x, cfg.exec_mode);
             assert_eq!(
                 server.infer(x.clone()),
                 w,
@@ -271,7 +255,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     // emit several rows per sample (transformer) or rank-4 maps (YOLO).
     let want: Vec<Tensor> = probes
         .iter()
-        .map(|x| eval_forward(&mut trainer.model, x, cfg.exec_mode, cfg.sr_mode))
+        .map(|x| eval_forward(&mut trainer.model, x, cfg.exec_mode))
         .collect();
     let burst = 3 * probes.len();
     let pending: Vec<_> = (0..burst)
@@ -360,12 +344,9 @@ mod tests {
     /// One in-crate smoke cell so harness bugs surface here before the
     /// workspace-level `tests/lifecycle.rs` matrix runs.
     #[test]
-    fn mlp_replay_lfsr_cell_passes() {
-        let report = run_lifecycle(
-            Workload::Mlp,
-            &LifecycleConfig::quick(ExecMode::Replay, SrMode::Lfsr),
-        );
-        assert_eq!(report.cell, "mlp[replay,lfsr]");
+    fn mlp_replay_cell_passes() {
+        let report = run_lifecycle(Workload::Mlp, &LifecycleConfig::quick(ExecMode::Replay));
+        assert_eq!(report.cell, "mlp[replay]");
         assert_eq!(report.generation, 2);
         assert!(report.served > 0);
     }

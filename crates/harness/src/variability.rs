@@ -3,8 +3,7 @@
 //!
 //! For each `(workload, seed)` the sweep trains an FP32 baseline, then
 //! re-trains the *same* model on the *same* batches under each numeric
-//! format × stochastic-rounding mode and distils the pair of runs into
-//! four divergence metrics:
+//! format and distils the pair of runs into four divergence metrics:
 //!
 //! * `loss_divergence` — mean absolute gap between the run's loss curve
 //!   and the same-seed FP32 curve (how far the trajectory drifts);
@@ -14,16 +13,16 @@
 //!   workload's target (time-to-accuracy, the paper's headline axis;
 //!   `-1` when the budget never reaches it).
 //!
-//! Every run pins `ExecMode::Replay` and an explicit [`SrMode`], so the
-//! records are a pure function of the sweep definition — independent of
-//! worker count and the `FAST_QGEMM_MODE`/`FAST_SR_MODE` environment — and
-//! `BENCH_variability.json` regenerates bit-for-bit. The quick sweep is a
+//! Every run pins `ExecMode::Replay`, so the records are a pure function
+//! of the sweep definition — independent of worker count and the
+//! `FAST_QGEMM_MODE` environment — and `BENCH_variability.json`
+//! regenerates bit-for-bit. The quick sweep is a
 //! strict subset of the full one (same step counts, fewer cells), which is
 //! what lets CI compare its records against the committed file exactly.
 
 use crate::json::Json;
 use crate::workloads::Workload;
-use fast_bfp::{BfpFormat, Rounding, SrMode};
+use fast_bfp::{BfpFormat, Rounding};
 use fast_nn::{
     set_uniform_precision, ExecMode, Layer, LayerPrecision, NoopHook, NumericFormat, Sgd, Trainer,
 };
@@ -86,7 +85,7 @@ pub struct VariabilitySweep {
 
 impl VariabilitySweep {
     /// The committed-record sweep: 3 seeds × the full 10-format zoo on the
-    /// MLP and a 6-format subset on ResNet-lite, both SR modes.
+    /// MLP and a 6-format subset on ResNet-lite.
     pub fn full() -> Self {
         VariabilitySweep {
             quick: false,
@@ -132,7 +131,7 @@ impl VariabilitySweep {
     }
 }
 
-/// One `(workload, seed, format, sr_mode)` cell's metrics.
+/// One `(workload, seed, format)` cell's metrics.
 #[derive(Debug, Clone)]
 pub struct VariabilityRecord {
     /// Workload name.
@@ -143,8 +142,6 @@ pub struct VariabilityRecord {
     pub format_idx: usize,
     /// Human-readable format name.
     pub format: String,
-    /// `"lfsr"` or `"counter"`.
-    pub sr_mode: &'static str,
     /// Loss of the final training step.
     pub final_loss: f64,
     /// Mean absolute loss gap to the same-seed FP32 baseline curve.
@@ -163,25 +160,16 @@ struct RunOutcome {
     steps_to_target: i64,
 }
 
-fn sr_label(mode: SrMode) -> &'static str {
-    match mode {
-        SrMode::Lfsr => "lfsr",
-        SrMode::Counter => "counter",
-    }
-}
-
-fn run_one(plan: &WorkloadPlan, seed: u64, format_idx: usize, sr_mode: SrMode) -> RunOutcome {
+fn run_one(plan: &WorkloadPlan, seed: u64, format_idx: usize) -> RunOutcome {
     let w = plan.workload;
     let mut trainer = Trainer::new(w.build(seed), Sgd::new(0.05, 0.9, 0.0), seed);
     set_uniform_precision(
         &mut trainer.model,
         LayerPrecision::uniform(zoo_format(format_idx)),
     );
-    // Pin both session knobs so records regenerate identically under the
-    // CI env legs (FAST_QGEMM_MODE / FAST_SR_MODE would otherwise move the
-    // session defaults).
+    // Pin the exec mode so records regenerate identically under the CI env
+    // leg (FAST_QGEMM_MODE would otherwise move the session default).
     trainer.session.exec_mode = ExecMode::Replay;
-    trainer.session.sr_mode = sr_mode;
     let stream = w.training_stream(plan.train_steps);
     let eval = w.eval_batches();
     let mut losses = Vec::with_capacity(plan.train_steps);
@@ -221,7 +209,6 @@ fn distill(
     plan: &WorkloadPlan,
     seed: u64,
     format_idx: usize,
-    sr_mode: SrMode,
     run: &RunOutcome,
     base: &RunOutcome,
 ) -> VariabilityRecord {
@@ -253,7 +240,6 @@ fn distill(
         seed,
         format_idx,
         format: zoo_format(format_idx).name(),
-        sr_mode: sr_label(sr_mode),
         final_loss: *run.losses.last().expect("non-empty run"),
         loss_divergence,
         weight_l2,
@@ -262,29 +248,23 @@ fn distill(
     }
 }
 
-/// Runs the sweep and returns one record per
-/// `(workload, seed, format, sr_mode)` cell.
+/// Runs the sweep and returns one record per `(workload, seed, format)`
+/// cell.
 pub fn run_variability(sweep: &VariabilitySweep) -> Vec<VariabilityRecord> {
     let mut records = Vec::new();
     for plan in &sweep.plans {
         for &seed in &sweep.seeds {
-            let base = run_one(plan, seed, 0, SrMode::Lfsr);
+            let base = run_one(plan, seed, 0);
             for &format_idx in &plan.formats {
-                for sr_mode in [SrMode::Lfsr, SrMode::Counter] {
-                    let run = if format_idx == 0 && sr_mode == SrMode::Lfsr {
-                        None // the baseline cell compares against itself
-                    } else {
-                        Some(run_one(plan, seed, format_idx, sr_mode))
-                    };
-                    records.push(distill(
-                        plan,
-                        seed,
-                        format_idx,
-                        sr_mode,
-                        run.as_ref().unwrap_or(&base),
-                        &base,
-                    ));
-                }
+                // The baseline cell compares against itself.
+                let run = (format_idx != 0).then(|| run_one(plan, seed, format_idx));
+                records.push(distill(
+                    plan,
+                    seed,
+                    format_idx,
+                    run.as_ref().unwrap_or(&base),
+                    &base,
+                ));
             }
         }
     }
@@ -328,7 +308,6 @@ pub fn render_report(sweep: &VariabilitySweep, records: &[VariabilityRecord]) ->
                 ("seed".into(), Json::Num(r.seed as f64)),
                 ("format_idx".into(), Json::Num(r.format_idx as f64)),
                 ("format".into(), Json::Str(r.format.clone())),
-                ("sr_mode".into(), Json::Str(r.sr_mode.into())),
                 ("final_loss".into(), Json::num(r.final_loss)),
                 ("loss_divergence".into(), Json::num(r.loss_divergence)),
                 ("weight_l2".into(), Json::num(r.weight_l2)),
@@ -362,16 +341,15 @@ pub fn render_report(sweep: &VariabilitySweep, records: &[VariabilityRecord]) ->
 
 fn record_key(r: &Json) -> Option<String> {
     Some(format!(
-        "{}/seed{}/format{}/{}",
+        "{}/seed{}/format{}",
         r.get("workload")?.as_str()?,
         r.get("seed")?.as_f64()?,
         r.get("format_idx")?.as_f64()?,
-        r.get("sr_mode")?.as_str()?,
     ))
 }
 
 /// Compares every record of `current` against the record with the same
-/// `(workload, seed, format, sr_mode)` key in `baseline`; all metrics must
+/// `(workload, seed, format)` key in `baseline`; all metrics must
 /// be bit-identical (the sweep is deterministic, so any gap is real drift).
 ///
 /// Returns the number of matched records.
@@ -467,27 +445,18 @@ mod tests {
         };
         let a = run_variability(&sweep);
         let b = run_variability(&sweep);
-        assert_eq!(a.len(), 4, "2 formats × 2 SR modes");
+        assert_eq!(a.len(), 2, "one record per format");
         let doc_a = Json::parse(&render_report(&sweep, &a)).unwrap();
         let doc_b = Json::parse(&render_report(&sweep, &b)).unwrap();
         assert!(doc_a.bit_eq(&doc_b), "sweep must be bit-reproducible");
-        assert_eq!(compare_records(&doc_a, &doc_b), Ok(4));
+        assert_eq!(compare_records(&doc_a, &doc_b), Ok(2));
         // The baseline cell compares against itself: all-zero divergence.
         let base = &a[0];
         assert_eq!(base.format_idx, 0);
         assert_eq!(base.loss_divergence, 0.0);
         assert_eq!(base.weight_l2, 0.0);
-        // FP32 has no stochastic rounding: both SR cells are identical.
-        assert_eq!(a[0].final_loss.to_bits(), a[1].final_loss.to_bits());
-        // A stochastic BFP format must actually move under the SR mode.
-        let (lfsr, counter) = (&a[2], &a[3]);
-        assert_eq!(lfsr.format_idx, 5);
-        assert!(lfsr.weight_l2 > 0.0, "quantized run must differ from fp32");
-        assert_ne!(
-            lfsr.final_loss.to_bits(),
-            counter.final_loss.to_bits(),
-            "LFSR and counter noise must give different trajectories"
-        );
+        assert_eq!(a[1].format_idx, 5);
+        assert!(a[1].weight_l2 > 0.0, "quantized run must differ from fp32");
     }
 
     #[test]
@@ -506,7 +475,7 @@ mod tests {
         let records = run_variability(&sweep);
         let good = Json::parse(&render_report(&sweep, &records)).unwrap();
         let mut bad = records;
-        bad[1].final_loss += 1.0;
+        bad[0].final_loss += 1.0;
         let bad = Json::parse(&render_report(&sweep, &bad)).unwrap();
         let errors = compare_records(&bad, &good).unwrap_err();
         assert_eq!(errors.len(), 1);

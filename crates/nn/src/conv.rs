@@ -107,15 +107,14 @@ impl Layer for Conv2d {
                 d.k_dim(),
                 self.precision.weights,
                 GroupAxis::AlongRow,
-                session.sr_mode,
             );
             if d.p_dim() < IM2ROW_MAX_P {
                 // Transposed patches: the quantization groups that run down
                 // an im2col column are exactly an im2row row's AlongRow
                 // groups, so values are identical and the grouping kernel is
                 // the faster row-wise one. (An SR activation format draws
-                // its noise in a different element order here — same
-                // distribution, different stream; deterministic rounding is
+                // its noise at the transposed element offsets here — same
+                // distribution, different draws; deterministic rounding is
                 // bit-identical. See DESIGN.md §8.) Patches stay dense:
                 // they are request scratch for one narrow GEMM, so packing
                 // would cost more staging than it saves.
@@ -398,13 +397,7 @@ impl Layer for DepthwiseConv2d {
         // (tiny) row copy.
         let frozen_rows: Option<&Tensor> = if session.freeze_weights {
             self.frozen_w
-                .get_per_row(
-                    &self.w,
-                    self.channels,
-                    k2,
-                    self.precision.weights,
-                    session.sr_mode,
-                )
+                .get_per_row(&self.w, self.channels, k2, self.precision.weights)
                 .dense()
         } else {
             None

@@ -26,27 +26,20 @@
 
 use crate::qgemm::{quantize_operand, Prepared};
 use crate::quant::NumericFormat;
-use fast_bfp::{CounterRng, GroupAxis, Lfsr16, Noise, QuantStats, SrMode};
+use fast_bfp::{CounterRng, GroupAxis, Noise, QuantStats};
 use fast_tensor::Tensor;
 
-/// Seed of the deterministic counter source frozen builds draw from — the
-/// same constant the hardware LFSR powers up with, so counter-mode replicas
-/// are deterministic for the same reason sequential ones are: the noise
-/// depends only on the build, never on request order.
-const FROZEN_COUNTER_SEED: u64 = 0xACE1;
+/// Seed of the noise frozen builds draw from (only SR weight formats draw)
+/// — the constant the hardware LFSR powers up with. Fixed, so the noise
+/// depends only on the build, never on the session or on request order.
+const FROZEN_SEED: u64 = 0xACE1;
 
-/// The deterministic noise a frozen build draws from under `sr` (only
-/// relevant for SR weight formats): the freshly powered-up hardware `lfsr`
-/// under [`SrMode::Lfsr`], the fixed-seed counter source positioned at
-/// element offset `base` under [`SrMode::Counter`].
-fn frozen_noise(sr: SrMode, lfsr: &mut Lfsr16, base: u64) -> Noise<'_, Lfsr16> {
-    match sr {
-        SrMode::Lfsr => Noise::Stream(lfsr),
-        SrMode::Counter => Noise::Counter {
-            rng: CounterRng::new(FROZEN_COUNTER_SEED),
-            base,
-            workers: 1,
-        },
+/// The noise a frozen build draws from, positioned at element offset `base`.
+fn frozen_noise(base: u64) -> Noise {
+    Noise {
+        rng: CounterRng::new(FROZEN_SEED),
+        base,
+        workers: 1,
     }
 }
 
@@ -61,9 +54,8 @@ pub(crate) struct FrozenWeight {
     /// Weight version: bumped by the owning layer on every mutable weight
     /// access (parameter visitation / direct accessor).
     version: u64,
-    /// `(format, axis, per_row, sr_mode, version)` of the current build, if
-    /// any.
-    built: Option<(NumericFormat, GroupAxis, bool, SrMode, u64)>,
+    /// `(format, axis, per_row, version)` of the current build, if any.
+    built: Option<(NumericFormat, GroupAxis, bool, u64)>,
     /// The cached GEMM operand.
     prepared: Option<Prepared>,
 }
@@ -88,13 +80,12 @@ impl FrozenWeight {
         cols: usize,
         fmt: NumericFormat,
         axis: GroupAxis,
-        sr: SrMode,
     ) -> &Prepared {
-        let key = (fmt, axis, false, sr, self.version);
+        let key = (fmt, axis, false, self.version);
         if self.built != Some(key) || self.prepared.is_none() {
             let mut stats = QuantStats::default(); // build-once cost, unmetered
             self.prepared = Some(quantize_operand(
-                frozen_noise(sr, &mut Lfsr16::default(), 0),
+                frozen_noise(0),
                 &mut stats,
                 master.data(),
                 rows,
@@ -122,19 +113,16 @@ impl FrozenWeight {
         rows: usize,
         cols: usize,
         fmt: NumericFormat,
-        sr: SrMode,
     ) -> &Prepared {
-        let key = (fmt, GroupAxis::AlongRow, true, sr, self.version);
+        let key = (fmt, GroupAxis::AlongRow, true, self.version);
         if self.built != Some(key) || self.prepared.is_none() {
             let mut buf = master.data().to_vec();
-            let mut lfsr = Lfsr16::default();
             for (r, row) in buf.chunks_mut(cols).enumerate() {
-                // Row `r` draws at counter positions `r·cols ..`, matching
-                // the element offsets of the whole-matrix builds (a stream
-                // simply continues) — each row still takes its own exponent
-                // window because it is quantized as an independent
-                // `1 × cols` matrix.
-                let noise = frozen_noise(sr, &mut lfsr, (r * cols) as u64);
+                // Row `r` draws at positions `r·cols ..`, matching the
+                // element offsets of the whole-matrix builds — each row
+                // still takes its own exponent window because it is
+                // quantized as an independent `1 × cols` matrix.
+                let noise = frozen_noise((r * cols) as u64);
                 fmt.quantize_slice(row, 1, cols, GroupAxis::AlongRow, noise);
             }
             self.prepared = Some(Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf)));
@@ -161,20 +149,12 @@ mod tests {
         let w = master();
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let mut fz = FrozenWeight::default();
-        let first = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr)
-            .to_tensor();
-        let second = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr)
-            .to_tensor();
+        let first = fz.get(&w, 2, 16, fmt, GroupAxis::AlongRow).to_tensor();
+        let second = fz.get(&w, 2, 16, fmt, GroupAxis::AlongRow).to_tensor();
         assert_eq!(first, second);
         // And it matches a direct quantization of the master copy.
         let mut direct = w.clone();
-        fmt.quantize_matrix(
-            &mut direct,
-            GroupAxis::AlongRow,
-            Noise::Stream(&mut Lfsr16::default()),
-        );
+        fmt.quantize_matrix(&mut direct, GroupAxis::AlongRow, frozen_noise(0));
         assert_eq!(first, direct);
     }
 
@@ -183,7 +163,7 @@ mod tests {
         let w = master();
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let mut fz = FrozenWeight::default();
-        let prepared = fz.get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr);
+        let prepared = fz.get(&w, 2, 16, fmt, GroupAxis::AlongRow);
         assert!(
             matches!(prepared, Prepared::Packed(_)),
             "m=4 BFP must freeze packed"
@@ -193,14 +173,7 @@ mod tests {
         // FP32 weights freeze dense.
         let mut fz2 = FrozenWeight::default();
         assert!(matches!(
-            fz2.get(
-                &w,
-                2,
-                16,
-                NumericFormat::Fp32,
-                GroupAxis::AlongRow,
-                SrMode::Lfsr
-            ),
+            fz2.get(&w, 2, 16, NumericFormat::Fp32, GroupAxis::AlongRow),
             Prepared::Dense(_)
         ));
     }
@@ -210,15 +183,11 @@ mod tests {
         let mut w = master();
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let mut fz = FrozenWeight::default();
-        let before = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr)
-            .to_tensor();
+        let before = fz.get(&w, 2, 16, fmt, GroupAxis::AlongRow).to_tensor();
         w.data_mut()[0] += 1.0;
         // Without the mark the stale copy would be served.
         fz.mark_dirty();
-        let after = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr)
-            .to_tensor();
+        let after = fz.get(&w, 2, 16, fmt, GroupAxis::AlongRow).to_tensor();
         assert_ne!(before, after);
     }
 
@@ -233,7 +202,6 @@ mod tests {
                 16,
                 NumericFormat::bfp_nearest(BfpFormat::high()),
                 GroupAxis::AlongRow,
-                SrMode::Lfsr,
             )
             .to_tensor();
         let low = fz
@@ -243,7 +211,6 @@ mod tests {
                 16,
                 NumericFormat::bfp_nearest(BfpFormat::low()),
                 GroupAxis::AlongRow,
-                SrMode::Lfsr,
             )
             .to_tensor();
         assert_ne!(high, low, "m=4 vs m=2 must differ on this data");
@@ -257,60 +224,18 @@ mod tests {
         );
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let mut fz = FrozenWeight::default();
-        let by_row = fz
-            .get(&w, 16, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr)
-            .to_tensor();
-        let by_col = fz
-            .get(&w, 16, 16, fmt, GroupAxis::AlongCol, SrMode::Lfsr)
-            .to_tensor();
+        let by_row = fz.get(&w, 16, 16, fmt, GroupAxis::AlongRow).to_tensor();
+        let by_col = fz.get(&w, 16, 16, fmt, GroupAxis::AlongCol).to_tensor();
         assert_ne!(by_row, by_col);
     }
 
     #[test]
-    fn counter_mode_builds_are_deterministic_and_keyed() {
-        let w = master();
-        let fmt = NumericFormat::bfp_stochastic(BfpFormat::high());
-        let mut fz = FrozenWeight::default();
-        let lfsr = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Lfsr)
-            .to_tensor();
-        // Switching the mode rebuilds (the key includes it) …
-        let counter = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Counter)
-            .to_tensor();
-        // … and a repeat counter build replays bit-identically.
-        let again = fz
-            .get(&w, 2, 16, fmt, GroupAxis::AlongRow, SrMode::Counter)
-            .to_tensor();
-        assert_eq!(counter, again);
-        assert_ne!(lfsr, counter, "independent noise sources must decorrelate");
-        // Counter builds of deterministic formats match the sequential path
-        // bit for bit (no noise drawn on either).
-        let det = NumericFormat::bfp_nearest(BfpFormat::high());
-        let mut a = FrozenWeight::default();
-        let mut b = FrozenWeight::default();
-        assert_eq!(
-            a.get(&w, 2, 16, det, GroupAxis::AlongRow, SrMode::Lfsr)
-                .to_tensor(),
-            b.get(&w, 2, 16, det, GroupAxis::AlongRow, SrMode::Counter)
-                .to_tensor()
-        );
-        // Per-row counter builds replay too.
-        let mut c = FrozenWeight::default();
-        let p1 = c.get_per_row(&w, 2, 16, fmt, SrMode::Counter).to_tensor();
-        let mut d = FrozenWeight::default();
-        let p2 = d.get_per_row(&w, 2, 16, fmt, SrMode::Counter).to_tensor();
-        assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn frozen_weights_follow_the_session_sr_mode() {
+    fn sr_builds_draw_the_fixed_frozen_noise_whatever_the_session_seed() {
         use crate::{Dense, Layer, LayerPrecision, QuantControlled, Session};
         use fast_bfp::{fake_quantize_matrix, Rounding};
         use rand::SeedableRng;
         // An SR *weight* format under FP32 activations: the frozen output is
-        // exactly `x · Wq`, so it pins the cached operand itself — the path
-        // that used to be threaded through the per-layer `sr` argument.
+        // exactly `x · Wq`, so it pins the cached operand itself.
         let mut r = rand::rngs::StdRng::seed_from_u64(7);
         let mut layer = Dense::new(16, 8, false, &mut r);
         *layer.precision_mut() = LayerPrecision {
@@ -324,35 +249,35 @@ mod tests {
                 .map(|i| ((i * 31) % 19) as f32 * 0.04 - 0.3)
                 .collect(),
         );
-        let direct = |noise: Noise<'_, Lfsr16>| {
-            let mut wq = layer.weights().clone();
-            fake_quantize_matrix(
-                wq.data_mut(),
-                16,
-                8,
-                GroupAxis::AlongCol,
-                BfpFormat::high(),
-                Rounding::STOCHASTIC8,
-                noise,
-                false,
-            );
-            fast_tensor::matmul(&x, &wq)
-        };
-        // The frozen counter build: fixed seed 0xACE1, offset 0, whatever
-        // the session's own seed is.
-        let want_counter = direct(Noise::Counter {
-            rng: CounterRng::new(0xACE1),
-            base: 0,
-            workers: 1,
-        });
-        let want_lfsr = direct(Noise::Stream(&mut Lfsr16::default()));
-        assert_ne!(want_counter, want_lfsr);
-        for (sr, want) in [(SrMode::Counter, &want_counter), (SrMode::Lfsr, &want_lfsr)] {
-            for seed in [1, 2] {
-                let mut s = Session::inference(seed);
-                s.sr_mode = sr;
-                assert_eq!(&layer.forward(&x, &mut s), want, "{sr:?} seed {seed}");
-            }
+        let mut wq = layer.weights().clone();
+        fake_quantize_matrix(
+            wq.data_mut(),
+            16,
+            8,
+            GroupAxis::AlongCol,
+            BfpFormat::high(),
+            Rounding::STOCHASTIC8,
+            Noise {
+                rng: CounterRng::new(0xACE1),
+                base: 0,
+                workers: 1,
+            },
+            false,
+        );
+        let want = fast_tensor::matmul(&x, &wq);
+        for seed in [1, 2] {
+            let mut s = Session::inference(seed);
+            assert_eq!(layer.forward(&x, &mut s), want, "seed {seed}");
         }
+        // Per-row builds replay too.
+        let w = master();
+        let fmt = NumericFormat::bfp_stochastic(BfpFormat::high());
+        let p1 = FrozenWeight::default()
+            .get_per_row(&w, 2, 16, fmt)
+            .to_tensor();
+        let p2 = FrozenWeight::default()
+            .get_per_row(&w, 2, 16, fmt)
+            .to_tensor();
+        assert_eq!(p1, p2);
     }
 }

@@ -4,17 +4,24 @@
 
 use crate::qgemm::PlanStats;
 use crate::quant::{LayerPrecision, NumericFormat};
-use fast_bfp::{CounterRng, Noise, QuantStats, RngBits, Rounding, SrMode};
+use fast_bfp::{CounterRng, Noise, QuantStats, Rounding};
 use fast_ckpt::{StateVisitor, VisitState};
 use fast_tensor::{ExecMode, Tensor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// The stochastic-rounding noise source of a run. Counter noise is the only
+/// one; the type exists so [`Session::default_sr_mode`] keeps compiling for
+/// the benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SrMode {
+    /// Counter noise keyed by `(seed, element offset)` (DESIGN.md §12).
+    Counter,
+}
 
 /// Per-run context threaded through forward/backward passes.
 ///
-/// Owns the random bit source used by stochastic rounding so runs are
-/// reproducible from a single seed, and the [`PlanStats`] counters that
-/// every GEMM routed through the [`crate::qgemm`] plan accumulates into.
+/// Owns the stochastic-rounding noise state — a seed and a draw cursor — so
+/// runs are reproducible from a single seed, and the [`PlanStats`] counters
+/// that every GEMM routed through the [`crate::qgemm`] plan accumulates into.
 #[derive(Debug)]
 pub struct Session {
     /// Whether layers should behave in training mode (batch-norm statistics,
@@ -47,21 +54,11 @@ pub struct Session {
     /// it; see [`Session::default_exec_mode`] for the `FAST_QGEMM_MODE`
     /// environment override (DESIGN.md §16).
     pub exec_mode: ExecMode,
-    /// Which stochastic-rounding noise source the quantized-GEMM plan draws
-    /// from: the sequential LFSR-seeded stream (the default, bit-exact with
-    /// every artifact recorded so far) or the counter-based source of
-    /// DESIGN.md §12, whose draws are a pure function of `(seed, element
-    /// offset)` and therefore order-independent and shardable. Unlike
-    /// [`Session::exec_mode`] the choice *is* reflected in checkpoints —
-    /// the artifact's RNG section self-describes which mode produced it —
-    /// but new sessions start from [`Session::default_sr_mode`].
-    pub sr_mode: SrMode,
-    bits: RngBits<StdRng>,
-    /// Seed of the counter-mode noise source (the session seed verbatim).
+    /// Seed of the stochastic-rounding noise (the session seed verbatim).
     sr_seed: u64,
-    /// Next unclaimed counter-noise position; each SR-BFP operand the plan
-    /// prepares reserves `rows × cols` positions. Together with `sr_seed`
-    /// this is the *entire* counter-mode RNG state a checkpoint carries.
+    /// Next unclaimed noise position; each SR-BFP operand the plan prepares
+    /// reserves `rows × cols` positions. Together with `sr_seed` this is
+    /// the *entire* RNG state a checkpoint carries (DESIGN.md §12).
     sr_cursor: u64,
 }
 
@@ -74,26 +71,17 @@ impl Session {
             record_sensitivity: false,
             plan_stats: PlanStats::default(),
             exec_mode: Session::default_exec_mode(),
-            sr_mode: Session::default_sr_mode(),
-            bits: RngBits(StdRng::seed_from_u64(seed)),
             sr_seed: seed,
             sr_cursor: 0,
         }
     }
 
-    /// The process-wide default [`SrMode`] for new sessions, read once from
-    /// the `FAST_SR_MODE` environment variable: `counter` (the CI lever
-    /// that forces the whole gate suite through the counter-based noise
-    /// source) or `lfsr`; unset means [`SrMode::Lfsr`] — the sequential
-    /// stream stays the default for fidelity with the paper's LFSR
-    /// converter and with previously recorded artifacts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value, naming the variable and the accepted set.
+    /// Always [`SrMode::Counter`]; reads no environment. Kept only because
+    /// `benchmark/` prints it and could not change in the PR that retired
+    /// the second noise source — the next benchmark PR deletes this and
+    /// [`SrMode`].
     pub fn default_sr_mode() -> SrMode {
-        static ENV: std::sync::OnceLock<SrMode> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| env_lever("FAST_SR_MODE", SR_MODES))
+        SrMode::Counter
     }
 
     /// The process-wide default [`ExecMode`] for new sessions, read once
@@ -106,7 +94,11 @@ impl Session {
     /// Panics on any other value, naming the variable and the accepted set.
     pub fn default_exec_mode() -> ExecMode {
         static ENV: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| env_lever("FAST_QGEMM_MODE", EXEC_MODES))
+        *ENV.get_or_init(|| {
+            let value =
+                std::env::var_os("FAST_QGEMM_MODE").map(|v| v.to_string_lossy().into_owned());
+            parse_exec_mode(value.as_deref()).unwrap_or_else(|why| panic!("{why}"))
+        })
     }
 
     /// Creates an evaluation session: no training-mode caching, but weights
@@ -130,29 +122,20 @@ impl Session {
         }
     }
 
-    /// The stochastic-rounding bit source with its concrete type, so layer
-    /// hot paths monomorphize the quantization kernels (no virtual call per
-    /// stochastic draw; see `fast_bfp::kernel`).
-    pub fn rng(&mut self) -> &mut RngBits<StdRng> {
-        &mut self.bits
-    }
-
     /// Split borrow for the plan: the noise one operand of `numel` elements
     /// in format `fmt` quantizes with, and the fused quantization counters.
     ///
-    /// This is the one place the run's [`SrMode`] becomes a [`Noise`].
-    /// Under [`SrMode::Counter`] an operand that actually draws — an
-    /// SR-rounded BFP format — claims the next `numel` positions of the
-    /// session's counter stream (one per element, so distinct operands
-    /// never share noise and a resumed run continues the reservation
-    /// sequence exactly where the checkpoint left it) and may shard across
-    /// the worker pool. Everything else gets the sequential stream, which
-    /// deterministic and scalar formats never touch.
+    /// An operand that actually draws — an SR-rounded BFP format — claims
+    /// the next `numel` positions of the session's noise stream (one per
+    /// element, so distinct operands never share noise and a resumed run
+    /// continues the reservation sequence exactly where the checkpoint left
+    /// it) and may shard across the worker pool. Deterministic and scalar
+    /// formats draw nothing and reserve nothing.
     pub(crate) fn quant_parts(
         &mut self,
         fmt: NumericFormat,
         numel: usize,
-    ) -> (Noise<'_, RngBits<StdRng>>, &mut QuantStats) {
+    ) -> (Noise, &mut QuantStats) {
         let draws = matches!(
             fmt,
             NumericFormat::Bfp {
@@ -160,129 +143,62 @@ impl Session {
                 ..
             }
         );
-        let noise = match self.sr_mode {
-            SrMode::Counter if draws => {
-                let base = self.sr_cursor;
-                self.sr_cursor = self.sr_cursor.wrapping_add(numel as u64);
-                Noise::Counter {
-                    rng: CounterRng::new(self.sr_seed),
-                    base,
-                    workers: fast_tensor::parallelism().workers(),
-                }
-            }
-            _ => Noise::Stream(&mut self.bits),
+        let base = self.sr_cursor;
+        let mut workers = 1;
+        if draws {
+            self.sr_cursor = self.sr_cursor.wrapping_add(numel as u64);
+            workers = fast_tensor::parallelism().workers();
+        }
+        let noise = Noise {
+            rng: CounterRng::new(self.sr_seed),
+            base,
+            workers,
         };
         (noise, &mut self.plan_stats.quant)
     }
 
-    /// The counter-mode RNG state `(seed, cursor)` — everything a bit-exact
-    /// resume needs under [`SrMode::Counter`] (DESIGN.md §12).
+    /// The stochastic-rounding RNG state `(seed, cursor)` — everything a
+    /// bit-exact resume needs (DESIGN.md §12).
     pub fn sr_state(&self) -> (u64, u64) {
         (self.sr_seed, self.sr_cursor)
     }
 
-    /// Restores the counter-mode RNG to a [`Session::sr_state`] snapshot.
+    /// Restores the stochastic-rounding RNG to a [`Session::sr_state`]
+    /// snapshot.
     pub fn set_sr_state(&mut self, seed: u64, cursor: u64) {
         self.sr_seed = seed;
         self.sr_cursor = cursor;
     }
-
-    /// The raw state of the stochastic-rounding generator, for exact
-    /// checkpoint/resume (the xoshiro256** words of the session RNG).
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.bits.0.state()
-    }
-
-    /// Restores the stochastic-rounding generator to a [`Session::rng_state`]
-    /// snapshot, so the next draw continues the recorded stream exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state (never produced by a real generator).
-    pub fn set_rng_state(&mut self, state: [u64; 4]) {
-        self.bits.0 = StdRng::from_state(state);
-    }
 }
 
-/// Accepted `FAST_QGEMM_MODE` values, default first.
-const EXEC_MODES: &[(&str, ExecMode)] =
-    &[("replay", ExecMode::Replay), ("integer", ExecMode::Integer)];
-
-/// Accepted `FAST_SR_MODE` values, default first.
-const SR_MODES: &[(&str, SrMode)] = &[("lfsr", SrMode::Lfsr), ("counter", SrMode::Counter)];
-
-/// Resolves one environment lever: unset selects the default (the first
-/// accepted entry), a set value must name an accepted entry exactly.
+/// Resolves `FAST_QGEMM_MODE`: unset selects `replay`, a set value must be
+/// exactly `replay` or `integer`.
 ///
 /// # Errors
 ///
 /// A message naming the variable, the offending value and the accepted set
 /// — a typo must not silently run the default.
-fn parse_lever<T: Copy>(
-    var: &str,
-    value: Option<&str>,
-    accepted: &[(&str, T)],
-) -> Result<T, String> {
-    let Some(value) = value else {
-        return Ok(accepted[0].1);
-    };
-    accepted
-        .iter()
-        .find(|(name, _)| *name == value)
-        .map(|&(_, mode)| mode)
-        .ok_or_else(|| {
-            let names: Vec<&str> = accepted.iter().map(|&(name, _)| name).collect();
-            format!(
-                "{var}={value:?} is not recognised: accepted values are {} (unset = {})",
-                names.join("|"),
-                names[0]
-            )
-        })
-}
-
-/// [`parse_lever`] over the process environment, panicking on a bad value.
-fn env_lever<T: Copy>(var: &str, accepted: &[(&str, T)]) -> T {
-    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    parse_lever(var, value.as_deref(), accepted).unwrap_or_else(|why| panic!("{why}"))
+fn parse_exec_mode(value: Option<&str>) -> Result<ExecMode, String> {
+    match value {
+        None | Some("replay") => Ok(ExecMode::Replay),
+        Some("integer") => Ok(ExecMode::Integer),
+        Some(other) => Err(format!(
+            "FAST_QGEMM_MODE={other:?} is not recognised: accepted values are replay|integer \
+             (unset = replay)"
+        )),
+    }
 }
 
 /// The session state that determines a training trajectory: the
-/// stochastic-rounding RNG state plus the cumulative plan counters (so a
+/// stochastic-rounding RNG state (`sr_seed`/`sr_step` — the whole generator
+/// is a pure function of those two) plus the cumulative plan counters (so a
 /// resumed run reports the same totals as an uninterrupted one). The
 /// `train`/`freeze_weights`/`record_sensitivity` flags are *not* state —
 /// the training loop reasserts them every step.
-///
-/// The RNG entries depend on [`Session::sr_mode`]: the sequential mode
-/// writes the four xoshiro256** words (`rng0..rng3`), the counter mode just
-/// `sr_seed`/`sr_step` — the whole generator is a pure function of those
-/// two. The key names therefore make artifacts self-describing:
-/// [`crate::Trainer::resume`] restores whichever mode the artifact was
-/// recorded under, so old sequential-mode artifacts keep restoring
-/// unchanged.
 impl VisitState for Session {
     fn visit_state(&mut self, v: &mut dyn StateVisitor) {
-        match self.sr_mode {
-            SrMode::Lfsr => {
-                let mut rng = self.rng_state();
-                v.scalar_u64("rng0", &mut rng[0]);
-                v.scalar_u64("rng1", &mut rng[1]);
-                v.scalar_u64("rng2", &mut rng[2]);
-                v.scalar_u64("rng3", &mut rng[3]);
-                // A live xoshiro256** generator is never all-zero, so an
-                // artifact carrying four zero words is corrupt — report it
-                // through the visitor (a typed error on restore) instead of
-                // letting `set_rng_state` assert.
-                if rng.iter().any(|&w| w != 0) {
-                    self.set_rng_state(rng);
-                } else {
-                    v.invalid("rng0", "all-zero RNG state".to_string());
-                }
-            }
-            SrMode::Counter => {
-                v.scalar_u64("sr_seed", &mut self.sr_seed);
-                v.scalar_u64("sr_step", &mut self.sr_cursor);
-            }
-        }
+        v.scalar_u64("sr_seed", &mut self.sr_seed);
+        v.scalar_u64("sr_step", &mut self.sr_cursor);
         v.scalar_u64("plan_gemms", &mut self.plan_stats.gemms);
         v.scalar_u64("plan_macs", &mut self.plan_stats.macs);
         let mut groups = self.plan_stats.quant.groups as u64;
@@ -429,39 +345,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levers_accept_exactly_their_documented_values() {
-        assert_eq!(parse_lever("V", None, EXEC_MODES), Ok(ExecMode::Replay));
-        assert_eq!(
-            parse_lever("V", Some("replay"), EXEC_MODES),
-            Ok(ExecMode::Replay)
-        );
-        assert_eq!(
-            parse_lever("V", Some("integer"), EXEC_MODES),
-            Ok(ExecMode::Integer)
-        );
-        assert_eq!(parse_lever("V", None, SR_MODES), Ok(SrMode::Lfsr));
-        assert_eq!(parse_lever("V", Some("lfsr"), SR_MODES), Ok(SrMode::Lfsr));
-        assert_eq!(
-            parse_lever("V", Some("counter"), SR_MODES),
-            Ok(SrMode::Counter)
-        );
+    fn the_exec_lever_accepts_exactly_its_documented_values() {
+        assert_eq!(parse_exec_mode(None), Ok(ExecMode::Replay));
+        assert_eq!(parse_exec_mode(Some("replay")), Ok(ExecMode::Replay));
+        assert_eq!(parse_exec_mode(Some("integer")), Ok(ExecMode::Integer));
     }
 
     #[test]
     fn unrecognised_lever_values_are_errors_not_the_default() {
         // The typos that used to run a CI leg on the default silently.
-        for bad in ["Counter", "COUNTER", "ctr", " counter", "counter ", ""] {
-            let err = parse_lever("FAST_SR_MODE", Some(bad), SR_MODES).unwrap_err();
-            assert!(err.contains("FAST_SR_MODE"), "{err}");
+        for bad in ["Integer", "INTEGER", "int", " integer", "integer ", ""] {
+            let err = parse_exec_mode(Some(bad)).unwrap_err();
+            assert!(err.contains("FAST_QGEMM_MODE"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
-            assert!(err.contains("lfsr|counter"), "{err}");
+            assert!(err.contains("replay|integer"), "{err}");
         }
-        let err = parse_lever("FAST_QGEMM_MODE", Some("int"), EXEC_MODES).unwrap_err();
-        assert!(
-            err.contains("FAST_QGEMM_MODE")
-                && err.contains("\"int\"")
-                && err.contains("replay|integer"),
-            "{err}"
-        );
     }
 }

@@ -88,10 +88,8 @@ pub use trainer::{NoopHook, StepStats, TrainHook, Trainer};
 // can select the integer-domain qGEMM path without naming `fast_tensor`.
 pub use fast_tensor::ExecMode;
 
-// Stochastic-rounding-mode vocabulary (DESIGN.md §12), re-exported so the
-// same audiences can select the counter-based noise source without naming
-// `fast_bfp`.
-pub use fast_bfp::SrMode;
+// Return type of the `Session::default_sr_mode` shim; goes when it does.
+pub use layer::SrMode;
 
 // Checkpoint vocabulary, re-exported so layer/optimizer/controller authors
 // (and `fast_core`/`fast_serve`) share one `StateVisitor` without naming

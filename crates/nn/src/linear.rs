@@ -108,7 +108,6 @@ impl Layer for Dense {
                 out_dim,
                 self.precision.weights,
                 GroupAxis::AlongCol,
-                session.sr_mode,
             );
             qgemm::execute(session, Orient::Nn, &xq, &GemmOperand::Cached(wq))
         } else {

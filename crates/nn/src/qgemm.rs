@@ -14,7 +14,7 @@
 //!    kernels of `fast_tensor::qgemm`, under the session's [`ExecMode`].
 //!
 //! Under the default [`ExecMode::Replay`] the composition is
-//! **bit-identical** to the historical `quantize_copy` +
+//! **bit-identical** to the historical quantize-a-copy +
 //! `matmul{,_nt,_tn,_bt}` pipeline for every format, rounding mode and
 //! input (pinned by `crates/nn/tests/proptests.rs`; argument in DESIGN.md
 //! §9), while skipping up to two full f32 tensor materializations per GEMM.
@@ -23,13 +23,11 @@
 //! products, the paper's actual cost model — gated by its own accuracy
 //! proptests (`crates/nn/tests/integer_mode.rs`, DESIGN.md §11).
 //!
-//! Operand preparation never asks which noise source the run uses: it
-//! quantizes with whatever [`Noise`] the [`Session`] hands it for the
-//! operand (DESIGN.md §16). Under `SrMode::Counter` that handle carries
-//! `rows × cols` freshly reserved positions of the session's counter
-//! stream and quantizes order-independently — shardable across worker
-//! threads with bit-identical results (DESIGN.md §12) — while the default
-//! sequential mode replays the historical LFSR-stream draws bit for bit.
+//! Operand preparation quantizes with the [`Noise`] the [`Session`] hands
+//! it for the operand: for an SR-rounded BFP format, `rows × cols` freshly
+//! reserved positions of the session's counter stream, quantized
+//! order-independently — shardable across worker threads with
+//! bit-identical results (DESIGN.md §12).
 //!
 //! [`execute`] is also the system's single software instrumentation point:
 //! it accumulates GEMM/MAC counts and fused [`QuantStats`] into
@@ -42,7 +40,7 @@
 use crate::layer::Session;
 use crate::quant::NumericFormat;
 use fast_bfp::packed::pack_matrix;
-use fast_bfp::{BitSource, GroupAxis, Noise, QuantStats};
+use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
     qmatmul, qmatmul_bt, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
 };
@@ -152,10 +150,9 @@ fn layout_of(axis: GroupAxis) -> PackLayout {
 }
 
 /// Tries the packed representation of one operand; `None` for non-BFP
-/// formats and on pack refusal (wide mantissas, non-plain inputs), which
-/// consumes nothing from `noise`.
-fn try_pack<B: BitSource + ?Sized>(
-    noise: Noise<'_, B>,
+/// formats and on pack refusal (wide mantissas, non-plain inputs).
+fn try_pack(
+    noise: Noise,
     stats: &mut QuantStats,
     data: &[f32],
     rows: usize,
@@ -188,8 +185,8 @@ fn try_pack<B: BitSource + ?Sized>(
 /// core behind [`prepare`] / [`prepare_slice`] and the frozen-weight cache
 /// builds (which bring their own deterministic noise instead of the
 /// session's).
-pub(crate) fn quantize_operand<B: BitSource + ?Sized>(
-    mut noise: Noise<'_, B>,
+pub(crate) fn quantize_operand(
+    noise: Noise,
     stats: &mut QuantStats,
     data: &[f32],
     rows: usize,
@@ -197,13 +194,13 @@ pub(crate) fn quantize_operand<B: BitSource + ?Sized>(
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> Prepared {
-    if let Some(p) = try_pack(noise.reborrow(), stats, data, rows, cols, fmt, axis) {
+    if let Some(p) = try_pack(noise, stats, data, rows, cols, fmt, axis) {
         return p;
     }
     // Dense fallback: wide mantissas, non-plain inputs, scalar formats —
     // and the identity copy for FP32 (callers that can borrow instead use
-    // `prepare`). The refused pack consumed no noise, so the quantization
-    // here matches the historical quantize-copy path draw for draw.
+    // `prepare`). Noise is positional, so the quantization here draws what
+    // the refused pack would have.
     let mut buf = data.to_vec();
     stats.merge(fmt.quantize_slice_stats(&mut buf, rows, cols, axis, noise));
     Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf))
@@ -269,8 +266,8 @@ pub fn prepare_owned(
     let mut packed = None;
     if !matches!(fmt, NumericFormat::Fp32) {
         let (rows, cols) = dims_of(&t);
-        let (mut noise, stats) = session.quant_parts(fmt, rows * cols);
-        packed = try_pack(noise.reborrow(), stats, t.data(), rows, cols, fmt, axis);
+        let (noise, stats) = session.quant_parts(fmt, rows * cols);
+        packed = try_pack(noise, stats, t.data(), rows, cols, fmt, axis);
         if packed.is_none() {
             stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
         }
@@ -438,16 +435,20 @@ mod tests {
     fn execute_matches_reference_composition_and_meters() {
         let mut s = Session::new(0);
         // This test pins the *replay* composition by definition; keep it
-        // meaningful when CI forces FAST_QGEMM_MODE=integer (the formats
-        // are deterministic, so FAST_SR_MODE cannot matter).
+        // meaningful when CI forces FAST_QGEMM_MODE=integer.
         s.exec_mode = ExecMode::Replay;
         let a = tensor(5, 32, 4);
         let b = tensor(32, 9, 5);
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let mut aq = a.clone();
         let mut bq = b.clone();
-        fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, Noise::Stream(s.rng()));
-        fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, Noise::Stream(s.rng()));
+        let noise = Noise {
+            rng: fast_bfp::CounterRng::new(0),
+            base: 0,
+            workers: 1,
+        };
+        fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, noise);
+        fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, noise);
         let want = matmul(&aq, &bq);
 
         let ap = prepare(&mut s, &a, fmt, GroupAxis::AlongRow);

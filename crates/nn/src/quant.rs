@@ -2,8 +2,8 @@
 //! per-layer precision assignment that the FAST controller manipulates.
 
 use fast_bfp::{
-    fake_quantize_matrix, quantize_minifloat, BfpFormat, BitSource, GroupAxis, Minifloat, Noise,
-    QuantStats, Rounding,
+    fake_quantize_matrix, quantize_minifloat, BfpFormat, GroupAxis, Minifloat, Noise, QuantStats,
+    Rounding,
 };
 use fast_tensor::Tensor;
 
@@ -128,19 +128,12 @@ impl NumericFormat {
     /// Quantizes a rank-2 tensor in place, grouping along `axis` for BFP
     /// formats (scalar formats ignore the axis).
     ///
-    /// BFP formats draw stochastic-rounding noise from `noise`; generic
-    /// over the stream's [`BitSource`] so quantization dispatches into the
-    /// monomorphized batch kernels of `fast_bfp::kernel`.
+    /// BFP formats draw stochastic-rounding noise from `noise`.
     ///
     /// # Panics
     ///
     /// Panics if `t` is not rank 2.
-    pub fn quantize_matrix<B: BitSource + ?Sized>(
-        &self,
-        t: &mut Tensor,
-        axis: GroupAxis,
-        noise: Noise<'_, B>,
-    ) {
+    pub fn quantize_matrix(&self, t: &mut Tensor, axis: GroupAxis, noise: Noise) {
         assert_eq!(t.rank(), 2, "quantize_matrix requires a rank-2 tensor");
         let (rows, cols) = (t.shape()[0], t.shape()[1]);
         self.quantize_slice(t.data_mut(), rows, cols, axis, noise);
@@ -154,13 +147,13 @@ impl NumericFormat {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn quantize_slice<B: BitSource + ?Sized>(
+    pub fn quantize_slice(
         &self,
         data: &mut [f32],
         rows: usize,
         cols: usize,
         axis: GroupAxis,
-        noise: Noise<'_, B>,
+        noise: Noise,
     ) {
         let _ = self.quantize_slice_stats(data, rows, cols, axis, noise);
     }
@@ -171,13 +164,13 @@ impl NumericFormat {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn quantize_slice_stats<B: BitSource + ?Sized>(
+    pub fn quantize_slice_stats(
         &self,
         data: &mut [f32],
         rows: usize,
         cols: usize,
         axis: GroupAxis,
-        noise: Noise<'_, B>,
+        noise: Noise,
     ) -> QuantStats {
         assert_eq!(data.len(), rows * cols, "quantize_slice shape mismatch");
         match self {
@@ -199,19 +192,6 @@ impl NumericFormat {
                 windowed,
             } => fake_quantize_matrix(data, rows, cols, axis, *format, *rounding, noise, *windowed),
         }
-    }
-
-    /// Returns a quantized copy of `src` (the clone-then-quantize pattern of
-    /// the layer GEMM paths, fused into one entry point).
-    pub fn quantize_copy<B: BitSource + ?Sized>(
-        &self,
-        src: &Tensor,
-        axis: GroupAxis,
-        noise: Noise<'_, B>,
-    ) -> Tensor {
-        let mut out = src.clone();
-        self.quantize_matrix(&mut out, axis, noise);
-        out
     }
 
     /// Encodes the format into the stable little-endian wire form used by
@@ -529,12 +509,14 @@ impl Default for LayerPrecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fast_bfp::CounterRng;
     use rand::SeedableRng;
 
-    struct NoBits;
-    impl BitSource for NoBits {
-        fn next_bits(&mut self, _n: u32) -> u32 {
-            unreachable!()
+    fn noise() -> Noise {
+        Noise {
+            rng: CounterRng::new(1),
+            base: 0,
+            workers: 1,
         }
     }
 
@@ -542,22 +524,14 @@ mod tests {
     fn fp32_is_identity() {
         let mut t = Tensor::from_vec(vec![2, 2], vec![0.1, -0.2, 0.3, 0.7]);
         let orig = t.clone();
-        NumericFormat::Fp32.quantize_matrix(
-            &mut t,
-            GroupAxis::AlongRow,
-            Noise::Stream(&mut NoBits),
-        );
+        NumericFormat::Fp32.quantize_matrix(&mut t, GroupAxis::AlongRow, noise());
         assert_eq!(t, orig);
     }
 
     #[test]
     fn int8_respects_levels() {
         let mut t = Tensor::from_vec(vec![1, 4], vec![1.0, -1.0, 0.337, 0.0]);
-        NumericFormat::int8().quantize_matrix(
-            &mut t,
-            GroupAxis::AlongRow,
-            Noise::Stream(&mut NoBits),
-        );
+        NumericFormat::int8().quantize_matrix(&mut t, GroupAxis::AlongRow, noise());
         // max_abs=1.0, scale=1/127; all outputs are multiples of the scale.
         for &v in t.data() {
             let q = v * 127.0;
@@ -574,11 +548,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for bits in [4u32, 8, 12] {
             let mut t = Tensor::from_vec(vec![16, 16], data.clone());
-            NumericFormat::Int { bits }.quantize_matrix(
-                &mut t,
-                GroupAxis::AlongRow,
-                Noise::Stream(&mut NoBits),
-            );
+            NumericFormat::Int { bits }.quantize_matrix(&mut t, GroupAxis::AlongRow, noise());
             let mse: f64 = t
                 .data()
                 .iter()
@@ -594,11 +564,7 @@ mod tests {
     #[test]
     fn bf16_quantization_truncates_mantissa() {
         let mut t = Tensor::from_vec(vec![1, 2], vec![1.0000001, std::f32::consts::PI]);
-        NumericFormat::bf16().quantize_matrix(
-            &mut t,
-            GroupAxis::AlongRow,
-            Noise::Stream(&mut NoBits),
-        );
+        NumericFormat::bf16().quantize_matrix(&mut t, GroupAxis::AlongRow, noise());
         assert_eq!(t.data()[0], 1.0);
         assert!((t.data()[1] - std::f32::consts::PI).abs() < 0.02);
     }
@@ -615,8 +581,8 @@ mod tests {
         let fmt = NumericFormat::bfp_nearest(BfpFormat::new(8, 4, 8).unwrap());
         let mut by_row = Tensor::from_vec(vec![8, 8], data.clone());
         let mut by_col = Tensor::from_vec(vec![8, 8], data.clone());
-        fmt.quantize_matrix(&mut by_row, GroupAxis::AlongRow, Noise::Stream(&mut NoBits));
-        fmt.quantize_matrix(&mut by_col, GroupAxis::AlongCol, Noise::Stream(&mut NoBits));
+        fmt.quantize_matrix(&mut by_row, GroupAxis::AlongRow, noise());
+        fmt.quantize_matrix(&mut by_col, GroupAxis::AlongCol, noise());
         assert_ne!(by_row, by_col, "axis must affect grouping");
     }
 
@@ -734,8 +700,7 @@ mod tests {
     fn stochastic_bfp_draws_bits() {
         let fmt = NumericFormat::bfp_stochastic(BfpFormat::high());
         let mut t = Tensor::from_vec(vec![1, 16], (0..16).map(|i| 0.01 * i as f32).collect());
-        let mut bits = fast_bfp::RngBits(rand::rngs::StdRng::seed_from_u64(1));
-        fmt.quantize_matrix(&mut t, GroupAxis::AlongRow, Noise::Stream(&mut bits));
+        fmt.quantize_matrix(&mut t, GroupAxis::AlongRow, noise());
         // Should not panic and should produce quantized values.
         assert!(t.data().iter().any(|&v| v != 0.0));
     }

@@ -211,7 +211,9 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Any [`CkptError`] from section decoding or state restoration.
+    /// Any [`CkptError`] from section decoding or state restoration;
+    /// [`CkptError::Corrupt`], naming the remedy, for an artifact whose
+    /// session section predates counter noise (`rng0..rng3`, no `sr_seed`).
     pub fn resume(
         model: Sequential,
         opt: Sgd,
@@ -234,16 +236,21 @@ impl Trainer {
             &StateDict::from_bytes(artifact.require(SECTION_OPTIMIZER)?)?,
         )?;
         let session_dict = StateDict::from_bytes(artifact.require(SECTION_SESSION)?)?;
-        // The session's RNG entries are mode-dependent (DESIGN.md §12):
-        // counter-mode artifacts carry `sr_seed`/`sr_step`, sequential ones
-        // the four xoshiro words. Peek the key set so the restore below
-        // visits the entries the artifact actually holds — artifacts are
-        // self-describing, and pre-counter artifacts restore unchanged.
-        trainer.session.sr_mode = if session_dict.get("sr_seed").is_some() {
-            crate::SrMode::Counter
-        } else {
-            crate::SrMode::Lfsr
-        };
+        // Artifacts written before counter noise became the only source
+        // carry the sequential stream's generator words instead of
+        // `sr_seed`/`sr_step`. That stream no longer exists, so the run
+        // cannot continue bit-exactly — say so rather than report a bare
+        // missing entry (or worse, reseed silently).
+        if session_dict.get("sr_seed").is_none() && session_dict.get("rng0").is_some() {
+            return Err(CkptError::Corrupt {
+                context: "the session section holds the retired sequential \
+                          stochastic-rounding stream (rng0..rng3) and no sr_seed/sr_step, so \
+                          this run cannot be resumed bit-exactly: restore the model section \
+                          alone with fast_ckpt::restore_state to serve it, or re-train to \
+                          continue it"
+                    .to_string(),
+            });
+        }
         restore_state(&mut trainer.session, &session_dict)?;
         if let Some(hook) = hook_state {
             restore_state(
@@ -343,6 +350,39 @@ mod tests {
         assert!(last < 0.05, "XOR loss {last}");
         let acc = trainer.evaluate_classification(&[(x, y)]);
         assert_eq!(acc, 100.0);
+    }
+
+    #[test]
+    fn a_step_advances_the_sr_cursor_by_its_sr_operands_exactly() {
+        use crate::{set_uniform_precision, LayerPrecision};
+        let step = |precision: LayerPrecision| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            let mut model = Sequential::new()
+                .push(Dense::new(6, 12, true, &mut rng))
+                .push(Relu::new())
+                .push(Dense::new(12, 3, true, &mut rng));
+            set_uniform_precision(&mut model, precision);
+            let mut trainer = Trainer::new(model, Sgd::new(0.1, 0.0, 0.0), 9);
+            let x = Tensor::from_vec(vec![5, 6], (0..30).map(|i| 0.1 * i as f32 - 1.4).collect());
+            trainer.step_classification(&x, &[0, 1, 2, 0, 1], &mut NoopHook);
+            trainer.session.sr_state()
+        };
+        // SR on gradients only: each Dense backward quantizes its `5 × out`
+        // ∇O twice (once per backward GEMM's grouping axis); weights and
+        // activations round to nearest and reserve nothing.
+        assert_eq!(
+            step(LayerPrecision::bfp_fixed(4)),
+            (9, 2 * 5 * 12 + 2 * 5 * 3)
+        );
+        // No SR format anywhere: the cursor never moves.
+        let nearest = crate::NumericFormat::bfp_nearest(fast_bfp::BfpFormat::high());
+        let deterministic = LayerPrecision {
+            weights: nearest,
+            activations: nearest,
+            gradients: nearest,
+        };
+        assert_eq!(step(deterministic), (9, 0));
+        assert_eq!(step(LayerPrecision::fp32()), (9, 0));
     }
 
     #[test]

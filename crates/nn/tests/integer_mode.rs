@@ -20,7 +20,7 @@
 //! * **Training parity** — a small MLP trained end-to-end under integer
 //!   mode reaches the same loss neighborhood as the replay run.
 
-use fast_bfp::{BfpFormat, GroupAxis, Noise, RngBits, Rounding};
+use fast_bfp::{BfpFormat, GroupAxis, Rounding};
 use fast_nn::models::mlp;
 use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::{
@@ -30,6 +30,10 @@ use fast_nn::{
 use fast_tensor::Tensor;
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+#[path = "support/quantize_copy.rs"]
+mod quantize_copy;
+use quantize_copy::SessionNoise;
 
 /// The same 10-format zoo as `tests/proptests.rs`: borrow-through FP32,
 /// scalar formats, packable BFP under every rounding mode, and
@@ -188,18 +192,14 @@ proptest! {
             operand_data(b_shape.0 * b_shape.1, seed ^ 0x9E37, special),
         );
 
-        // Quantized f64 reference on the same bit stream `prepare` consumes.
-        let mut bits = RngBits(rand::rngs::StdRng::seed_from_u64(seed));
-        let aq = fa.quantize_copy(&a, a_axis, Noise::Stream(&mut bits));
-        let bq = fb.quantize_copy(&b, b_axis, Noise::Stream(&mut bits));
+        // Quantized f64 reference on the same noise `prepare` draws.
+        let mut noise = SessionNoise::new(seed);
+        let aq = noise.quantize_copy(fa, &a, a_axis);
+        let bq = noise.quantize_copy(fb, &b, b_axis);
         let (want, mag) = reference_f64(&aq, &bq, orient, m, k, n);
 
-        // Pin the LFSR noise source: the f64 reference above quantized on a
-        // sequential bit stream, which the FAST_SR_MODE=counter CI leg would
-        // otherwise swap out from under it.
         let mut session = Session::new(seed);
         session.exec_mode = ExecMode::Integer;
-        session.sr_mode = fast_bfp::SrMode::Lfsr;
         let ap = prepare(&mut session, &a, fa, a_axis);
         let bp = prepare(&mut session, &b, fb, b_axis);
         let got = execute(&mut session, orient, &ap, &bp);

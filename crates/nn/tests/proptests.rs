@@ -10,6 +10,10 @@ use fast_tensor::Tensor;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+#[path = "support/quantize_copy.rs"]
+mod quantize_copy;
+use quantize_copy::SessionNoise;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -168,7 +172,7 @@ mod fast_dnn_test_helpers {
     pub use fast_bfp::{BfpFormat, Rounding};
     pub use fast_nn::NumericFormat;
 }
-use fast_bfp::{GroupAxis, Noise, RngBits};
+use fast_bfp::GroupAxis;
 use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::NumericFormat;
 use fast_tensor::{matmul, matmul_bt, matmul_nt, matmul_tn};
@@ -204,7 +208,7 @@ proptest! {
     /// rounding mode and operands including non-finite values, the shared
     /// plan (`prepare` + `execute`) is bit-identical to the historical
     /// `quantize_copy` + `matmul{,_nt,_tn,_bt}` composition — same result
-    /// bits, same stochastic bit-stream consumption.
+    /// bits, same stochastic noise positions.
     #[test]
     fn qgemm_plan_matches_quantize_copy_composition_bitwise(
         m in 1usize..10,
@@ -233,10 +237,10 @@ proptest! {
             operand_data(b_shape.0 * b_shape.1, seed ^ 0x9E37, special),
         );
 
-        // Reference: the historical composition on one bit stream.
-        let mut bits = RngBits(rand::rngs::StdRng::seed_from_u64(seed));
-        let aq = fa.quantize_copy(&a, a_axis, Noise::Stream(&mut bits));
-        let bq = fb.quantize_copy(&b, b_axis, Noise::Stream(&mut bits));
+        // Reference: the historical composition on the session's noise.
+        let mut noise = SessionNoise::new(seed);
+        let aq = noise.quantize_copy(fa, &a, a_axis);
+        let bq = noise.quantize_copy(fb, &b, b_axis);
         let want = match orient {
             Orient::Nn => matmul(&aq, &bq),
             Orient::Nt => matmul_nt(&aq, &bq),
@@ -244,17 +248,12 @@ proptest! {
             Orient::Bt => matmul_bt(&aq, &bq),
         };
 
-        // Plan: same seed drives the session bit source. Bit-identity is a
+        // Plan: same seed drives the session noise. Bit-identity is a
         // replay-mode guarantee, so pin the mode — the CI leg that exports
         // FAST_QGEMM_MODE=integer must not flip this invariant's subject
         // (integer-mode closeness has its own gate in tests/integer_mode.rs).
-        // Likewise pin the LFSR noise source: the reference composition
-        // consumes a sequential bit stream, which is exactly what the
-        // FAST_SR_MODE=counter leg replaces (counter-mode equivalence has
-        // its own gates in crates/bfp/tests/counter_sr.rs).
         let mut session = Session::new(seed);
         session.exec_mode = fast_tensor::ExecMode::Replay;
-        session.sr_mode = fast_bfp::SrMode::Lfsr;
         let ap = prepare(&mut session, &a, fa, a_axis);
         let bp = prepare(&mut session, &b, fb, b_axis);
         let got = execute(&mut session, orient, &ap, &bp);
@@ -272,9 +271,9 @@ proptest! {
         prop_assert_eq!(session.plan_stats.macs, (m * k * n) as u64);
     }
 
-    /// Training a whole quantized layer stack through the plan consumes the
-    /// session bit stream exactly like the historical pipeline: two runs
-    /// from one seed are bit-identical even under stochastic rounding.
+    /// Training a whole quantized layer stack through the plan is a pure
+    /// function of the session seed: two runs from one seed are
+    /// bit-identical even under stochastic rounding.
     #[test]
     fn sr_training_step_is_reproducible_through_the_plan(seed in 0u64..300) {
         let run = |seed: u64| {

@@ -1,7 +1,7 @@
 //! Frozen, forward-only models for serving.
 
 use fast_ckpt::{capture_state, restore_state, CkptError, StateDict};
-use fast_nn::{ExecMode, Layer, Sequential, Session, SrMode};
+use fast_nn::{ExecMode, Layer, Sequential, Session};
 use fast_tensor::Tensor;
 
 /// A trained model compiled for inference serving.
@@ -95,21 +95,6 @@ impl CompiledModel {
     /// ```
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.session.exec_mode = mode;
-        self
-    }
-
-    /// Selects the stochastic-rounding noise source for this replica
-    /// (DESIGN.md §12), overriding the `FAST_SR_MODE` default.
-    ///
-    /// Matters for layers whose *activation* format uses stochastic
-    /// rounding — under [`SrMode::Counter`] each SR operand draws
-    /// order-independent counter noise, so the quantization itself can
-    /// shard across worker threads — and for SR *weight* formats, whose
-    /// frozen caches build from the deterministic source of the same mode.
-    /// Like [`Self::with_exec_mode`] this is per-replica serving
-    /// configuration — [`Self::apply_state`] hot reloads leave it untouched.
-    pub fn with_sr_mode(mut self, mode: SrMode) -> Self {
-        self.session.sr_mode = mode;
         self
     }
 
@@ -267,11 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_sr_mode_is_per_replica_and_replicas_match() {
+    fn sr_activation_noise_is_keyed_by_the_compile_seed() {
         use fast_bfp::BfpFormat;
         use fast_nn::NumericFormat;
-        // An SR *activation* format is the case the serving SR mode exists
-        // for: activations re-quantize per request.
+        // An SR *activation* format: activations re-quantize per request,
+        // drawing from the replica's session.
         let sr_precision = LayerPrecision {
             weights: NumericFormat::bfp_nearest(BfpFormat::high()),
             activations: NumericFormat::bfp_stochastic(BfpFormat::high()),
@@ -280,20 +265,20 @@ mod tests {
         let with_sr = |seed: u64| {
             let mut m = model(13);
             set_uniform_precision(&mut m, sr_precision);
-            CompiledModel::compile(m, seed).with_sr_mode(SrMode::Counter)
+            CompiledModel::compile(m, seed)
         };
         let x = sample();
         let mut a = with_sr(0);
         let mut b = with_sr(0);
-        // Same seed → same counter noise → bit-identical replicas.
+        // Same seed → same noise → bit-identical replicas.
         let first = a.infer(&x);
         assert_eq!(first, b.infer(&x));
         // A different seed decorrelates the SR activation noise.
         let mut c = with_sr(1);
         assert_ne!(first, c.infer(&x));
-        // A checkpoint hot reload must not reset the serving configuration:
-        // reloading the same weights into a fresh replica replays the first
-        // request's counter noise, which an LFSR replica cannot produce.
+        // A checkpoint hot reload leaves the session alone: reloading the
+        // same weights into a fresh replica replays the first request's
+        // noise.
         let mut trained = model(13);
         set_uniform_precision(&mut trained, sr_precision);
         let dict = capture_state(&mut trained);
@@ -303,11 +288,11 @@ mod tests {
     }
 
     #[test]
-    fn compiled_sr_mode_builds_the_same_frozen_weights_as_a_session() {
+    fn compiled_sr_weights_freeze_like_a_session_with_any_seed() {
         use fast_bfp::BfpFormat;
         use fast_nn::NumericFormat;
         // SR *weights* under deterministic activations: the output pins the
-        // frozen weight operands, which build from the replica's SR mode.
+        // frozen weight operands.
         let sr_weights = LayerPrecision {
             weights: NumericFormat::bfp_stochastic(BfpFormat::high()),
             activations: NumericFormat::bfp_nearest(BfpFormat::high()),
@@ -319,18 +304,10 @@ mod tests {
             m
         };
         let x = sample();
-        let served = |mode: SrMode| {
-            CompiledModel::compile(build(), 0)
-                .with_sr_mode(mode)
-                .infer(&x)
-        };
-        for mode in [SrMode::Counter, SrMode::Lfsr] {
-            // A different session seed: frozen builds never consume it.
-            let mut session = Session::inference(5);
-            session.sr_mode = mode;
-            assert_eq!(served(mode), build().forward(&x, &mut session), "{mode:?}");
-        }
-        assert_ne!(served(SrMode::Counter), served(SrMode::Lfsr));
+        let served = CompiledModel::compile(build(), 0).infer(&x);
+        // A different session seed: frozen builds never consume it.
+        let mut session = Session::inference(5);
+        assert_eq!(served, build().forward(&x, &mut session));
     }
 
     #[test]

@@ -348,9 +348,9 @@ fn serve_coalesced(model: &mut CompiledModel, batch: &[Request]) -> bool {
 /// Configures a [`Server`] hosting one or more resident models.
 ///
 /// Each model brings its own replica set — and with it its own precision
-/// profile, [`fast_nn::ExecMode`] and [`fast_nn::SrMode`] (those are
-/// per-replica serving configuration on [`CompiledModel`]) — plus an
-/// independent shared work queue and hot-reload generation.
+/// profile and [`fast_nn::ExecMode`] (per-replica serving configuration on
+/// [`CompiledModel`]) — plus an independent shared work queue and
+/// hot-reload generation.
 ///
 /// ```
 /// use fast_nn::{Dense, ExecMode, Sequential};

@@ -6,11 +6,8 @@
 //! accumulation order as the sequential kernel, so results are bit-identical
 //! for every worker count (`crates/tensor/tests/proptests.rs` pins this);
 //! `Parallelism::sequential()` simply keeps everything on the caller's
-//! thread. Quantization under the serialized LFSR noise source stays
-//! sequential either way — its stochastic-rounding bit stream is consumed
-//! in a single deterministic order regardless of this setting — while
-//! counter-mode stochastic rounding shards across this same pool with
-//! bit-identical results for every worker count (DESIGN.md §12).
+//! thread. Stochastic-rounding quantization shards across this same pool
+//! with bit-identical results for every worker count (DESIGN.md §12).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -3,15 +3,18 @@
 //!
 //! Trains a small MLP under the FAST-Adaptive controller, checkpoints at
 //! the midpoint (controller state riding along in the artifact's `hook`
-//! section), resumes into freshly constructed objects, and verifies the
-//! resumed run is **bit-identical** to an uninterrupted one. The trained
-//! artifact is then hot-swapped into a running inference server.
+//! section; the stochastic-rounding generator is just `sr_seed`/`sr_step`
+//! in the `session` section, DESIGN.md §12), resumes into freshly
+//! constructed objects, and verifies the resumed run is **bit-identical**
+//! to an uninterrupted one. The trained artifact is then hot-swapped into a
+//! running inference server.
 //!
 //! Run with: `cargo run --release --example checkpoint_resume [artifact.fastckpt]`
 //! (an artifact path may be given to keep the checkpoint file around, e.g.
 //! for the CI artifact upload; by default it is written to a temp dir and
 //! removed).
 
+use fast_dnn::ckpt::{Artifact, StateDict, SECTION_SESSION};
 use fast_dnn::fast::{EpsilonSchedule, FastController};
 use fast_dnn::nn::models::mlp;
 use fast_dnn::nn::{Layer, Sequential, Sgd, Trainer};
@@ -82,6 +85,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     drop(trainer);
     drop(ctl);
+
+    // Stochastic-rounding noise is a pure function of (seed, element
+    // offset), so the whole generator is two words on the wire.
+    let session = StateDict::from_bytes(Artifact::load(&path)?.require(SECTION_SESSION)?)?;
+    let rng_keys: Vec<&str> = session
+        .iter()
+        .map(|(k, _)| k)
+        .filter(|k| k.starts_with("sr_") || k.starts_with("rng"))
+        .collect();
+    println!("RNG state on the wire: {rng_keys:?}");
+    assert_eq!(rng_keys, ["sr_seed", "sr_step"]);
 
     // Resume into freshly constructed objects — every tensor, counter and
     // RNG word comes from the artifact.

@@ -8,19 +8,18 @@
 //! bit-transparent reloads — is asserted *inside* the driver, so reaching
 //! the report at all is the proof; the conformance suite in
 //! `tests/lifecycle.rs` sweeps the same driver over all six zoo workloads
-//! and the full mode matrix.
+//! and both execution modes.
 //!
 //! Run with: `cargo run --release --example lifecycle_tour`
 
-use fast_dnn::bfp::SrMode;
 use fast_dnn::harness::{run_lifecycle, LifecycleConfig, Workload};
 use fast_dnn::nn::ExecMode;
 
 fn main() {
-    // Integer-domain GEMMs + counter SR: the repo's fastest training and
-    // serving configuration, and the one furthest from the fidelity
-    // defaults — if the lifecycle contracts hold here, they hold anywhere.
-    let cfg = LifecycleConfig::quick(ExecMode::Integer, SrMode::Counter);
+    // Integer-domain GEMMs: the repo's fastest training and serving
+    // configuration, and the one furthest from the bit-exact replay default
+    // — if the lifecycle contracts hold here, they hold anywhere.
+    let cfg = LifecycleConfig::quick(ExecMode::Integer);
     println!(
         "driving {:?} through train -> checkpoint -> resume -> freeze -> serve -> reload",
         Workload::ResNetLite

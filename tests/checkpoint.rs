@@ -10,7 +10,7 @@
 //! * A trained artifact saved to disk hot-reloads into a running server.
 //! * Malformed artifacts surface typed errors end to end, never panics.
 
-use fast_dnn::bfp::{BfpFormat, Rounding, SrMode};
+use fast_dnn::bfp::{BfpFormat, Rounding};
 use fast_dnn::ckpt::{Artifact, CkptError};
 use fast_dnn::fast::{EpsilonSchedule, FastController};
 use fast_dnn::nn::models::mlp;
@@ -260,11 +260,9 @@ fn trained_artifact_hot_reloads_into_a_running_server() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Counter-mode checkpoints shrink the session RNG section to exactly
-/// `(sr_seed, sr_step)` — no `rng0..rng3` words — and the artifact
-/// self-describes its SR mode: resume restores `SrMode::Counter` into a
-/// fresh trainer (whatever its environment default) and the run continues
-/// bit-identically to the uninterrupted counter-mode run.
+/// The session's RNG state on the wire is exactly `(sr_seed, sr_step)` —
+/// no `rng0..rng3` generator words — and a run resumed from it continues
+/// bit-identically to the uninterrupted run.
 #[test]
 fn counter_sr_checkpoint_carries_seed_step_and_resumes_bit_exactly() {
     use fast_dnn::ckpt::{StateDict, SECTION_SESSION};
@@ -279,12 +277,10 @@ fn counter_sr_checkpoint_carries_seed_step_and_resumes_bit_exactly() {
     let make = || {
         let mut m = model(seed);
         set_uniform_precision(&mut m, precision);
-        let mut t = Trainer::new(m, Sgd::new(0.05, 0.9, 1e-4), seed);
-        t.session.sr_mode = SrMode::Counter;
-        t
+        Trainer::new(m, Sgd::new(0.05, 0.9, 1e-4), seed)
     };
 
-    // Uninterrupted counter-mode reference.
+    // Uninterrupted reference.
     let mut straight = make();
     let mut want_losses = Vec::new();
     for s in 0..steps {
@@ -302,25 +298,22 @@ fn counter_sr_checkpoint_carries_seed_step_and_resumes_bit_exactly() {
     drop(first);
     let artifact = Artifact::from_bytes(&bytes).expect("bytes decode");
 
-    // The wire shape: counter mode serializes (seed, step) and nothing of
-    // the four-word LFSR state.
+    // The wire shape: (seed, step) and nothing of the retired four-word
+    // stream state.
     let session = StateDict::from_bytes(artifact.require(SECTION_SESSION).unwrap()).unwrap();
     assert!(session.get("sr_seed").is_some(), "sr_seed on the wire");
     assert!(session.get("sr_step").is_some(), "sr_step on the wire");
     for key in ["rng0", "rng1", "rng2", "rng3"] {
         assert!(
             session.get(key).is_none(),
-            "counter-mode artifact must not carry LFSR word {key}"
+            "artifact must not carry stream word {key}"
         );
     }
 
-    // Resume into a fresh trainer built with the *default* mode: the
-    // artifact's key names select counter mode, not the environment.
     let mut m = model(seed);
     set_uniform_precision(&mut m, precision);
     let mut resumed = Trainer::resume(m, Sgd::new(0.05, 0.9, 1e-4), &artifact, None)
         .expect("counter artifact resumes");
-    assert_eq!(resumed.session.sr_mode, SrMode::Counter);
     for s in split..steps {
         got_losses.push(step(&mut resumed, s, seed));
     }
@@ -328,71 +321,53 @@ fn counter_sr_checkpoint_carries_seed_step_and_resumes_bit_exactly() {
     assert_eq!(final_bits(&mut resumed), want_params);
 }
 
-/// Pre-counter artifacts — the four `rng0..rng3` LFSR words — keep
-/// restoring exactly as before: resume lands on `SrMode::Lfsr` even when
-/// the process default (e.g. the `FAST_SR_MODE=counter` CI leg) is counter.
+/// Sequential-era artifacts — a session section holding the four
+/// `rng0..rng3` generator words and no `sr_seed` — cannot continue
+/// bit-exactly now that the stream is gone. Resume must say so in a typed
+/// error naming the remedy: not a panic, not a bare missing-entry, and never
+/// a silently reseeded trainer.
 #[test]
-fn lfsr_artifact_restores_lfsr_mode_regardless_of_default() {
-    use fast_dnn::ckpt::{StateDict, SECTION_SESSION};
-    let precision = LayerPrecision {
-        weights: zoo_format(5),
-        activations: zoo_format(6),
-        gradients: zoo_format(5),
-    };
-    let (steps, split) = (4usize, 2usize);
+fn sequential_era_artifact_fails_resume_naming_the_retired_stream() {
+    use fast_dnn::ckpt::{StateDict, StateValue, SECTION_MODEL, SECTION_SESSION};
+    let mut trainer = Trainer::new(model(9), Sgd::new(0.05, 0.9, 1e-4), 9);
+    let _ = step(&mut trainer, 0, 9);
+    let mut artifact = trainer.checkpoint(None);
 
-    let make = || {
-        let mut m = model(9);
-        set_uniform_precision(&mut m, precision);
-        let mut t = Trainer::new(m, Sgd::new(0.05, 0.9, 1e-4), 9);
-        t.session.sr_mode = SrMode::Lfsr;
-        t
-    };
-
-    let mut straight = make();
-    let mut want_losses = Vec::new();
-    for s in 0..steps {
-        want_losses.push(step(&mut straight, s, 9));
+    // The session section exactly as the sequential mode wrote it.
+    let mut session = StateDict::new();
+    for (key, word) in [("rng0", 0x9E37u64), ("rng1", 1), ("rng2", 2), ("rng3", 3)] {
+        session.insert(key.to_string(), StateValue::U64(word));
     }
-    let want_params = final_bits(&mut straight);
-
-    let mut first = make();
-    let mut got_losses = Vec::new();
-    for s in 0..split {
-        got_losses.push(step(&mut first, s, 9));
+    for key in [
+        "plan_gemms",
+        "plan_macs",
+        "quant_groups",
+        "quant_saturated",
+        "quant_zeros",
+    ] {
+        session.insert(key.to_string(), StateValue::U64(7));
     }
-    let artifact = Artifact::from_bytes(&first.checkpoint(None).to_bytes()).unwrap();
-    drop(first);
+    artifact.insert(SECTION_SESSION, session.to_bytes());
 
-    let session = StateDict::from_bytes(artifact.require(SECTION_SESSION).unwrap()).unwrap();
-    assert!(session.get("rng0").is_some(), "LFSR words on the wire");
-    assert!(
-        session.get("sr_seed").is_none(),
-        "no counter keys in LFSR mode"
-    );
-
-    let mut m = model(9);
-    set_uniform_precision(&mut m, precision);
-    let mut resumed =
-        Trainer::resume(m, Sgd::new(0.05, 0.9, 1e-4), &artifact, None).expect("resumes");
-    assert_eq!(
-        resumed.session.sr_mode,
-        SrMode::Lfsr,
-        "artifact key names, not the process default, select the SR mode"
-    );
-    for s in split..steps {
-        got_losses.push(step(&mut resumed, s, 9));
+    let err = Trainer::resume(model(9), Sgd::new(0.05, 0.9, 1e-4), &artifact, None).unwrap_err();
+    assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+    let msg = err.to_string();
+    for needle in ["rng0..rng3", "sr_seed", "restore_state", "re-train"] {
+        assert!(msg.contains(needle), "error must mention {needle:?}: {msg}");
     }
-    assert_eq!(got_losses, want_losses);
-    assert_eq!(final_bits(&mut resumed), want_params);
+
+    // The remedy it names works: the model section alone still restores.
+    let mut served = model(1);
+    let dict = StateDict::from_bytes(artifact.require(SECTION_MODEL).unwrap()).unwrap();
+    fast_dnn::ckpt::restore_state(&mut served, &dict).expect("model section restores alone");
+    let mut served_bits = Vec::new();
+    served.visit_params(&mut |p| served_bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+    assert_eq!(served_bits, final_bits(&mut trainer));
 }
 
 #[test]
 fn malformed_artifacts_fail_resume_with_typed_errors() {
     let mut trainer = Trainer::new(model(1), Sgd::new(0.1, 0.0, 0.0), 0);
-    // The all-zero-RNG corruption below targets the LFSR wire layout, so
-    // pin the mode against the FAST_SR_MODE=counter CI leg.
-    trainer.session.sr_mode = SrMode::Lfsr;
     let _ = step(&mut trainer, 0, 1);
     let good = trainer.checkpoint(None).to_bytes();
 
@@ -427,19 +402,6 @@ fn malformed_artifacts_fail_resume_with_typed_errors() {
         Artifact::from_bytes(&bad).unwrap_err(),
         CkptError::ChecksumMismatch { .. }
     ));
-
-    // All-zero RNG words: structurally valid, semantically corrupt (no live
-    // generator reaches that state) — a typed error, not a panic.
-    use fast_dnn::ckpt::{StateDict, StateValue, SECTION_SESSION};
-    let artifact = Artifact::from_bytes(&good).unwrap();
-    let mut session = StateDict::from_bytes(artifact.require(SECTION_SESSION).unwrap()).unwrap();
-    for key in ["rng0", "rng1", "rng2", "rng3"] {
-        session.insert(key.to_string(), StateValue::U64(0));
-    }
-    let mut zeroed = artifact.clone();
-    zeroed.insert(SECTION_SESSION, session.to_bytes());
-    let err = Trainer::resume(model(1), Sgd::new(0.1, 0.0, 0.0), &zeroed, None).unwrap_err();
-    assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
 
     // Architecture mismatch: a valid artifact restored into the wrong model
     // is a typed error, and resume hands back no trainer.

@@ -16,7 +16,7 @@ use fast_dnn::ckpt::Artifact;
 use fast_dnn::nn::models::mlp;
 use fast_dnn::nn::{
     set_uniform_precision, BatchNorm2d, Conv2d, Dense, Flatten, Layer, LayerPrecision, MaxPool2d,
-    NoopHook, Relu, Sequential, Sgd, SrMode, Trainer,
+    NoopHook, Relu, Sequential, Sgd, Trainer,
 };
 use fast_dnn::tensor::{parallelism, set_parallelism, Parallelism, Tensor};
 use rand::{Rng, SeedableRng};
@@ -108,61 +108,6 @@ fn train_resumed(
     (losses, params)
 }
 
-/// Like [`train`], but with the SR noise source pinned explicitly
-/// (DESIGN.md §12) rather than taken from the process default — so the
-/// counter-vs-LFSR comparisons below mean the same thing on every CI leg.
-fn train_mode(
-    build: &dyn Fn() -> Sequential,
-    input_shape: Vec<usize>,
-    steps: usize,
-    mode: SrMode,
-) -> (Vec<u64>, Vec<u32>) {
-    let mut model = build();
-    set_uniform_precision(&mut model, LayerPrecision::bfp_fixed(4));
-    let mut trainer = Trainer::new(model, sgd(), 42);
-    trainer.session.sr_mode = mode;
-    let mut losses = Vec::new();
-    for step in 0..steps {
-        losses.push(step_once(&mut trainer, &input_shape, step));
-    }
-    let params = collect_params(&mut trainer);
-    (losses, params)
-}
-
-/// Counter-mode analogue of [`train_resumed`]: the artifact's RNG section
-/// is just `(sr_seed, sr_step)`, and resume self-selects counter mode from
-/// the key names.
-fn train_counter_resumed(
-    build: &dyn Fn() -> Sequential,
-    input_shape: Vec<usize>,
-    steps: usize,
-    split: usize,
-) -> (Vec<u64>, Vec<u32>) {
-    let mut model = build();
-    set_uniform_precision(&mut model, LayerPrecision::bfp_fixed(4));
-    let mut trainer = Trainer::new(model, sgd(), 42);
-    trainer.session.sr_mode = SrMode::Counter;
-    let mut losses = Vec::new();
-    for step in 0..split {
-        losses.push(step_once(&mut trainer, &input_shape, step));
-    }
-    let bytes = trainer.checkpoint(None).to_bytes();
-    drop(trainer);
-
-    let artifact = Artifact::from_bytes(&bytes).expect("checkpoint bytes decode");
-    let mut trainer = Trainer::resume(build(), sgd(), &artifact, None).expect("checkpoint resumes");
-    assert_eq!(
-        trainer.session.sr_mode,
-        SrMode::Counter,
-        "resume restores counter mode from the artifact's key names"
-    );
-    for step in split..steps {
-        losses.push(step_once(&mut trainer, &input_shape, step));
-    }
-    let params = collect_params(&mut trainer);
-    (losses, params)
-}
-
 fn mlp_model() -> Sequential {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     mlp(&[8, 24, 3], &mut rng)
@@ -174,18 +119,6 @@ fn mlp_run() -> (Vec<u64>, Vec<u32>) {
 
 fn mlp_resumed_run() -> (Vec<u64>, Vec<u32>) {
     train_resumed(&mlp_model, vec![6, 8], 6, 3)
-}
-
-fn mlp_counter_run() -> (Vec<u64>, Vec<u32>) {
-    train_mode(&mlp_model, vec![6, 8], 6, SrMode::Counter)
-}
-
-fn mlp_lfsr_run() -> (Vec<u64>, Vec<u32>) {
-    train_mode(&mlp_model, vec![6, 8], 6, SrMode::Lfsr)
-}
-
-fn mlp_counter_resumed_run() -> (Vec<u64>, Vec<u32>) {
-    train_counter_resumed(&mlp_model, vec![6, 8], 6, 3)
 }
 
 /// A ResNet-lite-style stem: conv → BN → ReLU → pool → conv → flatten →
@@ -258,7 +191,7 @@ fn training_is_bit_identical_across_runs_and_worker_counts() {
 
     // (c) Checkpoint at step k + resume must be indistinguishable from the
     // uninterrupted run — same losses, same final parameter bits
-    // (DESIGN.md §10; the SR bit stream continues mid-LFSR-period).
+    // (DESIGN.md §10; the RNG state on the wire is just `(sr_seed, sr_step)`).
     assert_eq!(
         mlp_seq,
         mlp_resumed_run(),
@@ -271,7 +204,8 @@ fn training_is_bit_identical_across_runs_and_worker_counts() {
     );
 
     // (b) Worker count must not change a single result bit: sequential vs
-    // small pools vs the machine default — including across the
+    // small pools vs the machine default — SR noise is keyed by element
+    // offset, so its draws shard across the pool too — including across the
     // checkpoint/resume boundary (a checkpoint written under one worker
     // count resumes identically under another via the CI sequential leg).
     for workers in [2usize, 3, 8] {
@@ -302,49 +236,7 @@ fn training_is_bit_identical_across_runs_and_worker_counts() {
         "resumed convnet differs under default workers"
     );
 
-    // (d) Counter-mode SR (DESIGN.md §12): the order-free noise source must
-    // give one bitwise trajectory across every worker count — here the SR
-    // draws themselves are sharded across the pool, not just the GEMMs —
-    // and across the checkpoint/resume boundary, where the RNG state on the
-    // wire is just (sr_seed, sr_step).
-    set_parallelism(Parallelism::sequential());
-    let counter_seq = mlp_counter_run();
-    assert_eq!(
-        counter_seq,
-        mlp_counter_run(),
-        "counter-mode run must replay bit-identically"
-    );
-    assert_ne!(
-        counter_seq,
-        mlp_lfsr_run(),
-        "counter mode draws a different (valid) noise stream than the LFSR"
-    );
-    assert_eq!(
-        counter_seq,
-        mlp_counter_resumed_run(),
-        "counter-mode checkpoint/resume must be bit-identical"
-    );
-    for workers in [2usize, 3, 8] {
-        set_parallelism(Parallelism::new(workers));
-        assert_eq!(
-            counter_seq,
-            mlp_counter_run(),
-            "counter-mode MLP differs under {workers} workers"
-        );
-        assert_eq!(
-            counter_seq,
-            mlp_counter_resumed_run(),
-            "resumed counter-mode MLP differs under {workers} workers"
-        );
-    }
-    set_parallelism(Parallelism::default());
-    assert_eq!(
-        counter_seq,
-        mlp_counter_run(),
-        "counter-mode MLP differs under default workers"
-    );
-
-    // (e) Telemetry neutrality (DESIGN.md §15): turning span collection on
+    // (d) Telemetry neutrality (DESIGN.md §15): turning span collection on
     // must not change a single result bit. Instrumentation reads clocks and
     // values the computation already produced — never the SR noise stream
     // or tensor data — so losses and final parameter bits must match the
@@ -361,11 +253,6 @@ fn training_is_bit_identical_across_runs_and_worker_counts() {
         conv_seq,
         convnet_run(),
         "span collection must be bit-invisible to the convnet run"
-    );
-    assert_eq!(
-        counter_seq,
-        mlp_counter_run(),
-        "span collection must be bit-invisible to counter-mode SR"
     );
     assert_eq!(
         mlp_seq,

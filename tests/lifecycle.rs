@@ -3,33 +3,27 @@
 //! Every model-zoo workload runs the full pipeline — FAST-Adaptive
 //! training → checkpoint → bit-exact resume → frozen compile → batched
 //! serving under concurrent submitters → mid-traffic hot reload
-//! (continual-learning loop) — across the execution-mode × rounding-mode
-//! matrix `{Replay, Integer} × {Lfsr, Counter}`. The invariants (bit-exact
-//! resume, compiled≡eval parity, zero dropped requests, bit-transparent
-//! reloads) are asserted inside `fast_harness::run_lifecycle`; each test
-//! here is one workload's sweep over the four cells.
+//! (continual-learning loop) — under both execution modes,
+//! `{Replay, Integer}`. The invariants (bit-exact resume, compiled≡eval
+//! parity, zero dropped requests, bit-transparent reloads) are asserted
+//! inside `fast_harness::run_lifecycle`; each test here is one workload's
+//! sweep over the two cells.
 //!
 //! The configs are the harness's CI-scale `quick` settings, so this file
 //! doubles as the `lifecycle-smoke` CI job (run there under both the
 //! default worker pool and `FAST_TENSOR_WORKERS=1`; the cells pin their
-//! exec/SR modes explicitly, so the suite is also immune to the
-//! `FAST_QGEMM_MODE` / `FAST_SR_MODE` env legs).
+//! exec mode explicitly, so the suite is also immune to the
+//! `FAST_QGEMM_MODE` env leg).
 
-use fast_dnn::bfp::SrMode;
 use fast_dnn::harness::{run_lifecycle, LifecycleConfig, Workload};
 use fast_dnn::nn::ExecMode;
 
-/// The `{Replay, Integer} × {Lfsr, Counter}` matrix.
-const CELLS: [(ExecMode, SrMode); 4] = [
-    (ExecMode::Replay, SrMode::Lfsr),
-    (ExecMode::Replay, SrMode::Counter),
-    (ExecMode::Integer, SrMode::Lfsr),
-    (ExecMode::Integer, SrMode::Counter),
-];
+/// The `{Replay, Integer}` cells.
+const CELLS: [ExecMode; 2] = [ExecMode::Replay, ExecMode::Integer];
 
 fn sweep(workload: Workload) {
-    for (exec_mode, sr_mode) in CELLS {
-        let report = run_lifecycle(workload, &LifecycleConfig::quick(exec_mode, sr_mode));
+    for exec_mode in CELLS {
+        let report = run_lifecycle(workload, &LifecycleConfig::quick(exec_mode));
         // The invariants are asserted inside the driver; re-check the
         // report's shape so a silently-degenerate run cannot pass.
         assert!(
@@ -63,7 +57,7 @@ fn mlp_survives_the_full_lifecycle_matrix() {
 /// compared here bit for bit on top.
 #[test]
 fn lifecycle_is_bit_identical_with_collector_installed() {
-    let cfg = LifecycleConfig::quick(ExecMode::Replay, SrMode::Counter);
+    let cfg = LifecycleConfig::quick(ExecMode::Replay);
     let off = run_lifecycle(Workload::Mlp, &cfg);
     fast_dnn::telemetry::set_collection(true);
     let on = run_lifecycle(Workload::Mlp, &cfg);

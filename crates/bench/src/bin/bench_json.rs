@@ -15,10 +15,11 @@
 //! embeds a previously written measurement object under `"baseline"` and
 //! reports speedup ratios against it.
 
+use fast_bfp::packed::pack_matrix;
 use fast_bfp::GroupAxis;
 use fast_bfp::{fake_quantize_slice, relative_improvement, BfpFormat, CounterRng, Noise, Rounding};
 use fast_nn::models::{resnet_lite, ResNetConfig};
-use fast_nn::qgemm::{execute, prepare, Orient};
+use fast_nn::qgemm::{execute, prepare, prepare_owned, prepare_patches, Orient};
 use fast_nn::{
     set_uniform_precision, ExecMode, LayerPrecision, NoopHook, NumericFormat, Session, Sgd, Trainer,
 };
@@ -141,8 +142,9 @@ fn main() {
     results.push(("improvement_r_64k_ns", r_floor));
 
     // --- The two conv reorders on the `fast_perf` ResNet's stage-0 shape
-    // (batch 16, 8→8 channels, 16×16, 3×3, pad 1): `col2im` is `im2col`'s
-    // loop nest with an add for the copy, so the two run at one rate. ---
+    // (batch 16, 8→8 channels, 16×16, 3×3, pad 1): `col2im` adds one span
+    // per `(b, oy)`; `im2col`'s row filler merges a plane's spans into one
+    // copy on this "same" conv, so it runs ≈ 1.25× ahead. ---
     let conv_dims = Conv2dDims {
         batch: 16,
         in_c: 8,
@@ -167,6 +169,78 @@ fn main() {
     });
     results.push(("im2col_c8_ns", im2col_floor));
     results.push(("col2im_c8_ns", col2im_floor));
+
+    // --- The same conv's activation operand, prepared both ways: packed
+    // straight from the NCHW tensor (`prepare_patches`, what the conv layers
+    // do) against materialize-then-pack (`prepare_owned(im2col(..))`, what
+    // they did and what a refused pack still does). `col` is the forward
+    // operand (groups down the K axis), `row` the weight-gradient one; the
+    // `_s2` pair is the stride-2 variant of the shape, where the gather is
+    // strided instead of a span copy. ---
+    let mut session = Session::new(0);
+    let act_fmt = NumericFormat::bfp_nearest(fmt);
+    let s2_dims = Conv2dDims {
+        stride: 2,
+        ..conv_dims
+    };
+    let patch_floors: [f64; 6] = alternating_floors(warmup, iters, |which| {
+        let (d, axis) = match which / 2 {
+            0 => (conv_dims, GroupAxis::AlongCol),
+            1 => (conv_dims, GroupAxis::AlongRow),
+            _ => (s2_dims, GroupAxis::AlongCol),
+        };
+        if which % 2 == 0 {
+            black_box(prepare_patches(
+                &mut session,
+                black_box(&image),
+                d,
+                act_fmt,
+                axis,
+            ));
+        } else {
+            let cols = im2col(black_box(&image), d);
+            black_box(prepare_owned(&mut session, cols, act_fmt, axis));
+        }
+    });
+    for (key, ns) in [
+        "pack_patches_c8_col_ns",
+        "im2col_pack_c8_col_ns",
+        "pack_patches_c8_row_ns",
+        "im2col_pack_c8_row_ns",
+        "pack_patches_c8_s2_ns",
+        "im2col_pack_c8_s2_ns",
+    ]
+    .into_iter()
+    .zip(patch_floors)
+    {
+        results.push((key, ns));
+    }
+
+    // --- The two `∇O` operands of that conv's backward pass (8×4096, one
+    // packed along rows, one down columns), under nearest rounding and under
+    // the gradients' 8-bit SR: the SR pack prefetches its noise in bulk and
+    // runs the same branch-free element body, so it stays within 2× of
+    // nearest (it read 0.31 when every draw took `next_bits`' branch). ---
+    let grad_out: Vec<f32> = (0..8 * 4096)
+        .map(|i| (i as f32 * 0.137).sin() * 3.0)
+        .collect();
+    let [pack_nearest_floor, pack_sr8_floor] = alternating_floors(warmup, iters, |which| {
+        let rounding = [Rounding::Nearest, Rounding::STOCHASTIC8][which];
+        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+            black_box(pack_matrix(
+                black_box(&grad_out),
+                8,
+                4096,
+                axis,
+                fmt,
+                rounding,
+                noise(1),
+                false,
+            ));
+        }
+    });
+    results.push(("pack_m4_nearest_ns", pack_nearest_floor));
+    results.push(("pack_m4_sr8_ns", pack_sr8_floor));
 
     // --- The same slice under 8-bit stochastic rounding (DESIGN.md §12):
     // one SplitMix64 hash yields eight 8-bit lanes, and draws are indexed
@@ -246,7 +320,6 @@ fn main() {
     // operands are packed to i8 mantissas + group scales and multiplied
     // without the dequantized f32 materialization (bit-identical results;
     // compare each `qgemm_*` row to its `quant_gemm_*` twin above). ---
-    let mut session = Session::new(0);
     for (key, numfmt) in [
         (
             "qgemm_bfp_m4_ns",
@@ -402,9 +475,15 @@ fn main() {
     // when the kernels do; under half, a kernel has stopped keeping its
     // accumulators in registers (DESIGN.md §7). Then the non-GEMM kernels
     // against their same-traffic twins: `r(X)` under 0.45× the quantize rate
-    // or `col2im` under 0.6× the `im2col` rate means the allocating /
+    // or `col2im` under 0.5× the `im2col` rate means the allocating /
     // per-element form is back (they read 0.33 and 0.29 on the recording
     // machine; `r(X)` summed strictly element by element reads 0.56).
+    // Against today's merged-copy `im2col` the span-add `col2im` reads
+    // ≈ 0.8 and the per-element scatter 0.40–0.43; on a machine whose cache
+    // a neighbour is using they read 0.51–0.65 and 0.26–0.32 (`col2im`
+    // streams the 1.18 MB matrix, `im2col` mostly page-faults its output),
+    // which is why this floor is 0.5 and not the 0.6 it was: DESIGN.md §7
+    // has the runs.
     const BWD_FLOOR: f64 = 0.5;
     let gated_ratios = [
         (
@@ -427,9 +506,29 @@ fn main() {
             quant_floor / r_floor,
             0.45,
         ),
-        ("col2im_over_im2col_x", im2col_floor / col2im_floor, 0.6),
+        ("col2im_over_im2col_x", im2col_floor / col2im_floor, 0.5),
+        // Packing a conv operand from the tensor against materializing it
+        // first (both axes): under 1.1 the source path has stopped paying
+        // for itself (1.3–1.4 on the recording machine). And the nearest
+        // pack's time over the 8-bit-SR pack's: under 0.5 the SR pack has
+        // lost its bulk noise (≈ 0.7 with it, 0.31 without).
+        (
+            "im2col_pack_over_pack_patches_x",
+            (patch_floors[1] + patch_floors[3]) / (patch_floors[0] + patch_floors[2]),
+            1.1,
+        ),
+        (
+            "pack_nearest_over_sr8_x",
+            pack_nearest_floor / pack_sr8_floor,
+            0.5,
+        ),
     ];
     ratios.extend(gated_ratios.iter().map(|&(key, x, _)| (key.to_string(), x)));
+    // Reported, not gated: at stride 2 the source path must merely not lose.
+    ratios.push((
+        "im2col_pack_over_pack_patches_s2_x".to_string(),
+        patch_floors[5] / patch_floors[4],
+    ));
     for fmt_key in ["bfp_m4", "bfp_m2", "bfp_m4_sr"] {
         let find = |k: &str| results.iter().find(|(key, _)| *key == k).map(|&(_, ns)| ns);
         if let (Some(pipeline), Some(plan)) = (

@@ -38,8 +38,12 @@ use crate::rounding::Rounding;
 use crate::tensor_quant::{GroupAxis, QuantStats};
 
 /// Minimum elements each extra worker must be handed before a quantization
-/// pass shards — below this the thread-spawn cost dominates the
-/// ~2-3 ns/element quantization work.
+/// pass shards. A scoped spawn + join measures ≈ 18 µs (2-vCPU Xeon, PR 17),
+/// which is ≈ 16 k elements at the 1.0–1.1 ns/element the nearest kernels run
+/// at (`pack_m4_nearest_ns`; 8-bit SR ≈ 1.4, the per-group slice kernel
+/// ≈ 1.8): below this a worker costs more to start than it takes off the
+/// pass. The threshold bounds the loss, it does not promise a gain — on that
+/// machine `quant_slice_m4_counter_sr_par_ns` never beats its one-thread twin.
 const MIN_ELEMS_PER_WORKER: usize = 1 << 14;
 
 /// Splits a finite non-zero f32 magnitude bit pattern into `(sig, p)` with
@@ -136,18 +140,68 @@ pub(crate) fn pow2_f32(e: i32) -> f32 {
 /// `u64::MAX`; the caller's `min(max_mag)` saturation makes that exact.
 pub(crate) trait RoundOp {
     /// Whether this rule is exactly 8-bit stochastic rounding — the paper's
-    /// gradient configuration, which the tensor kernels run as branch-free
-    /// bulk-noise loops (`fill8` + u32 shift math).
+    /// gradient configuration, whose noise the tensor kernels prefetch in
+    /// bulk (`CounterBits::fill8`) instead of calling [`RoundOp::draw`] per
+    /// element.
     const NOISE8: bool = false;
 
     fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, bits: &mut B) -> u64;
 
-    /// Fast-path variant with the precondition `t >= 1` (guaranteed when
-    /// the shared exponent is at least the group's natural exponent, since
-    /// then `t >= 24 - m >= 8`): branch-free for the deterministic modes
-    /// via shift clamping — for `sig < 2^24` every clamped shift yields the
-    /// same result as the exact one. The result fits u32 (`<= 2^16`).
-    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, bits: &mut B) -> u32;
+    /// The noise one plain-path element rounds against: the draw at the
+    /// cursor for a stochastic rule, `0` with the cursor untouched for a
+    /// deterministic one.
+    fn draw(&self, bits: &mut CounterBits) -> u32;
+
+    /// Plain-path variant against an already-drawn `noise`, with the
+    /// precondition `t >= 1` (guaranteed when the shared exponent is at
+    /// least the group's natural exponent, since then `t >= 24 - m >= 8`):
+    /// pure and branch-free via shift clamping — for `sig < 2^24` every
+    /// clamped shift yields the same result as the exact one. The result
+    /// fits u32 (`<= 2^16`).
+    fn round_plain(&self, sig: u32, t: i32, noise: u32) -> u32;
+}
+
+/// The one align-shift-round-sign element body of every plain-path loop
+/// (fake-quantize and pack, both axes): rounds the normal-or-zero value with
+/// bit pattern `raw` against the group's `t_base = E + 1 − m` and returns
+/// `(magnitude, signed mantissa)`, the magnitude saturated at `max_mag`.
+#[inline(always)]
+pub(crate) fn quantize_plain<R: RoundOp>(
+    raw: u32,
+    t_base: i32,
+    max_mag: u32,
+    round: &R,
+    noise: u32,
+) -> (u32, i32) {
+    let abs = raw & 0x7FFF_FFFF;
+    // Zeros keep sig = 0 and quantize to +0 without branching.
+    let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
+    let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
+    let p = (abs >> 23) as i32 - 150;
+    let mag = round.round_plain(sig, t_base - p, noise).min(max_mag);
+    // Branchless conditional negation by the sign bit.
+    let s = (raw as i32) >> 31;
+    (mag, (mag as i32 ^ s) - s)
+}
+
+/// `(t_base, scale)` of a plain group whose largest magnitude has bit
+/// pattern `max_bits`: the shared exponent is the maximum's exponent field
+/// (it is a normal number), raised into `window` if one is given — matrix
+/// windows are anchored at the matrix-wide maximum and can only raise it,
+/// keeping `E` in `[-126, 127]`. An all-zero group (`sig = 0` everywhere)
+/// rounds to zero against any `t_base`; its scale is `0.0`.
+#[inline(always)]
+pub(crate) fn plain_group_params(
+    max_bits: u32,
+    m: u32,
+    window: Option<ExponentWindow>,
+) -> (i32, f32) {
+    if max_bits == 0 {
+        return (26, 0.0);
+    }
+    let natural = (max_bits >> 23) as i32 - 127;
+    let e = window.map_or(natural, |w| w.clamp(natural));
+    (e + 1 - m as i32, pow2_f32(e - m as i32 + 1))
 }
 
 /// Shifts the already-integer scaled mantissa into place (`t <= 0` case
@@ -175,7 +229,12 @@ impl RoundOp for NearestOp {
     }
 
     #[inline(always)]
-    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, _bits: &mut B) -> u32 {
+    fn draw(&self, _bits: &mut CounterBits) -> u32 {
+        0
+    }
+
+    #[inline(always)]
+    fn round_plain(&self, sig: u32, t: i32, _noise: u32) -> u32 {
         let t = t.min(25) as u32; // t = 25: sig + 2^24 < 2^25, result 0
         (sig + (1u32 << (t - 1))) >> t
     }
@@ -195,7 +254,12 @@ impl RoundOp for TruncateOp {
     }
 
     #[inline(always)]
-    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, _bits: &mut B) -> u32 {
+    fn draw(&self, _bits: &mut CounterBits) -> u32 {
+        0
+    }
+
+    #[inline(always)]
+    fn round_plain(&self, sig: u32, t: i32, _noise: u32) -> u32 {
         sig >> t.min(24) as u32
     }
 }
@@ -225,12 +289,17 @@ impl RoundOp for StochasticOp {
         }
     }
 
+    /// Zeros draw too — the draw is positional, costs nothing downstream
+    /// (the result is still 0: r < 2^nb), and keeps every element pinned to
+    /// its own offset.
     #[inline(always)]
-    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, bits: &mut B) -> u32 {
-        // Zeros draw too — the draw is positional, costs nothing downstream
-        // (the result is still 0: r < 2^nb), and keeps every element pinned
-        // to its own offset.
-        let r = bits.next_bits(self.noise_bits) as u64;
+    fn draw(&self, bits: &mut CounterBits) -> u32 {
+        bits.next_bits(self.noise_bits)
+    }
+
+    #[inline(always)]
+    fn round_plain(&self, sig: u32, t: i32, noise: u32) -> u32 {
+        let r = noise as u64;
         let nb = self.noise_bits as i64;
         // Clamping t at 63 is exact: for t >= 63 both terms shift to zero
         // (sig < 2^24 and r·2^(63-nb) + sig < 2^63 for nb <= 31).
@@ -310,7 +379,16 @@ fn fake_quantize_group<R: RoundOp>(
     }
 }
 
-/// Branch-free per-element loop for the all-normal-or-zero case.
+/// Stack buffer for bulk 8-bit noise prefetch; group sizes are far smaller,
+/// larger groups just loop.
+const NOISE_CHUNK: usize = 256;
+
+/// Branch-free per-element loop for the all-normal-or-zero case. For 8-bit
+/// stochastic rounding the group's draws are prefetched with
+/// `CounterBits::fill8` (one SplitMix64 word per eight lanes), which leaves
+/// the consuming loop the same auto-vectorizable shape as the deterministic
+/// one (DESIGN.md §12); zeros draw too, keeping every element pinned to its
+/// own offset.
 ///
 /// Bit-equivalence with the general loop: `man as f32 * scale` performs one
 /// round-to-nearest of the exact product (both factors are exact, the scale
@@ -326,84 +404,28 @@ fn fake_quantize_group_plain<R: RoundOp>(
     bits: &mut CounterBits,
     stats: &mut QuantStats,
 ) {
-    if R::NOISE8 {
-        return fake_quantize_group_plain_noise8(chunk, e, m, max_mag, bits, stats);
-    }
     let t_base = e + 1 - m as i32;
     let max_mag = max_mag as u32;
     let scale = pow2_f32(e - m as i32 + 1);
     let mut zeros = 0u32;
     let mut saturated = 0u32;
-    for v in chunk.iter_mut() {
-        let raw = v.to_bits();
-        let abs = raw & 0x7FFF_FFFF;
-        // Zeros keep sig = 0 and quantize to +0.0 without branching.
-        let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-        let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-        let p = (abs >> 23) as i32 - 150;
-        let mag = round.round_aligned(sig, t_base - p, bits).min(max_mag);
+    let mut lane = |v: &mut f32, r: u32| {
+        let (mag, man) = quantize_plain(v.to_bits(), t_base, max_mag, round, r);
         zeros += (mag == 0) as u32;
         saturated += (mag == max_mag) as u32; // max_mag >= 1, disjoint from 0
-                                              // Branchless conditional negation by the sign bit.
-        let s = (raw as i32) >> 31;
-        let man = (mag as i32 ^ s) - s;
         *v = man as f32 * scale;
-    }
-    stats.zeros += zeros as u64;
-    stats.saturated += saturated as u64;
-}
-
-/// Stack buffer for bulk 8-bit noise prefetch; group sizes are far smaller,
-/// larger groups just loop.
-const NOISE_CHUNK: usize = 256;
-
-/// 8-bit-stochastic twin of [`fake_quantize_group_plain`]: the group's
-/// draws are prefetched with `CounterBits::fill8` (one SplitMix64 word per
-/// eight lanes), and the consuming loop is branch-free u32 arithmetic — the
-/// same auto-vectorizable shape as the deterministic plain loop (DESIGN.md
-/// §12).
-///
-/// Bit-equivalence with `Stochastic8Op::round_aligned` against the same
-/// positional draws: with `t ≥ 8` (the plain-path precondition) and noise
-/// `r < 2^8`, for `t ≤ 31` the u32 form `(sig + (r << (t-8))) >> t` is the
-/// u64 form exactly (`sig + r·2^(t-8) < 2^24 + 2^31`, no overflow), and for
-/// `t ≥ 32` the true magnitude is `⌊sig/2^t + r/2^8⌋ = 0`, which the `live`
-/// mask forces. Zeros draw too (`sig = 0` → `mag = r >> 8 = 0`), keeping
-/// every element pinned to its own offset.
-#[inline]
-fn fake_quantize_group_plain_noise8(
-    chunk: &mut [f32],
-    e: i32,
-    m: u32,
-    max_mag: u64,
-    bits: &mut CounterBits,
-    stats: &mut QuantStats,
-) {
-    let t_base = e + 1 - m as i32;
-    let max_mag = max_mag as u32;
-    let scale = pow2_f32(e - m as i32 + 1);
-    let mut zeros = 0u32;
-    let mut saturated = 0u32;
-    let mut noise = [0u8; NOISE_CHUNK];
-    for sub in chunk.chunks_mut(NOISE_CHUNK) {
-        let nb = &mut noise[..sub.len()];
-        bits.fill8(nb);
-        for (v, &r) in sub.iter_mut().zip(nb.iter()) {
-            let raw = v.to_bits();
-            let abs = raw & 0x7FFF_FFFF;
-            let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-            let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-            let p = (abs >> 23) as i32 - 150;
-            let t = (t_base - p) as u32;
-            debug_assert!(t >= 8);
-            let tc = t.min(31);
-            let live = ((t < 32) as u32).wrapping_neg();
-            let mag = (((sig + ((r as u32) << (tc - 8))) >> tc) & live).min(max_mag);
-            zeros += (mag == 0) as u32;
-            saturated += (mag == max_mag) as u32;
-            let s = (raw as i32) >> 31;
-            let man = (mag as i32 ^ s) - s;
-            *v = man as f32 * scale;
+    };
+    if R::NOISE8 {
+        let mut noise = [0u8; NOISE_CHUNK];
+        for sub in chunk.chunks_mut(NOISE_CHUNK) {
+            bits.fill8(&mut noise[..sub.len()]);
+            for (v, &r) in sub.iter_mut().zip(&noise) {
+                lane(v, r as u32);
+            }
+        }
+    } else {
+        for v in chunk.iter_mut() {
+            lane(v, round.draw(bits));
         }
     }
     stats.zeros += zeros as u64;
@@ -452,8 +474,9 @@ fn fake_quantize_group_general<R: RoundOp>(
 }
 
 /// The paper's gradient configuration (`noise_bits = 8`), specialized so
-/// the noise width is a compile-time constant: the LFSR's 8-bit jump and
-/// the shift arithmetic fold into straight-line code.
+/// the noise width is a compile-time constant: the tensor kernels prefetch
+/// its draws in bulk ([`RoundOp::NOISE8`]) and the shift arithmetic folds
+/// into branch-free u32 code.
 pub(crate) struct Stochastic8Op;
 impl RoundOp for Stochastic8Op {
     const NOISE8: bool = true;
@@ -464,16 +487,24 @@ impl RoundOp for Stochastic8Op {
     }
 
     #[inline(always)]
-    fn round_aligned<B: BitSource + ?Sized>(&self, sig: u32, t: i32, bits: &mut B) -> u32 {
-        // Positional draw even for zeros (result still 0; for sig = 0 the
-        // fast-path t is t_base + 150 >= 9, so the assert holds).
-        let r = bits.next_bits(8) as u64;
-        // Fast-path precondition t >= 24 - m >= 8 = noise_bits, so only the
-        // single-shift form is needed; clamping at 63 is exact (see
-        // `StochasticOp::round_aligned`).
-        debug_assert!(t >= 8);
-        let t = (t as i64).min(63) as u32;
-        (((sig as u64) + (r << (t - 8))) >> t) as u32
+    fn draw(&self, bits: &mut CounterBits) -> u32 {
+        bits.next_bits(8)
+    }
+
+    /// Bit-equivalence with `StochasticOp { noise_bits: 8 }::round_plain`:
+    /// with `t ≥ 8` (the plain-path precondition `t ≥ 24 − m`; for `sig = 0`
+    /// it is `t_base + 150 ≥ 9`) and noise `r < 2^8`, for `t ≤ 31` the u32
+    /// form `(sig + (r << (t-8))) >> t` is the u64 form exactly
+    /// (`sig + r·2^(t-8) < 2^24 + 2^31`, no overflow), and for `t ≥ 32` the
+    /// true magnitude is `⌊sig/2^t + r/2^8⌋ = 0`, which the `live` mask
+    /// forces.
+    #[inline(always)]
+    fn round_plain(&self, sig: u32, t: i32, noise: u32) -> u32 {
+        debug_assert!(t >= 8 && noise < 256);
+        let t = t as u32;
+        let tc = t.min(31);
+        let live = ((t < 32) as u32).wrapping_neg();
+        ((sig + (noise << (tc - 8))) >> tc) & live
     }
 }
 
@@ -560,14 +591,12 @@ fn along_col_vertical<R: RoundOp>(
     let m = fmt.mantissa_bits();
     let max_mag = fmt.max_magnitude() as u32;
     let g = fmt.group_size();
-    // Per-column state for the current row block, plus accumulated counters.
+    // Per-column state for the current row block.
     let mut col_max = vec![0u32; cols];
     let mut t_base = vec![0i32; cols];
     let mut scale = vec![0.0f32; cols];
-    let mut zeros = vec![0u32; cols];
-    let mut saturated = vec![0u32; cols];
     let mut scratch = Vec::new(); // only used by the rare fallback
-    let mut noise_row: Vec<u8> = Vec::new(); // bulk draws for the noise8 path
+    let mut noise_row = vec![0u8; cols]; // bulk draws for the noise8 path
     let mut row0 = 0;
     while row0 < rows {
         let rb = g.min(rows - row0);
@@ -612,68 +641,39 @@ fn along_col_vertical<R: RoundOp>(
             continue;
         }
         stats.groups += cols;
-        // Decode per-column shared exponents (max is a normal number, so the
-        // exponent field is the exponent; matrix windows are built from the
-        // matrix-wide maximum and can only raise it, keeping E in [-126,127]).
         for c in 0..cols {
-            if col_max[c] == 0 {
-                t_base[c] = 26; // all-zero group: sig = 0 everywhere
-                scale[c] = 0.0;
-            } else {
-                let natural = (col_max[c] >> 23) as i32 - 127;
-                let e = window.map_or(natural, |w| w.clamp(natural));
-                t_base[c] = e + 1 - m as i32;
-                scale[c] = pow2_f32(e - m as i32 + 1);
-            }
+            (t_base[c], scale[c]) = plain_group_params(col_max[c], m, window);
         }
         // Lane-wise quantization of the block, same arithmetic as
         // `fake_quantize_group_plain`. The row-major walk advances the
-        // cursor one offset per element; for 8-bit stochastic
-        // rounding the row's draws are prefetched in bulk and the loop goes
-        // branch-free, mirroring `fake_quantize_group_plain_noise8`.
+        // cursor one offset per element; for 8-bit stochastic rounding the
+        // row's draws are prefetched in bulk.
         for r in row0..row0 + rb {
             bits.seek((r * cols) as u64, 1);
             let row = &mut data[r * cols..(r + 1) * cols];
             if R::NOISE8 {
-                noise_row.resize(cols, 0);
-                bits.fill8(&mut noise_row[..cols]);
-                for (c, (v, &rn)) in row.iter_mut().zip(noise_row.iter()).enumerate() {
-                    let raw = v.to_bits();
-                    let abs = raw & 0x7FFF_FFFF;
-                    let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-                    let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-                    let p = (abs >> 23) as i32 - 150;
-                    let t = (t_base[c] - p) as u32;
-                    debug_assert!(t >= 8);
-                    let tc = t.min(31);
-                    let live = ((t < 32) as u32).wrapping_neg();
-                    let mag = (((sig + ((rn as u32) << (tc - 8))) >> tc) & live).min(max_mag);
-                    zeros[c] += (mag == 0) as u32;
-                    saturated[c] += (mag == max_mag) as u32;
-                    let s = (raw as i32) >> 31;
-                    let man = (mag as i32 ^ s) - s;
-                    *v = man as f32 * scale[c];
-                }
-                continue;
+                bits.fill8(&mut noise_row);
             }
-            for (c, v) in row.iter_mut().enumerate() {
-                let raw = v.to_bits();
-                let abs = raw & 0x7FFF_FFFF;
-                let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-                let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-                let p = (abs >> 23) as i32 - 150;
-                let mag = round.round_aligned(sig, t_base[c] - p, bits).min(max_mag);
-                zeros[c] += (mag == 0) as u32;
-                saturated[c] += (mag == max_mag) as u32;
-                let s = (raw as i32) >> 31;
-                let man = (mag as i32 ^ s) - s;
-                *v = man as f32 * scale[c];
+            // The counters are loop-carried sums the vectorizer keeps in
+            // registers and reduces once per row.
+            let (mut zeros, mut saturated) = (0u32, 0u32);
+            let (t_base, scale, noise_row) = (&t_base[..cols], &scale[..cols], &noise_row[..cols]);
+            for c in 0..cols {
+                let r = if R::NOISE8 {
+                    noise_row[c] as u32
+                } else {
+                    round.draw(bits)
+                };
+                let (mag, man) = quantize_plain(row[c].to_bits(), t_base[c], max_mag, round, r);
+                zeros += (mag == 0) as u32;
+                saturated += (mag == max_mag) as u32;
+                row[c] = man as f32 * scale[c];
             }
+            stats.zeros += zeros as u64;
+            stats.saturated += saturated as u64;
         }
         row0 += rb;
     }
-    stats.zeros += zeros.iter().map(|&z| z as u64).sum::<u64>();
-    stats.saturated += saturated.iter().map(|&z| z as u64).sum::<u64>();
     stats
 }
 

@@ -1,6 +1,7 @@
 //! Packing FP32 matrices into BFP-native operands: integer mantissas plus
 //! per-group shared-exponent scales, **without materializing the
-//! dequantized f32 copy**.
+//! dequantized f32 copy** — and, for a matrix that is itself a view of
+//! other data, without materializing the f32 matrix either.
 //!
 //! The fake-quantization kernels ([`crate::kernel`]) overwrite an f32
 //! buffer with the dequantized BFP values; a GEMM then re-reads that buffer
@@ -10,7 +11,15 @@
 //! downstream kernel reconstructs each value as `mantissa as f32 * scale`,
 //! which is **bit-identical** to what the fake-quantize kernel would have
 //! written, because that is literally the same expression the kernel's
-//! plain path evaluates (see `fake_quantize_group_plain` and DESIGN.md §9).
+//! plain path evaluates (both call `kernel::quantize_plain`; DESIGN.md §9).
+//!
+//! The two kernels (one per [`GroupAxis`]) read their input through a
+//! [`RowSource`], tile by tile: [`DenseRows`] lends a slice's rows without
+//! copying ([`pack_matrix`]), and [`FillRows`] produces rows on demand —
+//! the `im2col` patch matrix of a conv layer — into a staging tile of at
+//! most `g × 256` values, so the paper's converter position (between memory
+//! and the array, Fig 14) is reproduced: the tensor is converted on its way
+//! out of memory and no FP32 patch matrix exists ([`pack_rows`]).
 //!
 //! Packing is restricted to the cases where the fake-quantize kernel takes
 //! its plain path for every group, so the reconstruction identity holds
@@ -21,22 +30,26 @@
 //!   inputs force the kernel's general (f64) path, whose subnormal-scale
 //!   rounding an `i8 × f32` pair cannot replay.
 //!
-//! [`pack_matrix`] detects both conditions with a draw-free prescan and
-//! returns `None` — having consumed **no** stochastic-rounding noise — so
-//! the caller can fall back to the fake-quantize + dense-GEMM path with an
-//! unperturbed noise source. Stochastic draws, when packing does proceed,
-//! are exactly those of [`crate::fake_quantize_matrix`] under the same
-//! [`Noise`]: each element draws at its own offset.
+//! [`pack_rows`] detects both conditions draw-free, over exactly the
+//! matrix's values — a prescan of a slice that holds them, or a check of
+//! each tile as it is staged — and returns `None`, having consumed **no**
+//! stochastic-rounding noise (noise is positional), so the caller can fall
+//! back to the fake-quantize + dense-GEMM path with an unperturbed source.
+//! Stochastic draws, when packing does proceed, are exactly those of
+//! [`crate::fake_quantize_matrix`] under the same [`Noise`]: each element
+//! draws at its own offset.
 
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
 use crate::kernel::{
-    check_noise_bits, effective_workers, exponent_of_parts, pow2_f32, scan_group, stripe_rows,
-    with_round_op, NearestOp, Noise, RoundOp, Stochastic8Op, StochasticOp, TruncateOp,
+    check_noise_bits, decompose, effective_workers, exponent_of_parts, plain_group_params,
+    quantize_plain, scan_group, stripe_rows, with_round_op, NearestOp, Noise, RoundOp,
+    Stochastic8Op, StochasticOp, TruncateOp,
 };
 use crate::rng::CounterBits;
 use crate::rounding::Rounding;
 use crate::tensor_quant::{GroupAxis, QuantStats};
+use std::ops::Range;
 
 /// Widest mantissa packable into `i8` storage (`2^7 - 1 = 127 = i8::MAX`).
 pub const MAX_PACKED_MANTISSA_BITS: u32 = 7;
@@ -77,25 +90,149 @@ pub struct PackedData {
     pub stats: QuantStats,
 }
 
-/// Packs a row-major `rows × cols` matrix into BFP mantissas + scales with
-/// groups along `axis`, or returns `None` when the packed fast path cannot
-/// reproduce the fake-quantize kernel's bits (mantissa wider than
-/// [`MAX_PACKED_MANTISSA_BITS`], or any non-normal non-zero input value).
-///
-/// A refusal consumes nothing — `noise` is positional — so the caller's
-/// [`crate::fake_quantize_matrix`] fallback over the same [`Noise`]
-/// quantizes exactly as if packing had never been tried. When packing
-/// proceeds, every element draws what the fake-quantize kernel would have
-/// drawn for it.
-///
-/// When `use_window` is set, the shared exponents are clamped into an
-/// `e`-bit [`ExponentWindow`] anchored at the matrix-wide maximum exponent,
-/// exactly as [`crate::fake_quantize_matrix`] does.
+/// A row-major `rows × cols` f32 matrix the pack kernels read tile by tile:
+/// either one that exists in memory ([`DenseRows`], which lends its rows
+/// without copying) or a *virtual* one whose rows are produced on demand
+/// into a small staging buffer ([`FillRows`]) — e.g. the `im2col` patch
+/// matrix gathered straight from an NCHW tensor, which then never exists in
+/// f32 (DESIGN.md §9). `Sync` because a sharded pass reads it from every
+/// stripe.
+pub trait RowSource: Sync {
+    /// Row count of the matrix.
+    fn rows(&self) -> usize;
+
+    /// Column count of the matrix.
+    fn cols(&self) -> usize;
+
+    /// The tile of rows `row0 .. row0 + nrows` × columns
+    /// `col0 .. col0 + ncols` as `(data, stride)`: row `k` of the tile is
+    /// `data[k * stride..][..ncols]`. A source that holds the matrix lends
+    /// it and leaves `stage` alone; one that produces rows on demand writes
+    /// every element of the tile into `stage` (growing it as needed) and
+    /// lends that.
+    fn tile<'a>(
+        &'a self,
+        row0: usize,
+        nrows: usize,
+        col0: usize,
+        ncols: usize,
+        stage: &'a mut Vec<f32>,
+    ) -> (&'a [f32], usize);
+
+    /// A slice holding exactly the matrix's values — up to order, repetition
+    /// and exact zeros, none of which the prescan's maximum-magnitude and
+    /// plainness reduction can see — if the source has one. Without it the
+    /// kernels check plainness on each tile they stage, and a windowed pack
+    /// first walks the rows through [`RowSource::tile`] for the maximum.
+    fn values(&self) -> Option<&[f32]>;
+}
+
+/// The [`RowSource`] of a matrix that exists: a borrowed row-major slice.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseRows<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> DenseRows<'a> {
+    /// Views `data` as a row-major `rows × cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn new(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
+        DenseRows { data, rows, cols }
+    }
+}
+
+impl RowSource for DenseRows<'_> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    #[inline(always)]
+    fn tile<'a>(
+        &'a self,
+        row0: usize,
+        _nrows: usize,
+        col0: usize,
+        _ncols: usize,
+        _stage: &'a mut Vec<f32>,
+    ) -> (&'a [f32], usize) {
+        (&self.data[row0 * self.cols + col0..], self.cols)
+    }
+
+    fn values(&self) -> Option<&[f32]> {
+        Some(self.data)
+    }
+}
+
+/// The [`RowSource`] of a virtual matrix whose rows a *filler* produces on
+/// demand: `fill(row, col0, out)` writes columns `col0 .. col0 + out.len()`
+/// of `row` into `out` — every element of it, since the staging tile it is
+/// handed is reused.
+pub struct FillRows<'a, F> {
+    rows: usize,
+    cols: usize,
+    fill: F,
+    values: Option<&'a [f32]>,
+}
+
+impl<'a, F: Fn(usize, usize, &mut [f32]) + Sync> FillRows<'a, F> {
+    /// A `rows × cols` matrix produced by `fill`. `values` is the slice
+    /// [`RowSource::values`] reports — one holding exactly the matrix's
+    /// values up to order, repetition and exact zeros, if the caller has
+    /// one (pass `None` when unsure: the pack then goes by the rows alone).
+    pub fn new(rows: usize, cols: usize, fill: F, values: Option<&'a [f32]>) -> Self {
+        FillRows {
+            rows,
+            cols,
+            fill,
+            values,
+        }
+    }
+}
+
+impl<F: Fn(usize, usize, &mut [f32]) + Sync> RowSource for FillRows<'_, F> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn tile<'a>(
+        &'a self,
+        row0: usize,
+        nrows: usize,
+        col0: usize,
+        ncols: usize,
+        stage: &'a mut Vec<f32>,
+    ) -> (&'a [f32], usize) {
+        stage.resize(nrows * ncols, 0.0);
+        for (k, row) in stage.chunks_mut(ncols.max(1)).enumerate() {
+            (self.fill)(row0 + k, col0, row);
+        }
+        (stage, ncols)
+    }
+
+    fn values(&self) -> Option<&[f32]> {
+        self.values
+    }
+}
+
+/// Packs a row-major `rows × cols` slice: [`pack_rows`] over [`DenseRows`].
 ///
 /// # Panics
 ///
-/// Panics if `data.len() != rows * cols`, or if `rounding` is `Stochastic`
-/// with `noise_bits` outside `1..=31`.
+/// Panics if `data.len() != rows * cols`, or as [`pack_rows`] does.
 #[allow(clippy::too_many_arguments)] // mirrors the converter signature
 pub fn pack_matrix(
     data: &[f32],
@@ -107,7 +244,36 @@ pub fn pack_matrix(
     noise: Noise,
     use_window: bool,
 ) -> Option<PackedData> {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
+    let src = DenseRows::new(data, rows, cols);
+    pack_rows(&src, axis, fmt, rounding, noise, use_window)
+}
+
+/// Packs the matrix `src` describes into BFP mantissas + scales with groups
+/// along `axis`, or returns `None` when the packed fast path cannot
+/// reproduce the fake-quantize kernel's bits (mantissa wider than
+/// [`MAX_PACKED_MANTISSA_BITS`], or any non-normal non-zero value).
+///
+/// A refusal consumes nothing — `noise` is positional — so the caller's
+/// [`crate::fake_quantize_matrix`] fallback over the same [`Noise`]
+/// quantizes exactly as if packing had never been tried. When packing
+/// proceeds, every element draws what the fake-quantize kernel would have
+/// drawn for it: the element at `(i, j)` at offset `noise.base + i·cols + j`.
+///
+/// When `use_window` is set, the shared exponents are clamped into an
+/// `e`-bit [`ExponentWindow`] anchored at the matrix-wide maximum exponent,
+/// exactly as [`crate::fake_quantize_matrix`] does.
+///
+/// # Panics
+///
+/// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`.
+pub fn pack_rows<S: RowSource>(
+    src: &S,
+    axis: GroupAxis,
+    fmt: BfpFormat,
+    rounding: Rounding,
+    noise: Noise,
+    use_window: bool,
+) -> Option<PackedData> {
     check_noise_bits(rounding);
     if fmt.mantissa_bits() > MAX_PACKED_MANTISSA_BITS {
         return None;
@@ -117,7 +283,16 @@ pub fn pack_matrix(
     // value is a normal number or zero (window clamping only ever *raises*
     // a group exponent toward the matrix maximum, so `e ∈ [natural, 127]`
     // is automatic). The scan also yields the matrix maximum for the window.
-    let (max_bits, plain) = scan_group(data);
+    let scan = match src.values() {
+        Some(values) => Some(scan_group(values)),
+        // The window is anchored at the matrix maximum, which must be known
+        // before the first group is quantized: walk the rows for it.
+        None if use_window => Some(scan_rows(src)),
+        // Plainness alone the kernels check tile by tile as they stage
+        // them, so a source that produces its rows is read once.
+        None => None,
+    };
+    let (max_bits, plain) = scan.unwrap_or((0, true));
     if !plain {
         return None;
     }
@@ -125,248 +300,285 @@ pub fn pack_matrix(
         reference_exponent: if max_bits == 0 {
             0
         } else {
-            let (sig, p) = crate::kernel::decompose(max_bits);
+            let (sig, p) = decompose(max_bits);
             exponent_of_parts(sig, p)
         },
         exponent_bits: fmt.exponent_bits(),
     });
-    Some(
-        with_round_op!(rounding, op => pack_sharded(data, rows, cols, axis, fmt, op, noise, window)),
-    )
+    let check_plain = scan.is_none();
+    with_round_op!(rounding, op => pack_sharded(src, axis, fmt, op, noise, window, check_plain))
+}
+
+/// [`scan_group`] over the rows of `src`, staged one at a time.
+fn scan_rows<S: RowSource>(src: &S) -> (u32, bool) {
+    let cols = src.cols();
+    let mut stage = Vec::new();
+    let (mut max_bits, mut plain) = (0u32, true);
+    for r in 0..src.rows() {
+        let (row, _) = src.tile(r, 1, 0, cols, &mut stage);
+        let (row_max, row_plain) = scan_group(&row[..cols]);
+        max_bits = max_bits.max(row_max);
+        plain &= row_plain;
+    }
+    (max_bits, plain)
 }
 
 /// Packing sharded across `noise.workers` threads in row stripes
-/// ([`stripe_rows`]). Stripe outputs concatenate exactly because both
-/// mantissa and scale layouts are row-major in the striped dimension.
-#[allow(clippy::too_many_arguments)]
-fn pack_sharded<R: RoundOp + Sync>(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
+/// ([`stripe_rows`]) of the source. Stripe outputs concatenate exactly
+/// because both mantissa and scale layouts are row-major in the striped
+/// dimension; every stripe addresses its noise by absolute element offset.
+/// `None` when `check_plain` is set and some stripe staged a value that is
+/// neither normal nor zero.
+fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
+    src: &S,
     axis: GroupAxis,
     fmt: BfpFormat,
     round: &R,
     noise: Noise,
     window: Option<ExponentWindow>,
-) -> PackedData {
+    check_plain: bool,
+) -> Option<PackedData> {
     let Noise { rng, base, workers } = noise;
-    let workers = effective_workers(workers, data.len());
-    if workers == 1 {
+    let rows = src.rows();
+    let kernel = |stripe: Range<usize>| {
         let mut bits = CounterBits::new(rng, base);
-        return pack_kernel(data, rows, cols, axis, fmt, round, &mut bits, window);
+        match axis {
+            GroupAxis::AlongRow => {
+                pack_along_row(src, stripe, fmt, round, &mut bits, window, check_plain)
+            }
+            GroupAxis::AlongCol => {
+                pack_along_col(src, stripe, fmt, round, &mut bits, window, check_plain)
+            }
+        }
+    };
+    let workers = effective_workers(workers, rows * src.cols());
+    if workers == 1 {
+        return kernel(0..rows);
     }
-    let stripe_rows = stripe_rows(rows, axis, fmt, workers);
-    let parts: Vec<PackedData> = std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks(stripe_rows * cols)
-            .enumerate()
-            .map(|(i, stripe)| {
-                let origin = base + (i * stripe_rows * cols) as u64;
-                scope.spawn(move || {
-                    let mut bits = CounterBits::new(rng, origin);
-                    let srows = stripe.len() / cols;
-                    pack_kernel(stripe, srows, cols, axis, fmt, round, &mut bits, window)
-                })
-            })
+    let stripe = stripe_rows(rows, axis, fmt, workers);
+    let parts: Option<Vec<PackedData>> = std::thread::scope(|scope| {
+        let kernel = &kernel;
+        let handles: Vec<_> = (0..rows)
+            .step_by(stripe)
+            .map(|row0| scope.spawn(move || kernel(row0..rows.min(row0 + stripe))))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("pack worker panicked"))
             .collect()
     });
-    let mut parts = parts.into_iter();
+    let mut parts = parts?.into_iter();
     let mut out = parts.next().expect("at least one stripe");
     for p in parts {
         out.mantissas.extend_from_slice(&p.mantissas);
         out.scales.extend_from_slice(&p.scales);
         out.stats.merge(p.stats);
     }
-    out
+    Some(out)
 }
 
-#[allow(clippy::too_many_arguments)] // monomorphization split of the above
-fn pack_kernel<R: RoundOp>(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    axis: GroupAxis,
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut CounterBits,
-    window: Option<ExponentWindow>,
-) -> PackedData {
-    match axis {
-        GroupAxis::AlongRow => pack_along_row(data, rows, cols, fmt, round, bits, window),
-        GroupAxis::AlongCol => pack_along_col_vertical(data, rows, cols, fmt, round, bits, window),
-    }
-}
+/// Columns per staged tile. Measured on the c8 16×16 patch rows of
+/// `bench_json` (interleaved binaries, floor of six): 128 is 12–17 % slower
+/// (half a 16×16 plane per source call), and 256, 512 and 1024 sit within 5 %
+/// of one another — so the smallest of the plateau, which keeps a `g = 16`
+/// `AlongCol` tile at 16 KiB of f32 plus 2 KiB of per-column state, inside
+/// L1d next to the output rows.
+const COL_TILE: usize = 256;
 
-/// Packs one contiguous group of plain (normal-or-zero) values, returning
-/// the group scale and appending per-element counters to `stats`. Mirrors
-/// `fake_quantize_group_plain` arithmetic exactly; the reconstruction
-/// `man as f32 * scale` therefore reproduces its written f32s bit for bit.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the fake-quantize group kernel
-fn pack_group_plain<R: RoundOp>(
+/// The element loop of both pack kernels: quantizes the run of plain
+/// (normal-or-zero) values whose first element sits at noise `offset`,
+/// `values[i]` against `t_base[i]`, into `out[i]`. Under 8-bit stochastic
+/// rounding the run's draws are prefetched into `noise` in bulk; other
+/// stochastic widths draw at the cursor. The arithmetic is
+/// `fake_quantize_group_plain`'s, so `out[i] as f32 * scale` reproduces its
+/// written f32s bit for bit. The zero and saturation counters are
+/// loop-carried sums the vectorizer keeps in registers and reduces once per
+/// run.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the lanes' inputs, outputs and format
+fn pack_lanes<R: RoundOp>(
     values: &[f32],
-    m: u32,
+    t_base: &[i32],
+    noise: &mut [u8],
+    out: &mut [i8],
+    offset: usize,
     max_mag: u32,
-    window: Option<ExponentWindow>,
     round: &R,
     bits: &mut CounterBits,
     stats: &mut QuantStats,
-    out: &mut [i8],
-) -> f32 {
-    stats.groups += 1;
-    let mut group_max = 0u32;
-    for &v in values {
-        let abs = v.to_bits() & 0x7FFF_FFFF;
-        if abs > group_max {
-            group_max = abs;
-        }
+) {
+    let n = values.len();
+    let (t_base, noise, out) = (&t_base[..n], &mut noise[..n], &mut out[..n]);
+    bits.seek(offset as u64, 1);
+    if R::NOISE8 {
+        bits.fill8(noise);
     }
-    if group_max == 0 {
-        stats.zeros += values.len() as u64;
-        out[..values.len()].fill(0);
-        return 0.0;
-    }
-    let natural = (group_max >> 23) as i32 - 127;
-    let e = window.map_or(natural, |w| w.clamp(natural));
-    let t_base = e + 1 - m as i32;
-    let scale = pow2_f32(e - m as i32 + 1);
-    let mut zeros = 0u32;
-    let mut saturated = 0u32;
-    for (v, o) in values.iter().zip(out.iter_mut()) {
-        let raw = v.to_bits();
-        let abs = raw & 0x7FFF_FFFF;
-        let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-        let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-        let p = (abs >> 23) as i32 - 150;
-        let mag = round.round_aligned(sig, t_base - p, bits).min(max_mag);
+    let (mut zeros, mut saturated) = (0u32, 0u32);
+    // Indexed, not zipped: a four-way zip whose noise lane is dead (the
+    // deterministic modes) did not vectorize.
+    for i in 0..n {
+        let r = if R::NOISE8 {
+            noise[i] as u32
+        } else {
+            round.draw(bits)
+        };
+        let (mag, man) = quantize_plain(values[i].to_bits(), t_base[i], max_mag, round, r);
         zeros += (mag == 0) as u32;
-        saturated += (mag == max_mag) as u32;
-        let s = (raw as i32) >> 31;
-        *o = ((mag as i32 ^ s) - s) as i8;
+        saturated += (mag == max_mag) as u32; // max_mag >= 1, disjoint from 0
+        out[i] = man as i8;
     }
     stats.zeros += zeros as u64;
     stats.saturated += saturated as u64;
-    scale
 }
 
-/// `AlongRow` packing: groups are contiguous within each row.
-fn pack_along_row<R: RoundOp>(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
+/// Largest magnitude bit pattern of a group of plain values.
+#[inline(always)]
+fn group_max(values: &[f32]) -> u32 {
+    values
+        .iter()
+        .fold(0, |max, v| max.max(v.to_bits() & 0x7FFF_FFFF))
+}
+
+/// The group width whose maximum scan gets a fixed-width body: the paper's
+/// `g = 16`, the only group size the training and serving paths use. With
+/// the length a runtime value the `AlongRow` rows read 6–18 % slower
+/// (`pack_m4_nearest_ns`-shaped operands, floor of six interleaved runs).
+const FIXED_GROUP: usize = 16;
+
+/// `AlongRow` packing of source rows `row0 .. row1`: groups are contiguous
+/// within each row, which is staged and packed one segment of whole groups
+/// (about [`COL_TILE`] columns) at a time — the groups' shared exponents are
+/// spread to one `t_base` per lane, then the segment takes [`pack_lanes`].
+/// With `check_plain`, `None` at the first staged segment holding a value
+/// that is neither normal nor zero.
+fn pack_along_row<S: RowSource, R: RoundOp>(
+    src: &S,
+    rows: Range<usize>,
     fmt: BfpFormat,
     round: &R,
     bits: &mut CounterBits,
     window: Option<ExponentWindow>,
-) -> PackedData {
+    check_plain: bool,
+) -> Option<PackedData> {
+    let cols = src.cols();
     let g = fmt.group_size();
     let m = fmt.mantissa_bits();
     let max_mag = fmt.max_magnitude() as u32;
     let gpr = cols.div_ceil(g).max(1);
-    let mut mans = vec![0i8; rows * cols];
-    let mut scales = vec![0.0f32; rows * gpr];
-    let mut stats = QuantStats::default();
-    for (r, row) in data.chunks(cols).enumerate() {
-        for (gi, chunk) in row.chunks(g).enumerate() {
-            bits.seek((r * cols + gi * g) as u64, 1);
-            let scale = pack_group_plain(
-                chunk,
-                m,
-                max_mag,
-                window,
-                round,
-                bits,
-                &mut stats,
-                &mut mans[r * cols + gi * g..r * cols + gi * g + chunk.len()],
+    let nrows = rows.len();
+    let mut mans = vec![0i8; nrows * cols];
+    let mut scales = vec![0.0f32; nrows * gpr];
+    let mut stats = QuantStats {
+        groups: nrows * cols.div_ceil(g),
+        ..QuantStats::default()
+    };
+    let seg = (COL_TILE / g).max(1) * g;
+    let mut stage = Vec::new();
+    let mut t_base = vec![0i32; seg];
+    let mut noise = vec![0u8; seg]; // a segment's bulk draws (8-bit SR only)
+    let rows_out = mans.chunks_mut(cols.max(1)).zip(scales.chunks_mut(gpr));
+    for (r, (man_row, scale_row)) in rows.zip(rows_out) {
+        let segments = man_row.chunks_mut(seg).zip(scale_row.chunks_mut(seg / g));
+        for (c0, (out, seg_scales)) in (0..cols).step_by(seg).zip(segments) {
+            let (values, _) = src.tile(r, 1, c0, out.len(), &mut stage);
+            let values = &values[..out.len()];
+            if check_plain && !scan_group(values).1 {
+                return None;
+            }
+            let groups = values.chunks(g).zip(t_base.chunks_mut(g));
+            for ((vals, t), scale) in groups.zip(seg_scales) {
+                // Same scan both ways; the first is inlined at a constant
+                // length ([`FIXED_GROUP`]).
+                let max_bits = match <&[f32; FIXED_GROUP]>::try_from(vals) {
+                    Ok(vals) => group_max(vals),
+                    Err(_) => group_max(vals),
+                };
+                let (t_group, s) = plain_group_params(max_bits, m, window);
+                t.fill(t_group);
+                *scale = s;
+            }
+            let offset = r * cols + c0;
+            pack_lanes(
+                values, &t_base, &mut noise, out, offset, max_mag, round, bits, &mut stats,
             );
-            scales[r * gpr + gi] = scale;
         }
     }
-    PackedData {
+    Some(PackedData {
         mantissas: mans,
         scales,
         stats,
-    }
+    })
 }
 
-/// `AlongCol` packing: lane-wise over row blocks (the same traversal as the
-/// fake-quantize kernel's vertical path — element order is free because
-/// nearest/truncate rounding draws no bits, and stochastic rounding keys its
-/// noise on element offsets).
-fn pack_along_col_vertical<R: RoundOp>(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
+/// `AlongCol` packing of source rows `row0 .. row1` (`row0` a multiple of
+/// the group size): lane-wise over `g`-row × [`COL_TILE`]-column tiles, every
+/// column group of a tile quantized simultaneously — the fake-quantize
+/// kernel's vertical traversal, tiled so that a source producing rows on
+/// demand stages `g × COL_TILE` values, never the matrix. Element order is
+/// free because nearest/truncate rounding draws no bits and stochastic
+/// rounding keys its noise on element offsets. With `check_plain`, `None` at
+/// the first staged tile holding a value that is neither normal nor zero.
+fn pack_along_col<S: RowSource, R: RoundOp>(
+    src: &S,
+    rows: Range<usize>,
     fmt: BfpFormat,
     round: &R,
     bits: &mut CounterBits,
     window: Option<ExponentWindow>,
-) -> PackedData {
+    check_plain: bool,
+) -> Option<PackedData> {
+    let cols = src.cols();
     let g = fmt.group_size();
     let m = fmt.mantissa_bits();
     let max_mag = fmt.max_magnitude() as u32;
-    let mut mans = vec![0i8; rows * cols];
-    let mut scales = vec![0.0f32; rows.div_ceil(g).max(1) * cols];
-    let mut stats = QuantStats::default();
-    let mut col_max = vec![0u32; cols];
-    let mut t_base = vec![0i32; cols];
-    let mut zeros = vec![0u32; cols];
-    let mut saturated = vec![0u32; cols];
-    let mut row0 = 0;
-    while row0 < rows {
-        let rb = g.min(rows - row0);
-        col_max[..cols].fill(0);
-        for r in row0..row0 + rb {
-            for (c, &v) in data[r * cols..(r + 1) * cols].iter().enumerate() {
-                let abs = v.to_bits() & 0x7FFF_FFFF;
-                if abs > col_max[c] {
-                    col_max[c] = abs;
+    let (row0, row1) = (rows.start, rows.end);
+    let nrows = rows.len();
+    let mut mans = vec![0i8; nrows * cols];
+    let mut scales = vec![0.0f32; nrows.div_ceil(g).max(1) * cols];
+    let mut stats = QuantStats {
+        groups: nrows.div_ceil(g) * cols,
+        ..QuantStats::default()
+    };
+    let mut stage = Vec::new();
+    let mut col_max = [0u32; COL_TILE];
+    let mut t_base = [0i32; COL_TILE];
+    let mut noise = [0u8; COL_TILE]; // a tile row's bulk draws (8-bit SR only)
+    for (block, scale_row) in rows.step_by(g).zip(scales.chunks_mut(cols.max(1))) {
+        let rb = g.min(row1 - block);
+        for c0 in (0..cols).step_by(COL_TILE) {
+            let tw = COL_TILE.min(cols - c0);
+            let (tile, stride) = src.tile(block, rb, c0, tw, &mut stage);
+            let col_max = &mut col_max[..tw];
+            col_max.fill(0);
+            for k in 0..rb {
+                let values = &tile[k * stride..][..tw];
+                if check_plain && !scan_group(values).1 {
+                    return None;
+                }
+                for (mx, &v) in col_max.iter_mut().zip(values) {
+                    *mx = (*mx).max(v.to_bits() & 0x7FFF_FFFF);
                 }
             }
-        }
-        stats.groups += cols;
-        let scale_row = &mut scales[(row0 / g) * cols..(row0 / g) * cols + cols];
-        for c in 0..cols {
-            if col_max[c] == 0 {
-                t_base[c] = 26; // all-zero group: sig = 0 everywhere
-                scale_row[c] = 0.0;
-            } else {
-                let natural = (col_max[c] >> 23) as i32 - 127;
-                let e = window.map_or(natural, |w| w.clamp(natural));
-                t_base[c] = e + 1 - m as i32;
-                scale_row[c] = pow2_f32(e - m as i32 + 1);
+            let params = t_base.iter_mut().zip(&mut scale_row[c0..c0 + tw]);
+            for ((t, s), &mx) in params.zip(col_max.iter()) {
+                (*t, *s) = plain_group_params(mx, m, window);
+            }
+            for k in 0..rb {
+                let r = block + k;
+                let values = &tile[k * stride..][..tw];
+                let out = &mut mans[(r - row0) * cols + c0..][..tw];
+                let offset = r * cols + c0;
+                pack_lanes(
+                    values, &t_base, &mut noise, out, offset, max_mag, round, bits, &mut stats,
+                );
             }
         }
-        for r in row0..row0 + rb {
-            bits.seek((r * cols) as u64, 1);
-            let row = &data[r * cols..(r + 1) * cols];
-            let man_row = &mut mans[r * cols..(r + 1) * cols];
-            for (c, (&v, o)) in row.iter().zip(man_row.iter_mut()).enumerate() {
-                let raw = v.to_bits();
-                let abs = raw & 0x7FFF_FFFF;
-                let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-                let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-                let p = (abs >> 23) as i32 - 150;
-                let mag = round.round_aligned(sig, t_base[c] - p, bits).min(max_mag);
-                zeros[c] += (mag == 0) as u32;
-                saturated[c] += (mag == max_mag) as u32;
-                let s = (raw as i32) >> 31;
-                *o = ((mag as i32 ^ s) - s) as i8;
-            }
-        }
-        row0 += rb;
     }
-    stats.zeros += zeros.iter().map(|&z| z as u64).sum::<u64>();
-    stats.saturated += saturated.iter().map(|&z| z as u64).sum::<u64>();
-    PackedData {
+    Some(PackedData {
         mantissas: mans,
         scales,
         stats,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@
 //! pass at about the quantize kernel's rate ([`relative_improvement`]).
 
 use crate::group::NoNoise;
-use crate::kernel::{decompose, exponent_of_parts, pow2_f64, scan_group, NearestOp, RoundOp};
+use crate::kernel::{
+    decompose, exponent_of_parts, pow2_f64, quantize_plain, scan_group, NearestOp, RoundOp,
+};
 
 /// Which way quantization groups run through a row-major matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,18 +147,13 @@ fn improvement_sums(values: &[f32], group_size: usize) -> (f64, f64) {
 #[inline(always)]
 fn for_each_mag4(chunk: &[f32], e: i32, plain: bool, mut f: impl FnMut(u32)) {
     let t_base = e - 3; // E + 1 − m
-    let noise = &mut NoNoise;
     if plain {
-        // All normal or zero: the branch-free loop of the quantize kernel.
+        // All normal or zero: the branch-free body of the quantize kernel.
         for &v in chunk {
-            let raw = v.to_bits();
-            let abs = raw & 0x7FFF_FFFF;
-            let nonzero_mask = ((abs != 0) as u32).wrapping_neg();
-            let sig = ((raw & 0x7F_FFFF) | 0x80_0000) & nonzero_mask;
-            let p = (abs >> 23) as i32 - 150;
-            f(NearestOp.round_aligned(sig, t_base - p, noise).min(15));
+            f(quantize_plain(v.to_bits(), t_base, 15, &NearestOp, 0).0);
         }
     } else {
+        let noise = &mut NoNoise;
         for &v in chunk {
             let abs = v.to_bits() & 0x7FFF_FFFF;
             if abs == 0 || abs > 0x7F80_0000 {

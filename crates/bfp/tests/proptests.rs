@@ -6,12 +6,14 @@
 //! paper Theorem 1.
 
 use fast_bfp::dot::{dot_chunked, dot_dequantized, dot_f32};
-use fast_bfp::packed::{pack_matrix, PackedData};
+use fast_bfp::packed::{pack_matrix, pack_rows, FillRows, PackedData};
 use fast_bfp::{
     exponent_of, relative_improvement, BfpFormat, BfpGroup, BitSource, ChunkedGroup, CounterRng,
     GroupAxis, Lfsr16, Noise, RngBits, Rounding,
 };
+use fast_tensor::{im2col, Conv2dDims, Im2colRows, Tensor};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::SeedableRng;
 
 #[path = "support/r_oracle.rs"]
@@ -663,12 +665,309 @@ fn sharded_kernels_are_bit_identical_to_seed() {
 }
 
 // ---------------------------------------------------------------------------
+// Row sources: packing the im2col patch matrix straight from the NCHW tensor
+// must be indistinguishable from packing the materialized matrix.
+// ---------------------------------------------------------------------------
+
+/// A packed operand as comparable bits: mantissas, scale bit patterns, stats.
+fn packed_parts(p: &PackedData) -> (&[i8], Vec<u32>, (usize, u64, u64)) {
+    (
+        &p.mantissas,
+        p.scales.iter().map(|s| s.to_bits()).collect(),
+        (p.stats.groups, p.stats.saturated, p.stats.zeros),
+    )
+}
+
+/// Packs `x`'s patch matrix both ways — from the source and from the
+/// materialized `im2col` — and returns `(from_source, from_matrix)`.
+fn pack_both_ways(
+    x: &Tensor,
+    d: Conv2dDims,
+    axis: GroupAxis,
+    fmt: BfpFormat,
+    rounding: Rounding,
+    noise: Noise,
+    windowed: bool,
+) -> (Option<PackedData>, Option<PackedData>) {
+    // The source as `fast_nn::qgemm::prepare_patches` builds it.
+    let patches = Im2colRows::new(x, d);
+    let values = patches.covers_input().then(|| patches.input());
+    let fill = |krow: usize, p0: usize, out: &mut [f32]| patches.fill_row(krow, p0, out);
+    let src = FillRows::new(d.k_dim(), d.p_dim(), fill, values);
+    let from_source = pack_rows(&src, axis, fmt, rounding, noise, windowed);
+    let cols = im2col(x, d);
+    let one_worker = Noise {
+        workers: 1,
+        ..noise
+    };
+    let from_matrix = pack_matrix(
+        cols.data(),
+        d.k_dim(),
+        d.p_dim(),
+        axis,
+        fmt,
+        rounding,
+        one_worker,
+        windowed,
+    );
+    (from_source, from_matrix)
+}
+
+/// Input positions no patch reads, found by unfolding a tensor of indices.
+fn uncovered_positions(d: Conv2dDims) -> Vec<usize> {
+    let n = d.batch * d.in_c * d.in_h * d.in_w;
+    let index = Tensor::from_vec(
+        vec![d.batch, d.in_c, d.in_h, d.in_w],
+        (1..=n).map(|i| i as f32).collect(),
+    );
+    let mut covered = vec![false; n];
+    for &v in im2col(&index, d).data() {
+        if v != 0.0 {
+            covered[v as usize - 1] = true;
+        }
+    }
+    (0..n).filter(|&i| !covered[i]).collect()
+}
+
+/// Plain (normal-or-zero) tensor data over a wide exponent range.
+fn plain_tensor(d: Conv2dDims, seed: u64) -> Tensor {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n = d.batch * d.in_c * d.in_h * d.in_w;
+    let data = (0..n)
+        .map(|_| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0) * (rng.gen_range(-12i32..12) as f32).exp2(),
+        })
+        .map(|v: f32| if v.is_normal() { v } else { 0.0 })
+        .collect();
+    Tensor::from_vec(vec![d.batch, d.in_c, d.in_h, d.in_w], data)
+}
+
+/// What the packer must refuse when a patch reads it, and must not even see
+/// when none does; `2^100` is plain, but would move a window it leaked into.
+const POISONS: [f32; 5] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e-40,
+    1.2676506e30,
+];
+
+/// Asserts that the pack sees exactly the virtual matrix of `x`, with and
+/// without a window (an unwindowed pack of an uncovering source has no
+/// prescan: the kernels check each tile they stage): a poison at an input
+/// position no patch covers changes nothing — not the refusal, not the
+/// window's reference exponent, not a bit of the operand — and a non-plain
+/// one at a covered position, first or last, refuses the pack.
+fn assert_prescan_is_coverage_exact(
+    x: &Tensor,
+    d: Conv2dDims,
+    axis: GroupAxis,
+    fmt: BfpFormat,
+    rounding: Rounding,
+    noise: Noise,
+) -> Result<(), TestCaseError> {
+    let uncovered = uncovered_positions(d);
+    // (Padding can outweigh a tiny plane: then no patch reads anything.)
+    let mut covered = (0..x.numel()).filter(|i| !uncovered.contains(i));
+    let covered_ends = [covered.next(), covered.next_back()];
+    for windowed in [false, true] {
+        let (clean, _) = pack_both_ways(x, d, axis, fmt, rounding, noise, windowed);
+        let clean = clean.expect("plain data packs");
+        for poison in POISONS {
+            if let Some(&at) = uncovered.first() {
+                let mut poisoned = x.clone();
+                poisoned.data_mut()[at] = poison;
+                let (got, _) = pack_both_ways(&poisoned, d, axis, fmt, rounding, noise, windowed);
+                let got = got.expect("an unread value must not refuse the pack");
+                prop_assert_eq!(
+                    packed_parts(&got),
+                    packed_parts(&clean),
+                    "unread {} leaked (window={})",
+                    poison,
+                    windowed
+                );
+            }
+            for at in covered_ends.into_iter().flatten() {
+                if poison.is_normal() {
+                    continue;
+                }
+                let mut poisoned = x.clone();
+                poisoned.data_mut()[at] = poison;
+                let (got, want) =
+                    pack_both_ways(&poisoned, d, axis, fmt, rounding, noise, windowed);
+                prop_assert!(
+                    got.is_none() && want.is_none(),
+                    "read {} at {} must refuse (window={})",
+                    poison,
+                    at,
+                    windowed
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Packing from the patch source equals `pack_matrix(im2col(x))` —
+    /// mantissas, scales and `QuantStats` — over the `im2col` oracle's
+    /// geometry family, both axes, every rounding family, windowed or not,
+    /// ragged and full groups, with the prescan coverage-exact.
+    #[test]
+    fn pack_from_patch_source_equals_pack_of_im2col(
+        kernel in prop::sample::select(vec![1usize, 3, 5]),
+        stride in 1usize..=3,
+        pad in 0usize..=2,
+        ow in prop::sample::select(vec![1usize, 3, 4, 8, 16, 17]),
+        oh in prop::sample::select(vec![1usize, 2, 5]),
+        slack in 0usize..3,
+        batch in 2usize..=3,
+        in_c in 1usize..=3,
+        g in prop::sample::select(vec![16usize, 16, 5, 300]),
+        m in 2u32..=7,
+        along_col in 0u32..=1,
+        rounding in prop::sample::select(vec![
+            Rounding::Nearest,
+            Rounding::Truncate,
+            Rounding::STOCHASTIC8,
+            Rounding::Stochastic { noise_bits: 3 },
+        ]),
+        windowed in 0u32..=1,
+        workers in prop::sample::select(vec![1usize, 4]),
+        seed in 0u64..1 << 32,
+        base in 0u64..=1 << 40,
+    ) {
+        let extent = |o: usize| ((o - 1) * stride + kernel + slack % stride).checked_sub(2 * pad);
+        let (in_h, in_w) = match (extent(oh), extent(ow)) {
+            (Some(h), Some(w)) if h > 0 && w > 0 => (h, w),
+            _ => return Err(TestCaseError::Reject),
+        };
+        let d = Conv2dDims { batch, in_c, in_h, in_w, out_c: 1, kernel, stride, pad };
+        let fmt = BfpFormat::new(g, m, 3).expect("valid format");
+        let axis = if along_col == 1 { GroupAxis::AlongCol } else { GroupAxis::AlongRow };
+        let noise = Noise { rng: CounterRng::new(seed), base, workers };
+        let x = plain_tensor(d, seed);
+        let (got, want) = pack_both_ways(&x, d, axis, fmt, rounding, noise, windowed == 1);
+        let (got, want) = (got.expect("plain data packs"), want.expect("plain data packs"));
+        prop_assert_eq!(packed_parts(&got), packed_parts(&want));
+        assert_prescan_is_coverage_exact(&x, d, axis, fmt, rounding, noise)?;
+    }
+}
+
+/// The two geometries that leave input unread, spelled out: a 1×1 stride-2
+/// shortcut conv (every other row and column) and a 3×3 stride-2 conv whose
+/// last window stops short of the trailing row and column.
+#[test]
+fn patch_prescan_skips_unread_rows_and_columns() {
+    for (kernel, pad, size) in [(1, 0, 8), (3, 0, 8)] {
+        let d = Conv2dDims {
+            batch: 2,
+            in_c: 3,
+            in_h: size,
+            in_w: size,
+            out_c: 1,
+            kernel,
+            stride: 2,
+            pad,
+        };
+        assert!(!uncovered_positions(d).is_empty(), "k{kernel}: all read");
+        let x = plain_tensor(d, 7);
+        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+            let noise = Noise {
+                rng: CounterRng::new(9),
+                base: 3,
+                workers: 1,
+            };
+            assert_prescan_is_coverage_exact(
+                &x,
+                d,
+                axis,
+                BfpFormat::high(),
+                Rounding::STOCHASTIC8,
+                noise,
+            )
+            .unwrap();
+        }
+    }
+}
+
+/// The sharded source path: operands large enough that four stripes engage
+/// — row ranges of the source, each addressing its noise by absolute offset
+/// — against the one-worker pack of the materialized matrix. The second
+/// geometry leaves input unread, so its unwindowed pack has every stripe
+/// check its own tiles: a non-plain value only the last stripe stages must
+/// still refuse the whole operand.
+#[test]
+fn sharded_patch_source_is_bit_identical_to_one_worker() {
+    let same = Conv2dDims {
+        batch: 4,
+        in_c: 8,
+        in_h: 24,
+        in_w: 24,
+        out_c: 1,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let shortcut = Conv2dDims {
+        batch: 4,
+        in_c: 64,
+        in_h: 32,
+        in_w: 32,
+        out_c: 1,
+        kernel: 1,
+        stride: 2,
+        pad: 0,
+    };
+    let noise = Noise {
+        rng: CounterRng::new(0xFA57),
+        base: 12_345,
+        workers: 4,
+    };
+    let pack = |x: &Tensor, d, axis, windowed| {
+        let (fmt, rounding) = (BfpFormat::high(), Rounding::STOCHASTIC8);
+        pack_both_ways(x, d, axis, fmt, rounding, noise, windowed)
+    };
+    for d in [same, shortcut] {
+        assert!(d.k_dim() * d.p_dim() >= 4 << 14, "four stripes must engage");
+        let x = plain_tensor(d, 11);
+        // The last element a patch reads: the final matrix row's.
+        let unread = uncovered_positions(d);
+        let last_read = (0..x.numel())
+            .rev()
+            .find(|i| !unread.contains(i))
+            .expect("some element is read");
+        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+            for windowed in [false, true] {
+                let (got, want) = pack(&x, d, axis, windowed);
+                let (got, want) = (got.expect("packs"), want.expect("packs"));
+                assert_eq!(
+                    packed_parts(&got),
+                    packed_parts(&want),
+                    "{axis:?} window={windowed}"
+                );
+                let mut poisoned = x.clone();
+                poisoned.data_mut()[last_read] = f32::NAN;
+                let (got, want) = pack(&poisoned, d, axis, windowed);
+                assert!(
+                    got.is_none() && want.is_none(),
+                    "{axis:?} window={windowed}: a NaN in the last stripe must refuse"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // r(X): the allocation-free integer kernel must return the oracle's f32 bits
 // on every input — the precision controller's decisions, and with them every
 // trajectory pin, hang on this.
 // ---------------------------------------------------------------------------
 
-fn assert_r_matches_oracle(xs: &[f32]) -> Result<(), proptest::test_runner::TestCaseError> {
+fn assert_r_matches_oracle(xs: &[f32]) -> Result<(), TestCaseError> {
     for g in [1usize, 4, 16, 32] {
         let got = relative_improvement(xs, g);
         let want = relative_improvement_oracle(xs, g);

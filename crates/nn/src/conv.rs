@@ -4,7 +4,10 @@
 //! Convolutions are lowered to GEMMs over the im2col matrix (paper Fig 3);
 //! operands are quantized along each GEMM's reduction axis exactly as in
 //! [`crate::linear::Dense`], including the frozen-weight cache used by
-//! inference-serving sessions (DESIGN.md §8).
+//! inference-serving sessions (DESIGN.md §8). On the training path the
+//! im2col matrix is a *virtual* operand: [`qgemm::prepare_patches`] packs
+//! it straight from the NCHW tensor (DESIGN.md §9); only the frozen serving
+//! branch, and a refused pack, materialize it.
 
 use crate::frozen::FrozenWeight;
 use crate::layer::{GemmShape, Layer, Param, QuantControlled, Session};
@@ -138,9 +141,10 @@ impl Layer for Conv2d {
             // Forward GEMM `O = W_mat · cols` reduces over K = C·k²: groups
             // run down the rows of `cols` (AlongCol) and along the rows of
             // `W_mat`.
-            let cols = qgemm::prepare_owned(
+            let cols = qgemm::prepare_patches(
                 session,
-                im2col(input, d),
+                input,
+                d,
                 self.precision.activations,
                 GroupAxis::AlongCol,
             );
@@ -194,9 +198,10 @@ impl Layer for Conv2d {
             self.precision.gradients,
             GroupAxis::AlongRow,
         );
-        let cols = qgemm::prepare_owned(
+        let cols = qgemm::prepare_patches(
             session,
-            im2col(x, d),
+            x,
+            d,
             self.precision.activations,
             GroupAxis::AlongRow,
         );
@@ -404,9 +409,10 @@ impl Layer for DepthwiseConv2d {
         };
         for c in 0..self.channels {
             let xc = Self::slice_channel(input, c);
-            let cols = qgemm::prepare_owned(
+            let cols = qgemm::prepare_patches(
                 session,
-                im2col(&xc, d), // (k², B·OH·OW)
+                &xc,
+                d, // (k², B·OH·OW)
                 self.precision.activations,
                 GroupAxis::AlongCol,
             );
@@ -464,9 +470,10 @@ impl Layer for DepthwiseConv2d {
                 self.precision.gradients,
                 GroupAxis::AlongRow,
             );
-            let cols = qgemm::prepare_owned(
+            let cols = qgemm::prepare_patches(
                 session,
-                im2col(&xc, d),
+                &xc,
+                d,
                 self.precision.activations,
                 GroupAxis::AlongRow,
             );

@@ -10,6 +10,9 @@
 //!    all), packable BFP operands become a [`PackedMat`] (integer `i8`
 //!    mantissas + per-group scales, no dequantized f32 copy), and
 //!    everything else falls back to a quantized dense copy.
+//!    [`prepare_patches`] does the same for a conv layer's `im2col`
+//!    operand straight from the NCHW tensor: the pack kernels gather the
+//!    patches tile by tile, so the `K × P` f32 matrix is never written.
 //! 2. [`execute`] multiplies the prepared operands with the packed-operand
 //!    kernels of `fast_tensor::qgemm`, under the session's [`ExecMode`].
 //!
@@ -39,12 +42,12 @@
 
 use crate::layer::Session;
 use crate::quant::NumericFormat;
-use fast_bfp::packed::pack_matrix;
+use fast_bfp::packed::{pack_rows, DenseRows, FillRows, RowSource};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
     qmatmul, qmatmul_bt, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
 };
-use fast_tensor::Tensor;
+use fast_tensor::{im2col, Conv2dDims, Im2colRows, Tensor};
 
 /// Counters accumulated by every plan execution (one instance lives on
 /// [`Session`]): how much GEMM work ran and what quantization did to the
@@ -149,14 +152,13 @@ fn layout_of(axis: GroupAxis) -> PackLayout {
     }
 }
 
-/// Tries the packed representation of one operand; `None` for non-BFP
-/// formats and on pack refusal (wide mantissas, non-plain inputs).
-fn try_pack(
+/// Tries the packed representation of the operand `src` describes; `None`
+/// for non-BFP formats and on pack refusal (wide mantissas, non-plain
+/// inputs).
+fn try_pack<S: RowSource>(
     noise: Noise,
     stats: &mut QuantStats,
-    data: &[f32],
-    rows: usize,
-    cols: usize,
+    src: &S,
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> Option<Prepared> {
@@ -168,11 +170,11 @@ fn try_pack(
     else {
         return None;
     };
-    pack_matrix(data, rows, cols, axis, format, rounding, noise, windowed).map(|p| {
+    pack_rows(src, axis, format, rounding, noise, windowed).map(|p| {
         stats.merge(p.stats);
         Prepared::Packed(PackedMat::new(
-            rows,
-            cols,
+            src.rows(),
+            src.cols(),
             format.group_size(),
             layout_of(axis),
             p.mantissas,
@@ -194,7 +196,7 @@ pub(crate) fn quantize_operand(
     fmt: NumericFormat,
     axis: GroupAxis,
 ) -> Prepared {
-    if let Some(p) = try_pack(noise, stats, data, rows, cols, fmt, axis) {
+    if let Some(p) = try_pack(noise, stats, &DenseRows::new(data, rows, cols), fmt, axis) {
         return p;
     }
     // Dense fallback: wide mantissas, non-plain inputs, scalar formats —
@@ -267,12 +269,57 @@ pub fn prepare_owned(
     if !matches!(fmt, NumericFormat::Fp32) {
         let (rows, cols) = dims_of(&t);
         let (noise, stats) = session.quant_parts(fmt, rows * cols);
-        packed = try_pack(noise, stats, t.data(), rows, cols, fmt, axis);
+        packed = try_pack(
+            noise,
+            stats,
+            &DenseRows::new(t.data(), rows, cols),
+            fmt,
+            axis,
+        );
         if packed.is_none() {
             stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
         }
     }
     let op = GemmOperand::Own(packed.unwrap_or(Prepared::Dense(t)));
+    crate::telemetry::note_operand(&op);
+    op
+}
+
+/// Prepares the `im2col(x, d)` operand of a conv GEMM straight from the
+/// NCHW tensor: a packable BFP format packs from the patch geometry without
+/// materializing the `K × P` f32 matrix — same groups, shared exponents,
+/// noise offsets and counters as `prepare_owned(session, im2col(x, d), ..)`,
+/// bit for bit. The operand's `K·P` noise positions are reserved **once**;
+/// on refusal (wide mantissa, non-plain value, non-BFP format) the matrix is
+/// materialized and quantized in place against the same [`Noise`].
+///
+/// # Panics
+///
+/// Panics if `x` is not `(batch, in_c, in_h, in_w)` for `d`.
+pub fn prepare_patches(
+    session: &mut Session,
+    x: &Tensor,
+    d: Conv2dDims,
+    fmt: NumericFormat,
+    axis: GroupAxis,
+) -> GemmOperand<'static> {
+    let _span = fast_telemetry::span!("qgemm.prepare");
+    let (rows, cols) = (d.k_dim(), d.p_dim());
+    let (noise, stats) = session.quant_parts(fmt, rows * cols);
+    // The patch matrix as a pack source: rows are gathered into the
+    // kernels' staging tile on demand. The prescan must see exactly the
+    // virtual matrix, so the input stands in for it only when every input
+    // element is in some patch.
+    let patches = Im2colRows::new(x, d);
+    let values = patches.covers_input().then(|| patches.input());
+    let fill = |krow: usize, p0: usize, out: &mut [f32]| patches.fill_row(krow, p0, out);
+    let src = FillRows::new(rows, cols, fill, values);
+    let prepared = try_pack(noise, stats, &src, fmt, axis).unwrap_or_else(|| {
+        let mut t = im2col(x, d);
+        stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
+        Prepared::Dense(t)
+    });
+    let op = GemmOperand::Own(prepared);
     crate::telemetry::note_operand(&op);
     op
 }

@@ -298,3 +298,275 @@ proptest! {
         prop_assert_eq!(ga, gb);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Conv layers pack their `im2col` operands straight from the NCHW tensor
+// (`qgemm::prepare_patches`). The reference below is the composition they
+// replaced — materialize `im2col`, then `prepare_owned` — kept here so the
+// layers stay pinned to it bit for bit.
+// ---------------------------------------------------------------------------
+
+use fast_nn::qgemm::{prepare_owned, prepare_patches, prepare_slice, GemmOperand, Prepared};
+use fast_nn::{Conv2d, DepthwiseConv2d, ExecMode, PlanStats, QuantControlled};
+use fast_tensor::{col2im, gemm_out_to_nchw, im2col, nchw_to_gemm_out, Conv2dDims};
+
+/// What one forward + backward of a conv layer leaves behind.
+#[derive(Debug, PartialEq)]
+struct ConvRun {
+    out: Vec<u32>,
+    grad_input: Vec<u32>,
+    grad_weight: Vec<u32>,
+    plan_stats: PlanStats,
+    sr_state: (u64, u64),
+}
+
+/// Bit patterns with every NaN folded to one (a NaN product's payload
+/// depends on the operand order the optimizer picks).
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data()
+        .iter()
+        .map(|v| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() })
+        .collect()
+}
+
+/// Runs `layer` forward on `x` and backward on `gout` in a fresh session.
+fn run_layer(
+    layer: &mut dyn Layer,
+    x: &Tensor,
+    gout: &Tensor,
+    mode: ExecMode,
+    seed: u64,
+) -> ConvRun {
+    let mut s = Session::new(seed);
+    s.exec_mode = mode;
+    let out = layer.forward(x, &mut s);
+    let grad_input = layer.backward(gout, &mut s);
+    let mut grad_weight = Vec::new();
+    layer.visit_params(&mut |p| grad_weight.extend(bits(p.grad)));
+    ConvRun {
+        out: bits(&out),
+        grad_input: bits(&grad_input),
+        grad_weight,
+        plan_stats: s.plan_stats,
+        sr_state: s.sr_state(),
+    }
+}
+
+/// The three GEMMs of one bias-free conv over the *materialized* patch
+/// matrix, in the layer's operand order: returns `(out, ∇input, ∇W)`.
+fn conv_by_materialized_im2col(
+    s: &mut Session,
+    w: &[f32],
+    p: LayerPrecision,
+    d: Conv2dDims,
+    x: &Tensor,
+    gout: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (row, col) = (GroupAxis::AlongRow, GroupAxis::AlongCol);
+    let cols = prepare_owned(s, im2col(x, d), p.activations, col);
+    let wq = prepare_slice(s, w, d.out_c, d.k_dim(), p.weights, row);
+    let out = gemm_out_to_nchw(&execute(s, Orient::Nn, &wq, &cols), d);
+    let g_mat = nchw_to_gemm_out(gout, d);
+    let gq = prepare(s, &g_mat, p.gradients, row);
+    let cols = prepare_owned(s, im2col(x, d), p.activations, row);
+    let gw = execute(s, Orient::Nt, &gq, &cols);
+    drop(gq);
+    let gq2 = prepare_owned(s, g_mat, p.gradients, col);
+    let wq = prepare_slice(s, w, d.out_c, d.k_dim(), p.weights, col);
+    let gin = col2im(&execute(s, Orient::Tn, &wq, &gq2), d);
+    (out, gin, gw)
+}
+
+/// Channel `c` of an NCHW tensor as a `(B, 1, H, W)` tensor.
+fn channel_of(t: &Tensor, c: usize) -> Tensor {
+    let (b, cs, hw) = (t.shape()[0], t.shape()[1], t.shape()[2] * t.shape()[3]);
+    let data = (0..b)
+        .flat_map(|bi| t.data()[(bi * cs + c) * hw..][..hw].iter().copied())
+        .collect();
+    Tensor::from_vec(vec![b, 1, t.shape()[2], t.shape()[3]], data)
+}
+
+/// A precision with the activation format under test, a nearest weight
+/// format and the paper's SR gradients.
+fn precision_with_activations(activations: NumericFormat) -> LayerPrecision {
+    LayerPrecision {
+        activations,
+        ..LayerPrecision::fast(4, 4, 2)
+    }
+}
+
+/// Input data for the conv suites; `special` plants a NaN (the pack's
+/// refusal path) where the first patch reads it.
+fn conv_input(shape: Vec<usize>, seed: u64, special: bool) -> Tensor {
+    let len = shape.iter().product();
+    let mut x = Tensor::from_vec(shape, operand_data(len, seed, 1));
+    if special {
+        let at = x.numel() / 2;
+        x.data_mut()[at] = f32::NAN;
+    }
+    x
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Conv2d` forward output, both gradients, the plan counters and the
+    /// SR cursor after a forward + backward equal the materialized
+    /// composition's, in both exec modes, for every activation format of the
+    /// zoo (SR on activations included; scalar and wide formats refuse the
+    /// pack, as does a NaN in the input).
+    #[test]
+    fn conv2d_matches_the_materialized_im2col_composition(
+        in_c in 1usize..=3,
+        out_c in 1usize..=4,
+        kernel in prop::sample::select(vec![1usize, 3]),
+        stride in 1usize..=2,
+        pad in 0usize..=1,
+        in_h in 4usize..=9,
+        in_w in 4usize..=9,
+        batch in 1usize..=3,
+        fa_idx in 0usize..10,
+        integer in 0u32..=1,
+        special in 0u32..=3,
+        seed in 0u64..10_000,
+    ) {
+        let mode = if integer == 1 { ExecMode::Integer } else { ExecMode::Replay };
+        let precision = precision_with_activations(zoo_format(fa_idx));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut layer = Conv2d::new(in_c, out_c, kernel, stride, pad, false, &mut rng);
+        *layer.precision_mut() = precision;
+        let d = Conv2dDims { batch, in_c, in_h, in_w, out_c, kernel, stride, pad };
+        let x = conv_input(vec![batch, in_c, in_h, in_w], seed, special == 0);
+        let gout = Tensor::from_vec(
+            vec![batch, out_c, d.out_h(), d.out_w()],
+            operand_data(batch * out_c * d.out_h() * d.out_w(), seed ^ 0xC0, 1),
+        );
+
+        let mut s = Session::new(seed);
+        s.exec_mode = mode;
+        let w = layer.weight().data().to_vec();
+        let (out, gin, gw) = conv_by_materialized_im2col(&mut s, &w, precision, d, &x, &gout);
+        let want = ConvRun {
+            out: bits(&out),
+            grad_input: bits(&gin),
+            grad_weight: bits(&gw),
+            plan_stats: s.plan_stats,
+            sr_state: s.sr_state(),
+        };
+        prop_assert_eq!(run_layer(&mut layer, &x, &gout, mode, seed), want);
+    }
+
+    /// The same for `DepthwiseConv2d`: one `(1, k²)`-weight conv per channel.
+    #[test]
+    fn depthwise_conv_matches_the_materialized_im2col_composition(
+        channels in 1usize..=3,
+        stride in 1usize..=2,
+        pad in 0usize..=1,
+        in_h in 4usize..=8,
+        in_w in 4usize..=8,
+        batch in 1usize..=2,
+        fa_idx in 0usize..10,
+        integer in 0u32..=1,
+        special in 0u32..=3,
+        seed in 0u64..10_000,
+    ) {
+        let mode = if integer == 1 { ExecMode::Integer } else { ExecMode::Replay };
+        let precision = precision_with_activations(zoo_format(fa_idx));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut layer = DepthwiseConv2d::new(channels, 3, stride, pad, &mut rng);
+        *layer.precision_mut() = precision;
+        let d = Conv2dDims {
+            batch, in_c: 1, in_h, in_w, out_c: 1, kernel: 3, stride, pad,
+        };
+        let x = conv_input(vec![batch, channels, in_h, in_w], seed, special == 0);
+        let gout = Tensor::from_vec(
+            vec![batch, channels, d.out_h(), d.out_w()],
+            operand_data(batch * channels * d.out_h() * d.out_w(), seed ^ 0xD0, 1),
+        );
+
+        // Forward runs every channel before backward runs any.
+        let mut s = Session::new(seed);
+        s.exec_mode = mode;
+        let w = layer.weight().data().to_vec();
+        let (row, col) = (GroupAxis::AlongRow, GroupAxis::AlongCol);
+        let mut want = ConvRun {
+            out: Vec::new(),
+            grad_input: Vec::new(),
+            grad_weight: Vec::new(),
+            plan_stats: PlanStats::default(),
+            sr_state: (0, 0),
+        };
+        let mut outs = Vec::new();
+        for c in 0..channels {
+            let cols = prepare_owned(&mut s, im2col(&channel_of(&x, c), d), precision.activations, col);
+            let wq = prepare_slice(&mut s, &w[c * 9..][..9], 1, 9, precision.weights, row);
+            outs.push(execute(&mut s, Orient::Nn, &wq, &cols));
+        }
+        let mut gins = Vec::new();
+        for c in 0..channels {
+            let g_mat = nchw_to_gemm_out(&channel_of(&gout, c), d);
+            let gq = prepare(&mut s, &g_mat, precision.gradients, row);
+            let cols = prepare_owned(&mut s, im2col(&channel_of(&x, c), d), precision.activations, row);
+            want.grad_weight.extend(bits(&execute(&mut s, Orient::Nt, &gq, &cols)));
+            drop(gq);
+            let gq2 = prepare_owned(&mut s, g_mat, precision.gradients, col);
+            let wq = prepare_slice(&mut s, &w[c * 9..][..9], 1, 9, precision.weights, col);
+            gins.push(col2im(&execute(&mut s, Orient::Tn, &wq, &gq2), d));
+        }
+        // Per-channel results interleave back into NCHW, batch-major.
+        let (ohw, hw) = (d.out_h() * d.out_w(), in_h * in_w);
+        for b in 0..batch {
+            for c in 0..channels {
+                want.out.extend(bits(&outs[c]).iter().skip(b * ohw).take(ohw));
+                want.grad_input.extend(bits(&gins[c]).iter().skip(b * hw).take(hw));
+            }
+        }
+        want.plan_stats = s.plan_stats;
+        want.sr_state = s.sr_state();
+        prop_assert_eq!(run_layer(&mut layer, &x, &gout, mode, seed), want);
+    }
+}
+
+/// The refusal path reserves the operand's `K·P` noise positions once, not
+/// once for the refused pack and again for the fallback; and a non-plain
+/// value the patches never read (a 1×1 stride-2 conv skips every other row
+/// and column) does not refuse the pack at all.
+#[test]
+fn refused_patch_pack_reserves_its_noise_once() {
+    let fmt = NumericFormat::bfp_stochastic(fast_bfp::BfpFormat::high());
+    let d = Conv2dDims {
+        batch: 2,
+        in_c: 3,
+        in_h: 6,
+        in_w: 6,
+        out_c: 1,
+        kernel: 1,
+        stride: 2,
+        pad: 0,
+    };
+    let numel = (d.k_dim() * d.p_dim()) as u64;
+    let clean = conv_input(vec![2, 3, 6, 6], 5, false);
+    for (at, refused) in [(0, true), (1, false), (6, false), (12, true)] {
+        let mut x = clean.clone();
+        x.data_mut()[at] = f32::NAN;
+        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+            let mut s = Session::new(1);
+            let op = prepare_patches(&mut s, &x, d, fmt, axis);
+            assert_eq!(
+                matches!(op, GemmOperand::Own(Prepared::Dense(_))),
+                refused,
+                "NaN at {at}, {axis:?}"
+            );
+            assert_eq!(s.sr_state().1, numel, "NaN at {at}, {axis:?}");
+            // Either way the operand is the materialized composition's.
+            let mut s_ref = Session::new(1);
+            let want = prepare_owned(&mut s_ref, im2col(&x, d), fmt, axis);
+            let dense = |op: &GemmOperand<'_>| match op {
+                GemmOperand::Own(p) => bits(&p.to_tensor()),
+                _ => unreachable!("prepared operands are owned"),
+            };
+            assert_eq!(dense(&op), dense(&want), "NaN at {at}, {axis:?}");
+            assert_eq!(s.plan_stats, s_ref.plan_stats);
+        }
+    }
+}

@@ -4,20 +4,26 @@
 //! live traffic.
 
 use fast_nn::models::mlp;
-use fast_nn::{set_uniform_precision, Dense, LayerPrecision, Relu, Sequential};
+use fast_nn::{set_uniform_precision, Dense, Layer, LayerPrecision, Relu, Sequential, Session};
 use fast_serve::{BatchConfig, CompiledModel, Pending, ServeError, ServeRequest, Server};
 use fast_tensor::Tensor;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-fn small_model(seed: u64) -> CompiledModel {
+fn small_net(seed: u64) -> Sequential {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut m = Sequential::new()
         .push(Dense::new(6, 12, true, &mut rng))
         .push(Relu::new())
         .push(Dense::new(12, 3, true, &mut rng));
     set_uniform_precision(&mut m, LayerPrecision::bfp_fixed(4));
-    CompiledModel::compile(m, 0)
+    m
+}
+
+fn small_model(seed: u64) -> CompiledModel {
+    CompiledModel::compile(small_net(seed), 0)
 }
 
 fn small_sample(i: usize) -> Tensor {
@@ -57,18 +63,76 @@ fn spin_until_drained(server: &Server) {
     }
 }
 
+/// A pass-through layer that puts the serving worker's pace in the test's
+/// hands: while held shut, `forward` parks the worker inside the model, and
+/// every pass then takes at least `pace` — so what queues behind a request,
+/// and for how long, is the test's decision, not a function of kernel speed.
+/// It counts the forward passes that reached it.
+#[derive(Default)]
+struct GateState {
+    held: Mutex<bool>,
+    released: Condvar,
+    pace: Duration,
+    forwards: AtomicUsize,
+}
+
+impl GateState {
+    fn set_held(&self, held: bool) {
+        *self.held.lock().unwrap() = held;
+        self.released.notify_all();
+    }
+}
+
+struct Gate(Arc<GateState>);
+
+impl Layer for Gate {
+    fn forward(&mut self, input: &Tensor, _session: &mut Session) -> Tensor {
+        self.0.forwards.fetch_add(1, Ordering::SeqCst);
+        let mut held = self.0.held.lock().unwrap();
+        while *held {
+            held = self.0.released.wait(held).unwrap();
+        }
+        drop(held);
+        std::thread::sleep(self.0.pace);
+        input.clone()
+    }
+
+    fn backward(&mut self, grad_output: &Tensor, _session: &mut Session) -> Tensor {
+        grad_output.clone()
+    }
+
+    fn kind(&self) -> &'static str {
+        "gate"
+    }
+}
+
 /// Regression for the round-robin dispatcher's under-fill (BENCH_serve.json
 /// recorded mean batch 1.98 with histogram peaking at 2): with a sustained
 /// deep backlog, the continuous batcher must ship full `max_batch` batches.
 #[test]
 fn deep_backlog_fills_batches_to_max() {
-    let server = Server::start(vec![small_model(1)], BatchConfig::no_wait(8));
-    // Occupy the lone worker with one big prebatched request…
+    // Each forward pass takes at least 5 ms, whatever the kernels' speed: the
+    // four batches of the burst leave the queue at least that far apart.
+    let gate = Arc::new(GateState {
+        pace: Duration::from_millis(5),
+        ..GateState::default()
+    });
+    let model = Sequential::new()
+        .push(Gate(gate.clone()))
+        .push(small_net(1));
+    let server = Server::start(
+        vec![CompiledModel::compile(model, 0)],
+        BatchConfig::no_wait(8),
+    );
+    // Occupy the lone worker with one big prebatched request, parked inside
+    // its forward pass…
+    gate.set_held(true);
     let occupier = server.submit(Tensor::zeros(vec![1024, 6]));
     spin_until_drained(&server);
-    // …then burst 32 singles while it grinds: they all queue, so the worker
+    // …then burst 32 singles while it is held: they all queue, so the worker
     // must pop them as 4 × 8 once it frees up.
     let burst: Vec<Pending> = (0..32).map(|i| server.submit(small_sample(i))).collect();
+    gate.set_held(false);
     assert_eq!(occupier.wait().shape(), &[1024, 3]);
     for p in burst {
         assert_eq!(p.wait().shape(), &[1, 3]);
@@ -123,19 +187,38 @@ fn hopeless_deadline_is_shed_at_admission() {
 /// — the model never runs for it.
 #[test]
 fn queued_request_past_deadline_is_dropped_at_dispatch() {
-    let server = Server::start(vec![bench_mlp(3)], BatchConfig::no_wait(8));
-    // Warm the estimate so admission has real numbers (a near-empty queue
-    // estimates well under the deadline below, so the request is admitted).
-    for i in 0..4 {
-        server.infer(bench_sample(i));
-    }
-    // Occupy the worker far past the deadline horizon.
-    let occupier = server.submit(Tensor::zeros(vec![1024, 64]));
-    spin_until_drained(&server);
-    let doomed = server.submit_request(
-        ServeRequest::new(bench_sample(5)).with_deadline(Duration::from_millis(20)),
+    let gate = Arc::new(GateState::default());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let mut model = Sequential::new()
+        .push(Gate(gate.clone()))
+        .push(mlp(&[64, 256, 256, 10], &mut rng));
+    set_uniform_precision(&mut model, LayerPrecision::bfp_fixed(4));
+    let server = Server::start(
+        vec![CompiledModel::compile(model, 0)],
+        BatchConfig::no_wait(8),
     );
-    assert_eq!(occupier.wait().shape(), &[1024, 10]);
+    // Warm the estimate so admission has real numbers. It is an average of
+    // per-sample service times, none longer than the slowest warm-up seen
+    // from here, so a deadline past that is admitted on an empty queue
+    // whatever the build's speed (a debug build's cache-building first
+    // request can take longer than 20 ms).
+    let mut slowest = Duration::ZERO;
+    for i in 0..4 {
+        let sent = Instant::now();
+        server.infer(bench_sample(i));
+        slowest = slowest.max(sent.elapsed());
+    }
+    let deadline = Duration::from_millis(20).max(2 * slowest);
+    // Park the worker inside the occupier's forward pass…
+    gate.set_held(true);
+    let occupier = server.submit(bench_sample(4));
+    spin_until_drained(&server);
+    // …and keep it there until the queued request's deadline has passed on
+    // the wall clock, however fast the kernels are.
+    let doomed = server.submit_request(ServeRequest::new(bench_sample(5)).with_deadline(deadline));
+    std::thread::sleep(deadline);
+    gate.set_held(false);
+    assert_eq!(occupier.wait().shape(), &[1, 10]);
     match doomed.result() {
         Err(ServeError::DeadlineMissed {
             waited_us,
@@ -151,6 +234,11 @@ fn queued_request_past_deadline_is_dropped_at_dispatch() {
     let stats = server.shutdown();
     assert_eq!(stats.deadline_missed, 1);
     assert_eq!(stats.rejected, 0, "the request was admitted, not shed");
+    assert_eq!(
+        gate.forwards.load(Ordering::SeqCst),
+        5,
+        "four warm-ups and the occupier: the model never ran for the expired request"
+    );
 }
 
 fn variant_b(seed: u64) -> Sequential {

@@ -73,6 +73,152 @@ impl Conv2dDims {
     }
 }
 
+/// The im2col matrix of an NCHW input as a *virtual* row-major `(K, P)`
+/// matrix: [`Im2colRows::fill_row`] produces any column range of any row on
+/// demand, so a consumer that reads the matrix once (the BFP pack kernels,
+/// DESIGN.md §9) never needs it in memory. This is the one definition of the
+/// patch geometry — [`im2col`] is the filler applied to every row.
+#[derive(Debug, Clone, Copy)]
+pub struct Im2colRows<'a> {
+    input: &'a [f32],
+    d: Conv2dDims,
+}
+
+impl<'a> Im2colRows<'a> {
+    /// The patch matrix of `input` under geometry `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not `(batch, in_c, in_h, in_w)`.
+    pub fn new(input: &'a Tensor, d: Conv2dDims) -> Self {
+        d.validate();
+        assert_eq!(
+            input.shape(),
+            &[d.batch, d.in_c, d.in_h, d.in_w],
+            "input shape does not match conv dims"
+        );
+        Im2colRows {
+            input: input.data(),
+            d,
+        }
+    }
+
+    /// The NCHW input buffer the patches are cut from.
+    pub fn input(&self) -> &'a [f32] {
+        self.input
+    }
+
+    /// Whether every input element lies in at least one patch, so that the
+    /// matrix's value set is the input's plus the padding zeros. False when
+    /// the stride skips rows or columns (stride > kernel) or the last patch
+    /// stops short of the trailing ones.
+    pub fn covers_input(&self) -> bool {
+        let d = self.d;
+        let axis_covered = |n_in: usize, n_out: usize| {
+            (d.stride <= d.kernel || n_out == 1)
+                && (n_out - 1) * d.stride + d.kernel >= n_in + d.pad
+        };
+        axis_covered(d.in_h, d.out_h()) && axis_covered(d.in_w, d.out_w())
+    }
+
+    /// Writes columns `p0 .. p0 + out.len()` of matrix row `krow` into `out`
+    /// — every element, padding as explicit zeros.
+    ///
+    /// A row is `B` planes of `OH` spans of `OW` positions; row
+    /// `krow = (c, kh, kw)` reads image row `oy·stride + kh − pad` of channel
+    /// `c` shifted by `kw − pad`, so each span's in-bounds run is one
+    /// contiguous copy at unit stride and one strided gather otherwise. Where
+    /// the image rows are as wide as the spans (`OW = in_w` at unit stride —
+    /// every "same" convolution) consecutive runs are also consecutive in
+    /// the image, and a plane's runs merge into one copy with the
+    /// `|kw − pad|`-wide seams between them re-zeroed: one 64-float copy
+    /// instead of eight 8-float ones on an 8×8 plane (`im2col_c8_ns` and the
+    /// stage table of DESIGN.md §7).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `krow >= K` or the column range runs past `P`.
+    pub fn fill_row(&self, krow: usize, p0: usize, out: &mut [f32]) {
+        let d = self.d;
+        let (oh, ow) = (d.out_h(), d.out_w());
+        let p1 = p0 + out.len();
+        assert!(
+            krow < d.k_dim() && p1 <= d.p_dim(),
+            "patch range out of bounds"
+        );
+        let (c, kh, kw) = (
+            krow / (d.kernel * d.kernel),
+            krow / d.kernel % d.kernel,
+            krow % d.kernel,
+        );
+        // Output coordinates `o` whose source `o·stride + k − pad` is inside
+        // `0..n_in`, as a half-open range: the same for every plane and span.
+        let in_bounds = |k: usize, n_in: usize, n_out: usize| {
+            let lo = d.pad.saturating_sub(k).div_ceil(d.stride).min(n_out);
+            let hi = (n_in + d.pad).saturating_sub(k).div_ceil(d.stride);
+            (lo, hi.clamp(lo, n_out))
+        };
+        let (oy_lo, oy_hi) = in_bounds(kh, d.in_h, oh);
+        let (ox_lo, ox_hi) = in_bounds(kw, d.in_w, ow);
+        out.fill(0.0);
+        if out.is_empty() || oy_lo == oy_hi || ox_lo == ox_hi {
+            return;
+        }
+        let plane = oh * ow;
+        let merged = d.stride == 1 && ow == d.in_w;
+        for b in p0 / plane..=(p1 - 1) / plane {
+            let img = &self.input[(b * d.in_c + c) * d.in_h * d.in_w..][..d.in_h * d.in_w];
+            // This plane's window of the column range, in plane-local
+            // positions `j = oy·OW + ox`; `dst[j − ja]` is position `j`.
+            let (ja, jb) = (
+                p0.max(b * plane) - b * plane,
+                p1.min((b + 1) * plane) - b * plane,
+            );
+            let dst = &mut out[b * plane + ja - p0..][..jb - ja];
+            if merged {
+                // Source index of position `j` is `j + (kh − pad)·in_w + kw − pad`.
+                let lo = (oy_lo * ow + ox_lo).max(ja);
+                let hi = ((oy_hi - 1) * ow + ox_hi).min(jb);
+                if lo < hi {
+                    let src = lo + kh * d.in_w + kw - d.pad * d.in_w - d.pad;
+                    dst[lo - ja..hi - ja].copy_from_slice(&img[src..][..hi - lo]);
+                    // The copy also carried the pixels between one span's
+                    // run and the next: re-zero those columns, each a
+                    // strided walk over the spans it crosses inside `lo..hi`.
+                    for ox in (0..ox_lo).chain(ox_hi..ow) {
+                        let spans =
+                            lo.saturating_sub(ox).div_ceil(ow)..hi.saturating_sub(ox).div_ceil(ow);
+                        for oy in spans {
+                            dst[oy * ow + ox - ja] = 0.0;
+                        }
+                    }
+                }
+                continue;
+            }
+            for oy in oy_lo.max(ja / ow)..oy_hi.min(jb.div_ceil(ow)) {
+                let (lo, hi) = ((oy * ow + ox_lo).max(ja), (oy * ow + ox_hi).min(jb));
+                if lo >= hi {
+                    continue;
+                }
+                let iy = oy * d.stride + kh - d.pad;
+                let ix = (lo - oy * ow) * d.stride + kw - d.pad;
+                let (run, src) = (&mut dst[lo - ja..hi - ja], &img[iy * d.in_w + ix..]);
+                if d.stride == 1 {
+                    run.copy_from_slice(&src[..hi - lo]);
+                } else {
+                    // Sliced to the last pixel read, so the indexed gather
+                    // carries no bounds check (a `step_by` zip read 15 %
+                    // slower than the parent's loop).
+                    let src = &src[..(hi - lo - 1) * d.stride + 1];
+                    for (i, o) in run.iter_mut().enumerate() {
+                        *o = src[i * d.stride];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Unfolds an NCHW `input` into the im2col matrix of shape `(K, P)`.
 ///
 /// # Panics
@@ -80,55 +226,11 @@ impl Conv2dDims {
 /// Panics if `input` is not `(batch, in_c, in_h, in_w)`.
 pub fn im2col(input: &Tensor, d: Conv2dDims) -> Tensor {
     let _span = fast_telemetry::span!("tensor.im2col");
-    d.validate();
-    assert_eq!(
-        input.shape(),
-        &[d.batch, d.in_c, d.in_h, d.in_w],
-        "input shape does not match conv dims"
-    );
-    let (oh, ow) = (d.out_h(), d.out_w());
-    let k_dim = d.k_dim();
-    let p_dim = d.p_dim();
+    let rows = Im2colRows::new(input, d);
+    let (k_dim, p_dim) = (d.k_dim(), d.p_dim());
     let mut cols = vec![0.0f32; k_dim * p_dim];
-    let id = input.data();
-    for b in 0..d.batch {
-        for c in 0..d.in_c {
-            for kh in 0..d.kernel {
-                for kw in 0..d.kernel {
-                    let krow = (c * d.kernel + kh) * d.kernel + kw;
-                    for oy in 0..oh {
-                        let iy = (oy * d.stride + kh) as isize - d.pad as isize;
-                        if iy < 0 || iy >= d.in_h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        let img_row = &id[((b * d.in_c + c) * d.in_h + iy) * d.in_w..][..d.in_w];
-                        let col_row = &mut cols[krow * p_dim + (b * oh + oy) * ow..][..ow];
-                        if d.stride == 1 {
-                            // Unit stride: source and destination both advance
-                            // one element per output x, so the in-bounds run
-                            // is a single contiguous copy.
-                            let shift = kw as isize - d.pad as isize;
-                            let ox_lo = (-shift).max(0) as usize;
-                            let ox_hi = (d.in_w as isize - shift).clamp(0, ow as isize) as usize;
-                            if ox_lo < ox_hi {
-                                let src_lo = (ox_lo as isize + shift) as usize;
-                                col_row[ox_lo..ox_hi]
-                                    .copy_from_slice(&img_row[src_lo..src_lo + (ox_hi - ox_lo)]);
-                            }
-                        } else {
-                            for (ox, col) in col_row.iter_mut().enumerate() {
-                                let ix = (ox * d.stride + kw) as isize - d.pad as isize;
-                                if ix < 0 || ix >= d.in_w as isize {
-                                    continue;
-                                }
-                                *col = img_row[ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    for (krow, row) in cols.chunks_mut(p_dim.max(1)).enumerate() {
+        rows.fill_row(krow, 0, row);
     }
     Tensor::from_vec(vec![k_dim, p_dim], cols)
 }

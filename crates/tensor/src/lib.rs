@@ -46,7 +46,7 @@ mod tensor;
 
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_from_cols, gemm_out_to_nchw, im2col, im2row,
-    nchw_to_gemm_out, Conv2dDims, ConvGrads,
+    nchw_to_gemm_out, Conv2dDims, ConvGrads, Im2colRows,
 };
 pub use init::{kaiming_normal, uniform_init};
 pub use matmul::{matmul, matmul_bt, matmul_nt, matmul_tn};

@@ -4,7 +4,7 @@
 use fast_tensor::qgemm::{qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat};
 use fast_tensor::{
     col2im, col_sums, conv2d, global_avg_pool, im2col, im2row, matmul, matmul_bt, matmul_nt,
-    matmul_tn, max_pool2d, row_sums, Conv2dDims, Tensor,
+    matmul_tn, max_pool2d, row_sums, Conv2dDims, Im2colRows, Tensor,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -282,6 +282,34 @@ fn same_bits(got: &Tensor, want: &[f32], tag: &str) -> Result<(), TestCaseError>
     Ok(())
 }
 
+/// Conv geometry with planes sized back from the output shape `(oh, ow)`;
+/// `slack` adds trailing rows/columns that floor division leaves uncovered.
+/// Rejects the case when the padding swallows the plane.
+fn dims_from_output(
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    (oh, ow): (usize, usize),
+    slack: usize,
+    batch: usize,
+    in_c: usize,
+) -> Result<Conv2dDims, TestCaseError> {
+    let extent = |o: usize| ((o - 1) * stride + kernel + slack % stride).checked_sub(2 * pad);
+    match (extent(oh), extent(ow)) {
+        (Some(in_h), Some(in_w)) if in_h > 0 && in_w > 0 => Ok(Conv2dDims {
+            batch,
+            in_c,
+            in_h,
+            in_w,
+            out_c: 1,
+            kernel,
+            stride,
+            pad,
+        }),
+        _ => Err(TestCaseError::Reject),
+    }
+}
+
 /// `col2im` as the per-element scatter it was before it added row spans —
 /// the definition of the order in which each input pixel receives its
 /// `(kh, kw)` contributions.
@@ -337,14 +365,8 @@ proptest! {
         in_c in 1usize..=3,
         seed in 0u64..1 << 32,
     ) {
-        // Planes sized back from the output shape; `slack` adds trailing
-        // rows/columns that floor division leaves uncovered.
-        let extent = |o: usize| ((o - 1) * stride + kernel + slack % stride).checked_sub(2 * pad);
-        let (in_h, in_w) = match (extent(oh), extent(ow)) {
-            (Some(h), Some(w)) if h > 0 && w > 0 => (h, w),
-            _ => return Err(TestCaseError::Reject),
-        };
-        let d = Conv2dDims { batch, in_c, in_h, in_w, out_c: 1, kernel, stride, pad };
+        let d = dims_from_output(kernel, stride, pad, (oh, ow), slack, batch, in_c)?;
+        let (in_h, in_w) = (d.in_h, d.in_w);
         prop_assert_eq!((d.out_h(), d.out_w()), (oh, ow));
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let wild = seed % 2 == 0;
@@ -362,6 +384,86 @@ proptest! {
         let got = col2im(&cols, d);
         prop_assert_eq!(got.shape(), &[batch, in_c, in_h, in_w][..]);
         same_bits(&got, &col2im_scatter(&cols, d), "col2im")?;
+    }
+}
+
+/// `im2col` as the per-element gather that defines it: element `(krow, p)`
+/// is the input pixel under kernel tap `krow` at output position `p`, or
+/// `+0.0` in the padding. Also returns which input elements some patch read.
+fn im2col_gather(x: &Tensor, d: Conv2dDims) -> (Vec<f32>, Vec<bool>) {
+    let (oh, ow) = (d.out_h(), d.out_w());
+    let p_dim = d.p_dim();
+    let mut cols = vec![0.0f32; d.k_dim() * p_dim];
+    let mut covered = vec![false; x.numel()];
+    for krow in 0..d.k_dim() {
+        let (c, kh, kw) = (
+            krow / (d.kernel * d.kernel),
+            krow / d.kernel % d.kernel,
+            krow % d.kernel,
+        );
+        for p in 0..p_dim {
+            let (b, oy, ox) = (p / (oh * ow), p / ow % oh, p % ow);
+            let iy = (oy * d.stride + kh) as isize - d.pad as isize;
+            let ix = (ox * d.stride + kw) as isize - d.pad as isize;
+            if iy < 0 || ix < 0 || iy >= d.in_h as isize || ix >= d.in_w as isize {
+                continue;
+            }
+            let at = ((b * d.in_c + c) * d.in_h + iy as usize) * d.in_w + ix as usize;
+            cols[krow * p_dim + p] = x.data()[at];
+            covered[at] = true;
+        }
+    }
+    (cols, covered)
+}
+
+proptest! {
+    /// The row filler is the patch geometry: applied to whole rows
+    /// (`im2col`) and to arbitrary column ranges written over a poisoned
+    /// buffer, it reproduces the gather bit for bit — padding as explicit
+    /// `+0.0` — and `covers_input` is exactly "no input element is unread".
+    /// Same geometry family as the `col2im` oracle, plus 8-wide rows and the
+    /// "same" convolutions (`OW = in_w`) whose runs the filler merges.
+    #[test]
+    fn im2col_rows_match_the_gather_bitwise(
+        kernel in prop::sample::select(vec![1usize, 3, 5]),
+        stride in 1usize..=3,
+        pad in 0usize..=2,
+        ow in prop::sample::select(vec![1usize, 3, 4, 8, 16, 17]),
+        oh in prop::sample::select(vec![1usize, 2, 5]),
+        slack in 0usize..3,
+        batch in 2usize..=3,
+        in_c in 1usize..=3,
+        seed in 0u64..1 << 32,
+    ) {
+        let d = dims_from_output(kernel, stride, pad, (oh, ow), slack, batch, in_c)?;
+        let (in_h, in_w) = (d.in_h, d.in_w);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = (0..batch * in_c * in_h * in_w)
+            .map(|_| match rng.gen_range(0u32..12) {
+                0 => -0.0,
+                1 => f32::NAN,
+                2 => f32::NEG_INFINITY,
+                _ => rng.gen_range(-2.0f32..2.0) * (rng.gen_range(-20i32..20) as f32).exp2(),
+            })
+            .collect();
+        let x = Tensor::from_vec(vec![batch, in_c, in_h, in_w], data);
+        let (want, covered) = im2col_gather(&x, d);
+        same_bits(&im2col(&x, d), &want, "im2col")?;
+        let rows = Im2colRows::new(&x, d);
+        prop_assert_eq!(rows.covers_input(), covered.iter().all(|&c| c));
+        let p_dim = d.p_dim();
+        for krow in 0..d.k_dim() {
+            for _ in 0..4 {
+                let p0 = rng.gen_range(0..p_dim);
+                let len = rng.gen_range(0..=(p_dim - p0).min(40));
+                let mut got = vec![f32::from_bits(0x7FC0_BEEF); len];
+                rows.fill_row(krow, p0, &mut got);
+                let want_bits: Vec<u32> =
+                    want[krow * p_dim + p0..][..len].iter().map(|v| v.to_bits()).collect();
+                let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got_bits, want_bits, "row {} cols {}+{}", krow, p0, len);
+            }
+        }
     }
 }
 

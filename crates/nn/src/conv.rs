@@ -4,10 +4,10 @@
 //! Convolutions are lowered to GEMMs over the im2col matrix (paper Fig 3);
 //! operands are quantized along each GEMM's reduction axis exactly as in
 //! [`crate::linear::Dense`], including the frozen-weight cache used by
-//! inference-serving sessions (DESIGN.md §8). On the training path the
-//! im2col matrix is a *virtual* operand: [`qgemm::prepare_patches`] packs
-//! it straight from the NCHW tensor (DESIGN.md §9); only the frozen serving
-//! branch, and a refused pack, materialize it.
+//! inference-serving sessions (DESIGN.md §8). The im2col matrix is a
+//! *virtual* operand: [`qgemm::prepare_patches`] packs it straight from the
+//! NCHW tensor (DESIGN.md §9), training and frozen serving alike; only a
+//! refused pack materializes it.
 
 use crate::frozen::FrozenWeight;
 use crate::layer::{GemmShape, Layer, Param, QuantControlled, Session};
@@ -15,8 +15,7 @@ use crate::qgemm::{self, GemmOperand, Orient};
 use crate::quant::LayerPrecision;
 use fast_bfp::GroupAxis;
 use fast_tensor::{
-    col2im, gemm_out_to_nchw, im2col, im2row, kaiming_normal, nchw_to_gemm_out, row_sums,
-    Conv2dDims, Tensor,
+    col2im, gemm_out_to_nchw, kaiming_normal, nchw_to_gemm_out, row_sums, Conv2dDims, Tensor,
 };
 use rand::Rng;
 
@@ -90,16 +89,18 @@ impl Conv2d {
     }
 }
 
-/// Below this many output positions the frozen path unfolds patches with
-/// [`im2row`] and multiplies with [`matmul_bt`]: under `matmul`'s 32-column
-/// tile width, narrow-`P` GEMMs (small inference batches on small feature
-/// maps) fall into its strided column-tail loop, while the transposed
-/// layout runs contiguous dot products — bit-identical either way.
-const IM2ROW_MAX_P: usize = 32;
-
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, session: &mut Session) -> Tensor {
         let d = self.dims_for(input);
+        // Forward GEMM `O = W_mat · cols` reduces over K = C·k²: groups run
+        // down the rows of `cols` (AlongCol) and along the rows of `W_mat`.
+        let cols = qgemm::prepare_patches(
+            session,
+            input,
+            d,
+            self.precision.activations,
+            GroupAxis::AlongCol,
+        );
         let mut out_mat = if session.freeze_weights {
             // The im2col weight matrix is the (out_c, C·k²) reshape of the
             // master tensor — same row-major buffer, so the cache can build
@@ -111,43 +112,8 @@ impl Layer for Conv2d {
                 self.precision.weights,
                 GroupAxis::AlongRow,
             );
-            if d.p_dim() < IM2ROW_MAX_P {
-                // Transposed patches: the quantization groups that run down
-                // an im2col column are exactly an im2row row's AlongRow
-                // groups, so values are identical and the grouping kernel is
-                // the faster row-wise one. (An SR activation format draws
-                // its noise at the transposed element offsets here — same
-                // distribution, different draws; deterministic rounding is
-                // bit-identical. See DESIGN.md §8.) Patches stay dense:
-                // they are request scratch for one narrow GEMM, so packing
-                // would cost more staging than it saves.
-                let rows = qgemm::prepare_owned_dense(
-                    session,
-                    im2row(input, d),
-                    self.precision.activations,
-                    GroupAxis::AlongRow,
-                );
-                qgemm::execute(session, Orient::Bt, &GemmOperand::Cached(wq), &rows)
-            } else {
-                let cols = qgemm::prepare_owned_dense(
-                    session,
-                    im2col(input, d),
-                    self.precision.activations,
-                    GroupAxis::AlongCol,
-                );
-                qgemm::execute(session, Orient::Nn, &GemmOperand::Cached(wq), &cols)
-            }
+            qgemm::execute(session, Orient::Nn, &GemmOperand::Cached(wq), &cols)
         } else {
-            // Forward GEMM `O = W_mat · cols` reduces over K = C·k²: groups
-            // run down the rows of `cols` (AlongCol) and along the rows of
-            // `W_mat`.
-            let cols = qgemm::prepare_patches(
-                session,
-                input,
-                d,
-                self.precision.activations,
-                GroupAxis::AlongCol,
-            );
             let wq = qgemm::prepare_slice(
                 session,
                 self.w.data(),

@@ -18,7 +18,7 @@
 //!
 //! Under the default [`ExecMode::Replay`] the composition is
 //! **bit-identical** to the historical quantize-a-copy +
-//! `matmul{,_nt,_tn,_bt}` pipeline for every format, rounding mode and
+//! `matmul{,_nt,_tn}` pipeline for every format, rounding mode and
 //! input (pinned by `crates/nn/tests/proptests.rs`; argument in DESIGN.md
 //! §9), while skipping up to two full f32 tensor materializations per GEMM.
 //! [`ExecMode::Integer`] trades that bit identity for integer-domain
@@ -45,7 +45,7 @@ use crate::quant::NumericFormat;
 use fast_bfp::packed::{pack_rows, DenseRows, FillRows, RowSource};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
-    qmatmul, qmatmul_bt, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
+    qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
 };
 use fast_tensor::{im2col, Conv2dDims, Im2colRows, Tensor};
 
@@ -62,8 +62,9 @@ pub struct PlanStats {
     pub quant: QuantStats,
 }
 
-/// GEMM orientation — which dense kernel's arithmetic the execution
-/// replays.
+/// GEMM orientation — how the two operands are stored. The arithmetic is
+/// the same in all three: each output element is one serial ascending-`k`
+/// chain (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Orient {
     /// `C = A·B` (forward GEMMs).
@@ -72,9 +73,6 @@ pub enum Orient {
     Nt,
     /// `C = Aᵀ·B`, `A` stored `k×m` (`∇W = Aᵀ·∇O`).
     Tn,
-    /// `C = A·B` with `B` supplied pre-transposed `n×k`, replaying the NN
-    /// kernel's trees (the narrow-GEMM serving path over `im2row` patches).
-    Bt,
 }
 
 /// An owned, reusable quantized operand — what frozen-weight caches hold.
@@ -252,8 +250,8 @@ pub fn prepare<'a>(
 }
 
 /// Prepares an owned rank-2 tensor operand, quantizing **in place** on the
-/// dense fallback path (the right entry point for scratch matrices like
-/// `im2col` buffers — no representation ever copies them).
+/// dense fallback path (the right entry point for scratch matrices like a
+/// conv layer's reshaped output gradient — no representation copies them).
 ///
 /// # Panics
 ///
@@ -324,34 +322,6 @@ pub fn prepare_patches(
     op
 }
 
-/// Like [`prepare_owned`], but always yields a *dense* operand (in-place
-/// quantization, never packing) — same values bit for bit, different
-/// representation. The right entry for per-request scratch operands of
-/// narrow serving GEMMs (single-digit output rows), where the packed form's
-/// panel staging would be amortized over too few rows to pay for itself;
-/// the serving working set is unaffected because scratch operands live only
-/// for the one call (DESIGN.md §9).
-///
-/// # Panics
-///
-/// Panics if `t` is not rank-2.
-pub fn prepare_owned_dense(
-    session: &mut Session,
-    mut t: Tensor,
-    fmt: NumericFormat,
-    axis: GroupAxis,
-) -> GemmOperand<'static> {
-    let _span = fast_telemetry::span!("qgemm.prepare");
-    if !matches!(fmt, NumericFormat::Fp32) {
-        let (rows, cols) = dims_of(&t);
-        let (noise, stats) = session.quant_parts(fmt, rows * cols);
-        stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
-    }
-    let op = GemmOperand::Own(Prepared::Dense(t));
-    crate::telemetry::note_operand(&op);
-    op
-}
-
 /// Prepares an operand straight from a raw `rows × cols` slice (e.g. a
 /// conv weight tensor viewed as its im2col matrix).
 pub fn prepare_slice(
@@ -414,7 +384,7 @@ pub fn execute(
     let (br, bc) = bv.dims();
     let (m, k, n) = match orient {
         Orient::Nn => (ar, ac, bc),
-        Orient::Nt | Orient::Bt => (ar, ac, br),
+        Orient::Nt => (ar, ac, br),
         Orient::Tn => (ac, ar, bc),
     };
     session.plan_stats.gemms += 1;
@@ -430,7 +400,6 @@ pub fn execute(
         Orient::Nn => qmatmul(mode, av, bv),
         Orient::Nt => qmatmul_nt(mode, av, bv),
         Orient::Tn => qmatmul_tn(mode, av, bv),
-        Orient::Bt => qmatmul_bt(mode, av, bv),
     }
 }
 

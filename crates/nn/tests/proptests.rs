@@ -175,7 +175,7 @@ mod fast_dnn_test_helpers {
 use fast_bfp::GroupAxis;
 use fast_nn::qgemm::{execute, prepare, Orient};
 use fast_nn::NumericFormat;
-use fast_tensor::{matmul, matmul_bt, matmul_nt, matmul_tn};
+use fast_tensor::{matmul, matmul_nt, matmul_tn};
 
 /// Random operand data, optionally salted with exact zeros (BFP operands
 /// are sparse) or non-finite / subnormal values (which must force the
@@ -207,7 +207,7 @@ proptest! {
     /// in the zoo (packed-BFP fast path and dense fallbacks alike), every
     /// rounding mode and operands including non-finite values, the shared
     /// plan (`prepare` + `execute`) is bit-identical to the historical
-    /// `quantize_copy` + `matmul{,_nt,_tn,_bt}` composition — same result
+    /// `quantize_copy` + `matmul{,_nt,_tn}` composition — same result
     /// bits, same stochastic noise positions.
     #[test]
     fn qgemm_plan_matches_quantize_copy_composition_bitwise(
@@ -216,7 +216,7 @@ proptest! {
         n in 1usize..40,
         fa_idx in 0usize..10,
         fb_idx in 0usize..10,
-        orient_idx in 0usize..4,
+        orient_idx in 0usize..3,
         special in 0usize..3,
         seed in 0u64..10_000,
     ) {
@@ -225,8 +225,7 @@ proptest! {
         let (a_shape, b_shape, a_axis, b_axis, orient) = match orient_idx {
             0 => ((m, k), (k, n), GroupAxis::AlongRow, GroupAxis::AlongCol, Orient::Nn),
             1 => ((m, k), (n, k), GroupAxis::AlongRow, GroupAxis::AlongRow, Orient::Nt),
-            2 => ((k, m), (k, n), GroupAxis::AlongCol, GroupAxis::AlongCol, Orient::Tn),
-            _ => ((m, k), (n, k), GroupAxis::AlongRow, GroupAxis::AlongRow, Orient::Bt),
+            _ => ((k, m), (k, n), GroupAxis::AlongCol, GroupAxis::AlongCol, Orient::Tn),
         };
         let a = Tensor::from_vec(
             vec![a_shape.0, a_shape.1],
@@ -245,7 +244,6 @@ proptest! {
             Orient::Nn => matmul(&aq, &bq),
             Orient::Nt => matmul_nt(&aq, &bq),
             Orient::Tn => matmul_tn(&aq, &bq),
-            Orient::Bt => matmul_bt(&aq, &bq),
         };
 
         // Plan: same seed drives the session noise. Bit-identity is a

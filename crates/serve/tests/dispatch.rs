@@ -1,7 +1,7 @@
 //! Integration tests for the continuous-batching dispatcher (DESIGN.md
 //! §14): batch fill under backlog, deadline-aware load shedding, in-queue
-//! deadline expiry, multi-model tenancy, and per-model hot reload racing
-//! live traffic.
+//! deadline expiry, multi-model tenancy, per-model hot reload racing live
+//! traffic, and bit-for-bit batch transparency of a coalesced batch.
 
 use fast_nn::models::mlp;
 use fast_nn::{set_uniform_precision, Dense, Layer, LayerPrecision, Relu, Sequential, Session};
@@ -151,6 +151,80 @@ fn deep_backlog_fills_batches_to_max() {
     assert!(
         stats.queue_ns.percentile_ns(0.99).unwrap() > stats.queue_ns.percentile_ns(0.10).unwrap()
     );
+}
+
+/// A first layer whose sums round differently under a serial chain and an
+/// eight-wide pairwise tree: `x = e₀ + 2⁻¹³·(e₁₆ + … + e₂₃)` against weights
+/// with row 0 all `1.0` and rows 16–23 all `2⁻¹²` (the chain rounds each
+/// `2⁻²⁵` away, the tree keeps their sum `2⁻²²`). Every group holds one
+/// nonzero magnitude, so BFP quantization keeps the values exact too.
+fn inexact_net(precision: LayerPrecision) -> Sequential {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    let mut first = Dense::new(32, 32, false, &mut rng);
+    let w = first.weights_mut().data_mut();
+    w.fill(0.0);
+    w[..32].fill(1.0);
+    w[16 * 32..24 * 32].fill(2.0f32.powi(-12));
+    let mut m = Sequential::new()
+        .push(first)
+        .push(Relu::new())
+        .push(Dense::new(32, 3, true, &mut rng));
+    set_uniform_precision(&mut m, precision);
+    m
+}
+
+/// Request `i`: the inexact row scaled by `2^(i − 4)` (an exact scaling, so
+/// every request keeps the rounding pattern).
+fn inexact_sample(i: usize) -> Tensor {
+    let mut x = [0.0f32; 32];
+    x[0] = 1.0;
+    x[16..24].fill(2.0f32.powi(-13));
+    let scale = 2.0f32.powi(i as i32 - 4);
+    Tensor::from_vec(vec![1, 32], x.iter().map(|v| v * scale).collect())
+}
+
+/// Regression for ROADMAP item 1 (`serve_mlp_sat` seed 402 answered 3 of
+/// 678 sampled requests differently from the batch-1 reference): the NN
+/// kernel summed a lone row with pairwise trees and a row inside a full
+/// quad with a serial chain, so a response depended on how many requests
+/// shared its batch. Eight requests with inexact first-layer sums, held
+/// back until they coalesce into one batch of 8, must each come back bit
+/// for bit as `CompiledModel::infer` serves them alone.
+#[test]
+fn coalesced_inexact_sums_match_the_batch_one_forward() {
+    for precision in [LayerPrecision::fp32(), LayerPrecision::bfp_fixed(4)] {
+        let mut reference = CompiledModel::compile(inexact_net(precision), 0);
+        let want: Vec<Tensor> = (0..8)
+            .map(|i| reference.infer(&inexact_sample(i)))
+            .collect();
+
+        let gate = Arc::new(GateState::default());
+        let model = Sequential::new()
+            .push(Gate(gate.clone()))
+            .push(inexact_net(precision));
+        let server = Server::start(
+            vec![CompiledModel::compile(model, 0)],
+            BatchConfig::no_wait(8),
+        );
+        gate.set_held(true);
+        let occupier = server.submit(inexact_sample(0));
+        spin_until_drained(&server);
+        let burst: Vec<Pending> = (0..8).map(|i| server.submit(inexact_sample(i))).collect();
+        gate.set_held(false);
+        assert_eq!(occupier.wait(), want[0]);
+        for (i, (p, w)) in burst.into_iter().zip(&want).enumerate() {
+            let got = p.wait();
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(w), "request {i} under {precision:?}");
+        }
+        let stats = server.shutdown();
+        assert_eq!(
+            stats.batch_histogram.get(&8),
+            Some(&1),
+            "the burst must coalesce into one batch of 8: {:?}",
+            stats.batch_histogram
+        );
+    }
 }
 
 /// Admission control: once the dispatcher has a service-time estimate, a

@@ -235,65 +235,6 @@ pub fn im2col(input: &Tensor, d: Conv2dDims) -> Tensor {
     Tensor::from_vec(vec![k_dim, p_dim], cols)
 }
 
-/// Unfolds an NCHW `input` into the transposed im2col matrix of shape
-/// `(P, K)`: row `p` is the flattened `C·k·k` patch feeding output position
-/// `p`, contiguous in memory.
-///
-/// This is [`im2col`] with the axes swapped (`im2row(x, d)` equals
-/// `im2col(x, d).transpose2()`). The layout pairs with [`matmul_bt`]: for
-/// narrow-`P` GEMMs (small batches at inference) the patch-contiguous rows
-/// turn the forward GEMM into cache-friendly dot products, and quantization
-/// groups that ran *down* an im2col column run *along* an im2row row — the
-/// same value groups, on the faster `AlongRow` kernel path.
-///
-/// [`matmul_bt`]: crate::matmul_bt
-///
-/// # Panics
-///
-/// Panics if `input` is not `(batch, in_c, in_h, in_w)`.
-pub fn im2row(input: &Tensor, d: Conv2dDims) -> Tensor {
-    let _span = fast_telemetry::span!("tensor.im2row");
-    d.validate();
-    assert_eq!(
-        input.shape(),
-        &[d.batch, d.in_c, d.in_h, d.in_w],
-        "input shape does not match conv dims"
-    );
-    let (oh, ow) = (d.out_h(), d.out_w());
-    let k_dim = d.k_dim();
-    let p_dim = d.p_dim();
-    let mut rows = vec![0.0f32; p_dim * k_dim];
-    let id = input.data();
-    for b in 0..d.batch {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let patch = &mut rows[((b * oh + oy) * ow + ox) * k_dim..][..k_dim];
-                for c in 0..d.in_c {
-                    for kh in 0..d.kernel {
-                        let iy = (oy * d.stride + kh) as isize - d.pad as isize;
-                        if iy < 0 || iy >= d.in_h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        let img_row = &id[((b * d.in_c + c) * d.in_h + iy) * d.in_w..][..d.in_w];
-                        let patch_row = &mut patch[(c * d.kernel + kh) * d.kernel..][..d.kernel];
-                        let shift = (ox * d.stride) as isize - d.pad as isize;
-                        let kw_lo = (-shift).max(0) as usize;
-                        let kw_hi = (d.in_w as isize - shift).clamp(0, d.kernel as isize) as usize;
-                        if kw_lo < kw_hi {
-                            // The kw run maps to consecutive image pixels.
-                            let src = (kw_lo as isize + shift) as usize;
-                            patch_row[kw_lo..kw_hi]
-                                .copy_from_slice(&img_row[src..src + (kw_hi - kw_lo)]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(vec![p_dim, k_dim], rows)
-}
-
 /// Folds an im2col-shaped gradient `(K, P)` back to an NCHW tensor, summing
 /// contributions of overlapping patches (the adjoint of [`im2col`]).
 ///

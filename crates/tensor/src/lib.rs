@@ -10,11 +10,10 @@
 //! GEMMs run, which — as established in `fast-bfp` — is bit-faithful to the
 //! fMAC's integer-multiply / FP32-accumulate pipeline.
 //!
-//! The GEMM kernels are register-tiled and thread-sharded with
-//! worker-count-independent results (DESIGN.md §7); [`matmul_bt`] and
-//! [`im2row`] are the inference-serving variants that replay the training
-//! kernels' exact arithmetic from transposed layouts (DESIGN.md §8). The
-//! [`qgemm`] module runs the same kernels over packed-BFP operands (`i8`
+//! The GEMM kernels are register-tiled and thread-sharded; every output
+//! element is one serial ascending-`k` chain, so results depend neither on
+//! the worker count nor on which other rows share the GEMM (DESIGN.md §7).
+//! The [`qgemm`] module runs the same kernels over packed-BFP operands (`i8`
 //! mantissas + per-group scales) without materializing the dequantized f32
 //! copy, bit-identical to the dense composition (DESIGN.md §9).
 //!
@@ -45,11 +44,11 @@ mod reduce;
 mod tensor;
 
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_from_cols, gemm_out_to_nchw, im2col, im2row,
-    nchw_to_gemm_out, Conv2dDims, ConvGrads, Im2colRows,
+    col2im, conv2d, conv2d_backward, conv2d_from_cols, gemm_out_to_nchw, im2col, nchw_to_gemm_out,
+    Conv2dDims, ConvGrads, Im2colRows,
 };
 pub use init::{kaiming_normal, uniform_init};
-pub use matmul::{matmul, matmul_bt, matmul_nt, matmul_tn};
+pub use matmul::{matmul, matmul_nt, matmul_tn};
 pub use parallel::{parallelism, set_parallelism, Parallelism};
 pub use pool::{
     global_avg_pool, global_avg_pool_backward, max_pool2d, max_pool2d_backward, MaxPoolOutput,

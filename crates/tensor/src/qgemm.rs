@@ -8,21 +8,16 @@
 //! (matched to the `4×32` micro-kernel of [`crate::matmul`]), never as a
 //! whole tensor.
 //!
-//! **Bit identity.** Every kernel produces the exact per-element summation
-//! tree of its dense counterpart ([`matmul`], [`matmul_nt`], [`matmul_tn`],
-//! [`matmul_bt`]), and the dequantized value `mantissa as f32 * scale` is
-//! bit-identical to what fake quantization would have written (see
-//! `fast_bfp::packed` and DESIGN.md §9). A packed-operand GEMM therefore
-//! produces the same f32 result bits as quantize-copy + dense GEMM, for
-//! every worker count. For `NN`/`BT` that means replaying [`matmul`]'s
-//! region-dependent trees — same pairwise-reduction shapes, same
-//! zero-coefficient skip rules in the same column regions. For `NT`/`TN`
-//! there is nothing to replay: every element is one serial ascending-`k`
-//! chain, the dense functions are the all-dense instantiations of the same
-//! generic kernels, and any tile that gives each element its own
-//! accumulator yields the chain's bits (DESIGN.md §7).
-//!
-//! Dense×dense operand pairs delegate to the dense kernels directly.
+//! **Bit identity.** In every orientation each output element is one serial
+//! chain `acc = 0.0; acc += a·b` in ascending `k`, and the dequantized value
+//! `mantissa as f32 * scale` is bit-identical to what fake quantization
+//! would have written (see `fast_bfp::packed` and DESIGN.md §9). A
+//! packed-operand GEMM therefore produces the same f32 result bits as
+//! quantize-copy + dense GEMM, for every worker count. The dense functions
+//! ([`crate::matmul`], [`crate::matmul_nt`], [`crate::matmul_tn`]) are the
+//! all-dense instantiations of the same generic kernels, and any tile that
+//! gives each element its own accumulator yields the chain's bits, whatever
+//! the element's row, column or neighbours (DESIGN.md §7).
 //!
 //! **Execution modes.** The replay path above is the default. When both
 //! operands are packed with their quantization groups along the reduction
@@ -35,7 +30,6 @@
 //! across worker counts, across the SIMD/scalar dispatch, and across
 //! replicas.
 
-use crate::matmul::{matmul, matmul_bt, matmul_nt, matmul_tn, tree_dot, JB, MR, NR};
 use crate::parallel::shard_rows;
 use crate::qgemm_int;
 use crate::tensor::Tensor;
@@ -265,29 +259,47 @@ impl Operand<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Operand access traits: dense storage borrows, packed storage dequantizes
-// into caller scratch. `NEEDS_BUF` lets kernels skip scratch allocation on
+// Operand access: dense storage borrows, packed storage dequantizes into
+// caller scratch. `NEEDS_BUF` lets kernels skip scratch allocation on
 // all-dense paths.
 // ---------------------------------------------------------------------------
 
-/// Stored-row access (contiguous runs along the storage row).
-pub(crate) trait RowSrc: Sync {
+/// A stored row-major matrix as the kernels read it. Row access (`block`,
+/// `seg`) serves whole or partial storage rows; panel access serves a `k × n`
+/// operand whose reduction runs down its columns: `stage` dequantizes
+/// columns `[j0, j0+w)` of all `k` rows into scratch once per panel, `krow`
+/// then serves row segments from it (dense storage skips staging and
+/// borrows directly).
+pub(crate) trait Src: Sync {
     const NEEDS_BUF: bool;
-    /// Rows `i0..i0+N` (`buf` must hold `N * width()`).
+    /// Every stored value is finite (packed values are, by construction).
+    const FINITE: bool;
+    /// Rows `i0..i0+N` (`buf` must hold `N` rows).
     fn block<'s, const N: usize>(&'s self, i0: usize, buf: &'s mut [f32]) -> [&'s [f32]; N];
     /// Columns `[k0, k0+len)` of row `i` (`buf` must hold `len`).
     fn seg<'s>(&'s self, i: usize, k0: usize, len: usize, buf: &'s mut [f32]) -> &'s [f32];
-    /// Whether every stored value is finite (packed values always are).
-    fn all_finite(&self) -> bool;
+    fn stage(&self, j0: usize, w: usize, buf: &mut [f32]);
+    fn krow<'s>(&'s self, buf: &'s [f32], kk: usize, j0: usize, w: usize) -> &'s [f32];
 }
 
-pub(crate) struct DenseRows<'a> {
-    pub(crate) d: &'a [f32],
-    pub(crate) w: usize,
+/// Dense storage: `d` holds rows of `w` values.
+pub(crate) struct Dense<'a> {
+    d: &'a [f32],
+    w: usize,
 }
 
-impl RowSrc for DenseRows<'_> {
+impl<'a> Dense<'a> {
+    pub(crate) fn of(t: &'a Tensor) -> Self {
+        Dense {
+            d: t.data(),
+            w: t.shape()[1],
+        }
+    }
+}
+
+impl Src for Dense<'_> {
     const NEEDS_BUF: bool = false;
+    const FINITE: bool = false;
     #[inline]
     fn block<'s, const N: usize>(&'s self, i0: usize, _buf: &'s mut [f32]) -> [&'s [f32]; N] {
         std::array::from_fn(|q| &self.d[(i0 + q) * self.w..(i0 + q + 1) * self.w])
@@ -296,86 +308,49 @@ impl RowSrc for DenseRows<'_> {
     fn seg<'s>(&'s self, i: usize, k0: usize, len: usize, _buf: &'s mut [f32]) -> &'s [f32] {
         &self.d[i * self.w + k0..][..len]
     }
-    fn all_finite(&self) -> bool {
-        self.d.iter().all(|v| v.is_finite())
+    #[inline]
+    fn stage(&self, _j0: usize, _w: usize, _buf: &mut [f32]) {}
+    #[inline]
+    fn krow<'s>(&'s self, _buf: &'s [f32], kk: usize, j0: usize, w: usize) -> &'s [f32] {
+        &self.d[kk * self.w + j0..kk * self.w + j0 + w]
     }
 }
 
-struct PackedRows<'a> {
-    p: &'a PackedMat,
-}
+struct Packed<'a>(&'a PackedMat);
 
-impl RowSrc for PackedRows<'_> {
+impl Src for Packed<'_> {
     const NEEDS_BUF: bool = true;
+    const FINITE: bool = true;
     #[inline]
     fn block<'s, const N: usize>(&'s self, i0: usize, buf: &'s mut [f32]) -> [&'s [f32]; N] {
-        let w = self.p.cols;
+        let w = self.0.cols;
         for (q, chunk) in buf[..N * w].chunks_mut(w.max(1)).take(N).enumerate() {
-            self.p.fill_row_seg(i0 + q, 0, chunk);
+            self.0.fill_row_seg(i0 + q, 0, chunk);
         }
         let buf: &'s [f32] = buf;
         std::array::from_fn(|q| &buf[q * w..(q + 1) * w])
     }
     #[inline]
     fn seg<'s>(&'s self, i: usize, k0: usize, len: usize, buf: &'s mut [f32]) -> &'s [f32] {
-        self.p.fill_row_seg(i, k0, &mut buf[..len]);
+        self.0.fill_row_seg(i, k0, &mut buf[..len]);
         &buf[..len]
     }
-    fn all_finite(&self) -> bool {
-        true // packed values are sanitized finite by construction
-    }
-}
-
-/// Column-panel access to a stored `k × n` operand — the right-hand side of
-/// the NN kernel, both sides of the TN kernel: `stage` dequantizes columns
-/// `[j0, j0+w)` of all `k` stored rows into scratch once per panel; `krow`
-/// then serves row segments from it (dense sources skip staging and borrow
-/// directly).
-pub(crate) trait PanelSrc: Sync {
-    const NEEDS_BUF: bool;
-    fn stage(&self, j0: usize, w: usize, buf: &mut [f32]);
-    fn krow<'s>(&'s self, buf: &'s [f32], kk: usize, j0: usize, w: usize) -> &'s [f32];
-    /// Whether every stored value is finite (packed values always are).
-    fn all_finite(&self) -> bool;
-}
-
-pub(crate) struct DensePanel<'a> {
-    pub(crate) d: &'a [f32],
-    pub(crate) n: usize,
-}
-
-impl PanelSrc for DensePanel<'_> {
-    const NEEDS_BUF: bool = false;
-    #[inline]
-    fn stage(&self, _j0: usize, _w: usize, _buf: &mut [f32]) {}
-    #[inline]
-    fn krow<'s>(&'s self, _buf: &'s [f32], kk: usize, j0: usize, w: usize) -> &'s [f32] {
-        &self.d[kk * self.n + j0..kk * self.n + j0 + w]
-    }
-    fn all_finite(&self) -> bool {
-        self.d.iter().all(|v| v.is_finite())
-    }
-}
-
-struct PackedPanel<'a> {
-    p: &'a PackedMat,
-}
-
-impl PanelSrc for PackedPanel<'_> {
-    const NEEDS_BUF: bool = true;
     #[inline]
     fn stage(&self, j0: usize, w: usize, buf: &mut [f32]) {
-        for kk in 0..self.p.rows {
-            self.p.fill_row_seg(kk, j0, &mut buf[kk * w..kk * w + w]);
+        for kk in 0..self.0.rows {
+            self.0.fill_row_seg(kk, j0, &mut buf[kk * w..kk * w + w]);
         }
     }
     #[inline]
     fn krow<'s>(&'s self, buf: &'s [f32], kk: usize, _j0: usize, w: usize) -> &'s [f32] {
         &buf[kk * w..kk * w + w]
     }
-    fn all_finite(&self) -> bool {
-        true
-    }
+}
+
+/// Element `(i, j)` of a source.
+fn at<S: Src>(s: &S, i: usize, j: usize) -> f32 {
+    let mut buf = [0.0f32];
+    s.seg(i, j, 1, &mut buf)[0]
 }
 
 // ---------------------------------------------------------------------------
@@ -383,8 +358,8 @@ impl PanelSrc for PackedPanel<'_> {
 // pair runs the integer-domain kernels: the quantization groups of *both*
 // operands must run along the reduction dimension (so the group-scale
 // product factors out of each integer segment) and the segment length must
-// respect `MAX_INT_SEGMENT`. Everything else replays: dense×dense
-// delegates, anything packed runs the staged generic kernels.
+// respect `MAX_INT_SEGMENT`. Everything else replays: the generic kernel of
+// the orientation, instantiated for the two operands' storage.
 // ---------------------------------------------------------------------------
 
 /// The packed pair to run in the integer domain, if `mode` asks for it,
@@ -410,10 +385,41 @@ fn integer_pair<'a>(
     }
 }
 
+/// One orientation's generic kernel with its `(m, k, n)`.
+#[derive(Clone, Copy)]
+enum Kernel {
+    Nn(usize, usize, usize),
+    Nt(usize, usize, usize),
+    Tn(usize, usize, usize),
+}
+
+impl Kernel {
+    fn run<A: Src, B: Src>(self, a: &A, b: &B) -> Tensor {
+        match self {
+            Kernel::Nn(m, k, n) => nn_impl(a, b, m, k, n),
+            Kernel::Nt(m, k, n) => nt_impl(a, b, m, k, n),
+            Kernel::Tn(m, k, n) => tn_impl(a, b, m, k, n),
+        }
+    }
+
+    /// Runs the kernel over whichever storage each operand has.
+    fn replay(self, a: Operand<'_>, b: Operand<'_>) -> Tensor {
+        use Operand::{Dense as D, Packed as P};
+        match (a, b) {
+            (D(x), D(y)) => self.run(&Dense::of(x), &Dense::of(y)),
+            (D(x), P(y)) => self.run(&Dense::of(x), &Packed(y)),
+            (P(x), D(y)) => self.run(&Packed(x), &Dense::of(y)),
+            (P(x), P(y)) => self.run(&Packed(x), &Packed(y)),
+        }
+    }
+}
+
 /// `C (m×n) = A (m×k) · B (k×n)` over quantized operands — under
 /// [`ExecMode::Replay`] bit-identical to [`matmul`] on the dequantized
 /// copies. The integer path needs `A` in [`PackLayout::RowGroups`] and `B`
 /// in [`PackLayout::ColGroups`].
+///
+/// [`matmul`]: crate::matmul
 ///
 /// # Panics
 ///
@@ -426,32 +432,15 @@ pub fn qmatmul(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     {
         return qgemm_int::int_nn(x, y);
     }
-    match (a, b) {
-        (Operand::Dense(x), Operand::Dense(y)) => matmul(x, y),
-        (Operand::Dense(x), Operand::Packed(y)) => nn_impl(
-            &DenseRows { d: x.data(), w: ka },
-            &PackedPanel { p: y },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Dense(y)) => nn_impl(
-            &PackedRows { p: x },
-            &DensePanel { d: y.data(), n },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Packed(y)) => {
-            nn_impl(&PackedRows { p: x }, &PackedPanel { p: y }, m, ka, n)
-        }
-    }
+    Kernel::Nn(m, ka, n).replay(a, b)
 }
 
 /// `C (m×n) = A (m×k) · Bᵀ` with `B` stored `n×k` — under
 /// [`ExecMode::Replay`] bit-identical to [`matmul_nt`] on the dequantized
 /// copies. The integer path needs both operands in
 /// [`PackLayout::RowGroups`] (both store the reduction along their rows).
+///
+/// [`matmul_nt`]: crate::matmul_nt
 ///
 /// # Panics
 ///
@@ -464,32 +453,15 @@ pub fn qmatmul_nt(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     {
         return qgemm_int::int_nt(x, y);
     }
-    match (a, b) {
-        (Operand::Dense(x), Operand::Dense(y)) => matmul_nt(x, y),
-        (Operand::Dense(x), Operand::Packed(y)) => nt_impl(
-            &DenseRows { d: x.data(), w: ka },
-            &PackedRows { p: y },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Dense(y)) => nt_impl(
-            &PackedRows { p: x },
-            &DenseRows { d: y.data(), w: ka },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Packed(y)) => {
-            nt_impl(&PackedRows { p: x }, &PackedRows { p: y }, m, ka, n)
-        }
-    }
+    Kernel::Nt(m, ka, n).replay(a, b)
 }
 
 /// `C (m×n) = Aᵀ · B` with `A` stored `k×m`, `B` stored `k×n` — under
 /// [`ExecMode::Replay`] bit-identical to [`matmul_tn`] on the dequantized
 /// copies. The integer path needs both operands in
 /// [`PackLayout::ColGroups`] (the reduction runs down their columns).
+///
+/// [`matmul_tn`]: crate::matmul_tn
 ///
 /// # Panics
 ///
@@ -502,74 +474,15 @@ pub fn qmatmul_tn(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
     {
         return qgemm_int::int_tn(x, y);
     }
-    match (a, b) {
-        (Operand::Dense(x), Operand::Dense(y)) => matmul_tn(x, y),
-        (Operand::Dense(x), Operand::Packed(y)) => tn_impl(
-            &DensePanel { d: x.data(), n: m },
-            &PackedPanel { p: y },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Dense(y)) => tn_impl(
-            &PackedPanel { p: x },
-            &DensePanel { d: y.data(), n },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Packed(y)) => {
-            tn_impl(&PackedPanel { p: x }, &PackedPanel { p: y }, m, ka, n)
-        }
-    }
+    Kernel::Tn(m, ka, n).replay(a, b)
 }
 
-/// `C (m×n) = A (m×k) · B` with `B` supplied pre-transposed as `n×k` —
-/// under [`ExecMode::Replay`] bit-identical to [`matmul_bt`] (and therefore
-/// to [`matmul`]) on the dequantized copies. Storage-wise identical to
-/// [`qmatmul_nt`], and in the integer domain the NT/BT distinction (which
-/// dense summation tree gets replayed) vanishes: both compute the same
-/// exact integer segments.
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2 or the inner dimensions disagree.
-pub fn qmatmul_bt(mode: ExecMode, a: Operand<'_>, b: Operand<'_>) -> Tensor {
-    let (m, ka) = a.dims();
-    let (n, kb) = b.dims();
-    assert_eq!(ka, kb, "qmatmul_bt inner dimensions disagree: {ka} vs {kb}");
-    if let Some((x, y)) = integer_pair(mode, a, b, PackLayout::RowGroups, PackLayout::RowGroups, ka)
-    {
-        return qgemm_int::int_nt(x, y);
-    }
-    match (a, b) {
-        (Operand::Dense(x), Operand::Dense(y)) => matmul_bt(x, y),
-        (Operand::Dense(x), Operand::Packed(y)) => bt_impl(
-            &DenseRows { d: x.data(), w: ka },
-            &PackedRows { p: y },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Dense(y)) => bt_impl(
-            &PackedRows { p: x },
-            &DenseRows { d: y.data(), w: ka },
-            m,
-            ka,
-            n,
-        ),
-        (Operand::Packed(x), Operand::Packed(y)) => {
-            bt_impl(&PackedRows { p: x }, &PackedRows { p: y }, m, ka, n)
-        }
-    }
-}
-
-// The four `*_impl` kernels below and the register tiles `nn_full_tile` /
+// The three `*_impl` kernels below and the register tiles `nn_tile` /
 // `tn_tile` are `#[inline(never)]`: every instantiation stays a standalone
 // function, so its register allocation cannot depend on what else its
 // caller contains. (Measured, twice: inlined into the mode-taking
 // `qmatmul`, the packed×packed NN kernel served the benchmark's k = 1024
-// GEMMs ~1.8× slower; and with `nn_full_tile` left at `#[inline]`, one
+// GEMMs ~1.8× slower; and with the NN tile left at `#[inline]`, one
 // changed line in `nn_impl`'s remainder-row path was enough for LLVM to
 // inline the tile, spill its accumulators, and cost `serve_mlp_sat` 1.7×.)
 
@@ -582,166 +495,164 @@ fn scratch(needed: bool, len: usize) -> Vec<f32> {
 }
 
 // ---------------------------------------------------------------------------
-// NN: replay of `matmul`'s region decomposition — full 32-column register
-// tiles (no zero skip), `accumulate_tail` column tails (skip), and
-// `accumulate_row`'s pairwise trees on the `m % 4` remainder rows.
+// The kernels. Every output element of every orientation is one chain
+// `acc = +0.0; acc += a·b` in ascending `k` — no pairwise tree, no
+// cross-element term — so a tile of any shape that advances its elements
+// together down `k` produces the bits of the one-element-at-a-time triple
+// loop (`crates/tensor/tests/proptests.rs` holds that loop as the oracle),
+// whatever the element's row, column or neighbours. The dense `matmul`,
+// `matmul_nt` and `matmul_tn` are the all-dense instantiations of these
+// three generics.
+//
+// One data-dependent rule rides on top (`skip_rule`): the dense kernels
+// these replaced skipped exact-zero `A` coefficients, which is visible only
+// where a skipped `0·b` would have been NaN.
 // ---------------------------------------------------------------------------
 
+/// Rows of the NN register tile.
+const MR: usize = 4;
+/// Columns of the NN and TN register tiles (and of a staged panel).
+const NR: usize = 32;
+
+/// NN: `A` row quads stream past `NR`-column panels of `B`, each panel
+/// staged once per shard. The `m % MR` rows left in the last shard stream
+/// whole rows of `B` instead (`nn_rest`).
 #[inline(never)]
-fn nn_impl<A: RowSrc, B: PanelSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
+pub(crate) fn nn_impl<A: Src, B: Src>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
-        shard_rows(&mut out, n, 2 * k * n, MR, |row_start, panel| {
-            let rows = panel.len() / n;
-            let mut bbuf = scratch(B::NEEDS_BUF, k * NR);
-            let mut abuf = scratch(A::NEEDS_BUF, MR * k);
-            let n_full = (n / NR) * NR;
-            let mut j0 = 0;
-            while j0 < n {
-                let (w, full) = if j0 < n_full {
-                    (NR, true)
-                } else {
-                    (n - n_full, false)
-                };
-                b.stage(j0, w, &mut bbuf);
-                let mut ri = 0;
-                while ri + MR <= rows {
-                    let aq: [&[f32]; MR] = a.block(row_start + ri, &mut abuf);
-                    let c_quad = &mut panel[ri * n..(ri + MR) * n];
-                    if full {
-                        nn_full_tile(&aq, b, &bbuf, j0, k, n, c_quad);
-                    } else {
-                        for (r, ar) in aq.iter().enumerate() {
-                            nn_tail_row(
-                                &mut c_quad[r * n + j0..r * n + j0 + w],
-                                ar,
-                                b,
-                                &bbuf,
-                                j0,
-                                w,
-                            );
+        shard_rows(&mut out, n, 2 * k * n, MR, |row_start, c| {
+            let quads = c.len() / n / MR * MR;
+            let (c_quads, c_rest) = c.split_at_mut(quads * n);
+            let mut bbuf = scratch(B::NEEDS_BUF && quads > 0, k * NR);
+            let mut abuf = scratch(A::NEEDS_BUF && quads > 0, MR * k);
+            if quads > 0 {
+                // Each panel is staged once, and every quad passes it.
+                for j0 in (0..n).step_by(NR) {
+                    b.stage(j0, (n - j0).min(NR), &mut bbuf);
+                    let bs = Staged::panel(b, &bbuf, j0, n);
+                    for (q, c_quad) in c_quads.chunks_exact_mut(MR * n).enumerate() {
+                        let aq = a.block(row_start + q * MR, &mut abuf);
+                        if bs.w == NR {
+                            nn_tile::<B, true>(&aq, &bs, k, n, &mut c_quad[j0..]);
+                        } else {
+                            nn_tile::<B, false>(&aq, &bs, k, n, &mut c_quad[j0..]);
                         }
                     }
-                    ri += MR;
                 }
-                while ri < rows {
-                    let ar = a.seg(row_start + ri, 0, k, &mut abuf);
-                    nn_rem_row(
-                        &mut panel[ri * n + j0..ri * n + j0 + w],
-                        ar,
-                        b,
-                        &bbuf,
-                        j0,
-                        w,
-                    );
-                    ri += 1;
-                }
-                j0 += w;
             }
+            nn_rest(a, b, row_start + quads, k, n, c_rest);
         });
+    }
+    if !B::FINITE {
+        skip_rule(&mut out, n, k, |i, kk| at(a, i, kk), |kk, j| at(b, kk, j));
     }
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// One full `MR×NR` register tile: serial ascending-`k` chains, no skip —
-/// `micro_tile`'s exact arithmetic.
+/// One `MR×w` register tile (`w = b.w ≤ NR`). `FULL` promises `w == NR`:
+/// the extents are then compile-time constants; a column-tail tile runs the
+/// same loops with the zips cut short.
 #[inline(never)]
 #[allow(clippy::needless_range_loop)] // kk walks two operands in lockstep
-fn nn_full_tile<B: PanelSrc>(
+fn nn_tile<B: Src, const FULL: bool>(
     aq: &[&[f32]; MR],
-    b: &B,
-    bbuf: &[f32],
-    j0: usize,
+    b: &Staged<B>,
     k: usize,
     n: usize,
-    c_quad: &mut [f32],
+    c: &mut [f32],
 ) {
+    let w = if FULL { NR } else { b.w };
+    let aq = aq.map(|a_r| &a_r[..k]); // one bounds check, not one per step
     let mut acc = [[0.0f32; NR]; MR];
     for kk in 0..k {
-        let brow = b.krow(bbuf, kk, j0, NR);
+        let brow = b.src.krow(b.buf, kk, b.j0, w);
+        // A full row goes through a local array: as a borrowed slice, LLVM
+        // rebuilt part of it with shuffles and the tile ran ~20 % slower.
+        let mut full = [0.0f32; NR];
+        let brow = if FULL {
+            full.copy_from_slice(brow);
+            &full[..]
+        } else {
+            brow
+        };
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = aq[r][kk];
-            for (acc_rx, &bv) in acc_r.iter_mut().zip(brow) {
-                *acc_rx += ar * bv;
+            let av = aq[r][kk];
+            for (x, &bv) in acc_r.iter_mut().zip(brow) {
+                *x += av * bv;
             }
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        for (cx, &ax) in c_quad[r * n + j0..r * n + j0 + NR].iter_mut().zip(acc_r) {
-            *cx += ax;
+        c[r * n..r * n + w].copy_from_slice(&acc_r[..w]);
+    }
+}
+
+/// Fewer than `MR` rows `i0..` of an NN product: each row's `n` chains
+/// advance together, in `c`, through whole rows of `B` — streamed in
+/// storage order, each dequantized once for all the rows.
+fn nn_rest<A: Src, B: Src>(a: &A, b: &B, i0: usize, k: usize, n: usize, c: &mut [f32]) {
+    if c.is_empty() {
+        return;
+    }
+    let rows = c.len() / n;
+    let mut abuf = scratch(A::NEEDS_BUF, MR * k);
+    let mut bbuf = scratch(B::NEEDS_BUF, n);
+    // Slots past `rows` repeat the last row; the zip below never reads them.
+    let mut bufs = abuf.chunks_mut(k.max(1));
+    let ar: [&[f32]; MR] = std::array::from_fn(|r| {
+        let buf = bufs.next().unwrap_or_default();
+        a.seg(i0 + r.min(rows - 1), 0, k, buf)
+    });
+    for kk in 0..k {
+        let brow = b.seg(kk, 0, n, &mut bbuf);
+        for (c_r, a_r) in c.chunks_exact_mut(n).zip(&ar) {
+            let av = a_r[kk];
+            for (x, &bv) in c_r.iter_mut().zip(brow) {
+                *x += av * bv;
+            }
         }
     }
 }
 
-/// Column-tail update for one full-block row: `accumulate_tail`'s serial
-/// ascending-`k` loop with the `a == 0.0` skip.
-#[inline]
-fn nn_tail_row<B: PanelSrc>(
-    c_tail: &mut [f32],
-    a: &[f32],
-    b: &B,
-    bbuf: &[f32],
-    j0: usize,
-    w: usize,
+/// The zero-skip rule, applied element by element where it can show. An
+/// aligned block of four reduction steps is left out when all four `a`
+/// coefficients are zero, a `k % 4` tail step when its one is. A skipped
+/// term is `0·b`: for finite `b` an exact no-op (a chain that starts at
+/// `+0.0` never becomes `-0.0`), for `∞`/`NaN` a NaN. So a chain that did
+/// not come out NaN already has the rule's value, and only NaN elements
+/// are recomputed under it, from `a(i, kk)` and `b(kk, j)`. Kernels call
+/// it only for a `B` that can hold `∞`/`NaN`: a dense one.
+fn skip_rule(
+    c: &mut [f32],
+    n: usize,
+    k: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
 ) {
-    for (kk, &ak) in a.iter().enumerate() {
-        if ak != 0.0 {
-            let brow = b.krow(bbuf, kk, j0, w);
-            for (c, &bv) in c_tail.iter_mut().zip(brow) {
-                *c += ak * bv;
+    // A branch-free scan first: it vectorizes, where the loop below cannot.
+    if !c.iter().fold(false, |nan, x| nan | x.is_nan()) {
+        return;
+    }
+    for (idx, x) in c.iter_mut().enumerate() {
+        if x.is_nan() {
+            let (i, j) = (idx / n, idx % n);
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                let q0 = kk / 4 * 4;
+                let skipped = if q0 + 4 <= k {
+                    (q0..q0 + 4).all(|q| a(i, q) == 0.0)
+                } else {
+                    a(i, kk) == 0.0
+                };
+                if !skipped {
+                    acc += a(i, kk) * b(kk, j);
+                }
             }
+            *x = acc;
         }
     }
 }
-
-/// Remainder-row update restricted to columns `[j0, j0+w)`:
-/// `accumulate_row`'s eight-wide pairwise trees and skip rules.
-#[inline]
-fn nn_rem_row<B: PanelSrc>(c_seg: &mut [f32], a: &[f32], b: &B, bbuf: &[f32], j0: usize, w: usize) {
-    let k = a.len();
-    let mut kk = 0;
-    while kk + 8 <= k {
-        let ab = &a[kk..kk + 8];
-        if ab.iter().any(|&v| v != 0.0) {
-            let b0 = b.krow(bbuf, kk, j0, w);
-            let b1 = b.krow(bbuf, kk + 1, j0, w);
-            let b2 = b.krow(bbuf, kk + 2, j0, w);
-            let b3 = b.krow(bbuf, kk + 3, j0, w);
-            let b4 = b.krow(bbuf, kk + 4, j0, w);
-            let b5 = b.krow(bbuf, kk + 5, j0, w);
-            let b6 = b.krow(bbuf, kk + 6, j0, w);
-            let b7 = b.krow(bbuf, kk + 7, j0, w);
-            for (j, c) in c_seg.iter_mut().enumerate() {
-                let s01 = ab[0] * b0[j] + ab[1] * b1[j];
-                let s23 = ab[2] * b2[j] + ab[3] * b3[j];
-                let s45 = ab[4] * b4[j] + ab[5] * b5[j];
-                let s67 = ab[6] * b6[j] + ab[7] * b7[j];
-                *c += (s01 + s23) + (s45 + s67);
-            }
-        }
-        kk += 8;
-    }
-    while kk < k {
-        let aik = a[kk];
-        if aik != 0.0 {
-            let brow = b.krow(bbuf, kk, j0, w);
-            for (c, &bv) in c_seg.iter_mut().zip(brow) {
-                *c += aik * bv;
-            }
-        }
-        kk += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NT and TN: serial-chain tiles. Every output element of either orientation
-// is one chain `acc = +0.0; acc += a·b` in ascending `k` — no pairwise
-// tree, no cross-element term — so a tile of any shape that advances its
-// elements together down `k` produces the bits of the one-element-at-a-time
-// triple loop (`crates/tensor/tests/proptests.rs` holds that loop as the
-// oracle). The dense `matmul_nt` / `matmul_tn` are the all-dense
-// instantiations of these two generics.
-// ---------------------------------------------------------------------------
 
 /// Reduction chunk of the NT kernel: a `KC×NR` f32 panel is 32 KiB, which
 /// stays L1-resident under the tile loop. Chains cross a chunk boundary
@@ -750,7 +661,7 @@ const KC: usize = 256;
 
 /// Rows of the TN tile. Both tiles below hold 64 accumulators — 8 of the 16
 /// `ymm` registers, so none spills. A 128-accumulator tile (the `MR×NR` of
-/// `nn_full_tile`) is no faster here, and its spill slots put stores on the
+/// `nn_tile`) is no faster here, and its spill slots put stores on the
 /// stack inside the `k` loop: when the stack lands where those slots share
 /// their low 12 address bits with the staged panels (about one process
 /// start in thirty under ASLR), every panel load waits on a spill store and
@@ -763,7 +674,7 @@ const TR: usize = 2;
 /// (each of its elements dequantized exactly once per shard); the other
 /// operand's rows stream past it `RB` at a time.
 #[inline(never)]
-pub(crate) fn nt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
+pub(crate) fn nt_impl<A: Src, B: Src>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
         shard_rows(&mut out, n, 2 * k * n, 1, |row_start, c| {
@@ -783,7 +694,7 @@ pub(crate) fn nt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, k: usize, n:
 /// living at `d[(s − s_rows.start)·ss + (p − p_rows.start)·ps]`. `P` is
 /// the staged side: its rows are taken up to `NR` at a time and laid across
 /// 8, 16 or 32 lanes (`RB·L = 64` accumulators either way).
-fn nt_panels<S: RowSrc, P: RowSrc>(
+fn nt_panels<S: Src, P: Src>(
     s: &S,
     s_rows: std::ops::Range<usize>,
     p: &P,
@@ -811,7 +722,7 @@ fn nt_panels<S: RowSrc, P: RowSrc>(
 /// One staged block of at most `L` `P` rows against every `S` row.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn nt_panel<S: RowSrc, P: RowSrc, const RB: usize, const L: usize>(
+fn nt_panel<S: Src, P: Src, const RB: usize, const L: usize>(
     s: &S,
     s_rows: std::ops::Range<usize>,
     p: &P,
@@ -883,22 +794,8 @@ fn nt_tile<const RB: usize, const L: usize>(
 /// values against `NR` contiguous B values. No gather, no reduction
 /// chunking; `C` is written once per tile. Packed operands are staged
 /// `NR` columns at a time like the NN kernel's B panel.
-///
-/// The dense kernel this replaces skipped all-zero blocks of four A
-/// coefficients (and single zero coefficients in the `k % 4` tail). For
-/// finite `B` a skipped `±0.0` product is an exact no-op — a chain that
-/// starts at `+0.0` never becomes `-0.0` — so the rule survives literally
-/// only where it is observable: a dense `B` holding `∞`/`NaN`, found by one
-/// scan.
 #[inline(never)]
-pub(crate) fn tn_impl<A: PanelSrc, B: PanelSrc>(
-    a: &A,
-    b: &B,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Tensor {
-    let skip = !b.all_finite();
+pub(crate) fn tn_impl<A: Src, B: Src>(a: &A, b: &B, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
         shard_rows(&mut out, n, 2 * k * n, TR, |row_start, c| {
@@ -906,14 +803,8 @@ pub(crate) fn tn_impl<A: PanelSrc, B: PanelSrc>(
             let mut bbuf = scratch(B::NEEDS_BUF, k * NR);
             let mut abuf = scratch(A::NEEDS_BUF, k * NR);
             for j0 in (0..n).step_by(NR) {
-                let w = (n - j0).min(NR);
-                b.stage(j0, w, &mut bbuf);
-                let bs = Staged {
-                    src: b,
-                    buf: &bbuf,
-                    j0,
-                    w,
-                };
+                b.stage(j0, (n - j0).min(NR), &mut bbuf);
+                let bs = Staged::panel(b, &bbuf, j0, n);
                 for i0 in (0..rows).step_by(NR) {
                     let wa = (rows - i0).min(NR);
                     a.stage(row_start + i0, wa, &mut abuf);
@@ -926,9 +817,7 @@ pub(crate) fn tn_impl<A: PanelSrc, B: PanelSrc>(
                     for r0 in (0..wa).step_by(TR) {
                         let rw = (wa - r0).min(TR);
                         let c_tile = &mut c[(i0 + r0) * n + j0..];
-                        if skip {
-                            tn_skip_tile(&a_s, &bs, k, (r0, rw), n, c_tile);
-                        } else if rw == TR && w == NR {
+                        if rw == TR && bs.w == NR {
                             tn_tile::<A, B, true>(&a_s, &bs, k, (r0, rw), n, c_tile);
                         } else {
                             tn_tile::<A, B, false>(&a_s, &bs, k, (r0, rw), n, c_tile);
@@ -938,10 +827,13 @@ pub(crate) fn tn_impl<A: PanelSrc, B: PanelSrc>(
             }
         });
     }
+    if !B::FINITE {
+        skip_rule(&mut out, n, k, |i, kk| at(a, kk, i), |kk, j| at(b, kk, j));
+    }
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// Columns `[j0, j0+w)` of a [`PanelSrc`], staged in `buf` if it needs to be.
+/// Columns `[j0, j0+w)` of a [`Src`], staged in `buf` if it needs to be.
 struct Staged<'s, S> {
     src: &'s S,
     buf: &'s [f32],
@@ -949,7 +841,17 @@ struct Staged<'s, S> {
     w: usize,
 }
 
-impl<S: PanelSrc> Staged<'_, S> {
+impl<'s, S: Src> Staged<'s, S> {
+    /// The `NR`-column panel of an `n`-column `src` that starts at `j0`.
+    fn panel(src: &'s S, buf: &'s [f32], j0: usize, n: usize) -> Self {
+        Staged {
+            src,
+            buf,
+            j0,
+            w: (n - j0).min(NR),
+        }
+    }
+
     #[inline]
     fn krow(&self, kk: usize) -> &[f32] {
         self.src.krow(self.buf, kk, self.j0, self.w)
@@ -960,9 +862,8 @@ impl<S: PanelSrc> Staged<'_, S> {
 /// `r0..r0+rw` of the staged A panel. `FULL` promises `rw == TR && w == NR`:
 /// the extents are then compile-time constants and the `TR·NR` accumulators
 /// stay in registers; edge tiles run the same loops with the zips cut short.
-/// A standalone function for the reason given above `nn_impl`.
 #[inline(never)]
-fn tn_tile<A: PanelSrc, B: PanelSrc, const FULL: bool>(
+fn tn_tile<A: Src, B: Src, const FULL: bool>(
     a: &Staged<A>,
     b: &Staged<B>,
     k: usize,
@@ -986,144 +887,10 @@ fn tn_tile<A: PanelSrc, B: PanelSrc, const FULL: bool>(
     }
 }
 
-/// The replaced kernel's zero-skip rule, element by element (non-finite
-/// dense `B` only): an aligned block of four reduction steps is left out
-/// when all four A coefficients are zero, a `k % 4` tail step when its one is.
-fn tn_skip_tile<A: PanelSrc, B: PanelSrc>(
-    a: &Staged<A>,
-    b: &Staged<B>,
-    k: usize,
-    (r0, rw): (usize, usize),
-    n: usize,
-    c_tile: &mut [f32],
-) {
-    for r in 0..rw {
-        let at = |kk: usize| a.krow(kk)[r0 + r];
-        for x in 0..b.w {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                let q0 = kk / 4 * 4;
-                let skipped = if q0 + 4 <= k {
-                    (q0..q0 + 4).all(|q| at(q) == 0.0)
-                } else {
-                    at(kk) == 0.0
-                };
-                if !skipped {
-                    acc += at(kk) * b.krow(kk)[x];
-                }
-            }
-            c_tile[r * n + x] = acc;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BT: replay of `matmul_bt` — `MR×JB` serial-chain tiles whose skip mode
-// mirrors `matmul`'s column regions, singles with the conditional skip, and
-// `tree_dot` remainder rows.
-// ---------------------------------------------------------------------------
-
-#[inline(never)]
-fn bt_impl<A: RowSrc, B: RowSrc>(a: &A, b: &B, m: usize, ka: usize, n: usize) -> Tensor {
-    let n_full = (n / NR) * NR;
-    let b_all_finite = n_full == n || m < MR || b.all_finite();
-    let mut out = vec![0.0f32; m * n];
-    if n > 0 {
-        shard_rows(&mut out, n, 2 * ka * n, MR, |row_start, panel| {
-            let rows = panel.len() / n;
-            let mut bbuf = scratch(B::NEEDS_BUF, JB * ka);
-            let mut abuf = scratch(A::NEEDS_BUF, MR * ka);
-            // The reference loop order: row blocks outer (each A quad —
-            // typically a cached *packed* weight on the serving path — is
-            // dequantized exactly once), JB-wide column tiles inner (dense
-            // B rows borrow for free; packed B re-stages per block, the
-            // rare packed×packed case).
-            let mut ri = 0;
-            while ri + MR <= rows {
-                let aq: [&[f32]; MR] = a.block(row_start + ri, &mut abuf);
-                let c_quad = &mut panel[ri * n..(ri + MR) * n];
-                let mut j0 = 0;
-                while j0 + JB <= n {
-                    let b8: [&[f32]; JB] = b.block(j0, &mut bbuf);
-                    if b_all_finite || j0 + JB <= n_full {
-                        bt_tile::<false>(&aq, &b8, j0, n, c_quad);
-                    } else {
-                        bt_tile::<true>(&aq, &b8, j0, n, c_quad);
-                    }
-                    j0 += JB;
-                }
-                // Column singles (always in matmul's tail region).
-                for j in j0..n {
-                    let bj = b.seg(j, 0, ka, &mut bbuf);
-                    let mut s = [0.0f32; MR];
-                    for (p, &bv) in bj.iter().enumerate() {
-                        for (r, s_r) in s.iter_mut().enumerate() {
-                            let ar = aq[r][p];
-                            if b_all_finite || ar != 0.0 {
-                                *s_r += ar * bv;
-                            }
-                        }
-                    }
-                    for (r, &s_r) in s.iter().enumerate() {
-                        c_quad[r * n + j] = s_r;
-                    }
-                }
-                ri += MR;
-            }
-            // Remainder rows (`m % 4`): `tree_dot` across every column.
-            while ri < rows {
-                let ar = a.seg(row_start + ri, 0, ka, &mut abuf);
-                let mut j0 = 0;
-                while j0 + JB <= n {
-                    let b8: [&[f32]; JB] = b.block(j0, &mut bbuf);
-                    for (jj, bj) in b8.iter().enumerate() {
-                        panel[ri * n + j0 + jj] = tree_dot(ar, bj);
-                    }
-                    j0 += JB;
-                }
-                for j in j0..n {
-                    let bj = b.seg(j, 0, ka, &mut bbuf);
-                    panel[ri * n + j] = tree_dot(ar, bj);
-                }
-                ri += 1;
-            }
-        });
-    }
-    Tensor::from_vec(vec![m, n], out)
-}
-
-/// One `MR×JB` tile of serial ascending-`k` chains; `SKIP` mirrors
-/// `matmul_bt`'s region-dependent `a == 0.0` skip.
-#[inline]
-fn bt_tile<const SKIP: bool>(
-    aq: &[&[f32]; MR],
-    b8: &[&[f32]; JB],
-    j0: usize,
-    n: usize,
-    c_quad: &mut [f32],
-) {
-    let ka = aq[0].len();
-    let mut acc = [[0.0f32; JB]; MR];
-    for p in 0..ka {
-        let bvs: [f32; JB] = std::array::from_fn(|jj| b8[jj][p]);
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = aq[r][p];
-            if SKIP && ar == 0.0 {
-                continue;
-            }
-            for (acc_rj, &bv) in acc_r.iter_mut().zip(&bvs) {
-                *acc_rj += ar * bv;
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        c_quad[r * n + j0..r * n + j0 + JB].copy_from_slice(acc_r);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{matmul, matmul_nt, matmul_tn};
     use rand::{Rng, SeedableRng};
 
     /// Builds a random `PackedMat` plus its dense dequantized twin.
@@ -1178,7 +945,7 @@ mod tests {
     }
 
     // Shapes crossing the NR=32 tile boundary, the MR=4 row remainder, the
-    // 8-wide reduction blocking, and single-row/column edges.
+    // four-step skip blocks, and single-row/column edges.
     const SHAPES: [(usize, usize, usize); 7] = [
         (4, 32, 32),
         (1, 9, 40),
@@ -1246,55 +1013,6 @@ mod tests {
                     &format!("tn {tag} ({m},{k},{n})"),
                 );
             }
-        }
-    }
-
-    #[test]
-    fn bt_matches_dense_bitwise_for_every_operand_mix() {
-        for (m, k, n) in SHAPES {
-            let (pa, da) = random_pack(m, k, 16, PackLayout::RowGroups, 4, 31 + m as u64);
-            let (pb, db) = random_pack(n, k, 16, PackLayout::RowGroups, 4, 32 + n as u64);
-            let want = matmul_bt(&da, &db);
-            for (a, b, tag) in [
-                (Operand::Packed(&pa), Operand::Dense(&db), "pd"),
-                (Operand::Dense(&da), Operand::Packed(&pb), "dp"),
-                (Operand::Packed(&pa), Operand::Packed(&pb), "pp"),
-            ] {
-                assert_bits_eq(
-                    &qmatmul_bt(ExecMode::Replay, a, b),
-                    &want,
-                    &format!("bt {tag} ({m},{k},{n})"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bt_with_nonfinite_dense_b_replays_skip_regions() {
-        // 0·∞ = NaN makes the zero-coefficient skip observable; the packed
-        // A side (which contains exact-zero mantissas) must skip in exactly
-        // matmul's column regions.
-        for (m, k, n) in [(4usize, 40usize, 4usize), (5, 17, 40), (8, 9, 33)] {
-            let (pa, da) = random_pack(m, k, 16, PackLayout::RowGroups, 4, 41);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-            let bdata: Vec<f32> = (0..n * k)
-                .map(|i| {
-                    if i % 7 == 0 {
-                        f32::INFINITY
-                    } else if i % 11 == 0 {
-                        f32::NAN
-                    } else {
-                        rng.gen_range(-1.0f32..1.0)
-                    }
-                })
-                .collect();
-            let db = Tensor::from_vec(vec![n, k], bdata);
-            let want = matmul_bt(&da, &db);
-            assert_bits_eq(
-                &qmatmul_bt(ExecMode::Replay, Operand::Packed(&pa), Operand::Dense(&db)),
-                &want,
-                &format!("bt-nonfinite ({m},{k},{n})"),
-            );
         }
     }
 

@@ -89,7 +89,7 @@ struct ColSide<'a> {
 enum BSide<'a> {
     /// `k × n`, scale blocks down the columns (NN, TN).
     Cols(&'a ColSide<'a>),
-    /// `n × k`, scale blocks along the rows (NT, BT).
+    /// `n × k`, scale blocks along the rows (NT).
     Rows(&'a RowSide<'a>),
 }
 
@@ -213,17 +213,16 @@ fn staged_avx2(
 }
 
 // ---------------------------------------------------------------------------
-// NT / BT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
+// NT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
 // `ROW_QUAD` output rows up, B's rows are interleaved straight into the NN
-// kernel's k-pair panel and `nn_worker` runs. Below that — serving's `Bt`
-// with one patch row, where staging B costs more than the product — and for
-// the pairs the vector kernel refuses, every element is a sum of
+// kernel's k-pair panel and `nn_worker` runs. Below that — where staging B
+// costs more than the product — and for the pairs the vector kernel refuses, every element is a sum of
 // per-segment dot products over two contiguous i8 rows. Both apply the same
 // three f32 operations per segment in the same order over exact integer
 // sums, so they agree bit for bit (`staged_nt_matches_segment_dots_bitwise`).
 // ---------------------------------------------------------------------------
 
-/// `C = A·Bᵀ` in the integer domain (also serves BT: same storage contract).
+/// `C = A·Bᵀ` in the integer domain.
 pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     debug_assert_eq!(b.cols(), k);
@@ -552,7 +551,7 @@ mod avx2 {
         }
     }
 
-    /// Exact i32 dot product of two i8 slices (the NT/BT segment kernel):
+    /// Exact i32 dot product of two i8 slices (the NT segment kernel):
     /// sixteen-wide `cvtepi8_epi16` + `madd` blocks, scalar remainder,
     /// horizontal sum. Integer addition is associative, so this equals
     /// `ScalarDot` bit-for-bit.

@@ -1,10 +1,12 @@
 //! Property-based tests for the tensor substrate: GEMM algebra, im2col
 //! adjointness, pooling invariants.
 
-use fast_tensor::qgemm::{qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat};
+use fast_tensor::qgemm::{
+    qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
+};
 use fast_tensor::{
-    col2im, col_sums, conv2d, global_avg_pool, im2col, im2row, matmul, matmul_bt, matmul_nt,
-    matmul_tn, max_pool2d, row_sums, Conv2dDims, Im2colRows, Tensor,
+    col2im, col_sums, conv2d, global_avg_pool, im2col, matmul, matmul_nt, matmul_tn, max_pool2d,
+    row_sums, Conv2dDims, Im2colRows, Tensor,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -87,50 +89,6 @@ proptest! {
         let lhs: f64 = ax.data().iter().zip(y.data()).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
         let rhs: f64 = x.data().iter().zip(aty.data()).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2, "{lhs} vs {rhs}");
-    }
-
-    /// im2row is exactly im2col transposed, for random geometries.
-    #[test]
-    fn im2row_is_im2col_transposed(
-        x_data in prop::collection::vec(-1.0f32..1.0, 2 * 3 * 6 * 6),
-        kernel in 1usize..=3,
-        stride in 1usize..=2,
-        pad in 0usize..=1,
-    ) {
-        prop_assume!(6 + 2 * pad >= kernel);
-        let d = Conv2dDims {
-            batch: 2, in_c: 3, in_h: 6, in_w: 6, out_c: 1, kernel, stride, pad,
-        };
-        let x = Tensor::from_vec(vec![2, 3, 6, 6], x_data);
-        prop_assert_eq!(im2row(&x, d), im2col(&x, d).transpose2());
-    }
-
-    /// matmul_bt replays matmul's exact summation trees from the transposed
-    /// layout: results are bit-identical across shapes spanning the 4-row
-    /// micro-kernel remainder, the 32-column tile boundary and the 8-wide
-    /// reduction blocking, with exact zeros present (quantized operands are
-    /// sparse, and the kernels skip zero blocks).
-    #[test]
-    fn matmul_bt_is_bit_identical_to_matmul(
-        m in 1usize..=9,
-        k in 1usize..=40,
-        n in 1usize..=40,
-        seed in 0u64..=u64::MAX,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut fill = |len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|_| if rng.gen_range(0u8..4) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
-                .collect()
-        };
-        let a = Tensor::from_vec(vec![m, k], fill(m * k));
-        let b = Tensor::from_vec(vec![k, n], fill(k * n));
-        let want = matmul(&a, &b);
-        let got = matmul_bt(&a, &b.transpose2());
-        for (x, y) in want.data().iter().zip(got.data()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     /// Convolution with a 1×1 all-ones kernel sums channels.
@@ -472,6 +430,18 @@ proptest! {
 fn random_pack(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> (PackedMat, Tensor) {
     let group = [3usize, 16][rng.gen_range(0usize..2)];
     let layout = [PackLayout::RowGroups, PackLayout::ColGroups][rng.gen_range(0usize..2)];
+    pack_with(rows, cols, group, layout, -12..4, rng)
+}
+
+/// [`random_pack`] with the group, layout and scale exponents chosen.
+fn pack_with(
+    rows: usize,
+    cols: usize,
+    group: usize,
+    layout: PackLayout,
+    exps: std::ops::Range<i32>,
+    rng: &mut rand::rngs::StdRng,
+) -> (PackedMat, Tensor) {
     let mans = (0..rows * cols)
         .map(|_| {
             if rng.gen_bool(0.25) {
@@ -490,7 +460,7 @@ fn random_pack(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> (Packe
             if rng.gen_bool(0.1) {
                 0.0
             } else {
-                2.0f32.powi(rng.gen_range(-12..4))
+                2.0f32.powi(rng.gen_range(exps.clone()))
             }
         })
         .collect();
@@ -618,5 +588,192 @@ proptest! {
         })();
         fast_tensor::set_parallelism(saved);
         result?;
+    }
+}
+
+/// Lane counts on both sides of the NN kernel's 32-column tile: tail-only
+/// panels, one full panel, a full panel plus a tail, two plus a tail.
+fn edge_lanes() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1usize, 5, 8, 17, 31, 32, 33, 40, 70])
+}
+
+/// Zeroes whole aligned blocks of four along each row (about one in four),
+/// so the skip rule's block case is not left to chance.
+fn zero_blocks(t: &mut Tensor, rng: &mut rand::rngs::StdRng) {
+    let k = t.shape()[1];
+    for row in t.data_mut().chunks_mut(k.max(1)) {
+        for block in row.chunks_mut(4) {
+            if rng.gen_bool(0.25) {
+                block.fill(0.0);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// `matmul` and all four dense/packed mixes of `qmatmul` against the
+    /// chain oracle, for 1, 2 and 3 workers: every `m % 4` remainder and
+    /// one or two full row quads, lane counts off the 32-wide tile, and
+    /// dense `B` with and without `∞`/`NaN` (where the skip rule shows).
+    #[test]
+    fn forward_orientation_matches_the_chain_oracle(
+        m in 1usize..=9,
+        k in edge_depths(),
+        n in edge_lanes(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let saved = fast_tensor::parallelism();
+        let result = (|| -> Result<(), TestCaseError> {
+            let (pa, da) = random_pack(m, k, &mut rng);
+            let (pb, db) = random_pack(k, n, &mut rng);
+            let oracle = |a: &Tensor, b: &Tensor, skip: bool| {
+                chain_oracle(
+                    (m, k, n),
+                    |i, p| a.data()[i * k + p],
+                    |p, j| b.data()[p * n + j],
+                    skip,
+                )
+            };
+            let want = oracle(&da, &db, false);
+            let mut wa = random_dense(m, k, true, &mut rng);
+            zero_blocks(&mut wa, &mut rng);
+            let fin_b = random_dense(k, n, false, &mut rng);
+            let mut inf_b = fin_b.clone();
+            for _ in 0..1 + k * n / 16 {
+                let at = rng.gen_range(0..k * n);
+                inf_b.data_mut()[at] = if rng.gen_bool(0.5) { f32::INFINITY } else { f32::NAN };
+            }
+            let (fin, inf) = (oracle(&wa, &fin_b, false), oracle(&wa, &inf_b, true));
+            let packed_inf = oracle(&da, &inf_b, true);
+
+            for workers in 1..=3 {
+                fast_tensor::set_parallelism(fast_tensor::Parallelism::new(workers));
+                let tag = |what: &str| format!("{what} ({m},{k},{n}) workers={workers}");
+                same_bits(&matmul(&wa, &fin_b), &fin, &tag("matmul finite B"))?;
+                same_bits(&matmul(&wa, &inf_b), &inf, &tag("matmul non-finite B"))?;
+                use Operand::{Dense as D, Packed as P};
+                let got = qmatmul(ExecMode::Replay, P(&pa), D(&inf_b));
+                same_bits(&got, &packed_inf, &tag("qmatmul pd non-finite B"))?;
+                for (a, b, mix) in [
+                    (D(&da), D(&db), "dd"),
+                    (D(&da), P(&pb), "dp"),
+                    (P(&pa), D(&db), "pd"),
+                    (P(&pa), P(&pb), "pp"),
+                ] {
+                    let got = qmatmul(ExecMode::Replay, a, b);
+                    same_bits(&got, &want, &tag(&format!("qmatmul {mix}")))?;
+                }
+            }
+            Ok(())
+        })();
+        fast_tensor::set_parallelism(saved);
+        result?;
+    }
+}
+
+/// The shape that made a served response depend on its batch: row
+/// `a = e₀ + 2⁻¹³·(e₁₆ + … + e₂₃)` against `B` with row 0 all `1.0` and
+/// rows 16–23 all `2⁻¹²`. The chain adds each `2⁻²⁵` to `1.0` and rounds it
+/// away; an eight-wide pairwise tree sums them to `2⁻²²` first and keeps
+/// it. Every row count must read the chain's `1.0`, dense and packed.
+#[test]
+fn inexact_row_reads_the_chain_at_every_row_count() {
+    let (k, n) = (32, 32);
+    let tiny = 2.0f32.powi(-13);
+    let mut a_row = vec![0.0f32; k];
+    a_row[0] = 1.0;
+    a_row[16..24].fill(tiny);
+    let mut b = vec![0.0f32; k * n];
+    b[..n].fill(1.0);
+    b[16 * n..24 * n].fill(2.0 * tiny);
+    let b = Tensor::from_vec(vec![k, n], b);
+    // The same values packed: groups of 16 along A's rows and down B's
+    // columns, every nonzero mantissa 1.
+    let mut a_mans = vec![0i8; k];
+    a_mans[0] = 1;
+    a_mans[16..24].fill(1);
+    let mut b_mans = vec![0i8; k * n];
+    b_mans[..n].fill(1);
+    b_mans[16 * n..24 * n].fill(1);
+    let b_scales = [vec![1.0f32; n], vec![2.0 * tiny; n]].concat();
+    let pb = PackedMat::new(k, n, 16, PackLayout::ColGroups, b_mans, b_scales);
+    for m in 1..=9 {
+        let a = Tensor::from_vec(vec![m, k], a_row.repeat(m));
+        let scales = [1.0, tiny].repeat(m);
+        let pa = PackedMat::new(m, k, 16, PackLayout::RowGroups, a_mans.repeat(m), scales);
+        let want = chain_oracle(
+            (m, k, n),
+            |i, p| a.data()[i * k + p],
+            |p, j| b.data()[p * n + j],
+            false,
+        );
+        assert!(want.iter().all(|v| *v == 1.0));
+        use Operand::{Dense as D, Packed as P};
+        for (got, what) in [
+            (matmul(&a, &b), "matmul"),
+            (qmatmul(ExecMode::Replay, P(&pa), D(&b)), "pd"),
+            (qmatmul(ExecMode::Replay, D(&a), P(&pb)), "dp"),
+            (qmatmul(ExecMode::Replay, P(&pa), P(&pb)), "pp"),
+        ] {
+            let bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, want_bits, "{what} m={m}");
+        }
+    }
+}
+
+/// Row `i` of a `RowGroups` packed matrix as a one-row packed matrix.
+fn packed_row(p: &PackedMat, i: usize) -> PackedMat {
+    let (k, bpr) = (p.cols(), p.cols().div_ceil(p.group()).max(1));
+    PackedMat::new(
+        1,
+        k,
+        p.group(),
+        PackLayout::RowGroups,
+        p.mantissas()[i * k..(i + 1) * k].to_vec(),
+        p.scales()[i * bpr..(i + 1) * bpr].to_vec(),
+    )
+}
+
+proptest! {
+    /// Batch transparency at the kernel: row `i` of an `m`-row `Nn` product
+    /// equals the one-row product of row `i` bit for bit, for every operand
+    /// mix under both exec modes. Scales spread over 2⁻²⁴…2⁸ so sums are
+    /// inexact and a summation order that changed with the row's position
+    /// would show.
+    #[test]
+    fn nn_rows_do_not_depend_on_the_batch(
+        m in prop::sample::select(vec![1usize, 2, 3, 4, 5, 8, 9]),
+        k in edge_depths(),
+        n in edge_lanes(),
+        group in prop::sample::select(vec![3usize, 16]),
+        seed in 0u64..=u64::MAX,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (pa, da) = pack_with(m, k, group, PackLayout::RowGroups, -24..8, &mut rng);
+        let (pb, db) = pack_with(k, n, group, PackLayout::ColGroups, -24..8, &mut rng);
+        use Operand::{Dense as D, Packed as P};
+        for mode in [ExecMode::Replay, ExecMode::Integer] {
+            let whole = [
+                qmatmul(mode, D(&da), D(&db)),
+                qmatmul(mode, D(&da), P(&pb)),
+                qmatmul(mode, P(&pa), D(&db)),
+                qmatmul(mode, P(&pa), P(&pb)),
+            ];
+            for i in 0..m {
+                let (ra, rp) = (Tensor::from_vec(vec![1, k], da.data()[i * k..(i + 1) * k].to_vec()), packed_row(&pa, i));
+                let single = [
+                    qmatmul(mode, D(&ra), D(&db)),
+                    qmatmul(mode, D(&ra), P(&pb)),
+                    qmatmul(mode, P(&rp), D(&db)),
+                    qmatmul(mode, P(&rp), P(&pb)),
+                ];
+                for (mix, (w, s)) in ["dd", "dp", "pd", "pp"].iter().zip(whole.iter().zip(&single)) {
+                    let tag = format!("{mode:?} {mix} row {i} of ({m},{k},{n})");
+                    same_bits(s, &w.data()[i * n..(i + 1) * n], &tag)?;
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ fn precision(m: u32, windowed: bool, sr_gradients: bool) -> LayerPrecision {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let task = ImageTask::at(scale);
     let data = task.dataset(123);
     let epochs = scale.pick(6, 20);

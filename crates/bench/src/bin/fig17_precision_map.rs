@@ -8,7 +8,7 @@ use fast_bench::Scale;
 use fast_core::Setting;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     println!("== Paper Fig 17: FAST BFP precision over layers and iterations ==\n");
     let (run, ctl) = Workload::Cnn(CnnModel::ResNet18).run_fast_adaptive(scale, 5, false);
     println!(

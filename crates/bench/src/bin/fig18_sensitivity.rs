@@ -20,7 +20,7 @@ fn bfp_precision(g: usize, m: u32) -> LayerPrecision {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let task = ImageTask::at(scale);
     let epochs = scale.pick(6, 20);
     println!(

@@ -9,7 +9,7 @@ use fast_bench::workloads::CnnModel;
 use fast_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let wl = Workload::Cnn(CnnModel::ResNet18);
     println!("== Paper Fig 19: TTA for ResNet-18 across training systems ==\n");
 

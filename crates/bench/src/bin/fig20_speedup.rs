@@ -7,7 +7,7 @@ use fast_bench::table::{f, Table};
 use fast_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     println!("== Paper Fig 20: normalized training time and energy ==");
     println!("(N/A = target quality never reached, as in the paper)\n");
 

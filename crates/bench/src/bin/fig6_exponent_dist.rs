@@ -11,7 +11,7 @@ use fast_nn::{Layer, Session};
 use fast_tensor::Tensor;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     println!("== Paper Fig 6: distribution of difference to BFP shared exponent ==");
     println!("(ResNet-20-lite, middle layer, halfway through training)\n");
 

@@ -20,7 +20,7 @@ fn mean_std(xs: &[f64]) -> (f64, f64) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let seeds = [11u64, 22, 33];
     let task = ImageTask::at(scale);
     let epochs = scale.pick(8, 24);

@@ -22,23 +22,22 @@
 //! Usage:
 //!
 //! ```text
-//! serve_bench [--quick] [--out PATH] [--baseline-file PATH] [--metrics-out PATH]
+//! serve_bench [--quick] [--out PATH] [--metrics-out PATH]
 //! ```
 //!
-//! `--quick` lowers request counts for CI smoke runs. `--baseline-file`
-//! embeds a previously written measurement object under `"baseline"` and
-//! reports a `serve_qps_x` throughput ratio against it. `--metrics-out`
+//! `--quick` lowers request counts for CI smoke runs. `--metrics-out`
 //! dumps the capacity probe's telemetry snapshot (per-model serving
 //! series + process-global spans/counters, DESIGN.md §15) as JSON.
 //!
 //! The capacity probe repeats as adjacent (spans-off, spans-on) pairs;
 //! the record carries best-of-leg QPS for both settings plus the median
-//! per-pair overhead (`telemetry_overhead_serve_pct`), keeping the §15
-//! overhead budget measured on every recorded run.
+//! per-pair overhead (`telemetry_overhead_serve_pct`), and the run fails
+//! when that overhead is over the §15 budget.
 
 use fast_nn::models::{mlp, resnet_lite, tiny_transformer, ResNetConfig, TransformerConfig};
 use fast_nn::{set_uniform_precision, Layer, LayerPrecision, Sequential, Session};
 use fast_serve::{BatchConfig, CompiledModel, Pending, Server};
+use fast_telemetry::json::Json;
 use fast_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -139,16 +138,14 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON parser
-/// (the workspace is offline; good enough for our own output format).
-fn extract_num(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A measurement rounded to the unit.
+fn whole(x: f64) -> Json {
+    Json::num(x.round())
+}
+
+/// A ratio or mean rounded to two decimals.
+fn two_places(x: f64) -> Json {
+    Json::num((x * 100.0).round() / 100.0)
 }
 
 fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
@@ -272,25 +269,24 @@ fn main() {
             .cloned()
     };
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let baseline = arg_value("--baseline-file").map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"))
-    });
     // Where to dump the capacity probe's telemetry snapshot (DESIGN.md
     // §15 JSON export); omitted = no dump.
     let metrics_out = arg_value("--metrics-out");
 
     let (rounds, block) = if quick { (3, 5) } else { (7, 11) };
-    let mut fields: Vec<(String, String)> = vec![
-        ("quick".into(), quick.to_string()),
+    let text = |s: &str| Json::Str(s.to_string());
+    let count = |n: usize| Json::uint(n as u64);
+    let mut fields: Vec<(String, Json)> = vec![
+        ("quick".into(), Json::Bool(quick)),
         (
             "gemm_workers".into(),
-            fast_tensor::parallelism().workers().to_string(),
+            count(fast_tensor::parallelism().workers()),
         ),
-        ("resnet_config".into(), "\"resnet18-lite stem=16\"".into()),
-        ("mlp_config".into(), "\"64-256-256-10\"".into()),
+        ("resnet_config".into(), text("resnet18-lite stem=16")),
+        ("mlp_config".into(), text("64-256-256-10")),
         (
             "transformer_config".into(),
-            "\"d=32 h=4 ff=64 L=2 seq=8\"".into(),
+            text("d=32 h=4 ff=64 L=2 seq=8"),
         ),
     ];
 
@@ -316,15 +312,9 @@ fn main() {
             "{:<12} requant {:>9.0} ns  compiled {:>9.0} ns  speedup {:.2}x",
             w.name, requant_ns, compiled_ns, speedup
         );
-        fields.push((format!("{}_requant_ns", w.name), format!("{requant_ns:.0}")));
-        fields.push((
-            format!("{}_compiled_ns", w.name),
-            format!("{compiled_ns:.0}"),
-        ));
-        fields.push((
-            format!("{}_cached_speedup_x", w.name),
-            format!("{speedup:.2}"),
-        ));
+        fields.push((format!("{}_requant_ns", w.name), whole(requant_ns)));
+        fields.push((format!("{}_compiled_ns", w.name), whole(compiled_ns)));
+        fields.push((format!("{}_cached_speedup_x", w.name), two_places(speedup)));
     }
 
     // --- 2. Capacity probe: closed-loop clients saturate the dispatcher
@@ -424,55 +414,48 @@ fn main() {
         stats.service_ns.percentile_us(0.99).unwrap_or(0.0),
     );
 
-    fields.push(("serve_workload".into(), format!("\"{}\"", wl.name)));
-    fields.push(("serve_workers".into(), workers.to_string()));
-    fields.push(("serve_clients".into(), clients.to_string()));
-    fields.push(("serve_max_batch".into(), max_batch.to_string()));
-    fields.push(("serve_requests".into(), total.to_string()));
-    fields.push(("serve_qps".into(), format!("{qps:.0}")));
+    fields.push(("serve_workload".into(), text(wl.name)));
+    fields.push(("serve_workers".into(), count(workers)));
+    fields.push(("serve_clients".into(), count(clients)));
+    fields.push(("serve_max_batch".into(), count(max_batch)));
+    fields.push(("serve_requests".into(), count(total)));
+    fields.push(("serve_qps".into(), whole(qps)));
     // Span-collection overhead on capacity: positive pct = QPS lost with
     // the collector installed (median of adjacent off/on pair ratios).
     // Budget in DESIGN.md §15.
-    fields.push(("serve_qps_span_on".into(), format!("{qps_span_on:.0}")));
+    fields.push(("serve_qps_span_on".into(), whole(qps_span_on)));
     fields.push((
         "telemetry_overhead_serve_pct".into(),
-        format!("{overhead_serve_pct:.2}"),
+        two_places(overhead_serve_pct),
     ));
     for (key, p) in [
         ("serve_p50_us", 0.50),
         ("serve_p99_us", 0.99),
         ("serve_p999_us", 0.999),
     ] {
-        fields.push((
-            key.into(),
-            format!("{:.0}", percentile(&latencies_ns, p) / 1000.0),
-        ));
+        fields.push((key.into(), whole(percentile(&latencies_ns, p) / 1000.0)));
     }
-    fields.push((
-        "serve_mean_batch".into(),
-        format!("{:.2}", stats.mean_batch()),
-    ));
+    fields.push(("serve_mean_batch".into(), two_places(stats.mean_batch())));
     for (key, p) in [("p50", 0.50), ("p99", 0.99)] {
         fields.push((
             format!("serve_queue_{key}_us"),
-            format!("{:.0}", stats.queue_ns.percentile_us(p).unwrap_or(0.0)),
+            whole(stats.queue_ns.percentile_us(p).unwrap_or(0.0)),
         ));
         fields.push((
             format!("serve_service_{key}_us"),
-            format!("{:.0}", stats.service_ns.percentile_us(p).unwrap_or(0.0)),
+            whole(stats.service_ns.percentile_us(p).unwrap_or(0.0)),
         ));
     }
     fields.push((
         "serve_peak_queue_depth".into(),
-        stats.peak_queue_depth.to_string(),
+        Json::uint(stats.peak_queue_depth),
     ));
     let hist = stats
         .batch_histogram
         .iter()
-        .map(|(size, n)| format!("\"{size}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    fields.push(("serve_batch_histogram".into(), format!("{{ {hist} }}")));
+        .map(|(size, n)| (size.to_string(), Json::uint(*n)))
+        .collect();
+    fields.push(("serve_batch_histogram".into(), Json::Obj(hist)));
 
     // --- 3. Open-loop Poisson sweep anchored at the probed capacity:
     // under-load points show latency at honest arrival rates, the ≥2×
@@ -512,101 +495,44 @@ fn main() {
         );
         sweep.push((mult, point));
     }
-    fields.push(("sweep_deadline_us".into(), deadline.as_micros().to_string()));
+    fields.push((
+        "sweep_deadline_us".into(),
+        Json::uint(deadline.as_micros() as u64),
+    ));
     let sweep_json = sweep
         .iter()
         .map(|(mult, p)| {
-            format!(
-                "{{ \"load_x\": {mult}, \"offered_qps\": {:.0}, \"duration_s\": {:.2}, \
-                 \"submitted\": {}, \"served\": {}, \"shed\": {}, \"missed\": {}, \
-                 \"goodput_qps\": {:.0}, \"p50_us\": {:.0}, \"p99_us\": {:.0}, \
-                 \"p999_us\": {:.0}, \"mean_batch\": {:.2} }}",
-                p.offered_qps,
-                p.duration_s,
-                p.submitted,
-                p.served,
-                p.shed,
-                p.missed,
-                p.goodput_qps,
-                p.p50_us,
-                p.p99_us,
-                p.p999_us,
-                p.mean_batch,
-            )
+            Json::Obj(vec![
+                ("load_x".into(), Json::num(*mult)),
+                ("offered_qps".into(), whole(p.offered_qps)),
+                ("duration_s".into(), two_places(p.duration_s)),
+                ("submitted".into(), count(p.submitted)),
+                ("served".into(), count(p.served)),
+                ("shed".into(), count(p.shed)),
+                ("missed".into(), count(p.missed)),
+                ("goodput_qps".into(), whole(p.goodput_qps)),
+                ("p50_us".into(), whole(p.p50_us)),
+                ("p99_us".into(), whole(p.p99_us)),
+                ("p999_us".into(), whole(p.p999_us)),
+                ("mean_batch".into(), two_places(p.mean_batch)),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",\n      ");
-    fields.push(("load_sweep".into(), format!("[\n      {sweep_json}\n    ]")));
+        .collect();
+    fields.push(("load_sweep".into(), Json::Arr(sweep_json)));
 
-    // --- Emit JSON (with an optional baseline comparison). ---
-    let body = fields
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let current = format!("{{\n{body}\n  }}");
-    let json = match &baseline {
-        None => format!("{{\n  \"current\": {current}\n}}\n"),
-        Some(base_json) => {
-            let trimmed = base_json.trim();
-            assert!(
-                trimmed.starts_with('{') && trimmed.ends_with('}'),
-                "baseline file is not a JSON object"
-            );
-            // Chaining on a previous serve_bench output: compare against
-            // (and embed) its "current" section, not the whole nested file.
-            let base_obj = match trimmed.find("\"current\":") {
-                Some(pos) => {
-                    let rest = &trimmed[pos + "\"current\":".len()..];
-                    let open = rest.find('{').expect("\"current\" must be an object");
-                    let mut depth = 0usize;
-                    let mut close = open;
-                    for (off, c) in rest[open..].char_indices() {
-                        match c {
-                            '{' => depth += 1,
-                            '}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    close = open + off;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    rest[open..=close].to_string()
-                }
-                None => trimmed.to_string(),
-            };
-            let mut speedups: Vec<String> = Vec::new();
-            // Throughput ratio: > 1.0 means this build serves more QPS than
-            // the committed record (the bench-smoke regression signal).
-            if let Some(base_qps) = extract_num(&base_obj, "serve_qps") {
-                if base_qps > 0.0 {
-                    speedups.push(format!("    \"serve_qps_x\": {:.2}", qps / base_qps));
-                }
-            }
-            for w in ["resnet", "mlp", "transformer"] {
-                let key = format!("{w}_compiled_ns");
-                if let (Some(before), Some(now)) = (
-                    extract_num(&base_obj, &key),
-                    fields
-                        .iter()
-                        .find(|(k, _)| *k == key)
-                        .and_then(|(_, v)| v.parse::<f64>().ok()),
-                ) {
-                    if now > 0.0 {
-                        speedups.push(format!("    \"{w}_compiled_x\": {:.2}", before / now));
-                    }
-                }
-            }
-            format!(
-                "{{\n  \"baseline\": {},\n  \"current\": {current},\n  \"speedup\": {{\n{}\n  }}\n}}\n",
-                base_obj.replace('\n', "\n  "),
-                speedups.join(",\n")
-            )
-        }
-    };
+    let json = Json::Obj(vec![("current".into(), Json::Obj(fields))]).render();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path}");
+
+    // The span-collection cost on capacity must stay within DESIGN.md §15's
+    // budget: < 2 % on a quiet machine; 15 % is the slack a quick run on a
+    // shared runner gets.
+    const OVERHEAD_BUDGET_PCT: f64 = 15.0;
+    if overhead_serve_pct > OVERHEAD_BUDGET_PCT {
+        eprintln!(
+            "gate failed: telemetry_overhead_serve_pct = {overhead_serve_pct:.2} is over its \
+             budget {OVERHEAD_BUDGET_PCT}"
+        );
+        std::process::exit(1);
+    }
 }

@@ -7,7 +7,7 @@ use fast_bench::table::{f, Table};
 use fast_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     println!("== Paper Table II: validation quality across number formats ==");
     println!("(synthetic stand-in tasks — compare the *ranking* of formats per row,");
     println!(" not absolute numbers; paper reference ranking shown below)\n");

@@ -166,8 +166,9 @@ pub fn run_images(
     TrainRun { evals, final_loss }
 }
 
-/// Trains the transformer on the sequence task (Adam is approximated with
-/// high-momentum SGD at small scale when `use_adam` is false).
+/// Trains the transformer on the sequence task with Adam. [`Trainer`] owns
+/// an `Sgd`, so this loop is the trainer's step written out, sensitivity
+/// recording included.
 pub fn run_sequence(
     model: Sequential,
     data: &SequenceTask,
@@ -190,6 +191,7 @@ pub fn run_sequence(
         for (x, labels) in data.train_batches(cfg.batch, epoch as u64) {
             hook.before_iteration(iter, &mut model);
             session.train = true;
+            session.record_sensitivity = hook.wants_sensitivity();
             let logits = model.forward(&x, &mut session);
             let (loss, grad) = softmax_cross_entropy(&logits, &labels);
             model.backward(&grad, &mut session);
@@ -239,47 +241,37 @@ pub fn run_detection(
     meter: Option<CostMeter>,
 ) -> TrainRun {
     use fast_nn::Layer;
-    let mut session = Session::new(cfg.seed);
-    let mut model = model;
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+    let opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+    let mut trainer = Trainer::new(model, opt, cfg.seed);
     let mut meter = meter;
     let test = data.test_batches(cfg.batch.max(32));
     let mut evals = Vec::new();
     let mut final_loss = 0.0;
-    let mut iter = 0usize;
     for epoch in 0..cfg.epochs {
-        apply_lr_drops(&mut opt, &cfg.lr_drops, epoch, cfg.lr);
+        apply_lr_drops(&mut trainer.opt, &cfg.lr_drops, epoch, cfg.lr);
         let mut loss_sum = 0.0;
         let mut nb = 0usize;
         for (x, gts) in data.train_batches(cfg.batch, epoch as u64) {
-            hook.before_iteration(iter, &mut model);
-            session.train = true;
-            let out = model.forward(&x, &mut session);
-            let (loss, grad) = yolo_loss(&out, &gts, yolo_cfg);
-            model.backward(&grad, &mut session);
-            hook.after_backward(iter, &mut model);
-            opt.step(&mut model);
+            let stats = trainer.step_custom(&x, &mut |out| yolo_loss(out, &gts, yolo_cfg), hook);
             if let Some(m) = meter.as_mut() {
-                m.record(&mut model);
+                m.record(&mut trainer.model);
             }
-            loss_sum += loss;
+            loss_sum += stats.loss;
             nb += 1;
-            iter += 1;
         }
         final_loss = loss_sum / nb.max(1) as f64;
-        session.train = false;
+        trainer.session.train = false;
         let mut dets = Vec::new();
         let mut gts_all = Vec::new();
         for (x, gts) in &test {
-            let out = model.forward(x, &mut session);
+            let out = trainer.model.forward(x, &mut trainer.session);
             dets.extend(decode_predictions(&out, yolo_cfg, 0.3));
             gts_all.extend(gts.iter().cloned());
         }
-        session.train = true;
         let quality = map_lite(&dets, &gts_all, yolo_cfg.num_classes, 0.5);
         evals.push(EvalPoint {
             epoch: epoch + 1,
-            iter,
+            iter: trainer.iterations(),
             quality,
             sim_seconds: meter.as_ref().map(|m| m.total_seconds()).unwrap_or(0.0),
             sim_energy_j: meter.as_ref().map(|m| m.total_energy_j).unwrap_or(0.0),
@@ -291,6 +283,88 @@ pub fn run_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fast_nn::models::{tiny_transformer, tiny_yolo, TransformerConfig};
+    use rand::SeedableRng;
+
+    /// A hook that reads sensitivity, as Algorithm 1 does: from the second
+    /// iteration on, every GEMM layer must hold the previous backward
+    /// pass's `∇O`.
+    struct SensitivityProbe {
+        checked: usize,
+    }
+
+    impl TrainHook for SensitivityProbe {
+        fn wants_sensitivity(&self) -> bool {
+            true
+        }
+
+        fn before_iteration(&mut self, iter: usize, model: &mut Sequential) {
+            use fast_nn::Layer;
+            if iter == 0 {
+                return;
+            }
+            model.visit_quant(&mut |q| {
+                assert!(
+                    q.last_grad_output().is_some(),
+                    "{} holds no gradient at iteration {iter}",
+                    q.label()
+                );
+            });
+            self.checked += 1;
+        }
+    }
+
+    #[test]
+    fn runners_record_sensitivity_for_hooks_that_read_it() {
+        let cfg = RunCfg {
+            epochs: 1,
+            batch: 8,
+            lr: 0.01,
+            momentum: 0.9,
+            weight_decay: 0.0,
+            lr_drops: vec![],
+            seed: 3,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+
+        let tcfg = TransformerConfig {
+            vocab: 6,
+            d_model: 8,
+            heads: 2,
+            ff_dim: 16,
+            layers: 1,
+            seq_len: 4,
+        };
+        let seq = SequenceTask::generate(tcfg.vocab, tcfg.seq_len, 16, 8, 1);
+        let mut probe = SensitivityProbe { checked: 0 };
+        run_sequence(
+            tiny_transformer(tcfg, &mut rng),
+            &seq,
+            &cfg,
+            &mut probe,
+            None,
+        );
+        assert_eq!(probe.checked, 1);
+
+        let ycfg = YoloConfig {
+            in_channels: 3,
+            image_size: 16,
+            grid: 4,
+            num_classes: 2,
+            base_channels: 4,
+        };
+        let det = SyntheticDetection::generate(ycfg.num_classes, ycfg.image_size, 16, 8, 1);
+        let mut probe = SensitivityProbe { checked: 0 };
+        run_detection(
+            tiny_yolo(ycfg, &mut rng),
+            &det,
+            ycfg,
+            &cfg,
+            &mut probe,
+            None,
+        );
+        assert_eq!(probe.checked, 1);
+    }
 
     #[test]
     fn time_to_quality_interpolates() {

@@ -225,7 +225,7 @@ impl TrainHook for FastController {
 mod tests {
     use super::*;
     use fast_nn::models::mlp;
-    use fast_nn::{softmax_cross_entropy, Layer, NumericFormat, Session, Sgd};
+    use fast_nn::{Layer, NumericFormat, Sgd, Trainer};
     use fast_tensor::Tensor;
     use rand::{Rng, SeedableRng};
 
@@ -279,10 +279,11 @@ mod tests {
         // Integration: train a small MLP under the controller and check the
         // Fig 17 property — later iterations use costlier settings on
         // average.
+        // The `Trainer` turns on sensitivity recording for the controller,
+        // so `G` is judged from real gradients.
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let mut model = mlp(&[8, 32, 4], &mut rng);
-        let mut session = Session::new(0);
-        let mut opt = Sgd::new(0.05, 0.9, 0.0);
+        let model = mlp(&[8, 32, 4], &mut rng);
+        let mut trainer = Trainer::new(model, Sgd::new(0.05, 0.9, 0.0), 0);
         let iters = 60;
         let mut ctl = FastController::new(iters, EpsilonSchedule::paper_default());
         let x = Tensor::from_vec(
@@ -290,12 +291,8 @@ mod tests {
             (0..128).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
         let labels: Vec<usize> = (0..16).map(|i| i % 4).collect();
-        for it in 0..iters {
-            ctl.before_iteration(it, &mut model);
-            let out = model.forward(&x, &mut session);
-            let (_, grad) = softmax_cross_entropy(&out, &labels);
-            model.backward(&grad, &mut session);
-            opt.step(&mut model);
+        for _ in 0..iters {
+            trainer.step_classification(&x, &labels, &mut ctl);
         }
         let early: f64 = (0..2)
             .map(|l| ctl.trace.mean_legend_index(l, 0, iters / 3))

@@ -23,9 +23,9 @@
 //! Regenerate the committed record with:
 //! `cargo run --release -p fast_harness --bin variability_bench -- --out BENCH_variability.json`
 
-use fast_harness::json::Json;
 use fast_harness::variability::{compare_records, render_report};
 use fast_harness::{run_variability, VariabilitySweep};
+use fast_telemetry::json::Json;
 
 fn main() {
     let mut quick = false;

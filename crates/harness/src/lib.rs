@@ -12,8 +12,8 @@
 //!   modes on fixed training runs and distils each run into deterministic
 //!   divergence metrics (loss-curve divergence, final-weight L2/ULP
 //!   distance, steps-to-target-accuracy). The `variability_bench` binary
-//!   records them into `BENCH_variability.json` at the repo root with the
-//!   same record/compare protocol as `BENCH_quant_gemm.json`.
+//!   records them into `BENCH_variability.json` at the repo root and
+//!   compares a fresh run against that record bit for bit.
 //!
 //! Both drivers use only deterministic inputs ([`workloads`] wraps
 //! `fast_data`'s seeded generators), so every number they produce is
@@ -22,7 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+/// The workspace JSON codec, re-exported only for `benchmark/`, which names
+/// it by this path; everything else uses [`fast_telemetry::json`].
+pub use fast_telemetry::json;
 pub mod lifecycle;
 pub mod variability;
 pub mod workloads;

@@ -20,12 +20,12 @@
 //! strict subset of the full one (same step counts, fewer cells), which is
 //! what lets CI compare its records against the committed file exactly.
 
-use crate::json::Json;
 use crate::workloads::Workload;
 use fast_bfp::{BfpFormat, Rounding};
 use fast_nn::{
     set_uniform_precision, ExecMode, Layer, LayerPrecision, NoopHook, NumericFormat, Sgd, Trainer,
 };
+use fast_telemetry::json::Json;
 
 /// The 10-format zoo shared with `tests/checkpoint.rs` and the quantized
 /// GEMM plan pins: FP32 borrow-through, scalar formats, packable BFP

@@ -1,14 +1,21 @@
-//! A minimal JSON tree: enough to write and re-read the harness's bench
-//! records without a serde dependency (the build is offline; the same
-//! constraint shaped `crates/bench`'s hand-rolled emitters).
+//! The workspace's one JSON codec: a minimal tree that writes and re-reads
+//! the bench records, the harness records and telemetry [`Snapshot`]s
+//! without a serde dependency (the build is offline).
 //!
 //! Numbers are written with Rust's shortest-round-trip float formatting and
 //! parsed with `f64::from_str`, so a value survives write→parse with its
 //! exact bits — the property the record/compare protocol relies on.
 //! Non-finite values (a diverged run's NaN loss) are written as `null` and
-//! read back as [`Json::Null`].
+//! read back as [`Json::Null`]. An unsigned integer literal above 2⁵³, which
+//! `f64` cannot hold exactly, parses to [`Json::Int`] so `u64` counters
+//! survive the trip; every smaller integer stays a [`Json::Num`].
+//!
+//! [`Snapshot`]: crate::Snapshot
 
 use std::fmt::Write as _;
+
+/// 2⁵³: every integer up to here is exact in an `f64`.
+const F64_EXACT_INT: u64 = 1 << 53;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +26,8 @@ pub enum Json {
     Bool(bool),
     /// A finite number.
     Num(f64),
+    /// An unsigned integer above 2⁵³ (see [`Json::uint`]).
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -37,6 +46,17 @@ impl Json {
         }
     }
 
+    /// Wraps an unsigned integer exactly: [`Json::Num`] up to 2⁵³, where
+    /// `f64` holds every integer, [`Json::Int`] above. This is the form
+    /// [`Json::parse`] gives the integer back in.
+    pub fn uint(v: u64) -> Json {
+        if v <= F64_EXACT_INT {
+            Json::Num(v as f64)
+        } else {
+            Json::Int(v)
+        }
+    }
+
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -49,6 +69,18 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::Int(v) => Some(*v as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact unsigned integer, if this is a non-negative whole number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(v) => Some(*v),
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
+                Some(*v as u64)
+            }
             _ => None,
         }
     }
@@ -102,6 +134,9 @@ impl Json {
             Json::Num(v) => {
                 // Shortest round-trip representation; integral values keep
                 // a plain integer form.
+                let _ = write!(out, "{v}");
+            }
+            Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
             Json::Str(s) => write_escaped(out, s),
@@ -298,6 +333,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
@@ -334,6 +371,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let token = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    // An unsigned integer literal stays exact; one past `u64` reads as f64.
+    if token.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(v) = token.parse::<u64>() {
+            return Ok(Json::uint(v));
+        }
+    }
     token
         .parse::<f64>()
         .map(Json::Num)
@@ -395,8 +438,72 @@ mod tests {
 
     #[test]
     fn malformed_inputs_are_rejected() {
-        for bad in ["{", "[1,]", "\"abc", "{\"a\" 1}", "12 34", "nul"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "[1,2",
+            "\"abc",
+            "{\"a\" 1}",
+            "12 34",
+            "nul",
+            "\"\\q\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn integers_above_two_to_the_53_round_trip_exactly() {
+        for v in [u64::MAX, F64_EXACT_INT + 1] {
+            let text = Json::uint(v).render();
+            assert_eq!(text.trim_end(), v.to_string());
+            let back = Json::parse(&text).unwrap();
+            assert_eq!(back, Json::Int(v));
+            assert_eq!(back.as_u64(), Some(v));
+        }
+        // Up to 2⁵³ an integer is an ordinary number, as it always parsed.
+        assert_eq!(Json::parse("3").unwrap(), Json::Num(3.0));
+        assert_eq!(
+            Json::parse("9007199254740992").unwrap(),
+            Json::Num(F64_EXACT_INT as f64)
+        );
+        assert_eq!(Json::uint(3), Json::Num(3.0));
+        // Signed, fractional and past-u64 literals stay floats.
+        assert_eq!(Json::parse("-7").unwrap(), Json::Num(-7.0));
+        assert_eq!(Json::parse("3.0").unwrap(), Json::Num(3.0));
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Num(18446744073709551616.0)
+        );
+        assert_eq!(Json::Num(2.5).as_u64(), None);
+        assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn backspace_and_form_feed_escapes_are_accepted() {
+        let back = Json::parse(r#""a\bb\fc\/""#).unwrap();
+        assert_eq!(back, Json::Str("a\u{8}b\u{c}c/".into()));
+        // Written as `\u` escapes, they read back as the same string.
+        assert_eq!(Json::parse(&back.render()).unwrap(), back);
+    }
+
+    #[test]
+    fn committed_records_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for name in [
+            "BENCH_quant_gemm.json",
+            "BENCH_serve.json",
+            "BENCH_variability.json",
+        ] {
+            let text = std::fs::read_to_string(format!("{root}/{name}")).unwrap();
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(doc.get("current").is_some() || doc.get("records").is_some());
+            // Timing records keep what one run measured: no cross-session
+            // comparison blocks.
+            for key in ["baseline", "speedup"] {
+                assert!(doc.get(key).is_none(), "{name} holds `{key}`");
+            }
         }
     }
 }

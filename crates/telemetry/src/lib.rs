@@ -26,6 +26,8 @@
 //!   [`Registry::snapshot`] captures a [`Snapshot`] whose JSON encoding
 //!   ([`Snapshot::to_json`]/[`Snapshot::from_json`]) round-trips exactly,
 //!   carrying raw histogram buckets so post-hoc merging stays possible.
+//!   The encoding goes through [`json`], the workspace's one JSON codec,
+//!   which the bench and harness records share.
 //!
 //! ```
 //! use fast_telemetry::{Registry, Snapshot};
@@ -46,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod registry;
 mod snapshot;
 mod span;

@@ -5,11 +5,11 @@
 //! ([`Snapshot::to_json`] → [`Snapshot::from_json`] → the same snapshot):
 //! histograms travel as their raw non-zero `(bucket, count)` pairs rather
 //! than lossy quantiles, so snapshots from different processes can still be
-//! merged bucket-wise after the fact. The parser is hand-rolled because the
-//! workspace is offline (no serde); it accepts exactly the subset of JSON
-//! the encoder emits plus arbitrary whitespace.
+//! merged bucket-wise after the fact. Counters and histogram sums are
+//! `u64`s and travel exactly ([`Json::uint`]).
 
 use crate::hist::LatencyHistogram;
+use crate::json::Json;
 use crate::registry::render_f64;
 
 /// One metric series captured at snapshot time.
@@ -59,134 +59,110 @@ impl Snapshot {
 
     /// Encodes the snapshot as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            push_json_string(&mut out, &e.name);
-            out.push_str(", \"labels\": {");
-            for (j, (k, v)) in e.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                push_json_string(&mut out, k);
-                out.push_str(": ");
-                push_json_string(&mut out, v);
-            }
-            out.push_str("}, ");
+        let entries = self.entries.iter().map(|e| {
+            let labels = e
+                .labels
+                .iter()
+                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                .collect();
+            let mut fields = vec![
+                ("name".to_string(), Json::Str(e.name.clone())),
+                ("labels".to_string(), Json::Obj(labels)),
+            ];
+            let kind = |k: &str| ("kind".to_string(), Json::Str(k.to_string()));
             match &e.value {
                 SnapshotValue::Counter(v) => {
-                    out.push_str(&format!("\"kind\": \"counter\", \"value\": {v}"));
+                    fields.extend([kind("counter"), ("value".to_string(), Json::uint(*v))]);
                 }
                 SnapshotValue::Gauge(v) => {
                     // Non-finite gauges travel as strings; JSON has no NaN.
-                    if v.is_finite() {
-                        out.push_str(&format!(
-                            "\"kind\": \"gauge\", \"value\": {}",
-                            render_f64(*v)
-                        ));
+                    let value = if v.is_finite() {
+                        Json::Num(*v)
                     } else {
-                        out.push_str(&format!(
-                            "\"kind\": \"gauge\", \"value\": \"{}\"",
-                            render_f64(*v)
-                        ));
-                    }
+                        Json::Str(render_f64(*v))
+                    };
+                    fields.extend([kind("gauge"), ("value".to_string(), value)]);
                 }
                 SnapshotValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "\"kind\": \"histogram\", \"count\": {}, \"sum_ns\": {}, \"buckets\": [",
-                        h.count(),
-                        h.sum_ns()
-                    ));
-                    for (j, (idx, c)) in h.nonzero_buckets().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{idx}, {c}]"));
-                    }
-                    out.push(']');
+                    let buckets = h
+                        .nonzero_buckets()
+                        .map(|(idx, c)| Json::Arr(vec![Json::uint(idx as u64), Json::uint(c)]))
+                        .collect();
+                    fields.extend([
+                        kind("histogram"),
+                        ("count".to_string(), Json::uint(h.count())),
+                        ("sum_ns".to_string(), Json::uint(h.sum_ns())),
+                        ("buckets".to_string(), Json::Arr(buckets)),
+                    ]);
                 }
             }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            Json::Obj(fields)
+        });
+        Json::Obj(vec![
+            ("version".to_string(), Json::Num(1.0)),
+            ("entries".to_string(), Json::Arr(entries.collect())),
+        ])
+        .render()
     }
 
     /// Decodes a snapshot previously produced by [`Snapshot::to_json`].
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("snapshot root must be an object")?;
-        let entries_val = json::field(obj, "entries")?;
-        let arr = entries_val.as_array().ok_or("`entries` must be an array")?;
-        let mut entries = Vec::with_capacity(arr.len());
-        for item in arr {
-            let e = item.as_object().ok_or("entry must be an object")?;
-            let name = json::field(e, "name")?
+        let doc = Json::parse(text)?;
+        let items = field(&doc, "entries")?
+            .as_arr()
+            .ok_or("`entries` must be an array")?;
+        let mut entries = Vec::with_capacity(items.len());
+        for e in items {
+            let name = field(e, "name")?
                 .as_str()
                 .ok_or("`name` must be a string")?
                 .to_string();
             let mut labels = Vec::new();
-            if let Some(l) = json::get(e, "labels") {
-                let lobj = l.as_object().ok_or("`labels` must be an object")?;
-                for (k, v) in lobj {
-                    labels.push((
-                        k.clone(),
-                        v.as_str()
-                            .ok_or("label values must be strings")?
-                            .to_string(),
-                    ));
+            if let Some(l) = e.get("labels") {
+                let Json::Obj(pairs) = l else {
+                    return Err("`labels` must be an object".to_string());
+                };
+                for (k, v) in pairs {
+                    let v = v.as_str().ok_or("label values must be strings")?;
+                    labels.push((k.clone(), v.to_string()));
                 }
             }
             labels.sort();
-            let kind = json::field(e, "kind")?
-                .as_str()
-                .ok_or("`kind` must be a string")?;
-            let value = match kind {
-                "counter" => SnapshotValue::Counter(
-                    json::field(e, "value")?
-                        .as_u64()
-                        .ok_or("counter `value` must be a non-negative integer")?,
-                ),
-                "gauge" => {
-                    let v = json::field(e, "value")?;
-                    let g = if let Some(f) = v.as_f64() {
-                        f
-                    } else {
-                        match v.as_str() {
-                            Some("NaN") => f64::NAN,
-                            Some("+Inf") => f64::INFINITY,
-                            Some("-Inf") => f64::NEG_INFINITY,
-                            _ => return Err("gauge `value` must be a number".to_string()),
-                        }
-                    };
-                    SnapshotValue::Gauge(g)
+            let uint = |key: &str| {
+                field(e, key)?
+                    .as_u64()
+                    .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+            };
+            let value = match field(e, "kind")?.as_str() {
+                Some("counter") => SnapshotValue::Counter(uint("value")?),
+                Some("gauge") => {
+                    let v = field(e, "value")?;
+                    SnapshotValue::Gauge(match (v.as_f64(), v.as_str()) {
+                        (Some(f), _) => f,
+                        (_, Some("NaN")) => f64::NAN,
+                        (_, Some("+Inf")) => f64::INFINITY,
+                        (_, Some("-Inf")) => f64::NEG_INFINITY,
+                        _ => return Err("gauge `value` must be a number".to_string()),
+                    })
                 }
-                "histogram" => {
-                    let sum = json::field(e, "sum_ns")?
-                        .as_u64()
-                        .ok_or("histogram `sum_ns` must be a non-negative integer")?;
-                    let buckets_val = json::field(e, "buckets")?;
-                    let buckets = buckets_val.as_array().ok_or("`buckets` must be an array")?;
+                Some("histogram") => {
+                    let sum = uint("sum_ns")?;
+                    let buckets = field(e, "buckets")?
+                        .as_arr()
+                        .ok_or("`buckets` must be an array")?;
                     let mut pairs = Vec::with_capacity(buckets.len());
                     for b in buckets {
-                        let pair = b.as_array().ok_or("bucket must be a [index, count] pair")?;
-                        if pair.len() != 2 {
-                            return Err("bucket must be a [index, count] pair".to_string());
-                        }
-                        let idx = pair[0]
-                            .as_u64()
-                            .ok_or("bucket index must be a non-negative integer")?;
-                        let c = pair[1]
-                            .as_u64()
-                            .ok_or("bucket count must be a non-negative integer")?;
+                        let pair = match b.as_arr() {
+                            Some([idx, c]) => idx.as_u64().zip(c.as_u64()),
+                            _ => None,
+                        };
+                        let (idx, c) = pair.ok_or("bucket must be an [index, count] pair")?;
                         pairs.push((idx as usize, c));
                     }
                     SnapshotValue::Histogram(Box::new(LatencyHistogram::from_buckets(pairs, sum)?))
                 }
-                other => return Err(format!("unknown metric kind `{other}`")),
+                Some(other) => return Err(format!("unknown metric kind `{other}`")),
+                None => return Err("`kind` must be a string".to_string()),
             };
             entries.push(SnapshotEntry {
                 name,
@@ -198,257 +174,8 @@ impl Snapshot {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A minimal recursive-descent JSON reader covering the subset the snapshot
-/// encoder emits (objects, arrays, strings, numbers, booleans, null).
-mod json {
-    #[derive(Debug, Clone, PartialEq)]
-    pub(super) enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        /// Integers are kept exact alongside the f64 view so u64 counters
-        /// survive the round trip without floating-point truncation.
-        Int(u64),
-        Str(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(super) fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(o) => Some(o),
-                _ => None,
-            }
-        }
-        pub(super) fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub(super) fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub(super) fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Int(i) => Some(*i),
-                Value::Num(f) if *f >= 0.0 && f.fract() == 0.0 && *f <= u64::MAX as f64 => {
-                    Some(*f as u64)
-                }
-                _ => None,
-            }
-        }
-        pub(super) fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(f) => Some(*f),
-                Value::Int(i) => Some(*i as f64),
-                _ => None,
-            }
-        }
-    }
-
-    pub(super) fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(super) fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        get(obj, key).ok_or_else(|| format!("missing field `{key}`"))
-    }
-
-    pub(super) fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {pos}", ch as char))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_number(b, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            let val = parse_value(b, pos)?;
-            fields.push((key, val));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            match c {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always valid).
-                    let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                    let ch = s.chars().next().ok_or("unexpected end of string")?;
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&c) = b.get(*pos) {
-            match c {
-                b'0'..=b'9' => *pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    *pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid number")?;
-        if !is_float {
-            if let Ok(i) = text.parse::<u64>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-    }
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
 #[cfg(test)]

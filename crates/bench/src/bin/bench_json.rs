@@ -24,7 +24,9 @@ use fast_nn::{
     set_uniform_precision, ExecMode, LayerPrecision, NoopHook, NumericFormat, Session, Sgd, Trainer,
 };
 use fast_telemetry::json::Json;
-use fast_tensor::{col2im, im2col, matmul, Conv2dDims, Tensor};
+use fast_tensor::{
+    col2im, im2col, matmul, parallelism, set_parallelism, Conv2dDims, Parallelism, Tensor,
+};
 
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -452,6 +454,31 @@ fn main() {
         session.exec_mode = env_mode;
     }
 
+    // --- The frozen serving GEMM of `fast_perf`'s `serve_mlp_sat`: a full
+    // batch of 8 through its 1024×1024 hidden layer, execute-only over
+    // pre-packed HighBFP operands, replay and integer sampled in turn, on
+    // the one tensor worker `fast_perf` serves with. Serving runs the
+    // integer row (DESIGN.md §8, §11). ---
+    let (serve_x, serve_w) = (wave(8, 1024, 0.13), wave(1024, 1024, 0.29));
+    let serve_a = prepare(&mut session, &serve_x, bwd_fmt, GroupAxis::AlongRow);
+    let serve_b = prepare(&mut session, &serve_w, bwd_fmt, GroupAxis::AlongCol);
+    let env_mode = session.exec_mode;
+    let pool = parallelism();
+    set_parallelism(Parallelism::sequential());
+    let [serve_replay_floor, serve_int_floor] = alternating_floors(warmup, iters, |which| {
+        session.exec_mode = [ExecMode::Replay, ExecMode::Integer][which];
+        black_box(execute(
+            &mut session,
+            Orient::Nn,
+            black_box(&serve_a),
+            black_box(&serve_b),
+        ));
+    });
+    session.exec_mode = env_mode;
+    set_parallelism(pool);
+    results.push(("qgemm_serve_b8_ns", serve_replay_floor));
+    results.push(("qgemm_int_serve_b8_ns", serve_int_floor));
+
     // Within-run plan-vs-pipeline ratios (same machine state for both
     // sides).
     let mut ratios: Vec<(String, f64)> = Vec::new();
@@ -471,6 +498,10 @@ fn main() {
     // which is why this floor is 0.5 and not the 0.6 it was: DESIGN.md §7
     // has the runs.
     const BWD_FLOOR: f64 = 0.5;
+    // ≈ 70 % of the ≈ 2.0 (1.81–2.25 over eight runs) the panel-staged
+    // kernel reads at one worker (DESIGN.md §11); with B copied whole on
+    // every call it read ≈ 1.0 on the same 2-vCPU VM.
+    const SERVE_INT_FLOOR: f64 = 1.4;
     let gated_ratios = [
         (
             "qgemm_nt_over_nn_x",
@@ -507,6 +538,14 @@ fn main() {
             "pack_nearest_over_sr8_x",
             pack_nearest_floor / pack_sr8_floor,
             0.5,
+        ),
+        // The serving GEMM, replay over integer: under SERVE_INT_FLOOR the
+        // integer kernel has lost what serving runs it for — most likely a
+        // whole-operand copy of B is back (DESIGN.md §11).
+        (
+            "qgemm_over_qgemm_int_serve_b8_x",
+            serve_replay_floor / serve_int_floor,
+            SERVE_INT_FLOOR,
         ),
     ];
     ratios.extend(gated_ratios.iter().map(|&(key, x, _)| (key.to_string(), x)));

@@ -2,15 +2,17 @@
 //! serve → hot-reload, with every hand-off invariant asserted in place.
 //!
 //! [`run_lifecycle`] pushes one zoo workload through the full pipeline
-//! under a chosen [`ExecMode`] cell and panics with a cell-labelled message
-//! the moment any stage breaks its contract:
+//! with training in a chosen [`ExecMode`] cell and panics with a
+//! cell-labelled message the moment any stage breaks its contract:
 //!
 //! 1. **Train** under the FAST-Adaptive controller, checkpointing mid-run.
 //! 2. **Resume** the mid-run artifact into fresh objects and replay the
 //!    remaining steps — losses and final parameters must be bit-identical
 //!    to the uninterrupted run (DESIGN.md §10).
 //! 3. **Freeze** the trained model into a [`CompiledModel`] — its frozen
-//!    forward must equal an eval-session forward bit for bit (§8).
+//!    forward must equal an eval-session forward bit for bit (§8). Serving
+//!    always executes integer (§11), so the eval forwards it is held to
+//!    run [`ExecMode::Integer`] in every cell.
 //! 4. **Serve** compiled replicas under concurrent submitters, and
 //!    **hot-reload** newly trained weights mid-traffic in a
 //!    continual-learning loop — zero dropped requests, no reload
@@ -33,7 +35,8 @@ use fast_tensor::Tensor;
 /// Knobs for one lifecycle run.
 #[derive(Debug, Clone, Copy)]
 pub struct LifecycleConfig {
-    /// GEMM execution mode for training, eval and serving sessions.
+    /// GEMM execution mode of the training sessions (serving always runs
+    /// [`ExecMode::Integer`]).
     pub exec_mode: ExecMode,
     /// Training steps before the mid-run checkpoint.
     pub head_steps: usize,
@@ -92,9 +95,11 @@ pub struct LifecycleReport {
 /// Number of serving-parity probe inputs per round.
 const PROBES: usize = 4;
 
-fn eval_forward(model: &mut fast_nn::Sequential, x: &Tensor, exec_mode: ExecMode) -> Tensor {
+/// The eval forward a served response must equal: same weights, the
+/// serving exec mode.
+fn eval_forward(model: &mut fast_nn::Sequential, x: &Tensor) -> Tensor {
     let mut s = Session::eval(0);
-    s.exec_mode = exec_mode;
+    s.exec_mode = ExecMode::Integer;
     model.forward(x, &mut s)
 }
 
@@ -150,7 +155,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
         Some(&mut ctl2),
     )
     .unwrap_or_else(|e| panic!("{cell}: resume failed: {e}"));
-    resumed.session.exec_mode = cfg.exec_mode; // exec mode is serving config, not state
+    resumed.session.exec_mode = cfg.exec_mode; // exec mode is run config, not state
     for (i, batch) in stream[cfg.head_steps..cfg.head_steps + cfg.tail_steps]
         .iter()
         .enumerate()
@@ -172,11 +177,11 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     let probes: Vec<Tensor> = (0..PROBES).map(|i| workload.sample_input(i)).collect();
     let want: Vec<Tensor> = probes
         .iter()
-        .map(|x| eval_forward(&mut trainer.model, x, cfg.exec_mode))
+        .map(|x| eval_forward(&mut trainer.model, x))
         .collect();
     // The resumed model is bit-identical (asserted above), so freezing it
     // keeps `trainer` free to continue the continual-learning rounds.
-    let mut compiled = CompiledModel::compile(resumed.model, 0).with_exec_mode(cfg.exec_mode);
+    let mut compiled = CompiledModel::compile(resumed.model, 0);
     for (x, w) in probes.iter().zip(&want) {
         assert_eq!(
             &compiled.infer(x),
@@ -191,8 +196,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
         .unwrap_or_else(|e| panic!("{cell}: model section must decode: {e}"));
     let replicas: Vec<CompiledModel> = (0..cfg.replicas)
         .map(|r| {
-            let mut c = CompiledModel::compile(workload.build(cfg.seed ^ (r as u64 + 1)), 0)
-                .with_exec_mode(cfg.exec_mode);
+            let mut c = CompiledModel::compile(workload.build(cfg.seed ^ (r as u64 + 1)), 0);
             c.apply_state(&model_state)
                 .unwrap_or_else(|e| panic!("{cell}: replica {r} rejected trained state: {e}"));
             c
@@ -238,7 +242,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
         // The reload call returned inside the scope, so by now every new
         // request must see the round's weights (bit-transparent swap).
         for x in probes.iter() {
-            let w = eval_forward(&mut trainer.model, x, cfg.exec_mode);
+            let w = eval_forward(&mut trainer.model, x);
             assert_eq!(
                 server.infer(x.clone()),
                 w,
@@ -255,7 +259,7 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     // emit several rows per sample (transformer) or rank-4 maps (YOLO).
     let want: Vec<Tensor> = probes
         .iter()
-        .map(|x| eval_forward(&mut trainer.model, x, cfg.exec_mode))
+        .map(|x| eval_forward(&mut trainer.model, x))
         .collect();
     let burst = 3 * probes.len();
     let pending: Vec<_> = (0..burst)

@@ -696,7 +696,10 @@ mod tests {
             vec![2, 3, 4, 4],
             (0..96).map(|_| r.gen_range(-1.0f32..1.0)).collect(),
         );
-        let want = layer.forward(&x, &mut Session::eval(0));
+        // Pinned to the serving exec mode (FP32 activations replay anyway).
+        let mut eval = Session::eval(0);
+        eval.exec_mode = fast_tensor::ExecMode::Integer;
+        let want = layer.forward(&x, &mut eval);
         let mut frozen = Session::inference(0);
         assert_eq!(layer.forward(&x, &mut frozen), want);
         // Cache replay stays identical.

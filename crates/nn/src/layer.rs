@@ -48,11 +48,11 @@ pub struct Session {
     /// single software-side instrumentation point (DESIGN.md §9).
     pub plan_stats: PlanStats,
     /// How packed×packed GEMMs routed through [`crate::qgemm::execute`]
-    /// run: the bit-exact replay path (the default) or the integer-domain
-    /// kernels of DESIGN.md §11. Like the mode flags above this is *not*
-    /// checkpoint state — a training loop (or serving compile) reasserts
-    /// it; see [`Session::default_exec_mode`] for the `FAST_QGEMM_MODE`
-    /// environment override (DESIGN.md §16).
+    /// run: the bit-exact replay path or the integer-domain kernels of
+    /// DESIGN.md §11. Like the mode flags above this is *not* checkpoint
+    /// state. Training and evaluation sessions start from
+    /// [`Session::default_exec_mode`] (the `FAST_QGEMM_MODE` lever,
+    /// DESIGN.md §16); [`Session::inference`] always starts integer.
     pub exec_mode: ExecMode,
     /// Seed of the stochastic-rounding noise (the session seed verbatim).
     sr_seed: u64,
@@ -84,10 +84,12 @@ impl Session {
         SrMode::Counter
     }
 
-    /// The process-wide default [`ExecMode`] for new sessions, read once
-    /// from the `FAST_QGEMM_MODE` environment variable: `integer` (the CI
-    /// lever that forces the whole gate suite through the integer-domain
-    /// kernels) or `replay`; unset means [`ExecMode::Replay`].
+    /// The process-wide default [`ExecMode`] for new training and
+    /// evaluation sessions, read once from the `FAST_QGEMM_MODE`
+    /// environment variable: `integer` (the CI lever that forces the
+    /// training and evaluation gates through the integer-domain kernels) or
+    /// `replay`; unset means [`ExecMode::Replay`]. Serving sessions
+    /// ([`Session::inference`]) do not read it.
     ///
     /// # Panics
     ///
@@ -114,10 +116,16 @@ impl Session {
     /// Creates an inference-serving session: evaluation behavior plus
     /// frozen-weight caching — each layer quantizes its weights once and
     /// replays the cached copy on every subsequent request (DESIGN.md §8).
+    ///
+    /// Serving always executes eligible packed×packed GEMMs in
+    /// [`ExecMode::Integer`], whatever `FAST_QGEMM_MODE` says: the lever
+    /// selects the mode of training and evaluation sessions only
+    /// (DESIGN.md §16).
     pub fn inference(seed: u64) -> Self {
         Session {
             train: false,
             freeze_weights: true,
+            exec_mode: ExecMode::Integer,
             ..Session::new(seed)
         }
     }

@@ -19,8 +19,10 @@
 //!   with controller hooks.
 //! * An inference-serving mode ([`Session::inference`]): weight-bearing
 //!   layers quantize their weights once and replay the cached copy per
-//!   request, invalidated by any weight update — the layer half of the
-//!   `fast_serve` engine (DESIGN.md §8; fake-quant fidelity in §3).
+//!   request, invalidated by any weight update, and packed BFP GEMMs run
+//!   on the integer-domain kernels — the layer half of the `fast_serve`
+//!   engine (DESIGN.md §8; fake-quant fidelity in §3, integer execution
+//!   in §11).
 //! * Checkpointing ([`Layer::visit_state`], [`Trainer::save_checkpoint`] /
 //!   [`Trainer::resume`]): every piece of trajectory-determining state —
 //!   parameters, buffers, per-layer formats, optimizer slots, RNG words —

@@ -394,7 +394,13 @@ mod tests {
                 .map(|i| ((i * 29) % 17) as f32 * 0.05 - 0.4)
                 .collect(),
         );
-        let y_requant = layer.forward(&x, &mut Session::eval(0));
+        // Serving executes integer; the eval forward it must equal does too.
+        let eval = || {
+            let mut s = Session::eval(0);
+            s.exec_mode = fast_tensor::ExecMode::Integer;
+            s
+        };
+        let y_requant = layer.forward(&x, &mut eval());
         let mut frozen = Session::inference(0);
         let y_frozen = layer.forward(&x, &mut frozen);
         assert_eq!(
@@ -411,7 +417,7 @@ mod tests {
         });
         let y_updated = layer.forward(&x, &mut frozen);
         assert_ne!(y_frozen, y_updated, "stale cache served after update");
-        assert_eq!(y_updated, layer.forward(&x, &mut Session::eval(0)));
+        assert_eq!(y_updated, layer.forward(&x, &mut eval()));
     }
 
     #[test]

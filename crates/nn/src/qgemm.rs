@@ -42,7 +42,7 @@
 
 use crate::layer::Session;
 use crate::quant::NumericFormat;
-use fast_bfp::packed::{pack_rows, DenseRows, FillRows, RowSource};
+use fast_bfp::packed::{pack_rows, DenseRows, FillRows, RowSource, MAX_PACKED_MANTISSA_BITS};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
     qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
@@ -60,6 +60,11 @@ pub struct PlanStats {
     pub macs: u64,
     /// Fused quantization counters from operand preparation.
     pub quant: QuantStats,
+    /// Operands whose packable BFP format fell back to a dense copy because
+    /// they held a NaN, an infinity or a subnormal. Serving reads it to keep
+    /// a coalesced batch's execution mode per sample (DESIGN.md §8). Not
+    /// checkpoint state.
+    pub refused_packs: u64,
 }
 
 /// GEMM orientation — how the two operands are stored. The arithmetic is
@@ -216,6 +221,19 @@ fn dims_of(t: &Tensor) -> (usize, usize) {
     (t.shape()[0], t.shape()[1])
 }
 
+/// Records a session-prepared operand: telemetry, plus
+/// [`PlanStats::refused_packs`] when a BFP format narrow enough to pack
+/// came out dense — the operand held a value the packer refuses.
+fn noted<'a>(session: &mut Session, fmt: NumericFormat, op: GemmOperand<'a>) -> GemmOperand<'a> {
+    let packable = matches!(fmt, NumericFormat::Bfp { format, .. }
+        if format.mantissa_bits() <= MAX_PACKED_MANTISSA_BITS);
+    if packable && matches!(op, GemmOperand::Own(Prepared::Dense(_))) {
+        session.plan_stats.refused_packs += 1;
+    }
+    crate::telemetry::note_operand(&op);
+    op
+}
+
 /// Prepares a borrowed rank-2 tensor operand: FP32 formats borrow the
 /// tensor outright (no copy), BFP formats pack, everything else quantizes a
 /// copy.
@@ -245,8 +263,7 @@ pub fn prepare<'a>(
             axis,
         ))
     };
-    crate::telemetry::note_operand(&op);
-    op
+    noted(session, fmt, op)
 }
 
 /// Prepares an owned rank-2 tensor operand, quantizing **in place** on the
@@ -279,8 +296,7 @@ pub fn prepare_owned(
         }
     }
     let op = GemmOperand::Own(packed.unwrap_or(Prepared::Dense(t)));
-    crate::telemetry::note_operand(&op);
-    op
+    noted(session, fmt, op)
 }
 
 /// Prepares the `im2col(x, d)` operand of a conv GEMM straight from the
@@ -318,8 +334,7 @@ pub fn prepare_patches(
         Prepared::Dense(t)
     });
     let op = GemmOperand::Own(prepared);
-    crate::telemetry::note_operand(&op);
-    op
+    noted(session, fmt, op)
 }
 
 /// Prepares an operand straight from a raw `rows × cols` slice (e.g. a
@@ -335,8 +350,7 @@ pub fn prepare_slice(
     let _span = fast_telemetry::span!("qgemm.prepare");
     let (noise, stats) = session.quant_parts(fmt, rows * cols);
     let op = GemmOperand::Own(quantize_operand(noise, stats, data, rows, cols, fmt, axis));
-    crate::telemetry::note_operand(&op);
-    op
+    noted(session, fmt, op)
 }
 
 /// Executes one GEMM over prepared operands under [`Session::exec_mode`],
@@ -445,6 +459,30 @@ mod tests {
         let op = prepare(&mut s, &t, fmt, GroupAxis::AlongRow);
         assert!(matches!(op, GemmOperand::Own(Prepared::Dense(_))));
         assert_eq!(s.plan_stats.quant.groups, 2);
+        // The format refuses, not the values: nothing for serving to see.
+        assert_eq!(s.plan_stats.refused_packs, 0);
+    }
+
+    #[test]
+    fn non_plain_values_count_as_refused_packs() {
+        let mut s = Session::new(0);
+        let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
+        for (bad, refused) in [(0.5, 0), (f32::NAN, 1), (f32::INFINITY, 2), (1e-40, 3)] {
+            let mut t = tensor(2, 16, 7);
+            t.data_mut()[3] = bad;
+            let _ = prepare(&mut s, &t, fmt, GroupAxis::AlongRow);
+            assert_eq!(s.plan_stats.refused_packs, refused, "{bad:e}");
+        }
+        let _ = prepare(
+            &mut s,
+            &tensor(2, 16, 8),
+            NumericFormat::Fp32,
+            GroupAxis::AlongRow,
+        );
+        assert_eq!(
+            s.plan_stats.refused_packs, 3,
+            "FP32 borrows, it is never refused"
+        );
     }
 
     #[test]

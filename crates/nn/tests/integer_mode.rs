@@ -252,9 +252,10 @@ proptest! {
     }
 }
 
-/// New sessions take their mode from `FAST_QGEMM_MODE` — the lever the CI
-/// integer leg uses to force the entire gate suite through the integer
-/// kernels without touching any test.
+/// New training and evaluation sessions take their mode from
+/// `FAST_QGEMM_MODE` — the lever the CI integer leg uses to force those
+/// gates through the integer kernels without touching any test. Serving
+/// sessions run integer under either lever value.
 #[test]
 fn default_session_mode_follows_env() {
     let want = match std::env::var("FAST_QGEMM_MODE").as_deref() {
@@ -264,7 +265,7 @@ fn default_session_mode_follows_env() {
     assert_eq!(Session::default_exec_mode(), want);
     assert_eq!(Session::new(0).exec_mode, want);
     assert_eq!(Session::eval(0).exec_mode, want);
-    assert_eq!(Session::inference(0).exec_mode, want);
+    assert_eq!(Session::inference(0).exec_mode, ExecMode::Integer);
 }
 
 fn quantized_model(seed: u64) -> fast_nn::Sequential {

@@ -1,7 +1,8 @@
 //! Frozen, forward-only models for serving.
 
+use crate::batcher::{split_output, stack_inputs};
 use fast_ckpt::{capture_state, restore_state, CkptError, StateDict};
-use fast_nn::{ExecMode, Layer, Sequential, Session};
+use fast_nn::{Layer, Sequential, Session};
 use fast_tensor::Tensor;
 
 /// A trained model compiled for inference serving.
@@ -14,9 +15,15 @@ use fast_tensor::Tensor;
 ///   so every replica holds bit-identical weights — and replays the cached
 ///   copy on subsequent requests (DESIGN.md §8);
 /// * activations are still quantized per request, preserving the
-///   fake-quantization fidelity argument of DESIGN.md §3 — for
-///   deterministic rounding the compiled forward is bit-identical to the
-///   training-path evaluation forward;
+///   fake-quantization fidelity argument of DESIGN.md §3;
+/// * every packed BFP × packed BFP GEMM executes in the integer domain
+///   ([`fast_nn::ExecMode::Integer`]: i8×i8→i32 mantissa products, one
+///   scale fix-up per group, DESIGN.md §11), whatever `FAST_QGEMM_MODE`
+///   says; pairs the integer kernels cannot take (a dense operand) run
+///   the replay kernels. For deterministic weight rounding the compiled
+///   forward of each sample is bit-identical to that sample's evaluation
+///   forward under [`fast_nn::ExecMode::Integer`], whatever shares its
+///   batch ([`CompiledModel::infer`]);
 /// * no activations are stashed for a backward pass.
 ///
 /// The weight caches live inside the layers and are invalidated by any
@@ -43,8 +50,25 @@ impl CompiledModel {
     /// Runs one forward pass. The first call after compilation (or after a
     /// weight update) builds the layer weight caches; subsequent calls
     /// replay them.
+    ///
+    /// Every sample of `input` (its leading dimension) gets the bits it
+    /// would get alone. When an activation of a multi-sample input held a
+    /// NaN, an infinity or a subnormal, its GEMM ran the replay kernels for
+    /// every sample, so the samples are re-run one at a time: a sample's own
+    /// values, never its batch-mates', choose how its GEMMs execute
+    /// (DESIGN.md §8).
     pub fn infer(&mut self, input: &Tensor) -> Tensor {
-        self.model.forward(input, &mut self.session)
+        let refused = self.session.plan_stats.refused_packs;
+        let out = self.model.forward(input, &mut self.session);
+        let samples = input.shape().first().copied().unwrap_or(1);
+        if samples < 2 || self.session.plan_stats.refused_packs == refused {
+            return out;
+        }
+        let singles: Vec<Tensor> = split_output(input, &vec![1; samples])
+            .iter()
+            .map(|x| self.model.forward(x, &mut self.session))
+            .collect();
+        stack_inputs(&singles.iter().collect::<Vec<_>>())
     }
 
     /// Eagerly builds every layer's weight cache by running one forward
@@ -72,32 +96,6 @@ impl CompiledModel {
         self.model
     }
 
-    /// Selects the quantized-GEMM execution mode for this replica's
-    /// requests (DESIGN.md §11), overriding the `FAST_QGEMM_MODE` default
-    /// the compile-time session started from (DESIGN.md §16).
-    ///
-    /// The default, [`ExecMode::Replay`], replays the training kernels'
-    /// f32 arithmetic bit-for-bit; [`ExecMode::Integer`] computes packed×
-    /// packed GEMMs with i8×i8→i32 inner products and is faster but not
-    /// bit-identical to the training forward (it is still within the §11
-    /// accuracy gates). The mode is per-replica serving configuration, not
-    /// model state: it is never written to checkpoints, and [`Self::apply_state`]
-    /// hot reloads leave it untouched.
-    ///
-    /// ```
-    /// use fast_nn::{ExecMode, Sequential};
-    /// use fast_serve::CompiledModel;
-    ///
-    /// // Opt this replica into the integer-domain fast path.
-    /// let replica =
-    ///     CompiledModel::compile(Sequential::new(), 0).with_exec_mode(ExecMode::Integer);
-    /// # let _ = replica;
-    /// ```
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.session.exec_mode = mode;
-        self
-    }
-
     /// Replaces the model's weights (and buffers/formats) with a decoded
     /// checkpoint `model` section — the replica half of
     /// [`Server::reload`](crate::Server::reload).
@@ -106,8 +104,8 @@ impl CompiledModel {
     /// layer's weight version exactly like an optimizer step would, so the
     /// frozen-weight caches re-quantize from the new masters on the next
     /// request; for deterministic-rounding formats the swap is
-    /// bit-transparent (a request after the swap equals an eval forward of
-    /// the restored model).
+    /// bit-transparent (a request after the swap equals an integer-mode
+    /// eval forward of the restored model).
     ///
     /// # Errors
     ///
@@ -160,8 +158,8 @@ impl fast_ckpt::StateVisitor for ClearTransients {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fast_nn::{set_uniform_precision, Dense, LayerPrecision, Relu};
-    use rand::SeedableRng;
+    use fast_nn::{set_uniform_precision, Dense, ExecMode, LayerPrecision, Relu};
+    use rand::{Rng, SeedableRng};
 
     fn model(seed: u64) -> Sequential {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -177,11 +175,18 @@ mod tests {
         Tensor::from_vec(vec![1, 8], (0..8).map(|i| 0.1 * i as f32 - 0.3).collect())
     }
 
+    /// An evaluation session in `mode`, independent of `FAST_QGEMM_MODE`.
+    fn eval_in(mode: ExecMode) -> Session {
+        let mut s = Session::eval(0);
+        s.exec_mode = mode;
+        s
+    }
+
     #[test]
     fn compiled_matches_eval_forward() {
         let x = sample();
         let mut train_path = model(3);
-        let want = train_path.forward(&x, &mut Session::eval(0));
+        let want = train_path.forward(&x, &mut eval_in(ExecMode::Integer));
         let mut compiled = CompiledModel::compile(model(3), 0);
         assert_eq!(compiled.warm(&x), want);
         assert_eq!(compiled.infer(&x), want, "cache replay must be identical");
@@ -225,30 +230,39 @@ mod tests {
         assert_eq!(compiled.infer(&x), reference.infer(&x));
     }
 
+    /// A HighBFP layer over four 16-wide input groups, and an input whose
+    /// groups sit 2⁸ apart in magnitude: the reduction's cross-group f32
+    /// adds are inexact, so the replay chain (one add per element) and the
+    /// integer kernel (one add per group) round differently.
+    fn wide_model() -> Sequential {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut m = Sequential::new().push(Dense::new(64, 8, true, &mut rng));
+        set_uniform_precision(&mut m, LayerPrecision::bfp_fixed(4));
+        m
+    }
+
+    fn wide_sample() -> Tensor {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let x = (0..2 * 64)
+            .map(|i| rng.gen_range(-1.0f32..1.0) * 2.0f32.powi(-8 * (i % 64 / 16)))
+            .collect();
+        Tensor::from_vec(vec![2, 64], x)
+    }
+
     #[test]
-    fn integer_mode_is_per_replica_and_stays_close_to_replay() {
-        let x = sample();
-        // Pinned explicitly: independent of FAST_QGEMM_MODE.
-        let mut replay = CompiledModel::compile(model(11), 0).with_exec_mode(ExecMode::Replay);
-        let mut integer = CompiledModel::compile(model(11), 0).with_exec_mode(ExecMode::Integer);
-
-        let want = replay.infer(&x);
-        let got = integer.infer(&x);
-        assert_eq!(got.shape(), want.shape());
-        for (g, w) in got.data().iter().zip(want.data()) {
-            let tol = 1e-5 * w.abs().max(1.0);
-            assert!((g - w).abs() <= tol, "integer {g} vs replay {w}");
-        }
-        // The replica really runs what it was told to: its output is the
-        // integer-session forward of the same model, bit for bit.
-        let mut session = Session::inference(0);
-        session.exec_mode = ExecMode::Integer;
-        assert_eq!(got, model(11).forward(&x, &mut session));
-
-        // A checkpoint hot reload must not reset the serving configuration.
-        let dict = capture_state(replay.model_mut());
-        integer.apply_state(&dict).unwrap();
-        assert_eq!(integer.infer(&x), got);
+    fn serving_runs_the_integer_kernels() {
+        let x = wide_sample();
+        let mut compiled = CompiledModel::compile(wide_model(), 0);
+        let served = compiled.infer(&x);
+        let integer = wide_model().forward(&x, &mut eval_in(ExecMode::Integer));
+        let replay = wide_model().forward(&x, &mut eval_in(ExecMode::Replay));
+        assert_ne!(integer, replay, "the input must tell the two modes apart");
+        assert_eq!(served, integer, "compiled ≡ integer eval forward");
+        // A hot reload re-freezes the weights and stays on the integer path.
+        compiled
+            .apply_state(&capture_state(&mut wide_model()))
+            .unwrap();
+        assert_eq!(compiled.infer(&x), integer);
     }
 
     #[test]
@@ -329,6 +343,9 @@ mod tests {
                 p.value.data_mut()[0] += 1.0;
             }
         });
-        assert_eq!(after, reference.forward(&x, &mut Session::eval(0)));
+        assert_eq!(
+            after,
+            reference.forward(&x, &mut eval_in(ExecMode::Integer))
+        );
     }
 }

@@ -12,15 +12,15 @@
 //!   format once (deterministically, so replicas are bit-identical) and
 //!   replayed from a cache on every request; activations are still
 //!   quantized per request, preserving the fake-quant fidelity of
-//!   DESIGN.md §3.
+//!   DESIGN.md §3; packed BFP GEMMs run on the integer-domain kernels
+//!   (i8×i8→i32, DESIGN.md §11).
 //! * [`Server`] — one shared MPMC work queue per resident model, pulled
 //!   from by that model's replica workers, with shape-bucketed continuous
 //!   batching: an idle worker ships whatever is queued (up to
 //!   [`BatchConfig::max_batch`]) instead of holding batches open, so
 //!   backlog fills batches and light load pays one forward of latency.
 //!   Several models can be resident at once ([`Server::builder`]), each
-//!   with its own precision profile, exec/SR mode, and hot-reload
-//!   generation.
+//!   with its own precision profile and hot-reload generation.
 //! * [`ServeRequest`] / [`ServeError`] — the typed request surface: model
 //!   routing, per-request deadlines, deadline-aware admission control
 //!   (reject-fast load shedding), and every failure mode as a typed value.

@@ -348,32 +348,28 @@ fn serve_coalesced(model: &mut CompiledModel, batch: &[Request]) -> bool {
 /// Configures a [`Server`] hosting one or more resident models.
 ///
 /// Each model brings its own replica set — and with it its own precision
-/// profile and [`fast_nn::ExecMode`] (per-replica serving configuration on
-/// [`CompiledModel`]) — plus an independent shared work queue and
-/// hot-reload generation.
+/// profile (the per-layer formats the model was trained to) — plus an
+/// independent shared work queue and hot-reload generation.
 ///
 /// ```
-/// use fast_nn::{Dense, ExecMode, Sequential};
+/// use fast_nn::{set_uniform_precision, Dense, LayerPrecision, Sequential};
 /// use fast_serve::{BatchConfig, CompiledModel, Server, ServeRequest};
 /// use fast_tensor::Tensor;
 /// use rand::SeedableRng;
 ///
-/// let build = |seed, fast| {
+/// let build = |seed, mantissa_bits| {
 ///     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-///     let model = Sequential::new().push(Dense::new(4, 2, true, &mut rng));
-///     let c = CompiledModel::compile(model, 0);
-///     if fast {
-///         c.with_exec_mode(ExecMode::Integer) // per-model precision profile
-///     } else {
-///         c
-///     }
+///     let mut model = Sequential::new().push(Dense::new(4, 2, true, &mut rng));
+///     // Per-model precision profile: 4-bit (HighBFP) or 2-bit (LowBFP).
+///     set_uniform_precision(&mut model, LayerPrecision::bfp_fixed(mantissa_bits));
+///     CompiledModel::compile(model, 0)
 /// };
 /// let server = Server::builder(BatchConfig::default())
-///     .model("exact", vec![build(1, false)])
-///     .model("fast", vec![build(1, true), build(1, true)])
+///     .model("high", vec![build(1, 4)])
+///     .model("low", vec![build(1, 2), build(1, 2)])
 ///     .start();
 /// let y = server
-///     .submit_request(ServeRequest::new(Tensor::zeros(vec![1, 4])).for_model("fast"))
+///     .submit_request(ServeRequest::new(Tensor::zeros(vec![1, 4])).for_model("low"))
 ///     .wait();
 /// assert_eq!(y.shape(), &[1, 2]);
 /// server.shutdown();

@@ -1,13 +1,16 @@
 //! Integration tests for the continuous-batching dispatcher (DESIGN.md
 //! §14): batch fill under backlog, deadline-aware load shedding, in-queue
 //! deadline expiry, multi-model tenancy, per-model hot reload racing live
-//! traffic, and bit-for-bit batch transparency of a coalesced batch.
+//! traffic, and bit-for-bit batch transparency of a coalesced batch, also
+//! beside a request whose values the integer kernels cannot take.
 
 use fast_nn::models::mlp;
-use fast_nn::{set_uniform_precision, Dense, Layer, LayerPrecision, Relu, Sequential, Session};
+use fast_nn::{
+    set_uniform_precision, Dense, ExecMode, Layer, LayerPrecision, Relu, Sequential, Session,
+};
 use fast_serve::{BatchConfig, CompiledModel, Pending, ServeError, ServeRequest, Server};
 use fast_tensor::Tensor;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -216,6 +219,80 @@ fn coalesced_inexact_sums_match_the_batch_one_forward() {
             let got = p.wait();
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(w), "request {i} under {precision:?}");
+        }
+        let stats = server.shutdown();
+        assert_eq!(
+            stats.batch_histogram.get(&8),
+            Some(&1),
+            "the burst must coalesce into one batch of 8: {:?}",
+            stats.batch_histogram
+        );
+    }
+}
+
+/// One 64→8 HighBFP layer, and inputs whose four 16-wide groups sit 2⁸
+/// apart in magnitude: the cross-group f32 adds are inexact, so the integer
+/// kernel (one add per group) and the replay chain (one add per element)
+/// round differently.
+fn wide_net() -> Sequential {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+    let mut m = Sequential::new().push(Dense::new(64, 8, true, &mut rng));
+    set_uniform_precision(&mut m, LayerPrecision::bfp_fixed(4));
+    m
+}
+
+fn wide_sample(i: usize) -> Tensor {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(23 + i as u64);
+    Tensor::from_vec(
+        vec![1, 64],
+        (0..64)
+            .map(|j| rng.gen_range(-1.0f32..1.0) * 2.0f32.powi(-8 * (j / 16)))
+            .collect(),
+    )
+}
+
+/// A request holding a NaN or a subnormal cannot be packed into BFP
+/// mantissas, so its GEMM runs the replay kernels. That choice must not
+/// reach its batch-mates: seven plain requests coalesced with one such
+/// request each come back bit for bit as `CompiledModel::infer` serves them
+/// alone — on the integer kernels, which the replay chain would not match.
+#[test]
+fn a_non_plain_request_does_not_change_its_batch_mates_results() {
+    let mut reference = CompiledModel::compile(wide_net(), 0);
+    let want: Vec<Tensor> = (0..8).map(|i| reference.infer(&wide_sample(i))).collect();
+    let mut replay = Session::eval(0);
+    replay.exec_mode = ExecMode::Replay;
+    assert!(
+        (0..8).any(|i| wide_net().forward(&wide_sample(i), &mut replay) != want[i]),
+        "the inputs must tell the two modes apart"
+    );
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for poison in [f32::NAN, f32::MIN_POSITIVE / 8.0] {
+        let gate = Arc::new(GateState::default());
+        let model = Sequential::new().push(Gate(gate.clone())).push(wide_net());
+        let server = Server::start(
+            vec![CompiledModel::compile(model, 0)],
+            BatchConfig::no_wait(8),
+        );
+        gate.set_held(true);
+        let occupier = server.submit(wide_sample(0));
+        spin_until_drained(&server);
+        let burst: Vec<Pending> = (0..8)
+            .map(|i| {
+                let mut x = wide_sample(i);
+                if i == 3 {
+                    x.data_mut()[5] = poison;
+                }
+                server.submit(x)
+            })
+            .collect();
+        gate.set_held(false);
+        assert_eq!(occupier.wait(), want[0]);
+        for (i, p) in burst.into_iter().enumerate() {
+            let got = p.wait();
+            if i != 3 {
+                assert_eq!(bits(&got), bits(&want[i]), "request {i} beside {poison:e}");
+            }
         }
         let stats = server.shutdown();
         assert_eq!(

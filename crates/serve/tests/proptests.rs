@@ -1,8 +1,8 @@
 //! Property tests for the serving engine: the compiled (frozen-weight)
 //! forward path is bit-identical to the training-path evaluation forward
-//! (deterministic weight rounding, any activation rounding, both exec
-//! modes), and dynamic micro-batching never changes results
-//! sample-for-sample.
+//! run in the serving exec mode, `ExecMode::Integer` (deterministic weight
+//! rounding, any activation rounding), and dynamic micro-batching never
+//! changes results sample-for-sample.
 
 use fast_bfp::{BfpFormat, Rounding};
 use fast_nn::models::{mlp, resnet_lite, ResNetConfig};
@@ -41,6 +41,14 @@ fn format_for(idx: u8) -> NumericFormat {
             windowed: false,
         },
     }
+}
+
+/// An evaluation session in the exec mode every compiled model serves in,
+/// whatever `FAST_QGEMM_MODE` says.
+fn integer_eval() -> Session {
+    let mut s = Session::eval(0);
+    s.exec_mode = ExecMode::Integer;
+    s
 }
 
 fn precision_for(w: u8, a: u8) -> LayerPrecision {
@@ -121,7 +129,7 @@ proptest! {
             vec![batch, 10],
             (0..batch * 10).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
         );
-        let want = build().forward(&x, &mut Session::eval(0));
+        let want = build().forward(&x, &mut integer_eval());
         let mut compiled = CompiledModel::compile(build(), 0);
         prop_assert_eq!(&compiled.infer(&x), &want);
         // Cache replay on a second request stays identical.
@@ -129,17 +137,15 @@ proptest! {
     }
 
     /// Same bit-identity for a conv stack (Conv2d frozen path, im2col
-    /// weight reshape) under random formats, SR activations included, in
-    /// both exec modes. The stride-2 second conv has 16 output positions,
-    /// the narrow-GEMM case serving once lowered differently.
+    /// weight reshape) under random formats, SR activations included. The
+    /// stride-2 second conv has 16 output positions, the narrow-GEMM case
+    /// serving once lowered differently.
     #[test]
     fn compiled_conv_bit_identical_to_eval_forward(
         seed in 0u64..1000,
         w_fmt in 0u8..6,
         a_fmt in 0u8..8,
-        integer_mode in 0usize..2,
     ) {
-        let exec = if integer_mode == 1 { ExecMode::Integer } else { ExecMode::Replay };
         let build = || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut m = Sequential::new()
@@ -154,10 +160,8 @@ proptest! {
             vec![1, 2, 8, 8],
             (0..128).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        let mut eval = Session::eval(0);
-        eval.exec_mode = exec;
-        let want = build().forward(&x, &mut eval);
-        let mut compiled = CompiledModel::compile(build(), 0).with_exec_mode(exec);
+        let want = build().forward(&x, &mut integer_eval());
+        let mut compiled = CompiledModel::compile(build(), 0);
         prop_assert_eq!(&compiled.infer(&x), &want);
     }
 
@@ -248,18 +252,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Continuous-batching bit-transparency across shape buckets, the full
-    /// 10-format weight zoo, batch-transparent activation formats, and both
-    /// qGEMM exec modes: every response from a mixed-shape request stream
-    /// is bit-identical to a lone single-request forward. Mismatched
-    /// trailing shapes must never coalesce — the batcher's `stack_inputs`
-    /// panics on a mixed batch, so all-requests-succeeding is itself proof
-    /// that no cross-bucket batch was ever formed.
+    /// 10-format weight zoo and batch-transparent activation formats: every
+    /// response from a mixed-shape request stream is bit-identical to a
+    /// lone single-request forward. Mismatched trailing shapes must never
+    /// coalesce — the batcher's `stack_inputs` panics on a mixed batch, so
+    /// all-requests-succeeding is itself proof that no cross-bucket batch
+    /// was ever formed.
     #[test]
     fn mixed_shape_streams_are_bit_transparent(
         seed in 0u64..500,
         w_fmt in 0usize..10,
         a_fmt in 0usize..6,
-        integer_mode in 0usize..2,
         // Each pick encodes (bucket, samples): `p % 3` selects the shape
         // bucket, `1 + p / 3` the sample count (1 or 2).
         raw_picks in prop::collection::vec(0usize..6, 1..12),
@@ -267,11 +270,7 @@ proptest! {
     ) {
         let picks: Vec<(usize, usize)> =
             raw_picks.iter().map(|&p| (p % 3, 1 + p / 3)).collect();
-        let exec = if integer_mode == 1 { ExecMode::Integer } else { ExecMode::Replay };
-        let build = || {
-            CompiledModel::compile(bucketed_conv_model(seed, w_fmt, a_fmt), 0)
-                .with_exec_mode(exec)
-        };
+        let build = || CompiledModel::compile(bucketed_conv_model(seed, w_fmt, a_fmt), 0);
         let input = |i: usize, bucket: usize, samples: usize| {
             let (h, w) = BUCKET_SHAPES[bucket];
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ ((i as u64) << 10));
@@ -323,7 +322,7 @@ fn compiled_resnet_lite_matches_eval_after_training_updates() {
         vec![2, 3, 16, 16],
         (0..2 * 3 * 256).map(|i| (i as f32 * 0.037).sin()).collect(),
     );
-    let want = build().forward(&x, &mut Session::eval(0));
+    let want = build().forward(&x, &mut integer_eval());
     let mut compiled = CompiledModel::compile(build(), 0);
     assert_eq!(compiled.warm(&x), want);
     assert_eq!(compiled.infer(&x), want);

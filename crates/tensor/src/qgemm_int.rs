@@ -86,6 +86,7 @@ struct ColSide<'a> {
 
 /// The right-hand operand of the staged vector kernel, as stored.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Clone, Copy)]
 enum BSide<'a> {
     /// `k × n`, scale blocks down the columns (NN, TN).
     Cols(&'a ColSide<'a>),
@@ -175,14 +176,16 @@ fn nn_scalar(
 /// granule, so the row decomposition is identical for every worker count.
 const ROW_QUAD: usize = 4;
 
-/// Restages the pair for the vector kernel and runs it — when the pair
-/// supports it: equal even group sizes, so `madd` k-pairs never straddle a
-/// scale block, on a CPU with AVX2. Returns `false` otherwise, and the
-/// caller takes its portable path.
+/// Runs the pair on the vector kernel — when the pair supports it: equal
+/// even group sizes, so `madd` k-pairs never straddle a scale block, on a
+/// CPU with AVX2. Returns `false` otherwise, and the caller takes its
+/// portable path. `A` is restaged once on the caller's thread; workers
+/// split the rows, and each stages `B` itself, one 16-column panel at a
+/// time.
 #[cfg(target_arch = "x86_64")]
-fn staged_avx2(
-    a: &RowSide,
-    b: BSide,
+fn staged_avx2<'a>(
+    a: &RowSide<'a>,
+    b: BSide<'a>,
     ga: usize,
     gb: usize,
     dims: (usize, usize, usize),
@@ -214,12 +217,13 @@ fn staged_avx2(
 
 // ---------------------------------------------------------------------------
 // NT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
-// `ROW_QUAD` output rows up, B's rows are interleaved straight into the NN
-// kernel's k-pair panel and `nn_worker` runs. Below that — where staging B
-// costs more than the product — and for the pairs the vector kernel refuses, every element is a sum of
-// per-segment dot products over two contiguous i8 rows. Both apply the same
-// three f32 operations per segment in the same order over exact integer
-// sums, so they agree bit for bit (`staged_nt_matches_segment_dots_bitwise`).
+// `ROW_QUAD` output rows up, `nn_worker` runs, gathering each k-pair panel
+// from sixteen stored rows of B. Below that — where the gather costs more
+// than the product — and for the pairs the vector kernel refuses, every
+// element is a sum of per-segment dot products over two contiguous i8 rows.
+// Both apply the same three f32 operations per segment in the same order
+// over exact integer sums, so they agree bit for bit
+// (`staged_nt_matches_segment_dots_bitwise`).
 // ---------------------------------------------------------------------------
 
 /// `C = A·Bᵀ` in the integer domain.
@@ -369,185 +373,245 @@ mod avx2 {
     /// vectors per k-pair).
     const W: usize = 16;
 
-    /// Operands restaged for the vector NN kernel. Built once on the caller
-    /// thread (the restage is deterministic and shared read-only by all
-    /// workers):
+    /// The vector NN kernel's shared, read-only inputs, built once on the
+    /// caller's thread:
     ///
     /// * `aq` — A mantissas as little-endian i16 k-pairs, one `u32` per
     ///   pair: `a[2p] | a[2p+1] << 16`, rows padded with a zero high half
-    ///   when `k` is odd.
-    /// * `bp` — B mantissas interleaved by k-pair: row `p` holds
-    ///   `[b[2p][j], b[2p+1][j]]` for each column `j`, zero-padded to a
-    ///   16-column multiple so tail panels can use full vector loads.
-    /// * `sp` — B scale rows padded to the same 16-column multiple.
+    ///   when `k` is odd. A is the small side at serving shapes (`m` is the
+    ///   batch), so it is restaged whole.
+    /// * `b` — B as stored. No copy of it is made here: every worker
+    ///   stages the panel it is about to consume into its own buffer
+    ///   ([`stage_panel`]).
     pub(super) struct NnStage<'a> {
         aq: Vec<u32>,
-        bp: Vec<i16>,
-        sp: Vec<f32>,
         ascale: &'a [f32],
         abpr: usize,
+        b: BSide<'a>,
+        k: usize,
         pairs: usize,
         pairs_per_block: usize,
         nblocks: usize,
-        npad: usize,
         n: usize,
     }
 
     impl<'a> NnStage<'a> {
         pub(super) fn build(
             a: &RowSide<'a>,
-            b: BSide,
+            b: BSide<'a>,
             g: usize,
             dims: (usize, usize, usize),
         ) -> Self {
             let (m, k, n) = dims;
             let pairs = k.div_ceil(2);
-            let nblocks = k.div_ceil(g).max(1);
-            let npad = n.div_ceil(W) * W;
-
             let mut aq = vec![0u32; m * pairs];
             for (arow, qrow) in a.man.chunks_exact(k).zip(aq.chunks_exact_mut(pairs)) {
                 let mut it = arow.chunks_exact(2);
                 for (q, pr) in qrow.iter_mut().zip(&mut it) {
-                    *q = (pr[0] as i16 as u16 as u32) | ((pr[1] as i16 as u16 as u32) << 16);
+                    *q = pair_word(pr[0], pr[1]);
                 }
                 if let [last] = it.remainder() {
-                    qrow[pairs - 1] = *last as i16 as u16 as u32;
+                    qrow[pairs - 1] = pair_word(*last, 0);
                 }
             }
-
-            let mut bp = vec![0i16; pairs * 2 * npad];
-            let mut sp = vec![0.0f32; nblocks * npad];
-            match b {
-                BSide::Cols(b) => {
-                    for (p, row) in bp.chunks_exact_mut(2 * npad).enumerate() {
-                        let k0 = 2 * p;
-                        let b0 = &b.man[k0 * n..k0 * n + n];
-                        if k0 + 1 < k {
-                            let b1 = &b.man[(k0 + 1) * n..(k0 + 1) * n + n];
-                            for ((d, &x), &y) in row.chunks_exact_mut(2).zip(b0).zip(b1) {
-                                d[0] = x as i16;
-                                d[1] = y as i16;
-                            }
-                        } else {
-                            for (d, &x) in row.chunks_exact_mut(2).zip(b0) {
-                                d[0] = x as i16;
-                            }
-                        }
-                    }
-                    for (srow, dst) in b.scale.chunks_exact(n).zip(sp.chunks_exact_mut(npad)) {
-                        dst[..n].copy_from_slice(srow);
-                    }
-                }
-                // Stored row `j` is panel column `j`: its k-pairs go down
-                // the panel, `W` rows at a time so each panel row receives
-                // one contiguous `W`-column run. Built straight from the
-                // stored rows — going through a `k×n` i8 transpose first
-                // would add a whole-operand copy to the peak working set.
-                BSide::Rows(b) => {
-                    for (jb, rows) in b.man.chunks(W * k).enumerate() {
-                        for (p, prow) in bp.chunks_exact_mut(2 * npad).enumerate() {
-                            let dst = prow[2 * jb * W..].chunks_exact_mut(2);
-                            for (d, brow) in dst.zip(rows.chunks_exact(k)) {
-                                d[0] = brow[2 * p] as i16;
-                                if 2 * p + 1 < k {
-                                    d[1] = brow[2 * p + 1] as i16;
-                                }
-                            }
-                        }
-                    }
-                    for (j, srow) in b.scale.chunks_exact(b.bpr).enumerate() {
-                        for (bb, &sc) in srow.iter().enumerate() {
-                            sp[bb * npad + j] = sc;
-                        }
-                    }
-                }
-            }
-
             NnStage {
                 aq,
-                bp,
-                sp,
                 ascale: a.scale,
                 abpr: a.bpr,
+                b,
+                k,
                 pairs,
                 pairs_per_block: g / 2,
-                nblocks,
-                npad,
+                nblocks: k.div_ceil(g).max(1),
                 n,
             }
         }
     }
 
+    /// Two mantissas as one little-endian i16 k-pair word.
+    fn pair_word(lo: i8, hi: i8) -> u32 {
+        (lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16)
+    }
+
+    /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's panel,
+    /// overwriting all of it:
+    ///
+    /// * `words` — `pairs × W` k-pair words; word `c` of row `p` is
+    ///   `[b[2p][j0+c], b[2p+1][j0+c]]` as two i16, so one
+    ///   `_mm256_madd_epi16` against a broadcast A pair covers eight
+    ///   columns and two k-steps;
+    /// * `scales` — `nblocks × W` block scales of the same columns.
+    ///
+    /// Columns past `w` and the high half of an odd `k`'s last pair are
+    /// zero. At `k = 1152` the words take 36 KiB, against a whole-operand
+    /// copy of `2·k·n` bytes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (checked by the caller via `avx2_available`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words`/`scales` have the panel's sizes and
+    /// `j0 + w ≤ n`: the vector stores below rely on both.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn stage_panel(
+        s: &NnStage,
+        j0: usize,
+        w: usize,
+        words: &mut [u32],
+        scales: &mut [f32],
+    ) {
+        let (k, n) = (s.k, s.n);
+        assert!(words.len() == s.pairs * W && scales.len() == s.nblocks * W);
+        assert!(w <= W && j0 + w <= n);
+        match s.b {
+            // Stored rows `2p` and `2p+1` interleave byte by byte; one
+            // sign extension per half widens them into the panel row.
+            BSide::Cols(b) => {
+                for (p, dst) in words.chunks_exact_mut(W).enumerate() {
+                    let r0 = &b.man[2 * p * n + j0..][..w];
+                    let r1 = if 2 * p + 1 < k {
+                        &b.man[(2 * p + 1) * n + j0..][..w]
+                    } else {
+                        &[]
+                    };
+                    if w == W {
+                        let x = _mm_loadu_si128(r0.as_ptr() as *const __m128i);
+                        let y = if r1.is_empty() {
+                            _mm_setzero_si128()
+                        } else {
+                            _mm_loadu_si128(r1.as_ptr() as *const __m128i)
+                        };
+                        let d = dst.as_mut_ptr() as *mut __m256i;
+                        _mm256_storeu_si256(d, _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(x, y)));
+                        _mm256_storeu_si256(
+                            d.add(1),
+                            _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(x, y)),
+                        );
+                    } else {
+                        for (c, d) in dst.iter_mut().enumerate() {
+                            *d = match (r0.get(c), r1.get(c)) {
+                                (Some(&x), y) => pair_word(x, y.copied().unwrap_or(0)),
+                                (None, _) => 0,
+                            };
+                        }
+                    }
+                }
+                for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
+                    let src = &b.scale[bb * n + j0..][..w];
+                    for (c, d) in dst.iter_mut().enumerate() {
+                        *d = src.get(c).copied().unwrap_or(0.0);
+                    }
+                }
+            }
+            // Stored row `j0 + c` is panel column `c`. Panel rows are
+            // written in order, each from the next k-pair of the `w`
+            // stored rows, so every stored row is read front to back.
+            BSide::Rows(b) => {
+                let rows = &b.man[j0 * k..(j0 + w) * k];
+                for (p, dst) in words.chunks_exact_mut(W).enumerate() {
+                    for (d, brow) in dst.iter_mut().zip(rows.chunks_exact(k)) {
+                        *d = pair_word(brow[2 * p], brow.get(2 * p + 1).copied().unwrap_or(0));
+                    }
+                }
+                for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
+                    for (c, d) in dst.iter_mut().enumerate() {
+                        *d = if c < w {
+                            b.scale[(j0 + c) * b.bpr + bb]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+                if w < W {
+                    for row in words.chunks_exact_mut(W) {
+                        row[w..].fill(0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One worker's shard: the output rows `row_start..`, row-major in
+    /// `out`. Column panels are the outer loop — each is staged once into
+    /// the worker's own buffer, then every row quad of the shard consumes
+    /// it — so nothing copies B whole.
+    ///
     /// # Safety
     ///
     /// Requires AVX2 (checked by the caller via `avx2_available`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, panel: &mut [f32]) {
-        let rows = panel.len() / s.n;
-        let mut ri = 0;
-        while ri + ROW_QUAD <= rows {
-            nn_rows::<ROW_QUAD>(
-                s,
-                row_start + ri,
-                &mut panel[ri * s.n..(ri + ROW_QUAD) * s.n],
-            );
-            ri += ROW_QUAD;
-        }
-        while ri < rows {
-            nn_rows::<1>(s, row_start + ri, &mut panel[ri * s.n..(ri + 1) * s.n]);
-            ri += 1;
+    pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
+        let n = s.n;
+        let mut words = vec![0u32; s.pairs * W];
+        let mut scales = vec![0.0f32; s.nblocks * W];
+        let rows = out.len() / n;
+        let quads = rows / ROW_QUAD * ROW_QUAD;
+        for j0 in (0..n).step_by(W) {
+            let w = (n - j0).min(W);
+            stage_panel(s, j0, w, &mut words, &mut scales);
+            let panel = (words.as_slice(), scales.as_slice(), j0, w);
+            for (q, c) in out[..quads * n].chunks_exact_mut(ROW_QUAD * n).enumerate() {
+                nn_rows::<ROW_QUAD>(s, panel, row_start + q * ROW_QUAD, c);
+            }
+            for (r, c) in out[quads * n..].chunks_exact_mut(n).enumerate() {
+                nn_rows::<1>(s, panel, row_start + quads + r, c);
+            }
         }
     }
 
-    /// `R` output rows (absolute row `i0`) across all column panels.
+    /// `R` output rows (absolute row `i0`, row-major in `c`) of one staged
+    /// panel `(words, scales, j0, w)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and `words`/`scales` of the sizes [`stage_panel`]
+    /// checks: the vector loads read them unchecked.
     #[target_feature(enable = "avx2")]
-    unsafe fn nn_rows<const R: usize>(s: &NnStage, i0: usize, c: &mut [f32]) {
-        let n = s.n;
-        let mut j0 = 0;
-        while j0 < n {
-            let w = (n - j0).min(W);
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            for bb in 0..s.nblocks {
-                let p0 = bb * s.pairs_per_block;
-                let p1 = ((bb + 1) * s.pairs_per_block).min(s.pairs);
-                let mut iacc = [[_mm256_setzero_si256(); 2]; R];
-                for p in p0..p1 {
-                    let brow = s.bp.as_ptr().add(p * 2 * s.npad + 2 * j0);
-                    let bv0 = _mm256_loadu_si256(brow as *const __m256i);
-                    let bv1 = _mm256_loadu_si256(brow.add(W) as *const __m256i);
-                    for (r, ir) in iacc.iter_mut().enumerate() {
-                        let av = _mm256_set1_epi32(s.aq[(i0 + r) * s.pairs + p] as i32);
-                        ir[0] = _mm256_add_epi32(ir[0], _mm256_madd_epi16(av, bv0));
-                        ir[1] = _mm256_add_epi32(ir[1], _mm256_madd_epi16(av, bv1));
-                    }
-                }
-                let srow = s.sp.as_ptr().add(bb * s.npad + j0);
-                let sb0 = _mm256_loadu_ps(srow);
-                let sb1 = _mm256_loadu_ps(srow.add(8));
-                for (r, ar) in acc.iter_mut().enumerate() {
-                    let sa = _mm256_set1_ps(s.ascale[(i0 + r) * s.abpr + bb]);
-                    let f0 = _mm256_mul_ps(_mm256_mul_ps(sa, sb0), _mm256_cvtepi32_ps(iacc[r][0]));
-                    let f1 = _mm256_mul_ps(_mm256_mul_ps(sa, sb1), _mm256_cvtepi32_ps(iacc[r][1]));
-                    ar[0] = _mm256_add_ps(ar[0], f0);
-                    ar[1] = _mm256_add_ps(ar[1], f1);
+    unsafe fn nn_rows<const R: usize>(
+        s: &NnStage,
+        (words, scales, j0, w): (&[u32], &[f32], usize, usize),
+        i0: usize,
+        c: &mut [f32],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        for bb in 0..s.nblocks {
+            let p0 = bb * s.pairs_per_block;
+            let p1 = ((bb + 1) * s.pairs_per_block).min(s.pairs);
+            let mut iacc = [[_mm256_setzero_si256(); 2]; R];
+            for p in p0..p1 {
+                let brow = words.as_ptr().add(p * W) as *const __m256i;
+                let bv0 = _mm256_loadu_si256(brow);
+                let bv1 = _mm256_loadu_si256(brow.add(1));
+                for (r, ir) in iacc.iter_mut().enumerate() {
+                    let av = _mm256_set1_epi32(s.aq[(i0 + r) * s.pairs + p] as i32);
+                    ir[0] = _mm256_add_epi32(ir[0], _mm256_madd_epi16(av, bv0));
+                    ir[1] = _mm256_add_epi32(ir[1], _mm256_madd_epi16(av, bv1));
                 }
             }
+            let srow = scales.as_ptr().add(bb * W);
+            let sb0 = _mm256_loadu_ps(srow);
+            let sb1 = _mm256_loadu_ps(srow.add(8));
+            for (r, ar) in acc.iter_mut().enumerate() {
+                let sa = _mm256_set1_ps(s.ascale[(i0 + r) * s.abpr + bb]);
+                let f0 = _mm256_mul_ps(_mm256_mul_ps(sa, sb0), _mm256_cvtepi32_ps(iacc[r][0]));
+                let f1 = _mm256_mul_ps(_mm256_mul_ps(sa, sb1), _mm256_cvtepi32_ps(iacc[r][1]));
+                ar[0] = _mm256_add_ps(ar[0], f0);
+                ar[1] = _mm256_add_ps(ar[1], f1);
+            }
+        }
+        for (ar, row) in acc.iter().zip(c.chunks_exact_mut(s.n)) {
+            let dst = &mut row[j0..j0 + w];
             if w == W {
-                for (r, ar) in acc.iter().enumerate() {
-                    let dst = c.as_mut_ptr().add(r * n + j0);
-                    _mm256_storeu_ps(dst, ar[0]);
-                    _mm256_storeu_ps(dst.add(8), ar[1]);
-                }
+                _mm256_storeu_ps(dst.as_mut_ptr(), ar[0]);
+                _mm256_storeu_ps(dst.as_mut_ptr().add(8), ar[1]);
             } else {
                 let mut tmp = [0.0f32; W];
-                for (r, ar) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(tmp.as_mut_ptr(), ar[0]);
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(8), ar[1]);
-                    c[r * n + j0..r * n + j0 + w].copy_from_slice(&tmp[..w]);
-                }
+                _mm256_storeu_ps(tmp.as_mut_ptr(), ar[0]);
+                _mm256_storeu_ps(tmp.as_mut_ptr().add(8), ar[1]);
+                dst.copy_from_slice(&tmp[..w]);
             }
-            j0 += w;
         }
     }
 
@@ -716,15 +780,30 @@ mod tests {
         }
     }
 
+    /// Row counts on both sides of the four-row blocking, column counts
+    /// on both sides of each 16-column panel edge, and odd depths (the
+    /// zero-padded last k-pair) — the shapes panel staging has to get right.
+    const TAIL_MS: [usize; 5] = [1, 3, 4, 5, 8];
+    const TAIL_NS: [usize; 6] = [1, 15, 16, 17, 33, 70];
+    const TAIL_KS: [usize; 5] = [1, 7, 13, 32, 47];
+
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn scalar_and_simd_nn_agree_bitwise() {
         if !avx2_available() {
             return; // vector path unreachable on this host
         }
-        for (m, k, n) in SHAPES {
-            let a = random_pack(m, k, 16, PackLayout::RowGroups, 61 + m as u64);
-            let b = random_pack(k, n, 16, PackLayout::ColGroups, 67 + n as u64);
+        let grid = [2usize, 6, 16].into_iter().flat_map(|g| {
+            TAIL_MS
+                .into_iter()
+                .flat_map(|m| TAIL_NS.into_iter().map(move |n| (m, n)))
+                .flat_map(move |(m, n)| TAIL_KS.into_iter().map(move |k| (g, m, n, k)))
+        });
+        let shapes = SHAPES.into_iter().map(|(m, k, n)| (16, m, n, k));
+        for (g, m, n, k) in shapes.chain(grid) {
+            let seed = (61 * m + 67 * n + 71 * k + g) as u64;
+            let a = random_pack(m, k, g, PackLayout::RowGroups, seed);
+            let b = random_pack(k, n, g, PackLayout::ColGroups, seed + 1);
             let via_dispatch = int_nn(&a, &b); // takes the AVX2 path
             let mut scalar = vec![0.0f32; m * n];
             nn_scalar(
@@ -733,16 +812,94 @@ mod tests {
                     man: b.mantissas(),
                     scale: b.scales(),
                 },
-                16,
-                16,
+                g,
+                g,
                 (m, k, n),
                 &mut scalar,
             );
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                via_dispatch.data(),
-                &scalar[..],
-                "simd/scalar divergence at ({m},{k},{n})"
+                bits(via_dispatch.data()),
+                bits(&scalar),
+                "simd/scalar divergence at ({m},{k},{n}) g={g}"
             );
+        }
+    }
+
+    /// A staged panel holds exactly B's columns `j0..j0 + w` as k-pair
+    /// words — low half row `2p`, high half row `2p + 1` — and zero
+    /// everywhere else, whatever the buffer held before: tail columns and
+    /// the odd-`k` pair's high half are padded, never left stale.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn staged_panels_hold_exactly_the_operands_columns() {
+        if !avx2_available() {
+            return;
+        }
+        let word = |lo: i8, hi: i8| (lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16);
+        for (n, k) in TAIL_NS
+            .into_iter()
+            .flat_map(|n| TAIL_KS.into_iter().map(move |k| (n, k)))
+        {
+            let g = 6;
+            let a = random_pack(1, k, g, PackLayout::RowGroups, 5);
+            let b = random_pack(k, n, g, PackLayout::ColGroups, (n * 100 + k) as u64);
+            let bt = random_pack(n, k, g, PackLayout::RowGroups, (n * 100 + k + 1) as u64);
+            let av = RowSide::of(&a);
+            let (cols, rows) = (
+                ColSide {
+                    man: b.mantissas(),
+                    scale: b.scales(),
+                },
+                RowSide::of(&bt),
+            );
+            for (side, packed, transposed) in [
+                (BSide::Cols(&cols), &b, false),
+                (BSide::Rows(&rows), &bt, true),
+            ] {
+                let stage = avx2::NnStage::build(&av, side, g, (1, k, n));
+                let mut words = vec![0u32; k.div_ceil(2) * 16];
+                let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
+                let at = |p: usize, j: usize| {
+                    let (r, c) = if transposed { (j, p) } else { (p, j) };
+                    packed.mantissas()[r * packed.cols() + c]
+                };
+                let scale = |bb: usize, j: usize| {
+                    if transposed {
+                        packed.scales()[j * k.div_ceil(g) + bb]
+                    } else {
+                        packed.scales()[bb * n + j]
+                    }
+                };
+                for j0 in (0..n).step_by(16) {
+                    let w = (n - j0).min(16);
+                    words.fill(0xDEAD_BEEF);
+                    scales.fill(f32::NAN);
+                    // SAFETY: AVX2 confirmed above.
+                    unsafe { avx2::stage_panel(&stage, j0, w, &mut words, &mut scales) };
+                    for (p, row) in words.chunks_exact(16).enumerate() {
+                        for (c, &got) in row.iter().enumerate() {
+                            let want = if c < w {
+                                let hi = if 2 * p + 1 < k {
+                                    at(2 * p + 1, j0 + c)
+                                } else {
+                                    0
+                                };
+                                word(at(2 * p, j0 + c), hi)
+                            } else {
+                                0
+                            };
+                            assert_eq!(got, want, "n={n} k={k} t={transposed} j0={j0} p={p} c={c}");
+                        }
+                    }
+                    for (bb, row) in scales.chunks_exact(16).enumerate() {
+                        for (c, &got) in row.iter().enumerate() {
+                            let want = if c < w { scale(bb, j0 + c) } else { 0.0 };
+                            assert_eq!(got.to_bits(), want.to_bits(), "scale n={n} k={k} bb={bb}");
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -761,12 +918,17 @@ mod tests {
     }
 
     /// `int_nt` against the per-segment `ScalarDot` reference, bit for bit:
-    /// equal even groups with `m` on both sides of the `ROW_QUAD` switch
-    /// (staged panel above it, vector dots below), odd `k` (pair padding),
-    /// `n` off the 16-column panel, and the odd / unequal groups that the
-    /// vector kernel refuses.
+    /// equal even groups (the staged panel path from four rows up, the
+    /// vector dots below) with `m` on both sides of the switch and of the
+    /// four-row blocking, odd `k` (pair padding), `n` on both sides of
+    /// each 16-column panel edge, and the odd / unequal groups that the
+    /// vector kernel refuses (the vector dot path).
     #[test]
     fn staged_nt_matches_segment_dots_bitwise() {
+        let tails = TAIL_MS
+            .into_iter()
+            .flat_map(|m| TAIL_NS.into_iter().map(move |n| (m, n)))
+            .flat_map(|(m, n)| [(m, 13, n), (m, 47, n)]);
         let shapes = [
             (1, 9, 40),
             (3, 64, 17),
@@ -775,7 +937,7 @@ mod tests {
             (9, 40, 33),
             (64, 96, 70),
         ];
-        for (m, k, n) in shapes {
+        for (m, k, n) in shapes.into_iter().chain(tails) {
             for (ga, gb) in [(16usize, 16usize), (2, 2), (6, 6), (3, 3), (4, 8), (5, 7)] {
                 let a = random_pack(m, k, ga, PackLayout::RowGroups, 91 + (m + ga) as u64);
                 let b = random_pack(n, k, gb, PackLayout::RowGroups, 93 + (n + gb) as u64);
@@ -807,24 +969,36 @@ mod tests {
         let a = random_pack(37, 96, 16, PackLayout::RowGroups, 81);
         let b = random_pack(96, 41, 16, PackLayout::ColGroups, 83);
         let bt = random_pack(41, 96, 16, PackLayout::RowGroups, 85);
-        // `a3` keeps `int_nt` on the dot path, `a` puts it on the staged one.
-        let a3 = random_pack(3, 96, 16, PackLayout::RowGroups, 87);
+        // Odd groups keep `int_nt` on the segment-dot path.
+        let (a3, bt3) = (
+            random_pack(37, 96, 3, PackLayout::RowGroups, 87),
+            random_pack(41, 96, 3, PackLayout::RowGroups, 86),
+        );
         // Deep enough that the work-size heuristic shards the staged path.
         let (abig, btbig) = (
             random_pack(64, 512, 16, PackLayout::RowGroups, 88),
             random_pack(96, 512, 16, PackLayout::RowGroups, 89),
         );
+        // Five column panels (the last 6 wide) over fifteen row quads and a
+        // remainder row, odd `k`: the workers split the row quads, and each
+        // stages every panel.
+        let (awide, bwide) = (
+            random_pack(61, 301, 16, PackLayout::RowGroups, 90),
+            random_pack(301, 70, 16, PackLayout::ColGroups, 91),
+        );
         set_parallelism(Parallelism::sequential());
         let s1 = int_nn(&a, &b);
         let s2 = int_nt(&a, &bt);
-        let s3 = int_nt(&a3, &bt);
+        let s3 = int_nt(&a3, &bt3);
         let s4 = int_nt(&abig, &btbig);
+        let s5 = int_nn(&awide, &bwide);
         for workers in [2, 3, 5, 8] {
             set_parallelism(Parallelism::new(workers));
             assert_eq!(int_nn(&a, &b), s1, "nn workers={workers}");
             assert_eq!(int_nt(&a, &bt), s2, "nt workers={workers}");
-            assert_eq!(int_nt(&a3, &bt), s3, "nt dots workers={workers}");
+            assert_eq!(int_nt(&a3, &bt3), s3, "nt dots workers={workers}");
             assert_eq!(int_nt(&abig, &btbig), s4, "nt staged workers={workers}");
+            assert_eq!(int_nn(&awide, &bwide), s5, "nn panels workers={workers}");
         }
         set_parallelism(saved);
     }

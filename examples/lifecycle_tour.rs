@@ -4,11 +4,12 @@
 //! resume → frozen compile → concurrent serving → mid-traffic hot-reload
 //! lifecycle via `fast_dnn::harness::run_lifecycle` (DESIGN.md §13), then
 //! prints what the run observed. Every hand-off invariant — resume
-//! bit-identity, compiled≡eval parity, zero dropped requests,
+//! bit-identity, compiled ≡ integer-eval parity, zero dropped requests,
 //! bit-transparent reloads — is asserted *inside* the driver, so reaching
 //! the report at all is the proof; the conformance suite in
 //! `tests/lifecycle.rs` sweeps the same driver over all six zoo workloads
-//! and both execution modes.
+//! with training under both execution modes (serving always runs the
+//! integer kernels).
 //!
 //! Run with: `cargo run --release --example lifecycle_tour`
 
@@ -16,7 +17,7 @@ use fast_dnn::harness::{run_lifecycle, LifecycleConfig, Workload};
 use fast_dnn::nn::ExecMode;
 
 fn main() {
-    // Integer-domain GEMMs: the repo's fastest training and serving
+    // Integer-domain GEMMs for training too: the repo's fastest training
     // configuration, and the one furthest from the bit-exact replay default
     // — if the lifecycle contracts hold here, they hold anywhere.
     let cfg = LifecycleConfig::quick(ExecMode::Integer);

@@ -3,16 +3,17 @@
 //! Every model-zoo workload runs the full pipeline — FAST-Adaptive
 //! training → checkpoint → bit-exact resume → frozen compile → batched
 //! serving under concurrent submitters → mid-traffic hot reload
-//! (continual-learning loop) — under both execution modes,
-//! `{Replay, Integer}`. The invariants (bit-exact resume, compiled≡eval
-//! parity, zero dropped requests, bit-transparent reloads) are asserted
-//! inside `fast_harness::run_lifecycle`; each test here is one workload's
-//! sweep over the two cells.
+//! (continual-learning loop) — with training under both execution modes,
+//! `{Replay, Integer}`; serving runs integer in both cells. The invariants
+//! (bit-exact resume, compiled ≡ integer-eval parity, zero dropped
+//! requests, bit-transparent reloads) are asserted inside
+//! `fast_harness::run_lifecycle`; each test here is one workload's sweep
+//! over the two cells.
 //!
 //! The configs are the harness's CI-scale `quick` settings, so this file
 //! doubles as the `lifecycle-smoke` CI job (run there under both the
 //! default worker pool and `FAST_TENSOR_WORKERS=1`; the cells pin their
-//! exec mode explicitly, so the suite is also immune to the
+//! exec modes explicitly, so the suite is also immune to the
 //! `FAST_QGEMM_MODE` env leg).
 
 use fast_dnn::harness::{run_lifecycle, LifecycleConfig, Workload};

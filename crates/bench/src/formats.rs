@@ -12,92 +12,45 @@ pub struct FormatEntry {
     pub name: &'static str,
     /// Per-layer precision assignment used during training.
     pub precision: LayerPrecision,
-    /// Hardware system used for time/energy accounting (None = accuracy
-    /// only, e.g. the fixed-BFP rows run on the FAST system).
+    /// Hardware system the cost meter charges the run to.
     pub system: fn() -> SystemConfig,
-    /// Fixed fMAC mantissa widths to charge when the format runs on the
-    /// FAST system (None = use the layer's own widths; scalar systems
-    /// ignore this entirely).
-    pub fast_widths: Option<u32>,
 }
 
 /// The full Table II column set.
 pub fn table2_formats() -> Vec<FormatEntry> {
+    let entry = |name, precision, system: fn() -> SystemConfig| FormatEntry {
+        name,
+        precision,
+        system,
+    };
     vec![
-        FormatEntry {
-            name: "FP32",
-            precision: LayerPrecision::fp32(),
-            system: SystemConfig::fp32,
-            fast_widths: None,
-        },
-        FormatEntry {
-            name: "bfloat16",
-            precision: LayerPrecision::bf16(),
-            system: SystemConfig::bf16,
-            fast_widths: None,
-        },
-        FormatEntry {
-            name: "Nvidia MP",
-            precision: LayerPrecision::nvidia_mp(),
-            system: SystemConfig::nvidia_mp,
-            fast_widths: None,
-        },
-        FormatEntry {
-            name: "INT8",
-            precision: LayerPrecision::int8(),
-            system: SystemConfig::int8,
-            fast_widths: None,
-        },
-        FormatEntry {
-            name: "INT12",
-            precision: LayerPrecision::int12(),
-            system: SystemConfig::int12,
-            fast_widths: None,
-        },
-        FormatEntry {
-            name: "MSFP-12",
-            precision: LayerPrecision::msfp12(),
-            system: SystemConfig::msfp12,
-            fast_widths: None,
-        },
-        FormatEntry {
-            name: "LowBFP",
-            precision: LayerPrecision::bfp_fixed(2),
-            system: SystemConfig::fast,
-            fast_widths: Some(2),
-        },
-        FormatEntry {
-            name: "MidBFP",
-            precision: LayerPrecision::bfp_fixed(3),
-            system: SystemConfig::fast,
-            fast_widths: Some(3),
-        },
-        FormatEntry {
-            name: "HighBFP",
-            precision: LayerPrecision::bfp_fixed(4),
-            system: SystemConfig::fast,
-            fast_widths: Some(4),
-        },
-        FormatEntry {
-            name: "HFP8",
-            precision: LayerPrecision::hfp8(),
-            system: SystemConfig::hfp8,
-            fast_widths: None,
-        },
+        entry("FP32", LayerPrecision::fp32(), SystemConfig::fp32),
+        entry("bfloat16", LayerPrecision::bf16(), SystemConfig::bf16),
+        entry(
+            "Nvidia MP",
+            LayerPrecision::nvidia_mp(),
+            SystemConfig::nvidia_mp,
+        ),
+        entry("INT8", LayerPrecision::int8(), SystemConfig::int8),
+        entry("INT12", LayerPrecision::int12(), SystemConfig::int12),
+        entry("MSFP-12", LayerPrecision::msfp12(), SystemConfig::msfp12),
+        entry("LowBFP", LayerPrecision::bfp_fixed(2), SystemConfig::fast),
+        entry("MidBFP", LayerPrecision::bfp_fixed(3), SystemConfig::fast),
+        entry("HighBFP", LayerPrecision::bfp_fixed(4), SystemConfig::fast),
+        entry("HFP8", LayerPrecision::hfp8(), SystemConfig::hfp8),
     ]
 }
 
-/// The Fig 19 / Fig 20 comparison series (formats with a hardware story).
-pub fn fig20_formats() -> Vec<FormatEntry> {
+/// The Table II column called `name`.
+///
+/// # Panics
+///
+/// Panics if no column has that name.
+pub fn format(name: &str) -> FormatEntry {
     table2_formats()
         .into_iter()
-        .filter(|f| {
-            matches!(
-                f.name,
-                "FP32" | "Nvidia MP" | "bfloat16" | "INT12" | "MSFP-12" | "HFP8" | "MidBFP"
-            )
-        })
-        .collect()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no Table II format named {name:?}"))
 }
 
 #[cfg(test)]
@@ -120,11 +73,7 @@ mod tests {
             "HFP8",
         ] {
             assert!(names.contains(&want), "missing {want}");
+            assert_eq!(format(want).name, want);
         }
-    }
-
-    #[test]
-    fn fig20_series_is_a_subset() {
-        assert_eq!(fig20_formats().len(), 7);
     }
 }

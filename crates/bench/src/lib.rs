@@ -1,23 +1,25 @@
-//! Shared experiment infrastructure for the paper-reproduction harness.
+//! The paper's claims as checked verdicts, plus the kernel and serving
+//! snapshots.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper,
-//! except `bench_json` and `serve_bench`, which record the kernel and
-//! serving snapshots (DESIGN.md §4 is the index). This library provides
-//! the common pieces: quick/full experiment scaling, the format zoo of
-//! Table II / Fig 20, standard workload builders, and training runners that
-//! couple the `fast-nn` training loop with the `fast-hw` cost meter.
+//! [`claims`] is the ledger the `paper` binary prints: every claim of the
+//! paper the repository tests, its measurement, and a verdict (DESIGN.md §4).
+//! `bench_json` and `serve_bench` record the kernel and serving snapshots.
+//! The rest of this library serves the ledger: quick/full experiment
+//! scaling, the format zoo of Table II, the paper-scale workloads, and
+//! training runners that couple the `fast-nn` training loop with the
+//! `fast-hw` cost meter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod formats;
 pub mod runner;
 pub mod suite;
-pub mod table;
 pub mod workloads;
 
-/// Experiment scale: `Quick` finishes in seconds-to-minutes per binary;
-/// `Full` runs the larger grids.
+/// Experiment scale: `Quick` finishes in minutes; `Full` runs the larger
+/// datasets and schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced grid for fast iteration and CI.
@@ -27,36 +29,17 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from argv: `--scale quick|full` (or `--scale=…`),
-    /// `Quick` when absent.
+    /// Parses a `--scale` value.
     ///
-    /// Exits with status 2 on any other value, naming the accepted set — a
-    /// typo must not silently run the quick grid.
-    pub fn from_args() -> Scale {
-        let mut args = std::env::args().skip(1);
-        let mut value = None;
-        while let Some(a) = args.next() {
-            if a == "--scale" {
-                value = Some(args.next().unwrap_or_default());
-            } else if let Some(v) = a.strip_prefix("--scale=") {
-                value = Some(v.to_string());
-            }
-        }
-        value
-            .map_or(Ok(Scale::Quick), |v| Scale::parse(&v))
-            .unwrap_or_else(|why| {
-                eprintln!("{why}");
-                std::process::exit(2)
-            })
-    }
-
-    fn parse(v: &str) -> Result<Scale, String> {
+    /// # Errors
+    ///
+    /// Anything but `quick` or `full`, with a message naming both.
+    pub fn parse(v: &str) -> Result<Scale, String> {
         match v {
             "quick" => Ok(Scale::Quick),
             "full" => Ok(Scale::Full),
             other => Err(format!(
-                "--scale {other:?} is not recognised: accepted values are quick|full \
-                 (absent = quick)"
+                "--scale {other:?} is not recognised: accepted values are quick|full"
             )),
         }
     }

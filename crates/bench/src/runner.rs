@@ -1,6 +1,6 @@
 //! Training runners coupling the `fast-nn` loop with the `fast-hw` cost
-//! meter, producing the accuracy-vs-simulated-time curves behind paper
-//! Figs 9, 19 and 20 and the final-quality numbers of Table II.
+//! meter, producing the quality-vs-simulated-time curves the training
+//! claims of [`crate::claims`] read.
 
 use fast_core::CostMeter;
 use fast_data::{SequenceTask, SyntheticDetection, SyntheticImages};
@@ -41,28 +41,20 @@ impl RunCfg {
     }
 }
 
-/// One evaluation snapshot.
+/// One evaluation snapshot, taken after every epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalPoint {
-    /// Epoch index (1-based after the epoch completes).
-    pub epoch: usize,
-    /// Optimizer iterations completed.
-    pub iter: usize,
     /// Validation quality (accuracy %, token accuracy %, or mAP %).
     pub quality: f64,
     /// Simulated hardware seconds so far (0 when no system attached).
     pub sim_seconds: f64,
-    /// Simulated hardware energy so far in joules.
-    pub sim_energy_j: f64,
 }
 
-/// A completed training run.
+/// A completed training run: one evaluation snapshot per epoch.
 #[derive(Debug, Clone)]
 pub struct TrainRun {
     /// Per-epoch evaluation snapshots.
     pub evals: Vec<EvalPoint>,
-    /// Mean training loss of the final epoch.
-    pub final_loss: f64,
 }
 
 impl TrainRun {
@@ -97,24 +89,6 @@ impl TrainRun {
         }
         None
     }
-
-    /// Simulated energy at which `target` quality is first reached.
-    pub fn energy_to_quality(&self, target: f64) -> Option<f64> {
-        let mut prev: Option<&EvalPoint> = None;
-        for e in &self.evals {
-            if e.quality >= target {
-                return match prev {
-                    Some(p) if e.quality > p.quality => {
-                        let f = (target - p.quality) / (e.quality - p.quality);
-                        Some(p.sim_energy_j + f * (e.sim_energy_j - p.sim_energy_j))
-                    }
-                    _ => Some(e.sim_energy_j),
-                };
-            }
-            prev = Some(e);
-        }
-        None
-    }
 }
 
 fn apply_lr_drops(opt: &mut Sgd, drops: &[(usize, f32)], epoch: usize, base_lr: f32) {
@@ -127,43 +101,37 @@ fn apply_lr_drops(opt: &mut Sgd, drops: &[(usize, f32)], epoch: usize, base_lr: 
     opt.set_lr(lr);
 }
 
+fn eval_point(quality: f64, meter: &Option<CostMeter>) -> EvalPoint {
+    EvalPoint {
+        quality,
+        sim_seconds: meter.as_ref().map_or(0.0, |m| m.total_seconds()),
+    }
+}
+
 /// Trains an image classifier, evaluating every epoch.
 pub fn run_images(
     model: Sequential,
     data: &SyntheticImages,
     cfg: &RunCfg,
     hook: &mut dyn TrainHook,
-    meter: Option<CostMeter>,
+    mut meter: Option<CostMeter>,
 ) -> TrainRun {
     let opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
     let mut trainer = Trainer::new(model, opt, cfg.seed);
-    let mut meter = meter;
     let test = data.test_batches(cfg.batch.max(64));
     let mut evals = Vec::new();
-    let mut final_loss = 0.0;
     for epoch in 0..cfg.epochs {
         apply_lr_drops(&mut trainer.opt, &cfg.lr_drops, epoch, cfg.lr);
-        let mut loss_sum = 0.0;
-        let mut nb = 0usize;
         for (x, labels) in data.train_batches(cfg.batch, epoch as u64) {
-            let stats = trainer.step_classification(&x, &labels, hook);
+            trainer.step_classification(&x, &labels, hook);
             if let Some(m) = meter.as_mut() {
                 m.record(&mut trainer.model);
             }
-            loss_sum += stats.loss;
-            nb += 1;
         }
-        final_loss = loss_sum / nb.max(1) as f64;
         let quality = trainer.evaluate_classification(&test);
-        evals.push(EvalPoint {
-            epoch: epoch + 1,
-            iter: trainer.iterations(),
-            quality,
-            sim_seconds: meter.as_ref().map(|m| m.total_seconds()).unwrap_or(0.0),
-            sim_energy_j: meter.as_ref().map(|m| m.total_energy_j).unwrap_or(0.0),
-        });
+        evals.push(eval_point(quality, &meter));
     }
-    TrainRun { evals, final_loss }
+    TrainRun { evals }
 }
 
 /// Trains the transformer on the sequence task with Adam. [`Trainer`] owns
@@ -174,37 +142,30 @@ pub fn run_sequence(
     data: &SequenceTask,
     cfg: &RunCfg,
     hook: &mut dyn TrainHook,
-    meter: Option<CostMeter>,
+    mut meter: Option<CostMeter>,
 ) -> TrainRun {
     use fast_nn::{softmax_cross_entropy, Adam, Layer};
     let mut session = Session::new(cfg.seed);
     let mut model = model;
     let mut opt = Adam::new(cfg.lr);
-    let mut meter = meter;
     let test = data.test_batches(cfg.batch.max(64));
     let mut evals = Vec::new();
-    let mut final_loss = 0.0;
     let mut iter = 0usize;
     for epoch in 0..cfg.epochs {
-        let mut loss_sum = 0.0;
-        let mut nb = 0usize;
         for (x, labels) in data.train_batches(cfg.batch, epoch as u64) {
             hook.before_iteration(iter, &mut model);
             session.train = true;
             session.record_sensitivity = hook.wants_sensitivity();
             let logits = model.forward(&x, &mut session);
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels);
+            let (_, grad) = softmax_cross_entropy(&logits, &labels);
             model.backward(&grad, &mut session);
             hook.after_backward(iter, &mut model);
             opt.step(&mut model);
             if let Some(m) = meter.as_mut() {
                 m.record(&mut model);
             }
-            loss_sum += loss;
-            nb += 1;
             iter += 1;
         }
-        final_loss = loss_sum / nb.max(1) as f64;
         // Token accuracy as the BLEU proxy.
         session.train = false;
         let mut correct = 0.0f64;
@@ -215,20 +176,9 @@ pub fn run_sequence(
             total += labels.len();
         }
         session.train = true;
-        let quality = if total == 0 {
-            0.0
-        } else {
-            correct / total as f64
-        };
-        evals.push(EvalPoint {
-            epoch: epoch + 1,
-            iter,
-            quality,
-            sim_seconds: meter.as_ref().map(|m| m.total_seconds()).unwrap_or(0.0),
-            sim_energy_j: meter.as_ref().map(|m| m.total_energy_j).unwrap_or(0.0),
-        });
+        evals.push(eval_point(correct / total.max(1) as f64, &meter));
     }
-    TrainRun { evals, final_loss }
+    TrainRun { evals }
 }
 
 /// Trains TinyYolo on the detection task; quality = mAP@0.5 (%).
@@ -238,28 +188,21 @@ pub fn run_detection(
     yolo_cfg: YoloConfig,
     cfg: &RunCfg,
     hook: &mut dyn TrainHook,
-    meter: Option<CostMeter>,
+    mut meter: Option<CostMeter>,
 ) -> TrainRun {
     use fast_nn::Layer;
     let opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
     let mut trainer = Trainer::new(model, opt, cfg.seed);
-    let mut meter = meter;
     let test = data.test_batches(cfg.batch.max(32));
     let mut evals = Vec::new();
-    let mut final_loss = 0.0;
     for epoch in 0..cfg.epochs {
         apply_lr_drops(&mut trainer.opt, &cfg.lr_drops, epoch, cfg.lr);
-        let mut loss_sum = 0.0;
-        let mut nb = 0usize;
         for (x, gts) in data.train_batches(cfg.batch, epoch as u64) {
-            let stats = trainer.step_custom(&x, &mut |out| yolo_loss(out, &gts, yolo_cfg), hook);
+            trainer.step_custom(&x, &mut |out| yolo_loss(out, &gts, yolo_cfg), hook);
             if let Some(m) = meter.as_mut() {
                 m.record(&mut trainer.model);
             }
-            loss_sum += stats.loss;
-            nb += 1;
         }
-        final_loss = loss_sum / nb.max(1) as f64;
         trainer.session.train = false;
         let mut dets = Vec::new();
         let mut gts_all = Vec::new();
@@ -269,15 +212,9 @@ pub fn run_detection(
             gts_all.extend(gts.iter().cloned());
         }
         let quality = map_lite(&dets, &gts_all, yolo_cfg.num_classes, 0.5);
-        evals.push(EvalPoint {
-            epoch: epoch + 1,
-            iter: trainer.iterations(),
-            quality,
-            sim_seconds: meter.as_ref().map(|m| m.total_seconds()).unwrap_or(0.0),
-            sim_energy_j: meter.as_ref().map(|m| m.total_energy_j).unwrap_or(0.0),
-        });
+        evals.push(eval_point(quality, &meter));
     }
-    TrainRun { evals, final_loss }
+    TrainRun { evals }
 }
 
 #[cfg(test)]
@@ -368,28 +305,17 @@ mod tests {
 
     #[test]
     fn time_to_quality_interpolates() {
+        let point = |quality, sim_seconds| EvalPoint {
+            quality,
+            sim_seconds,
+        };
         let run = TrainRun {
-            evals: vec![
-                EvalPoint {
-                    epoch: 1,
-                    iter: 10,
-                    quality: 40.0,
-                    sim_seconds: 1.0,
-                    sim_energy_j: 1.0,
-                },
-                EvalPoint {
-                    epoch: 2,
-                    iter: 20,
-                    quality: 60.0,
-                    sim_seconds: 2.0,
-                    sim_energy_j: 2.0,
-                },
-            ],
-            final_loss: 0.0,
+            evals: vec![point(40.0, 1.0), point(60.0, 2.0)],
         };
         assert_eq!(run.time_to_quality(50.0), Some(1.5));
         assert_eq!(run.time_to_quality(40.0), Some(1.0));
         assert_eq!(run.time_to_quality(70.0), None);
         assert_eq!(run.best_quality(), 60.0);
+        assert_eq!(run.final_quality(), 60.0);
     }
 }

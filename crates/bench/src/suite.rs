@@ -1,19 +1,20 @@
-//! The six-workload evaluation suite (Table II rows, Fig 20 panels) with
-//! uniform entry points for fixed-format and FAST-Adaptive training.
+//! The paper-scale workloads (Table II rows, Fig 20 panels) with one entry
+//! point for fixed-format training and one for FAST-Adaptive training,
+//! both charged to the cost meter of the system that runs them.
 
 use crate::formats::FormatEntry;
 use crate::runner::{run_detection, run_images, run_sequence, RunCfg, TrainRun};
-use crate::workloads::{CnnModel, DetWorkload, ImageTask, SeqWorkload};
+use crate::workloads::{resnet18, DetWorkload, ImageTask, SeqWorkload, DATA_SEED};
 use crate::Scale;
-use fast_core::{CostMeter, DimScale, EpsilonSchedule, FastController, FixedPolicy, HookChain};
+use fast_core::{CostMeter, DimScale, EpsilonSchedule, FastController, FixedPolicy};
 use fast_hw::SystemConfig;
-use fast_nn::LayerPrecision;
+use fast_nn::TrainHook;
 
 /// One evaluation workload of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// An image-classification CNN.
-    Cnn(CnnModel),
+    /// The ResNet-18 image classifier.
+    ResNet18,
     /// The transformer sequence task.
     Transformer,
     /// The TinyYolo detection task.
@@ -21,33 +22,12 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// All six paper workloads, in Table II row order.
-    pub fn all() -> Vec<Workload> {
-        vec![
-            Workload::Cnn(CnnModel::ResNet18),
-            Workload::Cnn(CnnModel::ResNet50),
-            Workload::Cnn(CnnModel::MobileNet),
-            Workload::Cnn(CnnModel::Vgg16),
-            Workload::Transformer,
-            Workload::Yolo,
-        ]
-    }
-
     /// Paper row label.
     pub fn name(&self) -> &'static str {
         match self {
-            Workload::Cnn(m) => m.name(),
+            Workload::ResNet18 => "ResNet-18",
             Workload::Transformer => "Transformer",
             Workload::Yolo => "YOLOv2",
-        }
-    }
-
-    /// The quality metric's name.
-    pub fn metric(&self) -> &'static str {
-        match self {
-            Workload::Cnn(_) => "val acc %",
-            Workload::Transformer => "token acc % (BLEU proxy)",
-            Workload::Yolo => "mAP@0.5 %",
         }
     }
 
@@ -55,27 +35,22 @@ impl Workload {
     /// equivalents for the hardware cost model (DESIGN.md §6).
     pub fn dim_scale(&self) -> DimScale {
         match self {
-            Workload::Cnn(_) | Workload::Yolo => DimScale::CNN_PAPER,
+            Workload::ResNet18 | Workload::Yolo => DimScale::CNN_PAPER,
             Workload::Transformer => DimScale::TRANSFORMER_PAPER,
         }
-    }
-
-    fn meter(&self, system: Option<SystemConfig>) -> Option<CostMeter> {
-        system.map(|sys| CostMeter::new(sys).with_dim_scale(self.dim_scale()))
     }
 
     /// Default epoch count at a scale.
     pub fn epochs(&self, scale: Scale) -> usize {
         match self {
-            Workload::Cnn(_) => scale.pick(6, 24),
-            Workload::Transformer => scale.pick(8, 30),
-            Workload::Yolo => scale.pick(8, 30),
+            Workload::ResNet18 => scale.pick(6, 24),
+            Workload::Transformer | Workload::Yolo => scale.pick(8, 30),
         }
     }
 
     fn run_cfg(&self, epochs: usize, seed: u64) -> RunCfg {
         match self {
-            Workload::Cnn(_) => RunCfg::images(epochs, seed),
+            Workload::ResNet18 => RunCfg::images(epochs, seed),
             Workload::Transformer => RunCfg {
                 epochs,
                 batch: 32,
@@ -97,135 +72,72 @@ impl Workload {
         }
     }
 
-    /// Trains under a fixed format; attaches the cost meter when `system`
-    /// is given. `extra_epochs` extends the schedule beyond the scale
-    /// default (used by the TTA experiments so slow-starting systems still
-    /// reach the target).
+    /// Trains under a fixed format, metered on the format's system.
+    /// `extra_epochs` extends the schedule beyond the scale default (the
+    /// time-to-accuracy claims use it so slow-starting systems still reach
+    /// the target).
     pub fn run_fixed(
-        &self,
-        scale: Scale,
-        precision: LayerPrecision,
-        system: Option<SystemConfig>,
-        seed: u64,
-        extra_epochs: usize,
-    ) -> TrainRun {
-        let epochs = self.epochs(scale) + extra_epochs;
-        let cfg = self.run_cfg(epochs, seed);
-        let mut policy = FixedPolicy { precision };
-        let meter = self.meter(system);
-        match self {
-            Workload::Cnn(m) => {
-                let task = ImageTask::at(scale);
-                let data = task.dataset(1234);
-                let model = m.build(task, seed);
-                run_images(model, &data, &cfg, &mut policy, meter)
-            }
-            Workload::Transformer => {
-                let wl = SeqWorkload::at(scale, 1234);
-                let model = wl.model(seed);
-                run_sequence(model, &wl.data, &cfg, &mut policy, meter)
-            }
-            Workload::Yolo => {
-                let wl = DetWorkload::at(scale, 1234);
-                let model = wl.model(seed);
-                run_detection(model, &wl.data, wl.cfg, &cfg, &mut policy, meter)
-            }
-        }
-    }
-
-    /// Trains under a format-zoo entry (convenience over [`Self::run_fixed`]).
-    pub fn run_entry(&self, scale: Scale, entry: &FormatEntry, seed: u64, meter: bool) -> TrainRun {
-        let system = meter.then(|| (entry.system)());
-        self.run_fixed(scale, entry.precision, system, seed, 0)
-    }
-
-    /// [`Self::run_entry`] with extra epochs appended (TTA experiments).
-    pub fn run_entry_extended(
         &self,
         scale: Scale,
         entry: &FormatEntry,
         seed: u64,
         extra_epochs: usize,
     ) -> TrainRun {
-        self.run_fixed(
-            scale,
-            entry.precision,
-            Some((entry.system)()),
-            seed,
-            extra_epochs,
-        )
+        let precision = entry.precision;
+        let policy = |_: &RunCfg, _: usize| FixedPolicy { precision };
+        self.train(scale, seed, extra_epochs, (entry.system)(), policy)
+            .0
     }
 
-    /// Trains under FAST-Adaptive (Algorithm 1) on the FAST system,
-    /// returning the run and the recorded precision trace.
-    pub fn run_fast_adaptive(
+    /// Trains under FAST-Adaptive (Algorithm 1) metered on the FAST system,
+    /// returning the run and the controller with its precision trace.
+    pub fn run_adaptive(
         &self,
         scale: Scale,
         seed: u64,
-        meter: bool,
-    ) -> (TrainRun, FastController) {
-        self.run_fast_adaptive_extended(scale, seed, meter, 0)
-    }
-
-    /// [`Self::run_fast_adaptive`] with extra epochs appended.
-    pub fn run_fast_adaptive_extended(
-        &self,
-        scale: Scale,
-        seed: u64,
-        meter: bool,
         extra_epochs: usize,
     ) -> (TrainRun, FastController) {
-        let epochs = self.epochs(scale) + extra_epochs;
-        let cfg = self.run_cfg(epochs, seed);
-        let system = self.meter(meter.then(SystemConfig::fast));
+        // The controller's horizon is the run's iteration count, derived
+        // from the dataset the run trains on.
+        let controller = |cfg: &RunCfg, train_len: usize| {
+            let iters = cfg.epochs * train_len.div_ceil(cfg.batch);
+            FastController::new(iters.max(1), EpsilonSchedule::paper_default())
+        };
+        self.train(scale, seed, extra_epochs, SystemConfig::fast(), controller)
+    }
+
+    /// Builds the workload's data and model and trains them under the hook
+    /// `hook(cfg, train_len)` makes.
+    fn train<H: TrainHook>(
+        &self,
+        scale: Scale,
+        seed: u64,
+        extra_epochs: usize,
+        system: SystemConfig,
+        hook: impl FnOnce(&RunCfg, usize) -> H,
+    ) -> (TrainRun, H) {
+        let cfg = self.run_cfg(self.epochs(scale) + extra_epochs, seed);
+        let meter = Some(CostMeter::new(system).with_dim_scale(self.dim_scale()));
         match self {
-            Workload::Cnn(m) => {
+            Workload::ResNet18 => {
                 let task = ImageTask::at(scale);
-                let data = task.dataset(1234);
-                let model = m.build(task, seed);
-                let iters = epochs * data.train_len().div_ceil(cfg.batch);
-                let mut ctl = FastController::new(iters.max(1), EpsilonSchedule::paper_default());
-                let run = {
-                    let mut chain = HookChain::new().push(&mut ctl);
-                    run_images(model, &data, &cfg, &mut chain, system)
-                };
-                (run, ctl)
+                let data = task.dataset(DATA_SEED);
+                let mut h = hook(&cfg, data.train_len());
+                let model = resnet18(task.classes, seed);
+                (run_images(model, &data, &cfg, &mut h, meter), h)
             }
             Workload::Transformer => {
-                let wl = SeqWorkload::at(scale, 1234);
-                let model = wl.model(seed);
-                let iters = epochs * scale.pick(384usize, 2048).div_ceil(cfg.batch);
-                let mut ctl = FastController::new(iters.max(1), EpsilonSchedule::paper_default());
-                let run = {
-                    let mut chain = HookChain::new().push(&mut ctl);
-                    run_sequence(model, &wl.data, &cfg, &mut chain, system)
-                };
-                (run, ctl)
+                let wl = SeqWorkload::at(scale, DATA_SEED);
+                let mut h = hook(&cfg, wl.data.train_len());
+                let run = run_sequence(wl.model(seed), &wl.data, &cfg, &mut h, meter);
+                (run, h)
             }
             Workload::Yolo => {
-                let wl = DetWorkload::at(scale, 1234);
-                let model = wl.model(seed);
-                let iters = epochs * scale.pick(256usize, 1536).div_ceil(cfg.batch);
-                let mut ctl = FastController::new(iters.max(1), EpsilonSchedule::paper_default());
-                let run = {
-                    let mut chain = HookChain::new().push(&mut ctl);
-                    run_detection(model, &wl.data, wl.cfg, &cfg, &mut chain, system)
-                };
-                (run, ctl)
+                let wl = DetWorkload::at(scale, DATA_SEED);
+                let mut h = hook(&cfg, wl.data.train_len());
+                let run = run_detection(wl.model(seed), &wl.data, wl.cfg, &cfg, &mut h, meter);
+                (run, h)
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_and_metrics() {
-        let all = Workload::all();
-        assert_eq!(all.len(), 6);
-        assert_eq!(all[0].name(), "ResNet-18");
-        assert_eq!(all[4].metric(), "token acc % (BLEU proxy)");
     }
 }

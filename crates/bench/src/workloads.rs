@@ -1,15 +1,18 @@
-//! Standard workload builders at quick/full scale: the six evaluation
-//! models of the paper paired with their synthetic datasets.
+//! Standard workload builders at quick/full scale: the evaluation models of
+//! the paper's claims paired with their synthetic datasets.
 
 use crate::Scale;
 use fast_data::{SequenceTask, SyntheticDetection, SyntheticImages};
 use fast_nn::models::{
-    mobilenet_lite, resnet_lite, tiny_transformer, tiny_yolo, vgg_lite, MobileNetConfig,
-    ResNetConfig, TransformerConfig, VggConfig, YoloConfig,
+    resnet_lite, tiny_transformer, tiny_yolo, ResNetConfig, TransformerConfig, YoloConfig,
 };
 use fast_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Seed of every generated dataset; runs differ only in their model and
+/// session seeds.
+pub const DATA_SEED: u64 = 1234;
 
 /// Image classification defaults shared by the CNN workloads.
 #[derive(Debug, Clone, Copy)]
@@ -41,60 +44,13 @@ impl ImageTask {
     }
 }
 
-/// The CNN model variants of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CnnModel {
-    /// ResNet-18 analogue.
-    ResNet18,
-    /// ResNet-50 analogue (deeper).
-    ResNet50,
-    /// MobileNet-v2 analogue.
-    MobileNet,
-    /// VGG-16 analogue.
-    Vgg16,
+/// ResNet-18 analogue, the CNN of Table II, Fig 17, Fig 19 and Fig 20.
+pub fn resnet18(classes: usize, seed: u64) -> Sequential {
+    let mut rng = StdRng::seed_from_u64(seed);
+    resnet_lite(ResNetConfig::resnet18(8, classes), &mut rng)
 }
 
-impl CnnModel {
-    /// Paper row label.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CnnModel::ResNet18 => "ResNet-18",
-            CnnModel::ResNet50 => "ResNet-50",
-            CnnModel::MobileNet => "MobileNet-v2",
-            CnnModel::Vgg16 => "VGG-16",
-        }
-    }
-
-    /// Builds the model for an image task.
-    pub fn build(&self, task: ImageTask, seed: u64) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(seed);
-        match self {
-            CnnModel::ResNet18 => resnet_lite(ResNetConfig::resnet18(8, task.classes), &mut rng),
-            CnnModel::ResNet50 => resnet_lite(ResNetConfig::resnet50(8, task.classes), &mut rng),
-            CnnModel::MobileNet => mobilenet_lite(
-                MobileNetConfig {
-                    in_channels: 3,
-                    stem_channels: 8,
-                    blocks: 4,
-                    num_classes: task.classes,
-                },
-                &mut rng,
-            ),
-            CnnModel::Vgg16 => vgg_lite(
-                VggConfig {
-                    in_channels: 3,
-                    image_size: task.size,
-                    base_channels: 8,
-                    fc_dim: 64,
-                    num_classes: task.classes,
-                },
-                &mut rng,
-            ),
-        }
-    }
-}
-
-/// ResNet-20 analogue used by the Fig 9 / Fig 17 / Fig 18 experiments.
+/// ResNet-20 analogue used by the Fig 6 / Fig 9 / Fig 18 experiments.
 pub fn resnet20(classes: usize, symmetric: bool, seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
     let cfg = ResNetConfig {
@@ -184,24 +140,16 @@ mod tests {
     use fast_tensor::Tensor;
 
     #[test]
-    fn all_cnn_models_build_and_run() {
-        let task = ImageTask {
-            classes: 4,
-            size: 16,
-            train_n: 8,
-            test_n: 4,
-        };
-        for m in [
-            CnnModel::ResNet18,
-            CnnModel::ResNet50,
-            CnnModel::MobileNet,
-            CnnModel::Vgg16,
+    fn resnets_build_and_run() {
+        for (name, mut model) in [
+            ("resnet18", resnet18(4, 1)),
+            ("resnet20", resnet20(4, false, 1)),
+            ("resnet20 symmetric", resnet20(4, true, 1)),
         ] {
-            let mut model = m.build(task, 1);
             let mut s = Session::new(0);
             let y = model.forward(&Tensor::zeros(vec![2, 3, 16, 16]), &mut s);
-            assert_eq!(y.shape(), &[2, 4], "{}", m.name());
-            assert!(quant_layer_count(&mut model) >= 8, "{}", m.name());
+            assert_eq!(y.shape(), &[2, 4], "{name}");
+            assert!(quant_layer_count(&mut model) >= 8, "{name}");
         }
     }
 
@@ -213,11 +161,13 @@ mod tests {
         let (x, _) = seq.data.train_batches(4, 0).remove(0);
         let y = m.forward(&x, &mut s);
         assert_eq!(y.shape()[1], seq.cfg.vocab);
+        assert_eq!(seq.data.train_len(), 384);
 
         let det = DetWorkload::at(Scale::Quick, 1);
         let mut dm = det.model(2);
         let (dx, _) = det.data.train_batches(2, 0).remove(0);
         let dy = dm.forward(&dx, &mut s);
         assert_eq!(dy.shape(), &[2, 8, 4, 4]);
+        assert_eq!(det.data.train_len(), 256);
     }
 }

@@ -9,9 +9,11 @@
 //!   accumulated into a floating-point register with the pass exponent
 //!   decremented by 2 per chunk position.
 //!
-//! The two are bit-identical (tested), which is the correctness argument for
-//! simulating fMAC arithmetic with fake-quantized f32 GEMMs elsewhere in the
-//! workspace.
+//! The two are bit-identical (tested). Whether the workspace's GEMMs compute
+//! what an fMAC would is a separate question: the `fmac-int-kernel` claim of
+//! the `paper` ledger (`fast_bench::claims`, DESIGN.md §4) answers it for the
+//! integer-domain kernels, whose per-group sums and FP32 accumulation match
+//! `fast_hw::FmacCell` bit for bit.
 
 use crate::chunk::ChunkedGroup;
 use crate::group::BfpGroup;

@@ -98,6 +98,11 @@ impl SyntheticDetection {
         self.size
     }
 
+    /// Number of training scenes.
+    pub fn train_len(&self) -> usize {
+        self.train_n
+    }
+
     fn batch_from(&self, indices: &[usize]) -> (Tensor, Vec<Vec<GtBox>>) {
         let plane = 3 * self.size * self.size;
         let mut data = Vec::with_capacity(indices.len() * plane);
@@ -164,6 +169,7 @@ mod tests {
         let d = SyntheticDetection::generate(2, 16, 9, 3, 4);
         let b = d.train_batches(4, 0);
         assert_eq!(b.len(), 3);
+        assert_eq!(d.train_len(), 9);
         assert_eq!(b[0].0.shape(), &[4, 3, 16, 16]);
         assert_eq!(b[0].1.len(), 4);
     }

@@ -69,6 +69,11 @@ impl SequenceTask {
         self.seq_len
     }
 
+    /// Number of training sequences.
+    pub fn train_len(&self) -> usize {
+        self.train_n
+    }
+
     fn batch_from(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let t = self.seq_len;
         let mut x = Vec::with_capacity(indices.len() * t);
@@ -117,5 +122,6 @@ mod tests {
         assert_eq!(batches[0].0.shape(), &[4, 5]);
         assert_eq!(batches[0].1.len(), 20);
         assert_eq!(d.test_batches(2).len(), 1);
+        assert_eq!(d.train_len(), 6);
     }
 }

@@ -2,8 +2,14 @@
 //!
 //! An [`FmacCell`] holds a pre-loaded BFP weight group and consumes operand
 //! groups chunk-serially — one pass per pair of 2-bit chunks — accumulating
-//! into an FP32 register that spans many groups. The arithmetic is verified
-//! bit-identical to the direct BFP dot product of `fast_bfp::dot`.
+//! into an FP32 register that spans many groups. Each group's contribution
+//! is bit-identical to the direct BFP dot product of `fast_bfp::dot` (tested
+//! here). Reloaded with one weight group per reduction group, a cell also
+//! accumulates exactly the bits of the integer-domain GEMM
+//! (`fast_tensor::qgemm::qmatmul` under `ExecMode::Integer`) on the same
+//! packed operands: the `fmac-int-kernel` claim of the `paper` ledger
+//! (`fast_bench::claims`, DESIGN.md §4) checks this on an NN product with
+//! equal group sizes.
 
 use fast_bfp::dot::{dot_chunked, ChunkedDot};
 use fast_bfp::ChunkedGroup;

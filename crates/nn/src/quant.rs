@@ -75,8 +75,8 @@ impl NumericFormat {
     /// The shared exponent is modeled as unbounded (a software-managed
     /// per-tensor bias keeps the `e`-bit field from binding); the
     /// strictly-clipped window variant is available by constructing
-    /// [`NumericFormat::Bfp`] with `windowed: true` and is evaluated in the
-    /// `ablation_window` experiment.
+    /// [`NumericFormat::Bfp`] with `windowed: true` (DESIGN.md §3 describes
+    /// the window model).
     pub fn bfp_nearest(format: BfpFormat) -> Self {
         NumericFormat::Bfp {
             format,

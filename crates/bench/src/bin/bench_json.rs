@@ -19,9 +19,9 @@ use fast_bfp::packed::pack_matrix;
 use fast_bfp::GroupAxis;
 use fast_bfp::{fake_quantize_slice, relative_improvement, BfpFormat, CounterRng, Noise, Rounding};
 use fast_nn::models::{resnet_lite, ResNetConfig};
-use fast_nn::qgemm::{execute, prepare, prepare_owned, prepare_patches, Orient};
+use fast_nn::qgemm::{execute, prepare, prepare_owned, prepare_patches, GemmOperand, Orient};
 use fast_nn::{
-    set_uniform_precision, ExecMode, LayerPrecision, NoopHook, NumericFormat, Session, Sgd, Trainer,
+    set_uniform_precision, LayerPrecision, NoopHook, NumericFormat, Session, Sgd, Trainer,
 };
 use fast_telemetry::json::Json;
 use fast_tensor::{
@@ -305,9 +305,9 @@ fn main() {
     }
 
     // --- The same quantize+GEMM configs through the shared qgemm plan:
-    // operands are packed to i8 mantissas + group scales and multiplied
-    // without the dequantized f32 materialization (bit-identical results;
-    // compare each `qgemm_*` row to its `quant_gemm_*` twin above). ---
+    // operands are packed to i8 mantissas + group scales and multiplied on
+    // the integer kernels, with no dequantized f32 copy (compare each
+    // `qgemm_*` row to its `quant_gemm_*` twin above). ---
     for (key, numfmt) in [
         (
             "qgemm_bfp_m4_ns",
@@ -341,7 +341,6 @@ fn main() {
     // reused (frozen weights, plan caches). Compare against
     // `fp32_gemm_ns`, which likewise times only `matmul` over
     // pre-materialized tensors.
-    let env_mode = std::mem::replace(&mut session.exec_mode, ExecMode::Integer);
     for (key, numfmt) in [
         (
             "qgemm_int_bfp_m4_ns",
@@ -370,33 +369,33 @@ fn main() {
             }),
         ));
     }
-    session.exec_mode = env_mode;
 
     // --- The three training GEMMs of one conv layer (paper Fig 3) at the
     // three conv shape families of the `fast_perf` ResNet: forward `Nn`,
     // weight-gradient `Nt` on the same `m×k×n`, input-gradient `Tn` on its
     // transpose — equal MACs, execute-only over pre-packed HighBFP
-    // operands, in both exec modes. Samples alternate between the three
-    // orientations and each row is the floor of its samples
-    // (`alternating_floors`), so the `*_over_nn_x` ratios compare one
-    // machine state. ---
+    // operands on the integer kernels (`qgemm_int_*`), and over the same
+    // operands dequantized on the dense kernels (`fp32_*`). Samples
+    // alternate between the three orientations and each row is the floor
+    // of its samples (`alternating_floors`), so the `*_over_nn_x` ratios
+    // compare one machine state. ---
     const BWD_SHAPES: [(usize, usize, usize); 3] = [(8, 4096, 72), (16, 1024, 144), (32, 256, 288)];
     const BWD_KEYS: [[[&str; 3]; 3]; 2] = [
         [
             [
-                "qgemm_nn_bwd_c8_ns",
-                "qgemm_nt_bwd_c8_ns",
-                "qgemm_tn_bwd_c8_ns",
+                "fp32_nn_bwd_c8_ns",
+                "fp32_nt_bwd_c8_ns",
+                "fp32_tn_bwd_c8_ns",
             ],
             [
-                "qgemm_nn_bwd_c16_ns",
-                "qgemm_nt_bwd_c16_ns",
-                "qgemm_tn_bwd_c16_ns",
+                "fp32_nn_bwd_c16_ns",
+                "fp32_nt_bwd_c16_ns",
+                "fp32_tn_bwd_c16_ns",
             ],
             [
-                "qgemm_nn_bwd_c32_ns",
-                "qgemm_nt_bwd_c32_ns",
-                "qgemm_tn_bwd_c32_ns",
+                "fp32_nn_bwd_c32_ns",
+                "fp32_nt_bwd_c32_ns",
+                "fp32_tn_bwd_c32_ns",
             ],
         ],
         [
@@ -424,59 +423,66 @@ fn main() {
         )
     };
     let bwd_fmt = NumericFormat::bfp_nearest(BfpFormat::high());
-    // Σ over the shape families of the [Nn, Nt, Tn] floors, per exec mode.
+    // A prepared operand dequantized: what the dense rows multiply.
+    let dequantized = |op: &GemmOperand| op.operand().to_dense().into_owned();
+    // Σ over the shape families of the [Nn, Nt, Tn] floors, dense then
+    // integer.
     let mut bwd_totals = [[0.0f64; 3]; 2];
-    for (mode_at, mode) in [ExecMode::Replay, ExecMode::Integer]
-        .into_iter()
-        .enumerate()
-    {
-        let env_mode = std::mem::replace(&mut session.exec_mode, mode);
-        for (&(m, k, n), keys) in BWD_SHAPES.iter().zip(BWD_KEYS[mode_at]) {
+    for (family, family_keys) in BWD_KEYS.iter().enumerate() {
+        for (&(m, k, n), keys) in BWD_SHAPES.iter().zip(family_keys) {
             let (a, b, bt) = (wave(m, k, 0.13), wave(k, n, 0.29), wave(n, k, 0.31));
             // Tn on the transposed shape: (n×k) = (m×n)ᵀ · (m×k).
             let (at, b2) = (wave(m, n, 0.17), wave(m, k, 0.23));
             let (row, col) = (GroupAxis::AlongRow, GroupAxis::AlongCol);
             let mut pack = |t, axis| prepare(&mut session, t, bwd_fmt, axis);
-            let gemms = [
+            let packed = [
                 (Orient::Nn, pack(&a, row), pack(&b, col)),
                 (Orient::Nt, pack(&a, row), pack(&bt, row)),
                 (Orient::Tn, pack(&at, col), pack(&b2, col)),
             ];
+            let dense = packed
+                .each_ref()
+                .map(|(_, x, y)| (dequantized(x), dequantized(y)));
             let floors: [f64; 3] = alternating_floors(warmup, iters, |which| {
-                let (orient, x, y) = &gemms[which];
-                black_box(execute(&mut session, *orient, black_box(x), black_box(y)));
+                let (orient, x, y) = &packed[which];
+                if family == 0 {
+                    let (x, y) = &dense[which];
+                    let (x, y) = (GemmOperand::Borrowed(x), GemmOperand::Borrowed(y));
+                    black_box(execute(&mut session, *orient, black_box(&x), black_box(&y)));
+                } else {
+                    black_box(execute(&mut session, *orient, black_box(x), black_box(y)));
+                }
             });
-            for ((key, ns), total) in keys.into_iter().zip(floors).zip(&mut bwd_totals[mode_at]) {
+            for ((key, ns), total) in keys.iter().zip(floors).zip(&mut bwd_totals[family]) {
                 results.push((key, ns));
                 *total += ns;
             }
         }
-        session.exec_mode = env_mode;
     }
 
     // --- The frozen serving GEMM of `fast_perf`'s `serve_mlp_sat`: a full
     // batch of 8 through its 1024×1024 hidden layer, execute-only over
-    // pre-packed HighBFP operands, replay and integer sampled in turn, on
-    // the one tensor worker `fast_perf` serves with. Serving runs the
-    // integer row (DESIGN.md §8, §11). ---
+    // pre-packed HighBFP operands on the integer kernels, sampled in turn
+    // with the dense kernels over the same operands dequantized, on the one
+    // tensor worker `fast_perf` serves with (DESIGN.md §8, §11). ---
     let (serve_x, serve_w) = (wave(8, 1024, 0.13), wave(1024, 1024, 0.29));
     let serve_a = prepare(&mut session, &serve_x, bwd_fmt, GroupAxis::AlongRow);
     let serve_b = prepare(&mut session, &serve_w, bwd_fmt, GroupAxis::AlongCol);
-    let env_mode = session.exec_mode;
+    let (serve_xq, serve_wq) = (dequantized(&serve_a), dequantized(&serve_b));
+    let serve_dense = [&serve_xq, &serve_wq].map(GemmOperand::Borrowed);
     let pool = parallelism();
     set_parallelism(Parallelism::sequential());
-    let [serve_replay_floor, serve_int_floor] = alternating_floors(warmup, iters, |which| {
-        session.exec_mode = [ExecMode::Replay, ExecMode::Integer][which];
+    let [serve_fp32_floor, serve_int_floor] = alternating_floors(warmup, iters, |which| {
+        let (x, y) = [(&serve_dense[0], &serve_dense[1]), (&serve_a, &serve_b)][which];
         black_box(execute(
             &mut session,
             Orient::Nn,
-            black_box(&serve_a),
-            black_box(&serve_b),
+            black_box(x),
+            black_box(y),
         ));
     });
-    session.exec_mode = env_mode;
     set_parallelism(pool);
-    results.push(("qgemm_serve_b8_ns", serve_replay_floor));
+    results.push(("fp32_serve_b8_ns", serve_fp32_floor));
     results.push(("qgemm_int_serve_b8_ns", serve_int_floor));
 
     // Within-run plan-vs-pipeline ratios (same machine state for both
@@ -498,18 +504,19 @@ fn main() {
     // which is why this floor is 0.5 and not the 0.6 it was: DESIGN.md §7
     // has the runs.
     const BWD_FLOOR: f64 = 0.5;
-    // ≈ 70 % of the ≈ 2.0 (1.81–2.25 over eight runs) the panel-staged
-    // kernel reads at one worker (DESIGN.md §11); with B copied whole on
-    // every call it read ≈ 1.0 on the same 2-vCPU VM.
-    const SERVE_INT_FLOOR: f64 = 1.4;
+    // ≈ 70 % of the 2.16–2.31 the panel-staged integer kernel read against
+    // the dense kernel over eight quick runs at one worker (DESIGN.md §11);
+    // a whole-operand copy of B per call cost the integer kernel about as
+    // much as its product.
+    const SERVE_INT_FLOOR: f64 = 1.5;
     let gated_ratios = [
         (
-            "qgemm_nt_over_nn_x",
+            "fp32_nt_over_nn_x",
             bwd_totals[0][0] / bwd_totals[0][1],
             BWD_FLOOR,
         ),
         (
-            "qgemm_tn_over_nn_x",
+            "fp32_tn_over_nn_x",
             bwd_totals[0][0] / bwd_totals[0][2],
             BWD_FLOOR,
         ),
@@ -539,12 +546,12 @@ fn main() {
             pack_nearest_floor / pack_sr8_floor,
             0.5,
         ),
-        // The serving GEMM, replay over integer: under SERVE_INT_FLOOR the
-        // integer kernel has lost what serving runs it for — most likely a
+        // The serving GEMM, dense over integer: under SERVE_INT_FLOOR the
+        // integer kernel has lost what it runs for — most likely a
         // whole-operand copy of B is back (DESIGN.md §11).
         (
-            "qgemm_over_qgemm_int_serve_b8_x",
-            serve_replay_floor / serve_int_floor,
+            "fp32_over_qgemm_int_serve_b8_x",
+            serve_fp32_floor / serve_int_floor,
             SERVE_INT_FLOOR,
         ),
     ];
@@ -657,7 +664,7 @@ fn main() {
         overhead_pct(q_off, q_on),
     ));
 
-    // qGEMM execute (span sites `qgemm.execute.*` + per-mode counters).
+    // qGEMM execute (span sites `qgemm.execute.*` + per-kernel counters).
     {
         let numfmt = NumericFormat::bfp_nearest(BfpFormat::high());
         let ap = prepare(&mut session, &a, numfmt, GroupAxis::AlongRow);

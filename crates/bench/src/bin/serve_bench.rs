@@ -4,10 +4,9 @@
 //! of `BENCH_quant_gemm.json`; experiment index in DESIGN.md §4):
 //!
 //! 1. **Single-stream**: batch-1 forward latency of the re-quantize-every-
-//!    forward evaluation path (replay kernels) vs the frozen
-//!    [`CompiledModel`] path (integer kernels) on the ResNet-lite, MLP and
-//!    Transformer-lite workloads. The ratio is the payoff of serving:
-//!    frozen weights plus integer execution (DESIGN.md §8, §11).
+//!    forward evaluation path vs the frozen [`CompiledModel`] path on the
+//!    ResNet-lite, MLP and Transformer-lite workloads. The ratio is the
+//!    payoff of freezing the weights (DESIGN.md §8).
 //! 2. **Capacity probe**: a closed-loop load generator (C client threads in
 //!    a submit→wait loop) against a [`Server`] with continuous batching;
 //!    reports the saturated QPS, end-to-end/queue/service percentiles and
@@ -36,7 +35,7 @@
 //! when that overhead is over the §15 budget.
 
 use fast_nn::models::{mlp, resnet_lite, tiny_transformer, ResNetConfig, TransformerConfig};
-use fast_nn::{set_uniform_precision, ExecMode, Layer, LayerPrecision, Sequential, Session};
+use fast_nn::{set_uniform_precision, Layer, LayerPrecision, Sequential, Session};
 use fast_serve::{BatchConfig, CompiledModel, Pending, Server};
 use fast_telemetry::json::Json;
 use fast_tensor::Tensor;
@@ -291,14 +290,10 @@ fn main() {
         ),
     ];
 
-    // --- 1. Single-stream: re-quantize path vs frozen compiled path. The
-    // eval session is pinned to replay, so `*_cached_speedup_x` compares
-    // replay re-quantize against integer frozen under either
-    // `FAST_QGEMM_MODE`. ---
+    // --- 1. Single-stream: re-quantize path vs frozen compiled path. ---
     for w in workloads() {
         let mut train_path = (w.build)();
         let mut eval = Session::eval(0);
-        eval.exec_mode = ExecMode::Replay;
         let mut compiled = CompiledModel::compile((w.build)(), 0);
         compiled.warm(&w.sample);
         let (requant_ns, compiled_ns) = time_pair_ns(

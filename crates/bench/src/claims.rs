@@ -24,7 +24,7 @@ use fast_bfp::{
 use fast_core::{FixedPolicy, LayerwisePolicy, PrecisionTrace, TemporalPolicy};
 use fast_hw::{fast_breakdown, ComponentShare, FmacCell, MacKind};
 use fast_nn::{quant_layer_count, Layer, LayerPrecision, NumericFormat, Sequential, TrainHook};
-use fast_tensor::qgemm::{qmatmul, ExecMode, Operand, PackLayout, PackedMat};
+use fast_tensor::qgemm::{qmatmul, Operand, PackLayout, PackedMat};
 use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -481,7 +481,7 @@ fn fmac_int_kernel(_: &mut Lab) -> Vec<Trial> {
     let pa = PackedMat::new(m, k, g, PackLayout::RowGroups, a.mantissas, a.scales);
     let pb = PackedMat::new(k, n, g, PackLayout::ColGroups, b.mantissas, b.scales);
     let (oa, ob) = (Operand::Packed(&pa), Operand::Packed(&pb));
-    let c = qmatmul(ExecMode::Integer, oa, ob);
+    let c = qmatmul(oa, ob);
     // A packed group as the chunked group an fMAC holds: scale 2^(E-m+1).
     let chunked = |mantissas: Vec<i32>, scale: f32, bits: u32| {
         let fmt = BfpFormat::new(g, bits, 8).expect("valid format");

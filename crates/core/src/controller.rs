@@ -145,30 +145,43 @@ impl FastController {
 /// controller as the `hook_state` of `fast_nn::Trainer::{save_checkpoint,
 /// resume}` — the schedule, iteration budget and stride are configuration,
 /// rebuilt by constructing the controller the same way.
+///
+/// Restore is total: widths other than 2 or 4, ragged trace samples and a
+/// `current` whose layer count differs from the trace's are typed
+/// `CkptError`s naming the entry, never a later panic.
 impl VisitState for FastController {
     fn visit_state(&mut self, v: &mut dyn StateVisitor) {
         let mut current: Vec<u32> = self.current.iter().flat_map(|s| [s.w, s.a, s.g]).collect();
         v.u32s("current", &mut current);
-        if current.len().is_multiple_of(3) {
-            self.current = current
+        let settings: Result<Vec<Setting>, String> = if current.len().is_multiple_of(3) {
+            current
                 .chunks_exact(3)
-                .map(|c| Setting {
-                    w: c[0],
-                    a: c[1],
-                    g: c[2],
-                })
-                .collect();
+                .map(|c| Setting::from_widths(c[0], c[1], c[2]))
+                .collect()
         } else {
-            v.invalid(
-                "current",
-                format!("{} values do not form (w, a, g) triples", current.len()),
-            );
+            Err(format!(
+                "{} values do not form (w, a, g) triples",
+                current.len()
+            ))
+        };
+        match settings {
+            Ok(s) => self.current = s,
+            Err(why) => v.invalid("current", why),
         }
         let mut trace = self.trace.to_wire();
         v.bytes("trace", &mut trace);
         match PrecisionTrace::from_wire(&trace) {
             Ok(t) => self.trace = t,
             Err(why) => v.invalid("trace", why),
+        }
+        // Held iterations append `current` to the trace, whose readers index
+        // every sample by layer.
+        let layers = self.trace.layer_count();
+        if !self.trace.samples.is_empty() && self.current.len() != layers {
+            v.invalid(
+                "current",
+                format!("{} layers against the trace's {layers}", self.current.len()),
+            );
         }
     }
 }
@@ -324,6 +337,54 @@ mod tests {
         ctl.before_iteration(2, &mut model);
         resumed.before_iteration(2, &mut model);
         assert_eq!(resumed.settings(), ctl.settings());
+    }
+
+    /// Hostile `hook` bytes: a width with no legend index or a ragged layer
+    /// count, in either entry, fail the resume with a typed error naming the
+    /// entry — before any trace reader could panic on them.
+    #[test]
+    fn malformed_controller_state_fails_resume_with_typed_errors() {
+        use fast_ckpt::{CkptError, StateDict, StateValue, SECTION_HOOK};
+        let build = || mlp(&[4, 8, 2], &mut rand::rngs::StdRng::seed_from_u64(8));
+        let controller =
+            || FastController::new(20, EpsilonSchedule::paper_default()).with_stride(2);
+        let mut trainer = Trainer::new(build(), Sgd::new(0.05, 0.0, 0.0), 0);
+        let mut ctl = controller();
+        let x = Tensor::from_vec(vec![4, 4], (0..16).map(|i| i as f32 * 0.1 - 0.7).collect());
+        for _ in 0..3 {
+            trainer.step_classification(&x, &[0, 1, 0, 1], &mut ctl);
+        }
+        let good = trainer.checkpoint(Some(&mut ctl));
+        let hook = StateDict::from_bytes(good.require(SECTION_HOOK).unwrap()).unwrap();
+        let trace_with = |edit: &dyn Fn(&mut PrecisionTrace)| {
+            let mut t = ctl.trace.clone();
+            edit(&mut t);
+            StateValue::Bytes(t.to_wire())
+        };
+        let cases = [
+            ("trace", trace_with(&|t| t.samples[0].1[1].a = 3)),
+            ("trace", trace_with(&|t| t.samples[2].1.truncate(1))),
+            ("current", StateValue::U32s(vec![2, 2, 2, 4, 3, 2])),
+            ("current", StateValue::U32s(vec![2, 2, 2])),
+        ];
+        for (entry, value) in cases {
+            let mut dict = hook.clone();
+            dict.insert(entry.to_string(), value);
+            let mut artifact = good.clone();
+            artifact.insert(SECTION_HOOK, dict.to_bytes());
+            let mut fresh = controller();
+            let resumed = Trainer::resume(
+                build(),
+                Sgd::new(0.05, 0.0, 0.0),
+                &artifact,
+                Some(&mut fresh),
+            );
+            let err = resumed.map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, CkptError::Corrupt { context } if context.contains(entry)),
+                "{entry}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -43,6 +43,20 @@ impl Setting {
         w * a + 1.5 * g * w + 1.25 * g * a
     }
 
+    /// A setting decoded from stored widths.
+    ///
+    /// # Errors
+    ///
+    /// A width other than 2 or 4: no legend index exists for it.
+    pub(crate) fn from_widths(w: u32, a: u32, g: u32) -> Result<Setting, String> {
+        let s = Setting { w, a, g };
+        if [w, a, g].iter().all(|bits| matches!(bits, 2 | 4)) {
+            Ok(s)
+        } else {
+            Err(format!("setting {s} has a width other than 2 or 4"))
+        }
+    }
+
     /// Index of this setting within the legend order.
     ///
     /// # Panics
@@ -133,7 +147,10 @@ impl PrecisionTrace {
     ///
     /// # Errors
     ///
-    /// A description of the first malformed field; never panics.
+    /// A description of the first malformed field — truncation, trailing
+    /// bytes, a non-UTF-8 label, a width other than 2 or 4, or a sample
+    /// whose layer count differs from the first sample's (the readers
+    /// index every sample by layer); never panics.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, String> {
         let mut pos = 0usize;
         let mut take = |n: usize| -> Result<&[u8], String> {
@@ -161,14 +178,22 @@ impl PrecisionTrace {
             let iter =
                 u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]) as usize;
             let len = u32_at(take(4)?) as usize;
+            if let Some((_, first)) = trace.samples.first() {
+                if len != first.len() {
+                    return Err(format!(
+                        "sample at iteration {iter} has {len} layers, the first has {}",
+                        first.len()
+                    ));
+                }
+            }
             let mut settings = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
                 let b = take(12)?;
-                settings.push(Setting {
-                    w: u32_at(&b[0..4]),
-                    a: u32_at(&b[4..8]),
-                    g: u32_at(&b[8..12]),
-                });
+                settings.push(Setting::from_widths(
+                    u32_at(&b[0..4]),
+                    u32_at(&b[4..8]),
+                    u32_at(&b[8..12]),
+                )?);
             }
             trace.samples.push((iter, settings));
         }
@@ -294,6 +319,17 @@ mod tests {
         let mut padded = enc;
         padded.push(0);
         assert!(PrecisionTrace::from_wire(&padded).is_err());
+        // A width with no legend index, and a sample shorter than the
+        // first, are decode errors — not panics in `legend_index` or an
+        // out-of-bounds layer index later.
+        let mut odd = t.clone();
+        odd.samples[1].1[0].g = 3;
+        let err = PrecisionTrace::from_wire(&odd.to_wire()).unwrap_err();
+        assert!(err.contains("width other than 2 or 4"), "{err}");
+        let mut ragged = t.clone();
+        ragged.samples[1].1.pop();
+        let err = PrecisionTrace::from_wire(&ragged.to_wire()).unwrap_err();
+        assert!(err.contains("has 1 layers, the first has 2"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   compile → batched serving under concurrent load → mid-traffic hot
 //!   reload) and asserts the invariants every stage owes the next. The
 //!   conformance suite in `tests/lifecycle.rs` runs it for every zoo
-//!   workload across the `{Replay, Integer} × {Lfsr, Counter}` mode matrix.
+//!   workload.
 //! * [`variability`] — sweeps seeds × the numeric-format zoo × rounding
 //!   modes on fixed training runs and distils each run into deterministic
 //!   divergence metrics (loss-curve divergence, final-weight L2/ULP

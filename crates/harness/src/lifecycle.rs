@@ -2,17 +2,15 @@
 //! serve → hot-reload, with every hand-off invariant asserted in place.
 //!
 //! [`run_lifecycle`] pushes one zoo workload through the full pipeline
-//! with training in a chosen [`ExecMode`] cell and panics with a
-//! cell-labelled message the moment any stage breaks its contract:
+//! and panics with a cell-labelled message the moment any stage breaks its
+//! contract:
 //!
 //! 1. **Train** under the FAST-Adaptive controller, checkpointing mid-run.
 //! 2. **Resume** the mid-run artifact into fresh objects and replay the
 //!    remaining steps — losses and final parameters must be bit-identical
 //!    to the uninterrupted run (DESIGN.md §10).
 //! 3. **Freeze** the trained model into a [`CompiledModel`] — its frozen
-//!    forward must equal an eval-session forward bit for bit (§8). Serving
-//!    always executes integer (§11), so the eval forwards it is held to
-//!    run [`ExecMode::Integer`] in every cell.
+//!    forward must equal an eval-session forward bit for bit (§8).
 //! 4. **Serve** compiled replicas under concurrent submitters, and
 //!    **hot-reload** newly trained weights mid-traffic in a
 //!    continual-learning loop — zero dropped requests, no reload
@@ -28,16 +26,13 @@
 use crate::workloads::Workload;
 use fast_ckpt::StateDict;
 use fast_core::{EpsilonSchedule, FastController};
-use fast_nn::{ExecMode, Layer, Session, Sgd, Trainer};
+use fast_nn::{Layer, Session, Sgd, Trainer};
 use fast_serve::{BatchConfig, CompiledModel, Server};
 use fast_tensor::Tensor;
 
 /// Knobs for one lifecycle run.
 #[derive(Debug, Clone, Copy)]
 pub struct LifecycleConfig {
-    /// GEMM execution mode of the training sessions (serving always runs
-    /// [`ExecMode::Integer`]).
-    pub exec_mode: ExecMode,
     /// Training steps before the mid-run checkpoint.
     pub head_steps: usize,
     /// Steps after the checkpoint (the resume window replayed twice).
@@ -58,12 +53,11 @@ pub struct LifecycleConfig {
 
 impl LifecycleConfig {
     /// The CI-scale configuration: a handful of steps per stage, two
-    /// replicas, three submitters — small enough that the full 6-workload ×
-    /// 2-cell matrix runs in test time, large enough that every stage
-    /// genuinely executes (multiple batches, coalescing, two reloads).
-    pub fn quick(exec_mode: ExecMode) -> Self {
+    /// replicas, three submitters — small enough that all six workloads run
+    /// in test time, large enough that every stage genuinely executes
+    /// (multiple batches, coalescing, two reloads).
+    pub fn quick() -> Self {
         LifecycleConfig {
-            exec_mode,
             head_steps: 3,
             tail_steps: 3,
             rounds: 2,
@@ -80,7 +74,7 @@ impl LifecycleConfig {
 /// inside [`run_lifecycle`]).
 #[derive(Debug, Clone)]
 pub struct LifecycleReport {
-    /// `workload[exec]` label of the matrix cell.
+    /// The workload's name, which labels every failure message.
     pub cell: String,
     /// Loss curve of the reference training run (head + tail + rounds).
     pub losses: Vec<f64>,
@@ -95,12 +89,9 @@ pub struct LifecycleReport {
 /// Number of serving-parity probe inputs per round.
 const PROBES: usize = 4;
 
-/// The eval forward a served response must equal: same weights, the
-/// serving exec mode.
+/// The eval forward a served response must equal: same weights.
 fn eval_forward(model: &mut fast_nn::Sequential, x: &Tensor) -> Tensor {
-    let mut s = Session::eval(0);
-    s.exec_mode = ExecMode::Integer;
-    model.forward(x, &mut s)
+    model.forward(x, &mut Session::eval(0))
 }
 
 fn param_bits(model: &mut fast_nn::Sequential) -> Vec<u32> {
@@ -118,7 +109,7 @@ fn param_bits(model: &mut fast_nn::Sequential) -> Vec<u32> {
 /// not bit-exact, the compiled forward diverges from eval, a request is
 /// dropped, or a reload fails or serves stale weights.
 pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleReport {
-    let cell = format!("{}[{:?}]", workload.name(), cfg.exec_mode).to_lowercase();
+    let cell = workload.name().to_string();
     let total_steps = cfg.head_steps + cfg.tail_steps + cfg.rounds * cfg.round_steps;
     let stream = workload.training_stream(total_steps);
     let opt = || Sgd::new(0.05, 0.9, 0.0);
@@ -126,7 +117,6 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
     // --- 1. Train under the controller, checkpoint mid-run. -------------
     let mut ctl = FastController::new(total_steps, EpsilonSchedule::paper_default()).with_stride(2);
     let mut trainer = Trainer::new(workload.build(cfg.seed), opt(), cfg.seed);
-    trainer.session.exec_mode = cfg.exec_mode;
     let mut losses = Vec::with_capacity(total_steps);
     for batch in &stream[..cfg.head_steps] {
         losses.push(workload.step(&mut trainer, batch, &mut ctl).loss);
@@ -155,7 +145,6 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
         Some(&mut ctl2),
     )
     .unwrap_or_else(|e| panic!("{cell}: resume failed: {e}"));
-    resumed.session.exec_mode = cfg.exec_mode; // exec mode is run config, not state
     for (i, batch) in stream[cfg.head_steps..cfg.head_steps + cfg.tail_steps]
         .iter()
         .enumerate()
@@ -345,12 +334,12 @@ pub fn run_lifecycle(workload: Workload, cfg: &LifecycleConfig) -> LifecycleRepo
 mod tests {
     use super::*;
 
-    /// One in-crate smoke cell so harness bugs surface here before the
-    /// workspace-level `tests/lifecycle.rs` matrix runs.
+    /// One in-crate smoke run so harness bugs surface here before the
+    /// workspace-level `tests/lifecycle.rs` suite runs.
     #[test]
-    fn mlp_replay_cell_passes() {
-        let report = run_lifecycle(Workload::Mlp, &LifecycleConfig::quick(ExecMode::Replay));
-        assert_eq!(report.cell, "mlp[replay]");
+    fn mlp_lifecycle_passes() {
+        let report = run_lifecycle(Workload::Mlp, &LifecycleConfig::quick());
+        assert_eq!(report.cell, "mlp");
         assert_eq!(report.generation, 2);
         assert!(report.served > 0);
     }

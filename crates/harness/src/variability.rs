@@ -13,17 +13,16 @@
 //!   workload's target (time-to-accuracy, the paper's headline axis;
 //!   `-1` when the budget never reaches it).
 //!
-//! Every run pins `ExecMode::Replay`, so the records are a pure function
-//! of the sweep definition — independent of worker count and the
-//! `FAST_QGEMM_MODE` environment — and `BENCH_variability.json`
-//! regenerates bit-for-bit. The quick sweep is a
+//! Training is worker-count invariant and reads no environment, so the
+//! records are a pure function of the sweep definition and
+//! `BENCH_variability.json` regenerates bit-for-bit. The quick sweep is a
 //! strict subset of the full one (same step counts, fewer cells), which is
 //! what lets CI compare its records against the committed file exactly.
 
 use crate::workloads::Workload;
 use fast_bfp::{BfpFormat, Rounding};
 use fast_nn::{
-    set_uniform_precision, ExecMode, Layer, LayerPrecision, NoopHook, NumericFormat, Sgd, Trainer,
+    set_uniform_precision, Layer, LayerPrecision, NoopHook, NumericFormat, Sgd, Trainer,
 };
 use fast_telemetry::json::Json;
 
@@ -167,9 +166,6 @@ fn run_one(plan: &WorkloadPlan, seed: u64, format_idx: usize) -> RunOutcome {
         &mut trainer.model,
         LayerPrecision::uniform(zoo_format(format_idx)),
     );
-    // Pin the exec mode so records regenerate identically under the CI env
-    // leg (FAST_QGEMM_MODE would otherwise move the session default).
-    trainer.session.exec_mode = ExecMode::Replay;
     let stream = w.training_stream(plan.train_steps);
     let eval = w.eval_batches();
     let mut losses = Vec::with_capacity(plan.train_steps);

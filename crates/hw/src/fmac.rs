@@ -6,8 +6,7 @@
 //! is bit-identical to the direct BFP dot product of `fast_bfp::dot` (tested
 //! here). Reloaded with one weight group per reduction group, a cell also
 //! accumulates exactly the bits of the integer-domain GEMM
-//! (`fast_tensor::qgemm::qmatmul` under `ExecMode::Integer`) on the same
-//! packed operands: the `fmac-int-kernel` claim of the `paper` ledger
+//! (`fast_tensor::qgemm::qmatmul`) on the same packed operands: the `fmac-int-kernel` claim of the `paper` ledger
 //! (`fast_bench::claims`, DESIGN.md §4) checks this on an NN product with
 //! equal group sizes.
 

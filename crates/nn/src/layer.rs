@@ -6,7 +6,7 @@ use crate::qgemm::PlanStats;
 use crate::quant::{LayerPrecision, NumericFormat};
 use fast_bfp::{CounterRng, Noise, QuantStats, Rounding};
 use fast_ckpt::{StateVisitor, VisitState};
-use fast_tensor::{ExecMode, Tensor};
+use fast_tensor::Tensor;
 
 /// The stochastic-rounding noise source of a run. Counter noise is the only
 /// one; the type exists so [`Session::default_sr_mode`] keeps compiling for
@@ -15,6 +15,15 @@ use fast_tensor::{ExecMode, Tensor};
 pub enum SrMode {
     /// Counter noise keyed by `(seed, element offset)` (DESIGN.md §12).
     Counter,
+}
+
+/// How packed BFP GEMMs execute. The integer kernels are the only way
+/// (DESIGN.md §11); the type exists so [`Session::default_exec_mode`] keeps
+/// compiling for the benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Integer mantissa products, one f32 scale fix-up per group segment.
+    Integer,
 }
 
 /// Per-run context threaded through forward/backward passes.
@@ -47,13 +56,6 @@ pub struct Session {
     /// MAC counts plus fused [`QuantStats`] from operand preparation — the
     /// single software-side instrumentation point (DESIGN.md §9).
     pub plan_stats: PlanStats,
-    /// How packed×packed GEMMs routed through [`crate::qgemm::execute`]
-    /// run: the bit-exact replay path or the integer-domain kernels of
-    /// DESIGN.md §11. Like the mode flags above this is *not* checkpoint
-    /// state. Training and evaluation sessions start from
-    /// [`Session::default_exec_mode`] (the `FAST_QGEMM_MODE` lever,
-    /// DESIGN.md §16); [`Session::inference`] always starts integer.
-    pub exec_mode: ExecMode,
     /// Seed of the stochastic-rounding noise (the session seed verbatim).
     sr_seed: u64,
     /// Next unclaimed noise position; each SR-BFP operand the plan prepares
@@ -70,7 +72,6 @@ impl Session {
             freeze_weights: false,
             record_sensitivity: false,
             plan_stats: PlanStats::default(),
-            exec_mode: Session::default_exec_mode(),
             sr_seed: seed,
             sr_cursor: 0,
         }
@@ -84,23 +85,11 @@ impl Session {
         SrMode::Counter
     }
 
-    /// The process-wide default [`ExecMode`] for new training and
-    /// evaluation sessions, read once from the `FAST_QGEMM_MODE`
-    /// environment variable: `integer` (the CI lever that forces the
-    /// training and evaluation gates through the integer-domain kernels) or
-    /// `replay`; unset means [`ExecMode::Replay`]. Serving sessions
-    /// ([`Session::inference`]) do not read it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value, naming the variable and the accepted set.
+    /// Always [`ExecMode::Integer`]; reads no environment. Kept only because
+    /// `benchmark/` prints it — the next benchmark PR deletes this and
+    /// [`ExecMode`].
     pub fn default_exec_mode() -> ExecMode {
-        static ENV: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| {
-            let value =
-                std::env::var_os("FAST_QGEMM_MODE").map(|v| v.to_string_lossy().into_owned());
-            parse_exec_mode(value.as_deref()).unwrap_or_else(|why| panic!("{why}"))
-        })
+        ExecMode::Integer
     }
 
     /// Creates an evaluation session: no training-mode caching, but weights
@@ -116,16 +105,10 @@ impl Session {
     /// Creates an inference-serving session: evaluation behavior plus
     /// frozen-weight caching — each layer quantizes its weights once and
     /// replays the cached copy on every subsequent request (DESIGN.md §8).
-    ///
-    /// Serving always executes eligible packed×packed GEMMs in
-    /// [`ExecMode::Integer`], whatever `FAST_QGEMM_MODE` says: the lever
-    /// selects the mode of training and evaluation sessions only
-    /// (DESIGN.md §16).
     pub fn inference(seed: u64) -> Self {
         Session {
             train: false,
             freeze_weights: true,
-            exec_mode: ExecMode::Integer,
             ..Session::new(seed)
         }
     }
@@ -176,24 +159,6 @@ impl Session {
     pub fn set_sr_state(&mut self, seed: u64, cursor: u64) {
         self.sr_seed = seed;
         self.sr_cursor = cursor;
-    }
-}
-
-/// Resolves `FAST_QGEMM_MODE`: unset selects `replay`, a set value must be
-/// exactly `replay` or `integer`.
-///
-/// # Errors
-///
-/// A message naming the variable, the offending value and the accepted set
-/// — a typo must not silently run the default.
-fn parse_exec_mode(value: Option<&str>) -> Result<ExecMode, String> {
-    match value {
-        None | Some("replay") => Ok(ExecMode::Replay),
-        Some("integer") => Ok(ExecMode::Integer),
-        Some(other) => Err(format!(
-            "FAST_QGEMM_MODE={other:?} is not recognised: accepted values are replay|integer \
-             (unset = replay)"
-        )),
     }
 }
 
@@ -346,27 +311,4 @@ pub fn collect_precisions(layer: &mut dyn Layer) -> Vec<(String, LayerPrecision)
     let mut out = Vec::new();
     layer.visit_quant(&mut |q| out.push((q.label(), q.precision())));
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn the_exec_lever_accepts_exactly_its_documented_values() {
-        assert_eq!(parse_exec_mode(None), Ok(ExecMode::Replay));
-        assert_eq!(parse_exec_mode(Some("replay")), Ok(ExecMode::Replay));
-        assert_eq!(parse_exec_mode(Some("integer")), Ok(ExecMode::Integer));
-    }
-
-    #[test]
-    fn unrecognised_lever_values_are_errors_not_the_default() {
-        // The typos that used to run a CI leg on the default silently.
-        for bad in ["Integer", "INTEGER", "int", " integer", "integer ", ""] {
-            let err = parse_exec_mode(Some(bad)).unwrap_err();
-            assert!(err.contains("FAST_QGEMM_MODE"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-            assert!(err.contains("replay|integer"), "{err}");
-        }
-    }
 }

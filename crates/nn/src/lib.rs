@@ -11,18 +11,15 @@
 //!   [`MultiHeadSelfAttention`]) that quantize every training GEMM of paper
 //!   Fig 3 along its reduction axis — all routed through the shared
 //!   quantized-GEMM execution plan ([`qgemm`]): operands are packed into
-//!   BFP-native form (integer mantissas + group scales) and multiplied
-//!   without materializing the dequantized f32 copies, bit-identically to
-//!   the quantize-copy pipeline (DESIGN.md §9).
+//!   BFP-native form (integer mantissas + group scales) and multiplied on
+//!   integer kernels, the software fMAC (DESIGN.md §9, §11).
 //! * [`models`] — scaled-down analogues of the paper's six evaluation DNNs.
 //! * Losses, optimizers (SGD/momentum, Adam), metrics and a [`Trainer`]
 //!   with controller hooks.
 //! * An inference-serving mode ([`Session::inference`]): weight-bearing
 //!   layers quantize their weights once and replay the cached copy per
-//!   request, invalidated by any weight update, and packed BFP GEMMs run
-//!   on the integer-domain kernels — the layer half of the `fast_serve`
-//!   engine (DESIGN.md §8; fake-quant fidelity in §3, integer execution
-//!   in §11).
+//!   request, invalidated by any weight update — the layer half of the
+//!   `fast_serve` engine (DESIGN.md §8; fake-quant fidelity in §3).
 //! * Checkpointing ([`Layer::visit_state`], [`Trainer::save_checkpoint`] /
 //!   [`Trainer::resume`]): every piece of trajectory-determining state —
 //!   parameters, buffers, per-layer formats, optimizer slots, RNG words —
@@ -86,12 +83,9 @@ pub use qgemm::PlanStats;
 pub use quant::{LayerPrecision, NumericFormat};
 pub use trainer::{NoopHook, StepStats, TrainHook, Trainer};
 
-// Execution-mode vocabulary, re-exported so trainer/controller/serving code
-// can select the integer-domain qGEMM path without naming `fast_tensor`.
-pub use fast_tensor::ExecMode;
-
-// Return type of the `Session::default_sr_mode` shim; goes when it does.
-pub use layer::SrMode;
+// Return types of the `Session::default_{exec,sr}_mode` shims; go when they
+// do.
+pub use layer::{ExecMode, SrMode};
 
 // Checkpoint vocabulary, re-exported so layer/optimizer/controller authors
 // (and `fast_core`/`fast_serve`) share one `StateVisitor` without naming

@@ -394,12 +394,7 @@ mod tests {
                 .map(|i| ((i * 29) % 17) as f32 * 0.05 - 0.4)
                 .collect(),
         );
-        // Serving executes integer; the eval forward it must equal does too.
-        let eval = || {
-            let mut s = Session::eval(0);
-            s.exec_mode = fast_tensor::ExecMode::Integer;
-            s
-        };
+        let eval = || Session::eval(0);
         let y_requant = layer.forward(&x, &mut eval());
         let mut frozen = Session::inference(0);
         let y_frozen = layer.forward(&x, &mut frozen);

@@ -13,18 +13,17 @@
 //!    [`prepare_patches`] does the same for a conv layer's `im2col`
 //!    operand straight from the NCHW tensor: the pack kernels gather the
 //!    patches tile by tile, so the `K × P` f32 matrix is never written.
-//! 2. [`execute`] multiplies the prepared operands with the packed-operand
-//!    kernels of `fast_tensor::qgemm`, under the session's [`ExecMode`].
+//! 2. [`execute`] multiplies the prepared operands through
+//!    `fast_tensor::qgemm`: a packed×packed pair grouped along the
+//!    reduction axis runs the integer kernels — `i8×i8→i32` mantissa dot
+//!    products, the paper's fMAC (DESIGN.md §11) — and any other pair runs
+//!    the dense kernels on its dequantized operands.
 //!
-//! Under the default [`ExecMode::Replay`] the composition is
-//! **bit-identical** to the historical quantize-a-copy +
-//! `matmul{,_nt,_tn}` pipeline for every format, rounding mode and
-//! input (pinned by `crates/nn/tests/proptests.rs`; argument in DESIGN.md
-//! §9), while skipping up to two full f32 tensor materializations per GEMM.
-//! [`ExecMode::Integer`] trades that bit identity for integer-domain
-//! execution of eligible packed×packed pairs — `i8×i8→i32` mantissa dot
-//! products, the paper's actual cost model — gated by its own accuracy
-//! proptests (`crates/nn/tests/integer_mode.rs`, DESIGN.md §11).
+//! Every pair with a dense side is therefore **bit-identical** to the
+//! historical quantize-a-copy + `matmul{,_nt,_tn}` pipeline, for every
+//! format, rounding mode and input; a packed pair is bit-identical to the
+//! segment oracle over the same quantized operands (both pinned by
+//! `crates/nn/tests/proptests.rs`; argument in DESIGN.md §9).
 //!
 //! Operand preparation quantizes with the [`Noise`] the [`Session`] hands
 //! it for the operand: for an SR-rounded BFP format, `rows × cols` freshly
@@ -45,9 +44,11 @@ use crate::quant::NumericFormat;
 use fast_bfp::packed::{pack_rows, DenseRows, FillRows, RowSource, MAX_PACKED_MANTISSA_BITS};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
-    qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
+    qmatmul, qmatmul_nt, qmatmul_tn, runs_integer, Operand, PackLayout, PackedMat,
 };
 use fast_tensor::{im2col, Conv2dDims, Im2colRows, Tensor};
+
+pub use fast_tensor::qgemm::Orient;
 
 /// Counters accumulated by every plan execution (one instance lives on
 /// [`Session`]): how much GEMM work ran and what quantization did to the
@@ -62,22 +63,9 @@ pub struct PlanStats {
     pub quant: QuantStats,
     /// Operands whose packable BFP format fell back to a dense copy because
     /// they held a NaN, an infinity or a subnormal. Serving reads it to keep
-    /// a coalesced batch's execution mode per sample (DESIGN.md §8). Not
+    /// a coalesced batch's kernel choice per sample (DESIGN.md §8). Not
     /// checkpoint state.
     pub refused_packs: u64,
-}
-
-/// GEMM orientation — how the two operands are stored. The arithmetic is
-/// the same in all three: each output element is one serial ascending-`k`
-/// chain (DESIGN.md §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Orient {
-    /// `C = A·B` (forward GEMMs).
-    Nn,
-    /// `C = A·Bᵀ`, `B` stored `n×k` (`∇A = ∇O·Wᵀ`, attention scores).
-    Nt,
-    /// `C = Aᵀ·B`, `A` stored `k×m` (`∇W = Aᵀ·∇O`).
-    Tn,
 }
 
 /// An owned, reusable quantized operand — what frozen-weight caches hold.
@@ -106,8 +94,9 @@ impl Prepared {
         }
     }
 
-    /// Materializes the dequantized dense tensor (tests and slow paths; the
-    /// GEMM kernels never need it).
+    /// Materializes the dequantized dense tensor (tests; the GEMM entry
+    /// points dequantize a packed operand themselves when its pair cannot
+    /// run integer).
     pub fn to_tensor(&self) -> Tensor {
         match self {
             Prepared::Dense(t) => t.clone(),
@@ -353,16 +342,11 @@ pub fn prepare_slice(
     noted(session, fmt, op)
 }
 
-/// Executes one GEMM over prepared operands under [`Session::exec_mode`],
-/// accumulating [`Session::plan_stats`]. Under the default
-/// [`ExecMode::Replay`] this is bit-identical to running the corresponding
-/// dense kernel on dequantized copies of both operands.
-///
-/// [`ExecMode::Integer`] applies only to packed×packed operand pairs whose
-/// quantization groups run along the reduction dimension; every other pair
-/// silently executes on the replay path, so requesting integer execution
-/// never changes *whether* a GEMM is faithful, only which deterministic f32
-/// association an eligible pair is summed in (DESIGN.md §11).
+/// Executes one GEMM over prepared operands, accumulating
+/// [`Session::plan_stats`] and the GEMM counters of the kernel that ran: the
+/// integer kernels for a packed×packed pair whose quantization groups both
+/// run along the reduction dimension, the dense kernels on the dequantized
+/// operands for every other pair (DESIGN.md §11).
 ///
 /// ```
 /// use fast_bfp::{BfpFormat, GroupAxis};
@@ -375,7 +359,7 @@ pub fn prepare_slice(
 /// let w = Tensor::from_vec(vec![32, 3], vec![0.5; 96]);
 /// let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
 /// // Quantization groups along the reduction dim: A along its rows, W down
-/// // its columns — the layouts both execution modes accept for `Nn`.
+/// // its columns — the layouts the integer kernels take for `Nn`.
 /// let ap = prepare(&mut session, &a, fmt, GroupAxis::AlongRow);
 /// let wp = prepare(&mut session, &w, fmt, GroupAxis::AlongCol);
 /// let o = execute(&mut session, Orient::Nn, &ap, &wp);
@@ -392,7 +376,6 @@ pub fn execute(
     a: &GemmOperand<'_>,
     b: &GemmOperand<'_>,
 ) -> Tensor {
-    let mode = session.exec_mode;
     let (av, bv) = (a.operand(), b.operand());
     let (ar, ac) = av.dims();
     let (br, bc) = bv.dims();
@@ -401,19 +384,22 @@ pub fn execute(
         Orient::Nt => (ar, ac, br),
         Orient::Tn => (ac, ar, bc),
     };
+    let integer = runs_integer(orient, av, bv);
     session.plan_stats.gemms += 1;
     session.plan_stats.macs += (m * k * n) as u64;
-    crate::telemetry::note_gemm(mode, (m * k * n) as u64);
-    // One static span site per mode, so the per-mode dispatch split shows up
-    // in fast_span_ns{span="qgemm.execute.<mode>"} without a dynamic label.
-    let _span = match mode {
-        ExecMode::Replay => fast_telemetry::span!("qgemm.execute.replay"),
-        ExecMode::Integer => fast_telemetry::span!("qgemm.execute.integer"),
+    crate::telemetry::note_gemm(integer, (m * k * n) as u64);
+    // One static span site per kernel family, so the split shows up in
+    // fast_span_ns{span="qgemm.execute.<kernel>"} without a dynamic label;
+    // the dense kernels keep the site name `replay` (DESIGN.md §15).
+    let _span = if integer {
+        fast_telemetry::span!("qgemm.execute.integer")
+    } else {
+        fast_telemetry::span!("qgemm.execute.replay")
     };
     match orient {
-        Orient::Nn => qmatmul(mode, av, bv),
-        Orient::Nt => qmatmul_nt(mode, av, bv),
-        Orient::Tn => qmatmul_tn(mode, av, bv),
+        Orient::Nn => qmatmul(av, bv),
+        Orient::Nt => qmatmul_nt(av, bv),
+        Orient::Tn => qmatmul_tn(av, bv),
     }
 }
 
@@ -488,9 +474,6 @@ mod tests {
     #[test]
     fn execute_matches_reference_composition_and_meters() {
         let mut s = Session::new(0);
-        // This test pins the *replay* composition by definition; keep it
-        // meaningful when CI forces FAST_QGEMM_MODE=integer.
-        s.exec_mode = ExecMode::Replay;
         let a = tensor(5, 32, 4);
         let b = tensor(32, 9, 5);
         let fmt = NumericFormat::bfp_nearest(BfpFormat::high());
@@ -503,14 +486,19 @@ mod tests {
         };
         fmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, noise);
         fmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, noise);
-        let want = matmul(&aq, &bq);
 
+        // A dense side runs the chain over the quantized copies.
         let ap = prepare(&mut s, &a, fmt, GroupAxis::AlongRow);
+        let got = execute(&mut s, Orient::Nn, &ap, &GemmOperand::Borrowed(&bq));
+        assert_eq!(got, matmul(&aq, &bq));
+        // The packed pair runs integer: the same GEMM to f32 rounding.
         let bp = prepare(&mut s, &b, fmt, GroupAxis::AlongCol);
         let got = execute(&mut s, Orient::Nn, &ap, &bp);
-        assert_eq!(got, want);
-        assert_eq!(s.plan_stats.gemms, 1);
-        assert_eq!(s.plan_stats.macs, 5 * 32 * 9);
+        for (g, w) in got.data().iter().zip(matmul(&aq, &bq).data()) {
+            assert!((g - w).abs() <= 1e-5 * w.abs().max(1.0), "{g} vs {w}");
+        }
+        assert_eq!(s.plan_stats.gemms, 2);
+        assert_eq!(s.plan_stats.macs, 2 * 5 * 32 * 9);
     }
 
     #[test]

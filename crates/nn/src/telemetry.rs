@@ -11,7 +11,6 @@
 use std::sync::OnceLock;
 
 use fast_telemetry::{Counter, Gauge, Registry};
-use fast_tensor::qgemm::ExecMode;
 
 use crate::qgemm::{GemmOperand, Prepared};
 
@@ -20,30 +19,34 @@ struct GemmCounters {
     macs: Counter,
 }
 
-fn gemm_counters(mode: ExecMode) -> &'static GemmCounters {
+/// The counters of one kernel family: `mode="integer"` for the integer
+/// kernels, `mode="replay"` for the dense kernels over dequantized operands.
+fn gemm_counters(integer: bool) -> &'static GemmCounters {
     static REPLAY: OnceLock<GemmCounters> = OnceLock::new();
     static INTEGER: OnceLock<GemmCounters> = OnceLock::new();
-    let (cell, label) = match mode {
-        ExecMode::Replay => (&REPLAY, "replay"),
-        ExecMode::Integer => (&INTEGER, "integer"),
+    let (cell, label) = if integer {
+        (&INTEGER, "integer")
+    } else {
+        (&REPLAY, "replay")
     };
     cell.get_or_init(|| GemmCounters {
         gemms: Registry::global().counter(
             "fast_qgemm_gemms_total",
-            "GEMMs executed through the qgemm plan, by execution mode",
+            "GEMMs executed through the qgemm plan, by the kernel that ran (integer, or replay = dense)",
             &[("mode", label)],
         ),
         macs: Registry::global().counter(
             "fast_qgemm_macs_total",
-            "multiply-accumulates executed through the qgemm plan (m*k*n per GEMM), by execution mode",
+            "multiply-accumulates executed through the qgemm plan (m*k*n per GEMM), by the kernel that ran",
             &[("mode", label)],
         ),
     })
 }
 
-/// Bumps the per-exec-mode GEMM and MAC counters for one plan execution.
-pub(crate) fn note_gemm(mode: ExecMode, macs: u64) {
-    let c = gemm_counters(mode);
+/// Bumps the GEMM and MAC counters of the kernel that ran one plan
+/// execution.
+pub(crate) fn note_gemm(integer: bool, macs: u64) {
+    let c = gemm_counters(integer);
     c.gemms.inc();
     c.macs.add(macs);
 }

@@ -14,6 +14,10 @@ use rand::SeedableRng;
 mod quantize_copy;
 use quantize_copy::SessionNoise;
 
+#[path = "../../tensor/tests/support/segment_oracle.rs"]
+mod segment_oracle;
+use segment_oracle::segment_product;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -204,11 +208,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// **The tentpole invariant**: for every GEMM orientation, every format
-    /// in the zoo (packed-BFP fast path and dense fallbacks alike), every
-    /// rounding mode and operands including non-finite values, the shared
-    /// plan (`prepare` + `execute`) is bit-identical to the historical
-    /// `quantize_copy` + `matmul{,_nt,_tn}` composition — same result
-    /// bits, same stochastic noise positions.
+    /// in the zoo (packed BFP and dense fallbacks alike), every rounding
+    /// mode and operands including non-finite values, the shared plan
+    /// (`prepare` + `execute`) quantizes exactly what the historical
+    /// `quantize_copy` does — same values, same stochastic noise positions —
+    /// and multiplies bit for bit as its reference does: the segment oracle
+    /// for a packed pair (the integer kernels), the `quantize_copy` +
+    /// `matmul{,_nt,_tn}` composition for every other pair.
     #[test]
     fn qgemm_plan_matches_quantize_copy_composition_bitwise(
         m in 1usize..10,
@@ -246,15 +252,19 @@ proptest! {
             Orient::Tn => matmul_tn(&aq, &bq),
         };
 
-        // Plan: same seed drives the session noise. Bit-identity is a
-        // replay-mode guarantee, so pin the mode — the CI leg that exports
-        // FAST_QGEMM_MODE=integer must not flip this invariant's subject
-        // (integer-mode closeness has its own gate in tests/integer_mode.rs).
+        // Plan: same seed drives the session noise.
         let mut session = Session::new(seed);
-        session.exec_mode = fast_tensor::ExecMode::Replay;
         let ap = prepare(&mut session, &a, fa, a_axis);
         let bp = prepare(&mut session, &b, fb, b_axis);
         let got = execute(&mut session, orient, &ap, &bp);
+        let want = match (&ap, &bp) {
+            (GemmOperand::Own(Prepared::Packed(x)), GemmOperand::Own(Prepared::Packed(y))) => {
+                prop_assert_eq!(bits(&x.to_tensor()), bits(&aq), "A packs the copy's values");
+                prop_assert_eq!(bits(&y.to_tensor()), bits(&bq), "B packs the copy's values");
+                Tensor::from_vec(vec![m, n], segment_product(orient, x, y))
+            }
+            _ => want,
+        };
 
         prop_assert_eq!(got.shape(), want.shape());
         for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
@@ -305,7 +315,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use fast_nn::qgemm::{prepare_owned, prepare_patches, prepare_slice, GemmOperand, Prepared};
-use fast_nn::{Conv2d, DepthwiseConv2d, ExecMode, PlanStats, QuantControlled};
+use fast_nn::{Conv2d, DepthwiseConv2d, PlanStats, QuantControlled};
 use fast_tensor::{col2im, gemm_out_to_nchw, im2col, nchw_to_gemm_out, Conv2dDims};
 
 /// What one forward + backward of a conv layer leaves behind.
@@ -328,15 +338,8 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 /// Runs `layer` forward on `x` and backward on `gout` in a fresh session.
-fn run_layer(
-    layer: &mut dyn Layer,
-    x: &Tensor,
-    gout: &Tensor,
-    mode: ExecMode,
-    seed: u64,
-) -> ConvRun {
+fn run_layer(layer: &mut dyn Layer, x: &Tensor, gout: &Tensor, seed: u64) -> ConvRun {
     let mut s = Session::new(seed);
-    s.exec_mode = mode;
     let out = layer.forward(x, &mut s);
     let grad_input = layer.backward(gout, &mut s);
     let mut grad_weight = Vec::new();
@@ -410,8 +413,7 @@ proptest! {
 
     /// `Conv2d` forward output, both gradients, the plan counters and the
     /// SR cursor after a forward + backward equal the materialized
-    /// composition's, in both exec modes, for every activation format of the
-    /// zoo (SR on activations included; scalar and wide formats refuse the
+    /// composition's, for every activation format of the zoo (SR on activations included; scalar and wide formats refuse the
     /// pack, as does a NaN in the input).
     #[test]
     fn conv2d_matches_the_materialized_im2col_composition(
@@ -424,11 +426,9 @@ proptest! {
         in_w in 4usize..=9,
         batch in 1usize..=3,
         fa_idx in 0usize..10,
-        integer in 0u32..=1,
         special in 0u32..=3,
         seed in 0u64..10_000,
     ) {
-        let mode = if integer == 1 { ExecMode::Integer } else { ExecMode::Replay };
         let precision = precision_with_activations(zoo_format(fa_idx));
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut layer = Conv2d::new(in_c, out_c, kernel, stride, pad, false, &mut rng);
@@ -441,7 +441,6 @@ proptest! {
         );
 
         let mut s = Session::new(seed);
-        s.exec_mode = mode;
         let w = layer.weight().data().to_vec();
         let (out, gin, gw) = conv_by_materialized_im2col(&mut s, &w, precision, d, &x, &gout);
         let want = ConvRun {
@@ -451,7 +450,7 @@ proptest! {
             plan_stats: s.plan_stats,
             sr_state: s.sr_state(),
         };
-        prop_assert_eq!(run_layer(&mut layer, &x, &gout, mode, seed), want);
+        prop_assert_eq!(run_layer(&mut layer, &x, &gout, seed), want);
     }
 
     /// The same for `DepthwiseConv2d`: one `(1, k²)`-weight conv per channel.
@@ -464,11 +463,9 @@ proptest! {
         in_w in 4usize..=8,
         batch in 1usize..=2,
         fa_idx in 0usize..10,
-        integer in 0u32..=1,
         special in 0u32..=3,
         seed in 0u64..10_000,
     ) {
-        let mode = if integer == 1 { ExecMode::Integer } else { ExecMode::Replay };
         let precision = precision_with_activations(zoo_format(fa_idx));
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut layer = DepthwiseConv2d::new(channels, 3, stride, pad, &mut rng);
@@ -484,7 +481,6 @@ proptest! {
 
         // Forward runs every channel before backward runs any.
         let mut s = Session::new(seed);
-        s.exec_mode = mode;
         let w = layer.weight().data().to_vec();
         let (row, col) = (GroupAxis::AlongRow, GroupAxis::AlongCol);
         let mut want = ConvRun {
@@ -521,7 +517,7 @@ proptest! {
         }
         want.plan_stats = s.plan_stats;
         want.sr_state = s.sr_state();
-        prop_assert_eq!(run_layer(&mut layer, &x, &gout, mode, seed), want);
+        prop_assert_eq!(run_layer(&mut layer, &x, &gout, seed), want);
     }
 }
 

@@ -17,13 +17,12 @@ use fast_tensor::Tensor;
 /// * activations are still quantized per request, preserving the
 ///   fake-quantization fidelity argument of DESIGN.md §3;
 /// * every packed BFP × packed BFP GEMM executes in the integer domain
-///   ([`fast_nn::ExecMode::Integer`]: i8×i8→i32 mantissa products, one
-///   scale fix-up per group, DESIGN.md §11), whatever `FAST_QGEMM_MODE`
-///   says; pairs the integer kernels cannot take (a dense operand) run
-///   the replay kernels. For deterministic weight rounding the compiled
-///   forward of each sample is bit-identical to that sample's evaluation
-///   forward under [`fast_nn::ExecMode::Integer`], whatever shares its
-///   batch ([`CompiledModel::infer`]);
+///   (i8×i8→i32 mantissa products, one scale fix-up per group, DESIGN.md
+///   §11), as in training; pairs the integer kernels cannot take (a dense
+///   operand) run the dense kernels on the dequantized operands. For
+///   deterministic weight rounding the compiled forward of each sample is
+///   bit-identical to that sample's evaluation forward, whatever shares
+///   its batch ([`CompiledModel::infer`]);
 /// * no activations are stashed for a backward pass.
 ///
 /// The weight caches live inside the layers and are invalidated by any
@@ -53,7 +52,7 @@ impl CompiledModel {
     ///
     /// Every sample of `input` (its leading dimension) gets the bits it
     /// would get alone. When an activation of a multi-sample input held a
-    /// NaN, an infinity or a subnormal, its GEMM ran the replay kernels for
+    /// NaN, an infinity or a subnormal, its GEMM ran the dense kernels for
     /// every sample, so the samples are re-run one at a time: a sample's own
     /// values, never its batch-mates', choose how its GEMMs execute
     /// (DESIGN.md §8).
@@ -104,8 +103,8 @@ impl CompiledModel {
     /// layer's weight version exactly like an optimizer step would, so the
     /// frozen-weight caches re-quantize from the new masters on the next
     /// request; for deterministic-rounding formats the swap is
-    /// bit-transparent (a request after the swap equals an integer-mode
-    /// eval forward of the restored model).
+    /// bit-transparent (a request after the swap equals an eval forward of
+    /// the restored model).
     ///
     /// # Errors
     ///
@@ -158,7 +157,9 @@ impl fast_ckpt::StateVisitor for ClearTransients {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fast_nn::{set_uniform_precision, Dense, ExecMode, LayerPrecision, Relu};
+    use fast_bfp::GroupAxis;
+    use fast_nn::qgemm::prepare;
+    use fast_nn::{set_uniform_precision, Dense, LayerPrecision, Relu};
     use rand::{Rng, SeedableRng};
 
     fn model(seed: u64) -> Sequential {
@@ -175,18 +176,11 @@ mod tests {
         Tensor::from_vec(vec![1, 8], (0..8).map(|i| 0.1 * i as f32 - 0.3).collect())
     }
 
-    /// An evaluation session in `mode`, independent of `FAST_QGEMM_MODE`.
-    fn eval_in(mode: ExecMode) -> Session {
-        let mut s = Session::eval(0);
-        s.exec_mode = mode;
-        s
-    }
-
     #[test]
     fn compiled_matches_eval_forward() {
         let x = sample();
         let mut train_path = model(3);
-        let want = train_path.forward(&x, &mut eval_in(ExecMode::Integer));
+        let want = train_path.forward(&x, &mut Session::eval(0));
         let mut compiled = CompiledModel::compile(model(3), 0);
         assert_eq!(compiled.warm(&x), want);
         assert_eq!(compiled.infer(&x), want, "cache replay must be identical");
@@ -230,15 +224,30 @@ mod tests {
         assert_eq!(compiled.infer(&x), reference.infer(&x));
     }
 
-    /// A HighBFP layer over four 16-wide input groups, and an input whose
-    /// groups sit 2⁸ apart in magnitude: the reduction's cross-group f32
-    /// adds are inexact, so the replay chain (one add per element) and the
-    /// integer kernel (one add per group) round differently.
-    fn wide_model() -> Sequential {
+    /// A bias-free HighBFP layer over four 16-wide input groups, and an
+    /// input whose groups sit 2⁸ apart in magnitude: the reduction's
+    /// cross-group f32 adds are inexact, so the dense chain (one add per
+    /// element) and the integer kernel (one add per group) round
+    /// differently.
+    fn wide_layer() -> Dense {
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        let mut m = Sequential::new().push(Dense::new(64, 8, true, &mut rng));
-        set_uniform_precision(&mut m, LayerPrecision::bfp_fixed(4));
-        m
+        let mut d = Dense::new(64, 8, false, &mut rng);
+        set_uniform_precision(&mut d, LayerPrecision::bfp_fixed(4));
+        d
+    }
+
+    fn wide_model() -> Sequential {
+        Sequential::new().push(wide_layer())
+    }
+
+    /// The dense chain over the layer's dequantized operands: what its GEMM
+    /// would read if it did not run the integer kernels.
+    fn dense_chain(x: &Tensor) -> Tensor {
+        let (layer, p) = (wide_layer(), LayerPrecision::bfp_fixed(4));
+        let mut s = Session::eval(0);
+        let xq = prepare(&mut s, x, p.activations, GroupAxis::AlongRow);
+        let wq = prepare(&mut s, layer.weights(), p.weights, GroupAxis::AlongCol);
+        fast_tensor::matmul(&xq.operand().to_dense(), &wq.operand().to_dense())
     }
 
     fn wide_sample() -> Tensor {
@@ -254,10 +263,13 @@ mod tests {
         let x = wide_sample();
         let mut compiled = CompiledModel::compile(wide_model(), 0);
         let served = compiled.infer(&x);
-        let integer = wide_model().forward(&x, &mut eval_in(ExecMode::Integer));
-        let replay = wide_model().forward(&x, &mut eval_in(ExecMode::Replay));
-        assert_ne!(integer, replay, "the input must tell the two modes apart");
-        assert_eq!(served, integer, "compiled ≡ integer eval forward");
+        let integer = wide_model().forward(&x, &mut Session::eval(0));
+        assert_ne!(
+            integer,
+            dense_chain(&x),
+            "the input must tell the kernels apart"
+        );
+        assert_eq!(served, integer, "compiled ≡ eval forward");
         // A hot reload re-freezes the weights and stays on the integer path.
         compiled
             .apply_state(&capture_state(&mut wide_model()))
@@ -343,9 +355,6 @@ mod tests {
                 p.value.data_mut()[0] += 1.0;
             }
         });
-        assert_eq!(
-            after,
-            reference.forward(&x, &mut eval_in(ExecMode::Integer))
-        );
+        assert_eq!(after, reference.forward(&x, &mut Session::eval(0)));
     }
 }

@@ -4,10 +4,10 @@
 //! traffic, and bit-for-bit batch transparency of a coalesced batch, also
 //! beside a request whose values the integer kernels cannot take.
 
+use fast_bfp::GroupAxis;
 use fast_nn::models::mlp;
-use fast_nn::{
-    set_uniform_precision, Dense, ExecMode, Layer, LayerPrecision, Relu, Sequential, Session,
-};
+use fast_nn::qgemm::prepare;
+use fast_nn::{set_uniform_precision, Dense, Layer, LayerPrecision, Relu, Sequential, Session};
 use fast_serve::{BatchConfig, CompiledModel, Pending, ServeError, ServeRequest, Server};
 use fast_tensor::Tensor;
 use rand::{Rng, SeedableRng};
@@ -230,15 +230,29 @@ fn coalesced_inexact_sums_match_the_batch_one_forward() {
     }
 }
 
-/// One 64→8 HighBFP layer, and inputs whose four 16-wide groups sit 2⁸
-/// apart in magnitude: the cross-group f32 adds are inexact, so the integer
-/// kernel (one add per group) and the replay chain (one add per element)
-/// round differently.
-fn wide_net() -> Sequential {
+/// One bias-free 64→8 HighBFP layer, and inputs whose four 16-wide groups
+/// sit 2⁸ apart in magnitude: the cross-group f32 adds are inexact, so the
+/// integer kernel (one add per group) and the dense chain (one add per
+/// element) round differently.
+fn wide_layer() -> Dense {
     let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-    let mut m = Sequential::new().push(Dense::new(64, 8, true, &mut rng));
-    set_uniform_precision(&mut m, LayerPrecision::bfp_fixed(4));
-    m
+    let mut d = Dense::new(64, 8, false, &mut rng);
+    set_uniform_precision(&mut d, LayerPrecision::bfp_fixed(4));
+    d
+}
+
+fn wide_net() -> Sequential {
+    Sequential::new().push(wide_layer())
+}
+
+/// The dense chain over `wide_layer`'s dequantized operands for `x`: what a
+/// GEMM that cannot run integer reads.
+fn dense_chain(x: &Tensor) -> Tensor {
+    let (layer, p) = (wide_layer(), LayerPrecision::bfp_fixed(4));
+    let mut s = Session::eval(0);
+    let xq = prepare(&mut s, x, p.activations, GroupAxis::AlongRow);
+    let wq = prepare(&mut s, layer.weights(), p.weights, GroupAxis::AlongCol);
+    fast_tensor::matmul(&xq.operand().to_dense(), &wq.operand().to_dense())
 }
 
 fn wide_sample(i: usize) -> Tensor {
@@ -252,19 +266,17 @@ fn wide_sample(i: usize) -> Tensor {
 }
 
 /// A request holding a NaN or a subnormal cannot be packed into BFP
-/// mantissas, so its GEMM runs the replay kernels. That choice must not
+/// mantissas, so its GEMM runs the dense kernels. That choice must not
 /// reach its batch-mates: seven plain requests coalesced with one such
 /// request each come back bit for bit as `CompiledModel::infer` serves them
-/// alone — on the integer kernels, which the replay chain would not match.
+/// alone — on the integer kernels, which the dense chain would not match.
 #[test]
 fn a_non_plain_request_does_not_change_its_batch_mates_results() {
     let mut reference = CompiledModel::compile(wide_net(), 0);
     let want: Vec<Tensor> = (0..8).map(|i| reference.infer(&wide_sample(i))).collect();
-    let mut replay = Session::eval(0);
-    replay.exec_mode = ExecMode::Replay;
     assert!(
-        (0..8).any(|i| wide_net().forward(&wide_sample(i), &mut replay) != want[i]),
-        "the inputs must tell the two modes apart"
+        (0..8).any(|i| dense_chain(&wide_sample(i)) != want[i]),
+        "the inputs must tell the two kernels apart"
     );
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for poison in [f32::NAN, f32::MIN_POSITIVE / 8.0] {

@@ -1,14 +1,13 @@
 //! Property tests for the serving engine: the compiled (frozen-weight)
 //! forward path is bit-identical to the training-path evaluation forward
-//! run in the serving exec mode, `ExecMode::Integer` (deterministic weight
-//! rounding, any activation rounding), and dynamic micro-batching never
-//! changes results sample-for-sample.
+//! (deterministic weight rounding, any activation rounding), and dynamic
+//! micro-batching never changes results sample-for-sample.
 
 use fast_bfp::{BfpFormat, Rounding};
 use fast_nn::models::{mlp, resnet_lite, ResNetConfig};
 use fast_nn::{
-    set_uniform_precision, Conv2d, Dense, ExecMode, GlobalAvgPool, Layer, LayerPrecision,
-    NumericFormat, Relu, Sequential, Session,
+    set_uniform_precision, Conv2d, Dense, GlobalAvgPool, Layer, LayerPrecision, NumericFormat,
+    Relu, Sequential, Session,
 };
 use fast_serve::{BatchConfig, CompiledModel, Pending, Server};
 use fast_tensor::Tensor;
@@ -41,14 +40,6 @@ fn format_for(idx: u8) -> NumericFormat {
             windowed: false,
         },
     }
-}
-
-/// An evaluation session in the exec mode every compiled model serves in,
-/// whatever `FAST_QGEMM_MODE` says.
-fn integer_eval() -> Session {
-    let mut s = Session::eval(0);
-    s.exec_mode = ExecMode::Integer;
-    s
 }
 
 fn precision_for(w: u8, a: u8) -> LayerPrecision {
@@ -129,7 +120,7 @@ proptest! {
             vec![batch, 10],
             (0..batch * 10).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
         );
-        let want = build().forward(&x, &mut integer_eval());
+        let want = build().forward(&x, &mut Session::eval(0));
         let mut compiled = CompiledModel::compile(build(), 0);
         prop_assert_eq!(&compiled.infer(&x), &want);
         // Cache replay on a second request stays identical.
@@ -160,7 +151,7 @@ proptest! {
             vec![1, 2, 8, 8],
             (0..128).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        let want = build().forward(&x, &mut integer_eval());
+        let want = build().forward(&x, &mut Session::eval(0));
         let mut compiled = CompiledModel::compile(build(), 0);
         prop_assert_eq!(&compiled.infer(&x), &want);
     }
@@ -322,7 +313,7 @@ fn compiled_resnet_lite_matches_eval_after_training_updates() {
         vec![2, 3, 16, 16],
         (0..2 * 3 * 256).map(|i| (i as f32 * 0.037).sin()).collect(),
     );
-    let want = build().forward(&x, &mut integer_eval());
+    let want = build().forward(&x, &mut Session::eval(0));
     let mut compiled = CompiledModel::compile(build(), 0);
     assert_eq!(compiled.warm(&x), want);
     assert_eq!(compiled.infer(&x), want);

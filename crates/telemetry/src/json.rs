@@ -10,12 +10,20 @@
 //! `f64` cannot hold exactly, parses to [`Json::Int`] so `u64` counters
 //! survive the trip; every smaller integer stays a [`Json::Num`].
 //!
+//! Parsing is total: a literal that overflows `f64` (`1e999`) and nesting
+//! deeper than 128 levels are errors, not an infinity that would render as
+//! unreadable `inf` or a recursion that overflows the stack.
+//!
 //! [`Snapshot`]: crate::Snapshot
 
 use std::fmt::Write as _;
 
 /// 2⁵³: every integer up to here is exact in an `f64`.
 const F64_EXACT_INT: u64 = 1 << 53;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The records nest a
+/// handful of levels; the cap bounds the parser's recursion.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,11 +203,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A position-annotated message on malformed input or trailing garbage.
+    /// A position-annotated message on malformed input, a number literal
+    /// outside `f64`'s range, nesting deeper than 128 levels, or trailing
+    /// garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -247,8 +257,12 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -264,7 +278,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -289,7 +303,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -377,10 +391,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Ok(Json::uint(v));
         }
     }
-    token
-        .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("malformed number '{token}' at byte {start}"))
+    match token.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        Ok(_) => Err(format!("number '{token}' at byte {start} overflows f64")),
+        Err(_) => Err(format!("malformed number '{token}' at byte {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -448,9 +463,20 @@ mod tests {
             "12 34",
             "nul",
             "\"\\q\"",
+            "1e999",
+            "-1e999",
+            "[1e309]",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+        // Nesting past the cap is an error, not a stack overflow — and the
+        // cap itself still parses.
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let err = Json::parse(&deep(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

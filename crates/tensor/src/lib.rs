@@ -13,9 +13,10 @@
 //! The GEMM kernels are register-tiled and thread-sharded; every output
 //! element is one serial ascending-`k` chain, so results depend neither on
 //! the worker count nor on which other rows share the GEMM (DESIGN.md §7).
-//! The [`qgemm`] module runs the same kernels over packed-BFP operands (`i8`
-//! mantissas + per-group scales) without materializing the dequantized f32
-//! copy, bit-identical to the dense composition (DESIGN.md §9).
+//! The [`qgemm`] module multiplies packed-BFP operands (`i8` mantissas +
+//! per-group scales) on integer kernels — exact mantissa dot products per
+//! group, one f32 scale fix-up each (DESIGN.md §11) — and runs any pair
+//! those cannot take on the dense kernels over its dequantized copy.
 //!
 //! ```
 //! use fast_tensor::{matmul, Tensor};
@@ -53,6 +54,5 @@ pub use parallel::{parallelism, set_parallelism, Parallelism};
 pub use pool::{
     global_avg_pool, global_avg_pool_backward, max_pool2d, max_pool2d_backward, MaxPoolOutput,
 };
-pub use qgemm::ExecMode;
 pub use reduce::{argmax, col_sums, mean, row_sums, sum};
 pub use tensor::Tensor;

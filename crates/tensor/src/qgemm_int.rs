@@ -1,7 +1,7 @@
 //! Integer-domain GEMM kernels over packed×packed BFP operand pairs.
 //!
-//! This is the execution mode the paper's cost argument is about
-//! (DESIGN.md §11): when both operands are [`PackedMat`]s whose
+//! This is the datapath the paper's cost argument is about (DESIGN.md
+//! §11): when both operands are [`PackedMat`]s whose
 //! quantization groups run along the reduction dimension, the product
 //! factors per group pair
 //!
@@ -22,13 +22,13 @@
 //!
 //! The only inexact steps are the per-segment `i32 → f32` conversion (exact
 //! while `|acc| < 2²⁴`, i.e. for reduction segments up to 128 values at
-//! `m ≤ 7`) and the cross-segment f32 accumulation — which runs in a
-//! *different* association than the replay kernels' summation trees, so
-//! integer-domain results legitimately diverge from [`ExecMode::Replay`] by
-//! a few ULPs (see `crates/nn/tests/integer_mode.rs` for the error gates).
+//! `m ≤ 7`) and the cross-segment f32 accumulation, one add per segment
+//! where the dense chain of [`crate::matmul`] adds once per element. The
+//! segment oracle in `crates/tensor/tests/support` pins every kernel here
+//! to that definition bit for bit; `crates/nn/tests/integer_accuracy.rs`
+//! bounds its distance from an f64 reference.
 //!
 //! [`PackedMat`]: crate::qgemm::PackedMat
-//! [`ExecMode::Replay`]: crate::qgemm::ExecMode::Replay
 #![allow(unsafe_code)]
 
 use crate::parallel::shard_rows;
@@ -647,7 +647,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qgemm::{qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout};
+    use crate::qgemm::{qmatmul, qmatmul_nt, qmatmul_tn, Operand, PackLayout};
     use rand::{Rng, SeedableRng};
 
     fn random_pack(
@@ -684,7 +684,7 @@ mod tests {
     }
 
     /// f64 reference over the dequantized values — the "what the math says"
-    /// answer both execution modes approximate.
+    /// answer the kernels approximate.
     fn reference(a: &PackedMat, b: &PackedMat, tn: bool, nt: bool) -> Vec<f64> {
         let (m, k, n) = if tn {
             (a.cols(), a.rows(), b.cols())
@@ -733,7 +733,7 @@ mod tests {
             for g in [2usize, 6, 16] {
                 let a = random_pack(m, k, g, PackLayout::RowGroups, 7 + m as u64 + g as u64);
                 let b = random_pack(k, n, g, PackLayout::ColGroups, 9 + n as u64 + g as u64);
-                let got = qmatmul(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&b));
+                let got = qmatmul(Operand::Packed(&a), Operand::Packed(&b));
                 assert_close(
                     &got,
                     &reference(&a, &b, false, false),
@@ -748,7 +748,7 @@ mod tests {
         for (ga, gb) in [(3usize, 3usize), (4, 8), (5, 7), (16, 2)] {
             let a = random_pack(6, 24, ga, PackLayout::RowGroups, 31 + ga as u64);
             let b = random_pack(24, 19, gb, PackLayout::ColGroups, 37 + gb as u64);
-            let got = qmatmul(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&b));
+            let got = qmatmul(Operand::Packed(&a), Operand::Packed(&b));
             assert_close(
                 &got,
                 &reference(&a, &b, false, false),
@@ -762,7 +762,7 @@ mod tests {
         for (m, k, n) in SHAPES {
             let a = random_pack(m, k, 16, PackLayout::RowGroups, 41 + m as u64);
             let bt = random_pack(n, k, 16, PackLayout::RowGroups, 43 + n as u64);
-            let got = qmatmul_nt(ExecMode::Integer, Operand::Packed(&a), Operand::Packed(&bt));
+            let got = qmatmul_nt(Operand::Packed(&a), Operand::Packed(&bt));
             assert_close(
                 &got,
                 &reference(&a, &bt, false, true),
@@ -771,7 +771,7 @@ mod tests {
 
             let at = random_pack(k, m, 16, PackLayout::ColGroups, 47 + m as u64);
             let b = random_pack(k, n, 16, PackLayout::ColGroups, 53 + n as u64);
-            let got = qmatmul_tn(ExecMode::Integer, Operand::Packed(&at), Operand::Packed(&b));
+            let got = qmatmul_tn(Operand::Packed(&at), Operand::Packed(&b));
             assert_close(
                 &got,
                 &reference(&at, &b, true, false),

@@ -2,7 +2,7 @@
 //! adjointness, pooling invariants.
 
 use fast_tensor::qgemm::{
-    qmatmul, qmatmul_nt, qmatmul_tn, ExecMode, Operand, PackLayout, PackedMat,
+    qmatmul, qmatmul_nt, qmatmul_tn, runs_integer, Operand, Orient, PackLayout, PackedMat,
 };
 use fast_tensor::{
     col2im, col_sums, conv2d, global_avg_pool, im2col, matmul, matmul_nt, matmul_tn, max_pool2d,
@@ -11,6 +11,10 @@ use fast_tensor::{
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/segment_oracle.rs"]
+mod segment_oracle;
+use segment_oracle::segment_product;
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-2.0f32..2.0, rows * cols)
@@ -183,11 +187,12 @@ fn tensor_from_seed(shape: Vec<usize>, seed: u64) -> Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// The oracle for the backward orientations. `matmul_nt` / `matmul_tn` and
-// the packed `qmatmul_nt` / `qmatmul_tn` share their kernels, so pinning one
-// against the other proves nothing about either; this loop shares nothing
-// with them. It is the definition the kernels must reproduce bit for bit:
-// one chain per output element, `acc = 0.0; acc += a·b`, ascending `k`.
+// The two oracles. The dense kernels, and every `qmatmul*` pair that is not
+// packed×packed along the reduction axis, must reproduce `chain_oracle` bit
+// for bit: one chain per output element, `acc = 0.0; acc += a·b`, ascending
+// `k`. Packed pairs the integer kernels take must reproduce the segment
+// oracle (`support/segment_oracle.rs`). Neither loop shares code with the
+// kernels it pins.
 // ---------------------------------------------------------------------------
 
 /// `C[i][j] = Σ_p a(i, p) · b(p, j)` as one serial chain per element.
@@ -430,16 +435,17 @@ proptest! {
 fn random_pack(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> (PackedMat, Tensor) {
     let group = [3usize, 16][rng.gen_range(0usize..2)];
     let layout = [PackLayout::RowGroups, PackLayout::ColGroups][rng.gen_range(0usize..2)];
-    pack_with(rows, cols, group, layout, -12..4, rng)
+    pack_with(rows, cols, group, layout, (15, -12..4), rng)
 }
 
-/// [`random_pack`] with the group, layout and scale exponents chosen.
+/// [`random_pack`] with the group, layout, mantissa bound and scale
+/// exponents chosen.
 fn pack_with(
     rows: usize,
     cols: usize,
     group: usize,
     layout: PackLayout,
-    exps: std::ops::Range<i32>,
+    (max_man, exps): (i8, std::ops::Range<i32>),
     rng: &mut rand::rngs::StdRng,
 ) -> (PackedMat, Tensor) {
     let mans = (0..rows * cols)
@@ -447,7 +453,7 @@ fn pack_with(
             if rng.gen_bool(0.25) {
                 0
             } else {
-                rng.gen_range(-15i32..=15) as i8
+                rng.gen_range(-max_man..=max_man)
             }
         })
         .collect();
@@ -499,9 +505,21 @@ fn edge_depths() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![1usize, 3, 6, 7, 64, 255, 256, 257, 513])
 }
 
+/// The oracle a `qmatmul*` pair must reproduce: the segment oracle when
+/// both sides are packed and the integer kernels take them, the chain over
+/// the dequantized values (`chain`) otherwise.
+fn pair_oracle(orient: Orient, a: Operand, b: Operand, chain: &[f32]) -> Vec<f32> {
+    match (a, b) {
+        (Operand::Packed(x), Operand::Packed(y)) if runs_integer(orient, a, b) => {
+            segment_product(orient, x, y)
+        }
+        _ => chain.to_vec(),
+    }
+}
+
 proptest! {
     /// `matmul_nt`, `matmul_tn` and all four dense/packed mixes of
-    /// `qmatmul_nt` / `qmatmul_tn` against the chain oracle, for 1, 2 and 3
+    /// `qmatmul_nt` / `qmatmul_tn` against their oracle, for 1, 2 and 3
     /// workers. `m` and `n` are drawn independently, so both NT staging
     /// sides (`m ≤ n`, `m > n`) run.
     #[test]
@@ -571,8 +589,8 @@ proptest! {
                     (P(&pa), D(&db), "pd"),
                     (P(&pa), P(&pb), "pp"),
                 ] {
-                    let got = qmatmul_nt(ExecMode::Replay, a, b);
-                    same_bits(&got, &nt_want, &tag(&format!("qmatmul_nt {mix}")))?;
+                    let want = pair_oracle(Orient::Nt, a, b, &nt_want);
+                    same_bits(&qmatmul_nt(a, b), &want, &tag(&format!("qmatmul_nt {mix}")))?;
                 }
                 for (a, b, mix) in [
                     (D(&dat), D(&dbn), "dd"),
@@ -580,8 +598,8 @@ proptest! {
                     (P(&pat), D(&dbn), "pd"),
                     (P(&pat), P(&pbn), "pp"),
                 ] {
-                    let got = qmatmul_tn(ExecMode::Replay, a, b);
-                    same_bits(&got, &tn_want, &tag(&format!("qmatmul_tn {mix}")))?;
+                    let want = pair_oracle(Orient::Tn, a, b, &tn_want);
+                    same_bits(&qmatmul_tn(a, b), &want, &tag(&format!("qmatmul_tn {mix}")))?;
                 }
             }
             Ok(())
@@ -611,8 +629,8 @@ fn zero_blocks(t: &mut Tensor, rng: &mut rand::rngs::StdRng) {
 }
 
 proptest! {
-    /// `matmul` and all four dense/packed mixes of `qmatmul` against the
-    /// chain oracle, for 1, 2 and 3 workers: every `m % 4` remainder and
+    /// `matmul` and all four dense/packed mixes of `qmatmul` against their
+    /// oracle, for 1, 2 and 3 workers: every `m % 4` remainder and
     /// one or two full row quads, lane counts off the 32-wide tile, and
     /// dense `B` with and without `∞`/`NaN` (where the skip rule shows).
     #[test]
@@ -653,7 +671,7 @@ proptest! {
                 same_bits(&matmul(&wa, &fin_b), &fin, &tag("matmul finite B"))?;
                 same_bits(&matmul(&wa, &inf_b), &inf, &tag("matmul non-finite B"))?;
                 use Operand::{Dense as D, Packed as P};
-                let got = qmatmul(ExecMode::Replay, P(&pa), D(&inf_b));
+                let got = qmatmul(P(&pa), D(&inf_b));
                 same_bits(&got, &packed_inf, &tag("qmatmul pd non-finite B"))?;
                 for (a, b, mix) in [
                     (D(&da), D(&db), "dd"),
@@ -661,8 +679,8 @@ proptest! {
                     (P(&pa), D(&db), "pd"),
                     (P(&pa), P(&pb), "pp"),
                 ] {
-                    let got = qmatmul(ExecMode::Replay, a, b);
-                    same_bits(&got, &want, &tag(&format!("qmatmul {mix}")))?;
+                    let want = pair_oracle(Orient::Nn, a, b, &want);
+                    same_bits(&qmatmul(a, b), &want, &tag(&format!("qmatmul {mix}")))?;
                 }
             }
             Ok(())
@@ -676,7 +694,10 @@ proptest! {
 /// `a = e₀ + 2⁻¹³·(e₁₆ + … + e₂₃)` against `B` with row 0 all `1.0` and
 /// rows 16–23 all `2⁻¹²`. The chain adds each `2⁻²⁵` to `1.0` and rounds it
 /// away; an eight-wide pairwise tree sums them to `2⁻²²` first and keeps
-/// it. Every row count must read the chain's `1.0`, dense and packed.
+/// it. Every row count must read the chain's `1.0` where a dense operand
+/// runs the chain; the packed pair runs the integer kernel, whose second
+/// segment adds the eight terms as one exact `2⁻²²`, and must read that at
+/// every row count.
 #[test]
 fn inexact_row_reads_the_chain_at_every_row_count() {
     let (k, n) = (32, 32);
@@ -710,11 +731,13 @@ fn inexact_row_reads_the_chain_at_every_row_count() {
         );
         assert!(want.iter().all(|v| *v == 1.0));
         use Operand::{Dense as D, Packed as P};
-        for (got, what) in [
-            (matmul(&a, &b), "matmul"),
-            (qmatmul(ExecMode::Replay, P(&pa), D(&b)), "pd"),
-            (qmatmul(ExecMode::Replay, D(&a), P(&pb)), "dp"),
-            (qmatmul(ExecMode::Replay, P(&pa), P(&pb)), "pp"),
+        let segments = segment_product(Orient::Nn, &pa, &pb);
+        assert!(segments.iter().all(|v| *v == 1.0 + 2.0f32.powi(-22)));
+        for (got, want, what) in [
+            (matmul(&a, &b), &want, "matmul"),
+            (qmatmul(P(&pa), D(&b)), &want, "pd"),
+            (qmatmul(D(&a), P(&pb)), &want, "dp"),
+            (qmatmul(P(&pa), P(&pb)), &segments, "pp"),
         ] {
             let bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
             let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
@@ -739,9 +762,8 @@ fn packed_row(p: &PackedMat, i: usize) -> PackedMat {
 proptest! {
     /// Batch transparency at the kernel: row `i` of an `m`-row `Nn` product
     /// equals the one-row product of row `i` bit for bit, for every operand
-    /// mix under both exec modes. Scales spread over 2⁻²⁴…2⁸ so sums are
-    /// inexact and a summation order that changed with the row's position
-    /// would show.
+    /// mix. Scales spread over 2⁻²⁴…2⁸ so sums are inexact and a summation
+    /// order that changed with the row's position would show.
     #[test]
     fn nn_rows_do_not_depend_on_the_batch(
         m in prop::sample::select(vec![1usize, 2, 3, 4, 5, 8, 9]),
@@ -751,29 +773,77 @@ proptest! {
         seed in 0u64..=u64::MAX,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (pa, da) = pack_with(m, k, group, PackLayout::RowGroups, -24..8, &mut rng);
-        let (pb, db) = pack_with(k, n, group, PackLayout::ColGroups, -24..8, &mut rng);
+        let (pa, da) = pack_with(m, k, group, PackLayout::RowGroups, (15, -24..8), &mut rng);
+        let (pb, db) = pack_with(k, n, group, PackLayout::ColGroups, (15, -24..8), &mut rng);
         use Operand::{Dense as D, Packed as P};
-        for mode in [ExecMode::Replay, ExecMode::Integer] {
-            let whole = [
-                qmatmul(mode, D(&da), D(&db)),
-                qmatmul(mode, D(&da), P(&pb)),
-                qmatmul(mode, P(&pa), D(&db)),
-                qmatmul(mode, P(&pa), P(&pb)),
+        let whole = [
+            qmatmul(D(&da), D(&db)),
+            qmatmul(D(&da), P(&pb)),
+            qmatmul(P(&pa), D(&db)),
+            qmatmul(P(&pa), P(&pb)),
+        ];
+        for i in 0..m {
+            let (ra, rp) = (Tensor::from_vec(vec![1, k], da.data()[i * k..(i + 1) * k].to_vec()), packed_row(&pa, i));
+            let single = [
+                qmatmul(D(&ra), D(&db)),
+                qmatmul(D(&ra), P(&pb)),
+                qmatmul(P(&rp), D(&db)),
+                qmatmul(P(&rp), P(&pb)),
             ];
-            for i in 0..m {
-                let (ra, rp) = (Tensor::from_vec(vec![1, k], da.data()[i * k..(i + 1) * k].to_vec()), packed_row(&pa, i));
-                let single = [
-                    qmatmul(mode, D(&ra), D(&db)),
-                    qmatmul(mode, D(&ra), P(&pb)),
-                    qmatmul(mode, P(&rp), D(&db)),
-                    qmatmul(mode, P(&rp), P(&pb)),
-                ];
-                for (mix, (w, s)) in ["dd", "dp", "pd", "pp"].iter().zip(whole.iter().zip(&single)) {
-                    let tag = format!("{mode:?} {mix} row {i} of ({m},{k},{n})");
-                    same_bits(s, &w.data()[i * n..(i + 1) * n], &tag)?;
-                }
+            for (mix, (w, s)) in ["dd", "dp", "pd", "pp"].iter().zip(whole.iter().zip(&single)) {
+                let tag = format!("{mix} row {i} of ({m},{k},{n})");
+                same_bits(s, &w.data()[i * n..(i + 1) * n], &tag)?;
             }
         }
+    }
+}
+
+proptest! {
+    /// Every packed pair the integer kernels take, in all three
+    /// orientations, against the segment oracle bit for bit: group sizes
+    /// {2, 5, 16, 32} drawn independently per side (unequal groups split
+    /// segments; odd ones leave the vector kernel), odd depths (the padded
+    /// last k-pair), row and lane counts off every tile edge, 7-bit
+    /// mantissas, and scales over 2⁻²⁴…2⁸ so the cross-segment f32 adds
+    /// round — an accumulator kept in f64 across segments fails here — for
+    /// 1, 2 and 3 workers.
+    #[test]
+    fn packed_pairs_match_the_segment_oracle(
+        m in edge_rows(),
+        k in edge_depths(),
+        n in edge_rows(),
+        ga in prop::sample::select(vec![2usize, 5, 16, 32]),
+        gb in prop::sample::select(vec![2usize, 5, 16, 32]),
+        seed in 0u64..=u64::MAX,
+    ) {
+        use PackLayout::{ColGroups as C, RowGroups as R};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pack = |rows, cols, g, layout| pack_with(rows, cols, g, layout, (127, -24..8), &mut rng).0;
+        let cases = [
+            (Orient::Nn, pack(m, k, ga, R), pack(k, n, gb, C)),
+            (Orient::Nt, pack(m, k, ga, R), pack(n, k, gb, R)),
+            (Orient::Tn, pack(k, m, ga, C), pack(k, n, gb, C)),
+        ];
+        let saved = fast_tensor::parallelism();
+        let result = (|| -> Result<(), TestCaseError> {
+            for (orient, a, b) in &cases {
+                let want = segment_product(*orient, a, b);
+                let (x, y) = (Operand::Packed(a), Operand::Packed(b));
+                prop_assert!(runs_integer(*orient, x, y));
+                for workers in 1..=3 {
+                    fast_tensor::set_parallelism(fast_tensor::Parallelism::new(workers));
+                    let got = match orient {
+                        Orient::Nn => qmatmul(x, y),
+                        Orient::Nt => qmatmul_nt(x, y),
+                        Orient::Tn => qmatmul_tn(x, y),
+                    };
+                    let tag = format!("{orient:?} ({m},{k},{n}) g={ga}/{gb} workers={workers}");
+                    same_bits(&got, &want, &tag)?;
+                }
+            }
+            Ok(())
+        })();
+        fast_tensor::set_parallelism(saved);
+        result?;
     }
 }

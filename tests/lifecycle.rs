@@ -3,45 +3,35 @@
 //! Every model-zoo workload runs the full pipeline — FAST-Adaptive
 //! training → checkpoint → bit-exact resume → frozen compile → batched
 //! serving under concurrent submitters → mid-traffic hot reload
-//! (continual-learning loop) — with training under both execution modes,
-//! `{Replay, Integer}`; serving runs integer in both cells. The invariants
-//! (bit-exact resume, compiled ≡ integer-eval parity, zero dropped
-//! requests, bit-transparent reloads) are asserted inside
-//! `fast_harness::run_lifecycle`; each test here is one workload's sweep
-//! over the two cells.
+//! (continual-learning loop). The invariants (bit-exact resume,
+//! compiled ≡ eval parity, zero dropped requests, bit-transparent reloads)
+//! are asserted inside `fast_harness::run_lifecycle`; each test here is
+//! one workload's run.
 //!
 //! The configs are the harness's CI-scale `quick` settings, so this file
 //! doubles as the `lifecycle-smoke` CI job (run there under both the
-//! default worker pool and `FAST_TENSOR_WORKERS=1`; the cells pin their
-//! exec modes explicitly, so the suite is also immune to the
-//! `FAST_QGEMM_MODE` env leg).
+//! default worker pool and `FAST_TENSOR_WORKERS=1`).
 
 use fast_dnn::harness::{run_lifecycle, LifecycleConfig, Workload};
-use fast_dnn::nn::ExecMode;
-
-/// The `{Replay, Integer}` cells.
-const CELLS: [ExecMode; 2] = [ExecMode::Replay, ExecMode::Integer];
 
 fn sweep(workload: Workload) {
-    for exec_mode in CELLS {
-        let report = run_lifecycle(workload, &LifecycleConfig::quick(exec_mode));
-        // The invariants are asserted inside the driver; re-check the
-        // report's shape so a silently-degenerate run cannot pass.
-        assert!(
-            report.losses.len() >= 8,
-            "{}: training must actually run: {:?}",
-            report.cell,
-            report.losses
-        );
-        assert_eq!(report.generation, 2, "{}: two reload rounds", report.cell);
-        assert!(
-            report.served >= 36,
-            "{}: served {}",
-            report.cell,
-            report.served
-        );
-        assert_eq!(report.reloads, 4, "{}: 2 replicas × 2 rounds", report.cell);
-    }
+    let report = run_lifecycle(workload, &LifecycleConfig::quick());
+    // The invariants are asserted inside the driver; re-check the report's
+    // shape so a silently-degenerate run cannot pass.
+    assert!(
+        report.losses.len() >= 8,
+        "{}: training must actually run: {:?}",
+        report.cell,
+        report.losses
+    );
+    assert_eq!(report.generation, 2, "{}: two reload rounds", report.cell);
+    assert!(
+        report.served >= 36,
+        "{}: served {}",
+        report.cell,
+        report.served
+    );
+    assert_eq!(report.reloads, 4, "{}: 2 replicas × 2 rounds", report.cell);
 }
 
 #[test]
@@ -58,7 +48,7 @@ fn mlp_survives_the_full_lifecycle_matrix() {
 /// compared here bit for bit on top.
 #[test]
 fn lifecycle_is_bit_identical_with_collector_installed() {
-    let cfg = LifecycleConfig::quick(ExecMode::Replay);
+    let cfg = LifecycleConfig::quick();
     let off = run_lifecycle(Workload::Mlp, &cfg);
     fast_dnn::telemetry::set_collection(true);
     let on = run_lifecycle(Workload::Mlp, &cfg);

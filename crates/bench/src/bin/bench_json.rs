@@ -462,12 +462,17 @@ fn main() {
 
     // --- The frozen serving GEMM of `fast_perf`'s `serve_mlp_sat`: a full
     // batch of 8 through its 1024×1024 hidden layer, execute-only over
-    // pre-packed HighBFP operands on the integer kernels, sampled in turn
-    // with the dense kernels over the same operands dequantized, on the one
-    // tensor worker `fast_perf` serves with (DESIGN.md §8, §11). ---
+    // pre-packed HighBFP operands on the integer kernels — the weight laid
+    // out in panel order, as a frozen layer's is — sampled in turn with the
+    // dense kernels over the same operands dequantized, on the one tensor
+    // worker `fast_perf` serves with (DESIGN.md §8, §11). ---
     let (serve_x, serve_w) = (wave(8, 1024, 0.13), wave(1024, 1024, 0.29));
     let serve_a = prepare(&mut session, &serve_x, bwd_fmt, GroupAxis::AlongRow);
-    let serve_b = prepare(&mut session, &serve_w, bwd_fmt, GroupAxis::AlongCol);
+    let GemmOperand::Own(serve_w) = prepare(&mut session, &serve_w, bwd_fmt, GroupAxis::AlongCol)
+    else {
+        unreachable!("a HighBFP operand prepares owned");
+    };
+    let serve_b = GemmOperand::Own(serve_w.with_nn_panels());
     let (serve_xq, serve_wq) = (dequantized(&serve_a), dequantized(&serve_b));
     let serve_dense = [&serve_xq, &serve_wq].map(GemmOperand::Borrowed);
     let pool = parallelism();
@@ -504,11 +509,11 @@ fn main() {
     // which is why this floor is 0.5 and not the 0.6 it was: DESIGN.md §7
     // has the runs.
     const BWD_FLOOR: f64 = 0.5;
-    // ≈ 70 % of the 2.16–2.31 the panel-staged integer kernel read against
-    // the dense kernel over eight quick runs at one worker (DESIGN.md §11);
-    // a whole-operand copy of B per call cost the integer kernel about as
-    // much as its product.
-    const SERVE_INT_FLOOR: f64 = 1.5;
+    // ≈ 70 % of the 3.57–4.97 the integer kernel read against the dense
+    // kernel over six quick runs at one worker, reading the weight's panel
+    // layout (DESIGN.md §11). Staging B per call read 1.98–2.31, and a
+    // whole-operand copy of B per call cost about as much as the product.
+    const SERVE_INT_FLOOR: f64 = 2.5;
     let gated_ratios = [
         (
             "fp32_nt_over_nn_x",
@@ -547,8 +552,8 @@ fn main() {
             0.5,
         ),
         // The serving GEMM, dense over integer: under SERVE_INT_FLOOR the
-        // integer kernel has lost what it runs for — most likely a
-        // whole-operand copy of B is back (DESIGN.md §11).
+        // integer kernel has lost what it runs for — most likely the frozen
+        // weight is being staged again, or copied whole (DESIGN.md §11).
         (
             "fp32_over_qgemm_int_serve_b8_x",
             serve_fp32_floor / serve_int_floor,

@@ -71,9 +71,9 @@ pub const MAX_PACKED_MANTISSA_BITS: u32 = 7;
 /// * **Mantissa range**: `|mantissas[idx]| ≤ 2^m − 1 ≤ 127` — the value
 ///   `-128` never occurs, because magnitudes are clamped to the format's
 ///   `max_magnitude()` *before* the sign is applied. A product of two
-///   mantissas therefore fits `i16` (`≤ 127² = 16 129`) and i32
-///   accumulation over up to `⌊i32::MAX / 127²⌋ = 133 152` products is
-///   exact.
+///   mantissas therefore fits `i16` (`≤ 127² = 16 129`). The kernels'
+///   i32 segment bound (`⌊i32::MAX / 128²⌋ = 131 071` products) does not
+///   lean on this: it holds for any `i8`.
 /// * **Scale values**: every scale is either an *exact power of two*
 ///   (`2^(E−m+1)` with `E` a representable normal exponent, so the f32 has
 ///   an all-zero significand field) or exactly `0.0` for an all-zero
@@ -726,10 +726,10 @@ mod tests {
     #[test]
     fn packed_invariants_hold_for_integer_kernels() {
         // The integer-domain qGEMM (fast_tensor, DESIGN.md §11) multiplies
-        // mantissas as i8×i8 and multiplies scale pairs in f32. That is only
-        // exact if |man| ≤ 127 (never -128) and every scale is an exact
-        // power of two or 0.0 — pin both invariants across formats,
-        // roundings and axes.
+        // mantissas as i8×i8 and multiplies scale pairs in f32, which is
+        // exact when every scale is an exact power of two or 0.0; the
+        // packers also keep |man| ≤ 127 (never -128) — pin both invariants
+        // across formats, roundings and axes.
         let data = rand_data(24 * 24, 17);
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
             for (fmt, rounding) in [

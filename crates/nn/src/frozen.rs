@@ -68,7 +68,10 @@ impl FrozenWeight {
 
     /// Returns the cached quantized weight operand shaped `rows × cols`,
     /// rebuilding from `master` if the weights, the format, or the axis
-    /// changed since the last build.
+    /// changed since the last build. A packed weight that is the right-hand
+    /// side of an `Nn` product (groups down its columns, an even group) is
+    /// also laid out in the integer kernel's panel order, so no request
+    /// re-stages it (DESIGN.md §9).
     ///
     /// Builds draw from a freshly seeded deterministic source (see
     /// `frozen_noise`), so rebuilds and replicas are deterministic — see
@@ -84,7 +87,7 @@ impl FrozenWeight {
         let key = (fmt, axis, false, self.version);
         if self.built != Some(key) || self.prepared.is_none() {
             let mut stats = QuantStats::default(); // build-once cost, unmetered
-            self.prepared = Some(quantize_operand(
+            let prepared = quantize_operand(
                 frozen_noise(0),
                 &mut stats,
                 master.data(),
@@ -92,7 +95,8 @@ impl FrozenWeight {
                 cols,
                 fmt,
                 axis,
-            ));
+            );
+            self.prepared = Some(prepared.with_nn_panels());
             self.built = Some(key);
         }
         self.prepared.as_ref().expect("frozen operand just built")
@@ -227,6 +231,80 @@ mod tests {
         let by_row = fz.get(&w, 16, 16, fmt, GroupAxis::AlongRow).to_tensor();
         let by_col = fz.get(&w, 16, 16, fmt, GroupAxis::AlongCol).to_tensor();
         assert_ne!(by_row, by_col);
+    }
+
+    /// Bytes a cached weight holds beyond its mantissas and scales: its
+    /// panel layout.
+    fn panel_bytes(p: &Prepared) -> usize {
+        match p {
+            Prepared::Packed(w) => w.heap_bytes() - w.mantissas().len() - 4 * w.scales().len(),
+            Prepared::Dense(_) => 0,
+        }
+    }
+
+    /// A batch of five times the cached weight reads its panel layout, if
+    /// it has one, and must equal the product with a copy of the weight's
+    /// mantissas and scales that has none, bit for bit: the layout is the
+    /// current weight's, not a previous build's.
+    fn assert_panels_current(w: &Prepared) {
+        use fast_tensor::qgemm::{qmatmul, Operand::Packed as P, PackLayout, PackedMat};
+        let Prepared::Packed(w) = w else {
+            panic!("expected a packed weight");
+        };
+        let (m, k, g) = (5, w.rows(), w.group());
+        let unlaid = PackedMat::new(
+            k,
+            w.cols(),
+            g,
+            w.layout(),
+            w.mantissas().to_vec(),
+            w.scales().to_vec(),
+        );
+        let mans = (0..m * k).map(|i| (i * 37 % 31) as i8 - 15).collect();
+        let scales = vec![0.5; m * k.div_ceil(g)];
+        let x = PackedMat::new(m, k, g, PackLayout::RowGroups, mans, scales);
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(qmatmul(P(&x), P(w))), bits(qmatmul(P(&x), P(&unlaid))));
+    }
+
+    #[test]
+    fn column_grouped_weights_are_laid_out_again_on_every_rebuild() {
+        // k = 40 (three groups of 16, the last short), n = 24 (a full
+        // panel and a tail): two panels of 20 k-pairs × 32 bytes plus
+        // 3 × 16 scales each.
+        let mut w = Tensor::from_vec(
+            vec![40, 24],
+            (0..960)
+                .map(|i| ((i * 29) % 41) as f32 * 0.05 - 1.0)
+                .collect(),
+        );
+        let laid_bytes = if cfg!(target_arch = "x86_64") {
+            2 * (20 * 32 + 4 * 3 * 16)
+        } else {
+            0
+        };
+        let (high, low) = (BfpFormat::high(), BfpFormat::low());
+        let (col, row) = (GroupAxis::AlongCol, GroupAxis::AlongRow);
+        let mut fz = FrozenWeight::default();
+        let check = |fz: &mut FrozenWeight, w: &Tensor, fmt: BfpFormat, axis| {
+            let p = fz.get(w, 40, 24, NumericFormat::bfp_nearest(fmt), axis);
+            assert_panels_current(p);
+            panel_bytes(p)
+        };
+        assert_eq!(check(&mut fz, &w, high, col), laid_bytes);
+        // A weight update.
+        w.data_mut()[0] += 1.0;
+        fz.mark_dirty();
+        assert_eq!(check(&mut fz, &w, high, col), laid_bytes);
+        // A format change.
+        assert_eq!(check(&mut fz, &w, low, col), laid_bytes);
+        // Groups along the rows: no `Nn` right-hand side, no layout; and
+        // back.
+        assert_eq!(check(&mut fz, &w, low, row), 0);
+        assert_eq!(check(&mut fz, &w, low, col), laid_bytes);
+        // An odd group is not a layout the vector kernel takes.
+        let odd = BfpFormat::new(5, 4, 3).unwrap();
+        assert_eq!(check(&mut fz, &w, odd, col), 0);
     }
 
     #[test]

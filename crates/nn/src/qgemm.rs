@@ -104,8 +104,19 @@ impl Prepared {
         }
     }
 
+    /// A packed operand also laid out in the `Nn` vector kernel's panel
+    /// order ([`PackedMat::with_nn_panels`]), as frozen weights are; a
+    /// dense operand unchanged.
+    pub fn with_nn_panels(self) -> Self {
+        match self {
+            Prepared::Packed(p) => Prepared::Packed(p.with_nn_panels()),
+            dense => dense,
+        }
+    }
+
     /// Heap bytes this operand occupies — the packed form holds ~¼ of the
-    /// dense f32 footprint for the paper's formats.
+    /// dense f32 footprint for the paper's formats, twice that with the
+    /// panel layout of a frozen `B`.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Prepared::Dense(t) => 4 * t.numel(),

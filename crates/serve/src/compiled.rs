@@ -278,6 +278,29 @@ mod tests {
     }
 
     #[test]
+    fn a_reload_lays_out_the_restored_weights() {
+        // Eight samples: the kernel's four-row quads read the frozen panel
+        // layout, which the first request builds from the old weights.
+        let x = Tensor::from_vec(
+            vec![8, 8],
+            (0..64)
+                .map(|i| ((i * 13) % 17) as f32 * 0.1 - 0.8)
+                .collect(),
+        );
+        let mut compiled = CompiledModel::compile(model(21), 0);
+        let before = compiled.infer(&x);
+        let mut restored = model(22);
+        compiled.apply_state(&capture_state(&mut restored)).unwrap();
+        let want = restored.forward(&x, &mut Session::eval(0));
+        assert_ne!(before, want, "the two models must serve differently");
+        assert_eq!(
+            compiled.infer(&x),
+            want,
+            "a reload serves the restored model"
+        );
+    }
+
+    #[test]
     fn sr_activation_noise_is_keyed_by_the_compile_seed() {
         use fast_bfp::BfpFormat;
         use fast_nn::NumericFormat;

@@ -38,12 +38,13 @@ fn small_sample(i: usize) -> Tensor {
     )
 }
 
-/// The serving benchmark's MLP workload — heavy enough that one prebatched
-/// "occupier" request keeps a worker busy for many milliseconds, letting
-/// tests build a deterministic backlog on a single-core host.
-fn bench_mlp(seed: u64) -> CompiledModel {
+/// The serving benchmark's MLP workload behind `gate`: the model computes
+/// what a served MLP does, and how long a pass takes is the test's choice.
+fn gated_bench_mlp(gate: &Arc<GateState>, seed: u64) -> CompiledModel {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut m = mlp(&[64, 256, 256, 10], &mut rng);
+    let mut m = Sequential::new()
+        .push(Gate(gate.clone()))
+        .push(mlp(&[64, 256, 256, 10], &mut rng));
     set_uniform_precision(&mut m, LayerPrecision::bfp_fixed(4));
     CompiledModel::compile(m, 0)
 }
@@ -321,7 +322,13 @@ fn a_non_plain_request_does_not_change_its_batch_mates_results() {
 /// a typed [`ServeError::Rejected`] — it never occupies queue space.
 #[test]
 fn hopeless_deadline_is_shed_at_admission() {
-    let server = Server::start(vec![bench_mlp(2)], BatchConfig::no_wait(8));
+    // Every pass takes at least a millisecond, so the warmed estimate
+    // reads whole microseconds however fast the kernels are.
+    let gate = Arc::new(GateState {
+        pace: Duration::from_millis(1),
+        ..GateState::default()
+    });
+    let server = Server::start(vec![gated_bench_mlp(&gate, 2)], BatchConfig::no_wait(8));
     // Warm the per-sample service-time estimate.
     for i in 0..4 {
         server.infer(bench_sample(i));
@@ -351,15 +358,7 @@ fn hopeless_deadline_is_shed_at_admission() {
 #[test]
 fn queued_request_past_deadline_is_dropped_at_dispatch() {
     let gate = Arc::new(GateState::default());
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let mut model = Sequential::new()
-        .push(Gate(gate.clone()))
-        .push(mlp(&[64, 256, 256, 10], &mut rng));
-    set_uniform_precision(&mut model, LayerPrecision::bfp_fixed(4));
-    let server = Server::start(
-        vec![CompiledModel::compile(model, 0)],
-        BatchConfig::no_wait(8),
-    );
+    let server = Server::start(vec![gated_bench_mlp(&gate, 3)], BatchConfig::no_wait(8));
     // Warm the estimate so admission has real numbers. It is an average of
     // per-sample service times, none longer than the slowest warm-up seen
     // from here, so a deadline past that is admitted on an empty queue

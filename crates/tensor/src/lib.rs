@@ -34,6 +34,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// Unit tests share the integration tests' segment oracle, which names the
+// crate by its package name.
+#[cfg(test)]
+extern crate self as fast_tensor;
+
 mod conv;
 mod init;
 mod matmul;

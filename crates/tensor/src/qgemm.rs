@@ -23,16 +23,17 @@
 
 use std::borrow::Cow;
 
-use crate::qgemm_int;
+use crate::qgemm_int::{self, NnPanels};
 use crate::tensor::Tensor;
 use crate::{matmul, matmul_nt, matmul_tn};
 
 /// Longest reduction segment whose worst-case `i8×i8` products
-/// (`127 · 127` each) are guaranteed to fit an `i32` accumulator:
-/// `⌊(2³¹ − 1) / 127²⌋ = 133 152` values. Packed groups are far shorter in
-/// practice (the BFP format zoo tops out at 16); pairs whose groups exceed
-/// this run the dense kernels on their dequantized copies.
-pub const MAX_INT_SEGMENT: usize = (i32::MAX as usize) / (127 * 127);
+/// (`(−128) · (−128)` each: [`PackedMat::new`] takes any `i8`) are
+/// guaranteed to fit an `i32` accumulator: `⌊(2³¹ − 1) / 128²⌋ = 131 071`
+/// values. Packed groups are far shorter in practice (the BFP format zoo
+/// tops out at 16); pairs whose groups exceed this run the dense kernels on
+/// their dequantized copies.
+pub const MAX_INT_SEGMENT: usize = (i32::MAX as usize) / (128 * 128);
 
 /// How quantization groups (one scale each) run through a [`PackedMat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +58,9 @@ pub struct PackedMat {
     layout: PackLayout,
     mans: Vec<i8>,
     scales: Vec<f32>,
+    /// The same mantissas and scales in the `Nn` vector kernel's panel
+    /// order, when [`PackedMat::with_nn_panels`] laid them out.
+    panels: Option<NnPanels>,
 }
 
 impl PackedMat {
@@ -92,7 +96,26 @@ impl PackedMat {
             layout,
             mans,
             scales,
+            panels: None,
         }
+    }
+
+    /// Lays the matrix out a second time in the order the `Nn` vector
+    /// kernel consumes its right-hand side, so a product with it as `B`
+    /// reads 16-column panels in place instead of staging them on every
+    /// call (DESIGN.md §11). For an operand multiplied many times unchanged
+    /// — a frozen weight — at one byte more per value plus a copy of the
+    /// scales. Only a [`PackLayout::ColGroups`] matrix with an even group
+    /// (the `B` the vector kernel takes) has that order; any other matrix,
+    /// and every matrix off `x86_64`, comes back unchanged.
+    pub fn with_nn_panels(mut self) -> Self {
+        self.panels = NnPanels::build(&self);
+        self
+    }
+
+    /// The panel layout [`PackedMat::with_nn_panels`] built, if any.
+    pub(crate) fn nn_panels(&self) -> Option<&NnPanels> {
+        self.panels.as_ref()
     }
 
     /// Stored row count.
@@ -116,8 +139,9 @@ impl PackedMat {
     }
 
     /// The raw row-major `i8` mantissas (`rows × cols`). Quantizers bound
-    /// these by the mantissa width (`|m| ≤ 127` at the 8-bit cap) — the
-    /// invariant the integer-domain kernels' overflow analysis rests on.
+    /// these by the mantissa width (`|m| ≤ 127` at the 8-bit cap); the
+    /// integer kernels' overflow bound ([`MAX_INT_SEGMENT`]) holds for any
+    /// `i8`, `−128` included.
     pub fn mantissas(&self) -> &[i8] {
         &self.mans
     }
@@ -130,11 +154,14 @@ impl PackedMat {
         &self.scales
     }
 
-    /// Heap bytes held by the packed representation (mantissas + scales) —
-    /// the serving working set a frozen packed weight occupies, versus
-    /// `4 * rows * cols` for the dense f32 copy.
+    /// Heap bytes held by the packed representation (mantissas + scales,
+    /// plus the panel layout when there is one) — the serving working set
+    /// a frozen packed weight occupies, versus `4 * rows * cols` for the
+    /// dense f32 copy.
     pub fn heap_bytes(&self) -> usize {
-        self.mans.len() + 4 * self.scales.len()
+        self.mans.len()
+            + 4 * self.scales.len()
+            + self.panels.as_ref().map_or(0, NnPanels::heap_bytes)
     }
 
     /// The dequantized value at `(i, j)` — bit-identical to the f32 fake
@@ -365,6 +392,27 @@ mod tests {
         let want = matmul(&ar.to_tensor(), &br.to_tensor());
         assert_eq!(qmatmul(P(&ar), P(&br)), want);
         assert_eq!(qmatmul(D(&dense), P(&br)), want);
+    }
+
+    /// All-`−128` operands with one segment as long as the integer kernels
+    /// take, on the scalar (odd group) and the vector (even group) `Nn`
+    /// path and in the other two orientations: `k · 128²` fits the `i32`
+    /// sum. One value longer it would not (`2³¹`), so that pair runs the
+    /// dense kernels — and still reads the exact sum.
+    #[test]
+    fn the_longest_integer_segment_holds_all_minus_128() {
+        use Operand::Packed as P;
+        let bound = MAX_INT_SEGMENT;
+        assert_eq!(bound, 131_071);
+        for (k, g) in [(bound, bound), (bound, bound + 1), (bound + 1, bound + 1)] {
+            let row = PackedMat::new(1, k, g, PackLayout::RowGroups, vec![-128; k], vec![1.0]);
+            let col = PackedMat::new(k, 1, g, PackLayout::ColGroups, vec![-128; k], vec![1.0]);
+            assert_eq!(runs_integer(Orient::Nn, P(&row), P(&col)), k <= bound);
+            let want = [(k * 128 * 128) as f32];
+            assert_eq!(qmatmul(P(&row), P(&col)).data(), want, "nn k={k} g={g}");
+            assert_eq!(qmatmul_nt(P(&row), P(&row)).data(), want, "nt k={k} g={g}");
+            assert_eq!(qmatmul_tn(P(&col), P(&col)).data(), want, "tn k={k} g={g}");
+        }
     }
 
     #[test]

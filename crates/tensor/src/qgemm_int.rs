@@ -32,8 +32,12 @@
 #![allow(unsafe_code)]
 
 use crate::parallel::shard_rows;
-use crate::qgemm::{PackedMat, MAX_INT_SEGMENT};
+use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
 use crate::tensor::Tensor;
+
+#[cfg(test)]
+#[path = "../tests/support/segment_oracle.rs"]
+mod segment_oracle;
 
 /// True when every reduction segment of a `k`-deep product with group sizes
 /// `ga`/`gb` fits the exact-i32 bound [`MAX_INT_SEGMENT`]. Segment length is
@@ -78,10 +82,92 @@ impl<'a> RowSide<'a> {
 }
 
 /// An operand whose scale blocks run down its storage columns: row-major
-/// `k × n` mantissas plus row-major `nblocks × n` scales.
+/// `k × n` mantissas plus row-major `nblocks × n` scales, and the same
+/// operand in panel order when it was laid out that way.
 struct ColSide<'a> {
     man: &'a [i8],
     scale: &'a [f32],
+    panels: Option<&'a NnPanels>,
+}
+
+impl<'a> ColSide<'a> {
+    /// Views a `ColGroups`-packed matrix (groups along the reduction dim).
+    fn of(p: &'a PackedMat) -> Self {
+        ColSide {
+            man: p.mantissas(),
+            scale: p.scales(),
+            panels: p.nn_panels(),
+        }
+    }
+}
+
+/// Output columns per panel of the vector `Nn` kernel (two 256-bit i16
+/// vectors per k-pair).
+const PANEL_COLS: usize = 16;
+
+/// A `ColGroups` operand laid out once in the order the vector `Nn` kernel
+/// consumes its right-hand side ([`PackedMat::with_nn_panels`]), panel by
+/// panel: panel `q` covers columns `j0 = 16q ..` and holds
+///
+/// * `⌈k/2⌉` k-pair rows of 32 bytes — byte `2c` is `b[2p][j0+c]`, byte
+///   `2c+1` is `b[2p+1][j0+c]`: the bytes the staging path interleaves
+///   with `_mm_unpack{lo,hi}_epi8` before it sign-extends them, so a row
+///   is two `_mm256_cvtepi8_epi16` away from the `madd` operands;
+/// * `⌈k/g⌉ × 16` block scales of the same columns.
+///
+/// Columns past `n` and the high half of an odd `k`'s last pair are zero.
+/// Staying i8, the layout takes one byte per value where a staged i16
+/// panel takes two.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone)]
+pub(crate) struct NnPanels {
+    bytes: Vec<i8>,
+    scales: Vec<f32>,
+}
+
+impl NnPanels {
+    /// `b`'s panel layout, if `b` is a right-hand side the vector kernel
+    /// takes — column-grouped with an even group, on `x86_64` — and not
+    /// empty.
+    pub(crate) fn build(b: &PackedMat) -> Option<Self> {
+        const W: usize = PANEL_COLS;
+        let (k, n, g) = (b.rows(), b.cols(), b.group());
+        if !cfg!(target_arch = "x86_64")
+            || b.layout() != PackLayout::ColGroups
+            || !g.is_multiple_of(2)
+            || k == 0
+            || n == 0
+        {
+            return None;
+        }
+        let (pairs, nblocks, panels) = (k.div_ceil(2), k.div_ceil(g), n.div_ceil(W));
+        let mut bytes = vec![0i8; panels * pairs * 2 * W];
+        let mut scales = vec![0.0f32; panels * nblocks * W];
+        let per_panel = bytes
+            .chunks_exact_mut(pairs * 2 * W)
+            .zip(scales.chunks_exact_mut(nblocks * W));
+        for (q, (pbytes, pscales)) in per_panel.enumerate() {
+            let j0 = q * W;
+            let w = (n - j0).min(W);
+            // Stored row `r` is the low (even `r`) or high half of k-pair
+            // `r / 2`.
+            for (r, src) in b.mantissas().chunks_exact(n).enumerate() {
+                let dst = &mut pbytes[(r / 2) * 2 * W + r % 2..];
+                for (c, &v) in src[j0..j0 + w].iter().enumerate() {
+                    dst[2 * c] = v;
+                }
+            }
+            for (dst, src) in pscales.chunks_exact_mut(W).zip(b.scales().chunks_exact(n)) {
+                dst[..w].copy_from_slice(&src[j0..j0 + w]);
+            }
+        }
+        Some(NnPanels { bytes, scales })
+    }
+
+    /// Heap bytes of the layout.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.bytes.len() + 4 * self.scales.len()
+    }
 }
 
 /// The right-hand operand of the staged vector kernel, as stored.
@@ -106,10 +192,7 @@ pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
     nn_from_parts(
         &RowSide::of(a),
         a.group(),
-        &ColSide {
-            man: b.mantissas(),
-            scale: b.scales(),
-        },
+        &ColSide::of(b),
         b.group(),
         (m, k, n),
     )
@@ -181,7 +264,8 @@ const ROW_QUAD: usize = 4;
 /// CPU with AVX2. Returns `false` otherwise, and the caller takes its
 /// portable path. `A` is restaged once on the caller's thread; workers
 /// split the rows, and each stages `B` itself, one 16-column panel at a
-/// time.
+/// time — or, when `B` was laid out in panel order ([`NnPanels`]), reads
+/// its panels in place.
 #[cfg(target_arch = "x86_64")]
 fn staged_avx2<'a>(
     a: &RowSide<'a>,
@@ -195,10 +279,19 @@ fn staged_avx2<'a>(
     if ga != gb || !ga.is_multiple_of(2) || !avx2_available() {
         return false;
     }
+    let laid = match b {
+        BSide::Cols(cols) => cols.panels,
+        BSide::Rows(_) => None,
+    };
     let stage = avx2::NnStage::build(a, b, ga, dims);
     shard_rows(out, n, 2 * k * n, ROW_QUAD, |row_start, panel| {
         // SAFETY: `avx2_available()` confirmed the target feature at runtime.
-        unsafe { avx2::nn_worker(&stage, row_start, panel) }
+        unsafe {
+            match laid {
+                Some(laid) => avx2::laid_worker(&stage, laid, row_start, panel),
+                None => avx2::nn_worker(&stage, row_start, panel),
+            }
+        }
     });
     true
 }
@@ -309,10 +402,7 @@ pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
             bpr: nba,
         },
         ga,
-        &ColSide {
-            man: b.mantissas(),
-            scale: b.scales(),
-        },
+        &ColSide::of(b),
         b.group(),
         (m, k, n),
     )
@@ -366,12 +456,8 @@ mod avx2 {
     //! exact for 8-bit mantissas, and pairing never crosses a scale block
     //! because the NN vector path requires an even shared group size.
 
-    use super::{BSide, RowSide, ROW_QUAD};
+    use super::{BSide, NnPanels, RowSide, PANEL_COLS as W, ROW_QUAD};
     use core::arch::x86_64::*;
-
-    /// Output columns processed per staged panel step (two 256-bit i16
-    /// vectors per k-pair).
-    const W: usize = 16;
 
     /// The vector NN kernel's shared, read-only inputs, built once on the
     /// caller's thread:
@@ -381,8 +467,9 @@ mod avx2 {
     ///   when `k` is odd. A is the small side at serving shapes (`m` is the
     ///   batch), so it is restaged whole.
     /// * `b` — B as stored. No copy of it is made here: every worker
-    ///   stages the panel it is about to consume into its own buffer
-    ///   ([`stage_panel`]).
+    ///   reads B's panels in place when B carries its panel layout, and
+    ///   otherwise stages the panel it is about to consume into its own
+    ///   buffer ([`stage_panel`]).
     pub(super) struct NnStage<'a> {
         aq: Vec<u32>,
         ascale: &'a [f32],
@@ -546,32 +633,145 @@ mod avx2 {
         let n = s.n;
         let mut words = vec![0u32; s.pairs * W];
         let mut scales = vec![0.0f32; s.nblocks * W];
-        let rows = out.len() / n;
-        let quads = rows / ROW_QUAD * ROW_QUAD;
         for j0 in (0..n).step_by(W) {
             let w = (n - j0).min(W);
             stage_panel(s, j0, w, &mut words, &mut scales);
-            let panel = (words.as_slice(), scales.as_slice(), j0, w);
-            for (q, c) in out[..quads * n].chunks_exact_mut(ROW_QUAD * n).enumerate() {
-                nn_rows::<ROW_QUAD>(s, panel, row_start + q * ROW_QUAD, c);
-            }
-            for (r, c) in out[quads * n..].chunks_exact_mut(n).enumerate() {
-                nn_rows::<1>(s, panel, row_start + quads + r, c);
-            }
+            let panel = Panel {
+                b: words.as_slice(),
+                scales: scales.as_slice(),
+                j0,
+                w,
+            };
+            panel_rows(s, panel, row_start, out);
         }
     }
 
-    /// `R` output rows (absolute row `i0`, row-major in `c`) of one staged
-    /// panel `(words, scales, j0, w)`.
+    /// [`nn_worker`] for a B laid out in panel order (`laid`, B's
+    /// [`NnPanels`]): each panel is read in place. Out of line and chosen
+    /// once per product: folded into `nn_worker`, its row bodies grew that
+    /// function by 40 % and slowed the staged `Nt` training shapes by
+    /// 4–6 % in paired timings.
     ///
     /// # Safety
     ///
-    /// Requires AVX2, and `words`/`scales` of the sizes [`stage_panel`]
-    /// checks: the vector loads read them unchecked.
+    /// As [`nn_worker`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `laid` has the sizes of this product's `k`, group and
+    /// `n`: the vector loads rely on them.
+    #[inline(never)]
     #[target_feature(enable = "avx2")]
-    unsafe fn nn_rows<const R: usize>(
+    pub(super) unsafe fn laid_worker(
         s: &NnStage,
-        (words, scales, j0, w): (&[u32], &[f32], usize, usize),
+        laid: &NnPanels,
+        row_start: usize,
+        out: &mut [f32],
+    ) {
+        let n = s.n;
+        let (bytes, scales) = (s.pairs * <i8 as PanelRow>::LEN, s.nblocks * W);
+        assert!(
+            laid.bytes.len() == n.div_ceil(W) * bytes
+                && laid.scales.len() == n.div_ceil(W) * scales
+        );
+        let panels = laid
+            .bytes
+            .chunks_exact(bytes)
+            .zip(laid.scales.chunks_exact(scales));
+        for (q, (b, scales)) in panels.enumerate() {
+            let (j0, w) = (q * W, (n - q * W).min(W));
+            panel_rows(s, Panel { b, scales, j0, w }, row_start, out);
+        }
+    }
+
+    /// One 16-column panel of B as the row body reads it: `pairs` k-pair
+    /// rows of `T::LEN` elements, `nblocks × W` scales, and the panel's
+    /// place in the output (`w ≤ W` real columns from `j0`).
+    #[derive(Clone, Copy)]
+    struct Panel<'p, T> {
+        b: &'p [T],
+        scales: &'p [f32],
+        j0: usize,
+        w: usize,
+    }
+
+    /// How a panel stores one k-pair row of its 16 columns — the only
+    /// thing in which the staged and the laid-out panel differ.
+    trait PanelRow: Copy {
+        /// Elements per k-pair row.
+        const LEN: usize;
+
+        /// The row as the two `madd` operands: eight `[b[2p][j],
+        /// b[2p+1][j]]` i16 pairs each, columns 0–7 then 8–15.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX2, and `LEN` readable elements at `row`.
+        unsafe fn load(row: *const Self) -> (__m256i, __m256i);
+    }
+
+    /// A staged panel ([`stage_panel`]): k-pair words, already i16.
+    impl PanelRow for u32 {
+        const LEN: usize = W;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(row: *const u32) -> (__m256i, __m256i) {
+            let v = row as *const __m256i;
+            (_mm256_loadu_si256(v), _mm256_loadu_si256(v.add(1)))
+        }
+    }
+
+    /// A laid-out panel ([`NnPanels`]): the interleaved bytes,
+    /// sign-extended here exactly as staging would have.
+    impl PanelRow for i8 {
+        const LEN: usize = 2 * W;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(row: *const i8) -> (__m256i, __m256i) {
+            let v = row as *const __m128i;
+            (
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(v)),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(v.add(1))),
+            )
+        }
+    }
+
+    /// Every row of one worker's shard (`row_start..`, row-major in `out`)
+    /// over one panel: four-row quads, then the remainder one by one.
+    ///
+    /// # Safety
+    ///
+    /// As [`nn_rows`].
+    #[target_feature(enable = "avx2")]
+    unsafe fn panel_rows<T: PanelRow>(
+        s: &NnStage,
+        panel: Panel<T>,
+        row_start: usize,
+        out: &mut [f32],
+    ) {
+        let n = s.n;
+        let quads = out.len() / n / ROW_QUAD * ROW_QUAD;
+        for (q, c) in out[..quads * n].chunks_exact_mut(ROW_QUAD * n).enumerate() {
+            nn_rows::<ROW_QUAD, T>(s, panel, row_start + q * ROW_QUAD, c);
+        }
+        for (r, c) in out[quads * n..].chunks_exact_mut(n).enumerate() {
+            nn_rows::<1, T>(s, panel, row_start + quads + r, c);
+        }
+    }
+
+    /// `R` output rows (absolute row `i0`, row-major in `c`) of one panel.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and a panel of `s.pairs × T::LEN` elements and
+    /// `s.nblocks × W` scales — the sizes [`stage_panel`] and
+    /// [`nn_worker`] check: the vector loads read them unchecked.
+    #[target_feature(enable = "avx2")]
+    unsafe fn nn_rows<const R: usize, T: PanelRow>(
+        s: &NnStage,
+        panel: Panel<T>,
         i0: usize,
         c: &mut [f32],
     ) {
@@ -581,16 +781,14 @@ mod avx2 {
             let p1 = ((bb + 1) * s.pairs_per_block).min(s.pairs);
             let mut iacc = [[_mm256_setzero_si256(); 2]; R];
             for p in p0..p1 {
-                let brow = words.as_ptr().add(p * W) as *const __m256i;
-                let bv0 = _mm256_loadu_si256(brow);
-                let bv1 = _mm256_loadu_si256(brow.add(1));
+                let (bv0, bv1) = T::load(panel.b.as_ptr().add(p * T::LEN));
                 for (r, ir) in iacc.iter_mut().enumerate() {
                     let av = _mm256_set1_epi32(s.aq[(i0 + r) * s.pairs + p] as i32);
                     ir[0] = _mm256_add_epi32(ir[0], _mm256_madd_epi16(av, bv0));
                     ir[1] = _mm256_add_epi32(ir[1], _mm256_madd_epi16(av, bv1));
                 }
             }
-            let srow = scales.as_ptr().add(bb * W);
+            let srow = panel.scales.as_ptr().add(bb * W);
             let sb0 = _mm256_loadu_ps(srow);
             let sb1 = _mm256_loadu_ps(srow.add(8));
             for (r, ar) in acc.iter_mut().enumerate() {
@@ -601,6 +799,7 @@ mod avx2 {
                 ar[1] = _mm256_add_ps(ar[1], f1);
             }
         }
+        let (j0, w) = (panel.j0, panel.w);
         for (ar, row) in acc.iter().zip(c.chunks_exact_mut(s.n)) {
             let dst = &mut row[j0..j0 + w];
             if w == W {
@@ -787,9 +986,17 @@ mod tests {
     const TAIL_NS: [usize; 6] = [1, 15, 16, 17, 33, 70];
     const TAIL_KS: [usize; 5] = [1, 7, 13, 32, 47];
 
+    /// Every `Nn` path against the segment oracle, bit for bit: the scalar
+    /// core, the vector kernel staging `B` per call, and the vector kernel
+    /// reading `B`'s laid-out panels — over the tail grid, the shapes
+    /// above and two shapes deep enough to shard, at 1–3 workers. `Tn`
+    /// runs the same kernel on the same `B`, so it takes both `B`s too.
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn scalar_and_simd_nn_agree_bitwise() {
+    fn nn_paths_agree_with_the_segment_oracle_bitwise() {
+        use crate::parallel::{parallelism, set_parallelism, Parallelism};
+        use crate::qgemm::Orient;
+        use segment_oracle::segment_product;
         if !avx2_available() {
             return; // vector path unreachable on this host
         }
@@ -800,29 +1007,98 @@ mod tests {
                 .flat_map(move |(m, n)| TAIL_KS.into_iter().map(move |k| (g, m, n, k)))
         });
         let shapes = SHAPES.into_iter().map(|(m, k, n)| (16, m, n, k));
-        for (g, m, n, k) in shapes.chain(grid) {
+        let sharded = [(16, 61, 70, 301), (6, 9, 70, 512)];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let saved = parallelism();
+        for (g, m, n, k) in shapes.chain(sharded).chain(grid) {
             let seed = (61 * m + 67 * n + 71 * k + g) as u64;
             let a = random_pack(m, k, g, PackLayout::RowGroups, seed);
-            let b = random_pack(k, n, g, PackLayout::ColGroups, seed + 1);
-            let via_dispatch = int_nn(&a, &b); // takes the AVX2 path
+            let at = random_pack(k, m, g, PackLayout::ColGroups, seed + 2);
+            let staged = random_pack(k, n, g, PackLayout::ColGroups, seed + 1);
+            let laid = staged.clone().with_nn_panels();
+            assert!(laid.nn_panels().is_some());
+            let want = bits(&segment_product(Orient::Nn, &a, &staged));
+            let want_tn = bits(&segment_product(Orient::Tn, &at, &staged));
             let mut scalar = vec![0.0f32; m * n];
-            nn_scalar(
-                &RowSide::of(&a),
-                &ColSide {
-                    man: b.mantissas(),
-                    scale: b.scales(),
-                },
+            let (av, bv) = (RowSide::of(&a), ColSide::of(&staged));
+            nn_scalar(&av, &bv, g, g, (m, k, n), &mut scalar);
+            assert_eq!(bits(&scalar), want, "scalar ({m},{k},{n}) g={g}");
+            for workers in 1..=3 {
+                set_parallelism(Parallelism::new(workers));
+                for (b, path) in [(&staged, "staged"), (&laid, "laid out")] {
+                    let tag = format!("{path} ({m},{k},{n}) g={g} workers={workers}");
+                    assert_eq!(bits(int_nn(&a, b).data()), want, "nn {tag}");
+                    assert_eq!(bits(int_tn(&at, b).data()), want_tn, "tn {tag}");
+                }
+            }
+        }
+        set_parallelism(saved);
+    }
+
+    /// `with_nn_panels` lays out exactly `B`'s columns, panel by panel —
+    /// k-pair row `p` interleaves stored rows `2p` and `2p + 1` byte by
+    /// byte, the block scales sit beside them — and zero everywhere else:
+    /// tail columns and an odd `k`'s high half. Neither reaches an output
+    /// bit (tail lanes are never stored, A's odd-`k` high half is zero), so
+    /// only this test sees them. The layout counts in `heap_bytes`; a
+    /// row-grouped or odd-group matrix gets none.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn laid_out_panels_hold_exactly_the_operands_columns() {
+        let grid = [2usize, 6, 16].into_iter().flat_map(|g| {
+            TAIL_NS
+                .into_iter()
+                .flat_map(move |n| TAIL_KS.into_iter().map(move |k| (g, n, k)))
+        });
+        for (g, n, k) in grid {
+            let b = random_pack(
+                k,
+                n,
                 g,
-                g,
-                (m, k, n),
-                &mut scalar,
+                PackLayout::ColGroups,
+                (g * 1000 + n * 50 + k) as u64,
             );
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(via_dispatch.data()),
-                bits(&scalar),
-                "simd/scalar divergence at ({m},{k},{n}) g={g}"
-            );
+            let unlaid = b.heap_bytes();
+            let b = b.with_nn_panels();
+            let laid = b
+                .nn_panels()
+                .expect("an even-group ColGroups matrix lays out");
+            let (pairs, nblocks, panels) = (k.div_ceil(2), k.div_ceil(g), n.div_ceil(16));
+            assert_eq!(laid.bytes.len(), panels * pairs * 32);
+            assert_eq!(laid.scales.len(), panels * nblocks * 16);
+            assert_eq!(b.heap_bytes(), unlaid + laid.heap_bytes());
+            for (i, &got) in laid.bytes.iter().enumerate() {
+                let (q, p, c, half) = (i / (pairs * 32), i / 32 % pairs, i % 32 / 2, i % 2);
+                let (r, j) = (2 * p + half, 16 * q + c);
+                let want = if r < k && j < n {
+                    b.mantissas()[r * n + j]
+                } else {
+                    0
+                };
+                assert_eq!(
+                    got, want,
+                    "g={g} n={n} k={k} panel {q} pair {p} col {c} half {half}"
+                );
+            }
+            for (i, &got) in laid.scales.iter().enumerate() {
+                let (q, bb, c) = (i / (nblocks * 16), i / 16 % nblocks, i % 16);
+                let j = 16 * q + c;
+                let want = if j < n { b.scales()[bb * n + j] } else { 0.0 };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "scale g={g} n={n} k={k} bb={bb} j={j}"
+                );
+            }
+        }
+        for b in [
+            random_pack(9, 20, 3, PackLayout::ColGroups, 1),
+            random_pack(9, 20, 16, PackLayout::RowGroups, 2),
+        ] {
+            let unlaid = b.heap_bytes();
+            let b = b.with_nn_panels();
+            assert!(b.nn_panels().is_none());
+            assert_eq!(b.heap_bytes(), unlaid);
         }
     }
 
@@ -846,13 +1122,7 @@ mod tests {
             let b = random_pack(k, n, g, PackLayout::ColGroups, (n * 100 + k) as u64);
             let bt = random_pack(n, k, g, PackLayout::RowGroups, (n * 100 + k + 1) as u64);
             let av = RowSide::of(&a);
-            let (cols, rows) = (
-                ColSide {
-                    man: b.mantissas(),
-                    scale: b.scales(),
-                },
-                RowSide::of(&bt),
-            );
+            let (cols, rows) = (ColSide::of(&b), RowSide::of(&bt));
             for (side, packed, transposed) in [
                 (BSide::Cols(&cols), &b, false),
                 (BSide::Rows(&rows), &bt, true),

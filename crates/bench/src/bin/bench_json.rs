@@ -509,10 +509,12 @@ fn main() {
     // which is why this floor is 0.5 and not the 0.6 it was: DESIGN.md §7
     // has the runs.
     const BWD_FLOOR: f64 = 0.5;
-    // ≈ 70 % of the 3.57–4.97 the integer kernel read against the dense
+    // ≈ 70 % of the 3.57–4.97 the `madd` kernel read against the dense
     // kernel over six quick runs at one worker, reading the weight's panel
-    // layout (DESIGN.md §11). Staging B per call read 1.98–2.31, and a
-    // whole-operand copy of B per call cost about as much as the product.
+    // layout (DESIGN.md §11); the AVX-VNNI kernel reads higher, but the
+    // floor must hold on hosts without it. Staging B per call read
+    // 1.98–2.31, and a whole-operand copy of B per call cost about as much
+    // as the product.
     const SERVE_INT_FLOOR: f64 = 2.5;
     let gated_ratios = [
         (
@@ -709,6 +711,12 @@ fn main() {
         (
             "gemm_workers".to_string(),
             Json::uint(fast_tensor::parallelism().workers() as u64),
+        ),
+        // Which integer kernel produced the `qgemm_int_*` rows: the same
+        // bits on every host, not the same speed (DESIGN.md §11).
+        (
+            "int_kernel".to_string(),
+            Json::Str(fast_tensor::qgemm::int_kernel().to_string()),
         ),
         (
             "gemm_config".to_string(),

@@ -28,7 +28,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the integer-domain kernels in `qgemm_int`
-// carry a module-scoped allowance for the `core::arch` AVX2 intrinsics
+// carry a module-scoped allowance for the `core::arch` AVX2/AVX-VNNI intrinsics
 // (each unsafe block documents its safety contract); everything else in the
 // crate remains unsafe-free.
 #![deny(unsafe_code)]

@@ -11,7 +11,10 @@
 //!   dot products per reduction segment, one f32 scale multiply-accumulate
 //!   per segment in ascending segment order — the software realization of
 //!   the fMAC pipeline modeled by `fast_hw`'s `fmac` module, and what the
-//!   `qgemm_int` kernels document bit for bit;
+//!   `qgemm_int` kernels document bit for bit. They run on the host's
+//!   8-bit dot-product instruction (AVX-VNNI `vpdpbusd`) where it has one,
+//!   on AVX2 `vpmaddwd` otherwise, and on portable scalar code off x86-64;
+//!   [`int_kernel`] names which, and the choice never moves a bit;
 //! * every other pair — a dense operand, groups off the reduction axis, a
 //!   segment past [`MAX_INT_SEGMENT`] — dequantizes its packed side once
 //!   ([`Operand::to_dense`]) and runs the dense kernels of
@@ -105,9 +108,12 @@ impl PackedMat {
     /// reads 16-column panels in place instead of staging them on every
     /// call (DESIGN.md §11). For an operand multiplied many times unchanged
     /// — a frozen weight — at one byte more per value plus a copy of the
-    /// scales. Only a [`PackLayout::ColGroups`] matrix with an even group
-    /// (the `B` the vector kernel takes) has that order; any other matrix,
-    /// and every matrix off `x86_64`, comes back unchanged.
+    /// scales. The order is that of the micro-kernel this host runs on the
+    /// matrix ([`int_kernel`]): k-quads of biased bytes for AVX-VNNI at a
+    /// group that is a multiple of four, k-pairs for AVX2 at any other even
+    /// group. Only a [`PackLayout::ColGroups`] matrix whose group one of
+    /// them takes has that order; any other matrix, and every matrix on a
+    /// host without AVX2, comes back unchanged.
     pub fn with_nn_panels(mut self) -> Self {
         self.panels = NnPanels::build(&self);
         self
@@ -276,6 +282,18 @@ fn integer_pair<'a>(
         .then_some((x, y))
 }
 
+/// The integer vector kernel this host runs, detected once: `"avxvnni"`
+/// (`vpdpbusd` over k-quads, at groups that are a multiple of four),
+/// `"avx2"` (`vpmaddwd` over k-pairs) or `"scalar"`. Every kernel returns
+/// the same bits; this names which one produced a timing (DESIGN.md §11).
+pub fn int_kernel() -> &'static str {
+    match qgemm_int::host_kernel() {
+        Some(qgemm_int::MicroKernel::Dpbusd) => "avxvnni",
+        Some(qgemm_int::MicroKernel::Madd) => "avx2",
+        None => "scalar",
+    }
+}
+
 /// Whether `a`·`b` in orientation `orient` runs on the integer kernels —
 /// the dispatch rule of [`qmatmul`], [`qmatmul_nt`] and [`qmatmul_tn`];
 /// `false` means the dense kernels run on the dequantized operands.
@@ -395,10 +413,11 @@ mod tests {
     }
 
     /// All-`−128` operands with one segment as long as the integer kernels
-    /// take, on the scalar (odd group) and the vector (even group) `Nn`
-    /// path and in the other two orientations: `k · 128²` fits the `i32`
-    /// sum. One value longer it would not (`2³¹`), so that pair runs the
-    /// dense kernels — and still reads the exact sum.
+    /// take, on the scalar (odd group) and the vector (group a multiple of
+    /// four: the host's widest micro-kernel) `Nn` path and in the other two
+    /// orientations: `k · 128²` fits the `i32` sum. One value longer it
+    /// would not (`2³¹`), so that pair runs the dense kernels — and still
+    /// reads the exact sum.
     #[test]
     fn the_longest_integer_segment_holds_all_minus_128() {
         use Operand::Packed as P;

@@ -12,13 +12,26 @@
 //! so the inner sum is an exact `i8×i8→i32` integer dot product and the f32
 //! work collapses to one scale multiply-accumulate per reduction segment —
 //! no dequantized panels are ever materialized. The kernels here implement
-//! that algebra with explicit AVX2 SIMD (`_mm256_madd_epi16`) and a portable
-//! scalar fallback chosen by runtime feature detection; both paths produce
-//! **bit-identical** results because the integer partial sums are exact in
-//! any association and the f32 fix-up applies the same three operations
-//! (`scale-product mul`, `i32→f32 convert + mul`, `add`) per segment in the
-//! same ascending-segment order. `.cargo/config.toml` notes why this holds:
-//! Rust never contracts separate mul/add into an FMA.
+//! that algebra with one explicit SIMD row body over two micro-kernels,
+//! and a portable scalar fallback, chosen by runtime feature detection
+//! ([`host_kernel`]):
+//!
+//! * **AVX-VNNI** (`_mm256_dpbusd_avx_epi32`): u8×i8 products of four
+//!   k-steps summed into each i32 lane and accumulated in one instruction.
+//!   B is stored biased, `b ^ 0x80 = b + 128` as an unsigned byte, so each
+//!   segment subtracts `128·Σ a` when it closes. The biased sum may wrap
+//!   `i32`; the true sum fits it ([`MAX_INT_SEGMENT`]), and modular
+//!   arithmetic returns it exactly, for any `i8`.
+//! * **AVX2** (`_mm256_madd_epi16`): i16×i16 products of two k-steps,
+//!   B sign-extended — on hosts without AVX-VNNI, and for groups that are
+//!   even but not a multiple of four.
+//!
+//! Every path produces **bit-identical** results because the integer
+//! partial sums are exact in any association and the f32 fix-up applies the
+//! same three operations (`scale-product mul`, `i32→f32 convert + mul`,
+//! `add`) per segment in the same ascending-segment order.
+//! `.cargo/config.toml` notes why this holds: Rust never contracts separate
+//! mul/add into an FMA.
 //!
 //! The only inexact steps are the per-segment `i32 → f32` conversion (exact
 //! while `|acc| < 2²⁴`, i.e. for reduction segments up to 128 values at
@@ -101,67 +114,141 @@ impl<'a> ColSide<'a> {
     }
 }
 
-/// Output columns per panel of the vector `Nn` kernel (two 256-bit i16
-/// vectors per k-pair).
+/// Output columns per panel of the vector kernel (two 256-bit vectors of
+/// eight i32 lanes per k-step).
 const PANEL_COLS: usize = 16;
 
-/// A `ColGroups` operand laid out once in the order the vector `Nn` kernel
-/// consumes its right-hand side ([`PackedMat::with_nn_panels`]), panel by
-/// panel: panel `q` covers columns `j0 = 16q ..` and holds
-///
-/// * `⌈k/2⌉` k-pair rows of 32 bytes — byte `2c` is `b[2p][j0+c]`, byte
-///   `2c+1` is `b[2p+1][j0+c]`: the bytes the staging path interleaves
-///   with `_mm_unpack{lo,hi}_epi8` before it sign-extends them, so a row
-///   is two `_mm256_cvtepi8_epi16` away from the `madd` operands;
-/// * `⌈k/g⌉ × 16` block scales of the same columns.
-///
-/// Columns past `n` and the high half of an odd `k`'s last pair are zero.
-/// Staying i8, the layout takes one byte per value where a staged i16
-/// panel takes two.
+/// The vector kernel's micro-kernels: the instruction that multiplies a
+/// broadcast word of A's k-steps into one panel row of B and accumulates
+/// the products into eight i32 column lanes (DESIGN.md §11). Ordered by
+/// width, so a host that runs one also runs every smaller one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum MicroKernel {
+    /// AVX2 `_mm256_madd_epi16`: i16×i16 over k-pairs, B sign-extended.
+    Madd,
+    /// AVX-VNNI `_mm256_dpbusd_avx_epi32`: u8×i8 over k-quads, B biased by
+    /// `+128`.
+    Dpbusd,
+}
+
+impl MicroKernel {
+    /// Reduction values one instruction sums into each lane.
+    const fn step(self) -> usize {
+        match self {
+            MicroKernel::Madd => 2,
+            MicroKernel::Dpbusd => 4,
+        }
+    }
+}
+
+/// The widest micro-kernel this host runs, detected once: `None` without
+/// AVX2 and off `x86_64`, where the scalar kernels run. The kernels are
+/// compiled for whatever `-C target-cpu` allows; this gate is what makes
+/// the binary safe on older x86-64 silicon.
+pub(crate) fn host_kernel() -> Option<MicroKernel> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static HOST: std::sync::OnceLock<Option<MicroKernel>> = std::sync::OnceLock::new();
+        *HOST.get_or_init(|| {
+            if !std::is_x86_feature_detected!("avx2") {
+                None
+            } else if std::is_x86_feature_detected!("avxvnni") {
+                Some(MicroKernel::Dpbusd)
+            } else {
+                Some(MicroKernel::Madd)
+            }
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    None
+}
+
+/// The micro-kernel a product with group sizes `ga`/`gb` runs on, given
+/// the widest one available (`best`): equal groups holding a whole number
+/// of the kernel's k-steps, so no step straddles a scale block. A group
+/// that is even but not a multiple of four drops to `madd`; `None` means
+/// the scalar kernels.
+fn micro_kernel(best: Option<MicroKernel>, ga: usize, gb: usize) -> Option<MicroKernel> {
+    [MicroKernel::Dpbusd, MicroKernel::Madd]
+        .into_iter()
+        .find(|&mk| Some(mk) <= best && ga == gb && ga.is_multiple_of(mk.step()))
+}
+
+/// A `ColGroups` operand laid out once in the order the vector kernel
+/// consumes its right-hand side ([`PackedMat::with_nn_panels`]), for the
+/// micro-kernel this host runs on it, panel by panel: panel `q` covers
+/// columns `j0 = 16q ..` and holds its k-step rows, then `⌈k/g⌉ × 16` block
+/// scales of the same columns. Staying one byte per value, the layout
+/// takes half of what a staged i16 panel takes.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[derive(Debug, Clone)]
 pub(crate) struct NnPanels {
-    bytes: Vec<i8>,
+    /// The micro-kernel the layout was built for.
+    kernel: MicroKernel,
+    /// The k-step rows, by micro-kernel:
+    ///
+    /// * `madd`: `⌈k/2⌉` k-pair rows of 32 bytes — byte `2c + i` is
+    ///   `b[2p+i][j0+c]`, the bytes the staging path interleaves with
+    ///   `_mm_unpack{lo,hi}_epi8` before it sign-extends them, so a row is
+    ///   two `_mm256_cvtepi8_epi16` away from the `madd` operands. Padding
+    ///   (columns past `n`, an odd `k`'s high half) is zero.
+    /// * `dpbusd`: `⌈k/4⌉` k-quad rows of 64 bytes — byte `4c + i` is
+    ///   `b[4t+i][j0+c] ^ 0x80`, exactly what staging writes, so a row is
+    ///   two loads away from the `dpbusd` operands. Padding is `0x80`, the
+    ///   biased zero.
+    bytes: Vec<u8>,
     scales: Vec<f32>,
 }
 
 impl NnPanels {
-    /// `b`'s panel layout, if `b` is a right-hand side the vector kernel
-    /// takes — column-grouped with an even group, on `x86_64` — and not
+    /// `b`'s panel layout for the micro-kernel this host runs on it, if
+    /// `b` is a right-hand side the vector kernel takes — column-grouped,
+    /// with a group the micro-kernel takes, on an AVX2 host — and not
     /// empty.
     pub(crate) fn build(b: &PackedMat) -> Option<Self> {
+        Self::build_for(micro_kernel(host_kernel(), b.group(), b.group())?, b)
+    }
+
+    /// `b`'s panel layout for micro-kernel `mk`, on any host.
+    fn build_for(mk: MicroKernel, b: &PackedMat) -> Option<Self> {
         const W: usize = PANEL_COLS;
         let (k, n, g) = (b.rows(), b.cols(), b.group());
-        if !cfg!(target_arch = "x86_64")
-            || b.layout() != PackLayout::ColGroups
-            || !g.is_multiple_of(2)
-            || k == 0
-            || n == 0
-        {
+        if b.layout() != PackLayout::ColGroups || !g.is_multiple_of(mk.step()) || k == 0 || n == 0 {
             return None;
         }
-        let (pairs, nblocks, panels) = (k.div_ceil(2), k.div_ceil(g), n.div_ceil(W));
-        let mut bytes = vec![0i8; panels * pairs * 2 * W];
+        let (step, nblocks, panels) = (mk.step(), k.div_ceil(g), n.div_ceil(W));
+        let row_len = step * W;
+        let panel_len = k.div_ceil(step) * row_len;
+        // One byte per (panel, k-step row, column, step): stored row `r` is
+        // step `r % step` of row `r / step`. `zero` is the encoding's zero,
+        // and each value is XORed with it.
+        let zero = match mk {
+            MicroKernel::Madd => 0,
+            MicroKernel::Dpbusd => 0x80,
+        };
+        let mut bytes = vec![zero; panels * panel_len];
         let mut scales = vec![0.0f32; panels * nblocks * W];
         let per_panel = bytes
-            .chunks_exact_mut(pairs * 2 * W)
+            .chunks_exact_mut(panel_len)
             .zip(scales.chunks_exact_mut(nblocks * W));
         for (q, (pbytes, pscales)) in per_panel.enumerate() {
             let j0 = q * W;
             let w = (n - j0).min(W);
-            // Stored row `r` is the low (even `r`) or high half of k-pair
-            // `r / 2`.
             for (r, src) in b.mantissas().chunks_exact(n).enumerate() {
-                let dst = &mut pbytes[(r / 2) * 2 * W + r % 2..];
+                let dst = &mut pbytes[(r / step) * row_len + r % step..];
                 for (c, &v) in src[j0..j0 + w].iter().enumerate() {
-                    dst[2 * c] = v;
+                    dst[step * c] = v as u8 ^ zero;
                 }
             }
             for (dst, src) in pscales.chunks_exact_mut(W).zip(b.scales().chunks_exact(n)) {
                 dst[..w].copy_from_slice(&src[j0..j0 + w]);
             }
         }
-        Some(NnPanels { bytes, scales })
+        Some(NnPanels {
+            kernel: mk,
+            bytes,
+            scales,
+        })
     }
 
     /// Heap bytes of the layout.
@@ -189,7 +276,8 @@ enum BSide<'a> {
 pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     debug_assert_eq!(b.rows(), k);
-    nn_from_parts(
+    nn_on(
+        host_kernel(),
         &RowSide::of(a),
         a.group(),
         &ColSide::of(b),
@@ -198,7 +286,10 @@ pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
     )
 }
 
-fn nn_from_parts(
+/// `Nn` on the widest micro-kernel up to `best` that the pair takes
+/// ([`micro_kernel`]), or the scalar core.
+fn nn_on(
+    best: Option<MicroKernel>,
     a: &RowSide,
     ga: usize,
     b: &ColSide,
@@ -207,7 +298,7 @@ fn nn_from_parts(
 ) -> Tensor {
     let (m, k, n) = dims;
     let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 && k > 0 && !staged_avx2(a, BSide::Cols(b), ga, gb, dims, &mut out) {
+    if m > 0 && n > 0 && k > 0 && !staged_simd(best, a, BSide::Cols(b), ga, gb, dims, &mut out) {
         nn_scalar(a, b, ga, gb, dims, &mut out);
     }
     Tensor::from_vec(vec![m, n], out)
@@ -215,7 +306,7 @@ fn nn_from_parts(
 
 /// Portable NN kernel over arbitrary (possibly unequal) group sizes. For
 /// equal even groups this is element-for-element the same computation as
-/// the AVX2 kernel: the per-segment integer sums are exact, and the f32
+/// the vector kernel: the per-segment integer sums are exact, and the f32
 /// fix-up applies `acc += (sa·sb) · (iacc as f32)` per segment in ascending
 /// order, exactly like the vector code.
 fn nn_scalar(
@@ -259,15 +350,20 @@ fn nn_scalar(
 /// granule, so the row decomposition is identical for every worker count.
 const ROW_QUAD: usize = 4;
 
-/// Runs the pair on the vector kernel — when the pair supports it: equal
-/// even group sizes, so `madd` k-pairs never straddle a scale block, on a
-/// CPU with AVX2. Returns `false` otherwise, and the caller takes its
-/// portable path. `A` is restaged once on the caller's thread; workers
-/// split the rows, and each stages `B` itself, one 16-column panel at a
-/// time — or, when `B` was laid out in panel order ([`NnPanels`]), reads
-/// its panels in place.
+/// Runs the pair on the vector kernel, on the widest micro-kernel up to
+/// `best` that the pair takes ([`micro_kernel`]). Returns `false` when
+/// there is none, and the caller takes its portable path. `A` is restaged
+/// once on the caller's thread; workers split the rows, and each stages `B`
+/// itself, one 16-column panel at a time — or, when `B` was laid out in
+/// panel order for that micro-kernel ([`NnPanels`]), reads its panels in
+/// place.
+///
+/// # Panics
+///
+/// Panics if `best` is wider than [`host_kernel`].
 #[cfg(target_arch = "x86_64")]
-fn staged_avx2<'a>(
+fn staged_simd<'a>(
+    best: Option<MicroKernel>,
     a: &RowSide<'a>,
     b: BSide<'a>,
     ga: usize,
@@ -276,20 +372,31 @@ fn staged_avx2<'a>(
     out: &mut [f32],
 ) -> bool {
     let (_m, k, n) = dims;
-    if ga != gb || !ga.is_multiple_of(2) || !avx2_available() {
+    assert!(
+        best <= host_kernel(),
+        "{best:?} is not available on this host"
+    );
+    let Some(mk) = micro_kernel(best, ga, gb) else {
         return false;
-    }
+    };
     let laid = match b {
-        BSide::Cols(cols) => cols.panels,
+        BSide::Cols(cols) => cols.panels.filter(|p| p.kernel == mk),
         BSide::Rows(_) => None,
     };
-    let stage = avx2::NnStage::build(a, b, ga, dims);
+    let stage = simd::NnStage::build(mk, a, b, ga, dims);
     shard_rows(out, n, 2 * k * n, ROW_QUAD, |row_start, panel| {
-        // SAFETY: `avx2_available()` confirmed the target feature at runtime.
+        // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
+        // its target features at runtime.
         unsafe {
-            match laid {
-                Some(laid) => avx2::laid_worker(&stage, laid, row_start, panel),
-                None => avx2::nn_worker(&stage, row_start, panel),
+            match (mk, laid) {
+                (MicroKernel::Madd, None) => simd::nn_worker(&stage, row_start, panel),
+                (MicroKernel::Dpbusd, None) => simd::vnni_worker(&stage, row_start, panel),
+                (MicroKernel::Madd, Some(p)) => {
+                    simd::laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
+                }
+                (MicroKernel::Dpbusd, Some(p)) => {
+                    simd::vnni_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
+                }
             }
         }
     });
@@ -297,7 +404,8 @@ fn staged_avx2<'a>(
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn staged_avx2(
+fn staged_simd(
+    _best: Option<MicroKernel>,
     _a: &RowSide,
     _b: BSide,
     _ga: usize,
@@ -310,17 +418,30 @@ fn staged_avx2(
 
 // ---------------------------------------------------------------------------
 // NT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
-// `ROW_QUAD` output rows up, `nn_worker` runs, gathering each k-pair panel
-// from sixteen stored rows of B. Below that — where the gather costs more
-// than the product — and for the pairs the vector kernel refuses, every
-// element is a sum of per-segment dot products over two contiguous i8 rows.
-// Both apply the same three f32 operations per segment in the same order
-// over exact integer sums, so they agree bit for bit
+// `ROW_QUAD` output rows up, the staged vector kernel runs, gathering each
+// k-step panel from sixteen stored rows of B. Below that — where the gather
+// costs more than the product — and for the pairs the vector kernel
+// refuses, every element is a sum of per-segment dot products over two
+// contiguous i8 rows. Both apply the same three f32 operations per segment
+// in the same order over exact integer sums, so they agree bit for bit
 // (`staged_nt_matches_segment_dots_bitwise`).
 // ---------------------------------------------------------------------------
 
 /// `C = A·Bᵀ` in the integer domain.
 pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
+    nt_on(host_kernel(), a, b)
+}
+
+/// `Nt` on the micro-kernels up to `best` (`None`: the scalar dots).
+///
+/// # Panics
+///
+/// Panics if `best` is wider than [`host_kernel`].
+fn nt_on(best: Option<MicroKernel>, a: &PackedMat, b: &PackedMat) -> Tensor {
+    assert!(
+        best <= host_kernel(),
+        "{best:?} is not available on this host"
+    );
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     debug_assert_eq!(b.cols(), k);
     let (av, bv) = (RowSide::of(a), RowSide::of(b));
@@ -329,11 +450,11 @@ pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
     let staged = m >= ROW_QUAD
         && n > 0
         && k > 0
-        && staged_avx2(&av, BSide::Rows(&bv), ga, gb, (m, k, n), &mut out);
+        && staged_simd(best, &av, BSide::Rows(&bv), ga, gb, (m, k, n), &mut out);
     if !staged && m > 0 && n > 0 {
         let segs = segments(k, ga, gb);
         #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
+        if best.is_some() {
             nt_core(&Avx2Dot, &av, &bv, &segs, (k, n), &mut out);
             return Tensor::from_vec(vec![m, n], out);
         }
@@ -378,8 +499,14 @@ fn nt_core<D: Dot>(
 
 /// `C = Aᵀ·B` in the integer domain.
 pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    debug_assert_eq!(b.rows(), k);
+    debug_assert_eq!(b.rows(), a.rows());
+    tn_on(host_kernel(), a, &ColSide::of(b), b.group(), b.cols())
+}
+
+/// `Tn` on the micro-kernels up to `best`, with `B` (`k × n`, group `gb`)
+/// as given.
+fn tn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize, n: usize) -> Tensor {
+    let (k, m) = (a.rows(), a.cols());
     let ga = a.group();
     let nba = k.div_ceil(ga).max(1);
     let (am, asc) = (a.mantissas(), a.scales());
@@ -395,15 +522,16 @@ pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
             tsc[i * nba + bb] = s;
         }
     }
-    nn_from_parts(
+    nn_on(
+        best,
         &RowSide {
             man: &tman,
             scale: &tsc,
             bpr: nba,
         },
         ga,
-        &ColSide::of(b),
-        b.group(),
+        b,
+        gb,
         (m, k, n),
     )
 }
@@ -434,82 +562,111 @@ struct Avx2Dot;
 impl Dot for Avx2Dot {
     #[inline]
     fn dot(&self, a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: constructed only behind `avx2_available()`.
-        unsafe { avx2::dot_i8(a, b) }
+        // SAFETY: constructed only on an AVX2 host (`host_kernel()`).
+        unsafe { simd::dot_i8(a, b) }
     }
 }
 
-/// Runtime AVX2 detection, cached. The kernels themselves are compiled for
-/// whatever `-C target-cpu` allows; this gate is what makes the binary safe
-/// on older x86-64 silicon.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
-}
+mod simd {
+    //! The SIMD lowering of the segment algebra. For eight output columns
+    //! at once, one micro-kernel instruction adds a k-step's products
+    //! `Σᵢ a[k₀+i]·b[k₀+i][j]` into an i32 lane:
+    //!
+    //! * `_mm256_madd_epi16` over k-pairs (i16×i16, both sides
+    //!   sign-extended), followed by an add;
+    //! * `_mm256_dpbusd_avx_epi32` over k-quads (u8×i8, accumulating). Its
+    //!   unsigned operand is B biased by `+128` (`b ^ 0x80`), so a lane
+    //!   sums `Σ a·b + 128·Σ a`, and the segment close subtracts
+    //!   `128·Σ a`, computed when A is staged. Every step is modular
+    //!   (`dpbusd`, not the saturating `dpbusds`), and the true sum fits
+    //!   `i32` (`MAX_INT_SEGMENT`), so the result is exact even when the
+    //!   biased sum wraps.
+    //!
+    //! Steps never cross a scale block: a product runs a micro-kernel only
+    //! when its shared group holds a whole number of steps. The row body
+    //! and the panel loops are generic over the panel row type
+    //! ([`PanelRow`]) and always inlined, so each out-of-line worker below
+    //! compiles them under its own target features — AVX-VNNI code never
+    //! lands in a function a plain AVX2 host runs.
 
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! The SIMD lowering of the segment algebra. One `_mm256_madd_epi16`
-    //! computes, for eight output columns at once, the sum of an adjacent
-    //! k-pair's products `a[k₀]·b[k₀][j] + a[k₁]·b[k₁][j]` — i16×i16→i32 is
-    //! exact for 8-bit mantissas, and pairing never crosses a scale block
-    //! because the NN vector path requires an even shared group size.
-
-    use super::{BSide, NnPanels, RowSide, PANEL_COLS as W, ROW_QUAD};
+    use super::{BSide, MicroKernel, RowSide, PANEL_COLS as W, ROW_QUAD};
     use core::arch::x86_64::*;
 
-    /// The vector NN kernel's shared, read-only inputs, built once on the
+    /// The vector kernel's shared, read-only inputs, built once on the
     /// caller's thread:
     ///
-    /// * `aq` — A mantissas as little-endian i16 k-pairs, one `u32` per
-    ///   pair: `a[2p] | a[2p+1] << 16`, rows padded with a zero high half
-    ///   when `k` is odd. A is the small side at serving shapes (`m` is the
-    ///   batch), so it is restaged whole.
+    /// * `aw` — A's mantissas as one little-endian `u32` per k-step of the
+    ///   micro-kernel: i16 k-pairs `a[2p] | a[2p+1] << 16` for `madd`, i8
+    ///   k-quads `a[4t] | … | a[4t+3] << 24` for `dpbusd`. Each row takes
+    ///   `stride` words, a whole number of blocks, zero past `k`. A is the
+    ///   small side at serving shapes (`m` is the batch), so it is restaged
+    ///   whole.
+    /// * `abias` — `dpbusd` only: `128·Σ a` over each (row, block), which
+    ///   the block's close subtracts from its biased sums.
     /// * `b` — B as stored. No copy of it is made here: every worker
     ///   reads B's panels in place when B carries its panel layout, and
     ///   otherwise stages the panel it is about to consume into its own
-    ///   buffer ([`stage_panel`]).
+    ///   buffer ([`stage_pairs`], [`stage_quads`]).
     pub(super) struct NnStage<'a> {
-        aq: Vec<u32>,
+        aw: Vec<u32>,
+        abias: Vec<i32>,
         ascale: &'a [f32],
         abpr: usize,
         b: BSide<'a>,
         k: usize,
-        pairs: usize,
-        pairs_per_block: usize,
+        stride: usize,
+        steps: usize,
+        steps_per_block: usize,
         nblocks: usize,
         n: usize,
     }
 
     impl<'a> NnStage<'a> {
         pub(super) fn build(
+            mk: MicroKernel,
             a: &RowSide<'a>,
             b: BSide<'a>,
             g: usize,
             dims: (usize, usize, usize),
         ) -> Self {
             let (m, k, n) = dims;
-            let pairs = k.div_ceil(2);
-            let mut aq = vec![0u32; m * pairs];
-            for (arow, qrow) in a.man.chunks_exact(k).zip(aq.chunks_exact_mut(pairs)) {
-                let mut it = arow.chunks_exact(2);
-                for (q, pr) in qrow.iter_mut().zip(&mut it) {
-                    *q = pair_word(pr[0], pr[1]);
+            let step = mk.step();
+            let (nblocks, steps_per_block) = (k.div_ceil(g).max(1), g / step);
+            let stride = nblocks * steps_per_block;
+            let mut aw = vec![0u32; m * stride];
+            if mk == MicroKernel::Dpbusd && stride * 4 == k {
+                // Rows of whole blocks: the words are A's bytes as they
+                // are, converted in one flat pass. Row by row, the same
+                // words made a 2048×72 conv operand's product 1.42× the
+                // `madd` kernel's time instead of 1.18× (paired, 2-vCPU
+                // x86-64 VM).
+                for (w, q) in aw.iter_mut().zip(a.man.chunks_exact(4)) {
+                    *w = quad_word(q.try_into().expect("four bytes"));
                 }
-                if let [last] = it.remainder() {
-                    qrow[pairs - 1] = pair_word(*last, 0);
+            } else {
+                for (arow, wrow) in a.man.chunks_exact(k).zip(aw.chunks_exact_mut(stride)) {
+                    match mk {
+                        MicroKernel::Madd => step_words(arow, wrow, |[lo, hi]| pair_word(lo, hi)),
+                        MicroKernel::Dpbusd => step_words(arow, wrow, quad_word),
+                    }
                 }
             }
+            let abias = match mk {
+                MicroKernel::Madd => Vec::new(),
+                MicroKernel::Dpbusd => block_bias(&aw, steps_per_block),
+            };
             NnStage {
-                aq,
+                aw,
+                abias,
                 ascale: a.scale,
                 abpr: a.bpr,
                 b,
                 k,
-                pairs,
-                pairs_per_block: g / 2,
-                nblocks: k.div_ceil(g).max(1),
+                stride,
+                steps: k.div_ceil(step),
+                steps_per_block,
+                nblocks,
                 n,
             }
         }
@@ -520,10 +677,91 @@ mod avx2 {
         (lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16)
     }
 
-    /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's panel,
-    /// overwriting all of it:
+    /// Four mantissas as one little-endian i8 k-quad word.
+    fn quad_word(vals: [i8; 4]) -> u32 {
+        u32::from_le_bytes(vals.map(|v| v as u8))
+    }
+
+    /// `128·Σ a` over each block of `spb` k-quad words (rows of whole
+    /// blocks, back to back), modular. The common block lengths get a
+    /// constant one, so the sums vectorize: a block costs about a word.
+    fn block_bias(words: &[u32], spb: usize) -> Vec<i32> {
+        fn sums<const S: usize>(words: &[u32], spb: usize) -> Vec<i32> {
+            // Four signed bytes' sum: biased to unsigned, summed as two
+            // 16-bit fields, then unbiased.
+            let byte_sum = |w: u32| {
+                let u = w ^ 0x8080_8080;
+                let x = (u & 0x00FF_00FF) + ((u >> 8) & 0x00FF_00FF);
+                ((x & 0xFFFF) + (x >> 16)) as i32 - 4 * 128
+            };
+            let block = |b: &[u32]| b.iter().fold(0i32, |s, &w| s.wrapping_add(byte_sum(w)));
+            let spb = if S > 0 { S } else { spb };
+            words
+                .chunks_exact(spb)
+                .map(|b| block(b).wrapping_mul(128))
+                .collect()
+        }
+        match spb {
+            1 => sums::<1>(words, spb),
+            2 => sums::<2>(words, spb),
+            4 => sums::<4>(words, spb),
+            8 => sums::<8>(words, spb),
+            _ => sums::<0>(words, spb),
+        }
+    }
+
+    /// `row`'s values `S` at a time as k-step words (`word`) at the front
+    /// of `words`, the last step zero-padded past the row's end.
+    #[inline]
+    fn step_words<const S: usize>(row: &[i8], words: &mut [u32], word: impl Fn([i8; S]) -> u32) {
+        let mut steps = row.chunks_exact(S);
+        for (w, vals) in words.iter_mut().zip(&mut steps) {
+            *w = word(vals.try_into().expect("a whole step"));
+        }
+        if let tail @ [_, ..] = steps.remainder() {
+            let mut vals = [0i8; S];
+            vals[..tail.len()].copy_from_slice(tail);
+            words[row.len() / S] = word(vals);
+        }
+    }
+
+    /// Up to 16 bytes as one vector, zero past the end.
     ///
-    /// * `words` — `pairs × W` k-pair words; word `c` of row `p` is
+    /// # Safety
+    ///
+    /// Requires AVX2 (checked by the caller via `host_kernel`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_padded(src: &[i8]) -> __m128i {
+        let mut row = [0i8; W];
+        let src = match src.get(..W) {
+            Some(whole) => whole,
+            None => {
+                row[..src.len()].copy_from_slice(src);
+                &row
+            }
+        };
+        _mm_loadu_si128(src.as_ptr() as *const __m128i)
+    }
+
+    /// Stages the block scales of B's columns `j0..j0 + w` into a panel's
+    /// `nblocks × W` scales, zero past `w`.
+    fn stage_scales(s: &NnStage, j0: usize, w: usize, scales: &mut [f32]) {
+        for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
+            for (c, d) in dst.iter_mut().enumerate() {
+                *d = match s.b {
+                    _ if c >= w => 0.0,
+                    BSide::Cols(b) => b.scale[bb * s.n + j0 + c],
+                    BSide::Rows(b) => b.scale[(j0 + c) * b.bpr + bb],
+                };
+            }
+        }
+    }
+
+    /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's `madd`
+    /// panel, overwriting all of it:
+    ///
+    /// * `words` — `steps × W` k-pair words; word `c` of row `p` is
     ///   `[b[2p][j0+c], b[2p+1][j0+c]]` as two i16, so one
     ///   `_mm256_madd_epi16` against a broadcast A pair covers eight
     ///   columns and two k-steps;
@@ -535,14 +773,14 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (checked by the caller via `avx2_available`).
+    /// Requires AVX2 (checked by the caller via `host_kernel`).
     ///
     /// # Panics
     ///
     /// Panics unless `words`/`scales` have the panel's sizes and
     /// `j0 + w ≤ n`: the vector stores below rely on both.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stage_panel(
+    pub(super) unsafe fn stage_pairs(
         s: &NnStage,
         j0: usize,
         w: usize,
@@ -550,8 +788,9 @@ mod avx2 {
         scales: &mut [f32],
     ) {
         let (k, n) = (s.k, s.n);
-        assert!(words.len() == s.pairs * W && scales.len() == s.nblocks * W);
+        assert!(words.len() == s.steps * W && scales.len() == s.nblocks * W);
         assert!(w <= W && j0 + w <= n);
+        stage_scales(s, j0, w, scales);
         match s.b {
             // Stored rows `2p` and `2p+1` interleave byte by byte; one
             // sign extension per half widens them into the panel row.
@@ -585,12 +824,6 @@ mod avx2 {
                         }
                     }
                 }
-                for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
-                    let src = &b.scale[bb * n + j0..][..w];
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        *d = src.get(c).copied().unwrap_or(0.0);
-                    }
-                }
             }
             // Stored row `j0 + c` is panel column `c`. Panel rows are
             // written in order, each from the next k-pair of the `w`
@@ -601,23 +834,175 @@ mod avx2 {
                     for (d, brow) in dst.iter_mut().zip(rows.chunks_exact(k)) {
                         *d = pair_word(brow[2 * p], brow.get(2 * p + 1).copied().unwrap_or(0));
                     }
-                }
-                for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        *d = if c < w {
-                            b.scale[(j0 + c) * b.bpr + bb]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                if w < W {
-                    for row in words.chunks_exact_mut(W) {
-                        row[w..].fill(0);
-                    }
+                    dst[w..].fill(0);
                 }
             }
         }
+    }
+
+    /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's `dpbusd`
+    /// panel, overwriting all of it: `bytes` takes `steps` k-quad rows of
+    /// `4·W` biased bytes — byte `4c + i` of row `t` is
+    /// `b[4t+i][j0+c] ^ 0x80`, the layout of [`super::NnPanels`] — and
+    /// `scales` the block scales, as [`stage_pairs`]. Padding (columns
+    /// past `w`, the k-tail of the last quad) is `0x80`, the biased zero.
+    ///
+    /// # Safety
+    ///
+    /// As [`stage_pairs`].
+    ///
+    /// # Panics
+    ///
+    /// As [`stage_pairs`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn stage_quads(
+        s: &NnStage,
+        j0: usize,
+        w: usize,
+        bytes: &mut [u8],
+        scales: &mut [f32],
+    ) {
+        let (k, n) = (s.k, s.n);
+        assert!(bytes.len() == s.steps * 4 * W && scales.len() == s.nblocks * W);
+        assert!(w <= W && j0 + w <= n);
+        stage_scales(s, j0, w, scales);
+        match s.b {
+            // Stored rows `4t..4t+4` interleave byte by byte, then pair by
+            // pair: four 16-byte loads become four 16-byte stores. Rows
+            // past `k` and columns past `w` load as zero.
+            BSide::Cols(b) => {
+                let bias = _mm_set1_epi8(i8::MIN);
+                for (t, dst) in bytes.chunks_exact_mut(4 * W).enumerate() {
+                    let row = |i: usize| {
+                        let r = 4 * t + i;
+                        load_padded(if r < k {
+                            &b.man[r * n + j0..][..w]
+                        } else {
+                            &[]
+                        })
+                    };
+                    let (x0, x1, x2, x3) = (row(0), row(1), row(2), row(3));
+                    let (lo01, hi01) = (_mm_unpacklo_epi8(x0, x1), _mm_unpackhi_epi8(x0, x1));
+                    let (lo23, hi23) = (_mm_unpacklo_epi8(x2, x3), _mm_unpackhi_epi8(x2, x3));
+                    let quads = [
+                        _mm_unpacklo_epi16(lo01, lo23),
+                        _mm_unpackhi_epi16(lo01, lo23),
+                        _mm_unpacklo_epi16(hi01, hi23),
+                        _mm_unpackhi_epi16(hi01, hi23),
+                    ];
+                    let d = dst.as_mut_ptr() as *mut __m128i;
+                    for (i, q) in quads.into_iter().enumerate() {
+                        _mm_storeu_si128(d.add(i), _mm_xor_si128(q, bias));
+                    }
+                }
+            }
+            // Stored row `j0 + c` is panel column `c`, and a quad is four
+            // contiguous bytes of it; rows are written in order, as in
+            // [`stage_pairs`].
+            BSide::Rows(b) => {
+                let rows = &b.man[j0 * k..(j0 + w) * k];
+                for (t, dst) in bytes.chunks_exact_mut(4 * W).enumerate() {
+                    for (d, brow) in dst.chunks_exact_mut(4).zip(rows.chunks_exact(k)) {
+                        let q = match brow.get(4 * t..4 * t + 4) {
+                            Some(q) => quad_word(q.try_into().expect("four bytes")),
+                            None => {
+                                let mut q = [0i8; 4];
+                                q[..k - 4 * t].copy_from_slice(&brow[4 * t..]);
+                                quad_word(q)
+                            }
+                        };
+                        d.copy_from_slice(&(q ^ 0x8080_8080).to_le_bytes());
+                    }
+                    dst[4 * w..].fill(0x80);
+                }
+            }
+        }
+    }
+
+    /// A panel row type whose panels a worker stages itself.
+    trait Staged: PanelRow + Default {
+        /// Stages one panel ([`stage_pairs`], [`stage_quads`]).
+        ///
+        /// # Safety
+        ///
+        /// As [`stage_pairs`].
+        unsafe fn stage(s: &NnStage, j0: usize, w: usize, b: &mut [Self], scales: &mut [f32]);
+    }
+
+    impl Staged for u32 {
+        #[inline]
+        unsafe fn stage(s: &NnStage, j0: usize, w: usize, b: &mut [u32], scales: &mut [f32]) {
+            stage_pairs(s, j0, w, b, scales)
+        }
+    }
+
+    impl Staged for u8 {
+        #[inline]
+        unsafe fn stage(s: &NnStage, j0: usize, w: usize, b: &mut [u8], scales: &mut [f32]) {
+            stage_quads(s, j0, w, b, scales)
+        }
+    }
+
+    /// `madd` over panels it stages itself ([`staged_rows`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (checked by the caller via `host_kernel`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
+        staged_rows::<u32>(s, row_start, out)
+    }
+
+    /// `dpbusd` over panels it stages itself ([`staged_rows`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and AVX-VNNI (checked by the caller via
+    /// `host_kernel`).
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(super) unsafe fn vnni_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
+        staged_rows::<u8>(s, row_start, out)
+    }
+
+    /// `madd` over a B laid out in panel order ([`laid_rows`]). Out of
+    /// line and chosen once per product: folded into `nn_worker`, its row
+    /// bodies grew that function by 40 % and slowed the staged `Nt`
+    /// training shapes by 4–6 % in paired timings.
+    ///
+    /// # Safety
+    ///
+    /// As [`nn_worker`].
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn laid_worker(
+        s: &NnStage,
+        laid: &[u8],
+        scales: &[f32],
+        row_start: usize,
+        out: &mut [f32],
+    ) {
+        // SAFETY: `u8` and `i8` share size and alignment; the `madd` layout
+        // holds the mantissas' two's-complement bytes as they are.
+        let laid = core::slice::from_raw_parts(laid.as_ptr().cast::<i8>(), laid.len());
+        laid_rows(s, laid, scales, row_start, out)
+    }
+
+    /// `dpbusd` over a B laid out in panel order ([`laid_rows`]); out of
+    /// line for the reason [`laid_worker`] is.
+    ///
+    /// # Safety
+    ///
+    /// As [`vnni_worker`].
+    #[inline(never)]
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(super) unsafe fn vnni_laid_worker(
+        s: &NnStage,
+        laid: &[u8],
+        scales: &[f32],
+        row_start: usize,
+        out: &mut [f32],
+    ) {
+        laid_rows(s, laid, scales, row_start, out)
     }
 
     /// One worker's shard: the output rows `row_start..`, row-major in
@@ -627,17 +1012,17 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (checked by the caller via `avx2_available`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
+    /// Requires the target features of `T`'s micro-kernel.
+    #[inline(always)]
+    unsafe fn staged_rows<T: Staged>(s: &NnStage, row_start: usize, out: &mut [f32]) {
         let n = s.n;
-        let mut words = vec![0u32; s.pairs * W];
+        let mut b = vec![T::default(); s.steps * T::LEN];
         let mut scales = vec![0.0f32; s.nblocks * W];
         for j0 in (0..n).step_by(W) {
             let w = (n - j0).min(W);
-            stage_panel(s, j0, w, &mut words, &mut scales);
+            T::stage(s, j0, w, &mut b, &mut scales);
             let panel = Panel {
-                b: words.as_slice(),
+                b: b.as_slice(),
                 scales: scales.as_slice(),
                 j0,
                 w,
@@ -646,45 +1031,40 @@ mod avx2 {
         }
     }
 
-    /// [`nn_worker`] for a B laid out in panel order (`laid`, B's
-    /// [`NnPanels`]): each panel is read in place. Out of line and chosen
-    /// once per product: folded into `nn_worker`, its row bodies grew that
-    /// function by 40 % and slowed the staged `Nt` training shapes by
-    /// 4–6 % in paired timings.
+    /// [`staged_rows`] for a B laid out in panel order (`laid` and
+    /// `scales`, B's [`super::NnPanels`]): each panel is read in place.
     ///
     /// # Safety
     ///
-    /// As [`nn_worker`].
+    /// As [`staged_rows`].
     ///
     /// # Panics
     ///
-    /// Panics unless `laid` has the sizes of this product's `k`, group and
-    /// `n`: the vector loads rely on them.
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn laid_worker(
+    /// Panics unless the layout has the sizes of this product's `k`, group
+    /// and `n`: the vector loads rely on them.
+    #[inline(always)]
+    unsafe fn laid_rows<T: PanelRow>(
         s: &NnStage,
-        laid: &NnPanels,
+        laid: &[T],
+        scales: &[f32],
         row_start: usize,
         out: &mut [f32],
     ) {
         let n = s.n;
-        let (bytes, scales) = (s.pairs * <i8 as PanelRow>::LEN, s.nblocks * W);
+        let (bytes, block_scales) = (s.steps * T::LEN, s.nblocks * W);
         assert!(
-            laid.bytes.len() == n.div_ceil(W) * bytes
-                && laid.scales.len() == n.div_ceil(W) * scales
+            laid.len() == n.div_ceil(W) * bytes && scales.len() == n.div_ceil(W) * block_scales
         );
         let panels = laid
-            .bytes
             .chunks_exact(bytes)
-            .zip(laid.scales.chunks_exact(scales));
+            .zip(scales.chunks_exact(block_scales));
         for (q, (b, scales)) in panels.enumerate() {
             let (j0, w) = (q * W, (n - q * W).min(W));
             panel_rows(s, Panel { b, scales, j0, w }, row_start, out);
         }
     }
 
-    /// One 16-column panel of B as the row body reads it: `pairs` k-pair
+    /// One 16-column panel of B as the row body reads it: `steps` k-step
     /// rows of `T::LEN` elements, `nblocks × W` scales, and the panel's
     /// place in the output (`w ≤ W` real columns from `j0`).
     #[derive(Clone, Copy)]
@@ -695,24 +1075,39 @@ mod avx2 {
         w: usize,
     }
 
-    /// How a panel stores one k-pair row of its 16 columns — the only
-    /// thing in which the staged and the laid-out panel differ.
+    /// How a panel stores one k-step row of its 16 columns, and the
+    /// micro-kernel that consumes it: the only things in which the staged
+    /// and laid-out `madd` panels and the `dpbusd` panel differ.
     trait PanelRow: Copy {
-        /// Elements per k-pair row.
+        /// Elements per k-step row.
         const LEN: usize;
 
-        /// The row as the two `madd` operands: eight `[b[2p][j],
-        /// b[2p+1][j]]` i16 pairs each, columns 0–7 then 8–15.
+        /// Whether B is biased by `+128`, so each segment close subtracts
+        /// `128·Σ a`.
+        const BIASED: bool;
+
+        /// The row as the micro-kernel's two B operands, columns 0–7 then
+        /// 8–15.
         ///
         /// # Safety
         ///
-        /// Requires AVX2, and `LEN` readable elements at `row`.
+        /// Requires the micro-kernel's target features, and `LEN` readable
+        /// elements at `row`.
         unsafe fn load(row: *const Self) -> (__m256i, __m256i);
+
+        /// `acc` plus, per lane, the products of the broadcast A word `a`
+        /// and one B operand `b` over one k-step.
+        ///
+        /// # Safety
+        ///
+        /// Requires the micro-kernel's target features.
+        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i;
     }
 
-    /// A staged panel ([`stage_panel`]): k-pair words, already i16.
+    /// A staged `madd` panel ([`stage_pairs`]): k-pair words, already i16.
     impl PanelRow for u32 {
         const LEN: usize = W;
+        const BIASED: bool = false;
 
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -720,12 +1115,19 @@ mod avx2 {
             let v = row as *const __m256i;
             (_mm256_loadu_si256(v), _mm256_loadu_si256(v.add(1)))
         }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
+            _mm256_add_epi32(acc, _mm256_madd_epi16(a, b))
+        }
     }
 
-    /// A laid-out panel ([`NnPanels`]): the interleaved bytes,
-    /// sign-extended here exactly as staging would have.
+    /// A laid-out `madd` panel ([`super::NnPanels`]): the interleaved
+    /// bytes, sign-extended here exactly as staging would have.
     impl PanelRow for i8 {
         const LEN: usize = 2 * W;
+        const BIASED: bool = false;
 
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -736,6 +1138,32 @@ mod avx2 {
                 _mm256_cvtepi8_epi16(_mm_loadu_si128(v.add(1))),
             )
         }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
+            <u32 as PanelRow>::step(acc, a, b)
+        }
+    }
+
+    /// A `dpbusd` panel, staged ([`stage_quads`]) or laid out: biased
+    /// k-quad bytes, read as they are.
+    impl PanelRow for u8 {
+        const LEN: usize = 4 * W;
+        const BIASED: bool = true;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(row: *const u8) -> (__m256i, __m256i) {
+            let v = row as *const __m256i;
+            (_mm256_loadu_si256(v), _mm256_loadu_si256(v.add(1)))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,avxvnni")]
+        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
+            _mm256_dpbusd_avx_epi32(acc, b, a)
+        }
     }
 
     /// Every row of one worker's shard (`row_start..`, row-major in `out`)
@@ -744,7 +1172,7 @@ mod avx2 {
     /// # Safety
     ///
     /// As [`nn_rows`].
-    #[target_feature(enable = "avx2")]
+    #[inline(always)]
     unsafe fn panel_rows<T: PanelRow>(
         s: &NnStage,
         panel: Panel<T>,
@@ -765,10 +1193,11 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2, and a panel of `s.pairs × T::LEN` elements and
-    /// `s.nblocks × W` scales — the sizes [`stage_panel`] and
-    /// [`nn_worker`] check: the vector loads read them unchecked.
-    #[target_feature(enable = "avx2")]
+    /// Requires the target features of `T`'s micro-kernel, and a panel of
+    /// `s.steps × T::LEN` elements and `s.nblocks × W` scales — the sizes
+    /// the staging functions and [`laid_rows`] check: the vector loads
+    /// read them unchecked.
+    #[inline(always)]
     unsafe fn nn_rows<const R: usize, T: PanelRow>(
         s: &NnStage,
         panel: Panel<T>,
@@ -777,15 +1206,22 @@ mod avx2 {
     ) {
         let mut acc = [[_mm256_setzero_ps(); 2]; R];
         for bb in 0..s.nblocks {
-            let p0 = bb * s.pairs_per_block;
-            let p1 = ((bb + 1) * s.pairs_per_block).min(s.pairs);
+            let t0 = bb * s.steps_per_block;
+            let t1 = ((bb + 1) * s.steps_per_block).min(s.steps);
             let mut iacc = [[_mm256_setzero_si256(); 2]; R];
-            for p in p0..p1 {
-                let (bv0, bv1) = T::load(panel.b.as_ptr().add(p * T::LEN));
+            for t in t0..t1 {
+                let (bv0, bv1) = T::load(panel.b.as_ptr().add(t * T::LEN));
                 for (r, ir) in iacc.iter_mut().enumerate() {
-                    let av = _mm256_set1_epi32(s.aq[(i0 + r) * s.pairs + p] as i32);
-                    ir[0] = _mm256_add_epi32(ir[0], _mm256_madd_epi16(av, bv0));
-                    ir[1] = _mm256_add_epi32(ir[1], _mm256_madd_epi16(av, bv1));
+                    let av = _mm256_set1_epi32(s.aw[(i0 + r) * s.stride + t] as i32);
+                    ir[0] = T::step(ir[0], av, bv0);
+                    ir[1] = T::step(ir[1], av, bv1);
+                }
+            }
+            if T::BIASED {
+                for (r, ir) in iacc.iter_mut().enumerate() {
+                    let bias = _mm256_set1_epi32(s.abias[(i0 + r) * s.nblocks + bb]);
+                    ir[0] = _mm256_sub_epi32(ir[0], bias);
+                    ir[1] = _mm256_sub_epi32(ir[1], bias);
                 }
             }
             let srow = panel.scales.as_ptr().add(bb * W);
@@ -821,7 +1257,7 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (checked by the caller via `avx2_available`).
+    /// Requires AVX2 (checked by the caller via `host_kernel`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         debug_assert_eq!(a.len(), b.len());
@@ -980,116 +1416,241 @@ mod tests {
     }
 
     /// Row counts on both sides of the four-row blocking, column counts
-    /// on both sides of each 16-column panel edge, and odd depths (the
-    /// zero-padded last k-pair) — the shapes panel staging has to get right.
+    /// on both sides of each 16-column panel edge, and depths of every
+    /// residue mod 4 (the padded last k-pair or k-quad) — the shapes panel
+    /// staging has to get right.
     const TAIL_MS: [usize; 5] = [1, 3, 4, 5, 8];
     const TAIL_NS: [usize; 6] = [1, 15, 16, 17, 33, 70];
-    const TAIL_KS: [usize; 5] = [1, 7, 13, 32, 47];
+    const TAIL_KS: [usize; 6] = [1, 7, 13, 18, 32, 47];
 
-    /// Every `Nn` path against the segment oracle, bit for bit: the scalar
-    /// core, the vector kernel staging `B` per call, and the vector kernel
-    /// reading `B`'s laid-out panels — over the tail grid, the shapes
-    /// above and two shapes deep enough to shard, at 1–3 workers. `Tn`
-    /// runs the same kernel on the same `B`, so it takes both `B`s too.
+    /// The micro-kernels this host runs, narrowest first.
+    fn host_kernels() -> Vec<MicroKernel> {
+        [MicroKernel::Madd, MicroKernel::Dpbusd]
+            .into_iter()
+            .filter(|&mk| Some(mk) <= host_kernel())
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every integer path against the segment oracle, bit for bit: the
+    /// scalar `Nn` core; the host's own dispatch through the public entry
+    /// points, with `B` staged and laid out ([`PackedMat::with_nn_panels`]);
+    /// and each micro-kernel this host runs, called directly on the same
+    /// operands — `Nn` and `Tn` with `B` staged per call and read from its
+    /// panel layout for that micro-kernel, and staged `Nt` (from four rows;
+    /// below, the dots). Over the tail grid at groups of both residues mod
+    /// 4 (a `g ≡ 2` pair drops from `dpbusd` to `madd`), the shapes above
+    /// and three shapes deep enough to shard, at 1–3 workers.
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn nn_paths_agree_with_the_segment_oracle_bitwise() {
+    fn vector_paths_agree_with_the_segment_oracle_bitwise() {
         use crate::parallel::{parallelism, set_parallelism, Parallelism};
         use crate::qgemm::Orient;
         use segment_oracle::segment_product;
-        if !avx2_available() {
+        let kernels = host_kernels();
+        if kernels.is_empty() {
             return; // vector path unreachable on this host
         }
-        let grid = [2usize, 6, 16].into_iter().flat_map(|g| {
+        let grid = [2usize, 4, 6, 8, 16, 32].into_iter().flat_map(|g| {
             TAIL_MS
                 .into_iter()
                 .flat_map(|m| TAIL_NS.into_iter().map(move |n| (m, n)))
                 .flat_map(move |(m, n)| TAIL_KS.into_iter().map(move |k| (g, m, n, k)))
         });
         let shapes = SHAPES.into_iter().map(|(m, k, n)| (16, m, n, k));
-        let sharded = [(16, 61, 70, 301), (6, 9, 70, 512)];
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let sharded = [(16, 61, 70, 301), (6, 9, 70, 512), (32, 12, 40, 302)];
         let saved = parallelism();
         for (g, m, n, k) in shapes.chain(sharded).chain(grid) {
             let seed = (61 * m + 67 * n + 71 * k + g) as u64;
             let a = random_pack(m, k, g, PackLayout::RowGroups, seed);
             let at = random_pack(k, m, g, PackLayout::ColGroups, seed + 2);
+            let bt = random_pack(n, k, g, PackLayout::RowGroups, seed + 3);
             let staged = random_pack(k, n, g, PackLayout::ColGroups, seed + 1);
             let laid = staged.clone().with_nn_panels();
             assert!(laid.nn_panels().is_some());
             let want = bits(&segment_product(Orient::Nn, &a, &staged));
             let want_tn = bits(&segment_product(Orient::Tn, &at, &staged));
+            let want_nt = bits(&segment_product(Orient::Nt, &a, &bt));
             let mut scalar = vec![0.0f32; m * n];
             let (av, bv) = (RowSide::of(&a), ColSide::of(&staged));
             nn_scalar(&av, &bv, g, g, (m, k, n), &mut scalar);
             assert_eq!(bits(&scalar), want, "scalar ({m},{k},{n}) g={g}");
+            let layouts = kernels
+                .iter()
+                .map(|&mk| (mk, NnPanels::build_for(mk, &staged)));
+            let layouts: Vec<_> = layouts.collect();
             for workers in 1..=3 {
                 set_parallelism(Parallelism::new(workers));
+                let shape = format!("({m},{k},{n}) g={g} workers={workers}");
                 for (b, path) in [(&staged, "staged"), (&laid, "laid out")] {
-                    let tag = format!("{path} ({m},{k},{n}) g={g} workers={workers}");
-                    assert_eq!(bits(int_nn(&a, b).data()), want, "nn {tag}");
-                    assert_eq!(bits(int_tn(&at, b).data()), want_tn, "tn {tag}");
+                    assert_eq!(bits(int_nn(&a, b).data()), want, "nn {path} {shape}");
+                    assert_eq!(bits(int_tn(&at, b).data()), want_tn, "tn {path} {shape}");
+                }
+                assert_eq!(bits(int_nt(&a, &bt).data()), want_nt, "nt {shape}");
+                for (mk, panels) in &layouts {
+                    let best = Some(*mk);
+                    assert_eq!(panels.is_some(), g.is_multiple_of(mk.step()));
+                    let laid = ColSide {
+                        panels: panels.as_ref(),
+                        ..ColSide::of(&staged)
+                    };
+                    for (b, path) in [(&bv, "staged"), (&laid, "laid out")] {
+                        let tag = format!("{mk:?} {path} {shape}");
+                        let nn = nn_on(best, &av, g, b, g, (m, k, n));
+                        assert_eq!(bits(nn.data()), want, "nn {tag}");
+                        let tn = tn_on(best, &at, b, g, n);
+                        assert_eq!(bits(tn.data()), want_tn, "tn {tag}");
+                    }
+                    let nt = nt_on(best, &a, &bt);
+                    assert_eq!(bits(nt.data()), want_nt, "nt {mk:?} {shape}");
                 }
             }
         }
         set_parallelism(saved);
     }
 
-    /// `with_nn_panels` lays out exactly `B`'s columns, panel by panel —
-    /// k-pair row `p` interleaves stored rows `2p` and `2p + 1` byte by
-    /// byte, the block scales sit beside them — and zero everywhere else:
-    /// tail columns and an odd `k`'s high half. Neither reaches an output
-    /// bit (tail lanes are never stored, A's odd-`k` high half is zero), so
-    /// only this test sees them. The layout counts in `heap_bytes`; a
-    /// row-grouped or odd-group matrix gets none.
+    /// `dpbusd` sums the products of B biased by `+128`, so a segment's
+    /// lane can wrap `i32` where its true sum does not: with A all `−128`
+    /// and B all `+127`, the biased sum of the longest segment of whole
+    /// k-quads (131 068 values, a multiple of four under
+    /// [`MAX_INT_SEGMENT`]) is `−4.28·10⁹`. Modular steps and the bias
+    /// subtraction still return the exact `−2.13·10⁹`; the saturating
+    /// `dpbusds` would not. B all `−128` too gives the extremal product,
+    /// `k·128²`, just under `2³¹`. Staged and laid-out `Nn` and `Tn` and
+    /// staged `Nt`, on each micro-kernel this host runs.
     #[test]
     #[cfg(target_arch = "x86_64")]
+    fn the_longest_quad_segment_wraps_its_biased_sum_and_stays_exact() {
+        let k = MAX_INT_SEGMENT / 4 * 4;
+        assert_eq!(k, 131_068);
+        assert!(k as i64 * 255 * -128 < i64::from(i32::MIN));
+        let (m, n) = (4, 16);
+        let a = PackedMat::new(
+            m,
+            k,
+            k,
+            PackLayout::RowGroups,
+            vec![-128; m * k],
+            vec![1.0; m],
+        );
+        let at = PackedMat::new(
+            k,
+            m,
+            k,
+            PackLayout::ColGroups,
+            vec![-128; m * k],
+            vec![1.0; m],
+        );
+        for bv in [127i8, -128] {
+            let want = vec![(-128 * i32::from(bv) * k as i32) as f32; m * n];
+            let b = PackedMat::new(
+                k,
+                n,
+                k,
+                PackLayout::ColGroups,
+                vec![bv; k * n],
+                vec![1.0; n],
+            );
+            let bt = PackedMat::new(
+                n,
+                k,
+                k,
+                PackLayout::RowGroups,
+                vec![bv; k * n],
+                vec![1.0; n],
+            );
+            for mk in host_kernels() {
+                let panels = NnPanels::build_for(mk, &b);
+                let laid = ColSide {
+                    panels: panels.as_ref(),
+                    ..ColSide::of(&b)
+                };
+                for (side, path) in [(ColSide::of(&b), "staged"), (laid, "laid out")] {
+                    let tag = format!("{mk:?} {path} b={bv}");
+                    let nn = nn_on(Some(mk), &RowSide::of(&a), k, &side, k, (m, k, n));
+                    assert_eq!(nn.data(), want, "nn {tag}");
+                    let tn = tn_on(Some(mk), &at, &side, k, n);
+                    assert_eq!(tn.data(), want, "tn {tag}");
+                }
+                assert_eq!(nt_on(Some(mk), &a, &bt).data(), want, "nt {mk:?} b={bv}");
+            }
+        }
+    }
+
+    /// Byte `i` of `mk`'s panel layout of `b` (`k × n`, row-major
+    /// mantissas), as [`NnPanels`] documents it: panel `q`, k-step row
+    /// `t`, column `c`, step `s` holds `b[step·t + s][16q + c]` — as is
+    /// for `madd`, `^ 0x80` for `dpbusd` — and past `k` or `n` the zero of
+    /// that encoding.
+    fn layout_byte(mk: MicroKernel, b: &PackedMat, i: usize) -> u8 {
+        let (k, n, step) = (b.rows(), b.cols(), mk.step());
+        let (row, panel) = (16 * step, k.div_ceil(step) * 16 * step);
+        let (q, t, c, s) = (i / panel, i % panel / row, i % row / step, i % step);
+        let (r, j) = (step * t + s, 16 * q + c);
+        let v = if r < k && j < n {
+            b.mantissas()[r * n + j] as u8
+        } else {
+            0
+        };
+        match mk {
+            MicroKernel::Madd => v,
+            MicroKernel::Dpbusd => v ^ 0x80,
+        }
+    }
+
+    /// Each panel layout holds exactly `B`'s columns, byte for byte:
+    /// `madd` k-pair rows interleave stored rows `2p`, `2p + 1`, `dpbusd`
+    /// k-quad rows interleave rows `4t … 4t + 3` biased by `+128`, the
+    /// block scales sit beside them, and everything else — tail columns
+    /// and the k-tail of the last step — is the encoding's zero (`0`,
+    /// `0x80`). Neither reaches an output bit (tail lanes are never stored,
+    /// A's k-tail is zero), so only this test sees them. A layout exists
+    /// exactly when the micro-kernel takes the group;
+    /// [`PackedMat::with_nn_panels`] builds the host's and counts it in
+    /// `heap_bytes`; a row-grouped or odd-group matrix gets none.
+    #[test]
     fn laid_out_panels_hold_exactly_the_operands_columns() {
-        let grid = [2usize, 6, 16].into_iter().flat_map(|g| {
+        let grid = [2usize, 4, 6, 16].into_iter().flat_map(|g| {
             TAIL_NS
                 .into_iter()
                 .flat_map(move |n| TAIL_KS.into_iter().map(move |k| (g, n, k)))
         });
         for (g, n, k) in grid {
-            let b = random_pack(
-                k,
-                n,
-                g,
-                PackLayout::ColGroups,
-                (g * 1000 + n * 50 + k) as u64,
-            );
+            let seed = (g * 1000 + n * 50 + k) as u64;
+            let b = random_pack(k, n, g, PackLayout::ColGroups, seed);
+            for mk in [MicroKernel::Madd, MicroKernel::Dpbusd] {
+                let step = mk.step();
+                let Some(laid) = NnPanels::build_for(mk, &b) else {
+                    assert!(!g.is_multiple_of(step), "{mk:?} g={g} lays out");
+                    continue;
+                };
+                assert_eq!(laid.kernel, mk);
+                let got = &laid.bytes;
+                let (nblocks, panels) = (k.div_ceil(g), n.div_ceil(16));
+                assert_eq!(got.len(), panels * k.div_ceil(step) * 16 * step);
+                assert_eq!(laid.scales.len(), panels * nblocks * 16);
+                assert_eq!(laid.heap_bytes(), got.len() + 4 * laid.scales.len());
+                for (i, &got) in got.iter().enumerate() {
+                    let want = layout_byte(mk, &b, i);
+                    assert_eq!(got, want, "{mk:?} g={g} n={n} k={k} byte {i}");
+                }
+                for (i, &got) in laid.scales.iter().enumerate() {
+                    let (q, bb, c) = (i / (nblocks * 16), i / 16 % nblocks, i % 16);
+                    let j = 16 * q + c;
+                    let want = if j < n { b.scales()[bb * n + j] } else { 0.0 };
+                    let tag = format!("scale {mk:?} g={g} n={n} k={k} bb={bb} j={j}");
+                    assert_eq!(got.to_bits(), want.to_bits(), "{tag}");
+                }
+            }
             let unlaid = b.heap_bytes();
             let b = b.with_nn_panels();
-            let laid = b
-                .nn_panels()
-                .expect("an even-group ColGroups matrix lays out");
-            let (pairs, nblocks, panels) = (k.div_ceil(2), k.div_ceil(g), n.div_ceil(16));
-            assert_eq!(laid.bytes.len(), panels * pairs * 32);
-            assert_eq!(laid.scales.len(), panels * nblocks * 16);
-            assert_eq!(b.heap_bytes(), unlaid + laid.heap_bytes());
-            for (i, &got) in laid.bytes.iter().enumerate() {
-                let (q, p, c, half) = (i / (pairs * 32), i / 32 % pairs, i % 32 / 2, i % 2);
-                let (r, j) = (2 * p + half, 16 * q + c);
-                let want = if r < k && j < n {
-                    b.mantissas()[r * n + j]
-                } else {
-                    0
-                };
-                assert_eq!(
-                    got, want,
-                    "g={g} n={n} k={k} panel {q} pair {p} col {c} half {half}"
-                );
-            }
-            for (i, &got) in laid.scales.iter().enumerate() {
-                let (q, bb, c) = (i / (nblocks * 16), i / 16 % nblocks, i % 16);
-                let j = 16 * q + c;
-                let want = if j < n { b.scales()[bb * n + j] } else { 0.0 };
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "scale g={g} n={n} k={k} bb={bb} j={j}"
-                );
-            }
+            let host = micro_kernel(host_kernel(), g, g);
+            assert_eq!(b.nn_panels().map(|p| p.kernel), host, "g={g}");
+            let laid = b.nn_panels().map_or(0, NnPanels::heap_bytes);
+            assert_eq!(b.heap_bytes(), unlaid + laid);
         }
         for b in [
             random_pack(9, 20, 3, PackLayout::ColGroups, 1),
@@ -1102,22 +1663,20 @@ mod tests {
         }
     }
 
-    /// A staged panel holds exactly B's columns `j0..j0 + w` as k-pair
-    /// words — low half row `2p`, high half row `2p + 1` — and zero
-    /// everywhere else, whatever the buffer held before: tail columns and
-    /// the odd-`k` pair's high half are padded, never left stale.
+    /// A staged panel holds exactly B's columns `j0..j0 + w`, whatever the
+    /// buffer held before: `madd` k-pair words — low half row `2p`, high
+    /// half row `2p + 1`, zero padding — and `dpbusd` k-quad bytes in the
+    /// laid-out order, `0x80` padding. Tail columns and the k-tail of the
+    /// last step are padded, never left stale.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn staged_panels_hold_exactly_the_operands_columns() {
-        if !avx2_available() {
-            return;
-        }
         let word = |lo: i8, hi: i8| (lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16);
-        for (n, k) in TAIL_NS
+        let shapes = TAIL_NS
             .into_iter()
-            .flat_map(|n| TAIL_KS.into_iter().map(move |k| (n, k)))
-        {
-            let g = 6;
+            .flat_map(|n| TAIL_KS.into_iter().map(move |k| (n, k)));
+        for ((n, k), mk) in shapes.flat_map(|s| host_kernels().into_iter().map(move |mk| (s, mk))) {
+            let g = 3 * mk.step();
             let a = random_pack(1, k, g, PackLayout::RowGroups, 5);
             let b = random_pack(k, n, g, PackLayout::ColGroups, (n * 100 + k) as u64);
             let bt = random_pack(n, k, g, PackLayout::RowGroups, (n * 100 + k + 1) as u64);
@@ -1127,8 +1686,10 @@ mod tests {
                 (BSide::Cols(&cols), &b, false),
                 (BSide::Rows(&rows), &bt, true),
             ] {
-                let stage = avx2::NnStage::build(&av, side, g, (1, k, n));
-                let mut words = vec![0u32; k.div_ceil(2) * 16];
+                let stage = simd::NnStage::build(mk, &av, side, g, (1, k, n));
+                let steps = k.div_ceil(mk.step());
+                let mut words = vec![0u32; steps * 16];
+                let mut bytes = vec![0u8; steps * 64];
                 let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
                 let at = |p: usize, j: usize| {
                     let (r, c) = if transposed { (j, p) } else { (p, j) };
@@ -1143,29 +1704,45 @@ mod tests {
                 };
                 for j0 in (0..n).step_by(16) {
                     let w = (n - j0).min(16);
-                    words.fill(0xDEAD_BEEF);
+                    let tag = format!("{mk:?} n={n} k={k} t={transposed} j0={j0}");
                     scales.fill(f32::NAN);
-                    // SAFETY: AVX2 confirmed above.
-                    unsafe { avx2::stage_panel(&stage, j0, w, &mut words, &mut scales) };
-                    for (p, row) in words.chunks_exact(16).enumerate() {
-                        for (c, &got) in row.iter().enumerate() {
-                            let want = if c < w {
-                                let hi = if 2 * p + 1 < k {
-                                    at(2 * p + 1, j0 + c)
-                                } else {
-                                    0
-                                };
-                                word(at(2 * p, j0 + c), hi)
-                            } else {
-                                0
-                            };
-                            assert_eq!(got, want, "n={n} k={k} t={transposed} j0={j0} p={p} c={c}");
+                    match mk {
+                        MicroKernel::Madd => {
+                            words.fill(0xDEAD_BEEF);
+                            // SAFETY: `host_kernels` confirmed AVX2.
+                            unsafe { simd::stage_pairs(&stage, j0, w, &mut words, &mut scales) };
+                            for (p, row) in words.chunks_exact(16).enumerate() {
+                                for (c, &got) in row.iter().enumerate() {
+                                    let want = if c < w {
+                                        let hi = if 2 * p + 1 < k {
+                                            at(2 * p + 1, j0 + c)
+                                        } else {
+                                            0
+                                        };
+                                        word(at(2 * p, j0 + c), hi)
+                                    } else {
+                                        0
+                                    };
+                                    assert_eq!(got, want, "{tag} p={p} c={c}");
+                                }
+                            }
+                        }
+                        MicroKernel::Dpbusd => {
+                            bytes.fill(0x5A);
+                            // SAFETY: `host_kernels` confirmed AVX2.
+                            unsafe { simd::stage_quads(&stage, j0, w, &mut bytes, &mut scales) };
+                            for (i, &got) in bytes.iter().enumerate() {
+                                let (t, c, s) = (i / 64, i % 64 / 4, i % 4);
+                                let r = 4 * t + s;
+                                let v = if c < w && r < k { at(r, j0 + c) } else { 0 };
+                                assert_eq!(got, v as u8 ^ 0x80, "{tag} t={t} c={c} s={s}");
+                            }
                         }
                     }
                     for (bb, row) in scales.chunks_exact(16).enumerate() {
                         for (c, &got) in row.iter().enumerate() {
                             let want = if c < w { scale(bb, j0 + c) } else { 0.0 };
-                            assert_eq!(got.to_bits(), want.to_bits(), "scale n={n} k={k} bb={bb}");
+                            assert_eq!(got.to_bits(), want.to_bits(), "scale {tag} bb={bb}");
                         }
                     }
                 }
@@ -1176,7 +1753,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn scalar_and_simd_segment_dots_agree() {
-        if !avx2_available() {
+        if host_kernel().is_none() {
             return;
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);

@@ -90,10 +90,10 @@ fn main() {
     let fmt = BfpFormat::high();
     let base: Vec<f32> = (0..65536).map(|i| (i as f32 * 0.137).sin() * 3.0).collect();
     let mut buf = base.clone();
-    let noise = |workers: usize| Noise {
+    let noise = Noise {
         rng: CounterRng::new(0xACE1),
         base: 0,
-        workers,
+        workers: 1,
     };
     results.push((
         "quant_slice_m4_nearest_ns",
@@ -103,7 +103,7 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::Nearest,
-                noise(1),
+                noise,
                 None,
             ));
         }),
@@ -120,7 +120,7 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::Nearest,
-                noise(1),
+                noise,
                 None,
             ));
         } else {
@@ -222,7 +222,7 @@ fn main() {
                 axis,
                 fmt,
                 rounding,
-                noise(1),
+                noise,
                 false,
             ));
         }
@@ -232,9 +232,7 @@ fn main() {
 
     // --- The same slice under 8-bit stochastic rounding (DESIGN.md §12):
     // one SplitMix64 hash yields eight 8-bit lanes, and draws are indexed
-    // by element offset. The `_par` row shards the identical draws across
-    // the worker pool — bit-identical output to the single-thread row; on a
-    // one-core runner the two rows coincide.
+    // by element offset.
     results.push((
         "quant_slice_m4_counter_sr_ns",
         time_ns(warmup, iters, || {
@@ -243,20 +241,7 @@ fn main() {
                 &mut buf,
                 fmt,
                 Rounding::STOCHASTIC8,
-                noise(1),
-                None,
-            ));
-        }),
-    ));
-    results.push((
-        "quant_slice_m4_counter_sr_par_ns",
-        time_ns(warmup, iters, || {
-            buf.copy_from_slice(&base);
-            black_box(fake_quantize_slice(
-                &mut buf,
-                fmt,
-                Rounding::STOCHASTIC8,
-                noise(fast_tensor::parallelism().workers()),
+                noise,
                 None,
             ));
         }),
@@ -297,8 +282,8 @@ fn main() {
             time_ns(warmup, iters, || {
                 let mut aq = a.clone();
                 let mut bq = b.clone();
-                numfmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, noise(1));
-                numfmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, noise(1));
+                numfmt.quantize_matrix(&mut aq, GroupAxis::AlongRow, noise);
+                numfmt.quantize_matrix(&mut bq, GroupAxis::AlongCol, noise);
                 black_box(matmul(&aq, &bq));
             }),
         ));

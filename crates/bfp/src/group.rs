@@ -71,8 +71,8 @@ impl BfpGroup {
     /// 3. `rounding` decides the low-order bits (stochastic for gradients);
     /// 4. magnitudes are truncated/saturated to `m` bits.
     ///
-    /// The arithmetic is executed by the integer batch kernel of
-    /// [`crate::kernel`]; this type remains the explanatory, materialized
+    /// The arithmetic is executed by the crate's integer quantization
+    /// kernel; this type remains the explanatory, materialized
     /// view of one group (see DESIGN.md §7). Saturating sanitization —
     /// non-finite values become the signed largest finite f32, NaN becomes
     /// zero — and rounding-parameter validation both happen once per group,

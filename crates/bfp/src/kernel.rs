@@ -1,17 +1,21 @@
-//! Zero-allocation integer BFP fake-quantization kernels.
+//! Integer BFP quantization: the element bodies every converter runs, and
+//! the fake-quantize entry points.
 //!
 //! The explanatory path ([`crate::BfpGroup`]) models paper Fig 4 with f64
 //! arithmetic: one heap-allocated group per 16 values, an `f64::powi` per
 //! group and an f64 multiply per element. This module is the production
 //! substrate behind it: the same align-shift-round pipeline executed as
 //! integer bit manipulation on `f32::to_bits` patterns, monomorphized over
-//! the rounding mode and the noise source so the per-element `dyn` call of
-//! the seed implementation disappears from the hot loop. The public entry
-//! points — [`fake_quantize_slice`], [`fake_quantize_matrix`] and
-//! [`crate::packed::pack_matrix`], one per shape — validate, resolve the
-//! exponent window and dispatch the rounding op once per operand, then hand
-//! these kernels a cursor over the counter noise their [`Noise`] argument
-//! names. Only the single-group entry [`quantize_group_mantissas`] — the
+//! the rounding mode so the per-element `dyn` call of the seed
+//! implementation disappears from the hot loop.
+//!
+//! A tensor has one converter, as in the paper (Fig 14): the pack kernels of
+//! [`crate::packed`]. [`fake_quantize_matrix`] packs the matrix and writes
+//! each reconstruction `mantissa as f32 * scale` back in place; only when
+//! the pack refuses (a mantissa wider than 7 bits, or a NaN/∞/subnormal
+//! value) does it walk the matrix group by group on the calling thread
+//! ([`fake_quantize_group`]). [`fake_quantize_slice`] is that walk over one
+//! row. Only the single-group entry `quantize_group_mantissas` — the
 //! paper's converter model — still rounds against a serialized
 //! [`BitSource`].
 //!
@@ -33,18 +37,10 @@
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
 use crate::lfsr::BitSource;
+use crate::packed::{pack_rows, DenseRows, PackedData};
 use crate::rng::{CounterBits, CounterRng};
 use crate::rounding::Rounding;
 use crate::tensor_quant::{GroupAxis, QuantStats};
-
-/// Minimum elements each extra worker must be handed before a quantization
-/// pass shards. A scoped spawn + join measures ≈ 18 µs (2-vCPU Xeon, PR 17),
-/// which is ≈ 16 k elements at the 1.0–1.1 ns/element the nearest kernels run
-/// at (`pack_m4_nearest_ns`; 8-bit SR ≈ 1.4, the per-group slice kernel
-/// ≈ 1.8): below this a worker costs more to start than it takes off the
-/// pass. The threshold bounds the loss, it does not promise a gain — on that
-/// machine `quant_slice_m4_counter_sr_par_ns` never beats its one-thread twin.
-const MIN_ELEMS_PER_WORKER: usize = 1 << 14;
 
 /// Splits a finite non-zero f32 magnitude bit pattern into `(sig, p)` with
 /// `|x| = sig · 2^p` and `sig < 2^24` (subnormals keep their raw fraction).
@@ -74,7 +70,7 @@ pub(crate) fn exponent_of_parts(sig: u32, p: i32) -> i32 {
 /// `floor(log2 |x|)` is monotone in the magnitude bit pattern, the scan
 /// reduces to an integer max over sanitized patterns with a single exponent
 /// decode at the end.
-pub fn max_exponent(values: &[f32]) -> Option<i32> {
+pub(crate) fn max_exponent(values: &[f32]) -> Option<i32> {
     let (best, _) = scan_group(values);
     (best != 0).then(|| {
         let (sig, p) = decompose(best);
@@ -343,7 +339,10 @@ fn group_mantissas<R: RoundOp, B: BitSource + ?Sized>(
 /// Fake-quantizes one group in place, folding [`QuantStats`] counting into
 /// the same pass. Write-back matches `BfpGroup::dequantize_into` bit for
 /// bit: `mantissa · 2^(E-m+1)` with a single rounding to f32.
-#[inline]
+///
+/// Always inlined: with two call sites in [`walk_groups`], LLVM kept it out
+/// of line and the slice walk ran ≈ 7 % slower per 64 Ki values.
+#[inline(always)]
 fn fake_quantize_group<R: RoundOp>(
     chunk: &mut [f32],
     m: u32,
@@ -519,34 +518,14 @@ pub(crate) fn check_noise_bits(rounding: Rounding) {
     }
 }
 
-#[inline]
-fn slice_kernel<R: RoundOp>(
-    values: &mut [f32],
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut CounterBits,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    let mut stats = QuantStats::default();
-    let m = fmt.mantissa_bits();
-    let max_mag = fmt.max_magnitude() as u64;
-    let g = fmt.group_size();
-    for (gi, chunk) in values.chunks_mut(g).enumerate() {
-        bits.seek((gi * g) as u64, 1);
-        fake_quantize_group(chunk, m, max_mag, window, round, bits, &mut stats);
-    }
-    stats
-}
-
-/// Matrix quantization against an already-resolved window — also the
-/// sharding entry point: stripes quantize sub-matrices against the window
-/// computed once over the whole matrix, with their noise offsets biased to
-/// the stripe's first element.
-#[allow(clippy::too_many_arguments)] // mirrors the converter signature
-#[inline]
-fn matrix_kernel<R: RoundOp>(
+/// The per-group walk: every group of the row-major matrix `data`, `cols`
+/// wide, quantized by itself through [`fake_quantize_group`], one after
+/// another on the calling thread, with the noise cursor seeked to each
+/// group's element offsets. `AlongRow` groups are row chunks (a slice is
+/// one row); `AlongCol` groups are gathered down a column into a scratch
+/// group and scattered back.
+fn walk_groups<R: RoundOp>(
     data: &mut [f32],
-    rows: usize,
     cols: usize,
     axis: GroupAxis,
     fmt: BfpFormat,
@@ -554,133 +533,73 @@ fn matrix_kernel<R: RoundOp>(
     bits: &mut CounterBits,
     window: Option<ExponentWindow>,
 ) -> QuantStats {
+    let mut stats = QuantStats::default();
+    let (m, max_mag, g) = (
+        fmt.mantissa_bits(),
+        fmt.max_magnitude() as u64,
+        fmt.group_size(),
+    );
+    let cols = cols.max(1); // an empty matrix has no rows to walk
     match axis {
         GroupAxis::AlongRow => {
-            let mut stats = QuantStats::default();
-            let m = fmt.mantissa_bits();
-            let max_mag = fmt.max_magnitude() as u64;
-            let g = fmt.group_size();
             for (r, row) in data.chunks_mut(cols).enumerate() {
-                for (gi, chunk) in row.chunks_mut(g).enumerate() {
+                for (gi, group) in row.chunks_mut(g).enumerate() {
                     bits.seek((r * cols + gi * g) as u64, 1);
-                    fake_quantize_group(chunk, m, max_mag, window, round, bits, &mut stats);
-                }
-            }
-            stats
-        }
-        GroupAxis::AlongCol => along_col_vertical(data, rows, cols, fmt, round, bits, window),
-    }
-}
-
-/// `AlongCol` quantization: every column group in a row block is quantized
-/// simultaneously, lane-wise across the columns — the natural SIMD layout
-/// for a row-major matrix, with no transpose staging at all. Valid because
-/// nearest/truncate rounding draws nothing and stochastic rounding keys its
-/// noise on element offsets, so element order is free; each element still
-/// gets exactly the arithmetic of [`fake_quantize_group`].
-fn along_col_vertical<R: RoundOp>(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    fmt: BfpFormat,
-    round: &R,
-    bits: &mut CounterBits,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    let mut stats = QuantStats::default();
-    let m = fmt.mantissa_bits();
-    let max_mag = fmt.max_magnitude() as u32;
-    let g = fmt.group_size();
-    // Per-column state for the current row block.
-    let mut col_max = vec![0u32; cols];
-    let mut t_base = vec![0i32; cols];
-    let mut scale = vec![0.0f32; cols];
-    let mut scratch = Vec::new(); // only used by the rare fallback
-    let mut noise_row = vec![0u8; cols]; // bulk draws for the noise8 path
-    let mut row0 = 0;
-    while row0 < rows {
-        let rb = g.min(rows - row0);
-        // Lane-wise scan: per-column sanitized maximum, plus one flag that
-        // stays true only if every element in the block is normal or zero.
-        col_max[..cols].fill(0);
-        let mut odd = 0u32;
-        for r in row0..row0 + rb {
-            let row = &data[r * cols..(r + 1) * cols];
-            for (c, &v) in row.iter().enumerate() {
-                let abs = v.to_bits() & 0x7FFF_FFFF;
-                odd |= ((abs != 0) as u32) & ((abs.wrapping_sub(0x0080_0000) > 0x7EFF_FFFF) as u32);
-                if abs > col_max[c] {
-                    col_max[c] = abs;
+                    fake_quantize_group(group, m, max_mag, window, round, bits, &mut stats);
                 }
             }
         }
-        if odd != 0 {
-            // Subnormal/inf/NaN present: gather each column group and run
-            // the general scalar pipeline, the cursor seeked to the column's
-            // strided offsets so every element keeps its own noise.
-            scratch.resize(rb, 0.0);
-            for c in 0..cols {
-                for (k, s) in scratch.iter_mut().enumerate() {
-                    *s = data[(row0 + k) * cols + c];
-                }
-                bits.seek((row0 * cols + c) as u64, cols as u64);
-                fake_quantize_group(
-                    &mut scratch,
-                    m,
-                    max_mag as u64,
-                    window,
-                    round,
-                    bits,
-                    &mut stats,
-                );
-                for (k, &s) in scratch.iter().enumerate() {
-                    data[(row0 + k) * cols + c] = s;
+        GroupAxis::AlongCol => {
+            let mut group = Vec::with_capacity(g);
+            for (b, block) in data.chunks_mut(g * cols).enumerate() {
+                for c in 0..cols {
+                    group.clear();
+                    group.extend(block.iter().skip(c).step_by(cols));
+                    bits.seek((b * g * cols + c) as u64, cols as u64);
+                    fake_quantize_group(&mut group, m, max_mag, window, round, bits, &mut stats);
+                    for (v, &q) in block.iter_mut().skip(c).step_by(cols).zip(&group) {
+                        *v = q;
+                    }
                 }
             }
-            row0 += rb;
-            continue;
         }
-        stats.groups += cols;
-        for c in 0..cols {
-            (t_base[c], scale[c]) = plain_group_params(col_max[c], m, window);
-        }
-        // Lane-wise quantization of the block, same arithmetic as
-        // `fake_quantize_group_plain`. The row-major walk advances the
-        // cursor one offset per element; for 8-bit stochastic rounding the
-        // row's draws are prefetched in bulk.
-        for r in row0..row0 + rb {
-            bits.seek((r * cols) as u64, 1);
-            let row = &mut data[r * cols..(r + 1) * cols];
-            if R::NOISE8 {
-                bits.fill8(&mut noise_row);
-            }
-            // The counters are loop-carried sums the vectorizer keeps in
-            // registers and reduces once per row.
-            let (mut zeros, mut saturated) = (0u32, 0u32);
-            let (t_base, scale, noise_row) = (&t_base[..cols], &scale[..cols], &noise_row[..cols]);
-            for c in 0..cols {
-                let r = if R::NOISE8 {
-                    noise_row[c] as u32
-                } else {
-                    round.draw(bits)
-                };
-                let (mag, man) = quantize_plain(row[c].to_bits(), t_base[c], max_mag, round, r);
-                zeros += (mag == 0) as u32;
-                saturated += (mag == max_mag) as u32;
-                row[c] = man as f32 * scale[c];
-            }
-            stats.zeros += zeros as u64;
-            stats.saturated += saturated as u64;
-        }
-        row0 += rb;
     }
     stats
+}
+
+/// Writes the reconstruction `mantissa as f32 * scale` of every element of
+/// `p`, the pack of the row-major matrix `data` (`cols` wide, groups of `g`
+/// along `axis`), over `data` — the expression the plain group loop
+/// evaluates, so the bits it would have written.
+fn write_back(data: &mut [f32], cols: usize, axis: GroupAxis, g: usize, p: &PackedData) {
+    let cols = cols.max(1);
+    let rows = data.chunks_mut(cols).zip(p.mantissas.chunks(cols));
+    match axis {
+        GroupAxis::AlongRow => {
+            for ((row, mans), scales) in rows.zip(p.scales.chunks(cols.div_ceil(g))) {
+                let groups = row.chunks_mut(g).zip(mans.chunks(g));
+                for ((vals, mans), &scale) in groups.zip(scales) {
+                    for (v, &man) in vals.iter_mut().zip(mans) {
+                        *v = man as f32 * scale;
+                    }
+                }
+            }
+        }
+        GroupAxis::AlongCol => {
+            for (r, (row, mans)) in rows.enumerate() {
+                let scales = &p.scales[r / g * cols..][..cols];
+                for ((v, &man), &scale) in row.iter_mut().zip(mans).zip(scales) {
+                    *v = man as f32 * scale;
+                }
+            }
+        }
+    }
 }
 
 /// The stochastic-rounding noise one quantization pass draws from: counter
 /// noise keyed by `(seed, element offset)`. The element at linear index `i`
 /// of the pass draws at `base + i` from `rng`, whichever path, order or
-/// thread visits it (zeros draw too), so the pass shards across up to
+/// thread visits it (zeros draw too), so a pack shards across up to
 /// `workers` threads bit-invisibly. Deterministic rounding modes draw
 /// nothing.
 #[derive(Debug, Clone, Copy)]
@@ -725,7 +644,7 @@ pub(crate) use with_round_op;
 /// # Panics
 ///
 /// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`.
-pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
+pub(crate) fn quantize_group_mantissas<B: BitSource + ?Sized>(
     values: &[f32],
     shared_exponent: i32,
     fmt: BfpFormat,
@@ -744,7 +663,8 @@ pub fn quantize_group_mantissas<B: BitSource + ?Sized>(
 
 /// Fake-quantizes a contiguous slice in groups of `fmt.group_size()`,
 /// overwriting each value with its BFP reconstruction. The final group may
-/// be shorter than `g`.
+/// be shorter than `g`. The walk runs on the calling thread whatever
+/// `noise.workers` says.
 ///
 /// If `window` is `Some`, the shared exponents are clamped into the `e`-bit
 /// window (per-tensor reference model; see [`ExponentWindow`]).
@@ -778,12 +698,21 @@ pub fn fake_quantize_slice(
     window: Option<ExponentWindow>,
 ) -> QuantStats {
     check_noise_bits(rounding);
-    with_round_op!(rounding, op => slice_sharded(values, fmt, op, noise, window))
+    let (cols, mut bits) = (values.len(), CounterBits::new(noise.rng, noise.base));
+    let axis = GroupAxis::AlongRow;
+    with_round_op!(rounding, op => walk_groups(values, cols, axis, fmt, op, &mut bits, window))
 }
 
 /// Fake-quantizes a row-major `rows × cols` matrix with groups running
 /// along `axis`. When `use_window` is set, an [`ExponentWindow`] anchored at
 /// the matrix-wide max exponent models the finite `e`-bit exponent field.
+///
+/// The matrix is packed ([`crate::packed::pack_rows`], sharded across up to
+/// `noise.workers` threads) and each value overwritten with its
+/// reconstruction `mantissa as f32 * scale`. A matrix the pack refuses —
+/// mantissas wider than [`crate::packed::MAX_PACKED_MANTISSA_BITS`], or a
+/// NaN, infinite or subnormal value — is quantized group by group on the
+/// calling thread instead, against the same noise.
 ///
 /// # Panics
 ///
@@ -800,119 +729,15 @@ pub fn fake_quantize_matrix(
     noise: Noise,
     use_window: bool,
 ) -> QuantStats {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
-    check_noise_bits(rounding);
+    let src = DenseRows::new(data, rows, cols);
+    if let Some(p) = pack_rows(&src, axis, fmt, rounding, noise, use_window) {
+        write_back(data, cols, axis, fmt.group_size(), &p);
+        return p.stats;
+    }
     let window = use_window.then(|| ExponentWindow {
         reference_exponent: max_exponent(data).unwrap_or(0),
         exponent_bits: fmt.exponent_bits(),
     });
-    with_round_op!(rounding, op => matrix_sharded(data, rows, cols, axis, fmt, op, noise, window))
-}
-
-/// Effective worker count for a sharded pass: capped so every worker gets
-/// at least [`MIN_ELEMS_PER_WORKER`] elements, never below one.
-#[inline]
-pub(crate) fn effective_workers(workers: usize, numel: usize) -> usize {
-    workers.min(numel / MIN_ELEMS_PER_WORKER).max(1)
-}
-
-/// Rows per stripe when a matrix pass shards across `workers` threads:
-/// stripes align to single rows for `AlongRow` and to `group_size()` rows
-/// for `AlongCol`, so stripe-local group decomposition matches the
-/// unsharded kernel.
-#[inline]
-pub(crate) fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers: usize) -> usize {
-    let granule = match axis {
-        GroupAxis::AlongRow => 1,
-        GroupAxis::AlongCol => fmt.group_size(),
-    };
-    rows.div_ceil(granule).div_ceil(workers) * granule
-}
-
-/// Slice quantization, sharded across `noise.workers` threads at group
-/// granularity.
-///
-/// Element `i` of `values` draws its noise at offset `noise.base + i`, no
-/// matter which stripe or thread quantizes it — the output is bitwise
-/// identical for every worker count and visitation order.
-fn slice_sharded<R: RoundOp + Sync>(
-    values: &mut [f32],
-    fmt: BfpFormat,
-    round: &R,
-    noise: Noise,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    let Noise { rng, base, workers } = noise;
-    let numel = values.len();
-    let workers = effective_workers(workers, numel);
-    if workers == 1 {
-        let mut bits = CounterBits::new(rng, base);
-        return slice_kernel(values, fmt, round, &mut bits, window);
-    }
-    let g = fmt.group_size();
-    // Stripe at group granularity so every stripe starts on a group
-    // boundary — stripe-local group decomposition then matches the
-    // unsharded kernel exactly.
-    let groups = numel.div_ceil(g);
-    let stripe_elems = groups.div_ceil(workers) * g;
-    let mut stats = QuantStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = values
-            .chunks_mut(stripe_elems)
-            .enumerate()
-            .map(|(i, stripe)| {
-                let origin = base + (i * stripe_elems) as u64;
-                scope.spawn(move || {
-                    let mut bits = CounterBits::new(rng, origin);
-                    slice_kernel(stripe, fmt, round, &mut bits, window)
-                })
-            })
-            .collect();
-        for h in handles {
-            stats.merge(h.join().expect("quantize worker panicked"));
-        }
-    });
-    stats
-}
-
-/// Matrix quantization, sharded across `noise.workers` threads in row
-/// stripes ([`stripe_rows`]); the exponent window was resolved once over the
-/// whole matrix before sharding.
-#[allow(clippy::too_many_arguments)]
-fn matrix_sharded<R: RoundOp + Sync>(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    axis: GroupAxis,
-    fmt: BfpFormat,
-    round: &R,
-    noise: Noise,
-    window: Option<ExponentWindow>,
-) -> QuantStats {
-    let Noise { rng, base, workers } = noise;
-    let workers = effective_workers(workers, data.len());
-    if workers == 1 {
-        let mut bits = CounterBits::new(rng, base);
-        return matrix_kernel(data, rows, cols, axis, fmt, round, &mut bits, window);
-    }
-    let stripe_rows = stripe_rows(rows, axis, fmt, workers);
-    let mut stats = QuantStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks_mut(stripe_rows * cols)
-            .enumerate()
-            .map(|(i, stripe)| {
-                let origin = base + (i * stripe_rows * cols) as u64;
-                scope.spawn(move || {
-                    let mut bits = CounterBits::new(rng, origin);
-                    let srows = stripe.len() / cols;
-                    matrix_kernel(stripe, srows, cols, axis, fmt, round, &mut bits, window)
-                })
-            })
-            .collect();
-        for h in handles {
-            stats.merge(h.join().expect("quantize worker panicked"));
-        }
-    });
-    stats
+    let mut bits = CounterBits::new(noise.rng, noise.base);
+    with_round_op!(rounding, op => walk_groups(data, cols, axis, fmt, op, &mut bits, window))
 }

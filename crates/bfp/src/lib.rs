@@ -18,15 +18,17 @@
 //!   (DESIGN.md §12).
 //! * [`ChunkedGroup`] — the 2-bit-chunk mantissa memory layout of Fig 15
 //!   that enables variable-precision arithmetic (Fig 13).
-//! * [`kernel`] — the zero-allocation integer batch kernels behind all of
-//!   the above: `f32::to_bits` exponent extraction, integer mantissa shifts,
-//!   rounding and noise source monomorphized out of the hot loop
-//!   (bit-identical to the explanatory f64 path; see DESIGN.md §7).
-//! * [`packed`] — BFP-native packed operands: integer mantissas plus
+//! * [`fake_quantize_matrix`] / [`fake_quantize_slice`] — tensor-level
+//!   fake-quantization on integer kernels: `f32::to_bits`
+//!   exponent extraction, integer mantissa shifts, rounding monomorphized
+//!   out of the hot loop (bit-identical to the explanatory f64 path; see
+//!   DESIGN.md §7).
+//! * [`packed`] — the one tensor converter: integer mantissas plus
 //!   per-group scales produced straight from f32 data, bit-replayable as
 //!   `mantissa × scale` without ever materializing the dequantized copy —
-//!   the quantized-GEMM execution layer's representation, and what
-//!   frozen-weight serving caches hold (DESIGN.md §8–§9).
+//!   the quantized-GEMM execution layer's representation, what
+//!   frozen-weight serving caches hold (DESIGN.md §8–§9), and what
+//!   [`fake_quantize_matrix`] writes back.
 //! * [`dot`] — BFP dot products: the direct integer form (Fig 5) and the
 //!   chunk-serial form executed by the fMAC, which are bit-identical.
 //! * [`tensor_quant`] — matrix-level grouped (fake-)quantization along a
@@ -60,12 +62,12 @@ mod error;
 mod format;
 mod fp;
 mod group;
+mod kernel;
 mod lfsr;
 mod rng;
 mod rounding;
 
 pub mod dot;
-pub mod kernel;
 pub mod packed;
 pub mod stats;
 pub mod tensor_quant;

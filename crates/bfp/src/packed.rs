@@ -3,15 +3,13 @@
 //! dequantized f32 copy** — and, for a matrix that is itself a view of
 //! other data, without materializing the f32 matrix either.
 //!
-//! The fake-quantization kernels ([`crate::kernel`]) overwrite an f32
-//! buffer with the dequantized BFP values; a GEMM then re-reads that buffer
-//! — two full passes over memory per operand beyond the arithmetic itself.
-//! This module produces the same quantization decision in packed form: one
-//! `i8` mantissa per value and one f32 scale (`2^(E-m+1)`) per group. A
-//! downstream kernel reconstructs each value as `mantissa as f32 * scale`,
-//! which is **bit-identical** to what the fake-quantize kernel would have
-//! written, because that is literally the same expression the kernel's
-//! plain path evaluates (both call `kernel::quantize_plain`; DESIGN.md §9).
+//! These kernels are the crate's one tensor converter: one `i8` mantissa
+//! per value and one f32 scale (`2^(E-m+1)`) per group. A downstream kernel
+//! reconstructs each value as `mantissa as f32 * scale`, and so does
+//! [`crate::fake_quantize_matrix`], which packs and writes that product
+//! back in place: the expression the per-group fake-quantize loop evaluates
+//! on the same integer rounding (both call `kernel::quantize_plain`;
+//! DESIGN.md §9), so its bits.
 //!
 //! The two kernels (one per [`GroupAxis`]) read their input through a
 //! [`RowSource`], tile by tile: [`DenseRows`] lends a slice's rows without
@@ -21,30 +19,28 @@
 //! and the array, Fig 14) is reproduced: the tensor is converted on its way
 //! out of memory and no FP32 patch matrix exists ([`pack_rows`]).
 //!
-//! Packing is restricted to the cases where the fake-quantize kernel takes
-//! its plain path for every group, so the reconstruction identity holds
-//! with no further argument:
+//! Packing is restricted to the cases where the per-group loop takes its
+//! plain path for every group, so the reconstruction identity holds with no
+//! further argument:
 //!
 //! * mantissa width `m ≤ 7`, so signed mantissas fit `i8` (`|M| ≤ 127`);
 //! * every input value is a normal number or zero — NaN/infinity/subnormal
-//!   inputs force the kernel's general (f64) path, whose subnormal-scale
-//!   rounding an `i8 × f32` pair cannot replay.
+//!   inputs force the general (f64) path, whose subnormal-scale rounding an
+//!   `i8 × f32` pair cannot replay.
 //!
 //! [`pack_rows`] detects both conditions draw-free, over exactly the
 //! matrix's values — a prescan of a slice that holds them, or a check of
 //! each tile as it is staged — and returns `None`, having consumed **no**
-//! stochastic-rounding noise (noise is positional), so the caller can fall
-//! back to the fake-quantize + dense-GEMM path with an unperturbed source.
-//! Stochastic draws, when packing does proceed, are exactly those of
-//! [`crate::fake_quantize_matrix`] under the same [`Noise`]: each element
-//! draws at its own offset.
+//! stochastic-rounding noise (noise is positional), so the caller's
+//! fallback — the per-group walk of [`crate::fake_quantize_matrix`], then
+//! the dense GEMM — draws from an unperturbed source. Each element draws at
+//! its own offset either way.
 
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
 use crate::kernel::{
-    check_noise_bits, decompose, effective_workers, exponent_of_parts, plain_group_params,
-    quantize_plain, scan_group, stripe_rows, with_round_op, NearestOp, Noise, RoundOp,
-    Stochastic8Op, StochasticOp, TruncateOp,
+    check_noise_bits, decompose, exponent_of_parts, plain_group_params, quantize_plain, scan_group,
+    with_round_op, NearestOp, Noise, RoundOp, Stochastic8Op, StochasticOp, TruncateOp,
 };
 use crate::rng::CounterBits;
 use crate::rounding::Rounding;
@@ -53,6 +49,32 @@ use std::ops::Range;
 
 /// Widest mantissa packable into `i8` storage (`2^7 - 1 = 127 = i8::MAX`).
 pub const MAX_PACKED_MANTISSA_BITS: u32 = 7;
+
+/// Minimum elements each extra worker must be handed before a pack shards.
+/// A scoped spawn + join measures ≈ 18 µs (2-vCPU Xeon), which is
+/// ≈ 16 k elements at the 1.0–1.1 ns/element the nearest pack runs at
+/// (`pack_m4_nearest_ns`; 8-bit SR ≈ 1.4): below this a worker costs more
+/// to start than it takes off the pass. The threshold bounds the loss, it
+/// does not promise a gain.
+const MIN_ELEMS_PER_WORKER: usize = 1 << 14;
+
+/// Effective worker count for a sharded pack: capped so every worker gets
+/// at least [`MIN_ELEMS_PER_WORKER`] elements, never below one.
+fn effective_workers(workers: usize, numel: usize) -> usize {
+    workers.min(numel / MIN_ELEMS_PER_WORKER).max(1)
+}
+
+/// Rows per stripe when a pack shards across `workers` threads: stripes
+/// align to single rows for `AlongRow` and to `group_size()` rows for
+/// `AlongCol`, so stripe-local group decomposition matches the unsharded
+/// kernel.
+fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers: usize) -> usize {
+    let granule = match axis {
+        GroupAxis::AlongRow => 1,
+        GroupAxis::AlongCol => fmt.group_size(),
+    };
+    rows.div_ceil(granule).div_ceil(workers) * granule
+}
 
 /// A BFP-packed matrix: signed integer mantissas plus per-group scales.
 ///
@@ -86,7 +108,7 @@ pub struct PackedData {
     pub mantissas: Vec<i8>,
     /// Per-group scales `2^(E - m + 1)` (`0.0` for all-zero groups).
     pub scales: Vec<f32>,
-    /// The same counters the fake-quantize kernel would have produced.
+    /// The same counters the per-group fake-quantize loop produces.
     pub stats: QuantStats,
 }
 
@@ -249,19 +271,17 @@ pub fn pack_matrix(
 }
 
 /// Packs the matrix `src` describes into BFP mantissas + scales with groups
-/// along `axis`, or returns `None` when the packed fast path cannot
-/// reproduce the fake-quantize kernel's bits (mantissa wider than
+/// along `axis`, or returns `None` when a pair `i8 × f32` cannot reproduce
+/// the per-group loop's bits (mantissa wider than
 /// [`MAX_PACKED_MANTISSA_BITS`], or any non-normal non-zero value).
 ///
 /// A refusal consumes nothing — `noise` is positional — so the caller's
 /// [`crate::fake_quantize_matrix`] fallback over the same [`Noise`]
-/// quantizes exactly as if packing had never been tried. When packing
-/// proceeds, every element draws what the fake-quantize kernel would have
-/// drawn for it: the element at `(i, j)` at offset `noise.base + i·cols + j`.
+/// quantizes exactly as if packing had never been tried. Either way the
+/// element at `(i, j)` draws at offset `noise.base + i·cols + j`.
 ///
 /// When `use_window` is set, the shared exponents are clamped into an
-/// `e`-bit [`ExponentWindow`] anchored at the matrix-wide maximum exponent,
-/// exactly as [`crate::fake_quantize_matrix`] does.
+/// `e`-bit [`ExponentWindow`] anchored at the matrix-wide maximum exponent.
 ///
 /// # Panics
 ///
@@ -279,7 +299,7 @@ pub fn pack_rows<S: RowSource>(
         return None;
     }
     // Draw-free prescan: the packed path requires every group to take the
-    // fake-quantize kernel's plain path, which holds exactly when every
+    // per-group loop's plain path, which holds exactly when every
     // value is a normal number or zero (window clamping only ever *raises*
     // a group exponent toward the matrix maximum, so `e ∈ [natural, 127]`
     // is automatic). The scan also yields the matrix maximum for the window.
@@ -512,12 +532,13 @@ fn pack_along_row<S: RowSource, R: RoundOp>(
 
 /// `AlongCol` packing of source rows `row0 .. row1` (`row0` a multiple of
 /// the group size): lane-wise over `g`-row × [`COL_TILE`]-column tiles, every
-/// column group of a tile quantized simultaneously — the fake-quantize
-/// kernel's vertical traversal, tiled so that a source producing rows on
-/// demand stages `g × COL_TILE` values, never the matrix. Element order is
-/// free because nearest/truncate rounding draws no bits and stochastic
-/// rounding keys its noise on element offsets. With `check_plain`, `None` at
-/// the first staged tile holding a value that is neither normal nor zero.
+/// column group of a tile quantized simultaneously — the natural SIMD
+/// layout for a row-major matrix, with no transpose, tiled so that a source
+/// producing rows on demand stages `g × COL_TILE` values, never the matrix.
+/// Element order is free because nearest/truncate rounding draws no bits
+/// and stochastic rounding keys its noise on element offsets. With
+/// `check_plain`, `None` at the first staged tile holding a value that is
+/// neither normal nor zero.
 fn pack_along_col<S: RowSource, R: RoundOp>(
     src: &S,
     rows: Range<usize>,
@@ -584,7 +605,7 @@ fn pack_along_col<S: RowSource, R: RoundOp>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::fake_quantize_matrix;
+    use crate::group::BfpGroup;
     use crate::rng::CounterRng;
     use rand::{Rng, SeedableRng};
 
@@ -617,74 +638,82 @@ mod tests {
             .collect()
     }
 
+    /// The independent reference: one [`BfpGroup`] per group, as
+    /// `(reconstruction, stats)`. `rand_data` holds no zero, so every element
+    /// draws exactly once, and a cursor seeked to the group's first offset
+    /// with the group's stride hands each element the noise at its own offset.
+    fn bfp_group_reference(
+        data: &[f32],
+        rows: usize,
+        cols: usize,
+        axis: GroupAxis,
+        fmt: BfpFormat,
+        rounding: Rounding,
+        windowed: bool,
+    ) -> (Vec<f32>, QuantStats) {
+        assert!(data.iter().all(|&v| v != 0.0));
+        let window = windowed.then(|| ExponentWindow::from_values(data, fmt.exponent_bits()));
+        let g = fmt.group_size();
+        // Each group as (first index, stride, length).
+        let groups: Vec<(usize, usize, usize)> = match axis {
+            GroupAxis::AlongRow => (0..rows)
+                .flat_map(|r| {
+                    (0..cols)
+                        .step_by(g)
+                        .map(move |c| (r * cols + c, 1, g.min(cols - c)))
+                })
+                .collect(),
+            GroupAxis::AlongCol => (0..rows)
+                .step_by(g)
+                .flat_map(|r| (0..cols).map(move |c| (r * cols + c, cols, g.min(rows - r))))
+                .collect(),
+        };
+        let mut bits = CounterBits::new(noise().rng, noise().base);
+        let mut out = vec![f32::NAN; rows * cols];
+        let mut stats = QuantStats::default();
+        for (first, stride, len) in groups {
+            let idx: Vec<usize> = (0..len).map(|k| first + k * stride).collect();
+            let values: Vec<f32> = idx.iter().map(|&i| data[i]).collect();
+            bits.seek(first as u64, stride as u64);
+            let q = BfpGroup::quantize(&values, fmt, rounding, &mut bits, window);
+            stats.groups += 1;
+            for ((&i, &man), v) in idx.iter().zip(q.mantissas()).zip(q.dequantize()) {
+                out[i] = v;
+                stats.zeros += (man == 0) as u64;
+                stats.saturated += (man.unsigned_abs() == fmt.max_magnitude() as u32) as u64;
+            }
+        }
+        (out, stats)
+    }
+
     #[test]
-    fn packed_reconstruction_matches_fake_quantize_bitwise() {
-        for (rows, cols) in [(1usize, 1usize), (3, 17), (16, 16), (7, 33)] {
+    fn packed_reconstruction_and_stats_match_bfp_groups() {
+        for (rows, cols) in [(1usize, 1usize), (3, 17), (16, 16), (7, 33), (8, 24)] {
             let data = rand_data(rows * cols, (rows * 31 + cols) as u64);
             for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
                 for (fmt, rounding) in [
                     (BfpFormat::high(), Rounding::Nearest),
+                    (BfpFormat::low(), Rounding::Nearest),
                     (BfpFormat::low(), Rounding::Truncate),
                     (BfpFormat::new(5, 7, 8).unwrap(), Rounding::Nearest),
                     (BfpFormat::high(), Rounding::STOCHASTIC8),
                     (BfpFormat::mid(), Rounding::Stochastic { noise_bits: 3 }),
                 ] {
                     for windowed in [false, true] {
-                        let mut want = data.clone();
-                        fake_quantize_matrix(
-                            &mut want,
-                            rows,
-                            cols,
-                            axis,
-                            fmt,
-                            rounding,
-                            noise(),
-                            windowed,
-                        );
+                        let ctx = format!("({rows}x{cols}) {axis:?} {fmt} {rounding:?} {windowed}");
+                        let (want, want_stats) =
+                            bfp_group_reference(&data, rows, cols, axis, fmt, rounding, windowed);
                         let packed =
                             pack_matrix(&data, rows, cols, axis, fmt, rounding, noise(), windowed)
                                 .expect("plain data must pack");
+                        assert_eq!(packed.stats, want_stats, "{ctx}");
                         let got = dequantize(&packed, rows, cols, axis, fmt.group_size());
                         for (idx, (w, g)) in want.iter().zip(&got).enumerate() {
-                            assert_eq!(
-                                w.to_bits(),
-                                g.to_bits(),
-                                "({rows}x{cols}) {axis:?} {fmt} {rounding:?} win={windowed} @{idx}"
-                            );
+                            assert_eq!(w.to_bits(), g.to_bits(), "{ctx} @{idx}");
                         }
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn stats_match_fake_quantize() {
-        let data = rand_data(8 * 24, 5);
-        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
-            let mut buf = data.clone();
-            let want = fake_quantize_matrix(
-                &mut buf,
-                8,
-                24,
-                axis,
-                BfpFormat::low(),
-                Rounding::Nearest,
-                noise(),
-                false,
-            );
-            let packed = pack_matrix(
-                &data,
-                8,
-                24,
-                axis,
-                BfpFormat::low(),
-                Rounding::Nearest,
-                noise(),
-                false,
-            )
-            .unwrap();
-            assert_eq!(packed.stats, want, "{axis:?}");
         }
     }
 

@@ -10,9 +10,11 @@
 //! `dot::tests::chunked_dot_is_bit_identical_to_direct_dot`).
 //!
 //! The quantization entry points themselves — [`crate::fake_quantize_slice`]
-//! and [`crate::fake_quantize_matrix`] — live in [`crate::kernel`]; this
-//! module holds the vocabulary they share ([`GroupAxis`], [`QuantStats`])
-//! and the `r(X)` statistic, which runs on the same integer machinery: in the
+//! and [`crate::fake_quantize_matrix`], which packs through
+//! [`crate::packed`] and walks group by group only what the pack refuses —
+//! live in the crate's kernel module; this module holds the vocabulary they
+//! share ([`GroupAxis`], [`QuantStats`]) and the `r(X)` statistic, which
+//! runs on the same integer machinery: in the
 //! FAST hardware it is the magnitude of the low-order 2-bit chunk the BFP
 //! converter produces anyway (Section V-D), and here it is one read-only
 //! pass at about the quantize kernel's rate ([`relative_improvement`]).

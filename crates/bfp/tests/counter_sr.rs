@@ -15,6 +15,11 @@ use fast_bfp::{
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
+#[path = "support/seed_reference.rs"]
+#[allow(dead_code)] // the group-level entries serve `proptests.rs`
+mod seed_reference;
+use seed_reference::CounterAt;
+
 const SR8: Rounding = Rounding::Stochastic { noise_bits: 8 };
 
 /// Counter noise for a pass whose first element sits at `base`.
@@ -265,9 +270,10 @@ fn counter_packing_is_worker_invariant() {
 }
 
 /// Over the format zoo × both axes, `pack_matrix` reconstructed to dense and
-/// `fake_quantize_matrix` agree bitwise with equal `QuantStats` under the
-/// same [`Noise`], and NaN/subnormal inputs or wide mantissas are refused
-/// (the caller then quantizes dense with that same positional noise).
+/// `fake_quantize_matrix` both equal the seed transcription bitwise, with
+/// equal `QuantStats`, under the same [`Noise`]; NaN/subnormal inputs or
+/// wide mantissas are refused by the pack (and `fake_quantize_matrix` then
+/// walks group by group against that same positional noise).
 #[test]
 fn pack_and_dense_agree_through_one_call() {
     let (rows, cols) = (19, 23);
@@ -292,17 +298,35 @@ fn pack_and_dense_agree_through_one_call() {
                     Rounding::Nearest,
                 ] {
                     let ctx = format!("{fmt} {axis:?} {tag} {rounding:?}");
+                    let mut want = data.clone();
+                    let (groups, saturated, zeros) = seed_reference::fake_quantize_matrix(
+                        &mut want,
+                        rows,
+                        cols,
+                        axis == GroupAxis::AlongCol,
+                        fmt,
+                        rounding,
+                        &mut CounterAt::new(noise.rng),
+                        noise.base,
+                        true,
+                    );
                     let mut dense = data.clone();
-                    let want = fake_quantize_matrix(
+                    let stats = fake_quantize_matrix(
                         &mut dense, rows, cols, axis, fmt, rounding, noise, true,
+                    );
+                    assert_eq!(bits_of(&dense), bits_of(&want), "{ctx}");
+                    assert_eq!(
+                        (stats.groups, stats.saturated, stats.zeros),
+                        (groups, saturated, zeros),
+                        "{ctx}"
                     );
                     let packed = pack_matrix(data, rows, cols, axis, fmt, rounding, noise, true);
                     let unpackable = fmt.mantissa_bits() > 7 || *tag != "plain";
                     assert_eq!(packed.is_none(), unpackable, "{ctx}");
                     let Some(p) = packed else { continue };
                     let got = dequantize(&p, rows, cols, axis, fmt.group_size());
-                    assert_eq!(bits_of(&dense), bits_of(&got), "{ctx}");
-                    assert_eq!(want, p.stats, "{ctx}");
+                    assert_eq!(bits_of(&want), bits_of(&got), "{ctx}");
+                    assert_eq!(stats, p.stats, "{ctx}");
                 }
             }
         }

@@ -202,225 +202,13 @@ impl BitSource for NoBitsNeeded {
 }
 
 // ---------------------------------------------------------------------------
-// Integer-kernel equivalence: the batch kernel of `fast_bfp::kernel` must be
-// bit-identical to the seed f64 implementation (PR 2) for every f32 bit
-// pattern, format, exponent window and rounding mode. The `seed_reference`
-// module below is a transcription of the pre-kernel implementation, one
-// `BfpGroup` per chunk in f64. The seed drew from a serialized stream; the
-// one change is that the source is told which element it rounds next
-// (`ElementBits::at`), so the tensor-level references can hand every element
-// the counter noise at its own offset — what the kernels draw — while the
-// group-level reference still consumes an LFSR.
+// Integer-kernel equivalence: every quantize and pack kernel must be
+// bit-identical to the seed f64 implementation for every f32 bit pattern,
+// format, exponent window and rounding mode (`support/seed_reference.rs`).
 // ---------------------------------------------------------------------------
 
-mod seed_reference {
-    use fast_bfp::{
-        exponent_of, BfpFormat, BitSource, CounterRng, ExponentWindow, Lfsr16, Rounding,
-    };
-
-    /// A [`BitSource`] told, before each draw, the index within its group of
-    /// the element being rounded. A serialized stream ignores it.
-    pub trait ElementBits: BitSource {
-        fn at(&mut self, _k: usize) {}
-    }
-
-    impl ElementBits for Lfsr16 {}
-
-    /// Positional noise: element `k` of the current group draws
-    /// `rng.bits_at(first + k·stride, n)`.
-    pub struct CounterAt {
-        pub rng: CounterRng,
-        /// Noise offset of the current group's first element.
-        pub first: u64,
-        /// Offset distance between consecutive elements of the group.
-        pub stride: u64,
-        pos: u64,
-    }
-
-    impl CounterAt {
-        pub fn new(rng: CounterRng) -> Self {
-            CounterAt {
-                rng,
-                first: 0,
-                stride: 1,
-                pos: 0,
-            }
-        }
-    }
-
-    impl BitSource for CounterAt {
-        fn next_bits(&mut self, n: u32) -> u32 {
-            self.rng.bits_at(self.pos, n)
-        }
-    }
-
-    impl ElementBits for CounterAt {
-        fn at(&mut self, k: usize) {
-            self.pos = self.first + k as u64 * self.stride;
-        }
-    }
-
-    fn sanitize(v: f32) -> f32 {
-        if v.is_nan() {
-            0.0
-        } else if v.is_infinite() {
-            f32::MAX.copysign(v)
-        } else {
-            v
-        }
-    }
-
-    fn round(rounding: Rounding, scaled: f64, bits: &mut dyn BitSource) -> i64 {
-        match rounding {
-            Rounding::Nearest => (scaled + 0.5).floor() as i64,
-            Rounding::Truncate => scaled.floor() as i64,
-            Rounding::Stochastic { noise_bits } => {
-                assert!((1..=31).contains(&noise_bits));
-                let q = 1u64 << noise_bits;
-                let noise = bits.next_bits(noise_bits) as f64 / q as f64;
-                (scaled + noise).floor() as i64
-            }
-        }
-    }
-
-    /// Seed `BfpGroup::quantize`, returning `(shared_exponent, mantissas)`.
-    pub fn quantize(
-        values: &[f32],
-        format: BfpFormat,
-        rounding: Rounding,
-        bits: &mut dyn ElementBits,
-        window: Option<ExponentWindow>,
-    ) -> (i32, Vec<i32>) {
-        let m = format.mantissa_bits();
-        let natural_exp = values
-            .iter()
-            .filter_map(|&v| exponent_of(sanitize(v)))
-            .max();
-        let shared_exponent = match natural_exp {
-            None => {
-                let e = window.map(|w| w.clamp(i32::MIN / 2)).unwrap_or(0);
-                return (e, vec![0; values.len()]);
-            }
-            Some(e) => match window {
-                Some(w) => w.clamp(e),
-                None => e,
-            },
-        };
-        let max_mag = format.max_magnitude();
-        let scale = 2.0f64.powi(m as i32 - 1 - shared_exponent);
-        let mantissas = values
-            .iter()
-            .enumerate()
-            .map(|(k, &v)| {
-                let v = sanitize(v);
-                if v == 0.0 {
-                    return 0;
-                }
-                let scaled = (v.abs() as f64) * scale;
-                bits.at(k);
-                let mag = round(rounding, scaled, bits).min(max_mag) as i32;
-                if v < 0.0 {
-                    -mag
-                } else {
-                    mag
-                }
-            })
-            .collect();
-        (shared_exponent, mantissas)
-    }
-
-    /// Seed `BfpGroup::dequantize_into` for a quantized group.
-    pub fn dequantize(shared_exponent: i32, mantissas: &[i32], format: BfpFormat) -> Vec<f32> {
-        let s = 2.0f64.powi(shared_exponent - format.mantissa_bits() as i32 + 1);
-        mantissas.iter().map(|&m| (m as f64 * s) as f32).collect()
-    }
-
-    /// Seed `fake_quantize_slice`, returning `(groups, saturated, zeros)`;
-    /// element `i` draws at noise offset `base + i`.
-    pub fn fake_quantize_slice(
-        values: &mut [f32],
-        fmt: BfpFormat,
-        rounding: Rounding,
-        bits: &mut CounterAt,
-        base: u64,
-        window: Option<ExponentWindow>,
-    ) -> (usize, u64, u64) {
-        let mut stats = (0usize, 0u64, 0u64);
-        let max_mag = fmt.max_magnitude() as i32;
-        let g = fmt.group_size();
-        for (gi, chunk) in values.chunks_mut(g).enumerate() {
-            (bits.first, bits.stride) = (base + (gi * g) as u64, 1);
-            let (e, mantissas) = quantize(chunk, fmt, rounding, bits, window);
-            stats.0 += 1;
-            for &m in &mantissas {
-                if m == 0 {
-                    stats.2 += 1;
-                } else if m.abs() == max_mag {
-                    stats.1 += 1;
-                }
-            }
-            chunk.copy_from_slice(&dequantize(e, &mantissas, fmt));
-        }
-        stats
-    }
-
-    /// Seed `fake_quantize_matrix` with the strided per-column gather;
-    /// element `(r, c)` draws at noise offset `base + r·cols + c`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fake_quantize_matrix(
-        data: &mut [f32],
-        rows: usize,
-        cols: usize,
-        along_col: bool,
-        fmt: BfpFormat,
-        rounding: Rounding,
-        bits: &mut CounterAt,
-        base: u64,
-        use_window: bool,
-    ) -> (usize, u64, u64) {
-        let window = use_window.then(|| ExponentWindow::from_values(data, fmt.exponent_bits()));
-        if !along_col {
-            let mut stats = (0usize, 0u64, 0u64);
-            for (r, row) in data.chunks_mut(cols).enumerate() {
-                let row_base = base + (r * cols) as u64;
-                let (g, s, z) = fake_quantize_slice(row, fmt, rounding, bits, row_base, window);
-                stats.0 += g;
-                stats.1 += s;
-                stats.2 += z;
-            }
-            return stats;
-        }
-        let mut stats = (0usize, 0u64, 0u64);
-        let max_mag = fmt.max_magnitude() as i32;
-        let g = fmt.group_size();
-        let mut scratch = vec![0.0f32; g];
-        for col in 0..cols {
-            let mut row = 0;
-            while row < rows {
-                let n = g.min(rows - row);
-                for (k, s) in scratch[..n].iter_mut().enumerate() {
-                    *s = data[(row + k) * cols + col];
-                }
-                (bits.first, bits.stride) = (base + (row * cols + col) as u64, cols as u64);
-                let (e, mantissas) = quantize(&scratch[..n], fmt, rounding, bits, window);
-                stats.0 += 1;
-                for &m in &mantissas {
-                    if m == 0 {
-                        stats.2 += 1;
-                    } else if m.abs() == max_mag {
-                        stats.1 += 1;
-                    }
-                }
-                scratch[..n].copy_from_slice(&dequantize(e, &mantissas, fmt));
-                for (k, &s) in scratch[..n].iter().enumerate() {
-                    data[(row + k) * cols + col] = s;
-                }
-                row += n;
-            }
-        }
-        stats
-    }
-}
+#[path = "support/seed_reference.rs"]
+mod seed_reference;
 
 /// Every f32 bit pattern, weighted toward the hard cases: subnormals,
 /// zeros, infinities, NaN, and huge/tiny magnitudes.
@@ -582,8 +370,11 @@ proptest! {
     }
 }
 
-/// The worker-sharded kernels against the same reference: operands large
-/// enough that four stripes engage, dense and packed, both axes.
+/// The kernels at four workers against the same reference, both axes, with
+/// and without a window: operands large enough that four pack stripes
+/// engage, and a salted copy — one NaN, one +∞ and one subnormal, each in a
+/// different group on either axis — that the pack refuses, so
+/// `fake_quantize_matrix` takes its per-group walk.
 #[test]
 fn sharded_kernels_are_bit_identical_to_seed() {
     let (rows, cols) = (160, 512);
@@ -591,77 +382,91 @@ fn sharded_kernels_are_bit_identical_to_seed() {
     let values: Vec<f32> = (0..rows * cols)
         .map(|i| ((i as f32 * 0.37).sin() * 3.0) * 2.0f32.powi(i as i32 % 9 - 4))
         .collect();
+    let mut salted = values.clone();
+    for (at, v) in [
+        (0, f32::NAN),
+        (37 * cols + 100, f32::INFINITY),
+        (100 * cols + 300, 1e-40),
+    ] {
+        salted[at] = v;
+    }
     let noise = Noise {
         rng: CounterRng::new(0xFA57),
         base: 12_345,
         workers: 4,
     };
-    for (axis, along_col) in [(GroupAxis::AlongRow, false), (GroupAxis::AlongCol, true)] {
-        for use_window in [false, true] {
-            let mut want = values.clone();
-            let want_stats = seed_reference::fake_quantize_matrix(
-                &mut want,
-                rows,
-                cols,
-                along_col,
-                fmt,
-                Rounding::STOCHASTIC8,
-                &mut CounterAt::new(noise.rng),
-                noise.base,
-                use_window,
-            );
-            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            let mut got = values.clone();
-            let stats = fast_bfp::fake_quantize_matrix(
-                &mut got,
-                rows,
-                cols,
-                axis,
-                fmt,
-                Rounding::STOCHASTIC8,
-                noise,
-                use_window,
-            );
-            assert_eq!(
-                (stats.groups, stats.saturated, stats.zeros),
-                want_stats,
-                "{axis:?} window={use_window}"
-            );
-            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "{axis:?} window={use_window}");
-            let p = pack_matrix(
-                &values,
-                rows,
-                cols,
-                axis,
-                fmt,
-                Rounding::STOCHASTIC8,
-                noise,
-                use_window,
-            )
-            .expect("normal values at m=4 pack");
-            let got_packed: Vec<u32> = (0..rows * cols)
-                .map(|idx| packed_bits(&p, idx, cols, fmt.group_size(), axis))
-                .collect();
-            assert_eq!(got_packed, want_bits, "packed {axis:?} window={use_window}");
+    for (tag, input) in [("plain", &values), ("salted", &salted)] {
+        for (axis, along_col) in [(GroupAxis::AlongRow, false), (GroupAxis::AlongCol, true)] {
+            for use_window in [false, true] {
+                let ctx = format!("{tag} {axis:?} window={use_window}");
+                let mut want = input.clone();
+                let want_stats = seed_reference::fake_quantize_matrix(
+                    &mut want,
+                    rows,
+                    cols,
+                    along_col,
+                    fmt,
+                    Rounding::STOCHASTIC8,
+                    &mut CounterAt::new(noise.rng),
+                    noise.base,
+                    use_window,
+                );
+                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                let mut got = input.clone();
+                let stats = fast_bfp::fake_quantize_matrix(
+                    &mut got,
+                    rows,
+                    cols,
+                    axis,
+                    fmt,
+                    Rounding::STOCHASTIC8,
+                    noise,
+                    use_window,
+                );
+                assert_eq!(
+                    (stats.groups, stats.saturated, stats.zeros),
+                    want_stats,
+                    "{ctx}"
+                );
+                let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got_bits, want_bits, "{ctx}");
+                let packed = pack_matrix(
+                    input,
+                    rows,
+                    cols,
+                    axis,
+                    fmt,
+                    Rounding::STOCHASTIC8,
+                    noise,
+                    use_window,
+                );
+                assert_eq!(packed.is_some(), tag == "plain", "{ctx}");
+                if let Some(p) = packed {
+                    let got_packed: Vec<u32> = (0..rows * cols)
+                        .map(|idx| packed_bits(&p, idx, cols, fmt.group_size(), axis))
+                        .collect();
+                    assert_eq!(got_packed, want_bits, "packed {ctx}");
+                }
+            }
         }
+        let mut want = input.clone();
+        seed_reference::fake_quantize_slice(
+            &mut want,
+            fmt,
+            Rounding::STOCHASTIC8,
+            &mut CounterAt::new(noise.rng),
+            noise.base,
+            None,
+        );
+        let mut got = input.clone();
+        fast_bfp::fake_quantize_slice(&mut got, fmt, Rounding::STOCHASTIC8, noise, None);
+        assert!(
+            got.iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()),
+            "{tag} slice"
+        );
     }
-    // The slice entry shards at group granularity.
-    let mut want = values.clone();
-    seed_reference::fake_quantize_slice(
-        &mut want,
-        fmt,
-        Rounding::STOCHASTIC8,
-        &mut CounterAt::new(noise.rng),
-        noise.base,
-        None,
-    );
-    let mut got = values.clone();
-    fast_bfp::fake_quantize_slice(&mut got, fmt, Rounding::STOCHASTIC8, noise, None);
-    assert!(got
-        .iter()
-        .zip(&want)
-        .all(|(g, w)| g.to_bits() == w.to_bits()));
 }
 
 // ---------------------------------------------------------------------------

@@ -270,18 +270,19 @@ mod tests {
     #[test]
     fn column_grouped_weights_are_laid_out_again_on_every_rebuild() {
         // k = 40 (three groups of 16, the last short), n = 24 (a full
-        // panel and a tail): two panels of 20 k-pairs × 32 bytes plus
-        // 3 × 16 scales each.
+        // panel and a tail): two panels of 3 × 16 scales each, plus 20
+        // k-pairs × 32 bytes in the `madd` layout, or three whole groups
+        // of 4 k-quads × 64 bytes in the quad layout.
         let mut w = Tensor::from_vec(
             vec![40, 24],
             (0..960)
                 .map(|i| ((i * 29) % 41) as f32 * 0.05 - 1.0)
                 .collect(),
         );
-        let laid_bytes = if cfg!(target_arch = "x86_64") {
-            2 * (20 * 32 + 4 * 3 * 16)
-        } else {
-            0
+        let laid_bytes = match fast_tensor::qgemm::int_kernel() {
+            "scalar" => 0,
+            "avx2" => 2 * (20 * 32 + 4 * 3 * 16),
+            _ => 2 * (3 * 4 * 64 + 4 * 3 * 16),
         };
         let (high, low) = (BfpFormat::high(), BfpFormat::low());
         let (col, row) = (GroupAxis::AlongCol, GroupAxis::AlongRow);

@@ -12,9 +12,11 @@
 //!   per segment in ascending segment order — the software realization of
 //!   the fMAC pipeline modeled by `fast_hw`'s `fmac` module, and what the
 //!   `qgemm_int` kernels document bit for bit. They run on the host's
-//!   8-bit dot-product instruction (AVX-VNNI `vpdpbusd`) where it has one,
-//!   on AVX2 `vpmaddwd` otherwise, and on portable scalar code off x86-64;
-//!   [`int_kernel`] names which, and the choice never moves a bit;
+//!   tile matrix unit (AMX-INT8 `tdpbsud`) for the products it speeds up,
+//!   on its 8-bit dot-product instruction (AVX-VNNI `vpdpbusd`) where it
+//!   has one, on AVX2 `vpmaddwd` otherwise, and on portable scalar code
+//!   off x86-64; [`int_kernel`] names the widest, and the choice never
+//!   moves a bit;
 //! * every other pair — a dense operand, groups off the reduction axis, a
 //!   segment past [`MAX_INT_SEGMENT`] — dequantizes its packed side once
 //!   ([`Operand::to_dense`]) and runs the dense kernels of
@@ -109,9 +111,9 @@ impl PackedMat {
     /// call (DESIGN.md §11). For an operand multiplied many times unchanged
     /// — a frozen weight — at one byte more per value plus a copy of the
     /// scales. The order is that of the micro-kernel this host runs on the
-    /// matrix ([`int_kernel`]): k-quads of biased bytes for AVX-VNNI at a
-    /// group that is a multiple of four, k-pairs for AVX2 at any other even
-    /// group. Only a [`PackLayout::ColGroups`] matrix whose group one of
+    /// matrix ([`int_kernel`]): k-quads of biased bytes, whole groups deep,
+    /// for AVX-VNNI and the tile unit at a group that is a multiple of
+    /// four, k-pairs for AVX2 at any other even group. Only a [`PackLayout::ColGroups`] matrix whose group one of
     /// them takes has that order; any other matrix, and every matrix on a
     /// host without AVX2, comes back unchanged.
     pub fn with_nn_panels(mut self) -> Self {
@@ -282,12 +284,15 @@ fn integer_pair<'a>(
         .then_some((x, y))
 }
 
-/// The integer vector kernel this host runs, detected once: `"avxvnni"`
-/// (`vpdpbusd` over k-quads, at groups that are a multiple of four),
-/// `"avx2"` (`vpmaddwd` over k-pairs) or `"scalar"`. Every kernel returns
-/// the same bits; this names which one produced a timing (DESIGN.md §11).
+/// The widest integer micro-kernel this host runs, detected once: `"amx"`
+/// (`tdpbsud` tiles for the products of four rows or more with a B laid
+/// out by [`PackedMat::with_nn_panels`], `vpdpbusd` for the rest), `"avxvnni"` (`vpdpbusd` over k-quads, at
+/// groups that are a multiple of four), `"avx2"` (`vpmaddwd` over
+/// k-pairs) or `"scalar"`. Every kernel returns the same bits; this names
+/// which ones produced a timing (DESIGN.md §11).
 pub fn int_kernel() -> &'static str {
     match qgemm_int::host_kernel() {
+        Some(qgemm_int::MicroKernel::Tile) => "amx",
         Some(qgemm_int::MicroKernel::Dpbusd) => "avxvnni",
         Some(qgemm_int::MicroKernel::Madd) => "avx2",
         None => "scalar",

@@ -12,10 +12,18 @@
 //! so the inner sum is an exact `i8×i8→i32` integer dot product and the f32
 //! work collapses to one scale multiply-accumulate per reduction segment —
 //! no dequantized panels are ever materialized. The kernels here implement
-//! that algebra with one explicit SIMD row body over two micro-kernels,
-//! and a portable scalar fallback, chosen by runtime feature detection
-//! ([`host_kernel`]):
+//! that algebra with one vector kernel over three micro-kernels, and a
+//! portable scalar fallback, chosen by runtime feature detection
+//! ([`host_kernel`]) and, for the tile unit, by the product's shape
+//! ([`ceiling`]):
 //!
+//! * **AMX-INT8** (`tdpbsud`, through `asm!`): a tile of up to 16 rows of
+//!   A times a 16-column panel of B, one whole group per instruction, on
+//!   the `dpbusd` operands below with their roles swapped (signed A,
+//!   unsigned B); each group's i32 block is stored and closed in AVX-512
+//!   exactly as the row body closes it. Only products over a laid-out B
+//!   (a frozen weight) with enough rows per worker take it
+//!   ([`tile_pays`]).
 //! * **AVX-VNNI** (`_mm256_dpbusd_avx_epi32`): u8×i8 products of four
 //!   k-steps summed into each i32 lane and accumulated in one instruction.
 //!   B is stored biased, `b ^ 0x80 = b + 128` as an unsigned byte, so each
@@ -44,7 +52,7 @@
 //! [`PackedMat`]: crate::qgemm::PackedMat
 #![allow(unsafe_code)]
 
-use crate::parallel::shard_rows;
+use crate::parallel::{shard_len, shard_rows};
 use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
 use crate::tensor::Tensor;
 
@@ -118,10 +126,10 @@ impl<'a> ColSide<'a> {
 /// eight i32 lanes per k-step).
 const PANEL_COLS: usize = 16;
 
-/// The vector kernel's micro-kernels: the instruction that multiplies a
-/// broadcast word of A's k-steps into one panel row of B and accumulates
-/// the products into eight i32 column lanes (DESIGN.md §11). Ordered by
-/// width, so a host that runs one also runs every smaller one.
+/// The vector kernel's micro-kernels: the instruction that multiplies A's
+/// k-steps into B's panel rows and accumulates the products into i32
+/// column lanes (DESIGN.md §11). Ordered by width, so a host that runs one
+/// also runs every smaller one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum MicroKernel {
     /// AVX2 `_mm256_madd_epi16`: i16×i16 over k-pairs, B sign-extended.
@@ -129,6 +137,10 @@ pub(crate) enum MicroKernel {
     /// AVX-VNNI `_mm256_dpbusd_avx_epi32`: u8×i8 over k-quads, B biased by
     /// `+128`.
     Dpbusd,
+    /// AMX-INT8 `tdpbsud`: a tile of up to 16 rows of A (i8) times the
+    /// `dpbusd` panel (u8 k-quads), one whole group per instruction, and
+    /// the close folded in AVX-512.
+    Tile,
 }
 
 impl MicroKernel {
@@ -136,7 +148,16 @@ impl MicroKernel {
     const fn step(self) -> usize {
         match self {
             MicroKernel::Madd => 2,
-            MicroKernel::Dpbusd => 4,
+            MicroKernel::Dpbusd | MicroKernel::Tile => 4,
+        }
+    }
+
+    /// The micro-kernel whose panel layout this one reads: the tile unit
+    /// reads the `dpbusd` panels as they are.
+    const fn layout(self) -> MicroKernel {
+        match self {
+            MicroKernel::Tile => MicroKernel::Dpbusd,
+            mk => mk,
         }
     }
 }
@@ -150,9 +171,18 @@ pub(crate) fn host_kernel() -> Option<MicroKernel> {
     {
         static HOST: std::sync::OnceLock<Option<MicroKernel>> = std::sync::OnceLock::new();
         *HOST.get_or_init(|| {
+            let vnni = std::is_x86_feature_detected!("avxvnni");
             if !std::is_x86_feature_detected!("avx2") {
                 None
-            } else if std::is_x86_feature_detected!("avxvnni") {
+            } else if tile_available(
+                std::arch::x86_64::__cpuid_count(7, 0).edx,
+                simd::xcr0(),
+                simd::request_tile_data,
+                vnni,
+                std::is_x86_feature_detected!("avx512f"),
+            ) {
+                Some(MicroKernel::Tile)
+            } else if vnni {
                 Some(MicroKernel::Dpbusd)
             } else {
                 Some(MicroKernel::Madd)
@@ -163,15 +193,77 @@ pub(crate) fn host_kernel() -> Option<MicroKernel> {
     None
 }
 
+/// Whether the tile unit may run: the CPU has AMX-TILE and AMX-INT8
+/// (`CPUID.(7,0):EDX` bits 24 and 25), the OS saves tile state (XCR0 bits
+/// 17 and 18), the kernels around it have AVX-VNNI (the `dpbusd` panels
+/// and A's words) and AVX-512F (the fold), and — asked last, only when all
+/// of that holds — the OS grants this process the tile data
+/// (`request_tile_data`, Linux's `ARCH_REQ_XCOMP_PERM`).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn tile_available(
+    cpuid7_edx: u32,
+    xcr0: u64,
+    request_tile_data: impl FnOnce() -> bool,
+    vnni: bool,
+    avx512f: bool,
+) -> bool {
+    const AMX: u32 = 1 << 24 | 1 << 25;
+    const XTILE: u64 = 1 << 17 | 1 << 18;
+    cpuid7_edx & AMX == AMX && xcr0 & XTILE == XTILE && vnni && avx512f && request_tile_data()
+}
+
+/// The micro-kernel ceiling for one product on a host whose widest is
+/// `host`: the host's, except that the tile unit takes only the products
+/// [`tile_pays`] on — everything else stays on `dpbusd`. `rows` is the
+/// product's output rows, `k × n` its depth and width, and `laid` whether
+/// B carries its panel layout.
+fn ceiling(
+    host: Option<MicroKernel>,
+    (rows, k, n): (usize, usize, usize),
+    laid: bool,
+) -> Option<MicroKernel> {
+    match host {
+        Some(MicroKernel::Tile) if !tile_pays(shard_len(rows, 2 * k * n, ROW_QUAD), laid) => {
+            Some(MicroKernel::Dpbusd)
+        }
+        host => host,
+    }
+}
+
+/// Whether the tile unit speeds up a product whose workers each hold
+/// `shard` output rows, with B `laid` out in panel order or staged per
+/// call: over a laid-out B — a frozen weight, which serving multiplies
+/// back to back — from four rows (a batch of one pays a whole tile's
+/// store and fold per group for one row). Over a staged B it does not:
+/// the kernel wins, but running the tile unit slows the packing and
+/// staging around it, and the workloads whose products are staged —
+/// training, and conv serving's patches — read no gain or a loss end to
+/// end. Chosen from the per-shape table and the campaigns in DESIGN.md
+/// §11.
+fn tile_pays(shard: usize, laid: bool) -> bool {
+    laid && shard >= 4
+}
+
 /// The micro-kernel a product with group sizes `ga`/`gb` runs on, given
 /// the widest one available (`best`): equal groups holding a whole number
 /// of the kernel's k-steps, so no step straddles a scale block. A group
 /// that is even but not a multiple of four drops to `madd`; `None` means
 /// the scalar kernels.
 fn micro_kernel(best: Option<MicroKernel>, ga: usize, gb: usize) -> Option<MicroKernel> {
-    [MicroKernel::Dpbusd, MicroKernel::Madd]
+    [MicroKernel::Tile, MicroKernel::Dpbusd, MicroKernel::Madd]
         .into_iter()
         .find(|&mk| Some(mk) <= best && ga == gb && ga.is_multiple_of(mk.step()))
+}
+
+/// K-step rows of one panel of `mk`'s layout for a `k`-deep product at
+/// group `g`: `⌈k/2⌉` k-pairs for `madd`; for the quad layout, whole
+/// groups of k-quads, so the tile unit reads every group, the last one
+/// included, as one full-height B tile.
+fn panel_steps(mk: MicroKernel, k: usize, g: usize) -> usize {
+    match mk.layout() {
+        MicroKernel::Madd => k.div_ceil(2),
+        _ => k.div_ceil(g) * (g / 4),
+    }
 }
 
 /// A `ColGroups` operand laid out once in the order the vector kernel
@@ -179,7 +271,8 @@ fn micro_kernel(best: Option<MicroKernel>, ga: usize, gb: usize) -> Option<Micro
 /// micro-kernel this host runs on it, panel by panel: panel `q` covers
 /// columns `j0 = 16q ..` and holds its k-step rows, then `⌈k/g⌉ × 16` block
 /// scales of the same columns. Staying one byte per value, the layout
-/// takes half of what a staged i16 panel takes.
+/// takes half of what a staged i16 panel takes. The tile unit reads the
+/// `dpbusd` layout.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[derive(Debug, Clone)]
 pub(crate) struct NnPanels {
@@ -192,10 +285,11 @@ pub(crate) struct NnPanels {
     ///   `_mm_unpack{lo,hi}_epi8` before it sign-extends them, so a row is
     ///   two `_mm256_cvtepi8_epi16` away from the `madd` operands. Padding
     ///   (columns past `n`, an odd `k`'s high half) is zero.
-    /// * `dpbusd`: `⌈k/4⌉` k-quad rows of 64 bytes — byte `4c + i` is
-    ///   `b[4t+i][j0+c] ^ 0x80`, exactly what staging writes, so a row is
-    ///   two loads away from the `dpbusd` operands. Padding is `0x80`, the
-    ///   biased zero.
+    /// * `dpbusd`: `⌈k/g⌉ · g/4` k-quad rows of 64 bytes (whole groups) —
+    ///   byte `4c + i` is `b[4t+i][j0+c] ^ 0x80`, exactly what staging
+    ///   writes, so a row is two loads away from the `dpbusd` operands and
+    ///   `g/4` rows are one `tdpbsud` B tile. Padding (columns past `n`,
+    ///   rows past `k`) is `0x80`, the biased zero.
     bytes: Vec<u8>,
     scales: Vec<f32>,
 }
@@ -216,15 +310,16 @@ impl NnPanels {
         if b.layout() != PackLayout::ColGroups || !g.is_multiple_of(mk.step()) || k == 0 || n == 0 {
             return None;
         }
+        let mk = mk.layout();
         let (step, nblocks, panels) = (mk.step(), k.div_ceil(g), n.div_ceil(W));
         let row_len = step * W;
-        let panel_len = k.div_ceil(step) * row_len;
+        let panel_len = panel_steps(mk, k, g) * row_len;
         // One byte per (panel, k-step row, column, step): stored row `r` is
         // step `r % step` of row `r / step`. `zero` is the encoding's zero,
         // and each value is XORed with it.
         let zero = match mk {
             MicroKernel::Madd => 0,
-            MicroKernel::Dpbusd => 0x80,
+            _ => 0x80,
         };
         let mut bytes = vec![zero; panels * panel_len];
         let mut scales = vec![0.0f32; panels * nblocks * W];
@@ -276,8 +371,9 @@ enum BSide<'a> {
 pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     debug_assert_eq!(b.rows(), k);
+    let laid = b.nn_panels().is_some();
     nn_on(
-        host_kernel(),
+        ceiling(host_kernel(), (m, k, n), laid),
         &RowSide::of(a),
         a.group(),
         &ColSide::of(b),
@@ -380,7 +476,7 @@ fn staged_simd<'a>(
         return false;
     };
     let laid = match b {
-        BSide::Cols(cols) => cols.panels.filter(|p| p.kernel == mk),
+        BSide::Cols(cols) => cols.panels.filter(|p| p.kernel == mk.layout()),
         BSide::Rows(_) => None,
     };
     let stage = simd::NnStage::build(mk, a, b, ga, dims);
@@ -396,6 +492,10 @@ fn staged_simd<'a>(
                 }
                 (MicroKernel::Dpbusd, Some(p)) => {
                     simd::vnni_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
+                }
+                (MicroKernel::Tile, None) => simd::tile_worker(&stage, row_start, panel),
+                (MicroKernel::Tile, Some(p)) => {
+                    simd::tile_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
                 }
             }
         }
@@ -429,7 +529,8 @@ fn staged_simd(
 
 /// `C = A·Bᵀ` in the integer domain.
 pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
-    nt_on(host_kernel(), a, b)
+    let dims = (a.rows(), a.cols(), b.rows());
+    nt_on(ceiling(host_kernel(), dims, false), a, b)
 }
 
 /// `Nt` on the micro-kernels up to `best` (`None`: the scalar dots).
@@ -500,7 +601,9 @@ fn nt_core<D: Dot>(
 /// `C = Aᵀ·B` in the integer domain.
 pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
     debug_assert_eq!(b.rows(), a.rows());
-    tn_on(host_kernel(), a, &ColSide::of(b), b.group(), b.cols())
+    let dims = (a.cols(), a.rows(), b.cols());
+    let best = ceiling(host_kernel(), dims, b.nn_panels().is_some());
+    tn_on(best, a, &ColSide::of(b), b.group(), b.cols())
 }
 
 /// `Tn` on the micro-kernels up to `best`, with `B` (`k × n`, group `gb`)
@@ -583,14 +686,20 @@ mod simd {
     //!   `i32` (`MAX_INT_SEGMENT`), so the result is exact even when the
     //!   biased sum wraps.
     //!
+    //! * `tdpbsud` over the `dpbusd` panels, a whole group of up to 16 rows
+    //!   at a time, each group's block closed by an AVX-512 fold
+    //!   ([`tile_rows`]).
+    //!
     //! Steps never cross a scale block: a product runs a micro-kernel only
-    //! when its shared group holds a whole number of steps. The row body
-    //! and the panel loops are generic over the panel row type
+    //! when its shared group holds a whole number of steps. The row bodies
+    //! ([`Body`]) and the panel loops are generic over the panel row type
     //! ([`PanelRow`]) and always inlined, so each out-of-line worker below
-    //! compiles them under its own target features — AVX-VNNI code never
-    //! lands in a function a plain AVX2 host runs.
+    //! compiles them under its own target features — AVX-VNNI and AVX-512
+    //! code never lands in a function a plain AVX2 host runs, and tile
+    //! instructions only in the two tile workers.
 
-    use super::{BSide, MicroKernel, RowSide, PANEL_COLS as W, ROW_QUAD};
+    use super::{panel_steps, BSide, MicroKernel, RowSide, PANEL_COLS as W, ROW_QUAD};
+    use core::arch::asm;
     use core::arch::x86_64::*;
 
     /// The vector kernel's shared, read-only inputs, built once on the
@@ -602,8 +711,11 @@ mod simd {
     ///   `stride` words, a whole number of blocks, zero past `k`. A is the
     ///   small side at serving shapes (`m` is the batch), so it is restaged
     ///   whole.
-    /// * `abias` — `dpbusd` only: `128·Σ a` over each (row, block), which
-    ///   the block's close subtracts from its biased sums.
+    /// * `abias` — `dpbusd` and the tile unit: `128·Σ a` over each (row,
+    ///   block), which the block's close subtracts from its biased sums.
+    /// * `steps` — k-step rows of one B panel ([`super::panel_steps`]), of
+    ///   which the first `k_steps = ⌈k/step⌉` hold values; the row body
+    ///   reads only those, the tile unit reads whole groups.
     /// * `b` — B as stored. No copy of it is made here: every worker
     ///   reads B's panels in place when B carries its panel layout, and
     ///   otherwise stages the panel it is about to consume into its own
@@ -617,6 +729,7 @@ mod simd {
         k: usize,
         stride: usize,
         steps: usize,
+        k_steps: usize,
         steps_per_block: usize,
         nblocks: usize,
         n: usize,
@@ -631,7 +744,7 @@ mod simd {
             dims: (usize, usize, usize),
         ) -> Self {
             let (m, k, n) = dims;
-            let step = mk.step();
+            let (mk, step) = (mk.layout(), mk.step());
             let (nblocks, steps_per_block) = (k.div_ceil(g).max(1), g / step);
             let stride = nblocks * steps_per_block;
             let mut aw = vec![0u32; m * stride];
@@ -648,13 +761,13 @@ mod simd {
                 for (arow, wrow) in a.man.chunks_exact(k).zip(aw.chunks_exact_mut(stride)) {
                     match mk {
                         MicroKernel::Madd => step_words(arow, wrow, |[lo, hi]| pair_word(lo, hi)),
-                        MicroKernel::Dpbusd => step_words(arow, wrow, quad_word),
+                        _ => step_words(arow, wrow, quad_word),
                     }
                 }
             }
             let abias = match mk {
                 MicroKernel::Madd => Vec::new(),
-                MicroKernel::Dpbusd => block_bias(&aw, steps_per_block),
+                _ => block_bias(&aw, steps_per_block),
             };
             NnStage {
                 aw,
@@ -664,7 +777,8 @@ mod simd {
                 b,
                 k,
                 stride,
-                steps: k.div_ceil(step),
+                steps: panel_steps(mk, k, g),
+                k_steps: k.div_ceil(step),
                 steps_per_block,
                 nblocks,
                 n,
@@ -843,9 +957,10 @@ mod simd {
     /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's `dpbusd`
     /// panel, overwriting all of it: `bytes` takes `steps` k-quad rows of
     /// `4·W` biased bytes — byte `4c + i` of row `t` is
-    /// `b[4t+i][j0+c] ^ 0x80`, the layout of [`super::NnPanels`] — and
-    /// `scales` the block scales, as [`stage_pairs`]. Padding (columns
-    /// past `w`, the k-tail of the last quad) is `0x80`, the biased zero.
+    /// `b[4t+i][j0+c] ^ 0x80`, the layout of [`super::NnPanels`], whole
+    /// groups deep — and `scales` the block scales, as [`stage_pairs`].
+    /// Padding (columns past `w`, rows past `k`) is `0x80`, the biased
+    /// zero.
     ///
     /// # Safety
     ///
@@ -866,6 +981,9 @@ mod simd {
         assert!(bytes.len() == s.steps * 4 * W && scales.len() == s.nblocks * W);
         assert!(w <= W && j0 + w <= n);
         stage_scales(s, j0, w, scales);
+        // Rows past the last value's quad pad the last group.
+        let (bytes, group_pad) = bytes.split_at_mut(s.k_steps * 4 * W);
+        group_pad.fill(0x80);
         match s.b {
             // Stored rows `4t..4t+4` interleave byte by byte, then pair by
             // pair: four 16-byte loads become four 16-byte stores. Rows
@@ -950,7 +1068,7 @@ mod simd {
     /// Requires AVX2 (checked by the caller via `host_kernel`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<u32>(s, row_start, out)
+        staged_rows::<u32, _>(s, &mut Vector, row_start, out)
     }
 
     /// `dpbusd` over panels it stages itself ([`staged_rows`]).
@@ -961,7 +1079,7 @@ mod simd {
     /// `host_kernel`).
     #[target_feature(enable = "avx2,avxvnni")]
     pub(super) unsafe fn vnni_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<u8>(s, row_start, out)
+        staged_rows::<u8, _>(s, &mut Vector, row_start, out)
     }
 
     /// `madd` over a B laid out in panel order ([`laid_rows`]). Out of
@@ -984,7 +1102,7 @@ mod simd {
         // SAFETY: `u8` and `i8` share size and alignment; the `madd` layout
         // holds the mantissas' two's-complement bytes as they are.
         let laid = core::slice::from_raw_parts(laid.as_ptr().cast::<i8>(), laid.len());
-        laid_rows(s, laid, scales, row_start, out)
+        laid_rows(s, &mut Vector, laid, scales, row_start, out)
     }
 
     /// `dpbusd` over a B laid out in panel order ([`laid_rows`]); out of
@@ -1002,7 +1120,90 @@ mod simd {
         row_start: usize,
         out: &mut [f32],
     ) {
-        laid_rows(s, laid, scales, row_start, out)
+        laid_rows(s, &mut Vector, laid, scales, row_start, out)
+    }
+
+    /// The tile unit over panels it stages itself ([`staged_rows`]): the
+    /// tile configuration for this shard, the panels, then `tilerelease`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, AVX-VNNI, AVX-512F and AMX-INT8 with this process's
+    /// tile data granted (checked by the caller via `host_kernel`).
+    #[inline(never)]
+    #[target_feature(enable = "avx2,avxvnni,avx512f")]
+    pub(super) unsafe fn tile_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
+        TileConfig::new(out.len() / s.n, tile_chunk(s)).load();
+        staged_rows(s, &mut Tiles::new(), row_start, out);
+        tile_release();
+    }
+
+    /// The tile unit over a B laid out in panel order ([`laid_rows`]), as
+    /// [`tile_worker`].
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_worker`].
+    #[inline(never)]
+    #[target_feature(enable = "avx2,avxvnni,avx512f")]
+    pub(super) unsafe fn tile_laid_worker(
+        s: &NnStage,
+        laid: &[u8],
+        scales: &[f32],
+        row_start: usize,
+        out: &mut [f32],
+    ) {
+        TileConfig::new(out.len() / s.n, tile_chunk(s)).load();
+        laid_rows(s, &mut Tiles::new(), laid, scales, row_start, out);
+        tile_release();
+    }
+
+    /// How a worker runs its shard's rows over one panel: the vector row
+    /// body ([`Vector`]) or the tile unit ([`Tiles`]).
+    trait Body<T> {
+        /// Every row of the shard (`row_start..`, row-major in `out`) over
+        /// `panel`.
+        ///
+        /// # Safety
+        ///
+        /// As the body's worker.
+        unsafe fn rows(&mut self, s: &NnStage, panel: Panel<T>, row_start: usize, out: &mut [f32]);
+    }
+
+    /// The vector row body, [`panel_rows`].
+    struct Vector;
+
+    impl<T: PanelRow> Body<T> for Vector {
+        #[inline(always)]
+        unsafe fn rows(&mut self, s: &NnStage, panel: Panel<T>, row_start: usize, out: &mut [f32]) {
+            panel_rows(s, panel, row_start, out)
+        }
+    }
+
+    /// The tile unit, [`tile_rows`], with the two blocks its C tiles are
+    /// stored to.
+    struct Tiles([TileBlock; 2]);
+
+    impl Tiles {
+        fn new() -> Self {
+            Tiles([
+                TileBlock([[0; W]; TILE_ROWS]),
+                TileBlock([[0; W]; TILE_ROWS]),
+            ])
+        }
+    }
+
+    impl Body<u8> for Tiles {
+        #[inline(always)]
+        unsafe fn rows(
+            &mut self,
+            s: &NnStage,
+            panel: Panel<u8>,
+            row_start: usize,
+            out: &mut [f32],
+        ) {
+            tile_rows(s, &mut self.0, panel, row_start, out)
+        }
     }
 
     /// One worker's shard: the output rows `row_start..`, row-major in
@@ -1014,7 +1215,12 @@ mod simd {
     ///
     /// Requires the target features of `T`'s micro-kernel.
     #[inline(always)]
-    unsafe fn staged_rows<T: Staged>(s: &NnStage, row_start: usize, out: &mut [f32]) {
+    unsafe fn staged_rows<T: Staged, B: Body<T>>(
+        s: &NnStage,
+        body: &mut B,
+        row_start: usize,
+        out: &mut [f32],
+    ) {
         let n = s.n;
         let mut b = vec![T::default(); s.steps * T::LEN];
         let mut scales = vec![0.0f32; s.nblocks * W];
@@ -1027,7 +1233,7 @@ mod simd {
                 j0,
                 w,
             };
-            panel_rows(s, panel, row_start, out);
+            body.rows(s, panel, row_start, out);
         }
     }
 
@@ -1043,8 +1249,9 @@ mod simd {
     /// Panics unless the layout has the sizes of this product's `k`, group
     /// and `n`: the vector loads rely on them.
     #[inline(always)]
-    unsafe fn laid_rows<T: PanelRow>(
+    unsafe fn laid_rows<T: PanelRow, B: Body<T>>(
         s: &NnStage,
+        body: &mut B,
         laid: &[T],
         scales: &[f32],
         row_start: usize,
@@ -1060,7 +1267,7 @@ mod simd {
             .zip(scales.chunks_exact(block_scales));
         for (q, (b, scales)) in panels.enumerate() {
             let (j0, w) = (q * W, (n - q * W).min(W));
-            panel_rows(s, Panel { b, scales, j0, w }, row_start, out);
+            body.rows(s, Panel { b, scales, j0, w }, row_start, out);
         }
     }
 
@@ -1207,7 +1414,7 @@ mod simd {
         let mut acc = [[_mm256_setzero_ps(); 2]; R];
         for bb in 0..s.nblocks {
             let t0 = bb * s.steps_per_block;
-            let t1 = ((bb + 1) * s.steps_per_block).min(s.steps);
+            let t1 = ((bb + 1) * s.steps_per_block).min(s.k_steps);
             let mut iacc = [[_mm256_setzero_si256(); 2]; R];
             for t in t0..t1 {
                 let (bv0, bv1) = T::load(panel.b.as_ptr().add(t * T::LEN));
@@ -1248,6 +1455,320 @@ mod simd {
                 dst.copy_from_slice(&tmp[..w]);
             }
         }
+    }
+
+    /// Rows of one tile: C's and A's tiles hold up to 16.
+    const TILE_ROWS: usize = 16;
+
+    /// The AMX palette-1 configuration of one shard of `rows` rows, for
+    /// K-chunks of `chunk` bytes:
+    ///
+    /// * `tmm0`, `tmm1` — C, two 16-row tiles of 16 i32 columns, which
+    ///   alternate between consecutive groups; `tmm2` — A, 16 rows of
+    ///   `chunk` bytes;
+    /// * `tmm4`, `tmm5`, `tmm6` — the same for the shard's last
+    ///   `rows % 16` rows, so one configuration serves the whole shard;
+    /// * `tmm3` — B, `chunk / 4` k-quad rows of the panel, 64 bytes each.
+    #[repr(C, align(64))]
+    struct TileConfig([u8; 64]);
+
+    impl TileConfig {
+        fn new(rows: usize, chunk: usize) -> Self {
+            let mut cfg = [0u8; 64];
+            cfg[0] = 1;
+            let mut tile = |t: usize, rows: usize, bytes: usize| {
+                cfg[16 + 2 * t..18 + 2 * t].copy_from_slice(&(bytes as u16).to_le_bytes());
+                cfg[48 + t] = rows as u8;
+            };
+            let rem = rows % TILE_ROWS;
+            if rows >= TILE_ROWS {
+                tile(0, TILE_ROWS, 4 * W);
+                tile(1, TILE_ROWS, 4 * W);
+                tile(2, TILE_ROWS, chunk);
+            }
+            if rem > 0 {
+                tile(4, rem, 4 * W);
+                tile(5, rem, 4 * W);
+                tile(6, rem, chunk);
+            }
+            tile(3, chunk / 4, 4 * W);
+            TileConfig(cfg)
+        }
+
+        /// `ldtilecfg`.
+        ///
+        /// # Safety
+        ///
+        /// As [`tile_worker`].
+        #[inline(always)]
+        unsafe fn load(&self) {
+            asm!("ldtilecfg [{}]", in(reg) self.0.as_ptr(), options(nostack, readonly));
+        }
+    }
+
+    /// `tilerelease`: the thread's tile state back to its initial,
+    /// unconfigured state.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_worker`].
+    #[inline(always)]
+    unsafe fn tile_release() {
+        asm!("tilerelease", options(nostack, nomem));
+    }
+
+    /// Bytes of A (and of K) per `tdpbsud`: the largest multiple of four
+    /// up to 64 that divides the group, so a group chains whole chunks
+    /// into one C tile — one chunk at every group up to 64.
+    fn tile_chunk(s: &NnStage) -> usize {
+        let spb = s.steps_per_block;
+        4 * (1..=16).rev().find(|q| spb.is_multiple_of(*q)).unwrap_or(1)
+    }
+
+    /// Runs `$op!(C, A, args…)` on the tiles of the 16-row (`FULL`) or
+    /// the remainder set, with C the set's first (`!ODD`) or second tile:
+    /// tile registers are named in the instruction, not passed.
+    macro_rules! on_tiles {
+        ($full:expr, $odd:expr, $op:ident!($($args:tt)*)) => {
+            match ($full, $odd) {
+                (true, false) => $op!("tmm0", "tmm2", $($args)*),
+                (true, true) => $op!("tmm1", "tmm2", $($args)*),
+                (false, false) => $op!("tmm4", "tmm6", $($args)*),
+                (false, true) => $op!("tmm5", "tmm6", $($args)*),
+            }
+        };
+    }
+
+    macro_rules! tilezero {
+        ($c:literal, $a:literal,) => {
+            asm!(concat!("tilezero ", $c), options(nostack, nomem))
+        };
+    }
+
+    macro_rules! tdpbsud {
+        ($c:literal, $a:literal, $ap:expr, $astride:expr, $bp:expr) => {
+            asm!(
+                concat!("tileloadd ", $a, ", [{a} + {astride} * 1]"),
+                "tileloadd tmm3, [{b} + {bstride} * 1]",
+                concat!("tdpbsud ", $c, ", ", $a, ", tmm3"),
+                a = in(reg) $ap,
+                astride = in(reg) $astride,
+                b = in(reg) $bp,
+                bstride = in(reg) 4 * W,
+                options(nostack, readonly),
+            )
+        };
+    }
+
+    macro_rules! tilestored {
+        ($c:literal, $a:literal, $p:expr) => {
+            asm!(
+                concat!("tilestored [{p} + {stride} * 1], ", $c),
+                p = in(reg) $p,
+                stride = in(reg) 4 * W,
+                options(nostack),
+            )
+        };
+    }
+
+    /// Group `bb`'s i32 block into C: `tilezero`, then per K-chunk A's
+    /// `rows × chunk` bytes (row stride `4·stride`), the chunk's quad rows
+    /// of the panel and `tdpbsud C, A, B` — signed A times unsigned
+    /// (biased) B, accumulated modulo 2³².
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_worker`], with the shard's configuration loaded; `a` is
+    /// the tile's first row of A's words and `b` the panel's quad rows.
+    #[inline(always)]
+    unsafe fn tile_group<const FULL: bool, const ODD: bool>(
+        s: &NnStage,
+        a: *const u32,
+        b: *const u8,
+        bb: usize,
+        chunk: usize,
+    ) {
+        on_tiles!(FULL, ODD, tilezero!());
+        let astride = 4 * s.stride;
+        let quads = chunk / 4;
+        for t in (bb * s.steps_per_block..(bb + 1) * s.steps_per_block).step_by(quads) {
+            let (ap, bp) = (a.add(t).cast::<u8>(), b.add(t * 4 * W));
+            on_tiles!(FULL, ODD, tdpbsud!(ap, astride, bp));
+        }
+    }
+
+    /// Stores C's i32 block row by row into `buf`.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_group`].
+    #[inline(always)]
+    unsafe fn tile_store<const FULL: bool, const ODD: bool>(buf: &mut TileBlock) {
+        on_tiles!(FULL, ODD, tilestored!(buf.0.as_mut_ptr()));
+    }
+
+    /// One stored C tile: 16 rows of 16 i32 column sums.
+    #[repr(C, align(64))]
+    struct TileBlock([[i32; W]; TILE_ROWS]);
+
+    /// Every row of one worker's shard over one panel on the tile unit:
+    /// 16-row tiles, then the remainder as one tile.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_worker`], with the shard's configuration loaded
+    /// ([`TileConfig`]), and a panel of whole groups ([`nn_rows`]'s sizes).
+    #[inline(always)]
+    unsafe fn tile_rows(
+        s: &NnStage,
+        bufs: &mut [TileBlock; 2],
+        panel: Panel<u8>,
+        row_start: usize,
+        out: &mut [f32],
+    ) {
+        let n = s.n;
+        let full = out.len() / n / TILE_ROWS * TILE_ROWS;
+        for (t, c) in out[..full * n].chunks_exact_mut(TILE_ROWS * n).enumerate() {
+            let i0 = row_start + t * TILE_ROWS;
+            tile_block::<true, TILE_ROWS>(s, bufs, panel, (i0, TILE_ROWS), c);
+        }
+        let (i0, c) = (row_start + full, &mut out[full * n..]);
+        match c.len() / n {
+            0 => {}
+            rem @ 1..=4 => tile_block::<false, 4>(s, bufs, panel, (i0, rem), c),
+            rem @ 5..=8 => tile_block::<false, 8>(s, bufs, panel, (i0, rem), c),
+            rem @ 9..=12 => tile_block::<false, 12>(s, bufs, panel, (i0, rem), c),
+            rem => tile_block::<false, 16>(s, bufs, panel, (i0, rem), c),
+        }
+    }
+
+    /// `rows` output rows (absolute row `i0`, row-major in `c`) of one
+    /// panel on the `FULL` or remainder tiles, folded `R ≥ rows` at a
+    /// time (rows past `rows` repeat the last one's bias and scale and are
+    /// never stored), so the accumulators stay in registers. Each group's
+    /// block comes from [`tile_group`], computed one group ahead in the
+    /// other C tile and folded one group after its store, and closes
+    /// exactly as [`nn_rows`]' does, in ascending group order:
+    /// `iacc − 128·Σa`, then `acc += (sa·sb)·(iacc as f32)`, sixteen
+    /// columns per AVX-512 register.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_rows`].
+    #[inline(always)]
+    unsafe fn tile_block<const FULL: bool, const R: usize>(
+        s: &NnStage,
+        bufs: &mut [TileBlock; 2],
+        panel: Panel<u8>,
+        (i0, rows): (usize, usize),
+        c: &mut [f32],
+    ) {
+        let chunk = tile_chunk(s);
+        let (a, b) = (s.aw.as_ptr().add(i0 * s.stride), panel.b.as_ptr());
+        assert!(0 < rows && rows <= R && R <= TILE_ROWS);
+        assert!((i0 + rows) * s.nblocks <= s.abias.len());
+        assert!((i0 + rows) * s.abpr <= s.ascale.len() && s.nblocks <= s.abpr);
+        let mut acc = [_mm512_setzero_ps(); R];
+        tile_group::<FULL, false>(s, a, b, 0, chunk);
+        for bb in 0..s.nblocks {
+            // Group `bb + 1` into the other C tile, group `bb` out to its
+            // block, and group `bb − 1`'s block, stored one step earlier,
+            // folded.
+            let next = bb + 1 < s.nblocks;
+            let [even, odd] = &mut *bufs;
+            let (buf, prev) = if bb % 2 == 0 {
+                (even, odd)
+            } else {
+                (odd, even)
+            };
+            if bb % 2 == 0 {
+                if next {
+                    tile_group::<FULL, true>(s, a, b, bb + 1, chunk);
+                }
+                tile_store::<FULL, false>(buf);
+            } else {
+                if next {
+                    tile_group::<FULL, false>(s, a, b, bb + 1, chunk);
+                }
+                tile_store::<FULL, true>(buf);
+            }
+            if bb > 0 {
+                tile_fold(s, panel.scales, (i0, rows), bb - 1, prev, &mut acc);
+            }
+        }
+        let last = s.nblocks - 1;
+        tile_fold(s, panel.scales, (i0, rows), last, &bufs[last % 2], &mut acc);
+        let (j0, mask) = (panel.j0, ((1u32 << panel.w) - 1) as u16);
+        for (ar, row) in acc.iter().zip(c.chunks_exact_mut(s.n)).take(rows) {
+            _mm512_mask_storeu_ps(row.as_mut_ptr().add(j0), mask, *ar);
+        }
+    }
+
+    /// Folds group `bb`'s stored block into the accumulators of rows
+    /// `i0..i0 + rows` (`R ≥ rows` of them).
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_rows`], with the bounds [`tile_block`] asserts.
+    #[inline(always)]
+    unsafe fn tile_fold<const R: usize>(
+        s: &NnStage,
+        scales: &[f32],
+        (i0, rows): (usize, usize),
+        bb: usize,
+        buf: &TileBlock,
+        acc: &mut [__m512; R],
+    ) {
+        let (abias, ascale) = (s.abias.as_ptr(), s.ascale.as_ptr());
+        let sb = _mm512_loadu_ps(scales.as_ptr().add(bb * W));
+        for (r, ar) in acc.iter_mut().enumerate() {
+            let i = i0 + r.min(rows - 1);
+            let bias = _mm512_set1_epi32(*abias.add(i * s.nblocks + bb));
+            let iacc = _mm512_sub_epi32(_mm512_loadu_si512(buf.0[r].as_ptr().cast()), bias);
+            let sa = _mm512_set1_ps(*ascale.add(i * s.abpr + bb));
+            let f = _mm512_mul_ps(_mm512_mul_ps(sa, sb), _mm512_cvtepi32_ps(iacc));
+            *ar = _mm512_add_ps(*ar, f);
+        }
+    }
+
+    /// XCR0, the state components the OS saves. Read only on a host with
+    /// AVX2, which implies the OS has enabled `xgetbv`.
+    pub(super) fn xcr0() -> u64 {
+        let (lo, hi): (u32, u32);
+        // SAFETY: `xgetbv` reads a register; the caller confirmed AVX2.
+        unsafe {
+            asm!("xgetbv", in("ecx") 0, out("eax") lo, out("edx") hi, options(nomem, nostack, preserves_flags));
+        }
+        u64::from(hi) << 32 | u64::from(lo)
+    }
+
+    /// Asks Linux to grant this process tile data
+    /// (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`), once for
+    /// all its threads; `false` when refused and on other systems.
+    pub(super) fn request_tile_data() -> bool {
+        #[cfg(target_os = "linux")]
+        {
+            const SYS_ARCH_PRCTL: i64 = 158;
+            const ARCH_REQ_XCOMP_PERM: i64 = 0x1023;
+            const XFEATURE_XTILEDATA: i64 = 18;
+            let ret: i64;
+            // SAFETY: the syscall reads and writes no memory of ours; the
+            // kernel clobbers `rcx` and `r11`.
+            unsafe {
+                asm!(
+                    "syscall",
+                    inlateout("rax") SYS_ARCH_PRCTL => ret,
+                    in("rdi") ARCH_REQ_XCOMP_PERM,
+                    in("rsi") XFEATURE_XTILEDATA,
+                    lateout("rcx") _,
+                    lateout("r11") _,
+                    options(nostack),
+                );
+            }
+            ret == 0
+        }
+        #[cfg(not(target_os = "linux"))]
+        false
     }
 
     /// Exact i32 dot product of two i8 slices (the NT segment kernel):
@@ -1415,17 +1936,24 @@ mod tests {
         }
     }
 
-    /// Row counts on both sides of the four-row blocking, column counts
-    /// on both sides of each 16-column panel edge, and depths of every
-    /// residue mod 4 (the padded last k-pair or k-quad) — the shapes panel
-    /// staging has to get right.
-    const TAIL_MS: [usize; 5] = [1, 3, 4, 5, 8];
+    /// Row counts on both sides of the four-row blocking and of each
+    /// 16-row tile, column counts on both sides of each 16-column panel
+    /// edge, and depths of every residue mod 4 (the padded last k-pair or
+    /// k-quad) — the shapes panel staging and the tiles have to get right.
+    const TAIL_MS: [usize; 11] = [1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33];
     const TAIL_NS: [usize; 6] = [1, 15, 16, 17, 33, 70];
     const TAIL_KS: [usize; 6] = [1, 7, 13, 18, 32, 47];
 
-    /// The micro-kernels this host runs, narrowest first.
+    /// The micro-kernels this host runs, narrowest first. Says which
+    /// cases skip when the host runs fewer than all of them.
     fn host_kernels() -> Vec<MicroKernel> {
-        [MicroKernel::Madd, MicroKernel::Dpbusd]
+        if host_kernel() < Some(MicroKernel::Tile) {
+            println!(
+                "host runs {:?}: the cases of wider micro-kernels skip",
+                host_kernel()
+            );
+        }
+        [MicroKernel::Madd, MicroKernel::Dpbusd, MicroKernel::Tile]
             .into_iter()
             .filter(|&mk| Some(mk) <= host_kernel())
             .collect()
@@ -1439,11 +1967,13 @@ mod tests {
     /// scalar `Nn` core; the host's own dispatch through the public entry
     /// points, with `B` staged and laid out ([`PackedMat::with_nn_panels`]);
     /// and each micro-kernel this host runs, called directly on the same
-    /// operands — `Nn` and `Tn` with `B` staged per call and read from its
-    /// panel layout for that micro-kernel, and staged `Nt` (from four rows;
-    /// below, the dots). Over the tail grid at groups of both residues mod
-    /// 4 (a `g ≡ 2` pair drops from `dpbusd` to `madd`), the shapes above
-    /// and three shapes deep enough to shard, at 1–3 workers.
+    /// operands whatever [`ceiling`] would pick — `Nn` and `Tn` with `B`
+    /// staged per call and read from its panel layout for that
+    /// micro-kernel, and staged `Nt` (from four rows; below, the dots).
+    /// Over the tail grid at groups of both residues mod 4 (a `g ≡ 2` pair
+    /// drops from `dpbusd` to `madd`), the shapes above and four shapes
+    /// deep enough to shard — one at a group the tile unit chains over two
+    /// K-chunks — at 1–3 workers.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn vector_paths_agree_with_the_segment_oracle_bitwise() {
@@ -1461,7 +1991,12 @@ mod tests {
                 .flat_map(move |(m, n)| TAIL_KS.into_iter().map(move |k| (g, m, n, k)))
         });
         let shapes = SHAPES.into_iter().map(|(m, k, n)| (16, m, n, k));
-        let sharded = [(16, 61, 70, 301), (6, 9, 70, 512), (32, 12, 40, 302)];
+        let sharded = [
+            (16, 61, 70, 301),
+            (6, 9, 70, 512),
+            (32, 12, 40, 302),
+            (96, 33, 17, 200),
+        ];
         let saved = parallelism();
         for (g, m, n, k) in shapes.chain(sharded).chain(grid) {
             let seed = (61 * m + 67 * n + 71 * k + g) as u64;
@@ -1493,6 +2028,10 @@ mod tests {
                 for (mk, panels) in &layouts {
                     let best = Some(*mk);
                     assert_eq!(panels.is_some(), g.is_multiple_of(mk.step()));
+                    assert_eq!(
+                        panels.as_ref().map(|p| p.kernel),
+                        panels.as_ref().and(Some(mk.layout()))
+                    );
                     let laid = ColSide {
                         panels: panels.as_ref(),
                         ..ColSide::of(&staged)
@@ -1520,7 +2059,8 @@ mod tests {
     /// subtraction still return the exact `−2.13·10⁹`; the saturating
     /// `dpbusds` would not. B all `−128` too gives the extremal product,
     /// `k·128²`, just under `2³¹`. Staged and laid-out `Nn` and `Tn` and
-    /// staged `Nt`, on each micro-kernel this host runs.
+    /// staged `Nt`, on each micro-kernel this host runs — on the tile unit
+    /// a group of 4 681 chained 28-value K-chunks.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn the_longest_quad_segment_wraps_its_biased_sum_and_stays_exact() {
@@ -1580,14 +2120,61 @@ mod tests {
         }
     }
 
+    /// `PackedMat::new` takes any f32 scale. Off the powers of two, the
+    /// close's `(sa·sb)·x` rounds, so only the exact close — two
+    /// multiplies, then an add — matches the oracle; a fused multiply-add
+    /// in any micro-kernel's close fails here (at power-of-two scales the
+    /// product is exact and the two agree). Staged and laid-out `Nn`, on
+    /// each micro-kernel this host runs.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn arbitrary_scales_close_as_the_oracle_does() {
+        use crate::qgemm::Orient;
+        use segment_oracle::segment_product;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(97);
+        let mut rescale = |p: PackedMat| {
+            let scales = p
+                .scales()
+                .iter()
+                .map(|_| rng.gen_range(0.5f32..2.0))
+                .collect();
+            let (rows, cols, layout) = (p.rows(), p.cols(), p.layout());
+            PackedMat::new(
+                rows,
+                cols,
+                p.group(),
+                layout,
+                p.mantissas().to_vec(),
+                scales,
+            )
+        };
+        for (m, k, n, g) in [(17, 96, 33, 16), (8, 64, 16, 32), (5, 40, 20, 8)] {
+            let a = rescale(random_pack(m, k, g, PackLayout::RowGroups, 3));
+            let b = rescale(random_pack(k, n, g, PackLayout::ColGroups, 4));
+            let want = bits(&segment_product(Orient::Nn, &a, &b));
+            for mk in host_kernels() {
+                let panels = NnPanels::build_for(mk, &b);
+                let laid = ColSide {
+                    panels: panels.as_ref(),
+                    ..ColSide::of(&b)
+                };
+                for (side, path) in [(ColSide::of(&b), "staged"), (laid, "laid out")] {
+                    let nn = nn_on(Some(mk), &RowSide::of(&a), g, &side, g, (m, k, n));
+                    assert_eq!(bits(nn.data()), want, "{mk:?} {path} ({m},{k},{n}) g={g}");
+                }
+            }
+        }
+    }
+
     /// Byte `i` of `mk`'s panel layout of `b` (`k × n`, row-major
     /// mantissas), as [`NnPanels`] documents it: panel `q`, k-step row
     /// `t`, column `c`, step `s` holds `b[step·t + s][16q + c]` — as is
-    /// for `madd`, `^ 0x80` for `dpbusd` — and past `k` or `n` the zero of
-    /// that encoding.
+    /// for `madd`, `^ 0x80` for `dpbusd` — and past `k` or `n`, to the end
+    /// of the layout's last k-step (`madd`) or group (`dpbusd`), the zero
+    /// of that encoding.
     fn layout_byte(mk: MicroKernel, b: &PackedMat, i: usize) -> u8 {
         let (k, n, step) = (b.rows(), b.cols(), mk.step());
-        let (row, panel) = (16 * step, k.div_ceil(step) * 16 * step);
+        let (row, panel) = (16 * step, panel_steps(mk, k, b.group()) * 16 * step);
         let (q, t, c, s) = (i / panel, i % panel / row, i % row / step, i % step);
         let (r, j) = (step * t + s, 16 * q + c);
         let v = if r < k && j < n {
@@ -1595,19 +2182,20 @@ mod tests {
         } else {
             0
         };
-        match mk {
+        match mk.layout() {
             MicroKernel::Madd => v,
-            MicroKernel::Dpbusd => v ^ 0x80,
+            _ => v ^ 0x80,
         }
     }
 
     /// Each panel layout holds exactly `B`'s columns, byte for byte:
     /// `madd` k-pair rows interleave stored rows `2p`, `2p + 1`, `dpbusd`
-    /// k-quad rows interleave rows `4t … 4t + 3` biased by `+128`, the
-    /// block scales sit beside them, and everything else — tail columns
-    /// and the k-tail of the last step — is the encoding's zero (`0`,
-    /// `0x80`). Neither reaches an output bit (tail lanes are never stored,
-    /// A's k-tail is zero), so only this test sees them. A layout exists
+    /// k-quad rows — which the tile unit reads too — interleave rows
+    /// `4t … 4t + 3` biased by `+128`, whole groups deep, the block scales
+    /// sit beside them, and everything else — tail columns and the k-tail
+    /// of the last step or group — is the encoding's zero (`0`, `0x80`).
+    /// Neither reaches an output bit (tail lanes are never stored, A's
+    /// k-tail is zero), so only this test sees them. A layout exists
     /// exactly when the micro-kernel takes the group;
     /// [`PackedMat::with_nn_panels`] builds the host's and counts it in
     /// `heap_bytes`; a row-grouped or odd-group matrix gets none.
@@ -1621,16 +2209,20 @@ mod tests {
         for (g, n, k) in grid {
             let seed = (g * 1000 + n * 50 + k) as u64;
             let b = random_pack(k, n, g, PackLayout::ColGroups, seed);
-            for mk in [MicroKernel::Madd, MicroKernel::Dpbusd] {
+            for mk in [MicroKernel::Madd, MicroKernel::Dpbusd, MicroKernel::Tile] {
                 let step = mk.step();
                 let Some(laid) = NnPanels::build_for(mk, &b) else {
                     assert!(!g.is_multiple_of(step), "{mk:?} g={g} lays out");
                     continue;
                 };
-                assert_eq!(laid.kernel, mk);
+                assert_eq!(laid.kernel, mk.layout());
                 let got = &laid.bytes;
                 let (nblocks, panels) = (k.div_ceil(g), n.div_ceil(16));
-                assert_eq!(got.len(), panels * k.div_ceil(step) * 16 * step);
+                let rows = match mk.layout() {
+                    MicroKernel::Madd => k.div_ceil(2),
+                    _ => nblocks * g / 4,
+                };
+                assert_eq!(got.len(), panels * rows * 16 * step);
                 assert_eq!(laid.scales.len(), panels * nblocks * 16);
                 assert_eq!(laid.heap_bytes(), got.len() + 4 * laid.scales.len());
                 for (i, &got) in got.iter().enumerate() {
@@ -1647,7 +2239,7 @@ mod tests {
             }
             let unlaid = b.heap_bytes();
             let b = b.with_nn_panels();
-            let host = micro_kernel(host_kernel(), g, g);
+            let host = micro_kernel(host_kernel(), g, g).map(MicroKernel::layout);
             assert_eq!(b.nn_panels().map(|p| p.kernel), host, "g={g}");
             let laid = b.nn_panels().map_or(0, NnPanels::heap_bytes);
             assert_eq!(b.heap_bytes(), unlaid + laid);
@@ -1666,8 +2258,9 @@ mod tests {
     /// A staged panel holds exactly B's columns `j0..j0 + w`, whatever the
     /// buffer held before: `madd` k-pair words — low half row `2p`, high
     /// half row `2p + 1`, zero padding — and `dpbusd` k-quad bytes in the
-    /// laid-out order, `0x80` padding. Tail columns and the k-tail of the
-    /// last step are padded, never left stale.
+    /// laid-out order, whole groups deep, `0x80` padding, for the VNNI
+    /// and the tile kernel alike. Tail columns and the k-tail of the last
+    /// step or group are padded, never left stale.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn staged_panels_hold_exactly_the_operands_columns() {
@@ -1687,7 +2280,7 @@ mod tests {
                 (BSide::Rows(&rows), &bt, true),
             ] {
                 let stage = simd::NnStage::build(mk, &av, side, g, (1, k, n));
-                let steps = k.div_ceil(mk.step());
+                let steps = panel_steps(mk, k, g);
                 let mut words = vec![0u32; steps * 16];
                 let mut bytes = vec![0u8; steps * 64];
                 let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
@@ -1706,7 +2299,7 @@ mod tests {
                     let w = (n - j0).min(16);
                     let tag = format!("{mk:?} n={n} k={k} t={transposed} j0={j0}");
                     scales.fill(f32::NAN);
-                    match mk {
+                    match mk.layout() {
                         MicroKernel::Madd => {
                             words.fill(0xDEAD_BEEF);
                             // SAFETY: `host_kernels` confirmed AVX2.
@@ -1727,7 +2320,7 @@ mod tests {
                                 }
                             }
                         }
-                        MicroKernel::Dpbusd => {
+                        _ => {
                             bytes.fill(0x5A);
                             // SAFETY: `host_kernels` confirmed AVX2.
                             unsafe { simd::stage_quads(&stage, j0, w, &mut bytes, &mut scales) };
@@ -1848,6 +2441,58 @@ mod tests {
             assert_eq!(int_nn(&awide, &bwide), s5, "nn panels workers={workers}");
         }
         set_parallelism(saved);
+    }
+
+    /// The tile unit runs only when the CPU, the OS's saved state, the
+    /// kernels around it and the OS's grant all allow it — and the grant
+    /// is asked for last, never on a host that would refuse anyway.
+    #[test]
+    fn the_tile_unit_needs_every_feature_and_the_grant() {
+        const AMX: u32 = 1 << 24 | 1 << 25;
+        const XCR0: u64 = 0b111 | 1 << 17 | 1 << 18;
+        let never = || -> bool { panic!("asked for tile data on a host that refuses it") };
+        assert!(tile_available(AMX, XCR0, || true, true, true));
+        for edx in [0, 1 << 24, 1 << 25, !AMX] {
+            assert!(
+                !tile_available(edx, XCR0, never, true, true),
+                "edx {edx:#x}"
+            );
+        }
+        for xcr0 in [0b111, 0b111 | 1 << 17, 0b111 | 1 << 18] {
+            assert!(
+                !tile_available(AMX, xcr0, never, true, true),
+                "xcr0 {xcr0:#x}"
+            );
+        }
+        assert!(
+            !tile_available(AMX, XCR0, || false, true, true),
+            "grant refused"
+        );
+        assert!(
+            !tile_available(AMX, XCR0, never, false, true),
+            "no AVX-VNNI"
+        );
+        assert!(
+            !tile_available(AMX, XCR0, never, true, false),
+            "no AVX-512F"
+        );
+    }
+
+    /// The dispatch rule: the tile unit over a laid-out B from four shard
+    /// rows, never over a staged one; a host without it keeps its own
+    /// micro-kernel.
+    #[test]
+    fn the_tile_unit_takes_only_the_products_it_speeds_up() {
+        assert!(tile_pays(4, true) && tile_pays(8, true));
+        assert!(!tile_pays(3, true) && !tile_pays(1, true));
+        assert!(!tile_pays(64, false) && !tile_pays(4096, false));
+        let tile = Some(MicroKernel::Tile);
+        for host in [None, Some(MicroKernel::Madd), Some(MicroKernel::Dpbusd)] {
+            assert_eq!(ceiling(host, (64, 1024, 1024), true), host);
+        }
+        let vnni = Some(MicroKernel::Dpbusd);
+        assert_eq!(ceiling(tile, (1, 1024, 1024), true), vnni);
+        assert_eq!(ceiling(tile, (512, 64, 512), false), vnni);
     }
 
     #[test]

@@ -703,6 +703,16 @@ fn main() {
             "int_kernel".to_string(),
             Json::Str(fast_tensor::qgemm::int_kernel().to_string()),
         ),
+        // The rows the tile unit produced: it takes only products of four
+        // rows or more over a laid-out weight, so on an `"amx"` host every
+        // other `qgemm_int_*` row ran `vpdpbusd`, as on an `"avxvnni"` one.
+        (
+            "int_tile_rows".to_string(),
+            Json::Arr(match fast_tensor::qgemm::int_kernel() {
+                "amx" => vec![Json::Str("qgemm_int_serve_b8_ns".to_string())],
+                _ => Vec::new(),
+            }),
+        ),
         (
             "gemm_config".to_string(),
             Json::Arr([m, k, n].map(|d| Json::uint(d as u64)).to_vec()),

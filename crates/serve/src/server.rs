@@ -52,9 +52,6 @@ struct ModelState {
     queued_samples: usize,
     reload: Option<ReloadTicket>,
     shutdown: bool,
-    /// Workers waiting on the queue's `ready` condvar: a submit wakes one
-    /// only when one waits, so a busy worker costs the submitter no wake.
-    idle: usize,
 }
 
 /// The shared work queue of one resident model, pulled from by all of its
@@ -88,7 +85,6 @@ impl ModelQueue {
                 queued_samples: 0,
                 reload: None,
                 shutdown: false,
-                idle: 0,
             }),
             ready: Condvar::new(),
             generation: AtomicU64::new(0),
@@ -189,9 +185,7 @@ fn worker_loop(
                 if state.shutdown {
                     return batch_sizes;
                 }
-                state.idle += 1;
                 state = queue.ready.wait(state).expect(POISONED);
-                state.idle -= 1;
             }
             let reload = state.reload.clone().filter(|t| t.gen > applied_gen);
             let now = Instant::now();
@@ -689,13 +683,11 @@ impl Server {
             }),
         }
         state.queued_samples += samples;
-        let (depth, wake) = (state.queued_samples as f64, state.idle > 0);
+        let depth = state.queued_samples as f64;
         drop(state);
         queue.metrics.queue_depth.set(depth);
         queue.metrics.peak_queue_depth.set_max(depth);
-        if wake {
-            queue.ready.notify_one();
-        }
+        queue.ready.notify_one();
         Pending(rx)
     }
 

@@ -93,24 +93,6 @@ pub fn parallelism() -> Parallelism {
 /// sharding (thread spawn/join costs ~10µs; this is ~50µs of MACs).
 const MIN_FLOPS_PER_WORKER: usize = 1 << 17;
 
-/// The rows [`shard_rows`] hands each worker of a `rows`-row job (the last
-/// worker may get fewer): all of them when the job runs inline.
-pub(crate) fn shard_len(rows: usize, flops_per_row: usize, granule: usize) -> usize {
-    let max_useful = if flops_per_row == 0 {
-        1
-    } else {
-        (rows * flops_per_row) / MIN_FLOPS_PER_WORKER
-    };
-    let workers = parallelism()
-        .workers()
-        .min(rows.max(1))
-        .min(max_useful.max(1));
-    if workers <= 1 {
-        return rows;
-    }
-    rows.div_ceil(workers).div_ceil(granule) * granule
-}
-
 /// Runs `work(row_start, panel)` over contiguous `row_len`-wide panels of
 /// `out`, sharded across the configured workers. `flops_per_row` sizes the
 /// job: small GEMMs run inline on the caller's thread. Panel splits are
@@ -127,11 +109,20 @@ pub(crate) fn shard_rows<F>(
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let rows = out.len().checked_div(row_len).unwrap_or(0);
-    let rows_per_worker = shard_len(rows, flops_per_row, granule);
-    if rows_per_worker >= rows {
+    let max_useful = if flops_per_row == 0 {
+        1
+    } else {
+        (rows * flops_per_row) / MIN_FLOPS_PER_WORKER
+    };
+    let workers = parallelism()
+        .workers()
+        .min(rows.max(1))
+        .min(max_useful.max(1));
+    if workers <= 1 {
         work(0, out);
         return;
     }
+    let rows_per_worker = rows.div_ceil(workers).div_ceil(granule) * granule;
     std::thread::scope(|scope| {
         for (w, panel) in out.chunks_mut(rows_per_worker * row_len).enumerate() {
             let work = &work;

@@ -113,9 +113,10 @@ impl PackedMat {
     /// scales. The order is that of the micro-kernel this host runs on the
     /// matrix ([`int_kernel`]): k-quads of biased bytes, whole groups deep,
     /// for AVX-VNNI and the tile unit at a group that is a multiple of
-    /// four, k-pairs for AVX2 at any other even group. Only a [`PackLayout::ColGroups`] matrix whose group one of
-    /// them takes has that order; any other matrix, and every matrix on a
-    /// host without AVX2, comes back unchanged.
+    /// four, k-pairs for AVX2 at any other even group. Only a
+    /// [`PackLayout::ColGroups`] matrix whose group one of them takes has
+    /// that order; any other matrix, and every matrix on a host without
+    /// AVX2, comes back unchanged.
     pub fn with_nn_panels(mut self) -> Self {
         self.panels = NnPanels::build(&self);
         self
@@ -285,11 +286,13 @@ fn integer_pair<'a>(
 }
 
 /// The widest integer micro-kernel this host runs, detected once: `"amx"`
-/// (`tdpbsud` tiles for the products of four rows or more with a B laid
-/// out by [`PackedMat::with_nn_panels`], `vpdpbusd` for the rest), `"avxvnni"` (`vpdpbusd` over k-quads, at
-/// groups that are a multiple of four), `"avx2"` (`vpmaddwd` over
-/// k-pairs) or `"scalar"`. Every kernel returns the same bits; this names
-/// which ones produced a timing (DESIGN.md §11).
+/// (`tdpbsud` tiles only for products of four rows or more over a B laid
+/// out by [`PackedMat::with_nn_panels`] — a frozen weight — and
+/// `vpdpbusd` for every other product, as on an `"avxvnni"` host),
+/// `"avxvnni"` (`vpdpbusd` over k-quads, at groups that are a multiple of
+/// four), `"avx2"` (`vpmaddwd` over k-pairs) or `"scalar"`. Every kernel
+/// returns the same bits; this names which ones produced a timing
+/// (DESIGN.md §11).
 pub fn int_kernel() -> &'static str {
     match qgemm_int::host_kernel() {
         Some(qgemm_int::MicroKernel::Tile) => "amx",

@@ -14,16 +14,15 @@
 //! no dequantized panels are ever materialized. The kernels here implement
 //! that algebra with one vector kernel over three micro-kernels, and a
 //! portable scalar fallback, chosen by runtime feature detection
-//! ([`host_kernel`]) and, for the tile unit, by the product's shape
+//! ([`host_kernel`]) and, for the tile unit, by the product's operands
 //! ([`ceiling`]):
 //!
 //! * **AMX-INT8** (`tdpbsud`, through `asm!`): a tile of up to 16 rows of
 //!   A times a 16-column panel of B, one whole group per instruction, on
 //!   the `dpbusd` operands below with their roles swapped (signed A,
 //!   unsigned B); each group's i32 block is stored and closed in AVX-512
-//!   exactly as the row body closes it. Only products over a laid-out B
-//!   (a frozen weight) with enough rows per worker take it
-//!   ([`tile_pays`]).
+//!   exactly as the row body closes it. Only products of four rows or
+//!   more over a laid-out B (a frozen weight) take it.
 //! * **AVX-VNNI** (`_mm256_dpbusd_avx_epi32`): u8×i8 products of four
 //!   k-steps summed into each i32 lane and accumulated in one instruction.
 //!   B is stored biased, `b ^ 0x80 = b + 128` as an unsigned byte, so each
@@ -52,7 +51,7 @@
 //! [`PackedMat`]: crate::qgemm::PackedMat
 #![allow(unsafe_code)]
 
-use crate::parallel::{shard_len, shard_rows};
+use crate::parallel::shard_rows;
 use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
 use crate::tensor::Tensor;
 
@@ -212,36 +211,22 @@ fn tile_available(
     cpuid7_edx & AMX == AMX && xcr0 & XTILE == XTILE && vnni && avx512f && request_tile_data()
 }
 
-/// The micro-kernel ceiling for one product on a host whose widest is
-/// `host`: the host's, except that the tile unit takes only the products
-/// [`tile_pays`] on — everything else stays on `dpbusd`. `rows` is the
-/// product's output rows, `k × n` its depth and width, and `laid` whether
-/// B carries its panel layout.
-fn ceiling(
-    host: Option<MicroKernel>,
-    (rows, k, n): (usize, usize, usize),
-    laid: bool,
-) -> Option<MicroKernel> {
+/// The micro-kernel ceiling for a product of `rows` output rows on a host
+/// whose widest is `host`: the host's, except that the tile unit takes
+/// only products of a whole row quad or more — a batch of one pays a
+/// whole tile's store and fold per group for one row, and stays on
+/// `dpbusd`. Below the ceiling, [`staged_simd`] runs the tile unit only
+/// over a laid-out B — a frozen weight, which serving multiplies back to
+/// back; over a B staged per call the kernel wins, but running the tile
+/// unit slows the packing and staging around it, and the workloads whose
+/// products are staged — training, and conv serving's patches — read no
+/// gain or a loss end to end. Chosen from the per-shape table and the
+/// campaigns in DESIGN.md §11.
+fn ceiling(host: Option<MicroKernel>, rows: usize) -> Option<MicroKernel> {
     match host {
-        Some(MicroKernel::Tile) if !tile_pays(shard_len(rows, 2 * k * n, ROW_QUAD), laid) => {
-            Some(MicroKernel::Dpbusd)
-        }
+        Some(MicroKernel::Tile) if rows < ROW_QUAD => Some(MicroKernel::Dpbusd),
         host => host,
     }
-}
-
-/// Whether the tile unit speeds up a product whose workers each hold
-/// `shard` output rows, with B `laid` out in panel order or staged per
-/// call: over a laid-out B — a frozen weight, which serving multiplies
-/// back to back — from four rows (a batch of one pays a whole tile's
-/// store and fold per group for one row). Over a staged B it does not:
-/// the kernel wins, but running the tile unit slows the packing and
-/// staging around it, and the workloads whose products are staged —
-/// training, and conv serving's patches — read no gain or a loss end to
-/// end. Chosen from the per-shape table and the campaigns in DESIGN.md
-/// §11.
-fn tile_pays(shard: usize, laid: bool) -> bool {
-    laid && shard >= 4
 }
 
 /// The micro-kernel a product with group sizes `ga`/`gb` runs on, given
@@ -255,10 +240,10 @@ fn micro_kernel(best: Option<MicroKernel>, ga: usize, gb: usize) -> Option<Micro
         .find(|&mk| Some(mk) <= best && ga == gb && ga.is_multiple_of(mk.step()))
 }
 
-/// K-step rows of one panel of `mk`'s layout for a `k`-deep product at
-/// group `g`: `⌈k/2⌉` k-pairs for `madd`; for the quad layout, whole
-/// groups of k-quads, so the tile unit reads every group, the last one
-/// included, as one full-height B tile.
+/// K-step rows of one laid-out panel of `mk`'s layout ([`NnPanels`]) for
+/// a `k`-deep product at group `g`: `⌈k/2⌉` k-pairs for `madd`; for the
+/// quad layout, whole groups of k-quads, so the tile unit reads every
+/// group, the last one included, as one full-height B tile.
 fn panel_steps(mk: MicroKernel, k: usize, g: usize) -> usize {
     match mk.layout() {
         MicroKernel::Madd => k.div_ceil(2),
@@ -371,9 +356,8 @@ enum BSide<'a> {
 pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     debug_assert_eq!(b.rows(), k);
-    let laid = b.nn_panels().is_some();
     nn_on(
-        ceiling(host_kernel(), (m, k, n), laid),
+        ceiling(host_kernel(), m),
         &RowSide::of(a),
         a.group(),
         &ColSide::of(b),
@@ -452,7 +436,8 @@ const ROW_QUAD: usize = 4;
 /// once on the caller's thread; workers split the rows, and each stages `B`
 /// itself, one 16-column panel at a time — or, when `B` was laid out in
 /// panel order for that micro-kernel ([`NnPanels`]), reads its panels in
-/// place.
+/// place. The tile unit reads only laid-out panels: over a staged `B` a
+/// `Tile` ceiling runs `dpbusd`.
 ///
 /// # Panics
 ///
@@ -479,21 +464,22 @@ fn staged_simd<'a>(
         BSide::Cols(cols) => cols.panels.filter(|p| p.kernel == mk.layout()),
         BSide::Rows(_) => None,
     };
-    let stage = simd::NnStage::build(mk, a, b, ga, dims);
+    let stage = simd::NnStage::build(mk, a, b, ga, dims, laid.is_some());
     shard_rows(out, n, 2 * k * n, ROW_QUAD, |row_start, panel| {
         // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
         // its target features at runtime.
         unsafe {
             match (mk, laid) {
                 (MicroKernel::Madd, None) => simd::nn_worker(&stage, row_start, panel),
-                (MicroKernel::Dpbusd, None) => simd::vnni_worker(&stage, row_start, panel),
+                (MicroKernel::Dpbusd | MicroKernel::Tile, None) => {
+                    simd::vnni_worker(&stage, row_start, panel)
+                }
                 (MicroKernel::Madd, Some(p)) => {
                     simd::laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
                 }
                 (MicroKernel::Dpbusd, Some(p)) => {
                     simd::vnni_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
                 }
-                (MicroKernel::Tile, None) => simd::tile_worker(&stage, row_start, panel),
                 (MicroKernel::Tile, Some(p)) => {
                     simd::tile_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
                 }
@@ -529,8 +515,7 @@ fn staged_simd(
 
 /// `C = A·Bᵀ` in the integer domain.
 pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
-    let dims = (a.rows(), a.cols(), b.rows());
-    nt_on(ceiling(host_kernel(), dims, false), a, b)
+    nt_on(host_kernel(), a, b)
 }
 
 /// `Nt` on the micro-kernels up to `best` (`None`: the scalar dots).
@@ -601,8 +586,7 @@ fn nt_core<D: Dot>(
 /// `C = Aᵀ·B` in the integer domain.
 pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
     debug_assert_eq!(b.rows(), a.rows());
-    let dims = (a.cols(), a.rows(), b.cols());
-    let best = ceiling(host_kernel(), dims, b.nn_panels().is_some());
+    let best = ceiling(host_kernel(), a.cols());
     tn_on(best, a, &ColSide::of(b), b.group(), b.cols())
 }
 
@@ -696,7 +680,7 @@ mod simd {
     //! ([`PanelRow`]) and always inlined, so each out-of-line worker below
     //! compiles them under its own target features — AVX-VNNI and AVX-512
     //! code never lands in a function a plain AVX2 host runs, and tile
-    //! instructions only in the two tile workers.
+    //! instructions only in the tile worker (and two test helpers).
 
     use super::{panel_steps, BSide, MicroKernel, RowSide, PANEL_COLS as W, ROW_QUAD};
     use core::arch::asm;
@@ -713,9 +697,10 @@ mod simd {
     ///   whole.
     /// * `abias` — `dpbusd` and the tile unit: `128·Σ a` over each (row,
     ///   block), which the block's close subtracts from its biased sums.
-    /// * `steps` — k-step rows of one B panel ([`super::panel_steps`]), of
-    ///   which the first `k_steps = ⌈k/step⌉` hold values; the row body
-    ///   reads only those, the tile unit reads whole groups.
+    /// * `steps` — k-step rows of one B panel: `k_steps = ⌈k/step⌉` when
+    ///   staged, and [`super::panel_steps`] when laid out, of which the
+    ///   first `k_steps` hold values; the row body reads only those, the
+    ///   tile unit reads whole groups.
     /// * `b` — B as stored. No copy of it is made here: every worker
     ///   reads B's panels in place when B carries its panel layout, and
     ///   otherwise stages the panel it is about to consume into its own
@@ -742,6 +727,7 @@ mod simd {
             b: BSide<'a>,
             g: usize,
             dims: (usize, usize, usize),
+            laid: bool,
         ) -> Self {
             let (m, k, n) = dims;
             let (mk, step) = (mk.layout(), mk.step());
@@ -777,7 +763,11 @@ mod simd {
                 b,
                 k,
                 stride,
-                steps: panel_steps(mk, k, g),
+                steps: if laid {
+                    panel_steps(mk, k, g)
+                } else {
+                    k.div_ceil(step)
+                },
                 k_steps: k.div_ceil(step),
                 steps_per_block,
                 nblocks,
@@ -957,10 +947,9 @@ mod simd {
     /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's `dpbusd`
     /// panel, overwriting all of it: `bytes` takes `steps` k-quad rows of
     /// `4·W` biased bytes — byte `4c + i` of row `t` is
-    /// `b[4t+i][j0+c] ^ 0x80`, the layout of [`super::NnPanels`], whole
-    /// groups deep — and `scales` the block scales, as [`stage_pairs`].
-    /// Padding (columns past `w`, rows past `k`) is `0x80`, the biased
-    /// zero.
+    /// `b[4t+i][j0+c] ^ 0x80`, the layout of [`super::NnPanels`] — and
+    /// `scales` the block scales, as [`stage_pairs`]. Padding (columns
+    /// past `w`, the k-tail of the last quad) is `0x80`, the biased zero.
     ///
     /// # Safety
     ///
@@ -981,9 +970,6 @@ mod simd {
         assert!(bytes.len() == s.steps * 4 * W && scales.len() == s.nblocks * W);
         assert!(w <= W && j0 + w <= n);
         stage_scales(s, j0, w, scales);
-        // Rows past the last value's quad pad the last group.
-        let (bytes, group_pad) = bytes.split_at_mut(s.k_steps * 4 * W);
-        group_pad.fill(0x80);
         match s.b {
             // Stored rows `4t..4t+4` interleave byte by byte, then pair by
             // pair: four 16-byte loads become four 16-byte stores. Rows
@@ -1068,7 +1054,7 @@ mod simd {
     /// Requires AVX2 (checked by the caller via `host_kernel`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<u32, _>(s, &mut Vector, row_start, out)
+        staged_rows::<u32>(s, row_start, out)
     }
 
     /// `dpbusd` over panels it stages itself ([`staged_rows`]).
@@ -1079,7 +1065,7 @@ mod simd {
     /// `host_kernel`).
     #[target_feature(enable = "avx2,avxvnni")]
     pub(super) unsafe fn vnni_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<u8, _>(s, &mut Vector, row_start, out)
+        staged_rows::<u8>(s, row_start, out)
     }
 
     /// `madd` over a B laid out in panel order ([`laid_rows`]). Out of
@@ -1123,27 +1109,14 @@ mod simd {
         laid_rows(s, &mut Vector, laid, scales, row_start, out)
     }
 
-    /// The tile unit over panels it stages itself ([`staged_rows`]): the
-    /// tile configuration for this shard, the panels, then `tilerelease`.
+    /// The tile unit over a B laid out in panel order ([`laid_rows`]): the
+    /// tile configuration for this shard, the panels, then `tilerelease`
+    /// — on return and on unwind alike ([`TileConfig::load`]).
     ///
     /// # Safety
     ///
     /// Requires AVX2, AVX-VNNI, AVX-512F and AMX-INT8 with this process's
     /// tile data granted (checked by the caller via `host_kernel`).
-    #[inline(never)]
-    #[target_feature(enable = "avx2,avxvnni,avx512f")]
-    pub(super) unsafe fn tile_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        TileConfig::new(out.len() / s.n, tile_chunk(s)).load();
-        staged_rows(s, &mut Tiles::new(), row_start, out);
-        tile_release();
-    }
-
-    /// The tile unit over a B laid out in panel order ([`laid_rows`]), as
-    /// [`tile_worker`].
-    ///
-    /// # Safety
-    ///
-    /// As [`tile_worker`].
     #[inline(never)]
     #[target_feature(enable = "avx2,avxvnni,avx512f")]
     pub(super) unsafe fn tile_laid_worker(
@@ -1153,13 +1126,12 @@ mod simd {
         row_start: usize,
         out: &mut [f32],
     ) {
-        TileConfig::new(out.len() / s.n, tile_chunk(s)).load();
+        let _tiles = TileConfig::new(out.len() / s.n, tile_chunk(s)).load();
         laid_rows(s, &mut Tiles::new(), laid, scales, row_start, out);
-        tile_release();
     }
 
-    /// How a worker runs its shard's rows over one panel: the vector row
-    /// body ([`Vector`]) or the tile unit ([`Tiles`]).
+    /// How a worker runs its shard's rows over one laid-out panel: the
+    /// vector row body ([`Vector`]) or the tile unit ([`Tiles`]).
     trait Body<T> {
         /// Every row of the shard (`row_start..`, row-major in `out`) over
         /// `panel`.
@@ -1215,12 +1187,7 @@ mod simd {
     ///
     /// Requires the target features of `T`'s micro-kernel.
     #[inline(always)]
-    unsafe fn staged_rows<T: Staged, B: Body<T>>(
-        s: &NnStage,
-        body: &mut B,
-        row_start: usize,
-        out: &mut [f32],
-    ) {
+    unsafe fn staged_rows<T: Staged>(s: &NnStage, row_start: usize, out: &mut [f32]) {
         let n = s.n;
         let mut b = vec![T::default(); s.steps * T::LEN];
         let mut scales = vec![0.0f32; s.nblocks * W];
@@ -1233,7 +1200,7 @@ mod simd {
                 j0,
                 w,
             };
-            body.rows(s, panel, row_start, out);
+            panel_rows(s, panel, row_start, out);
         }
     }
 
@@ -1495,26 +1462,56 @@ mod simd {
             TileConfig(cfg)
         }
 
-        /// `ldtilecfg`.
+        /// `ldtilecfg`, until the returned guard drops.
         ///
         /// # Safety
         ///
-        /// As [`tile_worker`].
+        /// As [`tile_laid_worker`].
         #[inline(always)]
-        unsafe fn load(&self) {
+        unsafe fn load(&self) -> TileRelease {
             asm!("ldtilecfg [{}]", in(reg) self.0.as_ptr(), options(nostack, readonly));
+            TileRelease
         }
     }
 
-    /// `tilerelease`: the thread's tile state back to its initial,
-    /// unconfigured state.
+    /// Runs `tilerelease` when dropped — the thread's tile state back to
+    /// its initial, unconfigured state — so a worker that unwinds out of
+    /// the tiles returns the unit too: serving catches a forward pass's
+    /// panic and keeps the thread.
+    struct TileRelease;
+
+    impl Drop for TileRelease {
+        #[inline(always)]
+        fn drop(&mut self) {
+            // SAFETY: made only by `TileConfig::load`, on a host with the
+            // tile unit; `tilerelease` touches no memory.
+            unsafe { asm!("tilerelease", options(nostack, nomem)) }
+        }
+    }
+
+    /// Runs `body` with a 16-row shard's tile configuration loaded, as
+    /// [`tile_laid_worker`] does.
     ///
     /// # Safety
     ///
-    /// As [`tile_worker`].
-    #[inline(always)]
-    unsafe fn tile_release() {
-        asm!("tilerelease", options(nostack, nomem));
+    /// As [`tile_laid_worker`].
+    #[cfg(test)]
+    pub(super) unsafe fn with_tiles(body: impl FnOnce()) {
+        let _tiles = TileConfig::new(TILE_ROWS, 4 * W).load();
+        body();
+    }
+
+    /// The thread's tile configuration as `sttilecfg` stores it: all zero
+    /// while none is loaded.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile_laid_worker`].
+    #[cfg(test)]
+    pub(super) unsafe fn stored_tile_config() -> [u8; 64] {
+        let mut cfg = TileConfig([0xA5; 64]);
+        asm!("sttilecfg [{}]", in(reg) cfg.0.as_mut_ptr(), options(nostack));
+        cfg.0
     }
 
     /// Bytes of A (and of K) per `tdpbsud`: the largest multiple of four
@@ -1578,7 +1575,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As [`tile_worker`], with the shard's configuration loaded; `a` is
+    /// As [`tile_laid_worker`], with the shard's configuration loaded; `a` is
     /// the tile's first row of A's words and `b` the panel's quad rows.
     #[inline(always)]
     unsafe fn tile_group<const FULL: bool, const ODD: bool>(
@@ -1616,7 +1613,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As [`tile_worker`], with the shard's configuration loaded
+    /// As [`tile_laid_worker`], with the shard's configuration loaded
     /// ([`TileConfig`]), and a panel of whole groups ([`nn_rows`]'s sizes).
     #[inline(always)]
     unsafe fn tile_rows(
@@ -1959,6 +1956,18 @@ mod tests {
             .collect()
     }
 
+    /// The sides of B that micro-kernel `mk` is called on directly: staged
+    /// per call and read from its panel layout — for the tile unit only
+    /// the layout, since over a staged B it runs `dpbusd`.
+    fn sides<'s, 'a>(
+        mk: MicroKernel,
+        staged: &'s ColSide<'a>,
+        laid: &'s ColSide<'a>,
+    ) -> Vec<(&'s ColSide<'a>, &'static str)> {
+        let staged = (mk != MicroKernel::Tile).then_some((staged, "staged"));
+        staged.into_iter().chain([(laid, "laid out")]).collect()
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1968,8 +1977,9 @@ mod tests {
     /// points, with `B` staged and laid out ([`PackedMat::with_nn_panels`]);
     /// and each micro-kernel this host runs, called directly on the same
     /// operands whatever [`ceiling`] would pick — `Nn` and `Tn` with `B`
-    /// staged per call and read from its panel layout for that
-    /// micro-kernel, and staged `Nt` (from four rows; below, the dots).
+    /// staged per call (but for the tile unit) and read from its panel
+    /// layout for that micro-kernel, and staged `Nt` (from four rows;
+    /// below, the dots).
     /// Over the tail grid at groups of both residues mod 4 (a `g ≡ 2` pair
     /// drops from `dpbusd` to `madd`), the shapes above and four shapes
     /// deep enough to shard — one at a group the tile unit chains over two
@@ -2036,7 +2046,7 @@ mod tests {
                         panels: panels.as_ref(),
                         ..ColSide::of(&staged)
                     };
-                    for (b, path) in [(&bv, "staged"), (&laid, "laid out")] {
+                    for (b, path) in sides(*mk, &bv, &laid) {
                         let tag = format!("{mk:?} {path} {shape}");
                         let nn = nn_on(best, &av, g, b, g, (m, k, n));
                         assert_eq!(bits(nn.data()), want, "nn {tag}");
@@ -2060,7 +2070,7 @@ mod tests {
     /// `dpbusds` would not. B all `−128` too gives the extremal product,
     /// `k·128²`, just under `2³¹`. Staged and laid-out `Nn` and `Tn` and
     /// staged `Nt`, on each micro-kernel this host runs — on the tile unit
-    /// a group of 4 681 chained 28-value K-chunks.
+    /// (laid out) a group of 4 681 chained 28-value K-chunks.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn the_longest_quad_segment_wraps_its_biased_sum_and_stays_exact() {
@@ -2108,11 +2118,11 @@ mod tests {
                     panels: panels.as_ref(),
                     ..ColSide::of(&b)
                 };
-                for (side, path) in [(ColSide::of(&b), "staged"), (laid, "laid out")] {
+                for (side, path) in sides(mk, &ColSide::of(&b), &laid) {
                     let tag = format!("{mk:?} {path} b={bv}");
-                    let nn = nn_on(Some(mk), &RowSide::of(&a), k, &side, k, (m, k, n));
+                    let nn = nn_on(Some(mk), &RowSide::of(&a), k, side, k, (m, k, n));
                     assert_eq!(nn.data(), want, "nn {tag}");
-                    let tn = tn_on(Some(mk), &at, &side, k, n);
+                    let tn = tn_on(Some(mk), &at, side, k, n);
                     assert_eq!(tn.data(), want, "tn {tag}");
                 }
                 assert_eq!(nt_on(Some(mk), &a, &bt).data(), want, "nt {mk:?} b={bv}");
@@ -2158,8 +2168,8 @@ mod tests {
                     panels: panels.as_ref(),
                     ..ColSide::of(&b)
                 };
-                for (side, path) in [(ColSide::of(&b), "staged"), (laid, "laid out")] {
-                    let nn = nn_on(Some(mk), &RowSide::of(&a), g, &side, g, (m, k, n));
+                for (side, path) in sides(mk, &ColSide::of(&b), &laid) {
+                    let nn = nn_on(Some(mk), &RowSide::of(&a), g, side, g, (m, k, n));
                     assert_eq!(bits(nn.data()), want, "{mk:?} {path} ({m},{k},{n}) g={g}");
                 }
             }
@@ -2258,9 +2268,8 @@ mod tests {
     /// A staged panel holds exactly B's columns `j0..j0 + w`, whatever the
     /// buffer held before: `madd` k-pair words — low half row `2p`, high
     /// half row `2p + 1`, zero padding — and `dpbusd` k-quad bytes in the
-    /// laid-out order, whole groups deep, `0x80` padding, for the VNNI
-    /// and the tile kernel alike. Tail columns and the k-tail of the last
-    /// step or group are padded, never left stale.
+    /// laid-out order, `0x80` padding. Tail columns and the k-tail of the
+    /// last step are padded, never left stale.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn staged_panels_hold_exactly_the_operands_columns() {
@@ -2268,7 +2277,10 @@ mod tests {
         let shapes = TAIL_NS
             .into_iter()
             .flat_map(|n| TAIL_KS.into_iter().map(move |k| (n, k)));
-        for ((n, k), mk) in shapes.flat_map(|s| host_kernels().into_iter().map(move |mk| (s, mk))) {
+        let kernels = host_kernels()
+            .into_iter()
+            .filter(|&mk| mk != MicroKernel::Tile);
+        for ((n, k), mk) in shapes.flat_map(|s| kernels.clone().map(move |mk| (s, mk))) {
             let g = 3 * mk.step();
             let a = random_pack(1, k, g, PackLayout::RowGroups, 5);
             let b = random_pack(k, n, g, PackLayout::ColGroups, (n * 100 + k) as u64);
@@ -2279,8 +2291,8 @@ mod tests {
                 (BSide::Cols(&cols), &b, false),
                 (BSide::Rows(&rows), &bt, true),
             ] {
-                let stage = simd::NnStage::build(mk, &av, side, g, (1, k, n));
-                let steps = panel_steps(mk, k, g);
+                let stage = simd::NnStage::build(mk, &av, side, g, (1, k, n), false);
+                let steps = k.div_ceil(mk.step());
                 let mut words = vec![0u32; steps * 16];
                 let mut bytes = vec![0u8; steps * 64];
                 let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
@@ -2299,7 +2311,7 @@ mod tests {
                     let w = (n - j0).min(16);
                     let tag = format!("{mk:?} n={n} k={k} t={transposed} j0={j0}");
                     scales.fill(f32::NAN);
-                    match mk.layout() {
+                    match mk {
                         MicroKernel::Madd => {
                             words.fill(0xDEAD_BEEF);
                             // SAFETY: `host_kernels` confirmed AVX2.
@@ -2443,6 +2455,28 @@ mod tests {
         set_parallelism(saved);
     }
 
+    /// A worker that panics inside the tiles still releases them: the
+    /// thread's tile state is unconfigured again once the panic unwinds
+    /// out, so a serving thread that survives it keeps no tile state.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn a_panic_inside_the_tiles_releases_them() {
+        if host_kernel() < Some(MicroKernel::Tile) {
+            println!("host runs {:?}: no tile unit to release", host_kernel());
+            return;
+        }
+        // SAFETY: `host_kernel` confirmed the tile unit and its grant.
+        let unwound = std::panic::catch_unwind(|| unsafe {
+            simd::with_tiles(|| {
+                assert_ne!(simd::stored_tile_config(), [0; 64]);
+                panic!("a panic inside the tiles");
+            })
+        });
+        assert!(unwound.is_err());
+        // SAFETY: as above.
+        assert_eq!(unsafe { simd::stored_tile_config() }, [0; 64]);
+    }
+
     /// The tile unit runs only when the CPU, the OS's saved state, the
     /// kernels around it and the OS's grant all allow it — and the grant
     /// is asked for last, never on a host that would refuse anyway.
@@ -2478,21 +2512,23 @@ mod tests {
         );
     }
 
-    /// The dispatch rule: the tile unit over a laid-out B from four shard
-    /// rows, never over a staged one; a host without it keeps its own
-    /// micro-kernel.
+    /// The dispatch rule's ceiling: the tile unit from a row quad up, and
+    /// `dpbusd` below; a host without it keeps its own micro-kernel at any
+    /// row count.
     #[test]
     fn the_tile_unit_takes_only_the_products_it_speeds_up() {
-        assert!(tile_pays(4, true) && tile_pays(8, true));
-        assert!(!tile_pays(3, true) && !tile_pays(1, true));
-        assert!(!tile_pays(64, false) && !tile_pays(4096, false));
-        let tile = Some(MicroKernel::Tile);
-        for host in [None, Some(MicroKernel::Madd), Some(MicroKernel::Dpbusd)] {
-            assert_eq!(ceiling(host, (64, 1024, 1024), true), host);
+        let (tile, vnni) = (Some(MicroKernel::Tile), Some(MicroKernel::Dpbusd));
+        for rows in [4, 8, 16, 64, 4096] {
+            assert_eq!(ceiling(tile, rows), tile, "rows={rows}");
         }
-        let vnni = Some(MicroKernel::Dpbusd);
-        assert_eq!(ceiling(tile, (1, 1024, 1024), true), vnni);
-        assert_eq!(ceiling(tile, (512, 64, 512), false), vnni);
+        for rows in [0, 1, 2, 3] {
+            assert_eq!(ceiling(tile, rows), vnni, "rows={rows}");
+        }
+        for host in [None, Some(MicroKernel::Madd), vnni] {
+            for rows in [1, 3, 4, 64] {
+                assert_eq!(ceiling(host, rows), host, "{host:?} rows={rows}");
+            }
+        }
     }
 
     #[test]

@@ -215,7 +215,7 @@ fn main() {
     let [pack_nearest_floor, pack_sr8_floor] = alternating_floors(warmup, iters, |which| {
         let rounding = [Rounding::Nearest, Rounding::STOCHASTIC8][which];
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
-            black_box(pack_matrix(
+            let _ = black_box(pack_matrix(
                 black_box(&grad_out),
                 8,
                 4096,

@@ -730,7 +730,7 @@ pub fn fake_quantize_matrix(
     use_window: bool,
 ) -> QuantStats {
     let src = DenseRows::new(data, rows, cols);
-    if let Some(p) = pack_rows(&src, axis, fmt, rounding, noise, use_window) {
+    if let Ok(p) = pack_rows(&src, axis, fmt, rounding, noise, use_window) {
         write_back(data, cols, axis, fmt.group_size(), &p);
         return p.stats;
     }

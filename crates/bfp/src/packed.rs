@@ -30,8 +30,9 @@
 //!
 //! [`pack_rows`] detects both conditions draw-free, over exactly the
 //! matrix's values — a prescan of a slice that holds them, or a check of
-//! each tile as it is staged — and returns `None`, having consumed **no**
-//! stochastic-rounding noise (noise is positional), so the caller's
+//! each tile as it is staged — and returns the [`Refusal`] that names
+//! which one failed, having consumed **no** stochastic-rounding noise
+//! (noise is positional), so the caller's
 //! fallback — the per-group walk of [`crate::fake_quantize_matrix`], then
 //! the dense GEMM — draws from an unperturbed source. Each element draws at
 //! its own offset either way.
@@ -49,6 +50,29 @@ use std::ops::Range;
 
 /// Widest mantissa packable into `i8` storage (`2^7 - 1 = 127 = i8::MAX`).
 pub const MAX_PACKED_MANTISSA_BITS: u32 = 7;
+
+/// Why [`pack_rows`] refused a matrix. Each reason is found without
+/// drawing noise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The format's mantissa is wider than [`MAX_PACKED_MANTISSA_BITS`].
+    Wide,
+    /// The matrix holds a NaN or an infinity (whatever else it holds).
+    NonFinite,
+    /// The matrix holds a subnormal value, and nothing non-finite.
+    Subnormal,
+}
+
+impl Refusal {
+    /// A short lowercase name, e.g. for a metric label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Refusal::Wide => "wide",
+            Refusal::NonFinite => "nonfinite",
+            Refusal::Subnormal => "subnormal",
+        }
+    }
+}
 
 /// Minimum elements each extra worker must be handed before a pack shards.
 /// A scoped spawn + join measures ≈ 18 µs (2-vCPU Xeon), which is
@@ -265,14 +289,14 @@ pub fn pack_matrix(
     rounding: Rounding,
     noise: Noise,
     use_window: bool,
-) -> Option<PackedData> {
+) -> Result<PackedData, Refusal> {
     let src = DenseRows::new(data, rows, cols);
     pack_rows(&src, axis, fmt, rounding, noise, use_window)
 }
 
 /// Packs the matrix `src` describes into BFP mantissas + scales with groups
-/// along `axis`, or returns `None` when a pair `i8 × f32` cannot reproduce
-/// the per-group loop's bits (mantissa wider than
+/// along `axis`, or returns the [`Refusal`] when a pair `i8 × f32` cannot
+/// reproduce the per-group loop's bits (mantissa wider than
 /// [`MAX_PACKED_MANTISSA_BITS`], or any non-normal non-zero value).
 ///
 /// A refusal consumes nothing — `noise` is positional — so the caller's
@@ -293,10 +317,10 @@ pub fn pack_rows<S: RowSource>(
     rounding: Rounding,
     noise: Noise,
     use_window: bool,
-) -> Option<PackedData> {
+) -> Result<PackedData, Refusal> {
     check_noise_bits(rounding);
     if fmt.mantissa_bits() > MAX_PACKED_MANTISSA_BITS {
-        return None;
+        return Err(Refusal::Wide);
     }
     // Draw-free prescan: the packed path requires every group to take the
     // per-group loop's plain path, which holds exactly when every
@@ -314,7 +338,7 @@ pub fn pack_rows<S: RowSource>(
     };
     let (max_bits, plain) = scan.unwrap_or((0, true));
     if !plain {
-        return None;
+        return Err(non_plain(src));
     }
     let window = use_window.then(|| ExponentWindow {
         reference_exponent: if max_bits == 0 {
@@ -327,6 +351,28 @@ pub fn pack_rows<S: RowSource>(
     });
     let check_plain = scan.is_none();
     with_round_op!(rounding, op => pack_sharded(src, axis, fmt, op, noise, window, check_plain))
+        .ok_or_else(|| non_plain(src))
+}
+
+/// Names what makes a refused matrix non-plain: walks its values (the
+/// slice [`RowSource::values`] lends, or the rows one at a time) for a NaN
+/// or an infinity, and calls it subnormal when there is none. Runs only
+/// after a refusal.
+fn non_plain<S: RowSource>(src: &S) -> Refusal {
+    let finite = |values: &[f32]| values.iter().all(|v| v.is_finite());
+    let all_finite = match src.values() {
+        Some(values) => finite(values),
+        None => {
+            let cols = src.cols();
+            let mut stage = Vec::new();
+            (0..src.rows()).all(|r| finite(&src.tile(r, 1, 0, cols, &mut stage).0[..cols]))
+        }
+    };
+    if all_finite {
+        Refusal::Subnormal
+    } else {
+        Refusal::NonFinite
+    }
 }
 
 /// [`scan_group`] over the rows of `src`, staged one at a time.
@@ -719,7 +765,11 @@ mod tests {
 
     #[test]
     fn non_plain_inputs_refuse_to_pack() {
-        for bad in [f32::NAN, f32::INFINITY, 1e-40f32] {
+        for (bad, why) in [
+            (f32::NAN, Refusal::NonFinite),
+            (f32::NEG_INFINITY, Refusal::NonFinite),
+            (1e-40f32, Refusal::Subnormal),
+        ] {
             let data = vec![1.0f32, bad, 0.5, -2.0];
             let got = pack_matrix(
                 &data,
@@ -731,7 +781,25 @@ mod tests {
                 noise(),
                 false,
             );
-            assert!(got.is_none(), "{bad} must force the fallback");
+            assert_eq!(got.err(), Some(why), "{bad} must force the fallback");
+        }
+        // A subnormal beside a NaN: the non-finite value names the refusal,
+        // from a source that lends its values and from one that stages rows.
+        let data = [1e-40f32, 1.0, f32::NAN, 0.5];
+        let fill = |r: usize, c0: usize, out: &mut [f32]| {
+            out.copy_from_slice(&data[r * 2 + c0..][..out.len()]);
+        };
+        for values in [Some(&data[..]), None] {
+            let src = FillRows::new(2, 2, fill, values);
+            let got = pack_rows(
+                &src,
+                GroupAxis::AlongCol,
+                BfpFormat::high(),
+                Rounding::Nearest,
+                noise(),
+                false,
+            );
+            assert_eq!(got.err(), Some(Refusal::NonFinite));
         }
     }
 
@@ -739,7 +807,7 @@ mod tests {
     fn wide_mantissas_refuse_to_pack() {
         let data = vec![1.0f32; 16];
         let fmt = BfpFormat::new(16, 8, 3).unwrap();
-        assert!(pack_matrix(
+        let got = pack_matrix(
             &data,
             1,
             16,
@@ -748,8 +816,8 @@ mod tests {
             Rounding::Nearest,
             noise(),
             false,
-        )
-        .is_none());
+        );
+        assert_eq!(got.err(), Some(Refusal::Wide));
     }
 
     #[test]

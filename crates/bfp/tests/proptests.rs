@@ -360,8 +360,8 @@ proptest! {
         }
         let packed = pack_matrix(&values, rows, cols, axis, fmt, rounding, noise, use_window == 1);
         let packable = values.iter().all(|v| *v == 0.0 || v.is_normal());
-        prop_assert_eq!(packed.is_some(), m <= 7 && packable);
-        if let Some(p) = packed {
+        prop_assert_eq!(packed.is_ok(), m <= 7 && packable);
+        if let Ok(p) = packed {
             prop_assert_eq!((p.stats.groups, p.stats.saturated, p.stats.zeros), (groups, saturated, zeros));
             for (idx, w) in want_buf.iter().enumerate() {
                 prop_assert_eq!(packed_bits(&p, idx, cols, g, axis), w.to_bits());
@@ -440,8 +440,8 @@ fn sharded_kernels_are_bit_identical_to_seed() {
                     noise,
                     use_window,
                 );
-                assert_eq!(packed.is_some(), tag == "plain", "{ctx}");
-                if let Some(p) = packed {
+                assert_eq!(packed.is_ok(), tag == "plain", "{ctx}");
+                if let Ok(p) = packed {
                     let got_packed: Vec<u32> = (0..rows * cols)
                         .map(|idx| packed_bits(&p, idx, cols, fmt.group_size(), axis))
                         .collect();
@@ -499,7 +499,7 @@ fn pack_both_ways(
     let values = patches.covers_input().then(|| patches.input());
     let fill = |krow: usize, p0: usize, out: &mut [f32]| patches.fill_row(krow, p0, out);
     let src = FillRows::new(d.k_dim(), d.p_dim(), fill, values);
-    let from_source = pack_rows(&src, axis, fmt, rounding, noise, windowed);
+    let from_source = pack_rows(&src, axis, fmt, rounding, noise, windowed).ok();
     let cols = im2col(x, d);
     let one_worker = Noise {
         workers: 1,
@@ -514,7 +514,8 @@ fn pack_both_ways(
         rounding,
         one_worker,
         windowed,
-    );
+    )
+    .ok();
     (from_source, from_matrix)
 }
 

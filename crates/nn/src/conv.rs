@@ -186,28 +186,39 @@ impl Layer for Conv2d {
             }
         }
 
-        // ∇cols = Wᵀ · ∇O, reduction over out_c.
-        let gq2 = qgemm::prepare_owned(
-            session,
-            g_mat,
-            self.precision.gradients,
-            GroupAxis::AlongCol,
-        );
-        let wq = qgemm::prepare_slice(
-            session,
-            self.w.data(),
-            self.out_c,
-            d.k_dim(),
-            self.precision.weights,
-            GroupAxis::AlongCol,
-        );
-        let grad_cols = qgemm::execute(session, Orient::Tn, &wq, &gq2);
-        let grad_input = col2im(&grad_cols, d);
+        // ∇cols = Wᵀ · ∇O, reduction over out_c — unless the input takes
+        // no gradient, when both packs only keep their noise.
+        let grad_input = if session.input_grad() {
+            let gq2 = qgemm::prepare_owned(
+                session,
+                g_mat,
+                self.precision.gradients,
+                GroupAxis::AlongCol,
+            );
+            let wq = qgemm::prepare_slice(
+                session,
+                self.w.data(),
+                self.out_c,
+                d.k_dim(),
+                self.precision.weights,
+                GroupAxis::AlongCol,
+            );
+            let grad_cols = qgemm::execute(session, Orient::Tn, &wq, &gq2);
+            col2im(&grad_cols, d)
+        } else {
+            session.skip_operand(self.precision.gradients, g_mat.numel());
+            session.skip_operand(self.precision.weights, self.w.numel());
+            Tensor::zeros(x.shape().to_vec())
+        };
 
         if session.record_sensitivity {
             self.last_grad = Some(grad_output.clone());
         }
         grad_input
+    }
+
+    fn can_skip_input_grad(&self) -> bool {
+        true
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(Param<'_>)) {
@@ -449,7 +460,12 @@ impl Layer for DepthwiseConv2d {
                 self.gw.data_mut()[c * k2 + i] += v;
             }
 
-            // ∇cols = wᵀ · ∇O.
+            // ∇cols = wᵀ · ∇O, unless the input takes no gradient.
+            if !session.input_grad() {
+                session.skip_operand(self.precision.gradients, g_mat.numel());
+                session.skip_operand(self.precision.weights, k2);
+                continue;
+            }
             let gq2 = qgemm::prepare_owned(
                 session,
                 g_mat,
@@ -477,6 +493,10 @@ impl Layer for DepthwiseConv2d {
             self.last_grad = Some(grad_output.clone());
         }
         grad_input
+    }
+
+    fn can_skip_input_grad(&self) -> bool {
+        true
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(Param<'_>)) {

@@ -87,7 +87,7 @@ impl FrozenWeight {
         let key = (fmt, axis, false, self.version);
         if self.built != Some(key) || self.prepared.is_none() {
             let mut stats = QuantStats::default(); // build-once cost, unmetered
-            let prepared = quantize_operand(
+            let (prepared, _) = quantize_operand(
                 frozen_noise(0),
                 &mut stats,
                 master.data(),

@@ -56,6 +56,16 @@ pub struct Session {
     /// MAC counts plus fused [`QuantStats`] from operand preparation — the
     /// single software-side instrumentation point (DESIGN.md §9).
     pub plan_stats: PlanStats,
+    /// Whether the backward pass now running must return the gradient of
+    /// its input. True for every session this type constructs; only
+    /// [`Trainer::new`] clears it, because a training step throws the
+    /// model input's gradient away. [`Sequential`] hands it to its first
+    /// child alone, and only when [`Layer::can_skip_input_grad`] says that
+    /// child honors it; every other layer's backward runs with it set.
+    ///
+    /// [`Trainer::new`]: crate::Trainer::new
+    /// [`Sequential`]: crate::Sequential
+    pub(crate) input_grad: bool,
     /// Seed of the stochastic-rounding noise (the session seed verbatim).
     sr_seed: u64,
     /// Next unclaimed noise position; each SR-BFP operand the plan prepares
@@ -72,6 +82,7 @@ impl Session {
             freeze_weights: false,
             record_sensitivity: false,
             plan_stats: PlanStats::default(),
+            input_grad: true,
             sr_seed: seed,
             sr_cursor: 0,
         }
@@ -127,17 +138,10 @@ impl Session {
         fmt: NumericFormat,
         numel: usize,
     ) -> (Noise, &mut QuantStats) {
-        let draws = matches!(
-            fmt,
-            NumericFormat::Bfp {
-                rounding: Rounding::Stochastic { .. },
-                ..
-            }
-        );
         let base = self.sr_cursor;
         let mut workers = 1;
-        if draws {
-            self.sr_cursor = self.sr_cursor.wrapping_add(numel as u64);
+        if draws_noise(fmt) {
+            self.sr_cursor = base.wrapping_add(numel as u64);
             workers = fast_tensor::parallelism().workers();
         }
         let noise = Noise {
@@ -146,6 +150,26 @@ impl Session {
             workers,
         };
         (noise, &mut self.plan_stats.quant)
+    }
+
+    /// Stands in for the preparation of an operand a layer skips: claims
+    /// the same noise positions the pack would have, at the same point of
+    /// the sequence, so every later operand draws exactly the noise it
+    /// draws when nothing is skipped (DESIGN.md §12). Nothing is quantized
+    /// or counted.
+    pub(crate) fn skip_operand(&mut self, fmt: NumericFormat, numel: usize) {
+        if draws_noise(fmt) {
+            self.sr_cursor = self.sr_cursor.wrapping_add(numel as u64);
+        }
+    }
+
+    /// Whether the backward pass now running must return its input's
+    /// gradient (see [`Layer::can_skip_input_grad`]). False only inside the
+    /// first layer of a [`Trainer`]'s model.
+    ///
+    /// [`Trainer`]: crate::Trainer
+    pub fn input_grad(&self) -> bool {
+        self.input_grad
     }
 
     /// The stochastic-rounding RNG state `(seed, cursor)` — everything a
@@ -160,6 +184,18 @@ impl Session {
         self.sr_seed = seed;
         self.sr_cursor = cursor;
     }
+}
+
+/// Whether an operand in `fmt` draws stochastic-rounding noise, and so
+/// reserves one noise position per element: SR-rounded BFP formats only.
+fn draws_noise(fmt: NumericFormat) -> bool {
+    matches!(
+        fmt,
+        NumericFormat::Bfp {
+            rounding: Rounding::Stochastic { .. },
+            ..
+        }
+    )
 }
 
 /// The session state that determines a training trajectory: the
@@ -249,12 +285,25 @@ pub trait Layer: Send {
     fn forward(&mut self, input: &Tensor, session: &mut Session) -> Tensor;
 
     /// Propagates `grad_output` back through the layer, returning the
-    /// gradient w.r.t. the forward input.
+    /// gradient w.r.t. the forward input (zeros of its shape when the layer
+    /// [`Layer::can_skip_input_grad`] and the session says it takes none).
     ///
     /// # Panics
     ///
     /// Implementations panic if called before a training-mode forward pass.
     fn backward(&mut self, grad_output: &Tensor, session: &mut Session) -> Tensor;
+
+    /// Whether `backward` honors [`Session::input_grad`]: when it reads
+    /// false, the layer computes no input gradient — no `∇A` GEMM, no
+    /// operand packs (their noise positions are still reserved) — and
+    /// returns zeros of the input's shape. Weight and bias gradients,
+    /// sensitivity caches and GEMM shapes are recorded as always. A
+    /// container passes the property only to a child that answers true
+    /// here, so every other layer, and everything nested inside it,
+    /// computes as before.
+    fn can_skip_input_grad(&self) -> bool {
+        false
+    }
 
     /// Visits all trainable parameters in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(Param<'_>)) {

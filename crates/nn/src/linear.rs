@@ -158,26 +158,37 @@ impl Layer for Dense {
             }
         }
 
-        // ∇A = ∇O·Wᵀ, reduction over the output dimension.
-        let gq2 = qgemm::prepare(
-            session,
-            grad_output,
-            self.precision.gradients,
-            GroupAxis::AlongRow,
-        );
-        let wq = qgemm::prepare(
-            session,
-            &self.w,
-            self.precision.weights,
-            GroupAxis::AlongRow,
-        );
-        // The NT kernel over g (B,N) and W (K,N) reduces over N and yields
-        // (B,K) = g·Wᵀ.
-        let grad_input = qgemm::execute(session, Orient::Nt, &gq2, &wq);
+        // ∇A = ∇O·Wᵀ, reduction over the output dimension — unless the
+        // input takes no gradient, when both packs only keep their noise.
+        let grad_input = if session.input_grad() {
+            let gq2 = qgemm::prepare(
+                session,
+                grad_output,
+                self.precision.gradients,
+                GroupAxis::AlongRow,
+            );
+            let wq = qgemm::prepare(
+                session,
+                &self.w,
+                self.precision.weights,
+                GroupAxis::AlongRow,
+            );
+            // The NT kernel over g (B,N) and W (K,N) reduces over N and
+            // yields (B,K) = g·Wᵀ.
+            qgemm::execute(session, Orient::Nt, &gq2, &wq)
+        } else {
+            session.skip_operand(self.precision.gradients, grad_output.numel());
+            session.skip_operand(self.precision.weights, self.w.numel());
+            Tensor::zeros(x.shape().to_vec())
+        };
         if session.record_sensitivity {
             self.last_grad = Some(grad_output.clone());
         }
         grad_input
+    }
+
+    fn can_skip_input_grad(&self) -> bool {
+        true
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(Param<'_>)) {

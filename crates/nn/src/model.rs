@@ -62,11 +62,21 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor, session: &mut Session) -> Tensor {
+        // Every child but the first feeds its input gradient to the layer
+        // before it; the first inherits the chain's own property, if it
+        // can honor it.
+        let wanted = session.input_grad;
         let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            session.input_grad = wanted || i > 0 || !layer.can_skip_input_grad();
             g = layer.backward(&g, session);
         }
+        session.input_grad = wanted;
         g
+    }
+
+    fn can_skip_input_grad(&self) -> bool {
+        true
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(Param<'_>)) {

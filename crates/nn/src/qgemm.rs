@@ -41,7 +41,7 @@
 
 use crate::layer::Session;
 use crate::quant::NumericFormat;
-use fast_bfp::packed::{pack_rows, DenseRows, FillRows, RowSource, MAX_PACKED_MANTISSA_BITS};
+use fast_bfp::packed::{pack_rows, DenseRows, FillRows, Refusal, RowSource};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{
     qmatmul, qmatmul_nt, qmatmul_tn, runs_integer, Operand, PackLayout, PackedMat,
@@ -155,41 +155,43 @@ fn layout_of(axis: GroupAxis) -> PackLayout {
     }
 }
 
-/// Tries the packed representation of the operand `src` describes; `None`
-/// for non-BFP formats and on pack refusal (wide mantissas, non-plain
-/// inputs).
+/// Tries the packed representation of the operand `src` describes:
+/// `Err(None)` for a non-BFP format, which never packs, and the pack's
+/// [`Refusal`] for a BFP one it refuses (wide mantissas, non-plain inputs).
 fn try_pack<S: RowSource>(
     noise: Noise,
     stats: &mut QuantStats,
     src: &S,
     fmt: NumericFormat,
     axis: GroupAxis,
-) -> Option<Prepared> {
+) -> Result<Prepared, Option<Refusal>> {
     let NumericFormat::Bfp {
         format,
         rounding,
         windowed,
     } = fmt
     else {
-        return None;
+        return Err(None);
     };
-    pack_rows(src, axis, format, rounding, noise, windowed).map(|p| {
-        stats.merge(p.stats);
-        Prepared::Packed(PackedMat::new(
-            src.rows(),
-            src.cols(),
-            format.group_size(),
-            layout_of(axis),
-            p.mantissas,
-            p.scales,
-        ))
-    })
+    pack_rows(src, axis, format, rounding, noise, windowed)
+        .map_err(Some)
+        .map(|p| {
+            stats.merge(p.stats);
+            Prepared::Packed(PackedMat::new(
+                src.rows(),
+                src.cols(),
+                format.group_size(),
+                layout_of(axis),
+                p.mantissas,
+                p.scales,
+            ))
+        })
 }
 
-/// Quantizes a raw `rows × cols` slice into an owned operand — the shared
-/// core behind [`prepare`] / [`prepare_slice`] and the frozen-weight cache
-/// builds (which bring their own deterministic noise instead of the
-/// session's).
+/// Quantizes a raw `rows × cols` slice into an owned operand, with the
+/// pack's refusal if it fell back to a dense copy — the shared core behind
+/// [`prepare`] / [`prepare_slice`] and the frozen-weight cache builds
+/// (which bring their own deterministic noise instead of the session's).
 pub(crate) fn quantize_operand(
     noise: Noise,
     stats: &mut QuantStats,
@@ -198,17 +200,21 @@ pub(crate) fn quantize_operand(
     cols: usize,
     fmt: NumericFormat,
     axis: GroupAxis,
-) -> Prepared {
-    if let Some(p) = try_pack(noise, stats, &DenseRows::new(data, rows, cols), fmt, axis) {
-        return p;
-    }
+) -> (Prepared, Option<Refusal>) {
+    let refusal = match try_pack(noise, stats, &DenseRows::new(data, rows, cols), fmt, axis) {
+        Ok(p) => return (p, None),
+        Err(refusal) => refusal,
+    };
     // Dense fallback: wide mantissas, non-plain inputs, scalar formats —
     // and the identity copy for FP32 (callers that can borrow instead use
     // `prepare`). Noise is positional, so the quantization here draws what
     // the refused pack would have.
     let mut buf = data.to_vec();
     stats.merge(fmt.quantize_slice_stats(&mut buf, rows, cols, axis, noise));
-    Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf))
+    (
+        Prepared::Dense(Tensor::from_vec(vec![rows, cols], buf)),
+        refusal,
+    )
 }
 
 /// `(rows, cols)` of a GEMM operand tensor.
@@ -221,14 +227,20 @@ fn dims_of(t: &Tensor) -> (usize, usize) {
     (t.shape()[0], t.shape()[1])
 }
 
-/// Records a session-prepared operand: telemetry, plus
-/// [`PlanStats::refused_packs`] when a BFP format narrow enough to pack
-/// came out dense — the operand held a value the packer refuses.
-fn noted<'a>(session: &mut Session, fmt: NumericFormat, op: GemmOperand<'a>) -> GemmOperand<'a> {
-    let packable = matches!(fmt, NumericFormat::Bfp { format, .. }
-        if format.mantissa_bits() <= MAX_PACKED_MANTISSA_BITS);
-    if packable && matches!(op, GemmOperand::Own(Prepared::Dense(_))) {
-        session.plan_stats.refused_packs += 1;
+/// Records a session-prepared operand: telemetry, including the reason
+/// of a refused pack, plus [`PlanStats::refused_packs`] when a BFP format
+/// narrow enough to pack came out dense — the operand held a value the
+/// packer refuses.
+fn noted<'a>(
+    session: &mut Session,
+    refusal: Option<Refusal>,
+    op: GemmOperand<'a>,
+) -> GemmOperand<'a> {
+    if let Some(reason) = refusal {
+        if reason != Refusal::Wide {
+            session.plan_stats.refused_packs += 1;
+        }
+        crate::telemetry::note_refusal(reason);
     }
     crate::telemetry::note_operand(&op);
     op
@@ -248,22 +260,13 @@ pub fn prepare<'a>(
     axis: GroupAxis,
 ) -> GemmOperand<'a> {
     let _span = fast_telemetry::span!("qgemm.prepare");
-    let op = if matches!(fmt, NumericFormat::Fp32) {
-        GemmOperand::Borrowed(t)
-    } else {
-        let (rows, cols) = dims_of(t);
-        let (noise, stats) = session.quant_parts(fmt, rows * cols);
-        GemmOperand::Own(quantize_operand(
-            noise,
-            stats,
-            t.data(),
-            rows,
-            cols,
-            fmt,
-            axis,
-        ))
-    };
-    noted(session, fmt, op)
+    if matches!(fmt, NumericFormat::Fp32) {
+        return noted(session, None, GemmOperand::Borrowed(t));
+    }
+    let (rows, cols) = dims_of(t);
+    let (noise, stats) = session.quant_parts(fmt, rows * cols);
+    let (p, refusal) = quantize_operand(noise, stats, t.data(), rows, cols, fmt, axis);
+    noted(session, refusal, GemmOperand::Own(p))
 }
 
 /// Prepares an owned rank-2 tensor operand, quantizing **in place** on the
@@ -280,23 +283,25 @@ pub fn prepare_owned(
     axis: GroupAxis,
 ) -> GemmOperand<'static> {
     let _span = fast_telemetry::span!("qgemm.prepare");
-    let mut packed = None;
-    if !matches!(fmt, NumericFormat::Fp32) {
-        let (rows, cols) = dims_of(&t);
-        let (noise, stats) = session.quant_parts(fmt, rows * cols);
-        packed = try_pack(
-            noise,
-            stats,
-            &DenseRows::new(t.data(), rows, cols),
-            fmt,
-            axis,
-        );
-        if packed.is_none() {
-            stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
-        }
+    if matches!(fmt, NumericFormat::Fp32) {
+        return noted(session, None, GemmOperand::Own(Prepared::Dense(t)));
     }
-    let op = GemmOperand::Own(packed.unwrap_or(Prepared::Dense(t)));
-    noted(session, fmt, op)
+    let (rows, cols) = dims_of(&t);
+    let (noise, stats) = session.quant_parts(fmt, rows * cols);
+    let (p, refusal) = match try_pack(
+        noise,
+        stats,
+        &DenseRows::new(t.data(), rows, cols),
+        fmt,
+        axis,
+    ) {
+        Ok(p) => (p, None),
+        Err(refusal) => {
+            stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
+            (Prepared::Dense(t), refusal)
+        }
+    };
+    noted(session, refusal, GemmOperand::Own(p))
 }
 
 /// Prepares the `im2col(x, d)` operand of a conv GEMM straight from the
@@ -328,13 +333,15 @@ pub fn prepare_patches(
     let values = patches.covers_input().then(|| patches.input());
     let fill = |krow: usize, p0: usize, out: &mut [f32]| patches.fill_row(krow, p0, out);
     let src = FillRows::new(rows, cols, fill, values);
-    let prepared = try_pack(noise, stats, &src, fmt, axis).unwrap_or_else(|| {
-        let mut t = im2col(x, d);
-        stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
-        Prepared::Dense(t)
-    });
-    let op = GemmOperand::Own(prepared);
-    noted(session, fmt, op)
+    let (p, refusal) = match try_pack(noise, stats, &src, fmt, axis) {
+        Ok(p) => (p, None),
+        Err(refusal) => {
+            let mut t = im2col(x, d);
+            stats.merge(fmt.quantize_slice_stats(t.data_mut(), rows, cols, axis, noise));
+            (Prepared::Dense(t), refusal)
+        }
+    };
+    noted(session, refusal, GemmOperand::Own(p))
 }
 
 /// Prepares an operand straight from a raw `rows × cols` slice (e.g. a
@@ -349,8 +356,8 @@ pub fn prepare_slice(
 ) -> GemmOperand<'static> {
     let _span = fast_telemetry::span!("qgemm.prepare");
     let (noise, stats) = session.quant_parts(fmt, rows * cols);
-    let op = GemmOperand::Own(quantize_operand(noise, stats, data, rows, cols, fmt, axis));
-    noted(session, fmt, op)
+    let (p, refusal) = quantize_operand(noise, stats, data, rows, cols, fmt, axis);
+    noted(session, refusal, GemmOperand::Own(p))
 }
 
 /// Executes one GEMM over prepared operands, accumulating

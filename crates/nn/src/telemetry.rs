@@ -10,6 +10,7 @@
 
 use std::sync::OnceLock;
 
+use fast_bfp::packed::Refusal;
 use fast_telemetry::{Counter, Gauge, Registry};
 
 use crate::qgemm::{GemmOperand, Prepared};
@@ -83,6 +84,20 @@ pub(crate) fn note_operand(op: &GemmOperand<'_>) {
     };
     let (rows, cols) = op.operand().dims();
     operand_elements(repr).add((rows * cols) as u64);
+}
+
+/// Bumps `fast_qgemm_refused_packs_total` under the reason the pack gave:
+/// a BFP operand that came out as a dense copy instead of packed mantissas.
+pub(crate) fn note_refusal(reason: Refusal) {
+    static REASONS: [OnceLock<Counter>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let counter = REASONS[reason as usize].get_or_init(|| {
+        Registry::global().counter(
+            "fast_qgemm_refused_packs_total",
+            "BFP GEMM operands the pack refused, so they run the dense kernels, by reason (wide mantissa, nonfinite or subnormal value)",
+            &[("reason", reason.label())],
+        )
+    });
+    counter.inc();
 }
 
 struct TrainMetrics {

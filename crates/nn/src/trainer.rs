@@ -91,12 +91,17 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Creates a trainer.
+    /// Creates a trainer. Its session computes no gradient for the model
+    /// input — a step discards it — so the model's first layer skips its
+    /// input-gradient GEMM ([`Session::input_grad`]); every weight, loss
+    /// and noise draw is the same as a plain [`Session::new`] run's.
     pub fn new(model: Sequential, opt: Sgd, seed: u64) -> Self {
+        let mut session = Session::new(seed);
+        session.input_grad = false;
         Trainer {
             model,
             opt,
-            session: Session::new(seed),
+            session,
             iter: 0,
         }
     }

@@ -447,17 +447,13 @@ fn main() {
 
     // --- The frozen serving GEMM of `fast_perf`'s `serve_mlp_sat`: a full
     // batch of 8 through its 1024×1024 hidden layer, execute-only over
-    // pre-packed HighBFP operands on the integer kernels — the weight laid
-    // out in panel order, as a frozen layer's is — sampled in turn with the
+    // pre-packed HighBFP operands on the integer kernels — the weight in
+    // panel order, as every column-grouped pack is — sampled in turn with the
     // dense kernels over the same operands dequantized, on the one tensor
     // worker `fast_perf` serves with (DESIGN.md §8, §11). ---
     let (serve_x, serve_w) = (wave(8, 1024, 0.13), wave(1024, 1024, 0.29));
     let serve_a = prepare(&mut session, &serve_x, bwd_fmt, GroupAxis::AlongRow);
-    let GemmOperand::Own(serve_w) = prepare(&mut session, &serve_w, bwd_fmt, GroupAxis::AlongCol)
-    else {
-        unreachable!("a HighBFP operand prepares owned");
-    };
-    let serve_b = GemmOperand::Own(serve_w.with_nn_panels());
+    let serve_b = prepare(&mut session, &serve_w, bwd_fmt, GroupAxis::AlongCol);
     let (serve_xq, serve_wq) = (dequantized(&serve_a), dequantized(&serve_b));
     let serve_dense = [&serve_xq, &serve_wq].map(GemmOperand::Borrowed);
     let pool = parallelism();
@@ -471,9 +467,48 @@ fn main() {
             black_box(y),
         ));
     });
-    set_parallelism(pool);
     results.push(("fp32_serve_b8_ns", serve_fp32_floor));
     results.push(("qgemm_int_serve_b8_ns", serve_int_floor));
+
+    // --- One conv product of `fast_perf`'s `serve_resnet_b1` stage 0: a
+    // frozen 16×144 weight, its k-quad words staged as a frozen conv
+    // weight's are, times the 144×1024 patches of one 16-channel 32×32
+    // image, packed straight into column panels — execute-only, at one
+    // worker (DESIGN.md §11). ---
+    let conv_d = Conv2dDims {
+        batch: 1,
+        in_c: 16,
+        in_h: 32,
+        in_w: 32,
+        out_c: 16,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let conv_x = Tensor::from_vec(
+        vec![1, 16, 32, 32],
+        (0..16 * 32 * 32).map(|i| (i as f32 * 0.21).sin()).collect(),
+    );
+    let GemmOperand::Own(conv_w) = prepare(
+        &mut session,
+        &wave(16, 144, 0.19),
+        bwd_fmt,
+        GroupAxis::AlongRow,
+    ) else {
+        unreachable!("a HighBFP operand prepares owned");
+    };
+    let conv_w = GemmOperand::Own(conv_w.with_a_words());
+    let conv_cols = prepare_patches(&mut session, &conv_x, conv_d, bwd_fmt, GroupAxis::AlongCol);
+    let conv_floor = time_ns(warmup, iters, || {
+        black_box(execute(
+            &mut session,
+            Orient::Nn,
+            &conv_w,
+            black_box(&conv_cols),
+        ));
+    });
+    set_parallelism(pool);
+    results.push(("qgemm_int_conv_b1_ns", conv_floor));
 
     // Within-run plan-vs-pipeline ratios (same machine state for both
     // sides).
@@ -703,13 +738,18 @@ fn main() {
             "int_kernel".to_string(),
             Json::Str(fast_tensor::qgemm::int_kernel().to_string()),
         ),
-        // The rows the tile unit produced: it takes only products of four
-        // rows or more over a laid-out weight, so on an `"amx"` host every
-        // other `qgemm_int_*` row ran `vpdpbusd`, as on an `"avxvnni"` one.
+        // The rows the tile unit produced: it takes the products of four
+        // rows or more whose B is column-grouped — every `Nn` and `Tn` row
+        // here — so on an `"amx"` host the `Nt` rows ran `vpdpbusd`, as on
+        // an `"avxvnni"` one.
         (
             "int_tile_rows".to_string(),
             Json::Arr(match fast_tensor::qgemm::int_kernel() {
-                "amx" => vec![Json::Str("qgemm_int_serve_b8_ns".to_string())],
+                "amx" => results
+                    .iter()
+                    .filter(|(key, _)| key.starts_with("qgemm_int_") && !key.contains("_nt_"))
+                    .map(|(key, _)| Json::Str(key.to_string()))
+                    .collect(),
                 _ => Vec::new(),
             }),
         ),

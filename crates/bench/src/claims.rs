@@ -479,7 +479,7 @@ fn fmac_int_kernel(_: &mut Lab) -> Vec<Trial> {
         pack(k, n, GroupAxis::AlongCol, 2, 1.0),
     );
     let pa = PackedMat::new(m, k, g, PackLayout::RowGroups, a.mantissas, a.scales);
-    let pb = PackedMat::new(k, n, g, PackLayout::ColGroups, b.mantissas, b.scales);
+    let pb = PackedMat::from_col_panels(k, n, g, b.mantissas, b.scales);
     let (oa, ob) = (Operand::Packed(&pa), Operand::Packed(&pb));
     let c = qmatmul(oa, ob);
     // A packed group as the chunked group an fMAC holds: scale 2^(E-m+1).
@@ -493,12 +493,12 @@ fn fmac_int_kernel(_: &mut Lab) -> Vec<Trial> {
     for i in 0..m {
         for j in 0..n {
             cell.reset_accumulator();
-            for (s, k0) in (0..k).step_by(g).enumerate() {
+            for k0 in (0..k).step_by(g) {
                 let ks = k0..(k0 + g).min(k);
-                let aw = ks.clone().map(|p| pa.mantissas()[i * k + p] as i32);
-                let bx = ks.map(|p| pb.mantissas()[p * n + j] as i32);
-                cell.load_weight(chunked(aw.collect(), pa.scales()[i * k.div_ceil(g) + s], 4));
-                cell.consume(&chunked(bx.collect(), pb.scales()[s * n + j], 2));
+                let aw = ks.clone().map(|p| pa.mantissa(i, p) as i32);
+                let bx = ks.map(|p| pb.mantissa(p, j) as i32);
+                cell.load_weight(chunked(aw.collect(), pa.scale(i, k0), 4));
+                cell.consume(&chunked(bx.collect(), pb.scale(k0, j), 2));
             }
             differ += usize::from(cell.accumulator().to_bits() != c.data()[i * n + j].to_bits());
         }

@@ -37,7 +37,7 @@
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
 use crate::lfsr::BitSource;
-use crate::packed::{pack_rows, DenseRows, PackedData};
+use crate::packed::{pack_rows, ColPanels, DenseRows, PackedData};
 use crate::rng::{CounterBits, CounterRng};
 use crate::rounding::Rounding;
 use crate::tensor_quant::{GroupAxis, QuantStats};
@@ -141,6 +141,10 @@ pub(crate) trait RoundOp {
     /// element.
     const NOISE8: bool = false;
 
+    /// Whether [`RoundOp::draw`] reads the cursor at all: `false` for the
+    /// deterministic rules, whose pack kernels then skip the draw loop.
+    const DRAWS: bool = true;
+
     fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, bits: &mut B) -> u64;
 
     /// The noise one plain-path element rounds against: the draw at the
@@ -213,6 +217,8 @@ fn shift_up(sig: u32, t: i64) -> u64 {
 
 pub(crate) struct NearestOp;
 impl RoundOp for NearestOp {
+    const DRAWS: bool = false;
+
     #[inline(always)]
     fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, _bits: &mut B) -> u64 {
         if t <= 0 {
@@ -238,6 +244,8 @@ impl RoundOp for NearestOp {
 
 pub(crate) struct TruncateOp;
 impl RoundOp for TruncateOp {
+    const DRAWS: bool = false;
+
     #[inline(always)]
     fn round<B: BitSource + ?Sized>(&self, sig: u32, t: i64, _bits: &mut B) -> u64 {
         if t <= 0 {
@@ -573,9 +581,9 @@ fn walk_groups<R: RoundOp>(
 /// evaluates, so the bits it would have written.
 fn write_back(data: &mut [f32], cols: usize, axis: GroupAxis, g: usize, p: &PackedData) {
     let cols = cols.max(1);
-    let rows = data.chunks_mut(cols).zip(p.mantissas.chunks(cols));
     match axis {
         GroupAxis::AlongRow => {
+            let rows = data.chunks_mut(cols).zip(p.mantissas.chunks(cols));
             for ((row, mans), scales) in rows.zip(p.scales.chunks(cols.div_ceil(g))) {
                 let groups = row.chunks_mut(g).zip(mans.chunks(g));
                 for ((vals, mans), &scale) in groups.zip(scales) {
@@ -586,10 +594,16 @@ fn write_back(data: &mut [f32], cols: usize, axis: GroupAxis, g: usize, p: &Pack
             }
         }
         GroupAxis::AlongCol => {
-            for (r, (row, mans)) in rows.enumerate() {
-                let scales = &p.scales[r / g * cols..][..cols];
-                for ((v, &man), &scale) in row.iter_mut().zip(mans).zip(scales) {
-                    *v = man as f32 * scale;
+            let rows = data.len() / cols;
+            let panels = ColPanels {
+                rows,
+                cols,
+                group: g,
+            };
+            for (i, row) in data.chunks_mut(cols).enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    let scale = p.scales[panels.scale_index(i, j)];
+                    *v = panels.mantissa(&p.mantissas, i, j) as f32 * scale;
                 }
             }
         }

@@ -17,7 +17,9 @@
 //! the `im2col` patch matrix of a conv layer — into a staging tile of at
 //! most `g × 256` values, so the paper's converter position (between memory
 //! and the array, Fig 14) is reproduced: the tensor is converted on its way
-//! out of memory and no FP32 patch matrix exists ([`pack_rows`]).
+//! out of memory and no FP32 patch matrix exists ([`pack_rows`]). The
+//! `AlongCol` kernel writes its output in the order the integer GEMM
+//! kernels read it ([`ColPanels`]), so that operand is never relaid.
 //!
 //! Packing is restricted to the cases where the per-group loop takes its
 //! plain path for every group, so the reconstruction identity holds with no
@@ -88,25 +90,22 @@ fn effective_workers(workers: usize, numel: usize) -> usize {
     workers.min(numel / MIN_ELEMS_PER_WORKER).max(1)
 }
 
-/// Rows per stripe when a pack shards across `workers` threads: stripes
-/// align to single rows for `AlongRow` and to `group_size()` rows for
-/// `AlongCol`, so stripe-local group decomposition matches the unsharded
-/// kernel.
-fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers: usize) -> usize {
-    let granule = match axis {
-        GroupAxis::AlongRow => 1,
-        GroupAxis::AlongCol => fmt.group_size(),
-    };
-    rows.div_ceil(granule).div_ceil(workers) * granule
+/// Length of each stripe when a pack shards `len` rows (`AlongRow`) or
+/// columns (`AlongCol`) across `workers` threads, a multiple of `granule`:
+/// one row, so stripe-local groups match the unsharded kernel's, or one
+/// [`ColPanels::WIDTH`]-column panel, so stripe outputs are whole panels.
+fn stripe_len(len: usize, granule: usize, workers: usize) -> usize {
+    len.div_ceil(granule).div_ceil(workers) * granule
 }
 
 /// A BFP-packed matrix: signed integer mantissas plus per-group scales.
 ///
-/// Layout is row-major `rows × cols` for the mantissas. For
-/// [`GroupAxis::AlongRow`] the scales form a `rows × ceil(cols/g)` matrix
-/// (`scale_of(i, j) = scales[i * gpr + j / g]`); for
-/// [`GroupAxis::AlongCol`] they form a `ceil(rows/g) × cols` matrix
-/// (`scale_of(i, j) = scales[(i / g) * cols + j]`).
+/// For [`GroupAxis::AlongRow`] the mantissas are row-major `rows × cols` and
+/// the scales a row-major `rows × ceil(cols/g)` matrix
+/// (`scale_of(i, j) = scales[i * gpr + j / g]`). For [`GroupAxis::AlongCol`]
+/// both come in the column-panel order of [`ColPanels`], the order the
+/// integer GEMM kernels read a column-grouped operand in, with every
+/// mantissa biased by `+128`.
 ///
 /// # Guarantees consumed by integer-domain kernels
 ///
@@ -114,7 +113,7 @@ fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers: usize) -> 
 /// `fast_tensor` integer-domain qGEMM, DESIGN.md §11) rely on two
 /// invariants that every packing path upholds:
 ///
-/// * **Mantissa range**: `|mantissas[idx]| ≤ 2^m − 1 ≤ 127` — the value
+/// * **Mantissa range**: `|mantissa| ≤ 2^m − 1 ≤ 127` — the value
 ///   `-128` never occurs, because magnitudes are clamped to the format's
 ///   `max_magnitude()` *before* the sign is applied. A product of two
 ///   mantissas therefore fits `i16` (`≤ 127² = 16 129`). The kernels'
@@ -128,12 +127,100 @@ fn stripe_rows(rows: usize, axis: GroupAxis, fmt: BfpFormat, workers: usize) -> 
 ///   out of the inner product without changing the result.
 #[derive(Debug, Clone)]
 pub struct PackedData {
-    /// Signed mantissas, row-major, one per value.
+    /// One byte per value: `AlongRow`, the row-major signed mantissas;
+    /// `AlongCol`, the [`ColPanels`] bytes.
     pub mantissas: Vec<i8>,
-    /// Per-group scales `2^(E - m + 1)` (`0.0` for all-zero groups).
+    /// Per-group scales `2^(E - m + 1)` (`0.0` for all-zero groups), in the
+    /// axis's order.
     pub scales: Vec<f32>,
     /// The same counters the per-group fake-quantize loop produces.
     pub stats: QuantStats,
+}
+
+/// The order an `AlongCol` pack writes a `rows × cols` matrix in (groups of
+/// `group` rows down each column): the order in which the integer GEMM
+/// kernels' dot-product instructions read a right-hand operand
+/// (`vpdpbusd`, `vpmaddwd` and the AMX `tdpbsud` tiles; DESIGN.md §9), so a
+/// packed operand is multiplied where it lies.
+///
+/// The columns are cut into panels of [`ColPanels::WIDTH`] (the last one
+/// padded). Panel `q` holds [`ColPanels::quad_rows`] *quad rows* of 64
+/// bytes, each group block taking `⌈g/4⌉` of them: byte `4c + s` of the
+/// block-`b` quad row `w` is the mantissa at row `b·g + 4w + s`, column
+/// `16q + c`, biased by `+128` (`m ^ i8::MIN`, the unsigned operand of
+/// `vpdpbusd`). Rows past a group or past the matrix, and columns past it,
+/// hold the biased zero `i8::MIN`, so a group is a whole number of quad
+/// rows and a panel a whole number of groups. The scales follow the same
+/// panels: panel `q`'s `⌈rows/g⌉ × 16`, block `b`'s scale of column
+/// `16q + c` at `16b + c`, `0.0` past the matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColPanels {
+    /// Row count of the matrix (the reduction depth of a GEMM operand).
+    pub rows: usize,
+    /// Column count of the matrix.
+    pub cols: usize,
+    /// Rows per group.
+    pub group: usize,
+}
+
+impl ColPanels {
+    /// Columns per panel.
+    pub const WIDTH: usize = 16;
+
+    /// Bytes per quad row: four rows of [`ColPanels::WIDTH`] columns.
+    pub const QUAD: usize = 4 * Self::WIDTH;
+
+    /// Group blocks down each column.
+    pub fn blocks(&self) -> usize {
+        self.rows.div_ceil(self.group)
+    }
+
+    /// Quad rows per group block, `⌈g/4⌉`.
+    pub fn quads_per_block(&self) -> usize {
+        self.group.div_ceil(4)
+    }
+
+    /// Quad rows per panel.
+    pub fn quad_rows(&self) -> usize {
+        self.blocks() * self.quads_per_block()
+    }
+
+    /// Panel count.
+    pub fn panels(&self) -> usize {
+        self.cols.div_ceil(Self::WIDTH)
+    }
+
+    /// Mantissa bytes of the layout.
+    pub fn len(&self) -> usize {
+        self.panels() * self.quad_rows() * Self::QUAD
+    }
+
+    /// Whether the layout holds no byte.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Scales of the layout.
+    pub fn scales(&self) -> usize {
+        self.panels() * self.blocks() * Self::WIDTH
+    }
+
+    /// Index of the byte holding the value at `(i, j)`.
+    pub fn index(&self, i: usize, j: usize) -> usize {
+        let (b, r) = (i / self.group, i % self.group);
+        let row = j / Self::WIDTH * self.quad_rows() + b * self.quads_per_block() + r / 4;
+        row * Self::QUAD + j % Self::WIDTH * 4 + r % 4
+    }
+
+    /// Index of the scale of the group holding `(i, j)`.
+    pub fn scale_index(&self, i: usize, j: usize) -> usize {
+        (j / Self::WIDTH * self.blocks() + i / self.group) * Self::WIDTH + j % Self::WIDTH
+    }
+
+    /// The signed mantissa at `(i, j)` of the layout's `bytes`.
+    pub fn mantissa(&self, bytes: &[i8], i: usize, j: usize) -> i8 {
+        bytes[self.index(i, j)] ^ i8::MIN
+    }
 }
 
 /// A row-major `rows × cols` f32 matrix the pack kernels read tile by tile:
@@ -389,12 +476,12 @@ fn scan_rows<S: RowSource>(src: &S) -> (u32, bool) {
     (max_bits, plain)
 }
 
-/// Packing sharded across `noise.workers` threads in row stripes
-/// ([`stripe_rows`]) of the source. Stripe outputs concatenate exactly
-/// because both mantissa and scale layouts are row-major in the striped
-/// dimension; every stripe addresses its noise by absolute element offset.
-/// `None` when `check_plain` is set and some stripe staged a value that is
-/// neither normal nor zero.
+/// Packing sharded across `noise.workers` threads: `AlongRow` in stripes
+/// of rows, `AlongCol` in stripes of whole panels ([`stripe_len`]). Stripe
+/// outputs concatenate exactly because both layouts are stored stripe by
+/// stripe — row-major rows, panel-major panels; every stripe addresses its
+/// noise by absolute element offset. `None` when `check_plain` is set and
+/// some stripe staged a value that is neither normal nor zero.
 fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
     src: &S,
     axis: GroupAxis,
@@ -405,7 +492,6 @@ fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
     check_plain: bool,
 ) -> Option<PackedData> {
     let Noise { rng, base, workers } = noise;
-    let rows = src.rows();
     let kernel = |stripe: Range<usize>| {
         let mut bits = CounterBits::new(rng, base);
         match axis {
@@ -417,16 +503,20 @@ fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
             }
         }
     };
-    let workers = effective_workers(workers, rows * src.cols());
+    let (len, granule) = match axis {
+        GroupAxis::AlongRow => (src.rows(), 1),
+        GroupAxis::AlongCol => (src.cols(), ColPanels::WIDTH),
+    };
+    let workers = effective_workers(workers, src.rows() * src.cols());
     if workers == 1 {
-        return kernel(0..rows);
+        return kernel(0..len);
     }
-    let stripe = stripe_rows(rows, axis, fmt, workers);
+    let stripe = stripe_len(len, granule, workers);
     let parts: Option<Vec<PackedData>> = std::thread::scope(|scope| {
         let kernel = &kernel;
-        let handles: Vec<_> = (0..rows)
+        let handles: Vec<_> = (0..len)
             .step_by(stripe)
-            .map(|row0| scope.spawn(move || kernel(row0..rows.min(row0 + stripe))))
+            .map(|start| scope.spawn(move || kernel(start..len.min(start + stripe))))
             .collect();
         handles
             .into_iter()
@@ -451,7 +541,7 @@ fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
 /// L1d next to the output rows.
 const COL_TILE: usize = 256;
 
-/// The element loop of both pack kernels: quantizes the run of plain
+/// The element loop of the `AlongRow` kernel: quantizes the run of plain
 /// (normal-or-zero) values whose first element sits at noise `offset`,
 /// `values[i]` against `t_base[i]`, into `out[i]`. Under 8-bit stochastic
 /// rounding the run's draws are prefetched into `noise` in bulk; other
@@ -576,44 +666,59 @@ fn pack_along_row<S: RowSource, R: RoundOp>(
     })
 }
 
-/// `AlongCol` packing of source rows `row0 .. row1` (`row0` a multiple of
-/// the group size): lane-wise over `g`-row × [`COL_TILE`]-column tiles, every
-/// column group of a tile quantized simultaneously — the natural SIMD
-/// layout for a row-major matrix, with no transpose, tiled so that a source
-/// producing rows on demand stages `g × COL_TILE` values, never the matrix.
-/// Element order is free because nearest/truncate rounding draws no bits
-/// and stochastic rounding keys its noise on element offsets. With
+/// `AlongCol` packing of source columns `cols` (whole panels from a panel
+/// edge) into their [`ColPanels`]: lane-wise over `g`-row ×
+/// [`COL_TILE`]-column tiles — every column group of a tile quantized
+/// simultaneously, tiled so that a source producing rows on demand stages
+/// `g × COL_TILE` values, never the matrix. Each group's rows are then
+/// written four at a time as the panels' quad rows ([`quad_rows`]). Element
+/// order is free because nearest/truncate rounding draws no bits and
+/// stochastic rounding keys its noise on element offsets; each tile row's
+/// draws are taken in one run before its panels are written. With
 /// `check_plain`, `None` at the first staged tile holding a value that is
 /// neither normal nor zero.
 fn pack_along_col<S: RowSource, R: RoundOp>(
     src: &S,
-    rows: Range<usize>,
+    cols: Range<usize>,
     fmt: BfpFormat,
     round: &R,
     bits: &mut CounterBits,
     window: Option<ExponentWindow>,
     check_plain: bool,
 ) -> Option<PackedData> {
-    let cols = src.cols();
+    const W: usize = ColPanels::WIDTH;
+    let (rows, width) = (src.rows(), src.cols());
     let g = fmt.group_size();
     let m = fmt.mantissa_bits();
     let max_mag = fmt.max_magnitude() as u32;
-    let (row0, row1) = (rows.start, rows.end);
-    let nrows = rows.len();
-    let mut mans = vec![0i8; nrows * cols];
-    let mut scales = vec![0.0f32; nrows.div_ceil(g).max(1) * cols];
+    let layout = ColPanels {
+        rows,
+        cols: cols.len(),
+        group: g,
+    };
+    let (qpb, panel_rows, nblocks) = (
+        layout.quads_per_block(),
+        layout.quad_rows(),
+        layout.blocks(),
+    );
+    let mut mans = vec![i8::MIN; layout.len()];
+    let mut scales = vec![0.0f32; layout.scales()];
     let mut stats = QuantStats {
-        groups: nrows.div_ceil(g) * cols,
+        groups: layout.blocks() * cols.len(),
         ..QuantStats::default()
     };
     let mut stage = Vec::new();
     let mut col_max = [0u32; COL_TILE];
     let mut t_base = [0i32; COL_TILE];
-    let mut noise = [0u8; COL_TILE]; // a tile row's bulk draws (8-bit SR only)
-    for (block, scale_row) in rows.step_by(g).zip(scales.chunks_mut(cols.max(1))) {
-        let rb = g.min(row1 - block);
-        for c0 in (0..cols).step_by(COL_TILE) {
-            let tw = COL_TILE.min(cols - c0);
+    let mut tile_scales = [0.0f32; COL_TILE];
+    // A tile's draws, row by row: bulk 8-bit draws, or other widths'.
+    let tile_noise = |on: bool| if on { g.min(rows) * COL_TILE } else { 0 };
+    let mut noise8 = vec![0u8; tile_noise(R::NOISE8)];
+    let mut noise = vec![0u32; tile_noise(R::DRAWS && !R::NOISE8)];
+    for (bb, block) in (0..rows).step_by(g).enumerate() {
+        let rb = g.min(rows - block);
+        for c0 in cols.clone().step_by(COL_TILE) {
+            let tw = COL_TILE.min(cols.end - c0);
             let (tile, stride) = src.tile(block, rb, c0, tw, &mut stage);
             let col_max = &mut col_max[..tw];
             col_max.fill(0);
@@ -626,18 +731,42 @@ fn pack_along_col<S: RowSource, R: RoundOp>(
                     *mx = (*mx).max(v.to_bits() & 0x7FFF_FFFF);
                 }
             }
-            let params = t_base.iter_mut().zip(&mut scale_row[c0..c0 + tw]);
-            for ((t, s), &mx) in params.zip(col_max.iter()) {
-                (*t, *s) = plain_group_params(mx, m, window);
+            let params = t_base.iter_mut().zip(&mut tile_scales).zip(col_max.iter());
+            // Without a window the loop is branch-free and vectorizes: a
+            // shared `window` argument kept it scalar, 15 % of the pack.
+            match window {
+                None => params.for_each(|((t, s), &mx)| (*t, *s) = plain_group_params(mx, m, None)),
+                Some(_) => {
+                    params.for_each(|((t, s), &mx)| (*t, *s) = plain_group_params(mx, m, window))
+                }
             }
             for k in 0..rb {
-                let r = block + k;
-                let values = &tile[k * stride..][..tw];
-                let out = &mut mans[(r - row0) * cols + c0..][..tw];
-                let offset = r * cols + c0;
-                pack_lanes(
-                    values, &t_base, &mut noise, out, offset, max_mag, round, bits, &mut stats,
-                );
+                bits.seek(((block + k) * width + c0) as u64, 1);
+                if R::NOISE8 {
+                    bits.fill8(&mut noise8[k * COL_TILE..][..tw]);
+                } else if R::DRAWS {
+                    for r in &mut noise[k * COL_TILE..][..tw] {
+                        *r = round.draw(bits);
+                    }
+                }
+            }
+            let j0 = c0 - cols.start; // a panel edge: COL_TILE is whole panels
+            for p0 in (0..tw).step_by(W) {
+                let (q, w) = ((j0 + p0) / W, W.min(tw - p0));
+                let scales = &mut scales[(q * nblocks + bb) * W..][..w];
+                scales.copy_from_slice(&tile_scales[p0..p0 + w]);
+                let out = &mut mans[(q * panel_rows + bb * qpb) * ColPanels::QUAD..];
+                let group = Group {
+                    tile: &tile[p0..],
+                    stride,
+                    rows: rb,
+                    width: w,
+                    t_base: &t_base[p0..],
+                    noise8: noise8.get(p0..).unwrap_or_default(),
+                    noise: noise.get(p0..).unwrap_or_default(),
+                    max_mag,
+                };
+                quad_rows(group, &mut out[..qpb * ColPanels::QUAD], round, &mut stats);
             }
         }
     }
@@ -646,6 +775,162 @@ fn pack_along_col<S: RowSource, R: RoundOp>(
         scales,
         stats,
     })
+}
+
+/// One group of one panel's columns of a tile, as the lane body reads it:
+/// `rows` tile rows of `width ≤ 16` values (`tile[k * stride..]`), their
+/// columns' `t_base`, each tile row's draws (`COL_TILE` apart) and the
+/// format's `max_mag`.
+#[derive(Clone, Copy)]
+struct Group<'a> {
+    tile: &'a [f32],
+    stride: usize,
+    rows: usize,
+    width: usize,
+    t_base: &'a [i32],
+    noise8: &'a [u8],
+    noise: &'a [u32],
+    max_mag: u32,
+}
+
+/// Quantizes one group of one panel's columns into the group's quad rows
+/// of `out` ([`panel_quads`]). A panel narrower than 16 columns is first
+/// copied into a zero-padded one; the padding quantizes to the biased
+/// zero, and its zero counts are taken back.
+#[inline(always)]
+fn quad_rows<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
+    const W: usize = ColPanels::WIDTH;
+    let (w, rows) = (group.width, group.rows);
+    if w == W {
+        return panel_quads(group, out, round, stats);
+    }
+    let mut tile = vec![0.0f32; rows * W];
+    let mut t_base = [0i32; W];
+    t_base[..w].copy_from_slice(&group.t_base[..w]);
+    let mut noise8 = vec![0u8; if R::NOISE8 { rows * COL_TILE } else { 0 }];
+    let mut noise = vec![
+        0u32;
+        if R::DRAWS && !R::NOISE8 {
+            rows * COL_TILE
+        } else {
+            0
+        }
+    ];
+    for k in 0..rows {
+        tile[k * W..][..w].copy_from_slice(&group.tile[k * group.stride..][..w]);
+        if R::NOISE8 {
+            noise8[k * COL_TILE..][..w].copy_from_slice(&group.noise8[k * COL_TILE..][..w]);
+        } else if R::DRAWS {
+            noise[k * COL_TILE..][..w].copy_from_slice(&group.noise[k * COL_TILE..][..w]);
+        }
+    }
+    let padded = Group {
+        tile: &tile,
+        stride: W,
+        width: W,
+        t_base: &t_base,
+        noise8: &noise8,
+        noise: &noise,
+        ..group
+    };
+    panel_quads(padded, out, round, stats);
+    stats.zeros -= ((W - w) * rows) as u64;
+}
+
+/// The panel writer's lane body on the host's widest lanes: sixteen on an
+/// AVX-512BW host, eight otherwise ([`lane_body`]). Out of line, so its
+/// slices keep their no-alias guarantee whatever the caller inlined:
+/// inlined into a pack over an im2col source it ran 4× slower.
+#[inline(never)]
+fn panel_quads<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
+    #[cfg(target_arch = "x86_64")]
+    if wide_lanes() {
+        // SAFETY: `wide_lanes` confirmed AVX-512F and AVX-512BW at runtime.
+        #[allow(unsafe_code)]
+        return unsafe { panel_quads_x16(group, out, round, stats) };
+    }
+    lane_body::<R, 8>(group, out, round, stats)
+}
+
+/// Whether the host runs AVX-512F and AVX-512BW, detected once.
+#[cfg(target_arch = "x86_64")]
+fn wide_lanes() -> bool {
+    static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *WIDE.get_or_init(|| {
+        std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512bw")
+    })
+}
+
+/// [`lane_body`] at sixteen lanes, compiled for AVX-512: one register per
+/// array, where the x86-64-v3 build spills at sixteen.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+fn panel_quads_x16<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
+    lane_body::<R, 16>(group, out, round, stats)
+}
+
+/// The panel writer's lane body, written once over the lane count `L`
+/// (8 or 16): for one group of one panel, `16 / L` column blocks of `L`
+/// lanes each quantize four rows at a time and gather their mantissas
+/// into `L` `u32` lanes of a quad row (`m ^ 0x80` per byte) — fixed-width
+/// arrays the vectorizer keeps in one register each. Every rounding mode
+/// takes it. Rows past the group keep the biased zero `out` already holds.
+#[inline(always)]
+fn lane_body<R: RoundOp, const L: usize>(
+    group: Group,
+    out: &mut [i8],
+    round: &R,
+    stats: &mut QuantStats,
+) {
+    let Group {
+        tile,
+        stride,
+        rows,
+        max_mag,
+        ..
+    } = group;
+    // Per-lane counters, reduced once per panel: reduced per row, they
+    // cost as much as the row's arithmetic.
+    let (mut zeros, mut saturated) = ([0u32; L], [0u32; L]);
+    for c0 in (0..ColPanels::WIDTH).step_by(L) {
+        let t_base: &[i32; L] = group.t_base[c0..c0 + L].try_into().expect("a full panel");
+        for (quad, dst) in out.chunks_exact_mut(ColPanels::QUAD).enumerate() {
+            let first = 4 * quad;
+            if first >= rows {
+                break;
+            }
+            let mut words = [0u32; L];
+            for s in 0..(rows - first).min(4) {
+                let k = first + s;
+                let values: &[f32; L] = tile[k * stride + c0..][..L].try_into().expect("L");
+                let noise: [u32; L] = if R::NOISE8 {
+                    let drawn = &group.noise8[k * COL_TILE + c0..][..L];
+                    <&[u8; L]>::try_from(drawn).expect("L").map(u32::from)
+                } else if R::DRAWS {
+                    *<&[u32; L]>::try_from(&group.noise[k * COL_TILE + c0..][..L]).expect("L")
+                } else {
+                    [0; L]
+                };
+                // Indexed, not zipped: see `pack_lanes`.
+                for c in 0..L {
+                    let (mag, man) =
+                        quantize_plain(values[c].to_bits(), t_base[c], max_mag, round, noise[c]);
+                    // `mag == 0` and `mag == max_mag` (`mag ≤ max_mag`,
+                    // `max_mag ≥ 1`) as arithmetic: counted from compares,
+                    // the lanes' counters compiled to ~40 shuffles.
+                    zeros[c] += 1 - mag.min(1);
+                    saturated[c] += (mag + 1).saturating_sub(max_mag);
+                    words[c] |= (man as u32 & 0xFF) << (8 * s);
+                }
+            }
+            let bytes = words.map(|w| (w ^ 0x8080_8080).to_le_bytes());
+            for (d, &b) in dst[4 * c0..][..4 * L].iter_mut().zip(bytes.as_flattened()) {
+                *d = b as i8;
+            }
+        }
+    }
+    stats.zeros += zeros.iter().sum::<u32>() as u64;
+    stats.saturated += saturated.iter().sum::<u32>() as u64;
 }
 
 #[cfg(test)]
@@ -663,18 +948,37 @@ mod tests {
         }
     }
 
-    fn dequantize(p: &PackedData, rows: usize, cols: usize, axis: GroupAxis, g: usize) -> Vec<f32> {
+    /// `(mantissa, scale)` of every element of `p`, row-major.
+    fn elements(
+        p: &PackedData,
+        rows: usize,
+        cols: usize,
+        axis: GroupAxis,
+        g: usize,
+    ) -> Vec<(i8, f32)> {
         let gpr = cols.div_ceil(g).max(1);
+        let panels = ColPanels {
+            rows,
+            cols,
+            group: g,
+        };
         (0..rows * cols)
             .map(|idx| {
                 let (i, j) = (idx / cols, idx % cols);
-                let scale = match axis {
-                    GroupAxis::AlongRow => p.scales[i * gpr + j / g],
-                    GroupAxis::AlongCol => p.scales[(i / g) * cols + j],
-                };
-                p.mantissas[idx] as f32 * scale
+                match axis {
+                    GroupAxis::AlongRow => (p.mantissas[idx], p.scales[i * gpr + j / g]),
+                    GroupAxis::AlongCol => (
+                        panels.mantissa(&p.mantissas, i, j),
+                        p.scales[panels.scale_index(i, j)],
+                    ),
+                }
             })
             .collect()
+    }
+
+    fn dequantize(p: &PackedData, rows: usize, cols: usize, axis: GroupAxis, g: usize) -> Vec<f32> {
+        let elements = elements(p, rows, cols, axis, g).into_iter();
+        elements.map(|(man, scale)| man as f32 * scale).collect()
     }
 
     fn rand_data(n: usize, seed: u64) -> Vec<f32> {
@@ -839,7 +1143,7 @@ mod tests {
                     pack_matrix(&data, 24, 24, axis, fmt, rounding, noise(), true).unwrap();
                 let cap = fmt.max_magnitude() as i16;
                 assert!(cap <= 127);
-                for &m in &packed.mantissas {
+                for (m, _) in elements(&packed, 24, 24, axis, fmt.group_size()) {
                     assert!((m as i16).abs() <= cap, "{axis:?} {fmt}: mantissa {m}");
                 }
                 for &s in &packed.scales {

@@ -8,7 +8,7 @@
 //! (slice/matrix, AlongRow/AlongCol, packed/dense) yields bitwise
 //! identical results.
 
-use fast_bfp::packed::{pack_matrix, PackedData};
+use fast_bfp::packed::{pack_matrix, ColPanels, PackedData};
 use fast_bfp::{
     fake_quantize_matrix, fake_quantize_slice, BfpFormat, CounterRng, GroupAxis, Noise, Rounding,
 };
@@ -211,14 +211,22 @@ fn matrix_workers_are_bit_invisible() {
 
 fn dequantize(p: &PackedData, rows: usize, cols: usize, axis: GroupAxis, g: usize) -> Vec<f32> {
     let gpr = cols.div_ceil(g).max(1);
+    let panels = ColPanels {
+        rows,
+        cols,
+        group: g,
+    };
     (0..rows * cols)
         .map(|idx| {
             let (i, j) = (idx / cols, idx % cols);
-            let scale = match axis {
-                GroupAxis::AlongRow => p.scales[i * gpr + j / g],
-                GroupAxis::AlongCol => p.scales[(i / g) * cols + j],
+            let (man, scale) = match axis {
+                GroupAxis::AlongRow => (p.mantissas[idx], p.scales[i * gpr + j / g]),
+                GroupAxis::AlongCol => (
+                    panels.mantissa(&p.mantissas, i, j),
+                    p.scales[panels.scale_index(i, j)],
+                ),
             };
-            p.mantissas[idx] as f32 * scale
+            man as f32 * scale
         })
         .collect()
 }

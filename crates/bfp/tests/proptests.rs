@@ -6,7 +6,7 @@
 //! paper Theorem 1.
 
 use fast_bfp::dot::{dot_chunked, dot_dequantized, dot_f32};
-use fast_bfp::packed::{pack_matrix, pack_rows, FillRows, PackedData};
+use fast_bfp::packed::{pack_matrix, pack_rows, ColPanels, FillRows, PackedData};
 use fast_bfp::{
     exponent_of, relative_improvement, BfpFormat, BfpGroup, BitSource, ChunkedGroup, CounterRng,
     GroupAxis, Lfsr16, Noise, RngBits, Rounding,
@@ -228,15 +228,32 @@ fn any_f32_bits() -> impl Strategy<Value = f32> {
 
 use seed_reference::CounterAt;
 
-/// Bits of element `idx` of a packed row-major matrix, reconstructed the way
-/// the GEMM kernels do: `mantissa as f32 * group scale`.
-fn packed_bits(p: &PackedData, idx: usize, cols: usize, g: usize, axis: GroupAxis) -> u32 {
+/// Bits of the row-major element `idx` of a packed `rows × cols` matrix,
+/// reconstructed the way the GEMM kernels do: `mantissa as f32 * group
+/// scale`, read from the axis's layout.
+fn packed_bits(
+    p: &PackedData,
+    idx: usize,
+    (rows, cols): (usize, usize),
+    g: usize,
+    axis: GroupAxis,
+) -> u32 {
     let (i, j) = (idx / cols, idx % cols);
-    let scale = match axis {
-        GroupAxis::AlongRow => p.scales[i * cols.div_ceil(g) + j / g],
-        GroupAxis::AlongCol => p.scales[(i / g) * cols + j],
+    let (man, scale) = match axis {
+        GroupAxis::AlongRow => (p.mantissas[idx], p.scales[i * cols.div_ceil(g) + j / g]),
+        GroupAxis::AlongCol => {
+            let panels = ColPanels {
+                rows,
+                cols,
+                group: g,
+            };
+            (
+                panels.mantissa(&p.mantissas, i, j),
+                p.scales[panels.scale_index(i, j)],
+            )
+        }
     };
-    (p.mantissas[idx] as f32 * scale).to_bits()
+    (man as f32 * scale).to_bits()
 }
 
 fn any_rounding() -> impl Strategy<Value = Rounding> {
@@ -364,7 +381,7 @@ proptest! {
         if let Ok(p) = packed {
             prop_assert_eq!((p.stats.groups, p.stats.saturated, p.stats.zeros), (groups, saturated, zeros));
             for (idx, w) in want_buf.iter().enumerate() {
-                prop_assert_eq!(packed_bits(&p, idx, cols, g, axis), w.to_bits());
+                prop_assert_eq!(packed_bits(&p, idx, (rows, cols), g, axis), w.to_bits());
             }
         }
     }
@@ -443,7 +460,7 @@ fn sharded_kernels_are_bit_identical_to_seed() {
                 assert_eq!(packed.is_ok(), tag == "plain", "{ctx}");
                 if let Ok(p) = packed {
                     let got_packed: Vec<u32> = (0..rows * cols)
-                        .map(|idx| packed_bits(&p, idx, cols, fmt.group_size(), axis))
+                        .map(|idx| packed_bits(&p, idx, (rows, cols), fmt.group_size(), axis))
                         .collect();
                     assert_eq!(got_packed, want_bits, "packed {ctx}");
                 }
@@ -882,4 +899,158 @@ fn relative_improvement_matches_oracle_on_edge_tensors() {
             assert_eq!(got.to_bits(), want.to_bits(), "g={g} xs.len()={}", xs.len());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Column panels: an `AlongCol` pack writes the integer kernels' panel layout
+// straight. Pinned against the row-major pack the seed walk defines, re-laid
+// by a transcription of the kernels' panel builder.
+// ---------------------------------------------------------------------------
+
+/// The row-major `AlongCol` pack of `values` by the seed walk: signed
+/// mantissas, `⌈rows/g⌉ × cols` scales (`2^(E−m+1)`, `0.0` for a group
+/// with no non-zero value) and `(groups, saturated, zeros)`; element
+/// `(r, c)` draws at `base + r·cols + c`.
+fn seed_col_pack(
+    values: &[f32],
+    (rows, cols): (usize, usize),
+    fmt: BfpFormat,
+    rounding: Rounding,
+    noise: Noise,
+) -> (Vec<i8>, Vec<f32>, (usize, u64, u64)) {
+    let (g, m) = (fmt.group_size(), fmt.mantissa_bits() as i32);
+    let max_mag = fmt.max_magnitude() as i32;
+    let mut bits = CounterAt::new(noise.rng);
+    let (mut mans, mut scales) = (
+        vec![0i8; rows * cols],
+        vec![0.0f32; rows.div_ceil(g) * cols],
+    );
+    let mut stats = (0, 0, 0);
+    for (b, row) in (0..rows).step_by(g).enumerate() {
+        let n = g.min(rows - row);
+        for col in 0..cols {
+            let group: Vec<f32> = (0..n).map(|k| values[(row + k) * cols + col]).collect();
+            (bits.first, bits.stride) = (noise.base + (row * cols + col) as u64, cols as u64);
+            let (e, q) = seed_reference::quantize(&group, fmt, rounding, &mut bits, None);
+            let nonzero = group.iter().any(|&v| v != 0.0);
+            scales[b * cols + col] = if nonzero { 2.0f32.powi(e - m + 1) } else { 0.0 };
+            stats.0 += 1;
+            for (k, &v) in q.iter().enumerate() {
+                mans[(row + k) * cols + col] = v as i8;
+                stats.2 += u64::from(v == 0);
+                stats.1 += u64::from(v != 0 && v.abs() == max_mag);
+            }
+        }
+    }
+    (mans, scales, stats)
+}
+
+/// A transcription of the integer kernels' original panel builder (the
+/// frozen weights' relayout, before the pack wrote panels itself): per
+/// 16-column panel, `⌈rows/g⌉ · ⌈g/4⌉` k-quad rows of 64 bytes — byte
+/// `4c + i` of row `t` the mantissa at row `4t + i` of the panel's column
+/// `c`, biased `^ 0x80`, each group starting a new quad row — padded with
+/// `0x80`; then the panel's block scales, `0.0` past the matrix.
+fn relay_as_panels(
+    mans: &[i8],
+    scales: &[f32],
+    (rows, cols): (usize, usize),
+    g: usize,
+) -> (Vec<u8>, Vec<f32>) {
+    const W: usize = 16;
+    let (nblocks, qpb, panels) = (rows.div_ceil(g), g.div_ceil(4), cols.div_ceil(W));
+    let row_len = 4 * W;
+    let panel_len = nblocks * qpb * row_len;
+    let mut bytes = vec![0x80u8; panels * panel_len];
+    let mut pscales = vec![0.0f32; panels * nblocks * W];
+    for q in 0..panels {
+        let (j0, w) = (q * W, (cols - q * W).min(W));
+        for r in 0..rows {
+            let (b, within) = (r / g, r % g);
+            let t = b * qpb + within / 4;
+            let dst = &mut bytes[q * panel_len + t * row_len + within % 4..];
+            for c in 0..w {
+                dst[4 * c] = mans[r * cols + j0 + c] as u8 ^ 0x80;
+            }
+        }
+        for b in 0..nblocks {
+            let dst = &mut pscales[(q * nblocks + b) * W..][..w];
+            dst.copy_from_slice(&scales[b * cols + j0..][..w]);
+        }
+    }
+    (bytes, pscales)
+}
+
+fn any_pack_rounding() -> impl Strategy<Value = Rounding> {
+    prop_oneof![
+        Just(Rounding::Nearest),
+        Just(Rounding::Truncate),
+        Just(Rounding::STOCHASTIC8),
+        (1u32..=31).prop_map(|noise_bits| Rounding::Stochastic { noise_bits }),
+    ]
+}
+
+proptest! {
+    /// The `AlongCol` pack is the seed walk's row-major pack re-laid as
+    /// column panels — mantissa bytes, scales and stats — at depths and
+    /// widths off the 16-grid and under four rows, every packable width,
+    /// the group sizes the vector kernels take, every rounding and one to
+    /// three workers (the matrix widened enough to shard). A salted NaN or
+    /// subnormal refuses the pack, non-finite first.
+    #[test]
+    fn col_panels_are_the_row_major_pack_relaid(
+        rows in 1usize..=70,
+        cols in 1usize..=40,
+        m in 1u32..=7,
+        g_sel in 0usize..4,
+        rounding in any_pack_rounding(),
+        workers in 1usize..=3,
+        seed in 0u64..=u64::MAX,
+        base in 0u64..=1 << 40,
+        salt in 0u32..=5,
+        at in 0usize..=usize::MAX,
+    ) {
+        let g = [4usize, 8, 16, 32][g_sel];
+        // Wide enough for `workers` stripes of the pack's sharding floor.
+        let cols = cols + (workers - 1) * (1usize << 14).div_ceil(rows);
+        let fmt = BfpFormat::new(g, m, 8).expect("valid format");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut values: Vec<f32> = (0..rows * cols)
+            .map(|_| {
+                use rand::Rng;
+                if rng.gen_bool(0.15) {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0) * 2.0f32.powi(rng.gen_range(-30..30))
+                }
+            })
+            .collect();
+        let salted = match salt {
+            0 => Some((f32::NAN, fast_bfp::packed::Refusal::NonFinite)),
+            1 => Some((1e-40, fast_bfp::packed::Refusal::Subnormal)),
+            _ => None,
+        };
+        if let Some((bad, _)) = salted {
+            values[at % (rows * cols)] = bad;
+        }
+        let noise = Noise { rng: CounterRng::new(seed ^ 0x5EED), base, workers };
+        let got = pack_matrix(&values, rows, cols, GroupAxis::AlongCol, fmt, rounding, noise, false);
+        if let Some((_, why)) = salted {
+            prop_assert_eq!(got.err(), Some(why));
+            return Ok(());
+        }
+        let got = got.expect("plain values pack");
+        let (mans, scales, stats) = seed_col_pack(&values, (rows, cols), fmt, rounding, noise);
+        let (want_bytes, want_scales) = relay_as_panels(&mans, &scales, (rows, cols), g);
+        let got_bytes: Vec<u8> = got.mantissas.iter().map(|&b| b as u8).collect();
+        prop_assert_eq!(got_bytes, want_bytes);
+        prop_assert_eq!(bits_of(&got.scales), bits_of(&want_scales));
+        prop_assert_eq!((got.stats.groups, got.stats.saturated, got.stats.zeros), stats);
+        let layout = ColPanels { rows, cols, group: g };
+        prop_assert_eq!((layout.len(), layout.scales()), (got.mantissas.len(), got.scales.len()));
+    }
+}
+
+fn bits_of(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }

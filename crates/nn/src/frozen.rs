@@ -68,10 +68,12 @@ impl FrozenWeight {
 
     /// Returns the cached quantized weight operand shaped `rows × cols`,
     /// rebuilding from `master` if the weights, the format, or the axis
-    /// changed since the last build. A packed weight that is the right-hand
-    /// side of an `Nn` product (groups down its columns, an even group) is
-    /// also laid out in the integer kernel's panel order, so no request
-    /// re-stages it (DESIGN.md §9).
+    /// changed since the last build. A packed weight grouped down its
+    /// columns (a `Dense` weight, the right-hand side of its product) is
+    /// packed in the integer kernels' panel order; one grouped along its
+    /// rows (a conv weight, the left-hand side) has its k-quad words and
+    /// block sums staged with it, so no request converts either again
+    /// (DESIGN.md §9, §11).
     ///
     /// Builds draw from a freshly seeded deterministic source (see
     /// `frozen_noise`), so rebuilds and replicas are deterministic — see
@@ -96,7 +98,7 @@ impl FrozenWeight {
                 fmt,
                 axis,
             );
-            self.prepared = Some(prepared.with_nn_panels());
+            self.prepared = Some(prepared.with_a_words());
             self.built = Some(key);
         }
         self.prepared.as_ref().expect("frozen operand just built")
@@ -233,79 +235,99 @@ mod tests {
         assert_ne!(by_row, by_col);
     }
 
-    /// Bytes a cached weight holds beyond its mantissas and scales: its
-    /// panel layout.
-    fn panel_bytes(p: &Prepared) -> usize {
-        match p {
-            Prepared::Packed(w) => w.heap_bytes() - w.mantissas().len() - 4 * w.scales().len(),
-            Prepared::Dense(_) => 0,
-        }
+    /// The cached weight's mantissas and scales in a fresh matrix, which
+    /// stages nothing.
+    fn unstaged(w: &fast_tensor::qgemm::PackedMat) -> fast_tensor::qgemm::PackedMat {
+        use fast_tensor::qgemm::{PackLayout, PackedMat};
+        let (rows, cols, g, layout) = (w.rows(), w.cols(), w.group(), w.layout());
+        let mans = (0..rows * cols).map(|x| w.mantissa(x / cols, x % cols));
+        let scales: Vec<f32> = match layout {
+            PackLayout::RowGroups => (0..rows * cols.div_ceil(g))
+                .map(|x| w.scale(x / cols.div_ceil(g), x % cols.div_ceil(g) * g))
+                .collect(),
+            PackLayout::ColGroups => (0..rows.div_ceil(g) * cols)
+                .map(|x| w.scale(x / cols * g, x % cols))
+                .collect(),
+        };
+        PackedMat::new(rows, cols, g, layout, mans.collect(), scales)
     }
 
-    /// A batch of five times the cached weight reads its panel layout, if
-    /// it has one, and must equal the product with a copy of the weight's
-    /// mantissas and scales that has none, bit for bit: the layout is the
-    /// current weight's, not a previous build's.
-    fn assert_panels_current(w: &Prepared) {
+    /// Bytes a cached weight holds beyond its mantissas and scales — its
+    /// staged words — after checking that a product of five rows or
+    /// columns with it equals the product with [`unstaged`]'s copy, bit
+    /// for bit: the words are the current weight's, not a previous
+    /// build's.
+    fn staged_bytes(w: &Prepared) -> usize {
         use fast_tensor::qgemm::{qmatmul, Operand::Packed as P, PackLayout, PackedMat};
         let Prepared::Packed(w) = w else {
             panic!("expected a packed weight");
         };
-        let (m, k, g) = (5, w.rows(), w.group());
-        let unlaid = PackedMat::new(
-            k,
-            w.cols(),
-            g,
-            w.layout(),
-            w.mantissas().to_vec(),
-            w.scales().to_vec(),
-        );
-        let mans = (0..m * k).map(|i| (i * 37 % 31) as i8 - 15).collect();
-        let scales = vec![0.5; m * k.div_ceil(g)];
-        let x = PackedMat::new(m, k, g, PackLayout::RowGroups, mans, scales);
+        let (plain, g) = (unstaged(w), w.group());
         let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(qmatmul(P(&x), P(w))), bits(qmatmul(P(&x), P(&unlaid))));
+        let mans = |n: usize| (0..n).map(|i| (i * 37 % 31) as i8 - 15).collect();
+        match w.layout() {
+            PackLayout::RowGroups => {
+                let k = w.cols();
+                let y = PackedMat::new(
+                    k,
+                    5,
+                    g,
+                    PackLayout::ColGroups,
+                    mans(5 * k),
+                    vec![0.5; 5 * k.div_ceil(g)],
+                );
+                assert_eq!(bits(qmatmul(P(w), P(&y))), bits(qmatmul(P(&plain), P(&y))));
+            }
+            PackLayout::ColGroups => {
+                let k = w.rows();
+                let x = PackedMat::new(
+                    5,
+                    k,
+                    g,
+                    PackLayout::RowGroups,
+                    mans(5 * k),
+                    vec![0.5; 5 * k.div_ceil(g)],
+                );
+                assert_eq!(bits(qmatmul(P(&x), P(w))), bits(qmatmul(P(&x), P(&plain))));
+            }
+        }
+        w.heap_bytes() - plain.heap_bytes()
     }
 
     #[test]
-    fn column_grouped_weights_are_laid_out_again_on_every_rebuild() {
-        // k = 40 (three groups of 16, the last short), n = 24 (a full
-        // panel and a tail): two panels of 3 × 16 scales each, plus 20
-        // k-pairs × 32 bytes in the `madd` layout, or three whole groups
-        // of 4 k-quads × 64 bytes in the quad layout.
+    fn row_grouped_weights_stage_their_words_again_on_every_rebuild() {
+        // 40 rows of k = 24 (two groups of 16, the last short): two blocks
+        // of four k-quad words a row, and one block sum per block.
         let mut w = Tensor::from_vec(
             vec![40, 24],
             (0..960)
                 .map(|i| ((i * 29) % 41) as f32 * 0.05 - 1.0)
                 .collect(),
         );
-        let laid_bytes = match fast_tensor::qgemm::int_kernel() {
+        let words = match fast_tensor::qgemm::int_kernel() {
             "scalar" => 0,
-            "avx2" => 2 * (20 * 32 + 4 * 3 * 16),
-            _ => 2 * (3 * 4 * 64 + 4 * 3 * 16),
+            _ => 4 * (40 * 2 * 4 + 40 * 2),
         };
         let (high, low) = (BfpFormat::high(), BfpFormat::low());
         let (col, row) = (GroupAxis::AlongCol, GroupAxis::AlongRow);
         let mut fz = FrozenWeight::default();
         let check = |fz: &mut FrozenWeight, w: &Tensor, fmt: BfpFormat, axis| {
-            let p = fz.get(w, 40, 24, NumericFormat::bfp_nearest(fmt), axis);
-            assert_panels_current(p);
-            panel_bytes(p)
+            staged_bytes(fz.get(w, 40, 24, NumericFormat::bfp_nearest(fmt), axis))
         };
-        assert_eq!(check(&mut fz, &w, high, col), laid_bytes);
+        assert_eq!(check(&mut fz, &w, high, row), words);
         // A weight update.
         w.data_mut()[0] += 1.0;
         fz.mark_dirty();
-        assert_eq!(check(&mut fz, &w, high, col), laid_bytes);
+        assert_eq!(check(&mut fz, &w, high, row), words);
         // A format change.
-        assert_eq!(check(&mut fz, &w, low, col), laid_bytes);
-        // Groups along the rows: no `Nn` right-hand side, no layout; and
-        // back.
-        assert_eq!(check(&mut fz, &w, low, row), 0);
-        assert_eq!(check(&mut fz, &w, low, col), laid_bytes);
-        // An odd group is not a layout the vector kernel takes.
+        assert_eq!(check(&mut fz, &w, low, row), words);
+        // Groups down the columns: the pack is the kernels' layout, with
+        // nothing beside it; and back.
+        assert_eq!(check(&mut fz, &w, low, col), 0);
+        assert_eq!(check(&mut fz, &w, low, row), words);
+        // A group of no whole k-quads is not one the vector kernels take.
         let odd = BfpFormat::new(5, 4, 3).unwrap();
-        assert_eq!(check(&mut fz, &w, odd, col), 0);
+        assert_eq!(check(&mut fz, &w, odd, row), 0);
     }
 
     #[test]

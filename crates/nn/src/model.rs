@@ -64,15 +64,16 @@ impl Layer for Sequential {
     fn backward(&mut self, grad_output: &Tensor, session: &mut Session) -> Tensor {
         // Every child but the first feeds its input gradient to the layer
         // before it; the first inherits the chain's own property, if it
-        // can honor it.
+        // can honor it. The last child reads `grad_output` where it lies,
+        // uncopied; an empty chain passes it through.
         let wanted = session.input_grad;
-        let mut g = grad_output.clone();
+        let mut g: Option<Tensor> = None;
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             session.input_grad = wanted || i > 0 || !layer.can_skip_input_grad();
-            g = layer.backward(&g, session);
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output), session));
         }
         session.input_grad = wanted;
-        g
+        g.unwrap_or_else(|| grad_output.clone())
     }
 
     fn can_skip_input_grad(&self) -> bool {

@@ -104,19 +104,19 @@ impl Prepared {
         }
     }
 
-    /// A packed operand also laid out in the `Nn` vector kernel's panel
-    /// order ([`PackedMat::with_nn_panels`]), as frozen weights are; a
-    /// dense operand unchanged.
-    pub fn with_nn_panels(self) -> Self {
+    /// A packed operand with its k-quad words staged for the left-hand
+    /// side of every product ([`PackedMat::with_a_words`]), as a frozen
+    /// conv weight's are; any other operand unchanged.
+    pub fn with_a_words(self) -> Self {
         match self {
-            Prepared::Packed(p) => Prepared::Packed(p.with_nn_panels()),
+            Prepared::Packed(p) => Prepared::Packed(p.with_a_words()),
             dense => dense,
         }
     }
 
     /// Heap bytes this operand occupies — the packed form holds ~¼ of the
-    /// dense f32 footprint for the paper's formats, twice that with the
-    /// panel layout of a frozen `B`.
+    /// dense f32 footprint for the paper's formats, about twice that with
+    /// the staged words of a frozen `A`.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Prepared::Dense(t) => 4 * t.numel(),
@@ -148,13 +148,6 @@ impl GemmOperand<'_> {
     }
 }
 
-fn layout_of(axis: GroupAxis) -> PackLayout {
-    match axis {
-        GroupAxis::AlongRow => PackLayout::RowGroups,
-        GroupAxis::AlongCol => PackLayout::ColGroups,
-    }
-}
-
 /// Tries the packed representation of the operand `src` describes:
 /// `Err(None)` for a non-BFP format, which never packs, and the pack's
 /// [`Refusal`] for a BFP one it refuses (wide mantissas, non-plain inputs).
@@ -173,18 +166,21 @@ fn try_pack<S: RowSource>(
     else {
         return Err(None);
     };
+    let (rows, cols, g) = (src.rows(), src.cols(), format.group_size());
     pack_rows(src, axis, format, rounding, noise, windowed)
         .map_err(Some)
         .map(|p| {
             stats.merge(p.stats);
-            Prepared::Packed(PackedMat::new(
-                src.rows(),
-                src.cols(),
-                format.group_size(),
-                layout_of(axis),
-                p.mantissas,
-                p.scales,
-            ))
+            // A column-grouped pack is written in the kernels' panel
+            // order already (DESIGN.md §9).
+            Prepared::Packed(match axis {
+                GroupAxis::AlongRow => {
+                    PackedMat::new(rows, cols, g, PackLayout::RowGroups, p.mantissas, p.scales)
+                }
+                GroupAxis::AlongCol => {
+                    PackedMat::from_col_panels(rows, cols, g, p.mantissas, p.scales)
+                }
+            })
         })
 }
 

@@ -279,8 +279,9 @@ mod tests {
 
     #[test]
     fn a_reload_lays_out_the_restored_weights() {
-        // Eight samples: the kernel's four-row quads read the frozen panel
-        // layout, which the first request builds from the old weights.
+        // Eight samples: the kernel's four-row quads read the frozen
+        // weights' packed panels, which the first request builds from the
+        // old weights.
         let x = Tensor::from_vec(
             vec![8, 8],
             (0..64)

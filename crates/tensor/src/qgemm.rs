@@ -28,7 +28,7 @@
 
 use std::borrow::Cow;
 
-use crate::qgemm_int::{self, NnPanels};
+use crate::qgemm_int::{self, AWords, Panels};
 use crate::tensor::Tensor;
 use crate::{matmul, matmul_nt, matmul_tn};
 
@@ -52,25 +52,35 @@ pub enum PackLayout {
     ColGroups,
 }
 
-/// A BFP-packed row-major matrix: signed `i8` mantissas plus per-group
-/// scales. The represented value at `(i, j)` is exactly
-/// `mantissas[i * cols + j] as f32 * scale(i, j)`.
+/// A BFP-packed matrix: signed `i8` mantissas plus per-group scales. The
+/// represented value at `(i, j)` is exactly
+/// `mantissa(i, j) as f32 * scale(i, j)`.
+///
+/// A [`PackLayout::RowGroups`] matrix stores its mantissas and scales
+/// row-major; a [`PackLayout::ColGroups`] one stores both in the column
+/// panels the integer kernels read a right-hand operand from (DESIGN.md §9:
+/// 16-column panels of biased k-quad rows, whole groups deep, then the
+/// panel's block scales), so no product ever restages it.
 #[derive(Debug, Clone)]
 pub struct PackedMat {
     rows: usize,
     cols: usize,
     group: usize,
     layout: PackLayout,
+    /// `RowGroups`: row-major mantissas. `ColGroups`: the panels'
+    /// mantissas, each biased by `+128` (`m ^ i8::MIN`).
     mans: Vec<i8>,
+    /// Scales in the same order.
     scales: Vec<f32>,
-    /// The same mantissas and scales in the `Nn` vector kernel's panel
-    /// order, when [`PackedMat::with_nn_panels`] laid them out.
-    panels: Option<NnPanels>,
+    /// A `RowGroups` matrix's k-quad words, staged once by
+    /// [`PackedMat::with_a_words`].
+    words: Option<AWords>,
 }
 
 impl PackedMat {
-    /// Wraps packed storage produced by a quantizer (e.g.
-    /// `fast_bfp::packed::pack_matrix`).
+    /// Packed storage from row-major mantissas and scales (e.g. a test's,
+    /// or a pack's `RowGroups` output). A [`PackLayout::ColGroups`] matrix
+    /// is laid out into its column panels here.
     ///
     /// # Panics
     ///
@@ -94,6 +104,17 @@ impl PackedMat {
             PackLayout::ColGroups => rows.div_ceil(group).max(1) * cols,
         };
         assert_eq!(scales.len(), want_scales, "scale count mismatch");
+        if layout == PackLayout::ColGroups {
+            let p = Panels::new(rows, cols, group);
+            let mut bytes = vec![i8::MIN; p.len()];
+            let mut panel_scales = vec![0.0f32; p.scales_len()];
+            for (x, &m) in mans.iter().enumerate() {
+                let (i, j) = (x / cols, x % cols);
+                bytes[p.index(i, j)] = m ^ i8::MIN;
+                panel_scales[p.scale_index(i, j)] = scales[i / group * cols + j];
+            }
+            return Self::from_col_panels(rows, cols, group, bytes, panel_scales);
+        }
         PackedMat {
             rows,
             cols,
@@ -101,30 +122,54 @@ impl PackedMat {
             layout,
             mans,
             scales,
-            panels: None,
+            words: None,
         }
     }
 
-    /// Lays the matrix out a second time in the order the `Nn` vector
-    /// kernel consumes its right-hand side, so a product with it as `B`
-    /// reads 16-column panels in place instead of staging them on every
-    /// call (DESIGN.md §11). For an operand multiplied many times unchanged
-    /// — a frozen weight — at one byte more per value plus a copy of the
-    /// scales. The order is that of the micro-kernel this host runs on the
-    /// matrix ([`int_kernel`]): k-quads of biased bytes, whole groups deep,
-    /// for AVX-VNNI and the tile unit at a group that is a multiple of
-    /// four, k-pairs for AVX2 at any other even group. Only a
-    /// [`PackLayout::ColGroups`] matrix whose group one of them takes has
-    /// that order; any other matrix, and every matrix on a host without
-    /// AVX2, comes back unchanged.
-    pub fn with_nn_panels(mut self) -> Self {
-        self.panels = NnPanels::build(&self);
+    /// A [`PackLayout::ColGroups`] matrix from its column panels, as
+    /// `fast_bfp::packed`'s `AlongCol` pack writes them (its `ColPanels`):
+    /// `bytes` the biased mantissas, `scales` the panels' block scales.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group == 0` or either length is not the layout's.
+    pub fn from_col_panels(
+        rows: usize,
+        cols: usize,
+        group: usize,
+        bytes: Vec<i8>,
+        scales: Vec<f32>,
+    ) -> Self {
+        assert!(group > 0, "group size must be positive");
+        let p = Panels::new(rows, cols, group);
+        assert_eq!(bytes.len(), p.len(), "panel byte count mismatch");
+        assert_eq!(scales.len(), p.scales_len(), "panel scale count mismatch");
+        PackedMat {
+            rows,
+            cols,
+            group,
+            layout: PackLayout::ColGroups,
+            mans: bytes,
+            scales,
+            words: None,
+        }
+    }
+
+    /// Stages a [`PackLayout::RowGroups`] matrix's k-quad words and block
+    /// sums once, so every product with it as the left-hand side reads
+    /// them instead of converting its rows again (DESIGN.md §11) — for an
+    /// operand multiplied many times unchanged, a frozen conv weight, at
+    /// about one byte more per value. Any other matrix, and every matrix
+    /// whose group the vector kernels do not take on this host, comes back
+    /// unchanged.
+    pub fn with_a_words(mut self) -> Self {
+        self.words = AWords::stage(&self);
         self
     }
 
-    /// The panel layout [`PackedMat::with_nn_panels`] built, if any.
-    pub(crate) fn nn_panels(&self) -> Option<&NnPanels> {
-        self.panels.as_ref()
+    /// The words [`PackedMat::with_a_words`] staged, if any.
+    pub(crate) fn a_words(&self) -> Option<&AWords> {
+        self.words.as_ref()
     }
 
     /// Stored row count.
@@ -147,42 +192,58 @@ impl PackedMat {
         self.layout
     }
 
-    /// The raw row-major `i8` mantissas (`rows × cols`). Quantizers bound
-    /// these by the mantissa width (`|m| ≤ 127` at the 8-bit cap); the
-    /// integer kernels' overflow bound ([`MAX_INT_SEGMENT`]) holds for any
-    /// `i8`, `−128` included.
-    pub fn mantissas(&self) -> &[i8] {
+    /// The stored mantissa bytes, in the layout's order (see
+    /// [`PackedMat`]).
+    pub(crate) fn bytes(&self) -> &[i8] {
         &self.mans
     }
 
-    /// The raw per-group scales in the [`PackLayout`] order documented on
-    /// [`PackedMat::new`]. Quantizers emit exact powers of two (or `0.0`
-    /// for all-zero groups), so a product of two scales is itself exact —
-    /// see `fast_bfp::packed`.
-    pub fn scales(&self) -> &[f32] {
+    /// The stored scales, in the layout's order.
+    pub(crate) fn stored_scales(&self) -> &[f32] {
         &self.scales
     }
 
+    /// The signed mantissa at `(i, j)`. Quantizers bound it by the
+    /// mantissa width (`|m| ≤ 127` at the 8-bit cap); the integer kernels'
+    /// overflow bound ([`MAX_INT_SEGMENT`]) holds for any `i8`, `−128`
+    /// included.
+    pub fn mantissa(&self, i: usize, j: usize) -> i8 {
+        match self.layout {
+            PackLayout::RowGroups => self.mans[i * self.cols + j],
+            PackLayout::ColGroups => {
+                let p = Panels::new(self.rows, self.cols, self.group);
+                self.mans[p.index(i, j)] ^ i8::MIN
+            }
+        }
+    }
+
+    /// The scale of the group holding `(i, j)`. Quantizers emit exact
+    /// powers of two (or `0.0` for all-zero groups), so a product of two
+    /// scales is itself exact — see `fast_bfp::packed`.
+    pub fn scale(&self, i: usize, j: usize) -> f32 {
+        match self.layout {
+            PackLayout::RowGroups => {
+                self.scales[i * self.cols.div_ceil(self.group).max(1) + j / self.group]
+            }
+            PackLayout::ColGroups => {
+                let p = Panels::new(self.rows, self.cols, self.group);
+                self.scales[p.scale_index(i, j)]
+            }
+        }
+    }
+
     /// Heap bytes held by the packed representation (mantissas + scales,
-    /// plus the panel layout when there is one) — the serving working set
-    /// a frozen packed weight occupies, versus `4 * rows * cols` for the
+    /// plus staged words when there are some) — the serving working set a
+    /// frozen packed weight occupies, versus `4 * rows * cols` for the
     /// dense f32 copy.
     pub fn heap_bytes(&self) -> usize {
-        self.mans.len()
-            + 4 * self.scales.len()
-            + self.panels.as_ref().map_or(0, NnPanels::heap_bytes)
+        self.mans.len() + 4 * self.scales.len() + self.words.as_ref().map_or(0, AWords::heap_bytes)
     }
 
     /// The dequantized value at `(i, j)` — bit-identical to the f32 fake
     /// quantization would have written.
     pub fn value(&self, i: usize, j: usize) -> f32 {
-        let s = match self.layout {
-            PackLayout::RowGroups => {
-                self.scales[i * self.cols.div_ceil(self.group).max(1) + j / self.group]
-            }
-            PackLayout::ColGroups => self.scales[(i / self.group) * self.cols + j],
-        };
-        self.mans[i * self.cols + j] as f32 * s
+        self.mantissa(i, j) as f32 * self.scale(i, j)
     }
 
     /// Materializes the dense dequantized tensor, [`PackedMat::value`] at
@@ -191,12 +252,11 @@ impl PackedMat {
     pub fn to_tensor(&self) -> Tensor {
         let (c, g) = (self.cols, self.group);
         let mut out = vec![0.0f32; self.rows * c];
-        let rows = out
-            .chunks_exact_mut(c.max(1))
-            .zip(self.mans.chunks_exact(c.max(1)));
-        for (i, (row, mans)) in rows.enumerate() {
-            match self.layout {
-                PackLayout::RowGroups => {
+        let rows = out.chunks_exact_mut(c.max(1)).enumerate();
+        match self.layout {
+            PackLayout::RowGroups => {
+                for (i, row) in rows {
+                    let mans = &self.mans[i * c..][..c];
                     let srow = &self.scales[i * c.div_ceil(g).max(1)..];
                     for ((o, m), &s) in row.chunks_mut(g).zip(mans.chunks(g)).zip(srow) {
                         for (o, &mv) in o.iter_mut().zip(m) {
@@ -204,10 +264,18 @@ impl PackedMat {
                         }
                     }
                 }
-                PackLayout::ColGroups => {
-                    let srow = &self.scales[(i / g) * c..][..c];
-                    for ((o, &mv), &s) in row.iter_mut().zip(mans).zip(srow) {
-                        *o = mv as f32 * s;
+            }
+            PackLayout::ColGroups => {
+                // Row `i`'s first column in the panels; each further
+                // panel is a constant stride on.
+                let p = Panels::new(self.rows, c, g);
+                for (i, row) in rows {
+                    let (man0, scale0) = (p.index(i, 0), p.scale_index(i, 0));
+                    let (man_stride, scale_stride) = (p.index(0, 16), p.scale_index(0, 16));
+                    for (j, o) in row.iter_mut().enumerate() {
+                        let (q, lane) = (j / 16, j % 16);
+                        let man = self.mans[man0 + q * man_stride + 4 * lane] ^ i8::MIN;
+                        *o = man as f32 * self.scales[scale0 + q * scale_stride + lane];
                     }
                 }
             }
@@ -286,11 +354,11 @@ fn integer_pair<'a>(
 }
 
 /// The widest integer micro-kernel this host runs, detected once: `"amx"`
-/// (`tdpbsud` tiles only for products of four rows or more over a B laid
-/// out by [`PackedMat::with_nn_panels`] — a frozen weight — and
-/// `vpdpbusd` for every other product, as on an `"avxvnni"` host),
-/// `"avxvnni"` (`vpdpbusd` over k-quads, at groups that are a multiple of
-/// four), `"avx2"` (`vpmaddwd` over k-pairs) or `"scalar"`. Every kernel
+/// (`tdpbsud` tiles for the products of four rows or more whose B is
+/// column-grouped — `Nn` and `Tn` — and `vpdpbusd` for every other
+/// product, as on an `"avxvnni"` host), `"avxvnni"` (`vpdpbusd` over
+/// k-quads), `"avx2"` (`vpmaddwd` over the same k-quads, widened) or
+/// `"scalar"`; the vector kernels take groups that are a multiple of four. Every kernel
 /// returns the same bits; this names which ones produced a timing
 /// (DESIGN.md §11).
 pub fn int_kernel() -> &'static str {
@@ -392,9 +460,20 @@ mod tests {
                 (p.rows(), p.cols(), p.group(), p.layout()),
                 (6, 20, 16, layout)
             );
-            // i8 mantissas + one f32 scale per 16 values: well under the
-            // dense f32 footprint.
-            assert!(p.heap_bytes() < 4 * 6 * 20);
+            // One byte per value plus one f32 scale per group — for a
+            // column-grouped matrix, of its column panels: two 16-column
+            // panels of one 16-row group (four 64-byte quad rows) and 16
+            // scales each.
+            let want = match layout {
+                PackLayout::RowGroups => 6 * 20 + 4 * 6 * 2,
+                PackLayout::ColGroups => 2 * (4 * 64 + 4 * 16),
+            };
+            assert_eq!(p.heap_bytes(), want, "{layout:?}");
+        }
+        // Whole panels and groups: well under the dense f32 footprint.
+        for layout in [PackLayout::RowGroups, PackLayout::ColGroups] {
+            let p = random_pack(32, 48, layout, 62);
+            assert!(p.heap_bytes() * 3 < 4 * 32 * 48, "{layout:?}");
         }
     }
 

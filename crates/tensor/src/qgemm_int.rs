@@ -15,23 +15,23 @@
 //! that algebra with one vector kernel over three micro-kernels, and a
 //! portable scalar fallback, chosen by runtime feature detection
 //! ([`host_kernel`]) and, for the tile unit, by the product's operands
-//! ([`ceiling`]):
+//! ([`ceiling`]). All three read B as biased k-quads, `b ^ 0x80 = b + 128`
+//! as an unsigned byte — a column-grouped B is stored that way
+//! ([`Panels`]), a row-grouped one (`Nt`) is gathered that way per call —
+//! so each block's close subtracts `128·Σ a`. The biased sum may wrap
+//! `i32`; the true sum fits it ([`MAX_INT_SEGMENT`]), and modular
+//! arithmetic returns it exactly, for any `i8`:
 //!
 //! * **AMX-INT8** (`tdpbsud`, through `asm!`): a tile of up to 16 rows of
-//!   A times a 16-column panel of B, one whole group per instruction, on
-//!   the `dpbusd` operands below with their roles swapped (signed A,
-//!   unsigned B); each group's i32 block is stored and closed in AVX-512
-//!   exactly as the row body closes it. Only products of four rows or
-//!   more over a laid-out B (a frozen weight) take it.
+//!   A times a 16-column panel of B, one whole group per instruction,
+//!   signed A times unsigned B; each group's i32 block is stored and closed
+//!   in AVX-512 exactly as the row body closes it. Products of four rows or
+//!   more over a column-grouped B take it.
 //! * **AVX-VNNI** (`_mm256_dpbusd_avx_epi32`): u8×i8 products of four
 //!   k-steps summed into each i32 lane and accumulated in one instruction.
-//!   B is stored biased, `b ^ 0x80 = b + 128` as an unsigned byte, so each
-//!   segment subtracts `128·Σ a` when it closes. The biased sum may wrap
-//!   `i32`; the true sum fits it ([`MAX_INT_SEGMENT`]), and modular
-//!   arithmetic returns it exactly, for any `i8`.
-//! * **AVX2** (`_mm256_madd_epi16`): i16×i16 products of two k-steps,
-//!   B sign-extended — on hosts without AVX-VNNI, and for groups that are
-//!   even but not a multiple of four.
+//! * **AVX2** (`_mm256_madd_epi16`): the same k-quads widened to i16, two
+//!   pair sums per column lane, added once per block — on hosts without
+//!   AVX-VNNI.
 //!
 //! Every path produces **bit-identical** results because the integer
 //! partial sums are exact in any association and the f32 fix-up applies the
@@ -50,6 +50,8 @@
 //!
 //! [`PackedMat`]: crate::qgemm::PackedMat
 #![allow(unsafe_code)]
+
+use std::borrow::Cow;
 
 use crate::parallel::shard_rows;
 use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
@@ -81,6 +83,78 @@ fn segments(k: usize, ga: usize, gb: usize) -> Vec<(usize, usize, usize, usize)>
     segs
 }
 
+/// Output columns per panel of the vector kernel (two 256-bit vectors of
+/// eight i32 lanes per k-step).
+const PANEL_COLS: usize = 16;
+
+/// Bytes per k-quad row of a panel: four k-steps of its 16 columns.
+const QUAD: usize = 4 * PANEL_COLS;
+
+/// The column panels a [`PackLayout::ColGroups`] matrix (`k × n`, groups
+/// of `g` down each column) is stored in — the order the micro-kernels
+/// read a right-hand operand in, written straight by `fast_bfp::packed`'s
+/// `AlongCol` pack (its `ColPanels`, DESIGN.md §9):
+///
+/// * panel `q` covers columns `16q ..` and holds [`Panels::steps`] k-quad
+///   rows of 64 bytes, `⌈g/4⌉` per group block: byte `4c + s` of block
+///   `b`'s quad row `w` is `b[b·g + 4w + s][16q + c] ^ 0x80`, so a row is
+///   two loads away from the `dpbusd` operands and a group's rows are one
+///   `tdpbsud` B tile; rows past a group or past `k` and columns past `n`
+///   hold `0x80`, the biased zero;
+/// * its scales: `⌈k/g⌉ × 16`, block `b`'s scale of column `16q + c` at
+///   `16b + c`, zero past `n`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Panels {
+    k: usize,
+    n: usize,
+    g: usize,
+}
+
+impl Panels {
+    pub(crate) fn new(k: usize, n: usize, g: usize) -> Self {
+        Panels { k, n, g }
+    }
+
+    fn blocks(&self) -> usize {
+        self.k.div_ceil(self.g)
+    }
+
+    fn quads_per_block(&self) -> usize {
+        self.g.div_ceil(4)
+    }
+
+    /// K-quad rows per panel.
+    fn steps(&self) -> usize {
+        self.blocks() * self.quads_per_block()
+    }
+
+    fn panels(&self) -> usize {
+        self.n.div_ceil(PANEL_COLS)
+    }
+
+    /// Mantissa bytes of the layout.
+    pub(crate) fn len(&self) -> usize {
+        self.panels() * self.steps() * QUAD
+    }
+
+    /// Scales of the layout.
+    pub(crate) fn scales_len(&self) -> usize {
+        self.panels() * self.blocks() * PANEL_COLS
+    }
+
+    /// Index of the byte holding `(i, j)`.
+    pub(crate) fn index(&self, i: usize, j: usize) -> usize {
+        let (b, r) = (i / self.g, i % self.g);
+        let row = j / PANEL_COLS * self.steps() + b * self.quads_per_block() + r / 4;
+        row * QUAD + j % PANEL_COLS * 4 + r % 4
+    }
+
+    /// Index of the scale of the group holding `(i, j)`.
+    pub(crate) fn scale_index(&self, i: usize, j: usize) -> usize {
+        (j / PANEL_COLS * self.blocks() + i / self.g) * PANEL_COLS + j % PANEL_COLS
+    }
+}
+
 /// An operand whose scale blocks run along its storage rows: row-major
 /// `rows × k` mantissas plus row-major `rows × bpr` scales
 /// (`bpr = ceil(k / g)` blocks per row).
@@ -94,71 +168,56 @@ impl<'a> RowSide<'a> {
     /// Views a `RowGroups`-packed matrix (groups along the reduction dim).
     fn of(p: &'a PackedMat) -> Self {
         RowSide {
-            man: p.mantissas(),
-            scale: p.scales(),
+            man: p.bytes(),
+            scale: p.stored_scales(),
             bpr: p.cols().div_ceil(p.group()).max(1),
         }
     }
 }
 
-/// An operand whose scale blocks run down its storage columns: row-major
-/// `k × n` mantissas plus row-major `nblocks × n` scales, and the same
-/// operand in panel order when it was laid out that way.
+/// A `ColGroups`-packed matrix (`k × n`, groups along the reduction dim)
+/// as stored: its [`Panels`] bytes and scales.
 struct ColSide<'a> {
-    man: &'a [i8],
+    bytes: &'a [i8],
     scale: &'a [f32],
-    panels: Option<&'a NnPanels>,
+    panels: Panels,
 }
 
 impl<'a> ColSide<'a> {
-    /// Views a `ColGroups`-packed matrix (groups along the reduction dim).
     fn of(p: &'a PackedMat) -> Self {
         ColSide {
-            man: p.mantissas(),
-            scale: p.scales(),
-            panels: p.nn_panels(),
+            bytes: p.bytes(),
+            scale: p.stored_scales(),
+            panels: Panels::new(p.rows(), p.cols(), p.group()),
         }
+    }
+
+    /// The mantissas as a row-major `k × n` matrix and the scales as a
+    /// row-major `⌈k/g⌉ × n` one, read through the layout's index — what
+    /// the portable kernels take.
+    fn row_major(&self) -> (Vec<i8>, Vec<f32>) {
+        let Panels { k, n, g } = self.panels;
+        let man = (0..k * n).map(|x| self.bytes[self.panels.index(x / n, x % n)] ^ i8::MIN);
+        let nb = k.div_ceil(g).max(1);
+        let scale = (0..nb * n).map(|x| self.scale[self.panels.scale_index(x / n * g, x % n)]);
+        (man.collect(), scale.collect())
     }
 }
 
-/// Output columns per panel of the vector kernel (two 256-bit vectors of
-/// eight i32 lanes per k-step).
-const PANEL_COLS: usize = 16;
-
 /// The vector kernel's micro-kernels: the instruction that multiplies A's
-/// k-steps into B's panel rows and accumulates the products into i32
+/// k-quads into B's panel rows and accumulates the products into i32
 /// column lanes (DESIGN.md §11). Ordered by width, so a host that runs one
 /// also runs every smaller one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum MicroKernel {
-    /// AVX2 `_mm256_madd_epi16`: i16×i16 over k-pairs, B sign-extended.
+    /// AVX2 `_mm256_madd_epi16`: the k-quads widened to i16, pair sums.
     Madd,
-    /// AVX-VNNI `_mm256_dpbusd_avx_epi32`: u8×i8 over k-quads, B biased by
-    /// `+128`.
+    /// AVX-VNNI `_mm256_dpbusd_avx_epi32`: u8×i8 over k-quads.
     Dpbusd,
     /// AMX-INT8 `tdpbsud`: a tile of up to 16 rows of A (i8) times the
-    /// `dpbusd` panel (u8 k-quads), one whole group per instruction, and
-    /// the close folded in AVX-512.
+    /// panel (u8 k-quads), one whole group per instruction, and the close
+    /// folded in AVX-512.
     Tile,
-}
-
-impl MicroKernel {
-    /// Reduction values one instruction sums into each lane.
-    const fn step(self) -> usize {
-        match self {
-            MicroKernel::Madd => 2,
-            MicroKernel::Dpbusd | MicroKernel::Tile => 4,
-        }
-    }
-
-    /// The micro-kernel whose panel layout this one reads: the tile unit
-    /// reads the `dpbusd` panels as they are.
-    const fn layout(self) -> MicroKernel {
-        match self {
-            MicroKernel::Tile => MicroKernel::Dpbusd,
-            mk => mk,
-        }
-    }
 }
 
 /// The widest micro-kernel this host runs, detected once: `None` without
@@ -194,8 +253,8 @@ pub(crate) fn host_kernel() -> Option<MicroKernel> {
 
 /// Whether the tile unit may run: the CPU has AMX-TILE and AMX-INT8
 /// (`CPUID.(7,0):EDX` bits 24 and 25), the OS saves tile state (XCR0 bits
-/// 17 and 18), the kernels around it have AVX-VNNI (the `dpbusd` panels
-/// and A's words) and AVX-512F (the fold), and — asked last, only when all
+/// 17 and 18), the kernels around it have AVX-VNNI (A's words are shared
+/// with `dpbusd`) and AVX-512F (the fold), and — asked last, only when all
 /// of that holds — the OS grants this process the tile data
 /// (`request_tile_data`, Linux's `ARCH_REQ_XCOMP_PERM`).
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
@@ -215,13 +274,10 @@ fn tile_available(
 /// whose widest is `host`: the host's, except that the tile unit takes
 /// only products of a whole row quad or more — a batch of one pays a
 /// whole tile's store and fold per group for one row, and stays on
-/// `dpbusd`. Below the ceiling, [`staged_simd`] runs the tile unit only
-/// over a laid-out B — a frozen weight, which serving multiplies back to
-/// back; over a B staged per call the kernel wins, but running the tile
-/// unit slows the packing and staging around it, and the workloads whose
-/// products are staged — training, and conv serving's patches — read no
-/// gain or a loss end to end. Chosen from the per-shape table and the
-/// campaigns in DESIGN.md §11.
+/// `dpbusd`. Below the ceiling, [`vector_product`] runs the tile unit only
+/// over a column-grouped B, which sits in panel order already; over a B
+/// gathered per call (`Nt`) it runs `dpbusd`. Chosen from the per-shape
+/// table in DESIGN.md §11.
 fn ceiling(host: Option<MicroKernel>, rows: usize) -> Option<MicroKernel> {
     match host {
         Some(MicroKernel::Tile) if rows < ROW_QUAD => Some(MicroKernel::Dpbusd),
@@ -231,119 +287,144 @@ fn ceiling(host: Option<MicroKernel>, rows: usize) -> Option<MicroKernel> {
 
 /// The micro-kernel a product with group sizes `ga`/`gb` runs on, given
 /// the widest one available (`best`): equal groups holding a whole number
-/// of the kernel's k-steps, so no step straddles a scale block. A group
-/// that is even but not a multiple of four drops to `madd`; `None` means
-/// the scalar kernels.
+/// of k-quads, so no quad straddles a scale block. `None` means the
+/// scalar kernels.
 fn micro_kernel(best: Option<MicroKernel>, ga: usize, gb: usize) -> Option<MicroKernel> {
-    [MicroKernel::Tile, MicroKernel::Dpbusd, MicroKernel::Madd]
-        .into_iter()
-        .find(|&mk| Some(mk) <= best && ga == gb && ga.is_multiple_of(mk.step()))
+    best.filter(|_| ga == gb && ga.is_multiple_of(4))
 }
 
-/// K-step rows of one laid-out panel of `mk`'s layout ([`NnPanels`]) for
-/// a `k`-deep product at group `g`: `⌈k/2⌉` k-pairs for `madd`; for the
-/// quad layout, whole groups of k-quads, so the tile unit reads every
-/// group, the last one included, as one full-height B tile.
-fn panel_steps(mk: MicroKernel, k: usize, g: usize) -> usize {
-    match mk.layout() {
-        MicroKernel::Madd => k.div_ceil(2),
-        _ => k.div_ceil(g) * (g / 4),
-    }
-}
-
-/// A `ColGroups` operand laid out once in the order the vector kernel
-/// consumes its right-hand side ([`PackedMat::with_nn_panels`]), for the
-/// micro-kernel this host runs on it, panel by panel: panel `q` covers
-/// columns `j0 = 16q ..` and holds its k-step rows, then `⌈k/g⌉ × 16` block
-/// scales of the same columns. Staying one byte per value, the layout
-/// takes half of what a staged i16 panel takes. The tile unit reads the
-/// `dpbusd` layout.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+/// A's side of the vector kernel, the same for every micro-kernel: its
+/// mantissas as one little-endian k-quad word `a[4t] | … | a[4t+3] << 24`
+/// per step, `stride` words a row — a whole number of blocks, zero past
+/// `k` — and `128·Σ a` over each (row, block), which the block's close
+/// subtracts from its biased sums.
 #[derive(Debug, Clone)]
-pub(crate) struct NnPanels {
-    /// The micro-kernel the layout was built for.
-    kernel: MicroKernel,
-    /// The k-step rows, by micro-kernel:
-    ///
-    /// * `madd`: `⌈k/2⌉` k-pair rows of 32 bytes — byte `2c + i` is
-    ///   `b[2p+i][j0+c]`, the bytes the staging path interleaves with
-    ///   `_mm_unpack{lo,hi}_epi8` before it sign-extends them, so a row is
-    ///   two `_mm256_cvtepi8_epi16` away from the `madd` operands. Padding
-    ///   (columns past `n`, an odd `k`'s high half) is zero.
-    /// * `dpbusd`: `⌈k/g⌉ · g/4` k-quad rows of 64 bytes (whole groups) —
-    ///   byte `4c + i` is `b[4t+i][j0+c] ^ 0x80`, exactly what staging
-    ///   writes, so a row is two loads away from the `dpbusd` operands and
-    ///   `g/4` rows are one `tdpbsud` B tile. Padding (columns past `n`,
-    ///   rows past `k`) is `0x80`, the biased zero.
-    bytes: Vec<u8>,
-    scales: Vec<f32>,
+pub(crate) struct AWords {
+    words: Vec<u32>,
+    bias: Vec<i32>,
+    stride: usize,
 }
 
-impl NnPanels {
-    /// `b`'s panel layout for the micro-kernel this host runs on it, if
-    /// `b` is a right-hand side the vector kernel takes — column-grouped,
-    /// with a group the micro-kernel takes, on an AVX2 host — and not
-    /// empty.
-    pub(crate) fn build(b: &PackedMat) -> Option<Self> {
-        Self::build_for(micro_kernel(host_kernel(), b.group(), b.group())?, b)
+impl AWords {
+    /// `a`'s words, if `a` is a `RowGroups` left-hand side the vector
+    /// kernel takes on this host and not empty ([`PackedMat::with_a_words`]).
+    pub(crate) fn stage(a: &PackedMat) -> Option<Self> {
+        let g = a.group();
+        let usable = a.layout() == PackLayout::RowGroups && a.rows() > 0 && a.cols() > 0;
+        (usable && micro_kernel(host_kernel(), g, g).is_some())
+            .then(|| Self::of_rows(&RowSide::of(a), a.rows(), a.cols(), g))
     }
 
-    /// `b`'s panel layout for micro-kernel `mk`, on any host.
-    fn build_for(mk: MicroKernel, b: &PackedMat) -> Option<Self> {
-        const W: usize = PANEL_COLS;
-        let (k, n, g) = (b.rows(), b.cols(), b.group());
-        if b.layout() != PackLayout::ColGroups || !g.is_multiple_of(mk.step()) || k == 0 || n == 0 {
-            return None;
-        }
-        let mk = mk.layout();
-        let (step, nblocks, panels) = (mk.step(), k.div_ceil(g), n.div_ceil(W));
-        let row_len = step * W;
-        let panel_len = panel_steps(mk, k, g) * row_len;
-        // One byte per (panel, k-step row, column, step): stored row `r` is
-        // step `r % step` of row `r / step`. `zero` is the encoding's zero,
-        // and each value is XORed with it.
-        let zero = match mk {
-            MicroKernel::Madd => 0,
-            _ => 0x80,
-        };
-        let mut bytes = vec![zero; panels * panel_len];
-        let mut scales = vec![0.0f32; panels * nblocks * W];
-        let per_panel = bytes
-            .chunks_exact_mut(panel_len)
-            .zip(scales.chunks_exact_mut(nblocks * W));
-        for (q, (pbytes, pscales)) in per_panel.enumerate() {
-            let j0 = q * W;
-            let w = (n - j0).min(W);
-            for (r, src) in b.mantissas().chunks_exact(n).enumerate() {
-                let dst = &mut pbytes[(r / step) * row_len + r % step..];
-                for (c, &v) in src[j0..j0 + w].iter().enumerate() {
-                    dst[step * c] = v as u8 ^ zero;
+    /// The words of `m` rows of `k` mantissas (`a`), at group `g` (a
+    /// multiple of four).
+    fn of_rows(a: &RowSide, m: usize, k: usize, g: usize) -> Self {
+        let (nblocks, spb) = (k.div_ceil(g).max(1), g / 4);
+        let stride = nblocks * spb;
+        let mut words = vec![0u32; m * stride];
+        if stride * 4 == k {
+            // Rows of whole blocks: the words are A's bytes as they are,
+            // converted in one flat pass. Row by row, the same words made
+            // a 2048×72 conv operand's product 1.42× the `madd` kernel's
+            // time instead of 1.18× (paired, 2-vCPU x86-64 VM).
+            for (w, q) in words.iter_mut().zip(a.man.chunks_exact(4)) {
+                *w = quad_word(q.try_into().expect("four bytes"));
+            }
+        } else {
+            for (arow, wrow) in a.man.chunks_exact(k).zip(words.chunks_exact_mut(stride)) {
+                let mut quads = arow.chunks_exact(4);
+                for (w, q) in wrow.iter_mut().zip(&mut quads) {
+                    *w = quad_word(q.try_into().expect("a whole quad"));
+                }
+                if let tail @ [_, ..] = quads.remainder() {
+                    let mut q = [0i8; 4];
+                    q[..tail.len()].copy_from_slice(tail);
+                    wrow[k / 4] = quad_word(q);
                 }
             }
-            for (dst, src) in pscales.chunks_exact_mut(W).zip(b.scales().chunks_exact(n)) {
-                dst[..w].copy_from_slice(&src[j0..j0 + w]);
-            }
         }
-        Some(NnPanels {
-            kernel: mk,
-            bytes,
-            scales,
-        })
+        Self::with_bias(words, stride, spb)
     }
 
-    /// Heap bytes of the layout.
+    /// The words of a `ColGroups` matrix's columns as rows — the `Tn`
+    /// left-hand side: column `i` of a panel's quad row `t` is already row
+    /// `i`'s word `t`, biased, so the transpose is one word per step.
+    fn of_panels(a: &ColSide) -> Self {
+        let p = a.panels;
+        let (m, stride) = (p.n, p.steps());
+        let mut words = vec![0u32; m * stride];
+        let panels = a.bytes.chunks_exact(stride * QUAD);
+        for (rows, panel) in words.chunks_mut(PANEL_COLS * stride).zip(panels) {
+            for (t, quad) in panel.chunks_exact(QUAD).enumerate() {
+                for (c, w) in quad.chunks_exact(4).zip(rows.chunks_exact_mut(stride)) {
+                    w[t] = quad_word(c.try_into().expect("four bytes")) ^ 0x8080_8080;
+                }
+            }
+        }
+        Self::with_bias(words, stride, p.quads_per_block())
+    }
+
+    fn with_bias(words: Vec<u32>, stride: usize, spb: usize) -> Self {
+        AWords {
+            bias: block_bias(&words, spb),
+            words,
+            stride,
+        }
+    }
+
+    /// Heap bytes of the words and sums.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.bytes.len() + 4 * self.scales.len()
+        4 * (self.words.len() + self.bias.len())
     }
 }
 
-/// The right-hand operand of the staged vector kernel, as stored.
+/// Four mantissas as one little-endian i8 k-quad word.
+fn quad_word(vals: [i8; 4]) -> u32 {
+    u32::from_le_bytes(vals.map(|v| v as u8))
+}
+
+/// `128·Σ a` over each block of `spb` k-quad words (rows of whole
+/// blocks, back to back), modular. The common block lengths get a
+/// constant one, so the sums vectorize: a block costs about a word.
+fn block_bias(words: &[u32], spb: usize) -> Vec<i32> {
+    fn sums<const S: usize>(words: &[u32], spb: usize) -> Vec<i32> {
+        // Four signed bytes' sum: biased to unsigned, summed as two
+        // 16-bit fields, then unbiased.
+        let byte_sum = |w: u32| {
+            let u = w ^ 0x8080_8080;
+            let x = (u & 0x00FF_00FF) + ((u >> 8) & 0x00FF_00FF);
+            ((x & 0xFFFF) + (x >> 16)) as i32 - 4 * 128
+        };
+        let block = |b: &[u32]| b.iter().fold(0i32, |s, &w| s.wrapping_add(byte_sum(w)));
+        let spb = if S > 0 { S } else { spb };
+        words
+            .chunks_exact(spb)
+            .map(|b| block(b).wrapping_mul(128))
+            .collect()
+    }
+    match spb {
+        1 => sums::<1>(words, spb),
+        2 => sums::<2>(words, spb),
+        4 => sums::<4>(words, spb),
+        8 => sums::<8>(words, spb),
+        _ => sums::<0>(words, spb),
+    }
+}
+
+/// The left-hand side of the vector kernel: A's words ([`AWords`]) and its
+/// row-major `rows × bpr` block scales.
+struct ASide<'a> {
+    words: Cow<'a, AWords>,
+    scale: Cow<'a, [f32]>,
+    bpr: usize,
+}
+
+/// The right-hand operand of the vector kernel, as stored.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[derive(Clone, Copy)]
 enum BSide<'a> {
-    /// `k × n`, scale blocks down the columns (NN, TN).
+    /// `k × n` in column panels (NN, TN), read in place.
     Cols(&'a ColSide<'a>),
-    /// `n × k`, scale blocks along the rows (NT).
+    /// `n × k`, scale blocks along the rows (NT), gathered per call.
     Rows(&'a RowSide<'a>),
 }
 
@@ -354,41 +435,47 @@ enum BSide<'a> {
 /// `C = A·B` in the integer domain. Caller guarantees reduction-grouped
 /// layouts and [`segment_bound_ok`].
 pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    debug_assert_eq!(b.rows(), k);
+    debug_assert_eq!(b.rows(), a.cols());
     nn_on(
-        ceiling(host_kernel(), m),
-        &RowSide::of(a),
-        a.group(),
+        ceiling(host_kernel(), a.rows()),
+        a,
         &ColSide::of(b),
         b.group(),
-        (m, k, n),
     )
 }
 
 /// `Nn` on the widest micro-kernel up to `best` that the pair takes
 /// ([`micro_kernel`]), or the scalar core.
-fn nn_on(
-    best: Option<MicroKernel>,
-    a: &RowSide,
-    ga: usize,
-    b: &ColSide,
-    gb: usize,
-    dims: (usize, usize, usize),
-) -> Tensor {
-    let (m, k, n) = dims;
+fn nn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize) -> Tensor {
+    let (m, k, n) = (a.rows(), a.cols(), b.panels.n);
     let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 && k > 0 && !staged_simd(best, a, BSide::Cols(b), ga, gb, dims, &mut out) {
-        nn_scalar(a, b, ga, gb, dims, &mut out);
+    let ga = a.group();
+    if m > 0 && n > 0 && k > 0 {
+        let rows = RowSide::of(a);
+        match micro_kernel(best, ga, gb) {
+            Some(mk) => {
+                let words = match a.a_words() {
+                    Some(w) => Cow::Borrowed(w),
+                    None => Cow::Owned(AWords::of_rows(&rows, m, k, ga)),
+                };
+                let aside = ASide {
+                    words,
+                    scale: Cow::Borrowed(rows.scale),
+                    bpr: rows.bpr,
+                };
+                vector_product(mk, &aside, BSide::Cols(b), ga, (m, k, n), &mut out);
+            }
+            None => nn_scalar(&rows, b, ga, gb, (m, k, n), &mut out),
+        }
     }
     Tensor::from_vec(vec![m, n], out)
 }
 
 /// Portable NN kernel over arbitrary (possibly unequal) group sizes. For
-/// equal even groups this is element-for-element the same computation as
-/// the vector kernel: the per-segment integer sums are exact, and the f32
-/// fix-up applies `acc += (sa·sb) · (iacc as f32)` per segment in ascending
-/// order, exactly like the vector code.
+/// equal groups of whole k-quads this is element-for-element the same
+/// computation as the vector kernel: the per-segment integer sums are
+/// exact, and the f32 fix-up applies `acc += (sa·sb) · (iacc as f32)` per
+/// segment in ascending order, exactly like the vector code.
 fn nn_scalar(
     a: &RowSide,
     b: &ColSide,
@@ -399,6 +486,7 @@ fn nn_scalar(
 ) {
     let (_m, k, n) = dims;
     let segs = segments(k, ga, gb);
+    let (bman, bscale) = b.row_major();
     shard_rows(out, n, 2 * k * n, 1, |row_start, panel| {
         let mut iacc = vec![0i32; n];
         for (ri, c_row) in panel.chunks_mut(n).enumerate() {
@@ -410,14 +498,14 @@ fn nn_scalar(
                 for (p, &av) in arow[s0..s0 + len].iter().enumerate() {
                     let av = av as i32;
                     if av != 0 {
-                        let brow = &b.man[(s0 + p) * n..(s0 + p) * n + n];
+                        let brow = &bman[(s0 + p) * n..(s0 + p) * n + n];
                         for (x, &bv) in iacc.iter_mut().zip(brow) {
                             *x += av * bv as i32;
                         }
                     }
                 }
                 let sa = arsc[ab];
-                let srow = &b.scale[bb * n..bb * n + n];
+                let srow = &bscale[bb * n..bb * n + n];
                 for ((c, &x), &sb) in c_row.iter_mut().zip(&iacc).zip(srow) {
                     *c += (sa * sb) * x as f32;
                 }
@@ -430,82 +518,66 @@ fn nn_scalar(
 /// granule, so the row decomposition is identical for every worker count.
 const ROW_QUAD: usize = 4;
 
-/// Runs the pair on the vector kernel, on the widest micro-kernel up to
-/// `best` that the pair takes ([`micro_kernel`]). Returns `false` when
-/// there is none, and the caller takes its portable path. `A` is restaged
-/// once on the caller's thread; workers split the rows, and each stages `B`
-/// itself, one 16-column panel at a time — or, when `B` was laid out in
-/// panel order for that micro-kernel ([`NnPanels`]), reads its panels in
-/// place. The tile unit reads only laid-out panels: over a staged `B` a
-/// `Tile` ceiling runs `dpbusd`.
+/// Runs the pair on the vector kernel, on micro-kernel `mk` or — for the
+/// tile unit over a B gathered per call (`Nt`) — `dpbusd`. Workers split
+/// the rows; each reads a column-grouped B's panels in place, or gathers
+/// a row-grouped B itself, one 16-column panel at a time.
 ///
 /// # Panics
 ///
-/// Panics if `best` is wider than [`host_kernel`].
+/// Panics if `mk` is wider than [`host_kernel`].
 #[cfg(target_arch = "x86_64")]
-fn staged_simd<'a>(
-    best: Option<MicroKernel>,
-    a: &RowSide<'a>,
-    b: BSide<'a>,
-    ga: usize,
-    gb: usize,
+fn vector_product(
+    mk: MicroKernel,
+    a: &ASide,
+    b: BSide,
+    g: usize,
     dims: (usize, usize, usize),
     out: &mut [f32],
-) -> bool {
+) {
     let (_m, k, n) = dims;
     assert!(
-        best <= host_kernel(),
-        "{best:?} is not available on this host"
+        Some(mk) <= host_kernel(),
+        "{mk:?} is not available on this host"
     );
-    let Some(mk) = micro_kernel(best, ga, gb) else {
-        return false;
-    };
-    let laid = match b {
-        BSide::Cols(cols) => cols.panels.filter(|p| p.kernel == mk.layout()),
-        BSide::Rows(_) => None,
-    };
-    let stage = simd::NnStage::build(mk, a, b, ga, dims, laid.is_some());
+    let stage = simd::NnStage::build(a, b, g, dims);
     shard_rows(out, n, 2 * k * n, ROW_QUAD, |row_start, panel| {
         // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
         // its target features at runtime.
         unsafe {
-            match (mk, laid) {
-                (MicroKernel::Madd, None) => simd::nn_worker(&stage, row_start, panel),
-                (MicroKernel::Dpbusd | MicroKernel::Tile, None) => {
-                    simd::vnni_worker(&stage, row_start, panel)
+            match (mk, b) {
+                (MicroKernel::Madd, BSide::Rows(_)) => simd::madd_worker(&stage, row_start, panel),
+                (_, BSide::Rows(_)) => simd::vnni_worker(&stage, row_start, panel),
+                (MicroKernel::Madd, BSide::Cols(p)) => {
+                    simd::madd_laid_worker(&stage, p.bytes, p.scale, row_start, panel)
                 }
-                (MicroKernel::Madd, Some(p)) => {
-                    simd::laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
+                (MicroKernel::Dpbusd, BSide::Cols(p)) => {
+                    simd::vnni_laid_worker(&stage, p.bytes, p.scale, row_start, panel)
                 }
-                (MicroKernel::Dpbusd, Some(p)) => {
-                    simd::vnni_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
-                }
-                (MicroKernel::Tile, Some(p)) => {
-                    simd::tile_laid_worker(&stage, &p.bytes, &p.scales, row_start, panel)
+                (MicroKernel::Tile, BSide::Cols(p)) => {
+                    simd::tile_laid_worker(&stage, p.bytes, p.scale, row_start, panel)
                 }
             }
         }
     });
-    true
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn staged_simd(
-    _best: Option<MicroKernel>,
-    _a: &RowSide,
+fn vector_product(
+    _mk: MicroKernel,
+    _a: &ASide,
     _b: BSide,
-    _ga: usize,
-    _gb: usize,
+    _g: usize,
     _dims: (usize, usize, usize),
     _out: &mut [f32],
-) -> bool {
-    false
+) {
+    unreachable!("no micro-kernel off x86_64")
 }
 
 // ---------------------------------------------------------------------------
 // NT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
 // `ROW_QUAD` output rows up, the staged vector kernel runs, gathering each
-// k-step panel from sixteen stored rows of B. Below that — where the gather
+// k-quad panel from sixteen stored rows of B. Below that — where the gather
 // costs more than the product — and for the pairs the vector kernel
 // refuses, every element is a sum of per-segment dot products over two
 // contiguous i8 rows. Both apply the same three f32 operations per segment
@@ -533,18 +605,30 @@ fn nt_on(best: Option<MicroKernel>, a: &PackedMat, b: &PackedMat) -> Tensor {
     let (av, bv) = (RowSide::of(a), RowSide::of(b));
     let (ga, gb) = (a.group(), b.group());
     let mut out = vec![0.0f32; m * n];
-    let staged = m >= ROW_QUAD
-        && n > 0
-        && k > 0
-        && staged_simd(best, &av, BSide::Rows(&bv), ga, gb, (m, k, n), &mut out);
-    if !staged && m > 0 && n > 0 {
-        let segs = segments(k, ga, gb);
-        #[cfg(target_arch = "x86_64")]
-        if best.is_some() {
-            nt_core(&Avx2Dot, &av, &bv, &segs, (k, n), &mut out);
-            return Tensor::from_vec(vec![m, n], out);
+    if m == 0 || n == 0 {
+        return Tensor::from_vec(vec![m, n], out);
+    }
+    match micro_kernel(best, ga, gb).filter(|_| m >= ROW_QUAD && k > 0) {
+        Some(mk) => {
+            let aside = ASide {
+                words: match a.a_words() {
+                    Some(w) => Cow::Borrowed(w),
+                    None => Cow::Owned(AWords::of_rows(&av, m, k, ga)),
+                },
+                scale: Cow::Borrowed(av.scale),
+                bpr: av.bpr,
+            };
+            vector_product(mk, &aside, BSide::Rows(&bv), ga, (m, k, n), &mut out);
         }
-        nt_core(&ScalarDot, &av, &bv, &segs, (k, n), &mut out);
+        None => {
+            let segs = segments(k, ga, gb);
+            #[cfg(target_arch = "x86_64")]
+            if best.is_some() {
+                nt_core(&Avx2Dot, &av, &bv, &segs, (k, n), &mut out);
+                return Tensor::from_vec(vec![m, n], out);
+            }
+            nt_core(&ScalarDot, &av, &bv, &segs, (k, n), &mut out);
+        }
     }
     Tensor::from_vec(vec![m, n], out)
 }
@@ -579,48 +663,62 @@ fn nt_core<D: Dot>(
 
 // ---------------------------------------------------------------------------
 // TN: Aᵀ·B with A stored k×m ColGroups, B stored k×n ColGroups. A's
-// mantissas and scales are staged transposed (an exact relayout — integer
-// and scale data are copied, never recomputed), then the NN kernels run.
+// panels are A's columns in k-quad order already: the vector kernel takes
+// its words from them, one word per (column, step), and the portable one a
+// transposed row-major copy — an exact relayout, integer and scale data
+// copied, never recomputed.
 // ---------------------------------------------------------------------------
 
 /// `C = Aᵀ·B` in the integer domain.
 pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
     debug_assert_eq!(b.rows(), a.rows());
     let best = ceiling(host_kernel(), a.cols());
-    tn_on(best, a, &ColSide::of(b), b.group(), b.cols())
+    tn_on(best, a, &ColSide::of(b), b.group())
 }
 
 /// `Tn` on the micro-kernels up to `best`, with `B` (`k × n`, group `gb`)
 /// as given.
-fn tn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize, n: usize) -> Tensor {
-    let (k, m) = (a.rows(), a.cols());
+fn tn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize) -> Tensor {
+    let (k, m, n) = (a.rows(), a.cols(), b.panels.n);
     let ga = a.group();
     let nba = k.div_ceil(ga).max(1);
-    let (am, asc) = (a.mantissas(), a.scales());
-    let mut tman = vec![0i8; m * k];
-    for (p, src) in am.chunks_exact(m.max(1)).enumerate().take(k) {
-        for (i, &v) in src.iter().enumerate() {
-            tman[i * k + p] = v;
-        }
+    let mut out = vec![0.0f32; m * n];
+    if m == 0 || n == 0 || k == 0 {
+        return Tensor::from_vec(vec![m, n], out);
     }
+    let at = ColSide::of(a);
     let mut tsc = vec![0.0f32; m * nba];
-    for (bb, src) in asc.chunks_exact(m.max(1)).enumerate().take(nba) {
-        for (i, &s) in src.iter().enumerate() {
-            tsc[i * nba + bb] = s;
+    for (i, row) in tsc.chunks_exact_mut(nba).enumerate() {
+        for (bb, s) in row.iter_mut().enumerate() {
+            *s = at.scale[at.panels.scale_index(bb * ga, i)];
         }
     }
-    nn_on(
-        best,
-        &RowSide {
-            man: &tman,
-            scale: &tsc,
-            bpr: nba,
-        },
-        ga,
-        b,
-        gb,
-        (m, k, n),
-    )
+    match micro_kernel(best, ga, gb) {
+        Some(mk) => {
+            let aside = ASide {
+                words: Cow::Owned(AWords::of_panels(&at)),
+                scale: Cow::Owned(tsc),
+                bpr: nba,
+            };
+            vector_product(mk, &aside, BSide::Cols(b), ga, (m, k, n), &mut out);
+        }
+        None => {
+            let (man, _) = at.row_major();
+            let mut tman = vec![0i8; m * k];
+            for (p, src) in man.chunks_exact(m).enumerate() {
+                for (i, &v) in src.iter().enumerate() {
+                    tman[i * k + p] = v;
+                }
+            }
+            let rows = RowSide {
+                man: &tman,
+                scale: &tsc,
+                bpr: nba,
+            };
+            nn_scalar(&rows, b, ga, gb, (m, k, n), &mut out);
+        }
+    }
+    Tensor::from_vec(vec![m, n], out)
 }
 
 // ---------------------------------------------------------------------------
@@ -657,57 +755,48 @@ impl Dot for Avx2Dot {
 #[cfg(target_arch = "x86_64")]
 mod simd {
     //! The SIMD lowering of the segment algebra. For eight output columns
-    //! at once, one micro-kernel instruction adds a k-step's products
-    //! `Σᵢ a[k₀+i]·b[k₀+i][j]` into an i32 lane:
+    //! at once, one micro-kernel instruction adds a k-quad's products
+    //! `Σᵢ a[4t+i]·(b[4t+i][j] + 128)` into i32 lanes:
     //!
-    //! * `_mm256_madd_epi16` over k-pairs (i16×i16, both sides
-    //!   sign-extended), followed by an add;
-    //! * `_mm256_dpbusd_avx_epi32` over k-quads (u8×i8, accumulating). Its
-    //!   unsigned operand is B biased by `+128` (`b ^ 0x80`), so a lane
-    //!   sums `Σ a·b + 128·Σ a`, and the segment close subtracts
-    //!   `128·Σ a`, computed when A is staged. Every step is modular
-    //!   (`dpbusd`, not the saturating `dpbusds`), and the true sum fits
-    //!   `i32` (`MAX_INT_SEGMENT`), so the result is exact even when the
-    //!   biased sum wraps.
+    //! * `_mm256_dpbusd_avx_epi32` (u8×i8, accumulating), one lane a column;
+    //! * `_mm256_madd_epi16` over the quad widened to i16
+    //!   (`_mm256_cvtepu8_epi16`), two pair-sum lanes a column, added once
+    //!   per block close;
+    //! * `tdpbsud`, a whole group of up to 16 rows at a time, each group's
+    //!   block closed by an AVX-512 fold ([`tile_rows`]).
     //!
-    //! * `tdpbsud` over the `dpbusd` panels, a whole group of up to 16 rows
-    //!   at a time, each group's block closed by an AVX-512 fold
-    //!   ([`tile_rows`]).
+    //! Each close subtracts `128·Σ a`, computed with A's words. Every step
+    //! is modular (`dpbusd`, not the saturating `dpbusds`), and the true
+    //! sum fits `i32` (`MAX_INT_SEGMENT`), so the result is exact even when
+    //! the biased sum wraps.
     //!
-    //! Steps never cross a scale block: a product runs a micro-kernel only
-    //! when its shared group holds a whole number of steps. The row bodies
-    //! ([`Body`]) and the panel loops are generic over the panel row type
-    //! ([`PanelRow`]) and always inlined, so each out-of-line worker below
+    //! Quads never cross a scale block: a product runs a micro-kernel only
+    //! when its shared group holds a whole number of them. The row bodies
+    //! ([`Body`]) and the panel loops are generic over the micro-kernel
+    //! ([`Quads`]) and always inlined, so each out-of-line worker below
     //! compiles them under its own target features — AVX-VNNI and AVX-512
     //! code never lands in a function a plain AVX2 host runs, and tile
     //! instructions only in the tile worker (and two test helpers).
 
-    use super::{panel_steps, BSide, MicroKernel, RowSide, PANEL_COLS as W, ROW_QUAD};
+    use super::{ASide, BSide, Panels, RowSide, PANEL_COLS as W, QUAD, ROW_QUAD};
     use core::arch::asm;
     use core::arch::x86_64::*;
 
     /// The vector kernel's shared, read-only inputs, built once on the
     /// caller's thread:
     ///
-    /// * `aw` — A's mantissas as one little-endian `u32` per k-step of the
-    ///   micro-kernel: i16 k-pairs `a[2p] | a[2p+1] << 16` for `madd`, i8
-    ///   k-quads `a[4t] | … | a[4t+3] << 24` for `dpbusd`. Each row takes
-    ///   `stride` words, a whole number of blocks, zero past `k`. A is the
-    ///   small side at serving shapes (`m` is the batch), so it is restaged
-    ///   whole.
-    /// * `abias` — `dpbusd` and the tile unit: `128·Σ a` over each (row,
-    ///   block), which the block's close subtracts from its biased sums.
-    /// * `steps` — k-step rows of one B panel: `k_steps = ⌈k/step⌉` when
-    ///   staged, and [`super::panel_steps`] when laid out, of which the
-    ///   first `k_steps` hold values; the row body reads only those, the
-    ///   tile unit reads whole groups.
-    /// * `b` — B as stored. No copy of it is made here: every worker
-    ///   reads B's panels in place when B carries its panel layout, and
-    ///   otherwise stages the panel it is about to consume into its own
-    ///   buffer ([`stage_pairs`], [`stage_quads`]).
+    /// * `aw`, `abias` — A's words and block sums ([`super::AWords`]);
+    /// * `steps` — k-quad rows of one B panel: whole groups
+    ///   ([`Panels::steps`]) in a column-grouped B's layout, `k_steps =
+    ///   ⌈k/4⌉` in a gathered one; the row body reads the first `k_steps`,
+    ///   the tile unit whole groups;
+    /// * `b` — B as stored. No copy of it is made here: every worker reads
+    ///   a column-grouped B's panels in place, and gathers a row-grouped
+    ///   one's panel it is about to consume into its own buffer
+    ///   ([`stage_quads`]).
     pub(super) struct NnStage<'a> {
-        aw: Vec<u32>,
-        abias: Vec<i32>,
+        aw: &'a [u32],
+        abias: &'a [i32],
         ascale: &'a [f32],
         abpr: usize,
         b: BSide<'a>,
@@ -722,53 +811,26 @@ mod simd {
 
     impl<'a> NnStage<'a> {
         pub(super) fn build(
-            mk: MicroKernel,
-            a: &RowSide<'a>,
+            a: &'a ASide<'a>,
             b: BSide<'a>,
             g: usize,
             dims: (usize, usize, usize),
-            laid: bool,
         ) -> Self {
-            let (m, k, n) = dims;
-            let (mk, step) = (mk.layout(), mk.step());
-            let (nblocks, steps_per_block) = (k.div_ceil(g).max(1), g / step);
-            let stride = nblocks * steps_per_block;
-            let mut aw = vec![0u32; m * stride];
-            if mk == MicroKernel::Dpbusd && stride * 4 == k {
-                // Rows of whole blocks: the words are A's bytes as they
-                // are, converted in one flat pass. Row by row, the same
-                // words made a 2048×72 conv operand's product 1.42× the
-                // `madd` kernel's time instead of 1.18× (paired, 2-vCPU
-                // x86-64 VM).
-                for (w, q) in aw.iter_mut().zip(a.man.chunks_exact(4)) {
-                    *w = quad_word(q.try_into().expect("four bytes"));
-                }
-            } else {
-                for (arow, wrow) in a.man.chunks_exact(k).zip(aw.chunks_exact_mut(stride)) {
-                    match mk {
-                        MicroKernel::Madd => step_words(arow, wrow, |[lo, hi]| pair_word(lo, hi)),
-                        _ => step_words(arow, wrow, quad_word),
-                    }
-                }
-            }
-            let abias = match mk {
-                MicroKernel::Madd => Vec::new(),
-                _ => block_bias(&aw, steps_per_block),
-            };
+            let (_m, k, n) = dims;
+            let (nblocks, steps_per_block) = (k.div_ceil(g).max(1), g / 4);
             NnStage {
-                aw,
-                abias,
-                ascale: a.scale,
+                aw: &a.words.words,
+                abias: &a.words.bias,
+                ascale: &a.scale,
                 abpr: a.bpr,
                 b,
                 k,
-                stride,
-                steps: if laid {
-                    panel_steps(mk, k, g)
-                } else {
-                    k.div_ceil(step)
+                stride: a.words.stride,
+                steps: match b {
+                    BSide::Cols(_) => Panels::new(k, n, g).steps(),
+                    BSide::Rows(_) => k.div_ceil(4),
                 },
-                k_steps: k.div_ceil(step),
+                k_steps: k.div_ceil(4),
                 steps_per_block,
                 nblocks,
                 n,
@@ -776,288 +838,68 @@ mod simd {
         }
     }
 
-    /// Two mantissas as one little-endian i16 k-pair word.
-    fn pair_word(lo: i8, hi: i8) -> u32 {
-        (lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16)
-    }
-
-    /// Four mantissas as one little-endian i8 k-quad word.
-    fn quad_word(vals: [i8; 4]) -> u32 {
-        u32::from_le_bytes(vals.map(|v| v as u8))
-    }
-
-    /// `128·Σ a` over each block of `spb` k-quad words (rows of whole
-    /// blocks, back to back), modular. The common block lengths get a
-    /// constant one, so the sums vectorize: a block costs about a word.
-    fn block_bias(words: &[u32], spb: usize) -> Vec<i32> {
-        fn sums<const S: usize>(words: &[u32], spb: usize) -> Vec<i32> {
-            // Four signed bytes' sum: biased to unsigned, summed as two
-            // 16-bit fields, then unbiased.
-            let byte_sum = |w: u32| {
-                let u = w ^ 0x8080_8080;
-                let x = (u & 0x00FF_00FF) + ((u >> 8) & 0x00FF_00FF);
-                ((x & 0xFFFF) + (x >> 16)) as i32 - 4 * 128
-            };
-            let block = |b: &[u32]| b.iter().fold(0i32, |s, &w| s.wrapping_add(byte_sum(w)));
-            let spb = if S > 0 { S } else { spb };
-            words
-                .chunks_exact(spb)
-                .map(|b| block(b).wrapping_mul(128))
-                .collect()
-        }
-        match spb {
-            1 => sums::<1>(words, spb),
-            2 => sums::<2>(words, spb),
-            4 => sums::<4>(words, spb),
-            8 => sums::<8>(words, spb),
-            _ => sums::<0>(words, spb),
-        }
-    }
-
-    /// `row`'s values `S` at a time as k-step words (`word`) at the front
-    /// of `words`, the last step zero-padded past the row's end.
-    #[inline]
-    fn step_words<const S: usize>(row: &[i8], words: &mut [u32], word: impl Fn([i8; S]) -> u32) {
-        let mut steps = row.chunks_exact(S);
-        for (w, vals) in words.iter_mut().zip(&mut steps) {
-            *w = word(vals.try_into().expect("a whole step"));
-        }
-        if let tail @ [_, ..] = steps.remainder() {
-            let mut vals = [0i8; S];
-            vals[..tail.len()].copy_from_slice(tail);
-            words[row.len() / S] = word(vals);
-        }
-    }
-
-    /// Up to 16 bytes as one vector, zero past the end.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (checked by the caller via `host_kernel`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_padded(src: &[i8]) -> __m128i {
-        let mut row = [0i8; W];
-        let src = match src.get(..W) {
-            Some(whole) => whole,
-            None => {
-                row[..src.len()].copy_from_slice(src);
-                &row
-            }
-        };
-        _mm_loadu_si128(src.as_ptr() as *const __m128i)
-    }
-
-    /// Stages the block scales of B's columns `j0..j0 + w` into a panel's
-    /// `nblocks × W` scales, zero past `w`.
-    fn stage_scales(s: &NnStage, j0: usize, w: usize, scales: &mut [f32]) {
-        for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d = match s.b {
-                    _ if c >= w => 0.0,
-                    BSide::Cols(b) => b.scale[bb * s.n + j0 + c],
-                    BSide::Rows(b) => b.scale[(j0 + c) * b.bpr + bb],
-                };
-            }
-        }
-    }
-
-    /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's `madd`
-    /// panel, overwriting all of it:
-    ///
-    /// * `words` — `steps × W` k-pair words; word `c` of row `p` is
-    ///   `[b[2p][j0+c], b[2p+1][j0+c]]` as two i16, so one
-    ///   `_mm256_madd_epi16` against a broadcast A pair covers eight
-    ///   columns and two k-steps;
-    /// * `scales` — `nblocks × W` block scales of the same columns.
-    ///
-    /// Columns past `w` and the high half of an odd `k`'s last pair are
-    /// zero. At `k = 1152` the words take 36 KiB, against a whole-operand
-    /// copy of `2·k·n` bytes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (checked by the caller via `host_kernel`).
+    /// Gathers B's columns `j0..j0 + w` (`w ≤ W`) — stored rows `j0 + c`
+    /// of a row-grouped B — as one worker's panel, overwriting all of it:
+    /// `bytes` takes `steps` k-quad rows of `4·W` biased bytes, byte
+    /// `4c + i` of row `t` being `b[j0+c][4t+i] ^ 0x80` as in a column
+    /// panel ([`Panels`]), and `scales` the `nblocks × W` block scales of
+    /// the same columns. Padding (columns past `w`, the k-tail of the last
+    /// quad) is `0x80`, the biased zero, and scale `0.0`. Panel rows are
+    /// written in order, each from the next quad of the `w` stored rows,
+    /// so every stored row is read front to back.
     ///
     /// # Panics
     ///
-    /// Panics unless `words`/`scales` have the panel's sizes and
-    /// `j0 + w ≤ n`: the vector stores below rely on both.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stage_pairs(
+    /// Panics unless `bytes`/`scales` have the panel's sizes and
+    /// `j0 + w ≤ n`: the vector loads rely on both.
+    pub(super) fn stage_quads(
         s: &NnStage,
-        j0: usize,
-        w: usize,
-        words: &mut [u32],
-        scales: &mut [f32],
-    ) {
-        let (k, n) = (s.k, s.n);
-        assert!(words.len() == s.steps * W && scales.len() == s.nblocks * W);
-        assert!(w <= W && j0 + w <= n);
-        stage_scales(s, j0, w, scales);
-        match s.b {
-            // Stored rows `2p` and `2p+1` interleave byte by byte; one
-            // sign extension per half widens them into the panel row.
-            BSide::Cols(b) => {
-                for (p, dst) in words.chunks_exact_mut(W).enumerate() {
-                    let r0 = &b.man[2 * p * n + j0..][..w];
-                    let r1 = if 2 * p + 1 < k {
-                        &b.man[(2 * p + 1) * n + j0..][..w]
-                    } else {
-                        &[]
-                    };
-                    if w == W {
-                        let x = _mm_loadu_si128(r0.as_ptr() as *const __m128i);
-                        let y = if r1.is_empty() {
-                            _mm_setzero_si128()
-                        } else {
-                            _mm_loadu_si128(r1.as_ptr() as *const __m128i)
-                        };
-                        let d = dst.as_mut_ptr() as *mut __m256i;
-                        _mm256_storeu_si256(d, _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(x, y)));
-                        _mm256_storeu_si256(
-                            d.add(1),
-                            _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(x, y)),
-                        );
-                    } else {
-                        for (c, d) in dst.iter_mut().enumerate() {
-                            *d = match (r0.get(c), r1.get(c)) {
-                                (Some(&x), y) => pair_word(x, y.copied().unwrap_or(0)),
-                                (None, _) => 0,
-                            };
-                        }
-                    }
-                }
-            }
-            // Stored row `j0 + c` is panel column `c`. Panel rows are
-            // written in order, each from the next k-pair of the `w`
-            // stored rows, so every stored row is read front to back.
-            BSide::Rows(b) => {
-                let rows = &b.man[j0 * k..(j0 + w) * k];
-                for (p, dst) in words.chunks_exact_mut(W).enumerate() {
-                    for (d, brow) in dst.iter_mut().zip(rows.chunks_exact(k)) {
-                        *d = pair_word(brow[2 * p], brow.get(2 * p + 1).copied().unwrap_or(0));
-                    }
-                    dst[w..].fill(0);
-                }
-            }
-        }
-    }
-
-    /// Stages B's columns `j0..j0 + w` (`w ≤ W`) as one worker's `dpbusd`
-    /// panel, overwriting all of it: `bytes` takes `steps` k-quad rows of
-    /// `4·W` biased bytes — byte `4c + i` of row `t` is
-    /// `b[4t+i][j0+c] ^ 0x80`, the layout of [`super::NnPanels`] — and
-    /// `scales` the block scales, as [`stage_pairs`]. Padding (columns
-    /// past `w`, the k-tail of the last quad) is `0x80`, the biased zero.
-    ///
-    /// # Safety
-    ///
-    /// As [`stage_pairs`].
-    ///
-    /// # Panics
-    ///
-    /// As [`stage_pairs`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stage_quads(
-        s: &NnStage,
+        b: &RowSide,
         j0: usize,
         w: usize,
         bytes: &mut [u8],
         scales: &mut [f32],
     ) {
         let (k, n) = (s.k, s.n);
-        assert!(bytes.len() == s.steps * 4 * W && scales.len() == s.nblocks * W);
+        assert!(bytes.len() == s.steps * QUAD && scales.len() == s.nblocks * W);
         assert!(w <= W && j0 + w <= n);
-        stage_scales(s, j0, w, scales);
-        match s.b {
-            // Stored rows `4t..4t+4` interleave byte by byte, then pair by
-            // pair: four 16-byte loads become four 16-byte stores. Rows
-            // past `k` and columns past `w` load as zero.
-            BSide::Cols(b) => {
-                let bias = _mm_set1_epi8(i8::MIN);
-                for (t, dst) in bytes.chunks_exact_mut(4 * W).enumerate() {
-                    let row = |i: usize| {
-                        let r = 4 * t + i;
-                        load_padded(if r < k {
-                            &b.man[r * n + j0..][..w]
-                        } else {
-                            &[]
-                        })
-                    };
-                    let (x0, x1, x2, x3) = (row(0), row(1), row(2), row(3));
-                    let (lo01, hi01) = (_mm_unpacklo_epi8(x0, x1), _mm_unpackhi_epi8(x0, x1));
-                    let (lo23, hi23) = (_mm_unpacklo_epi8(x2, x3), _mm_unpackhi_epi8(x2, x3));
-                    let quads = [
-                        _mm_unpacklo_epi16(lo01, lo23),
-                        _mm_unpackhi_epi16(lo01, lo23),
-                        _mm_unpacklo_epi16(hi01, hi23),
-                        _mm_unpackhi_epi16(hi01, hi23),
-                    ];
-                    let d = dst.as_mut_ptr() as *mut __m128i;
-                    for (i, q) in quads.into_iter().enumerate() {
-                        _mm_storeu_si128(d.add(i), _mm_xor_si128(q, bias));
-                    }
-                }
-            }
-            // Stored row `j0 + c` is panel column `c`, and a quad is four
-            // contiguous bytes of it; rows are written in order, as in
-            // [`stage_pairs`].
-            BSide::Rows(b) => {
-                let rows = &b.man[j0 * k..(j0 + w) * k];
-                for (t, dst) in bytes.chunks_exact_mut(4 * W).enumerate() {
-                    for (d, brow) in dst.chunks_exact_mut(4).zip(rows.chunks_exact(k)) {
-                        let q = match brow.get(4 * t..4 * t + 4) {
-                            Some(q) => quad_word(q.try_into().expect("four bytes")),
-                            None => {
-                                let mut q = [0i8; 4];
-                                q[..k - 4 * t].copy_from_slice(&brow[4 * t..]);
-                                quad_word(q)
-                            }
-                        };
-                        d.copy_from_slice(&(q ^ 0x8080_8080).to_le_bytes());
-                    }
-                    dst[4 * w..].fill(0x80);
-                }
+        for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
+            for (c, d) in dst.iter_mut().enumerate() {
+                *d = if c < w {
+                    b.scale[(j0 + c) * b.bpr + bb]
+                } else {
+                    0.0
+                };
             }
         }
-    }
-
-    /// A panel row type whose panels a worker stages itself.
-    trait Staged: PanelRow + Default {
-        /// Stages one panel ([`stage_pairs`], [`stage_quads`]).
-        ///
-        /// # Safety
-        ///
-        /// As [`stage_pairs`].
-        unsafe fn stage(s: &NnStage, j0: usize, w: usize, b: &mut [Self], scales: &mut [f32]);
-    }
-
-    impl Staged for u32 {
-        #[inline]
-        unsafe fn stage(s: &NnStage, j0: usize, w: usize, b: &mut [u32], scales: &mut [f32]) {
-            stage_pairs(s, j0, w, b, scales)
+        let rows = &b.man[j0 * k..(j0 + w) * k];
+        for (t, dst) in bytes.chunks_exact_mut(QUAD).enumerate() {
+            for (d, brow) in dst.chunks_exact_mut(4).zip(rows.chunks_exact(k)) {
+                let q = match brow.get(4 * t..4 * t + 4) {
+                    Some(q) => super::quad_word(q.try_into().expect("four bytes")),
+                    None => {
+                        let mut q = [0i8; 4];
+                        q[..k - 4 * t].copy_from_slice(&brow[4 * t..]);
+                        super::quad_word(q)
+                    }
+                };
+                d.copy_from_slice(&(q ^ 0x8080_8080).to_le_bytes());
+            }
+            dst[4 * w..].fill(0x80);
         }
     }
 
-    impl Staged for u8 {
-        #[inline]
-        unsafe fn stage(s: &NnStage, j0: usize, w: usize, b: &mut [u8], scales: &mut [f32]) {
-            stage_quads(s, j0, w, b, scales)
-        }
-    }
-
-    /// `madd` over panels it stages itself ([`staged_rows`]).
+    /// `madd` over panels it gathers itself ([`staged_rows`]).
     ///
     /// # Safety
     ///
     /// Requires AVX2 (checked by the caller via `host_kernel`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nn_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<u32>(s, row_start, out)
+    pub(super) unsafe fn madd_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
+        staged_rows::<Madd>(s, row_start, out)
     }
 
-    /// `dpbusd` over panels it stages itself ([`staged_rows`]).
+    /// `dpbusd` over panels it gathers itself ([`staged_rows`]).
     ///
     /// # Safety
     ///
@@ -1065,34 +907,38 @@ mod simd {
     /// `host_kernel`).
     #[target_feature(enable = "avx2,avxvnni")]
     pub(super) unsafe fn vnni_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<u8>(s, row_start, out)
+        staged_rows::<Vnni>(s, row_start, out)
     }
 
-    /// `madd` over a B laid out in panel order ([`laid_rows`]). Out of
-    /// line and chosen once per product: folded into `nn_worker`, its row
-    /// bodies grew that function by 40 % and slowed the staged `Nt`
-    /// training shapes by 4–6 % in paired timings.
+    /// `madd` over a column-grouped B's panels ([`laid_rows`]). Out of
+    /// line and chosen once per product: folded into the gathering
+    /// worker, its row bodies grew that function by 40 % and slowed the
+    /// `Nt` training shapes by 4–6 % in paired timings.
     ///
     /// # Safety
     ///
-    /// As [`nn_worker`].
+    /// As [`madd_worker`].
     #[inline(never)]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn laid_worker(
+    pub(super) unsafe fn madd_laid_worker(
         s: &NnStage,
-        laid: &[u8],
+        laid: &[i8],
         scales: &[f32],
         row_start: usize,
         out: &mut [f32],
     ) {
-        // SAFETY: `u8` and `i8` share size and alignment; the `madd` layout
-        // holds the mantissas' two's-complement bytes as they are.
-        let laid = core::slice::from_raw_parts(laid.as_ptr().cast::<i8>(), laid.len());
-        laid_rows(s, &mut Vector, laid, scales, row_start, out)
+        laid_rows(
+            s,
+            &mut Vector::<Madd>::default(),
+            laid,
+            scales,
+            row_start,
+            out,
+        )
     }
 
-    /// `dpbusd` over a B laid out in panel order ([`laid_rows`]); out of
-    /// line for the reason [`laid_worker`] is.
+    /// `dpbusd` over a column-grouped B's panels ([`laid_rows`]); out of
+    /// line for the reason [`madd_laid_worker`] is.
     ///
     /// # Safety
     ///
@@ -1101,17 +947,24 @@ mod simd {
     #[target_feature(enable = "avx2,avxvnni")]
     pub(super) unsafe fn vnni_laid_worker(
         s: &NnStage,
-        laid: &[u8],
+        laid: &[i8],
         scales: &[f32],
         row_start: usize,
         out: &mut [f32],
     ) {
-        laid_rows(s, &mut Vector, laid, scales, row_start, out)
+        laid_rows(
+            s,
+            &mut Vector::<Vnni>::default(),
+            laid,
+            scales,
+            row_start,
+            out,
+        )
     }
 
-    /// The tile unit over a B laid out in panel order ([`laid_rows`]): the
-    /// tile configuration for this shard, the panels, then `tilerelease`
-    /// — on return and on unwind alike ([`TileConfig::load`]).
+    /// The tile unit over a column-grouped B's panels ([`laid_rows`]):
+    /// the tile configuration for this shard, the panels, then
+    /// `tilerelease` — on return and on unwind alike ([`TileConfig::load`]).
     ///
     /// # Safety
     ///
@@ -1121,7 +974,7 @@ mod simd {
     #[target_feature(enable = "avx2,avxvnni,avx512f")]
     pub(super) unsafe fn tile_laid_worker(
         s: &NnStage,
-        laid: &[u8],
+        laid: &[i8],
         scales: &[f32],
         row_start: usize,
         out: &mut [f32],
@@ -1130,25 +983,31 @@ mod simd {
         laid_rows(s, &mut Tiles::new(), laid, scales, row_start, out);
     }
 
-    /// How a worker runs its shard's rows over one laid-out panel: the
-    /// vector row body ([`Vector`]) or the tile unit ([`Tiles`]).
-    trait Body<T> {
+    /// How a worker runs its shard's rows over one panel: a vector row
+    /// body ([`Vector`]) or the tile unit ([`Tiles`]).
+    trait Body {
         /// Every row of the shard (`row_start..`, row-major in `out`) over
         /// `panel`.
         ///
         /// # Safety
         ///
         /// As the body's worker.
-        unsafe fn rows(&mut self, s: &NnStage, panel: Panel<T>, row_start: usize, out: &mut [f32]);
+        unsafe fn rows(&mut self, s: &NnStage, panel: Panel, row_start: usize, out: &mut [f32]);
     }
 
-    /// The vector row body, [`panel_rows`].
-    struct Vector;
+    /// The vector row body of micro-kernel `Q`, [`panel_rows`].
+    struct Vector<Q>(core::marker::PhantomData<Q>);
 
-    impl<T: PanelRow> Body<T> for Vector {
+    impl<Q> Default for Vector<Q> {
+        fn default() -> Self {
+            Vector(core::marker::PhantomData)
+        }
+    }
+
+    impl<Q: Quads> Body for Vector<Q> {
         #[inline(always)]
-        unsafe fn rows(&mut self, s: &NnStage, panel: Panel<T>, row_start: usize, out: &mut [f32]) {
-            panel_rows(s, panel, row_start, out)
+        unsafe fn rows(&mut self, s: &NnStage, panel: Panel, row_start: usize, out: &mut [f32]) {
+            panel_rows::<Q>(s, panel, row_start, out)
         }
     }
 
@@ -1165,47 +1024,44 @@ mod simd {
         }
     }
 
-    impl Body<u8> for Tiles {
+    impl Body for Tiles {
         #[inline(always)]
-        unsafe fn rows(
-            &mut self,
-            s: &NnStage,
-            panel: Panel<u8>,
-            row_start: usize,
-            out: &mut [f32],
-        ) {
+        unsafe fn rows(&mut self, s: &NnStage, panel: Panel, row_start: usize, out: &mut [f32]) {
             tile_rows(s, &mut self.0, panel, row_start, out)
         }
     }
 
-    /// One worker's shard: the output rows `row_start..`, row-major in
-    /// `out`. Column panels are the outer loop — each is staged once into
-    /// the worker's own buffer, then every row quad of the shard consumes
-    /// it — so nothing copies B whole.
+    /// One worker's shard of an `Nt` product: the output rows
+    /// `row_start..`, row-major in `out`. Column panels are the outer loop
+    /// — each is gathered once into the worker's own buffer, then every
+    /// row quad of the shard consumes it — so nothing copies B whole.
     ///
     /// # Safety
     ///
-    /// Requires the target features of `T`'s micro-kernel.
+    /// Requires the target features of `Q`.
     #[inline(always)]
-    unsafe fn staged_rows<T: Staged>(s: &NnStage, row_start: usize, out: &mut [f32]) {
+    unsafe fn staged_rows<Q: Quads>(s: &NnStage, row_start: usize, out: &mut [f32]) {
+        let BSide::Rows(b) = s.b else {
+            unreachable!("a column-grouped B is read in place")
+        };
         let n = s.n;
-        let mut b = vec![T::default(); s.steps * T::LEN];
+        let mut bytes = vec![0u8; s.steps * QUAD];
         let mut scales = vec![0.0f32; s.nblocks * W];
         for j0 in (0..n).step_by(W) {
             let w = (n - j0).min(W);
-            T::stage(s, j0, w, &mut b, &mut scales);
+            stage_quads(s, b, j0, w, &mut bytes, &mut scales);
             let panel = Panel {
-                b: b.as_slice(),
+                b: bytes.as_ptr(),
                 scales: scales.as_slice(),
                 j0,
                 w,
             };
-            panel_rows(s, panel, row_start, out);
+            panel_rows::<Q>(s, panel, row_start, out);
         }
     }
 
-    /// [`staged_rows`] for a B laid out in panel order (`laid` and
-    /// `scales`, B's [`super::NnPanels`]): each panel is read in place.
+    /// [`staged_rows`] for a column-grouped B (`laid` and `scales`, its
+    /// [`Panels`]): each panel is read in place.
     ///
     /// # Safety
     ///
@@ -1216,16 +1072,16 @@ mod simd {
     /// Panics unless the layout has the sizes of this product's `k`, group
     /// and `n`: the vector loads rely on them.
     #[inline(always)]
-    unsafe fn laid_rows<T: PanelRow, B: Body<T>>(
+    unsafe fn laid_rows<B: Body>(
         s: &NnStage,
         body: &mut B,
-        laid: &[T],
+        laid: &[i8],
         scales: &[f32],
         row_start: usize,
         out: &mut [f32],
     ) {
         let n = s.n;
-        let (bytes, block_scales) = (s.steps * T::LEN, s.nblocks * W);
+        let (bytes, block_scales) = (s.steps * QUAD, s.nblocks * W);
         assert!(
             laid.len() == n.div_ceil(W) * bytes && scales.len() == n.div_ceil(W) * block_scales
         );
@@ -1234,132 +1090,186 @@ mod simd {
             .zip(scales.chunks_exact(block_scales));
         for (q, (b, scales)) in panels.enumerate() {
             let (j0, w) = (q * W, (n - q * W).min(W));
+            let b = b.as_ptr().cast::<u8>();
             body.rows(s, Panel { b, scales, j0, w }, row_start, out);
         }
     }
 
-    /// One 16-column panel of B as the row body reads it: `steps` k-step
-    /// rows of `T::LEN` elements, `nblocks × W` scales, and the panel's
+    /// One 16-column panel of B as the row body reads it: `steps` k-quad
+    /// rows of biased bytes at `b`, `nblocks × W` scales, and the panel's
     /// place in the output (`w ≤ W` real columns from `j0`).
     #[derive(Clone, Copy)]
-    struct Panel<'p, T> {
-        b: &'p [T],
+    struct Panel<'p> {
+        b: *const u8,
         scales: &'p [f32],
         j0: usize,
         w: usize,
     }
 
-    /// How a panel stores one k-step row of its 16 columns, and the
-    /// micro-kernel that consumes it: the only things in which the staged
-    /// and laid-out `madd` panels and the `dpbusd` panel differ.
-    trait PanelRow: Copy {
-        /// Elements per k-step row.
-        const LEN: usize;
+    /// How a micro-kernel multiplies one k-quad row of a panel into the
+    /// i32 accumulators of one output row's 16 columns: the only things in
+    /// which the `madd` and `dpbusd` row bodies differ.
+    trait Quads {
+        /// A row's accumulators.
+        type Acc: Copy;
+        /// A panel row as the micro-kernel's operands.
+        type Row: Copy;
 
-        /// Whether B is biased by `+128`, so each segment close subtracts
-        /// `128·Σ a`.
-        const BIASED: bool;
+        /// Output rows a register block takes: four, or two where four
+        /// rows' accumulators would not fit the sixteen vector registers.
+        const ROWS: usize;
 
-        /// The row as the micro-kernel's two B operands, columns 0–7 then
-        /// 8–15.
-        ///
-        /// # Safety
-        ///
-        /// Requires the micro-kernel's target features, and `LEN` readable
-        /// elements at `row`.
-        unsafe fn load(row: *const Self) -> (__m256i, __m256i);
-
-        /// `acc` plus, per lane, the products of the broadcast A word `a`
-        /// and one B operand `b` over one k-step.
+        /// Zeroed accumulators.
         ///
         /// # Safety
         ///
         /// Requires the micro-kernel's target features.
-        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i;
+        unsafe fn zero() -> Self::Acc;
+
+        /// The quad row at `row` (64 readable bytes).
+        ///
+        /// # Safety
+        ///
+        /// Requires the micro-kernel's target features.
+        unsafe fn load(row: *const u8) -> Self::Row;
+
+        /// A's k-quad word `a` broadcast as the micro-kernel's operand.
+        ///
+        /// # Safety
+        ///
+        /// Requires the micro-kernel's target features.
+        unsafe fn broadcast(a: u32) -> __m256i;
+
+        /// `acc` plus, per column, the quad's products with `a`.
+        ///
+        /// # Safety
+        ///
+        /// Requires the micro-kernel's target features.
+        unsafe fn step(acc: Self::Acc, a: __m256i, b: Self::Row) -> Self::Acc;
+
+        /// The accumulators as column sums, columns 0–7 then 8–15.
+        ///
+        /// # Safety
+        ///
+        /// Requires the micro-kernel's target features.
+        unsafe fn sums(acc: Self::Acc) -> [__m256i; 2];
     }
 
-    /// A staged `madd` panel ([`stage_pairs`]): k-pair words, already i16.
-    impl PanelRow for u32 {
-        const LEN: usize = W;
-        const BIASED: bool = false;
+    /// AVX-VNNI: the quad row read as it is, `dpbusd` into one lane a
+    /// column.
+    struct Vnni;
+
+    impl Quads for Vnni {
+        type Acc = [__m256i; 2];
+        type Row = [__m256i; 2];
+        const ROWS: usize = ROW_QUAD;
 
         #[inline]
         #[target_feature(enable = "avx2")]
-        unsafe fn load(row: *const u32) -> (__m256i, __m256i) {
+        unsafe fn zero() -> Self::Acc {
+            [_mm256_setzero_si256(); 2]
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(row: *const u8) -> Self::Row {
             let v = row as *const __m256i;
-            (_mm256_loadu_si256(v), _mm256_loadu_si256(v.add(1)))
+            [_mm256_loadu_si256(v), _mm256_loadu_si256(v.add(1))]
         }
 
         #[inline]
         #[target_feature(enable = "avx2")]
-        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
-            _mm256_add_epi32(acc, _mm256_madd_epi16(a, b))
-        }
-    }
-
-    /// A laid-out `madd` panel ([`super::NnPanels`]): the interleaved
-    /// bytes, sign-extended here exactly as staging would have.
-    impl PanelRow for i8 {
-        const LEN: usize = 2 * W;
-        const BIASED: bool = false;
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn load(row: *const i8) -> (__m256i, __m256i) {
-            let v = row as *const __m128i;
-            (
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(v)),
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(v.add(1))),
-            )
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
-            <u32 as PanelRow>::step(acc, a, b)
-        }
-    }
-
-    /// A `dpbusd` panel, staged ([`stage_quads`]) or laid out: biased
-    /// k-quad bytes, read as they are.
-    impl PanelRow for u8 {
-        const LEN: usize = 4 * W;
-        const BIASED: bool = true;
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn load(row: *const u8) -> (__m256i, __m256i) {
-            let v = row as *const __m256i;
-            (_mm256_loadu_si256(v), _mm256_loadu_si256(v.add(1)))
+        unsafe fn broadcast(a: u32) -> __m256i {
+            _mm256_set1_epi32(a as i32)
         }
 
         #[inline]
         #[target_feature(enable = "avx2,avxvnni")]
-        unsafe fn step(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
-            _mm256_dpbusd_avx_epi32(acc, b, a)
+        unsafe fn step(acc: Self::Acc, a: __m256i, b: Self::Row) -> Self::Acc {
+            [
+                _mm256_dpbusd_avx_epi32(acc[0], b[0], a),
+                _mm256_dpbusd_avx_epi32(acc[1], b[1], a),
+            ]
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn sums(acc: Self::Acc) -> [__m256i; 2] {
+            acc
+        }
+    }
+
+    /// AVX2: the quad row widened to i16 four columns a vector
+    /// (`cvtepu8_epi16`, exact: `b + 128 ≤ 255`), `madd_epi16` against A's
+    /// quad repeated, so each column keeps two pair partials (`≤ 2·255·128`
+    /// each) that the close adds.
+    struct Madd;
+
+    impl Quads for Madd {
+        type Acc = [__m256i; 4];
+        type Row = [__m256i; 4];
+        const ROWS: usize = 2;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn zero() -> Self::Acc {
+            [_mm256_setzero_si256(); 4]
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(row: *const u8) -> Self::Row {
+            let v = row as *const __m128i;
+            [0, 1, 2, 3].map(|i| _mm256_cvtepu8_epi16(_mm_loadu_si128(v.add(i))))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn broadcast(a: u32) -> __m256i {
+            _mm256_cvtepi8_epi16(_mm_set1_epi32(a as i32))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn step(acc: Self::Acc, a: __m256i, b: Self::Row) -> Self::Acc {
+            [0, 1, 2, 3].map(|i| _mm256_add_epi32(acc[i], _mm256_madd_epi16(a, b[i])))
+        }
+
+        /// `hadd` pairs each column's partials, in the order
+        /// `[c0 c1 c4 c5 | c2 c3 c6 c7]`; the qword permute restores it.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn sums(acc: Self::Acc) -> [__m256i; 2] {
+            [
+                _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[0], acc[1])),
+                _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[2], acc[3])),
+            ]
         }
     }
 
     /// Every row of one worker's shard (`row_start..`, row-major in `out`)
-    /// over one panel: four-row quads, then the remainder one by one.
+    /// over one panel: four-row quads, in register blocks of `Q::ROWS`
+    /// rows, then the remainder one by one.
     ///
     /// # Safety
     ///
     /// As [`nn_rows`].
     #[inline(always)]
-    unsafe fn panel_rows<T: PanelRow>(
-        s: &NnStage,
-        panel: Panel<T>,
-        row_start: usize,
-        out: &mut [f32],
-    ) {
+    unsafe fn panel_rows<Q: Quads>(s: &NnStage, panel: Panel, row_start: usize, out: &mut [f32]) {
         let n = s.n;
         let quads = out.len() / n / ROW_QUAD * ROW_QUAD;
         for (q, c) in out[..quads * n].chunks_exact_mut(ROW_QUAD * n).enumerate() {
-            nn_rows::<ROW_QUAD, T>(s, panel, row_start + q * ROW_QUAD, c);
+            let i0 = row_start + q * ROW_QUAD;
+            if Q::ROWS == ROW_QUAD {
+                nn_rows::<ROW_QUAD, Q>(s, panel, i0, c);
+            } else {
+                for (h, c) in c.chunks_exact_mut(2 * n).enumerate() {
+                    nn_rows::<2, Q>(s, panel, i0 + 2 * h, c);
+                }
+            }
         }
         for (r, c) in out[quads * n..].chunks_exact_mut(n).enumerate() {
-            nn_rows::<1, T>(s, panel, row_start + quads + r, c);
+            nn_rows::<1, Q>(s, panel, row_start + quads + r, c);
         }
     }
 
@@ -1367,14 +1277,13 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// Requires the target features of `T`'s micro-kernel, and a panel of
-    /// `s.steps × T::LEN` elements and `s.nblocks × W` scales — the sizes
-    /// the staging functions and [`laid_rows`] check: the vector loads
-    /// read them unchecked.
+    /// Requires the target features of `Q`, and a panel of `s.steps` quad
+    /// rows and `s.nblocks × W` scales — the sizes [`stage_quads`] and
+    /// [`laid_rows`] check: the vector loads read them unchecked.
     #[inline(always)]
-    unsafe fn nn_rows<const R: usize, T: PanelRow>(
+    unsafe fn nn_rows<const R: usize, Q: Quads>(
         s: &NnStage,
-        panel: Panel<T>,
+        panel: Panel,
         i0: usize,
         c: &mut [f32],
     ) {
@@ -1382,29 +1291,24 @@ mod simd {
         for bb in 0..s.nblocks {
             let t0 = bb * s.steps_per_block;
             let t1 = ((bb + 1) * s.steps_per_block).min(s.k_steps);
-            let mut iacc = [[_mm256_setzero_si256(); 2]; R];
+            let mut iacc = [Q::zero(); R];
             for t in t0..t1 {
-                let (bv0, bv1) = T::load(panel.b.as_ptr().add(t * T::LEN));
+                let bv = Q::load(panel.b.add(t * QUAD));
                 for (r, ir) in iacc.iter_mut().enumerate() {
-                    let av = _mm256_set1_epi32(s.aw[(i0 + r) * s.stride + t] as i32);
-                    ir[0] = T::step(ir[0], av, bv0);
-                    ir[1] = T::step(ir[1], av, bv1);
-                }
-            }
-            if T::BIASED {
-                for (r, ir) in iacc.iter_mut().enumerate() {
-                    let bias = _mm256_set1_epi32(s.abias[(i0 + r) * s.nblocks + bb]);
-                    ir[0] = _mm256_sub_epi32(ir[0], bias);
-                    ir[1] = _mm256_sub_epi32(ir[1], bias);
+                    let av = Q::broadcast(s.aw[(i0 + r) * s.stride + t]);
+                    *ir = Q::step(*ir, av, bv);
                 }
             }
             let srow = panel.scales.as_ptr().add(bb * W);
             let sb0 = _mm256_loadu_ps(srow);
             let sb1 = _mm256_loadu_ps(srow.add(8));
             for (r, ar) in acc.iter_mut().enumerate() {
+                let bias = _mm256_set1_epi32(s.abias[(i0 + r) * s.nblocks + bb]);
+                let [x0, x1] = Q::sums(iacc[r]);
+                let (x0, x1) = (_mm256_sub_epi32(x0, bias), _mm256_sub_epi32(x1, bias));
                 let sa = _mm256_set1_ps(s.ascale[(i0 + r) * s.abpr + bb]);
-                let f0 = _mm256_mul_ps(_mm256_mul_ps(sa, sb0), _mm256_cvtepi32_ps(iacc[r][0]));
-                let f1 = _mm256_mul_ps(_mm256_mul_ps(sa, sb1), _mm256_cvtepi32_ps(iacc[r][1]));
+                let f0 = _mm256_mul_ps(_mm256_mul_ps(sa, sb0), _mm256_cvtepi32_ps(x0));
+                let f1 = _mm256_mul_ps(_mm256_mul_ps(sa, sb1), _mm256_cvtepi32_ps(x1));
                 ar[0] = _mm256_add_ps(ar[0], f0);
                 ar[1] = _mm256_add_ps(ar[1], f1);
             }
@@ -1589,7 +1493,7 @@ mod simd {
         let astride = 4 * s.stride;
         let quads = chunk / 4;
         for t in (bb * s.steps_per_block..(bb + 1) * s.steps_per_block).step_by(quads) {
-            let (ap, bp) = (a.add(t).cast::<u8>(), b.add(t * 4 * W));
+            let (ap, bp) = (a.add(t).cast::<u8>(), b.add(t * QUAD));
             on_tiles!(FULL, ODD, tdpbsud!(ap, astride, bp));
         }
     }
@@ -1619,7 +1523,7 @@ mod simd {
     unsafe fn tile_rows(
         s: &NnStage,
         bufs: &mut [TileBlock; 2],
-        panel: Panel<u8>,
+        panel: Panel,
         row_start: usize,
         out: &mut [f32],
     ) {
@@ -1656,12 +1560,12 @@ mod simd {
     unsafe fn tile_block<const FULL: bool, const R: usize>(
         s: &NnStage,
         bufs: &mut [TileBlock; 2],
-        panel: Panel<u8>,
+        panel: Panel,
         (i0, rows): (usize, usize),
         c: &mut [f32],
     ) {
         let chunk = tile_chunk(s);
-        let (a, b) = (s.aw.as_ptr().add(i0 * s.stride), panel.b.as_ptr());
+        let (a, b) = (s.aw.as_ptr().add(i0 * s.stride), panel.b);
         assert!(0 < rows && rows <= R && R <= TILE_ROWS);
         assert!((i0 + rows) * s.nblocks <= s.abias.len());
         assert!((i0 + rows) * s.abpr <= s.ascale.len() && s.nblocks <= s.abpr);
@@ -1935,8 +1839,9 @@ mod tests {
 
     /// Row counts on both sides of the four-row blocking and of each
     /// 16-row tile, column counts on both sides of each 16-column panel
-    /// edge, and depths of every residue mod 4 (the padded last k-pair or
-    /// k-quad) — the shapes panel staging and the tiles have to get right.
+    /// edge, and depths of every residue mod 4 (the padded last k-quad) —
+    /// the shapes the panels, the `Nt` gather and the tiles have to get
+    /// right.
     const TAIL_MS: [usize; 11] = [1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33];
     const TAIL_NS: [usize; 6] = [1, 15, 16, 17, 33, 70];
     const TAIL_KS: [usize; 6] = [1, 7, 13, 18, 32, 47];
@@ -1956,34 +1861,57 @@ mod tests {
             .collect()
     }
 
-    /// The sides of B that micro-kernel `mk` is called on directly: staged
-    /// per call and read from its panel layout — for the tile unit only
-    /// the layout, since over a staged B it runs `dpbusd`.
-    fn sides<'s, 'a>(
-        mk: MicroKernel,
-        staged: &'s ColSide<'a>,
-        laid: &'s ColSide<'a>,
-    ) -> Vec<(&'s ColSide<'a>, &'static str)> {
-        let staged = (mk != MicroKernel::Tile).then_some((staged, "staged"));
-        staged.into_iter().chain([(laid, "laid out")]).collect()
-    }
-
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A `rows × cols` column-grouped operand as the pack writes it:
+    /// random values — a fifth zero, magnitudes over eighteen binades —
+    /// packed along the columns at group `g`, 7-bit mantissas, straight
+    /// into their column panels ([`PackedMat::from_col_panels`]).
+    fn packed_cols(rows: usize, cols: usize, g: usize, seed: u64) -> PackedMat {
+        use fast_bfp::{packed::pack_matrix, BfpFormat, CounterRng, GroupAxis, Noise, Rounding};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0) * 2.0f32.powi(rng.gen_range(-9..9))
+                }
+            })
+            .collect();
+        let fmt = BfpFormat::new(g, 7, 8).expect("a valid format");
+        let noise = Noise {
+            rng: CounterRng::new(seed),
+            base: 0,
+            workers: 1,
+        };
+        let p = pack_matrix(
+            &data,
+            rows,
+            cols,
+            GroupAxis::AlongCol,
+            fmt,
+            Rounding::Nearest,
+            noise,
+            false,
+        )
+        .expect("plain values pack");
+        PackedMat::from_col_panels(rows, cols, g, p.mantissas, p.scales)
+    }
+
     /// Every integer path against the segment oracle, bit for bit: the
     /// scalar `Nn` core; the host's own dispatch through the public entry
-    /// points, with `B` staged and laid out ([`PackedMat::with_nn_panels`]);
-    /// and each micro-kernel this host runs, called directly on the same
-    /// operands whatever [`ceiling`] would pick — `Nn` and `Tn` with `B`
-    /// staged per call (but for the tile unit) and read from its panel
-    /// layout for that micro-kernel, and staged `Nt` (from four rows;
-    /// below, the dots).
-    /// Over the tail grid at groups of both residues mod 4 (a `g ≡ 2` pair
-    /// drops from `dpbusd` to `madd`), the shapes above and four shapes
-    /// deep enough to shard — one at a group the tile unit chains over two
-    /// K-chunks — at 1–3 workers.
+    /// points, with A's words converted per call and staged once
+    /// ([`PackedMat::with_a_words`]); and each micro-kernel this host runs,
+    /// called directly on the same operands whatever [`ceiling`] would
+    /// pick — `Nn` and `Tn` over the column panels the pack wrote, and
+    /// gathered `Nt` (from four rows; below, the dots). Over the tail grid
+    /// at groups of both residues mod 4 (a `g ≡ 2` pair takes the scalar
+    /// kernels), the shapes above and four shapes deep enough to shard —
+    /// one at a group the tile unit chains over two K-chunks — at 1–3
+    /// workers.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn vector_paths_agree_with_the_segment_oracle_bitwise() {
@@ -2011,66 +1939,50 @@ mod tests {
         for (g, m, n, k) in shapes.chain(sharded).chain(grid) {
             let seed = (61 * m + 67 * n + 71 * k + g) as u64;
             let a = random_pack(m, k, g, PackLayout::RowGroups, seed);
-            let at = random_pack(k, m, g, PackLayout::ColGroups, seed + 2);
+            let staged = a.clone().with_a_words();
+            assert_eq!(staged.a_words().is_some(), g.is_multiple_of(4));
+            let at = packed_cols(k, m, g, seed + 2);
             let bt = random_pack(n, k, g, PackLayout::RowGroups, seed + 3);
-            let staged = random_pack(k, n, g, PackLayout::ColGroups, seed + 1);
-            let laid = staged.clone().with_nn_panels();
-            assert!(laid.nn_panels().is_some());
-            let want = bits(&segment_product(Orient::Nn, &a, &staged));
-            let want_tn = bits(&segment_product(Orient::Tn, &at, &staged));
+            let b = packed_cols(k, n, g, seed + 1);
+            let want = bits(&segment_product(Orient::Nn, &a, &b));
+            let want_tn = bits(&segment_product(Orient::Tn, &at, &b));
             let want_nt = bits(&segment_product(Orient::Nt, &a, &bt));
             let mut scalar = vec![0.0f32; m * n];
-            let (av, bv) = (RowSide::of(&a), ColSide::of(&staged));
+            let (av, bv) = (RowSide::of(&a), ColSide::of(&b));
             nn_scalar(&av, &bv, g, g, (m, k, n), &mut scalar);
             assert_eq!(bits(&scalar), want, "scalar ({m},{k},{n}) g={g}");
-            let layouts = kernels
-                .iter()
-                .map(|&mk| (mk, NnPanels::build_for(mk, &staged)));
-            let layouts: Vec<_> = layouts.collect();
             for workers in 1..=3 {
                 set_parallelism(Parallelism::new(workers));
                 let shape = format!("({m},{k},{n}) g={g} workers={workers}");
-                for (b, path) in [(&staged, "staged"), (&laid, "laid out")] {
-                    assert_eq!(bits(int_nn(&a, b).data()), want, "nn {path} {shape}");
-                    assert_eq!(bits(int_tn(&at, b).data()), want_tn, "tn {path} {shape}");
+                for (a, path) in [(&a, "converted"), (&staged, "staged")] {
+                    assert_eq!(bits(int_nn(a, &b).data()), want, "nn {path} {shape}");
+                    assert_eq!(bits(int_nt(a, &bt).data()), want_nt, "nt {path} {shape}");
                 }
-                assert_eq!(bits(int_nt(&a, &bt).data()), want_nt, "nt {shape}");
-                for (mk, panels) in &layouts {
-                    let best = Some(*mk);
-                    assert_eq!(panels.is_some(), g.is_multiple_of(mk.step()));
-                    assert_eq!(
-                        panels.as_ref().map(|p| p.kernel),
-                        panels.as_ref().and(Some(mk.layout()))
-                    );
-                    let laid = ColSide {
-                        panels: panels.as_ref(),
-                        ..ColSide::of(&staged)
-                    };
-                    for (b, path) in sides(*mk, &bv, &laid) {
-                        let tag = format!("{mk:?} {path} {shape}");
-                        let nn = nn_on(best, &av, g, b, g, (m, k, n));
-                        assert_eq!(bits(nn.data()), want, "nn {tag}");
-                        let tn = tn_on(best, &at, b, g, n);
-                        assert_eq!(bits(tn.data()), want_tn, "tn {tag}");
-                    }
-                    let nt = nt_on(best, &a, &bt);
-                    assert_eq!(bits(nt.data()), want_nt, "nt {mk:?} {shape}");
+                assert_eq!(bits(int_tn(&at, &b).data()), want_tn, "tn {shape}");
+                for &mk in &kernels {
+                    let tag = format!("{mk:?} {shape}");
+                    let nn = nn_on(Some(mk), &a, &bv, g);
+                    assert_eq!(bits(nn.data()), want, "nn {tag}");
+                    let tn = tn_on(Some(mk), &at, &bv, g);
+                    assert_eq!(bits(tn.data()), want_tn, "tn {tag}");
+                    let nt = nt_on(Some(mk), &a, &bt);
+                    assert_eq!(bits(nt.data()), want_nt, "nt {tag}");
                 }
             }
         }
         set_parallelism(saved);
     }
 
-    /// `dpbusd` sums the products of B biased by `+128`, so a segment's
-    /// lane can wrap `i32` where its true sum does not: with A all `−128`
-    /// and B all `+127`, the biased sum of the longest segment of whole
-    /// k-quads (131 068 values, a multiple of four under
+    /// The micro-kernels sum the products of B biased by `+128`, so a
+    /// segment's lane can wrap `i32` where its true sum does not: with A
+    /// all `−128` and B all `+127`, the biased sum of the longest segment
+    /// of whole k-quads (131 068 values, a multiple of four under
     /// [`MAX_INT_SEGMENT`]) is `−4.28·10⁹`. Modular steps and the bias
     /// subtraction still return the exact `−2.13·10⁹`; the saturating
     /// `dpbusds` would not. B all `−128` too gives the extremal product,
-    /// `k·128²`, just under `2³¹`. Staged and laid-out `Nn` and `Tn` and
-    /// staged `Nt`, on each micro-kernel this host runs — on the tile unit
-    /// (laid out) a group of 4 681 chained 28-value K-chunks.
+    /// `k·128²`, just under `2³¹`. `Nn`, `Tn` and gathered `Nt`, on each
+    /// micro-kernel this host runs — on the tile unit a group of 4 681
+    /// chained 28-value K-chunks.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn the_longest_quad_segment_wraps_its_biased_sum_and_stays_exact() {
@@ -2113,19 +2025,12 @@ mod tests {
                 vec![1.0; n],
             );
             for mk in host_kernels() {
-                let panels = NnPanels::build_for(mk, &b);
-                let laid = ColSide {
-                    panels: panels.as_ref(),
-                    ..ColSide::of(&b)
-                };
-                for (side, path) in sides(mk, &ColSide::of(&b), &laid) {
-                    let tag = format!("{mk:?} {path} b={bv}");
-                    let nn = nn_on(Some(mk), &RowSide::of(&a), k, side, k, (m, k, n));
-                    assert_eq!(nn.data(), want, "nn {tag}");
-                    let tn = tn_on(Some(mk), &at, side, k, n);
-                    assert_eq!(tn.data(), want, "tn {tag}");
-                }
-                assert_eq!(nt_on(Some(mk), &a, &bt).data(), want, "nt {mk:?} b={bv}");
+                let tag = format!("{mk:?} b={bv}");
+                let nn = nn_on(Some(mk), &a, &ColSide::of(&b), k);
+                assert_eq!(nn.data(), want, "nn {tag}");
+                let tn = tn_on(Some(mk), &at, &ColSide::of(&b), k);
+                assert_eq!(tn.data(), want, "tn {tag}");
+                assert_eq!(nt_on(Some(mk), &a, &bt).data(), want, "nt {tag}");
             }
         }
     }
@@ -2134,8 +2039,8 @@ mod tests {
     /// close's `(sa·sb)·x` rounds, so only the exact close — two
     /// multiplies, then an add — matches the oracle; a fused multiply-add
     /// in any micro-kernel's close fails here (at power-of-two scales the
-    /// product is exact and the two agree). Staged and laid-out `Nn`, on
-    /// each micro-kernel this host runs.
+    /// product is exact and the two agree). `Nn`, `Tn` and `Nt`, on each
+    /// micro-kernel this host runs.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn arbitrary_scales_close_as_the_oracle_does() {
@@ -2143,212 +2048,171 @@ mod tests {
         use segment_oracle::segment_product;
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let mut rescale = |p: PackedMat| {
-            let scales = p
-                .scales()
-                .iter()
-                .map(|_| rng.gen_range(0.5f32..2.0))
-                .collect();
-            let (rows, cols, layout) = (p.rows(), p.cols(), p.layout());
-            PackedMat::new(
-                rows,
-                cols,
-                p.group(),
-                layout,
-                p.mantissas().to_vec(),
-                scales,
-            )
+            let (rows, cols, g, layout) = (p.rows(), p.cols(), p.group(), p.layout());
+            let mans = (0..rows * cols).map(|x| p.mantissa(x / cols, x % cols));
+            let n_scales = match layout {
+                PackLayout::RowGroups => rows * cols.div_ceil(g),
+                PackLayout::ColGroups => rows.div_ceil(g) * cols,
+            };
+            let scales = (0..n_scales).map(|_| rng.gen_range(0.5f32..2.0)).collect();
+            PackedMat::new(rows, cols, g, layout, mans.collect(), scales)
         };
         for (m, k, n, g) in [(17, 96, 33, 16), (8, 64, 16, 32), (5, 40, 20, 8)] {
             let a = rescale(random_pack(m, k, g, PackLayout::RowGroups, 3));
+            let at = rescale(random_pack(k, m, g, PackLayout::ColGroups, 5));
+            let bt = rescale(random_pack(n, k, g, PackLayout::RowGroups, 6));
             let b = rescale(random_pack(k, n, g, PackLayout::ColGroups, 4));
             let want = bits(&segment_product(Orient::Nn, &a, &b));
+            let want_tn = bits(&segment_product(Orient::Tn, &at, &b));
+            let want_nt = bits(&segment_product(Orient::Nt, &a, &bt));
             for mk in host_kernels() {
-                let panels = NnPanels::build_for(mk, &b);
-                let laid = ColSide {
-                    panels: panels.as_ref(),
-                    ..ColSide::of(&b)
-                };
-                for (side, path) in sides(mk, &ColSide::of(&b), &laid) {
-                    let nn = nn_on(Some(mk), &RowSide::of(&a), g, side, g, (m, k, n));
-                    assert_eq!(bits(nn.data()), want, "{mk:?} {path} ({m},{k},{n}) g={g}");
-                }
+                let tag = format!("{mk:?} ({m},{k},{n}) g={g}");
+                let nn = nn_on(Some(mk), &a, &ColSide::of(&b), g);
+                assert_eq!(bits(nn.data()), want, "nn {tag}");
+                let tn = tn_on(Some(mk), &at, &ColSide::of(&b), g);
+                assert_eq!(bits(tn.data()), want_tn, "tn {tag}");
+                assert_eq!(bits(nt_on(Some(mk), &a, &bt).data()), want_nt, "nt {tag}");
             }
         }
     }
 
-    /// Byte `i` of `mk`'s panel layout of `b` (`k × n`, row-major
-    /// mantissas), as [`NnPanels`] documents it: panel `q`, k-step row
-    /// `t`, column `c`, step `s` holds `b[step·t + s][16q + c]` — as is
-    /// for `madd`, `^ 0x80` for `dpbusd` — and past `k` or `n`, to the end
-    /// of the layout's last k-step (`madd`) or group (`dpbusd`), the zero
-    /// of that encoding.
-    fn layout_byte(mk: MicroKernel, b: &PackedMat, i: usize) -> u8 {
-        let (k, n, step) = (b.rows(), b.cols(), mk.step());
-        let (row, panel) = (16 * step, panel_steps(mk, k, b.group()) * 16 * step);
-        let (q, t, c, s) = (i / panel, i % panel / row, i % row / step, i % step);
-        let (r, j) = (step * t + s, 16 * q + c);
-        let v = if r < k && j < n {
-            b.mantissas()[r * n + j] as u8
+    /// Byte `i` of the column panels of `b` (`k × n`, group `g`), as
+    /// [`Panels`] documents them, from row-major `mans`: panel `q`, quad
+    /// row `t` of block `t / ⌈g/4⌉`, column `c`, step `s` holds
+    /// `b[g·(t / ⌈g/4⌉) + 4·(t % ⌈g/4⌉) + s][16q + c] ^ 0x80`, and past the
+    /// group, `k` or `n` the biased zero `0x80`.
+    fn panel_byte(mans: &[i8], (k, n, g): (usize, usize, usize), i: usize) -> i8 {
+        let qpb = g.div_ceil(4);
+        let panel = k.div_ceil(g) * qpb * 64;
+        let (q, t, c, s) = (i / panel, i % panel / 64, i % 64 / 4, i % 4);
+        let (within, r, j) = (
+            4 * (t % qpb) + s,
+            g * (t / qpb) + 4 * (t % qpb) + s,
+            16 * q + c,
+        );
+        let v = if within < g && r < k && j < n {
+            mans[r * n + j]
         } else {
             0
         };
-        match mk.layout() {
-            MicroKernel::Madd => v,
-            _ => v ^ 0x80,
-        }
+        v ^ i8::MIN
     }
 
-    /// Each panel layout holds exactly `B`'s columns, byte for byte:
-    /// `madd` k-pair rows interleave stored rows `2p`, `2p + 1`, `dpbusd`
-    /// k-quad rows — which the tile unit reads too — interleave rows
-    /// `4t … 4t + 3` biased by `+128`, whole groups deep, the block scales
-    /// sit beside them, and everything else — tail columns and the k-tail
-    /// of the last step or group — is the encoding's zero (`0`, `0x80`).
-    /// Neither reaches an output bit (tail lanes are never stored, A's
-    /// k-tail is zero), so only this test sees them. A layout exists
-    /// exactly when the micro-kernel takes the group;
-    /// [`PackedMat::with_nn_panels`] builds the host's and counts it in
-    /// `heap_bytes`; a row-grouped or odd-group matrix gets none.
+    /// A column-grouped matrix is stored exactly as the column panels
+    /// document, byte for byte and scale for scale, at groups the vector
+    /// kernels take and at the rest — tail columns, the k-tail of the last
+    /// group and a group's quad padding all the biased zero — and its
+    /// accessors read it back; the pack's own layout (`fast_bfp`'s
+    /// `ColPanels`) indexes every value and scale where [`Panels`] does.
+    /// Staged A words count in `heap_bytes`; a column-grouped matrix or an
+    /// odd group stages none.
     #[test]
-    fn laid_out_panels_hold_exactly_the_operands_columns() {
-        let grid = [2usize, 4, 6, 16].into_iter().flat_map(|g| {
+    fn column_panels_hold_exactly_the_operands_values() {
+        use fast_bfp::packed::ColPanels;
+        let grid = [2usize, 3, 4, 6, 16, 32].into_iter().flat_map(|g| {
             TAIL_NS
                 .into_iter()
                 .flat_map(move |n| TAIL_KS.into_iter().map(move |k| (g, n, k)))
         });
         for (g, n, k) in grid {
             let seed = (g * 1000 + n * 50 + k) as u64;
-            let b = random_pack(k, n, g, PackLayout::ColGroups, seed);
-            for mk in [MicroKernel::Madd, MicroKernel::Dpbusd, MicroKernel::Tile] {
-                let step = mk.step();
-                let Some(laid) = NnPanels::build_for(mk, &b) else {
-                    assert!(!g.is_multiple_of(step), "{mk:?} g={g} lays out");
-                    continue;
-                };
-                assert_eq!(laid.kernel, mk.layout());
-                let got = &laid.bytes;
-                let (nblocks, panels) = (k.div_ceil(g), n.div_ceil(16));
-                let rows = match mk.layout() {
-                    MicroKernel::Madd => k.div_ceil(2),
-                    _ => nblocks * g / 4,
-                };
-                assert_eq!(got.len(), panels * rows * 16 * step);
-                assert_eq!(laid.scales.len(), panels * nblocks * 16);
-                assert_eq!(laid.heap_bytes(), got.len() + 4 * laid.scales.len());
-                for (i, &got) in got.iter().enumerate() {
-                    let want = layout_byte(mk, &b, i);
-                    assert_eq!(got, want, "{mk:?} g={g} n={n} k={k} byte {i}");
-                }
-                for (i, &got) in laid.scales.iter().enumerate() {
-                    let (q, bb, c) = (i / (nblocks * 16), i / 16 % nblocks, i % 16);
-                    let j = 16 * q + c;
-                    let want = if j < n { b.scales()[bb * n + j] } else { 0.0 };
-                    let tag = format!("scale {mk:?} g={g} n={n} k={k} bb={bb} j={j}");
-                    assert_eq!(got.to_bits(), want.to_bits(), "{tag}");
-                }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mans: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-128..=127)).collect();
+            let scales: Vec<f32> = (0..k.div_ceil(g) * n).map(|x| x as f32 + 0.5).collect();
+            let b = PackedMat::new(k, n, g, PackLayout::ColGroups, mans.clone(), scales.clone());
+            let (nblocks, panels) = (k.div_ceil(g), n.div_ceil(16));
+            let bytes = b.bytes();
+            assert_eq!(bytes.len(), panels * nblocks * g.div_ceil(4) * 64);
+            assert_eq!(b.stored_scales().len(), panels * nblocks * 16);
+            assert_eq!(b.heap_bytes(), bytes.len() + 4 * b.stored_scales().len());
+            for (i, &got) in bytes.iter().enumerate() {
+                let want = panel_byte(&mans, (k, n, g), i);
+                assert_eq!(got, want, "g={g} n={n} k={k} byte {i}");
             }
-            let unlaid = b.heap_bytes();
-            let b = b.with_nn_panels();
-            let host = micro_kernel(host_kernel(), g, g).map(MicroKernel::layout);
-            assert_eq!(b.nn_panels().map(|p| p.kernel), host, "g={g}");
-            let laid = b.nn_panels().map_or(0, NnPanels::heap_bytes);
-            assert_eq!(b.heap_bytes(), unlaid + laid);
+            for (i, &got) in b.stored_scales().iter().enumerate() {
+                let (q, bb, c) = (i / (nblocks * 16), i / 16 % nblocks, i % 16);
+                let j = 16 * q + c;
+                let want = if j < n { scales[bb * n + j] } else { 0.0 };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "g={g} n={n} k={k} bb={bb} j={j}"
+                );
+            }
+            let layout = ColPanels {
+                rows: k,
+                cols: n,
+                group: g,
+            };
+            let panels = Panels::new(k, n, g);
+            assert_eq!(
+                (layout.len(), layout.scales()),
+                (panels.len(), panels.scales_len())
+            );
+            for (i, j) in (0..k).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                assert_eq!(b.mantissa(i, j), mans[i * n + j]);
+                assert_eq!(b.scale(i, j), scales[i / g * n + j]);
+                assert_eq!(layout.index(i, j), panels.index(i, j));
+                assert_eq!(layout.scale_index(i, j), panels.scale_index(i, j));
+            }
+            let unstaged = b.heap_bytes();
+            assert_eq!(b.with_a_words().heap_bytes(), unstaged);
         }
-        for b in [
-            random_pack(9, 20, 3, PackLayout::ColGroups, 1),
-            random_pack(9, 20, 16, PackLayout::RowGroups, 2),
-        ] {
-            let unlaid = b.heap_bytes();
-            let b = b.with_nn_panels();
-            assert!(b.nn_panels().is_none());
-            assert_eq!(b.heap_bytes(), unlaid);
-        }
+        let a = random_pack(9, 40, 16, PackLayout::RowGroups, 2);
+        let unstaged = a.heap_bytes();
+        let a = a.with_a_words();
+        let staged = a.a_words().map_or(0, AWords::heap_bytes);
+        assert_eq!(staged > 0, host_kernel().is_some());
+        assert_eq!(a.heap_bytes(), unstaged + staged);
+        let odd = random_pack(9, 20, 3, PackLayout::RowGroups, 1).with_a_words();
+        assert!(odd.a_words().is_none());
     }
 
-    /// A staged panel holds exactly B's columns `j0..j0 + w`, whatever the
-    /// buffer held before: `madd` k-pair words — low half row `2p`, high
-    /// half row `2p + 1`, zero padding — and `dpbusd` k-quad bytes in the
-    /// laid-out order, `0x80` padding. Tail columns and the k-tail of the
-    /// last step are padded, never left stale.
+    /// A gathered `Nt` panel holds exactly B's columns `j0..j0 + w` in the
+    /// column panels' byte order, whatever the buffer held before: k-quad
+    /// bytes biased by `+128`, `0x80` padding, and the block scales. Tail
+    /// columns and the k-tail of the last quad are padded, never left
+    /// stale.
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn staged_panels_hold_exactly_the_operands_columns() {
-        let word = |lo: i8, hi: i8| (lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16);
+    fn gathered_panels_hold_exactly_the_operands_columns() {
         let shapes = TAIL_NS
             .into_iter()
             .flat_map(|n| TAIL_KS.into_iter().map(move |k| (n, k)));
-        let kernels = host_kernels()
-            .into_iter()
-            .filter(|&mk| mk != MicroKernel::Tile);
-        for ((n, k), mk) in shapes.flat_map(|s| kernels.clone().map(move |mk| (s, mk))) {
-            let g = 3 * mk.step();
+        for (n, k) in shapes {
+            let g = 12;
             let a = random_pack(1, k, g, PackLayout::RowGroups, 5);
-            let b = random_pack(k, n, g, PackLayout::ColGroups, (n * 100 + k) as u64);
             let bt = random_pack(n, k, g, PackLayout::RowGroups, (n * 100 + k + 1) as u64);
-            let av = RowSide::of(&a);
-            let (cols, rows) = (ColSide::of(&b), RowSide::of(&bt));
-            for (side, packed, transposed) in [
-                (BSide::Cols(&cols), &b, false),
-                (BSide::Rows(&rows), &bt, true),
-            ] {
-                let stage = simd::NnStage::build(mk, &av, side, g, (1, k, n), false);
-                let steps = k.div_ceil(mk.step());
-                let mut words = vec![0u32; steps * 16];
-                let mut bytes = vec![0u8; steps * 64];
-                let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
-                let at = |p: usize, j: usize| {
-                    let (r, c) = if transposed { (j, p) } else { (p, j) };
-                    packed.mantissas()[r * packed.cols() + c]
-                };
-                let scale = |bb: usize, j: usize| {
-                    if transposed {
-                        packed.scales()[j * k.div_ceil(g) + bb]
+            let (av, rows) = (RowSide::of(&a), RowSide::of(&bt));
+            let aside = ASide {
+                words: Cow::Owned(AWords::of_rows(&av, 1, k, g)),
+                scale: Cow::Borrowed(av.scale),
+                bpr: av.bpr,
+            };
+            let stage = simd::NnStage::build(&aside, BSide::Rows(&rows), g, (1, k, n));
+            let steps = k.div_ceil(4);
+            let mut bytes = vec![0u8; steps * 64];
+            let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
+            for j0 in (0..n).step_by(16) {
+                let w = (n - j0).min(16);
+                let tag = format!("n={n} k={k} j0={j0}");
+                scales.fill(f32::NAN);
+                bytes.fill(0x5A);
+                simd::stage_quads(&stage, &rows, j0, w, &mut bytes, &mut scales);
+                for (i, &got) in bytes.iter().enumerate() {
+                    let (t, c, s) = (i / 64, i % 64 / 4, i % 4);
+                    let r = 4 * t + s;
+                    let v = if c < w && r < k {
+                        bt.mantissa(j0 + c, r)
                     } else {
-                        packed.scales()[bb * n + j]
-                    }
-                };
-                for j0 in (0..n).step_by(16) {
-                    let w = (n - j0).min(16);
-                    let tag = format!("{mk:?} n={n} k={k} t={transposed} j0={j0}");
-                    scales.fill(f32::NAN);
-                    match mk {
-                        MicroKernel::Madd => {
-                            words.fill(0xDEAD_BEEF);
-                            // SAFETY: `host_kernels` confirmed AVX2.
-                            unsafe { simd::stage_pairs(&stage, j0, w, &mut words, &mut scales) };
-                            for (p, row) in words.chunks_exact(16).enumerate() {
-                                for (c, &got) in row.iter().enumerate() {
-                                    let want = if c < w {
-                                        let hi = if 2 * p + 1 < k {
-                                            at(2 * p + 1, j0 + c)
-                                        } else {
-                                            0
-                                        };
-                                        word(at(2 * p, j0 + c), hi)
-                                    } else {
-                                        0
-                                    };
-                                    assert_eq!(got, want, "{tag} p={p} c={c}");
-                                }
-                            }
-                        }
-                        _ => {
-                            bytes.fill(0x5A);
-                            // SAFETY: `host_kernels` confirmed AVX2.
-                            unsafe { simd::stage_quads(&stage, j0, w, &mut bytes, &mut scales) };
-                            for (i, &got) in bytes.iter().enumerate() {
-                                let (t, c, s) = (i / 64, i % 64 / 4, i % 4);
-                                let r = 4 * t + s;
-                                let v = if c < w && r < k { at(r, j0 + c) } else { 0 };
-                                assert_eq!(got, v as u8 ^ 0x80, "{tag} t={t} c={c} s={s}");
-                            }
-                        }
-                    }
-                    for (bb, row) in scales.chunks_exact(16).enumerate() {
-                        for (c, &got) in row.iter().enumerate() {
-                            let want = if c < w { scale(bb, j0 + c) } else { 0.0 };
-                            assert_eq!(got.to_bits(), want.to_bits(), "scale {tag} bb={bb}");
-                        }
+                        0
+                    };
+                    assert_eq!(got, v as u8 ^ 0x80, "{tag} t={t} c={c} s={s}");
+                }
+                for (bb, row) in scales.chunks_exact(16).enumerate() {
+                    for (c, &got) in row.iter().enumerate() {
+                        let want = if c < w { bt.scale(j0 + c, bb * g) } else { 0.0 };
+                        assert_eq!(got.to_bits(), want.to_bits(), "scale {tag} bb={bb}");
                     }
                 }
             }

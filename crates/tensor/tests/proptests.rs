@@ -748,14 +748,16 @@ fn inexact_row_reads_the_chain_at_every_row_count() {
 
 /// Row `i` of a `RowGroups` packed matrix as a one-row packed matrix.
 fn packed_row(p: &PackedMat, i: usize) -> PackedMat {
-    let (k, bpr) = (p.cols(), p.cols().div_ceil(p.group()).max(1));
+    let (k, g) = (p.cols(), p.group());
     PackedMat::new(
         1,
         k,
-        p.group(),
+        g,
         PackLayout::RowGroups,
-        p.mantissas()[i * k..(i + 1) * k].to_vec(),
-        p.scales()[i * bpr..(i + 1) * bpr].to_vec(),
+        (0..k).map(|j| p.mantissa(i, j)).collect(),
+        (0..k.div_ceil(g).max(1))
+            .map(|b| p.scale(i, b * g))
+            .collect(),
     )
 }
 
@@ -803,7 +805,7 @@ proptest! {
     /// orientations, against the segment oracle bit for bit: group sizes
     /// {2, 5, 16, 32} drawn independently per side (unequal groups split
     /// segments; odd ones leave the vector kernel), odd depths (the padded
-    /// last k-pair), row and lane counts off every tile edge, 7-bit
+    /// last k-quad), row and lane counts off every tile edge, 7-bit
     /// mantissas, and scales over 2⁻²⁴…2⁸ so the cross-segment f32 adds
     /// round — an accumulator kept in f64 across segments fails here — for
     /// 1, 2 and 3 workers.

@@ -1,5 +1,5 @@
 //! The packed×packed GEMM reference: the integer kernels' definition,
-//! written over nothing but `PackedMat::{mantissas, scales}` (shared by
+//! written over nothing but `PackedMat::{mantissa, scale}` (shared by
 //! `fast_tensor`'s and `fast_nn`'s proptests).
 //!
 //! Every output element starts at `acc = +0.0`. The reduction axis splits
@@ -10,15 +10,10 @@
 
 use fast_tensor::qgemm::{Orient, PackLayout, PackedMat};
 
-/// Mantissa and scale of stored element `(i, j)`, from raw storage.
+/// Mantissa and scale of stored element `(i, j)`, through the layout's
+/// index accessors.
 fn parts(p: &PackedMat, i: usize, j: usize) -> (i64, f32) {
-    let scale = match p.layout() {
-        PackLayout::RowGroups => {
-            p.scales()[i * p.cols().div_ceil(p.group()).max(1) + j / p.group()]
-        }
-        PackLayout::ColGroups => p.scales()[(i / p.group()) * p.cols() + j],
-    };
-    (i64::from(p.mantissas()[i * p.cols() + j]), scale)
+    (i64::from(p.mantissa(i, j)), p.scale(i, j))
 }
 
 /// The `m × n` product of `a` and `b` in orientation `orient`, row-major.

@@ -529,10 +529,12 @@ fn main() {
     // which is why this floor is 0.5 and not the 0.6 it was: DESIGN.md §7
     // has the runs.
     const BWD_FLOOR: f64 = 0.5;
-    // ≈ 70 % of the 3.57–4.97 the `madd` kernel read against the dense
-    // kernel over six quick runs at one worker, reading the weight's panel
-    // layout (DESIGN.md §11); the AVX-VNNI kernel reads higher, but the
-    // floor must hold on hosts without it. Staging B per call read
+    // ≈ 70 % of the 3.57–4.97 the k-pair `madd` kernel read against the
+    // dense kernel over six quick runs at one worker (DESIGN.md §11). The
+    // k-quad `madd` that replaced it, which reads the packed panels as they
+    // are, reads 2.69–3.03 (four alternating full runs against the pair
+    // kernel's 3.87–4.34); the AVX-VNNI and tile kernels read higher, but
+    // the floor must hold on hosts without them. Staging B per call read
     // 1.98–2.31, and a whole-operand copy of B per call cost about as much
     // as the product.
     const SERVE_INT_FLOOR: f64 = 2.5;
@@ -739,15 +741,14 @@ fn main() {
             Json::Str(fast_tensor::qgemm::int_kernel().to_string()),
         ),
         // The rows the tile unit produced: it takes the products of four
-        // rows or more whose B is column-grouped — every `Nn` and `Tn` row
-        // here — so on an `"amx"` host the `Nt` rows ran `vpdpbusd`, as on
-        // an `"avxvnni"` one.
+        // rows or more — every `qgemm_int_*` row here, `Nt` included (its
+        // B gathered into column panels once per call).
         (
             "int_tile_rows".to_string(),
             Json::Arr(match fast_tensor::qgemm::int_kernel() {
                 "amx" => results
                     .iter()
-                    .filter(|(key, _)| key.starts_with("qgemm_int_") && !key.contains("_nt_"))
+                    .filter(|(key, _)| key.starts_with("qgemm_int_"))
                     .map(|(key, _)| Json::Str(key.to_string()))
                     .collect(),
                 _ => Vec::new(),

@@ -24,7 +24,7 @@ use fast_bfp::{
 use fast_core::{FixedPolicy, LayerwisePolicy, PrecisionTrace, TemporalPolicy};
 use fast_hw::{fast_breakdown, ComponentShare, FmacCell, MacKind};
 use fast_nn::{quant_layer_count, Layer, LayerPrecision, NumericFormat, Sequential, TrainHook};
-use fast_tensor::qgemm::{qmatmul, Operand, PackLayout, PackedMat};
+use fast_tensor::qgemm::{qmatmul, Operand, PackedMat};
 use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -478,7 +478,7 @@ fn fmac_int_kernel(_: &mut Lab) -> Vec<Trial> {
         pack(m, k, GroupAxis::AlongRow, 4, 0.0),
         pack(k, n, GroupAxis::AlongCol, 2, 1.0),
     );
-    let pa = PackedMat::new(m, k, g, PackLayout::RowGroups, a.mantissas, a.scales);
+    let pa = PackedMat::new(m, k, g, a.mantissas, a.scales);
     let pb = PackedMat::from_col_panels(k, n, g, b.mantissas, b.scales);
     let (oa, ob) = (Operand::Packed(&pa), Operand::Packed(&pb));
     let c = qmatmul(oa, ob);

@@ -838,27 +838,47 @@ fn quad_rows<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut Qu
 }
 
 /// The panel writer's lane body on the host's widest lanes: sixteen on an
-/// AVX-512BW host, eight otherwise ([`lane_body`]). Out of line, so its
-/// slices keep their no-alias guarantee whatever the caller inlined:
-/// inlined into a pack over an im2col source it ran 4× slower.
+/// AVX-512 (F, BW and VL) host, eight otherwise ([`lane_body`]). Out of
+/// line, so its slices keep their no-alias guarantee whatever the caller
+/// inlined: inlined into a pack over an im2col source it ran 4× slower.
 #[inline(never)]
 fn panel_quads<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
     #[cfg(target_arch = "x86_64")]
-    if wide_lanes() {
-        // SAFETY: `wide_lanes` confirmed AVX-512F and AVX-512BW at runtime.
+    if wide_lanes() && !eight_lanes_forced() {
+        // SAFETY: `wide_lanes` confirmed AVX-512F, -BW and -VL at runtime.
         #[allow(unsafe_code)]
         return unsafe { panel_quads_x16(group, out, round, stats) };
     }
     lane_body::<R, 8>(group, out, round, stats)
 }
 
-/// Whether the host runs AVX-512F and AVX-512BW, detected once.
+/// Whether the host runs AVX-512F, AVX-512BW and AVX-512VL — the features
+/// [`panel_quads_x16`] is compiled for — detected once.
 #[cfg(target_arch = "x86_64")]
 fn wide_lanes() -> bool {
     static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *WIDE.get_or_init(|| {
-        std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512bw")
+        std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512bw")
+            && std::is_x86_feature_detected!("avx512vl")
     })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by a test to run the eight-lane body on this thread whatever
+    /// the host runs ([`eight_lanes_forced`]).
+    static EIGHT_LANES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether a test asked this thread for the eight-lane body, which every
+/// host without AVX-512 runs; never outside the crate's tests.
+#[cfg(target_arch = "x86_64")]
+fn eight_lanes_forced() -> bool {
+    #[cfg(test)]
+    return EIGHT_LANES.get();
+    #[cfg(not(test))]
+    false
 }
 
 /// [`lane_body`] at sixteen lanes, compiled for AVX-512: one register per
@@ -1062,6 +1082,48 @@ mod tests {
                             assert_eq!(w.to_bits(), g.to_bits(), "{ctx} @{idx}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Both widths of the panel writer's lane body — eight lanes, which
+    /// every host without AVX-512 runs, and the host's own — write the
+    /// per-group reference's panels, value for value and count for count,
+    /// and the same bytes: shapes off the 16-column panel, depths under a
+    /// quad, every group of whole quads the kernels take, and the nearest,
+    /// truncating, 8-bit and other-width stochastic bodies.
+    #[test]
+    fn eight_lane_and_host_panels_match_bfp_groups() {
+        let along = GroupAxis::AlongCol;
+        for (rows, cols) in [(1usize, 5usize), (3, 17), (16, 16), (33, 40), (47, 7)] {
+            let data = rand_data(rows * cols, (rows * 53 + cols) as u64);
+            for g in [4, 8, 16, 32] {
+                for (m, rounding) in [
+                    (4, Rounding::Nearest),
+                    (3, Rounding::Truncate),
+                    (4, Rounding::STOCHASTIC8),
+                    (5, Rounding::Stochastic { noise_bits: 5 }),
+                ] {
+                    let fmt = BfpFormat::new(g, m, 8).expect("a valid format");
+                    let ctx = format!("({rows}x{cols}) g={g} {rounding:?}");
+                    let pack = |eight: bool| {
+                        EIGHT_LANES.set(eight);
+                        let p =
+                            pack_matrix(&data, rows, cols, along, fmt, rounding, noise(), false);
+                        EIGHT_LANES.set(false);
+                        p.expect("plain data must pack")
+                    };
+                    let (host, eight) = (pack(false), pack(true));
+                    let (want, want_stats) =
+                        bfp_group_reference(&data, rows, cols, along, fmt, rounding, false);
+                    for p in [&host, &eight] {
+                        assert_eq!(p.stats, want_stats, "{ctx}");
+                        let got = dequantize(p, rows, cols, along, g);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{ctx}");
+                    }
+                    assert_eq!(eight.mantissas, host.mantissas, "{ctx}");
                 }
             }
         }

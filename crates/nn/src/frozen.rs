@@ -236,20 +236,17 @@ mod tests {
     }
 
     /// The cached weight's mantissas and scales in a fresh matrix, which
-    /// stages nothing.
+    /// stages nothing (a column-grouped matrix never stages words).
     fn unstaged(w: &fast_tensor::qgemm::PackedMat) -> fast_tensor::qgemm::PackedMat {
         use fast_tensor::qgemm::{PackLayout, PackedMat};
-        let (rows, cols, g, layout) = (w.rows(), w.cols(), w.group(), w.layout());
+        if w.layout() == PackLayout::ColGroups {
+            return w.clone();
+        }
+        let (rows, cols, g) = (w.rows(), w.cols(), w.group());
         let mans = (0..rows * cols).map(|x| w.mantissa(x / cols, x % cols));
-        let scales: Vec<f32> = match layout {
-            PackLayout::RowGroups => (0..rows * cols.div_ceil(g))
-                .map(|x| w.scale(x / cols.div_ceil(g), x % cols.div_ceil(g) * g))
-                .collect(),
-            PackLayout::ColGroups => (0..rows.div_ceil(g) * cols)
-                .map(|x| w.scale(x / cols * g, x % cols))
-                .collect(),
-        };
-        PackedMat::new(rows, cols, g, layout, mans.collect(), scales)
+        let scales = (0..rows * cols.div_ceil(g))
+            .map(|x| w.scale(x / cols.div_ceil(g), x % cols.div_ceil(g) * g));
+        PackedMat::new(rows, cols, g, mans.collect(), scales.collect())
     }
 
     /// Bytes a cached weight holds beyond its mantissas and scales — its
@@ -258,7 +255,9 @@ mod tests {
     /// for bit: the words are the current weight's, not a previous
     /// build's.
     fn staged_bytes(w: &Prepared) -> usize {
-        use fast_tensor::qgemm::{qmatmul, Operand::Packed as P, PackLayout, PackedMat};
+        use fast_tensor::qgemm::{
+            qmatmul, qmatmul_nt, Operand::Packed as P, PackLayout, PackedMat,
+        };
         let Prepared::Packed(w) = w else {
             panic!("expected a packed weight");
         };
@@ -268,26 +267,13 @@ mod tests {
         match w.layout() {
             PackLayout::RowGroups => {
                 let k = w.cols();
-                let y = PackedMat::new(
-                    k,
-                    5,
-                    g,
-                    PackLayout::ColGroups,
-                    mans(5 * k),
-                    vec![0.5; 5 * k.div_ceil(g)],
-                );
-                assert_eq!(bits(qmatmul(P(w), P(&y))), bits(qmatmul(P(&plain), P(&y))));
+                let y = PackedMat::new(5, k, g, mans(5 * k), vec![0.5; 5 * k.div_ceil(g)]);
+                let (got, want) = (qmatmul_nt(P(w), P(&y)), qmatmul_nt(P(&plain), P(&y)));
+                assert_eq!(bits(got), bits(want));
             }
             PackLayout::ColGroups => {
                 let k = w.rows();
-                let x = PackedMat::new(
-                    5,
-                    k,
-                    g,
-                    PackLayout::RowGroups,
-                    mans(5 * k),
-                    vec![0.5; 5 * k.div_ceil(g)],
-                );
+                let x = PackedMat::new(5, k, g, mans(5 * k), vec![0.5; 5 * k.div_ceil(g)]);
                 assert_eq!(bits(qmatmul(P(&x), P(w))), bits(qmatmul(P(&x), P(&plain))));
             }
         }

@@ -43,9 +43,7 @@ use crate::layer::Session;
 use crate::quant::NumericFormat;
 use fast_bfp::packed::{pack_rows, DenseRows, FillRows, Refusal, RowSource};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
-use fast_tensor::qgemm::{
-    qmatmul, qmatmul_nt, qmatmul_tn, runs_integer, Operand, PackLayout, PackedMat,
-};
+use fast_tensor::qgemm::{qmatmul, qmatmul_nt, qmatmul_tn, runs_integer, Operand, PackedMat};
 use fast_tensor::{im2col, Conv2dDims, Im2colRows, Tensor};
 
 pub use fast_tensor::qgemm::Orient;
@@ -174,9 +172,7 @@ fn try_pack<S: RowSource>(
             // A column-grouped pack is written in the kernels' panel
             // order already (DESIGN.md §9).
             Prepared::Packed(match axis {
-                GroupAxis::AlongRow => {
-                    PackedMat::new(rows, cols, g, PackLayout::RowGroups, p.mantissas, p.scales)
-                }
+                GroupAxis::AlongRow => PackedMat::new(rows, cols, g, p.mantissas, p.scales),
                 GroupAxis::AlongCol => {
                     PackedMat::from_col_panels(rows, cols, g, p.mantissas, p.scales)
                 }

@@ -34,10 +34,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-// Unit tests share the integration tests' segment oracle, which names the
-// crate by its package name.
+// Unit tests share the integration tests' segment oracle and
+// column-grouped builder, which name the crate by its package name.
 #[cfg(test)]
 extern crate self as fast_tensor;
+
+#[cfg(test)]
+#[path = "../tests/support/col_grouped.rs"]
+mod col_grouped;
 
 mod conv;
 mod init;

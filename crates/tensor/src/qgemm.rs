@@ -28,7 +28,9 @@
 
 use std::borrow::Cow;
 
-use crate::qgemm_int::{self, AWords, Panels};
+use fast_bfp::packed::ColPanels;
+
+use crate::qgemm_int::{self, AWords};
 use crate::tensor::Tensor;
 use crate::{matmul, matmul_nt, matmul_tn};
 
@@ -78,48 +80,24 @@ pub struct PackedMat {
 }
 
 impl PackedMat {
-    /// Packed storage from row-major mantissas and scales (e.g. a test's,
-    /// or a pack's `RowGroups` output). A [`PackLayout::ColGroups`] matrix
-    /// is laid out into its column panels here.
+    /// A [`PackLayout::RowGroups`] matrix from its row-major mantissas and
+    /// scales, as `fast_bfp::packed`'s `AlongRow` pack writes them.
     ///
     /// # Panics
     ///
     /// Panics if `group == 0`, `mans.len() != rows * cols`, or the scale
-    /// count does not match the layout (`rows × ceil(cols/g)` for
-    /// [`PackLayout::RowGroups`], `ceil(rows/g) × cols` for
-    /// [`PackLayout::ColGroups`]; at least one scale slot is kept for
-    /// zero-size edges).
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        group: usize,
-        layout: PackLayout,
-        mans: Vec<i8>,
-        scales: Vec<f32>,
-    ) -> Self {
+    /// count is not `rows × ceil(cols/g)` (at least one scale slot is kept
+    /// for a zero-width row).
+    pub fn new(rows: usize, cols: usize, group: usize, mans: Vec<i8>, scales: Vec<f32>) -> Self {
         assert!(group > 0, "group size must be positive");
         assert_eq!(mans.len(), rows * cols, "mantissa count mismatch");
-        let want_scales = match layout {
-            PackLayout::RowGroups => rows * cols.div_ceil(group).max(1),
-            PackLayout::ColGroups => rows.div_ceil(group).max(1) * cols,
-        };
+        let want_scales = rows * cols.div_ceil(group).max(1);
         assert_eq!(scales.len(), want_scales, "scale count mismatch");
-        if layout == PackLayout::ColGroups {
-            let p = Panels::new(rows, cols, group);
-            let mut bytes = vec![i8::MIN; p.len()];
-            let mut panel_scales = vec![0.0f32; p.scales_len()];
-            for (x, &m) in mans.iter().enumerate() {
-                let (i, j) = (x / cols, x % cols);
-                bytes[p.index(i, j)] = m ^ i8::MIN;
-                panel_scales[p.scale_index(i, j)] = scales[i / group * cols + j];
-            }
-            return Self::from_col_panels(rows, cols, group, bytes, panel_scales);
-        }
         PackedMat {
             rows,
             cols,
             group,
-            layout,
+            layout: PackLayout::RowGroups,
             mans,
             scales,
             words: None,
@@ -141,9 +119,9 @@ impl PackedMat {
         scales: Vec<f32>,
     ) -> Self {
         assert!(group > 0, "group size must be positive");
-        let p = Panels::new(rows, cols, group);
+        let p = ColPanels { rows, cols, group };
         assert_eq!(bytes.len(), p.len(), "panel byte count mismatch");
-        assert_eq!(scales.len(), p.scales_len(), "panel scale count mismatch");
+        assert_eq!(scales.len(), p.scales(), "panel scale count mismatch");
         PackedMat {
             rows,
             cols,
@@ -165,6 +143,15 @@ impl PackedMat {
     pub fn with_a_words(mut self) -> Self {
         self.words = AWords::stage(&self);
         self
+    }
+
+    /// The column panels a [`PackLayout::ColGroups`] matrix is stored in.
+    pub(crate) fn col_panels(&self) -> ColPanels {
+        ColPanels {
+            rows: self.rows,
+            cols: self.cols,
+            group: self.group,
+        }
     }
 
     /// The words [`PackedMat::with_a_words`] staged, if any.
@@ -210,10 +197,7 @@ impl PackedMat {
     pub fn mantissa(&self, i: usize, j: usize) -> i8 {
         match self.layout {
             PackLayout::RowGroups => self.mans[i * self.cols + j],
-            PackLayout::ColGroups => {
-                let p = Panels::new(self.rows, self.cols, self.group);
-                self.mans[p.index(i, j)] ^ i8::MIN
-            }
+            PackLayout::ColGroups => self.col_panels().mantissa(&self.mans, i, j),
         }
     }
 
@@ -225,10 +209,7 @@ impl PackedMat {
             PackLayout::RowGroups => {
                 self.scales[i * self.cols.div_ceil(self.group).max(1) + j / self.group]
             }
-            PackLayout::ColGroups => {
-                let p = Panels::new(self.rows, self.cols, self.group);
-                self.scales[p.scale_index(i, j)]
-            }
+            PackLayout::ColGroups => self.scales[self.col_panels().scale_index(i, j)],
         }
     }
 
@@ -268,7 +249,7 @@ impl PackedMat {
             PackLayout::ColGroups => {
                 // Row `i`'s first column in the panels; each further
                 // panel is a constant stride on.
-                let p = Panels::new(self.rows, c, g);
+                let p = self.col_panels();
                 for (i, row) in rows {
                     let (man0, scale0) = (p.index(i, 0), p.scale_index(i, 0));
                     let (man_stride, scale_stride) = (p.index(0, 16), p.scale_index(0, 16));
@@ -443,7 +424,12 @@ mod tests {
         let scales = (0..n_scales)
             .map(|_| 2.0f32.powi(rng.gen_range(-12..4)))
             .collect();
-        PackedMat::new(rows, cols, 16, layout, mans, scales)
+        match layout {
+            PackLayout::RowGroups => PackedMat::new(rows, cols, 16, mans, scales),
+            PackLayout::ColGroups => {
+                crate::col_grouped::col_grouped(rows, cols, 16, &mans, &scales)
+            }
+        }
     }
 
     #[test]
@@ -511,8 +497,8 @@ mod tests {
         let bound = MAX_INT_SEGMENT;
         assert_eq!(bound, 131_071);
         for (k, g) in [(bound, bound), (bound, bound + 1), (bound + 1, bound + 1)] {
-            let row = PackedMat::new(1, k, g, PackLayout::RowGroups, vec![-128; k], vec![1.0]);
-            let col = PackedMat::new(k, 1, g, PackLayout::ColGroups, vec![-128; k], vec![1.0]);
+            let row = PackedMat::new(1, k, g, vec![-128; k], vec![1.0]);
+            let col = crate::col_grouped::col_grouped(k, 1, g, &vec![-128; k], &[1.0]);
             assert_eq!(runs_integer(Orient::Nn, P(&row), P(&col)), k <= bound);
             let want = [(k * 128 * 128) as f32];
             assert_eq!(qmatmul(P(&row), P(&col)).data(), want, "nn k={k} g={g}");

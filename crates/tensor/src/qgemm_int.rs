@@ -14,10 +14,10 @@
 //! no dequantized panels are ever materialized. The kernels here implement
 //! that algebra with one vector kernel over three micro-kernels, and a
 //! portable scalar fallback, chosen by runtime feature detection
-//! ([`host_kernel`]) and, for the tile unit, by the product's operands
+//! ([`host_kernel`]) and, for the tile unit, by the product's row count
 //! ([`ceiling`]). All three read B as biased k-quads, `b ^ 0x80 = b + 128`
-//! as an unsigned byte — a column-grouped B is stored that way
-//! ([`Panels`]), a row-grouped one (`Nt`) is gathered that way per call —
+//! as an unsigned byte, in its [`ColPanels`] — a column-grouped B is packed
+//! that way, a row-grouped one (`Nt`) is gathered that way once per call —
 //! so each block's close subtracts `128·Σ a`. The biased sum may wrap
 //! `i32`; the true sum fits it ([`MAX_INT_SEGMENT`]), and modular
 //! arithmetic returns it exactly, for any `i8`:
@@ -26,7 +26,7 @@
 //!   A times a 16-column panel of B, one whole group per instruction,
 //!   signed A times unsigned B; each group's i32 block is stored and closed
 //!   in AVX-512 exactly as the row body closes it. Products of four rows or
-//!   more over a column-grouped B take it.
+//!   more take it.
 //! * **AVX-VNNI** (`_mm256_dpbusd_avx_epi32`): u8×i8 products of four
 //!   k-steps summed into each i32 lane and accumulated in one instruction.
 //! * **AVX2** (`_mm256_madd_epi16`): the same k-quads widened to i16, two
@@ -52,6 +52,8 @@
 #![allow(unsafe_code)]
 
 use std::borrow::Cow;
+
+use fast_bfp::packed::ColPanels;
 
 use crate::parallel::shard_rows;
 use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
@@ -83,78 +85,6 @@ fn segments(k: usize, ga: usize, gb: usize) -> Vec<(usize, usize, usize, usize)>
     segs
 }
 
-/// Output columns per panel of the vector kernel (two 256-bit vectors of
-/// eight i32 lanes per k-step).
-const PANEL_COLS: usize = 16;
-
-/// Bytes per k-quad row of a panel: four k-steps of its 16 columns.
-const QUAD: usize = 4 * PANEL_COLS;
-
-/// The column panels a [`PackLayout::ColGroups`] matrix (`k × n`, groups
-/// of `g` down each column) is stored in — the order the micro-kernels
-/// read a right-hand operand in, written straight by `fast_bfp::packed`'s
-/// `AlongCol` pack (its `ColPanels`, DESIGN.md §9):
-///
-/// * panel `q` covers columns `16q ..` and holds [`Panels::steps`] k-quad
-///   rows of 64 bytes, `⌈g/4⌉` per group block: byte `4c + s` of block
-///   `b`'s quad row `w` is `b[b·g + 4w + s][16q + c] ^ 0x80`, so a row is
-///   two loads away from the `dpbusd` operands and a group's rows are one
-///   `tdpbsud` B tile; rows past a group or past `k` and columns past `n`
-///   hold `0x80`, the biased zero;
-/// * its scales: `⌈k/g⌉ × 16`, block `b`'s scale of column `16q + c` at
-///   `16b + c`, zero past `n`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Panels {
-    k: usize,
-    n: usize,
-    g: usize,
-}
-
-impl Panels {
-    pub(crate) fn new(k: usize, n: usize, g: usize) -> Self {
-        Panels { k, n, g }
-    }
-
-    fn blocks(&self) -> usize {
-        self.k.div_ceil(self.g)
-    }
-
-    fn quads_per_block(&self) -> usize {
-        self.g.div_ceil(4)
-    }
-
-    /// K-quad rows per panel.
-    fn steps(&self) -> usize {
-        self.blocks() * self.quads_per_block()
-    }
-
-    fn panels(&self) -> usize {
-        self.n.div_ceil(PANEL_COLS)
-    }
-
-    /// Mantissa bytes of the layout.
-    pub(crate) fn len(&self) -> usize {
-        self.panels() * self.steps() * QUAD
-    }
-
-    /// Scales of the layout.
-    pub(crate) fn scales_len(&self) -> usize {
-        self.panels() * self.blocks() * PANEL_COLS
-    }
-
-    /// Index of the byte holding `(i, j)`.
-    pub(crate) fn index(&self, i: usize, j: usize) -> usize {
-        let (b, r) = (i / self.g, i % self.g);
-        let row = j / PANEL_COLS * self.steps() + b * self.quads_per_block() + r / 4;
-        row * QUAD + j % PANEL_COLS * 4 + r % 4
-    }
-
-    /// Index of the scale of the group holding `(i, j)`.
-    pub(crate) fn scale_index(&self, i: usize, j: usize) -> usize {
-        (j / PANEL_COLS * self.blocks() + i / self.g) * PANEL_COLS + j % PANEL_COLS
-    }
-}
-
 /// An operand whose scale blocks run along its storage rows: row-major
 /// `rows × k` mantissas plus row-major `rows × bpr` scales
 /// (`bpr = ceil(k / g)` blocks per row).
@@ -175,12 +105,13 @@ impl<'a> RowSide<'a> {
     }
 }
 
-/// A `ColGroups`-packed matrix (`k × n`, groups along the reduction dim)
-/// as stored: its [`Panels`] bytes and scales.
+/// A `k × n` matrix whose groups run down its columns (the reduction
+/// dim) in its [`ColPanels`]: a `ColGroups` operand as stored, or an `Nt`
+/// right-hand side gathered into them ([`gather_panels`]).
 struct ColSide<'a> {
     bytes: &'a [i8],
     scale: &'a [f32],
-    panels: Panels,
+    panels: ColPanels,
 }
 
 impl<'a> ColSide<'a> {
@@ -188,7 +119,7 @@ impl<'a> ColSide<'a> {
         ColSide {
             bytes: p.bytes(),
             scale: p.stored_scales(),
-            panels: Panels::new(p.rows(), p.cols(), p.group()),
+            panels: p.col_panels(),
         }
     }
 
@@ -196,11 +127,95 @@ impl<'a> ColSide<'a> {
     /// row-major `⌈k/g⌉ × n` one, read through the layout's index — what
     /// the portable kernels take.
     fn row_major(&self) -> (Vec<i8>, Vec<f32>) {
-        let Panels { k, n, g } = self.panels;
-        let man = (0..k * n).map(|x| self.bytes[self.panels.index(x / n, x % n)] ^ i8::MIN);
+        let ColPanels {
+            rows: k,
+            cols: n,
+            group: g,
+        } = self.panels;
+        let man = (0..k * n).map(|x| self.panels.mantissa(self.bytes, x / n, x % n));
         let nb = k.div_ceil(g).max(1);
         let scale = (0..nb * n).map(|x| self.scale[self.panels.scale_index(x / n * g, x % n)]);
         (man.collect(), scale.collect())
+    }
+}
+
+/// `B`, stored `n × k` with groups of `g` (a multiple of four) along its
+/// rows — an `Nt` right-hand side — as the [`ColPanels`] of `Bᵀ`, the
+/// layout a `ColGroups` operand is packed in, gathered once per product so
+/// that every micro-kernel reads it as it reads a packed one. With whole
+/// k-quads per group, panel quad row `t` holds k-steps `4t .. 4t + 4`, so
+/// a panel is its sixteen rows' k-quad words transposed, and its scales
+/// their block scales transposed ([`transpose_words`]).
+fn gather_panels(b: &RowSide, n: usize, k: usize, g: usize) -> (Vec<i8>, Vec<f32>, ColPanels) {
+    const W: usize = ColPanels::WIDTH;
+    debug_assert!(g.is_multiple_of(4) && k > 0 && b.man.len() == n * k);
+    let panels = ColPanels {
+        rows: k,
+        cols: n,
+        group: g,
+    };
+    let (blocks, quad_rows) = (panels.blocks(), panels.quad_rows());
+    let mut bytes = vec![i8::MIN; panels.len()];
+    let mut scales = vec![0.0f32; panels.scales()];
+    // SAFETY: f32 has no padding and every byte is a valid i8.
+    let (scale_src, scale_dst) = unsafe {
+        (
+            std::slice::from_raw_parts(b.scale.as_ptr().cast::<i8>(), 4 * b.scale.len()),
+            std::slice::from_raw_parts_mut(scales.as_mut_ptr().cast::<i8>(), 4 * scales.len()),
+        )
+    };
+    let out = bytes
+        .chunks_exact_mut(quad_rows * ColPanels::QUAD)
+        .zip(scale_dst.chunks_exact_mut(4 * blocks * W));
+    for (q, ((panel, pscales), rows)) in out.zip(b.man.chunks(W * k)).enumerate() {
+        let cols = rows.len() / k;
+        transpose_words(rows, k, cols, k / 4 * 4, panel, i8::MIN);
+        if !k.is_multiple_of(4) {
+            // The last k-quad, zero-padded past `k`.
+            for (c, row) in rows.chunks_exact(k).enumerate() {
+                let mut quad = [0i8; 4];
+                quad[..k % 4].copy_from_slice(&row[k / 4 * 4..]);
+                let dst = &mut panel[k / 4 * ColPanels::QUAD + 4 * c..][..4];
+                for (d, v) in dst.iter_mut().zip(quad) {
+                    *d = v ^ i8::MIN;
+                }
+            }
+        }
+        let bpr = 4 * b.bpr;
+        transpose_words(&scale_src[q * W * bpr..], bpr, cols, 4 * blocks, pscales, 0);
+    }
+    (bytes, scales, panels)
+}
+
+/// The first `len / 4` four-byte words of each of `rows ≤ 16` rows of
+/// `src` (`stride` bytes apart) transposed into `dst`'s 64-byte rows, each
+/// byte xored with `bias`: word `t` of row `c` lands at byte `64·t + 4·c`.
+/// Four rows at a time, sixteen bytes of each are one 4×4 transpose in
+/// two rounds of unpacks (on x86-64); the rest goes byte by byte.
+///
+/// # Panics
+///
+/// Panics unless `len` is a multiple of four, `src` holds the rows and
+/// `dst` the words.
+fn transpose_words(src: &[i8], stride: usize, rows: usize, len: usize, dst: &mut [i8], bias: i8) {
+    assert!(rows <= ColPanels::WIDTH && len.is_multiple_of(4));
+    assert!(rows == 0 || len == 0 || ((rows - 1) * stride + len <= src.len()));
+    assert!(len == 0 || (len / 4 - 1) * ColPanels::QUAD + 4 * rows <= dst.len());
+    #[allow(unused_mut)]
+    let (mut rows4, mut len16) = (0, 0);
+    #[cfg(target_arch = "x86_64")]
+    if rows >= 4 && len >= 16 {
+        (rows4, len16) = (rows / 4 * 4, len / 16 * 16);
+        // SAFETY: SSE2 is part of x86-64; the bounds are asserted above.
+        unsafe {
+            simd::transpose_words(src.as_ptr(), stride, rows4, len16, dst.as_mut_ptr(), bias)
+        };
+    }
+    for c in 0..rows {
+        let from = if c < rows4 { len16 } else { 0 };
+        for x in from..len {
+            dst[x / 4 * ColPanels::QUAD + 4 * c + x % 4] = src[c * stride + x] ^ bias;
+        }
     }
 }
 
@@ -274,10 +289,7 @@ fn tile_available(
 /// whose widest is `host`: the host's, except that the tile unit takes
 /// only products of a whole row quad or more — a batch of one pays a
 /// whole tile's store and fold per group for one row, and stays on
-/// `dpbusd`. Below the ceiling, [`vector_product`] runs the tile unit only
-/// over a column-grouped B, which sits in panel order already; over a B
-/// gathered per call (`Nt`) it runs `dpbusd`. Chosen from the per-shape
-/// table in DESIGN.md §11.
+/// `dpbusd`. Chosen from the per-shape table in DESIGN.md §11.
 fn ceiling(host: Option<MicroKernel>, rows: usize) -> Option<MicroKernel> {
     match host {
         Some(MicroKernel::Tile) if rows < ROW_QUAD => Some(MicroKernel::Dpbusd),
@@ -350,11 +362,11 @@ impl AWords {
     /// `i`'s word `t`, biased, so the transpose is one word per step.
     fn of_panels(a: &ColSide) -> Self {
         let p = a.panels;
-        let (m, stride) = (p.n, p.steps());
+        let (m, stride) = (p.cols, p.quad_rows());
         let mut words = vec![0u32; m * stride];
-        let panels = a.bytes.chunks_exact(stride * QUAD);
-        for (rows, panel) in words.chunks_mut(PANEL_COLS * stride).zip(panels) {
-            for (t, quad) in panel.chunks_exact(QUAD).enumerate() {
+        let panels = a.bytes.chunks_exact(stride * ColPanels::QUAD);
+        for (rows, panel) in words.chunks_mut(ColPanels::WIDTH * stride).zip(panels) {
+            for (t, quad) in panel.chunks_exact(ColPanels::QUAD).enumerate() {
                 for (c, w) in quad.chunks_exact(4).zip(rows.chunks_exact_mut(stride)) {
                     w[t] = quad_word(c.try_into().expect("four bytes")) ^ 0x8080_8080;
                 }
@@ -418,16 +430,6 @@ struct ASide<'a> {
     bpr: usize,
 }
 
-/// The right-hand operand of the vector kernel, as stored.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-#[derive(Clone, Copy)]
-enum BSide<'a> {
-    /// `k × n` in column panels (NN, TN), read in place.
-    Cols(&'a ColSide<'a>),
-    /// `n × k`, scale blocks along the rows (NT), gathered per call.
-    Rows(&'a RowSide<'a>),
-}
-
 // ---------------------------------------------------------------------------
 // NN: A (m×k, RowGroups) · B (k×n, ColGroups).
 // ---------------------------------------------------------------------------
@@ -447,7 +449,7 @@ pub(crate) fn int_nn(a: &PackedMat, b: &PackedMat) -> Tensor {
 /// `Nn` on the widest micro-kernel up to `best` that the pair takes
 /// ([`micro_kernel`]), or the scalar core.
 fn nn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize) -> Tensor {
-    let (m, k, n) = (a.rows(), a.cols(), b.panels.n);
+    let (m, k, n) = (a.rows(), a.cols(), b.panels.cols);
     let mut out = vec![0.0f32; m * n];
     let ga = a.group();
     if m > 0 && n > 0 && k > 0 {
@@ -463,7 +465,7 @@ fn nn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize) -> Te
                     scale: Cow::Borrowed(rows.scale),
                     bpr: rows.bpr,
                 };
-                vector_product(mk, &aside, BSide::Cols(b), ga, (m, k, n), &mut out);
+                vector_product(mk, &aside, b, ga, (m, k, n), &mut out);
             }
             None => nn_scalar(&rows, b, ga, gb, (m, k, n), &mut out),
         }
@@ -518,10 +520,8 @@ fn nn_scalar(
 /// granule, so the row decomposition is identical for every worker count.
 const ROW_QUAD: usize = 4;
 
-/// Runs the pair on the vector kernel, on micro-kernel `mk` or — for the
-/// tile unit over a B gathered per call (`Nt`) — `dpbusd`. Workers split
-/// the rows; each reads a column-grouped B's panels in place, or gathers
-/// a row-grouped B itself, one 16-column panel at a time.
+/// Runs the pair on the vector kernel, on micro-kernel `mk`. Workers split
+/// the rows; each reads B's panels in place.
 ///
 /// # Panics
 ///
@@ -530,7 +530,7 @@ const ROW_QUAD: usize = 4;
 fn vector_product(
     mk: MicroKernel,
     a: &ASide,
-    b: BSide,
+    b: &ColSide,
     g: usize,
     dims: (usize, usize, usize),
     out: &mut [f32],
@@ -545,18 +545,10 @@ fn vector_product(
         // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
         // its target features at runtime.
         unsafe {
-            match (mk, b) {
-                (MicroKernel::Madd, BSide::Rows(_)) => simd::madd_worker(&stage, row_start, panel),
-                (_, BSide::Rows(_)) => simd::vnni_worker(&stage, row_start, panel),
-                (MicroKernel::Madd, BSide::Cols(p)) => {
-                    simd::madd_laid_worker(&stage, p.bytes, p.scale, row_start, panel)
-                }
-                (MicroKernel::Dpbusd, BSide::Cols(p)) => {
-                    simd::vnni_laid_worker(&stage, p.bytes, p.scale, row_start, panel)
-                }
-                (MicroKernel::Tile, BSide::Cols(p)) => {
-                    simd::tile_laid_worker(&stage, p.bytes, p.scale, row_start, panel)
-                }
+            match mk {
+                MicroKernel::Madd => simd::madd_worker(&stage, row_start, panel),
+                MicroKernel::Dpbusd => simd::vnni_worker(&stage, row_start, panel),
+                MicroKernel::Tile => simd::tile_worker(&stage, row_start, panel),
             }
         }
     });
@@ -566,7 +558,7 @@ fn vector_product(
 fn vector_product(
     _mk: MicroKernel,
     _a: &ASide,
-    _b: BSide,
+    _b: &ColSide,
     _g: usize,
     _dims: (usize, usize, usize),
     _out: &mut [f32],
@@ -576,18 +568,18 @@ fn vector_product(
 
 // ---------------------------------------------------------------------------
 // NT: A (m×k, RowGroups) · Bᵀ with B stored n×k RowGroups. From
-// `ROW_QUAD` output rows up, the staged vector kernel runs, gathering each
-// k-quad panel from sixteen stored rows of B. Below that — where the gather
-// costs more than the product — and for the pairs the vector kernel
-// refuses, every element is a sum of per-segment dot products over two
-// contiguous i8 rows. Both apply the same three f32 operations per segment
-// in the same order over exact integer sums, so they agree bit for bit
-// (`staged_nt_matches_segment_dots_bitwise`).
+// `ROW_QUAD` output rows up, B is gathered once into the column panels of
+// Bᵀ ([`gather_panels`]) and the product runs as `Nn` does, tile unit
+// included. Below that — where the gather costs more than the product —
+// and for the pairs the vector kernel refuses, every element is a sum of
+// per-segment dot products over two contiguous i8 rows. Both apply the same
+// three f32 operations per segment in the same order over exact integer
+// sums, so they agree bit for bit (`staged_nt_matches_segment_dots_bitwise`).
 // ---------------------------------------------------------------------------
 
 /// `C = A·Bᵀ` in the integer domain.
 pub(crate) fn int_nt(a: &PackedMat, b: &PackedMat) -> Tensor {
-    nt_on(host_kernel(), a, b)
+    nt_on(ceiling(host_kernel(), a.rows()), a, b)
 }
 
 /// `Nt` on the micro-kernels up to `best` (`None`: the scalar dots).
@@ -618,7 +610,13 @@ fn nt_on(best: Option<MicroKernel>, a: &PackedMat, b: &PackedMat) -> Tensor {
                 scale: Cow::Borrowed(av.scale),
                 bpr: av.bpr,
             };
-            vector_product(mk, &aside, BSide::Rows(&bv), ga, (m, k, n), &mut out);
+            let (bytes, scale, panels) = gather_panels(&bv, n, k, gb);
+            let b = ColSide {
+                bytes: &bytes,
+                scale: &scale,
+                panels,
+            };
+            vector_product(mk, &aside, &b, ga, (m, k, n), &mut out);
         }
         None => {
             let segs = segments(k, ga, gb);
@@ -679,7 +677,7 @@ pub(crate) fn int_tn(a: &PackedMat, b: &PackedMat) -> Tensor {
 /// `Tn` on the micro-kernels up to `best`, with `B` (`k × n`, group `gb`)
 /// as given.
 fn tn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize) -> Tensor {
-    let (k, m, n) = (a.rows(), a.cols(), b.panels.n);
+    let (k, m, n) = (a.rows(), a.cols(), b.panels.cols);
     let ga = a.group();
     let nba = k.div_ceil(ga).max(1);
     let mut out = vec![0.0f32; m * n];
@@ -700,7 +698,7 @@ fn tn_on(best: Option<MicroKernel>, a: &PackedMat, b: &ColSide, gb: usize) -> Te
                 scale: Cow::Owned(tsc),
                 bpr: nba,
             };
-            vector_product(mk, &aside, BSide::Cols(b), ga, (m, k, n), &mut out);
+            vector_product(mk, &aside, b, ga, (m, k, n), &mut out);
         }
         None => {
             let (man, _) = at.row_major();
@@ -778,29 +776,30 @@ mod simd {
     //! code never lands in a function a plain AVX2 host runs, and tile
     //! instructions only in the tile worker (and two test helpers).
 
-    use super::{ASide, BSide, Panels, RowSide, PANEL_COLS as W, QUAD, ROW_QUAD};
+    use super::{ASide, ColSide, ROW_QUAD};
     use core::arch::asm;
     use core::arch::x86_64::*;
+    use fast_bfp::packed::ColPanels;
+
+    const W: usize = ColPanels::WIDTH;
+    const QUAD: usize = ColPanels::QUAD;
 
     /// The vector kernel's shared, read-only inputs, built once on the
     /// caller's thread:
     ///
-    /// * `aw`, `abias` — A's words and block sums ([`super::AWords`]);
-    /// * `steps` — k-quad rows of one B panel: whole groups
-    ///   ([`Panels::steps`]) in a column-grouped B's layout, `k_steps =
-    ///   ⌈k/4⌉` in a gathered one; the row body reads the first `k_steps`,
-    ///   the tile unit whole groups;
-    /// * `b` — B as stored. No copy of it is made here: every worker reads
-    ///   a column-grouped B's panels in place, and gathers a row-grouped
-    ///   one's panel it is about to consume into its own buffer
-    ///   ([`stage_quads`]).
+    /// * `aw`, `abias`, `stride` — A's words, block sums and words per row
+    ///   ([`super::AWords`]);
+    /// * `bytes`, `bscale` — B's [`ColPanels`], read in place by every
+    ///   worker;
+    /// * `steps` — quad rows of one panel, whole groups; the row body reads
+    ///   the first `k_steps = ⌈k/4⌉`, the tile unit whole groups.
     pub(super) struct NnStage<'a> {
         aw: &'a [u32],
         abias: &'a [i32],
         ascale: &'a [f32],
         abpr: usize,
-        b: BSide<'a>,
-        k: usize,
+        bytes: &'a [i8],
+        bscale: &'a [f32],
         stride: usize,
         steps: usize,
         k_steps: usize,
@@ -810,161 +809,67 @@ mod simd {
     }
 
     impl<'a> NnStage<'a> {
+        /// # Panics
+        ///
+        /// Panics unless B's layout has the sizes of this product's `k`,
+        /// group and `n`: the vector loads rely on them.
         pub(super) fn build(
             a: &'a ASide<'a>,
-            b: BSide<'a>,
+            b: &'a ColSide<'a>,
             g: usize,
             dims: (usize, usize, usize),
         ) -> Self {
             let (_m, k, n) = dims;
-            let (nblocks, steps_per_block) = (k.div_ceil(g).max(1), g / 4);
+            let panels = ColPanels {
+                rows: k,
+                cols: n,
+                group: g,
+            };
+            assert!(b.panels == panels && b.bytes.len() == panels.len());
+            assert!(b.scale.len() == panels.scales());
             NnStage {
                 aw: &a.words.words,
                 abias: &a.words.bias,
                 ascale: &a.scale,
                 abpr: a.bpr,
-                b,
-                k,
+                bytes: b.bytes,
+                bscale: b.scale,
                 stride: a.words.stride,
-                steps: match b {
-                    BSide::Cols(_) => Panels::new(k, n, g).steps(),
-                    BSide::Rows(_) => k.div_ceil(4),
-                },
+                steps: panels.quad_rows(),
                 k_steps: k.div_ceil(4),
-                steps_per_block,
-                nblocks,
+                steps_per_block: g / 4,
+                nblocks: panels.blocks(),
                 n,
             }
         }
     }
 
-    /// Gathers B's columns `j0..j0 + w` (`w ≤ W`) — stored rows `j0 + c`
-    /// of a row-grouped B — as one worker's panel, overwriting all of it:
-    /// `bytes` takes `steps` k-quad rows of `4·W` biased bytes, byte
-    /// `4c + i` of row `t` being `b[j0+c][4t+i] ^ 0x80` as in a column
-    /// panel ([`Panels`]), and `scales` the `nblocks × W` block scales of
-    /// the same columns. Padding (columns past `w`, the k-tail of the last
-    /// quad) is `0x80`, the biased zero, and scale `0.0`. Panel rows are
-    /// written in order, each from the next quad of the `w` stored rows,
-    /// so every stored row is read front to back.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bytes`/`scales` have the panel's sizes and
-    /// `j0 + w ≤ n`: the vector loads rely on both.
-    pub(super) fn stage_quads(
-        s: &NnStage,
-        b: &RowSide,
-        j0: usize,
-        w: usize,
-        bytes: &mut [u8],
-        scales: &mut [f32],
-    ) {
-        let (k, n) = (s.k, s.n);
-        assert!(bytes.len() == s.steps * QUAD && scales.len() == s.nblocks * W);
-        assert!(w <= W && j0 + w <= n);
-        for (bb, dst) in scales.chunks_exact_mut(W).enumerate() {
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d = if c < w {
-                    b.scale[(j0 + c) * b.bpr + bb]
-                } else {
-                    0.0
-                };
-            }
-        }
-        let rows = &b.man[j0 * k..(j0 + w) * k];
-        for (t, dst) in bytes.chunks_exact_mut(QUAD).enumerate() {
-            for (d, brow) in dst.chunks_exact_mut(4).zip(rows.chunks_exact(k)) {
-                let q = match brow.get(4 * t..4 * t + 4) {
-                    Some(q) => super::quad_word(q.try_into().expect("four bytes")),
-                    None => {
-                        let mut q = [0i8; 4];
-                        q[..k - 4 * t].copy_from_slice(&brow[4 * t..]);
-                        super::quad_word(q)
-                    }
-                };
-                d.copy_from_slice(&(q ^ 0x8080_8080).to_le_bytes());
-            }
-            dst[4 * w..].fill(0x80);
-        }
-    }
-
-    /// `madd` over panels it gathers itself ([`staged_rows`]).
+    /// `madd` over B's panels ([`panel_shard`]).
     ///
     /// # Safety
     ///
     /// Requires AVX2 (checked by the caller via `host_kernel`).
+    #[inline(never)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn madd_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<Madd>(s, row_start, out)
+        panel_shard(s, &mut Vector::<Madd>::default(), row_start, out)
     }
 
-    /// `dpbusd` over panels it gathers itself ([`staged_rows`]).
+    /// `dpbusd` over B's panels ([`panel_shard`]).
     ///
     /// # Safety
     ///
     /// Requires AVX2 and AVX-VNNI (checked by the caller via
     /// `host_kernel`).
+    #[inline(never)]
     #[target_feature(enable = "avx2,avxvnni")]
     pub(super) unsafe fn vnni_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        staged_rows::<Vnni>(s, row_start, out)
+        panel_shard(s, &mut Vector::<Vnni>::default(), row_start, out)
     }
 
-    /// `madd` over a column-grouped B's panels ([`laid_rows`]). Out of
-    /// line and chosen once per product: folded into the gathering
-    /// worker, its row bodies grew that function by 40 % and slowed the
-    /// `Nt` training shapes by 4–6 % in paired timings.
-    ///
-    /// # Safety
-    ///
-    /// As [`madd_worker`].
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn madd_laid_worker(
-        s: &NnStage,
-        laid: &[i8],
-        scales: &[f32],
-        row_start: usize,
-        out: &mut [f32],
-    ) {
-        laid_rows(
-            s,
-            &mut Vector::<Madd>::default(),
-            laid,
-            scales,
-            row_start,
-            out,
-        )
-    }
-
-    /// `dpbusd` over a column-grouped B's panels ([`laid_rows`]); out of
-    /// line for the reason [`madd_laid_worker`] is.
-    ///
-    /// # Safety
-    ///
-    /// As [`vnni_worker`].
-    #[inline(never)]
-    #[target_feature(enable = "avx2,avxvnni")]
-    pub(super) unsafe fn vnni_laid_worker(
-        s: &NnStage,
-        laid: &[i8],
-        scales: &[f32],
-        row_start: usize,
-        out: &mut [f32],
-    ) {
-        laid_rows(
-            s,
-            &mut Vector::<Vnni>::default(),
-            laid,
-            scales,
-            row_start,
-            out,
-        )
-    }
-
-    /// The tile unit over a column-grouped B's panels ([`laid_rows`]):
-    /// the tile configuration for this shard, the panels, then
-    /// `tilerelease` — on return and on unwind alike ([`TileConfig::load`]).
+    /// The tile unit over B's panels ([`panel_shard`]): the tile
+    /// configuration for this shard, the panels, then `tilerelease` — on
+    /// return and on unwind alike ([`TileConfig::load`]).
     ///
     /// # Safety
     ///
@@ -972,15 +877,9 @@ mod simd {
     /// tile data granted (checked by the caller via `host_kernel`).
     #[inline(never)]
     #[target_feature(enable = "avx2,avxvnni,avx512f")]
-    pub(super) unsafe fn tile_laid_worker(
-        s: &NnStage,
-        laid: &[i8],
-        scales: &[f32],
-        row_start: usize,
-        out: &mut [f32],
-    ) {
+    pub(super) unsafe fn tile_worker(s: &NnStage, row_start: usize, out: &mut [f32]) {
         let _tiles = TileConfig::new(out.len() / s.n, tile_chunk(s)).load();
-        laid_rows(s, &mut Tiles::new(), laid, scales, row_start, out);
+        panel_shard(s, &mut Tiles::new(), row_start, out);
     }
 
     /// How a worker runs its shard's rows over one panel: a vector row
@@ -1031,63 +930,19 @@ mod simd {
         }
     }
 
-    /// One worker's shard of an `Nt` product: the output rows
-    /// `row_start..`, row-major in `out`. Column panels are the outer loop
-    /// — each is gathered once into the worker's own buffer, then every
-    /// row quad of the shard consumes it — so nothing copies B whole.
+    /// One worker's shard of a product: the output rows `row_start..`,
+    /// row-major in `out`, over each of B's panels in turn.
     ///
     /// # Safety
     ///
-    /// Requires the target features of `Q`.
+    /// Requires the target features of `B`.
     #[inline(always)]
-    unsafe fn staged_rows<Q: Quads>(s: &NnStage, row_start: usize, out: &mut [f32]) {
-        let BSide::Rows(b) = s.b else {
-            unreachable!("a column-grouped B is read in place")
-        };
+    unsafe fn panel_shard<B: Body>(s: &NnStage, body: &mut B, row_start: usize, out: &mut [f32]) {
         let n = s.n;
-        let mut bytes = vec![0u8; s.steps * QUAD];
-        let mut scales = vec![0.0f32; s.nblocks * W];
-        for j0 in (0..n).step_by(W) {
-            let w = (n - j0).min(W);
-            stage_quads(s, b, j0, w, &mut bytes, &mut scales);
-            let panel = Panel {
-                b: bytes.as_ptr(),
-                scales: scales.as_slice(),
-                j0,
-                w,
-            };
-            panel_rows::<Q>(s, panel, row_start, out);
-        }
-    }
-
-    /// [`staged_rows`] for a column-grouped B (`laid` and `scales`, its
-    /// [`Panels`]): each panel is read in place.
-    ///
-    /// # Safety
-    ///
-    /// As [`staged_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the layout has the sizes of this product's `k`, group
-    /// and `n`: the vector loads rely on them.
-    #[inline(always)]
-    unsafe fn laid_rows<B: Body>(
-        s: &NnStage,
-        body: &mut B,
-        laid: &[i8],
-        scales: &[f32],
-        row_start: usize,
-        out: &mut [f32],
-    ) {
-        let n = s.n;
-        let (bytes, block_scales) = (s.steps * QUAD, s.nblocks * W);
-        assert!(
-            laid.len() == n.div_ceil(W) * bytes && scales.len() == n.div_ceil(W) * block_scales
-        );
-        let panels = laid
-            .chunks_exact(bytes)
-            .zip(scales.chunks_exact(block_scales));
+        let panels = s
+            .bytes
+            .chunks_exact(s.steps * QUAD)
+            .zip(s.bscale.chunks_exact(s.nblocks * W));
         for (q, (b, scales)) in panels.enumerate() {
             let (j0, w) = (q * W, (n - q * W).min(W));
             let b = b.as_ptr().cast::<u8>();
@@ -1278,8 +1133,8 @@ mod simd {
     /// # Safety
     ///
     /// Requires the target features of `Q`, and a panel of `s.steps` quad
-    /// rows and `s.nblocks × W` scales — the sizes [`stage_quads`] and
-    /// [`laid_rows`] check: the vector loads read them unchecked.
+    /// rows and `s.nblocks × W` scales — the sizes [`NnStage::build`]
+    /// checks: the vector loads read them unchecked.
     #[inline(always)]
     unsafe fn nn_rows<const R: usize, Q: Quads>(
         s: &NnStage,
@@ -1370,7 +1225,7 @@ mod simd {
         ///
         /// # Safety
         ///
-        /// As [`tile_laid_worker`].
+        /// As [`tile_worker`].
         #[inline(always)]
         unsafe fn load(&self) -> TileRelease {
             asm!("ldtilecfg [{}]", in(reg) self.0.as_ptr(), options(nostack, readonly));
@@ -1394,11 +1249,11 @@ mod simd {
     }
 
     /// Runs `body` with a 16-row shard's tile configuration loaded, as
-    /// [`tile_laid_worker`] does.
+    /// [`tile_worker`] does.
     ///
     /// # Safety
     ///
-    /// As [`tile_laid_worker`].
+    /// As [`tile_worker`].
     #[cfg(test)]
     pub(super) unsafe fn with_tiles(body: impl FnOnce()) {
         let _tiles = TileConfig::new(TILE_ROWS, 4 * W).load();
@@ -1410,7 +1265,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As [`tile_laid_worker`].
+    /// As [`tile_worker`].
     #[cfg(test)]
     pub(super) unsafe fn stored_tile_config() -> [u8; 64] {
         let mut cfg = TileConfig([0xA5; 64]);
@@ -1479,7 +1334,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As [`tile_laid_worker`], with the shard's configuration loaded; `a` is
+    /// As [`tile_worker`], with the shard's configuration loaded; `a` is
     /// the tile's first row of A's words and `b` the panel's quad rows.
     #[inline(always)]
     unsafe fn tile_group<const FULL: bool, const ODD: bool>(
@@ -1517,7 +1372,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As [`tile_laid_worker`], with the shard's configuration loaded
+    /// As [`tile_worker`], with the shard's configuration loaded
     /// ([`TileConfig`]), and a panel of whole groups ([`nn_rows`]'s sizes).
     #[inline(always)]
     unsafe fn tile_rows(
@@ -1672,6 +1527,50 @@ mod simd {
         false
     }
 
+    /// [`super::transpose_words`] over rows `0 .. rows4` (a multiple of
+    /// four) and bytes `0 .. len` (a multiple of sixteen): four rows'
+    /// sixteen bytes at a time, two rounds of unpacks. The bytes go in
+    /// stretches of [`STRETCH`], each taking every row quad in turn, so
+    /// the stretch's `dst` rows stay in L1 until they are whole, and only
+    /// four source rows are read at once: rows a power of two apart share
+    /// a cache set, and sixteen of them at once missed on every load.
+    ///
+    /// # Safety
+    ///
+    /// Requires the bounds [`super::transpose_words`] asserts.
+    pub(super) unsafe fn transpose_words(
+        src: *const i8,
+        stride: usize,
+        rows4: usize,
+        len: usize,
+        dst: *mut i8,
+        bias: i8,
+    ) {
+        /// Source bytes per row and stretch: 4 KiB of `dst`.
+        const STRETCH: usize = 256;
+        let bias = _mm_set1_epi8(bias);
+        for s0 in (0..len).step_by(STRETCH) {
+            for c0 in (0..rows4).step_by(4) {
+                for x0 in (s0..len.min(s0 + STRETCH)).step_by(16) {
+                    let row = |r: usize| _mm_loadu_si128(src.add((c0 + r) * stride + x0).cast());
+                    let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+                    let (lo01, hi01) = (_mm_unpacklo_epi32(r0, r1), _mm_unpackhi_epi32(r0, r1));
+                    let (lo23, hi23) = (_mm_unpacklo_epi32(r2, r3), _mm_unpackhi_epi32(r2, r3));
+                    let words = [
+                        _mm_unpacklo_epi64(lo01, lo23),
+                        _mm_unpackhi_epi64(lo01, lo23),
+                        _mm_unpacklo_epi64(hi01, hi23),
+                        _mm_unpackhi_epi64(hi01, hi23),
+                    ];
+                    for (s, w) in words.into_iter().enumerate() {
+                        let at = dst.add((x0 / 4 + s) * QUAD + 4 * c0).cast::<__m128i>();
+                        _mm_storeu_si128(at, _mm_xor_si128(w, bias));
+                    }
+                }
+            }
+        }
+    }
+
     /// Exact i32 dot product of two i8 slices (the NT segment kernel):
     /// sixteen-wide `cvtepi8_epi16` + `madd` blocks, scalar remainder,
     /// horizontal sum. Integer addition is associative, so this equals
@@ -1704,6 +1603,7 @@ mod simd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::col_grouped::col_grouped;
     use crate::qgemm::{qmatmul, qmatmul_nt, qmatmul_tn, Operand, PackLayout};
     use rand::{Rng, SeedableRng};
 
@@ -1737,7 +1637,10 @@ mod tests {
                 }
             })
             .collect();
-        PackedMat::new(rows, cols, group, layout, mans, scales)
+        match layout {
+            PackLayout::RowGroups => PackedMat::new(rows, cols, group, mans, scales),
+            PackLayout::ColGroups => col_grouped(rows, cols, group, &mans, &scales),
+        }
     }
 
     /// f64 reference over the dequantized values — the "what the math says"
@@ -1990,40 +1893,12 @@ mod tests {
         assert_eq!(k, 131_068);
         assert!(k as i64 * 255 * -128 < i64::from(i32::MIN));
         let (m, n) = (4, 16);
-        let a = PackedMat::new(
-            m,
-            k,
-            k,
-            PackLayout::RowGroups,
-            vec![-128; m * k],
-            vec![1.0; m],
-        );
-        let at = PackedMat::new(
-            k,
-            m,
-            k,
-            PackLayout::ColGroups,
-            vec![-128; m * k],
-            vec![1.0; m],
-        );
+        let a = PackedMat::new(m, k, k, vec![-128; m * k], vec![1.0; m]);
+        let at = col_grouped(k, m, k, &vec![-128; m * k], &[1.0; 4]);
         for bv in [127i8, -128] {
             let want = vec![(-128 * i32::from(bv) * k as i32) as f32; m * n];
-            let b = PackedMat::new(
-                k,
-                n,
-                k,
-                PackLayout::ColGroups,
-                vec![bv; k * n],
-                vec![1.0; n],
-            );
-            let bt = PackedMat::new(
-                n,
-                k,
-                k,
-                PackLayout::RowGroups,
-                vec![bv; k * n],
-                vec![1.0; n],
-            );
+            let b = col_grouped(k, n, k, &vec![bv; k * n], &[1.0; 16]);
+            let bt = PackedMat::new(n, k, k, vec![bv; k * n], vec![1.0; n]);
             for mk in host_kernels() {
                 let tag = format!("{mk:?} b={bv}");
                 let nn = nn_on(Some(mk), &a, &ColSide::of(&b), k);
@@ -2054,8 +1929,12 @@ mod tests {
                 PackLayout::RowGroups => rows * cols.div_ceil(g),
                 PackLayout::ColGroups => rows.div_ceil(g) * cols,
             };
-            let scales = (0..n_scales).map(|_| rng.gen_range(0.5f32..2.0)).collect();
-            PackedMat::new(rows, cols, g, layout, mans.collect(), scales)
+            let scales: Vec<f32> = (0..n_scales).map(|_| rng.gen_range(0.5f32..2.0)).collect();
+            let mans: Vec<i8> = mans.collect();
+            match layout {
+                PackLayout::RowGroups => PackedMat::new(rows, cols, g, mans, scales),
+                PackLayout::ColGroups => col_grouped(rows, cols, g, &mans, &scales),
+            }
         };
         for (m, k, n, g) in [(17, 96, 33, 16), (8, 64, 16, 32), (5, 40, 20, 8)] {
             let a = rescale(random_pack(m, k, g, PackLayout::RowGroups, 3));
@@ -2077,7 +1956,7 @@ mod tests {
     }
 
     /// Byte `i` of the column panels of `b` (`k × n`, group `g`), as
-    /// [`Panels`] documents them, from row-major `mans`: panel `q`, quad
+    /// [`ColPanels`] documents them, from row-major `mans`: panel `q`, quad
     /// row `t` of block `t / ⌈g/4⌉`, column `c`, step `s` holds
     /// `b[g·(t / ⌈g/4⌉) + 4·(t % ⌈g/4⌉) + s][16q + c] ^ 0x80`, and past the
     /// group, `k` or `n` the biased zero `0x80`.
@@ -2102,13 +1981,10 @@ mod tests {
     /// document, byte for byte and scale for scale, at groups the vector
     /// kernels take and at the rest — tail columns, the k-tail of the last
     /// group and a group's quad padding all the biased zero — and its
-    /// accessors read it back; the pack's own layout (`fast_bfp`'s
-    /// `ColPanels`) indexes every value and scale where [`Panels`] does.
-    /// Staged A words count in `heap_bytes`; a column-grouped matrix or an
-    /// odd group stages none.
+    /// accessors read it back. Staged A words count in `heap_bytes`; a
+    /// column-grouped matrix or an odd group stages none.
     #[test]
     fn column_panels_hold_exactly_the_operands_values() {
-        use fast_bfp::packed::ColPanels;
         let grid = [2usize, 3, 4, 6, 16, 32].into_iter().flat_map(|g| {
             TAIL_NS
                 .into_iter()
@@ -2119,7 +1995,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mans: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-128..=127)).collect();
             let scales: Vec<f32> = (0..k.div_ceil(g) * n).map(|x| x as f32 + 0.5).collect();
-            let b = PackedMat::new(k, n, g, PackLayout::ColGroups, mans.clone(), scales.clone());
+            let b = col_grouped(k, n, g, &mans, &scales);
             let (nblocks, panels) = (k.div_ceil(g), n.div_ceil(16));
             let bytes = b.bytes();
             assert_eq!(bytes.len(), panels * nblocks * g.div_ceil(4) * 64);
@@ -2139,21 +2015,9 @@ mod tests {
                     "g={g} n={n} k={k} bb={bb} j={j}"
                 );
             }
-            let layout = ColPanels {
-                rows: k,
-                cols: n,
-                group: g,
-            };
-            let panels = Panels::new(k, n, g);
-            assert_eq!(
-                (layout.len(), layout.scales()),
-                (panels.len(), panels.scales_len())
-            );
             for (i, j) in (0..k).flat_map(|i| (0..n).map(move |j| (i, j))) {
                 assert_eq!(b.mantissa(i, j), mans[i * n + j]);
                 assert_eq!(b.scale(i, j), scales[i / g * n + j]);
-                assert_eq!(layout.index(i, j), panels.index(i, j));
-                assert_eq!(layout.scale_index(i, j), panels.scale_index(i, j));
             }
             let unstaged = b.heap_bytes();
             assert_eq!(b.with_a_words().heap_bytes(), unstaged);
@@ -2168,53 +2032,32 @@ mod tests {
         assert!(odd.a_words().is_none());
     }
 
-    /// A gathered `Nt` panel holds exactly B's columns `j0..j0 + w` in the
-    /// column panels' byte order, whatever the buffer held before: k-quad
-    /// bytes biased by `+128`, `0x80` padding, and the block scales. Tail
-    /// columns and the k-tail of the last quad are padded, never left
-    /// stale.
+    /// A gathered `Nt` right-hand side is exactly the column panels of its
+    /// transpose, bytes and scales — what packing `Bᵀ` column-grouped
+    /// stores: tail columns, the k-tail of the last quad and whole padded
+    /// quad rows all the biased zero. Over row counts on both sides of the
+    /// four-row transpose and every panel edge, and depths on both sides of
+    /// its sixteen-byte step and of a 256-byte stretch.
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn gathered_panels_hold_exactly_the_operands_columns() {
+        let ks = TAIL_KS.into_iter().chain([64, 255, 301]);
         let shapes = TAIL_NS
             .into_iter()
-            .flat_map(|n| TAIL_KS.into_iter().map(move |k| (n, k)));
-        for (n, k) in shapes {
-            let g = 12;
-            let a = random_pack(1, k, g, PackLayout::RowGroups, 5);
-            let bt = random_pack(n, k, g, PackLayout::RowGroups, (n * 100 + k + 1) as u64);
-            let (av, rows) = (RowSide::of(&a), RowSide::of(&bt));
-            let aside = ASide {
-                words: Cow::Owned(AWords::of_rows(&av, 1, k, g)),
-                scale: Cow::Borrowed(av.scale),
-                bpr: av.bpr,
-            };
-            let stage = simd::NnStage::build(&aside, BSide::Rows(&rows), g, (1, k, n));
-            let steps = k.div_ceil(4);
-            let mut bytes = vec![0u8; steps * 64];
-            let mut scales = vec![0.0f32; k.div_ceil(g) * 16];
-            for j0 in (0..n).step_by(16) {
-                let w = (n - j0).min(16);
-                let tag = format!("n={n} k={k} j0={j0}");
-                scales.fill(f32::NAN);
-                bytes.fill(0x5A);
-                simd::stage_quads(&stage, &rows, j0, w, &mut bytes, &mut scales);
-                for (i, &got) in bytes.iter().enumerate() {
-                    let (t, c, s) = (i / 64, i % 64 / 4, i % 4);
-                    let r = 4 * t + s;
-                    let v = if c < w && r < k {
-                        bt.mantissa(j0 + c, r)
-                    } else {
-                        0
-                    };
-                    assert_eq!(got, v as u8 ^ 0x80, "{tag} t={t} c={c} s={s}");
-                }
-                for (bb, row) in scales.chunks_exact(16).enumerate() {
-                    for (c, &got) in row.iter().enumerate() {
-                        let want = if c < w { bt.scale(j0 + c, bb * g) } else { 0.0 };
-                        assert_eq!(got.to_bits(), want.to_bits(), "scale {tag} bb={bb}");
-                    }
-                }
+            .chain([3, 4, 8])
+            .flat_map(|n| ks.clone().map(move |k| (n, k)));
+        for g in [4, 12, 16] {
+            for (n, k) in shapes.clone() {
+                let bt = random_pack(n, k, g, PackLayout::RowGroups, (n * 100 + k + g) as u64);
+                let mans: Vec<i8> = (0..k * n).map(|x| bt.mantissa(x % n, x / n)).collect();
+                let scales: Vec<f32> = (0..k.div_ceil(g) * n)
+                    .map(|x| bt.scale(x % n, x / n * g))
+                    .collect();
+                let want = col_grouped(k, n, g, &mans, &scales);
+                let (bytes, scale, panels) = gather_panels(&RowSide::of(&bt), n, k, g);
+                let tag = format!("n={n} k={k} g={g}");
+                assert_eq!(panels, want.col_panels(), "{tag}");
+                assert_eq!(bytes, want.bytes(), "{tag}");
+                assert_eq!(bits(&scale), bits(want.stored_scales()), "{tag}");
             }
         }
     }
@@ -2234,11 +2077,11 @@ mod tests {
     }
 
     /// `int_nt` against the per-segment `ScalarDot` reference, bit for bit:
-    /// equal even groups (the staged panel path from four rows up, the
-    /// vector dots below) with `m` on both sides of the switch and of the
-    /// four-row blocking, odd `k` (pair padding), `n` on both sides of
-    /// each 16-column panel edge, and the odd / unequal groups that the
-    /// vector kernel refuses (the vector dot path).
+    /// equal groups of whole k-quads (the gathered panel path from four
+    /// rows up, the vector dots below) with `m` on both sides of the switch
+    /// and of the four-row blocking, odd `k` (a padded quad), `n` on both
+    /// sides of each 16-column panel edge, and the groups that the vector
+    /// kernel refuses (the vector dot path).
     #[test]
     fn staged_nt_matches_segment_dots_bitwise() {
         let tails = TAIL_MS
@@ -2290,14 +2133,14 @@ mod tests {
             random_pack(37, 96, 3, PackLayout::RowGroups, 87),
             random_pack(41, 96, 3, PackLayout::RowGroups, 86),
         );
-        // Deep enough that the work-size heuristic shards the staged path.
+        // Deep enough that the work-size heuristic shards the gathered path.
         let (abig, btbig) = (
             random_pack(64, 512, 16, PackLayout::RowGroups, 88),
             random_pack(96, 512, 16, PackLayout::RowGroups, 89),
         );
         // Five column panels (the last 6 wide) over fifteen row quads and a
         // remainder row, odd `k`: the workers split the row quads, and each
-        // stages every panel.
+        // reads every panel.
         let (awide, bwide) = (
             random_pack(61, 301, 16, PackLayout::RowGroups, 90),
             random_pack(301, 70, 16, PackLayout::ColGroups, 91),
@@ -2313,7 +2156,7 @@ mod tests {
             assert_eq!(int_nn(&a, &b), s1, "nn workers={workers}");
             assert_eq!(int_nt(&a, &bt), s2, "nt workers={workers}");
             assert_eq!(int_nt(&a3, &bt3), s3, "nt dots workers={workers}");
-            assert_eq!(int_nt(&abig, &btbig), s4, "nt staged workers={workers}");
+            assert_eq!(int_nt(&abig, &btbig), s4, "nt gathered workers={workers}");
             assert_eq!(int_nn(&awide, &bwide), s5, "nn panels workers={workers}");
         }
         set_parallelism(saved);

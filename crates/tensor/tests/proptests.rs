@@ -15,6 +15,9 @@ use rand::{Rng, SeedableRng};
 #[path = "support/segment_oracle.rs"]
 mod segment_oracle;
 use segment_oracle::segment_product;
+#[path = "support/col_grouped.rs"]
+mod col_grouped;
+use col_grouped::col_grouped;
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-2.0f32..2.0, rows * cols)
@@ -448,7 +451,7 @@ fn pack_with(
     (max_man, exps): (i8, std::ops::Range<i32>),
     rng: &mut rand::rngs::StdRng,
 ) -> (PackedMat, Tensor) {
-    let mans = (0..rows * cols)
+    let mans: Vec<i8> = (0..rows * cols)
         .map(|_| {
             if rng.gen_bool(0.25) {
                 0
@@ -461,7 +464,7 @@ fn pack_with(
         PackLayout::RowGroups => rows * cols.div_ceil(group).max(1),
         PackLayout::ColGroups => rows.div_ceil(group).max(1) * cols,
     };
-    let scales = (0..n_scales)
+    let scales: Vec<f32> = (0..n_scales)
         .map(|_| {
             if rng.gen_bool(0.1) {
                 0.0
@@ -470,7 +473,10 @@ fn pack_with(
             }
         })
         .collect();
-    let p = PackedMat::new(rows, cols, group, layout, mans, scales);
+    let p = match layout {
+        PackLayout::RowGroups => PackedMat::new(rows, cols, group, mans, scales),
+        PackLayout::ColGroups => col_grouped(rows, cols, group, &mans, &scales),
+    };
     let dense = (0..rows * cols)
         .map(|at| p.value(at / cols.max(1), at % cols.max(1)))
         .collect();
@@ -718,11 +724,11 @@ fn inexact_row_reads_the_chain_at_every_row_count() {
     b_mans[..n].fill(1);
     b_mans[16 * n..24 * n].fill(1);
     let b_scales = [vec![1.0f32; n], vec![2.0 * tiny; n]].concat();
-    let pb = PackedMat::new(k, n, 16, PackLayout::ColGroups, b_mans, b_scales);
+    let pb = col_grouped(k, n, 16, &b_mans, &b_scales);
     for m in 1..=9 {
         let a = Tensor::from_vec(vec![m, k], a_row.repeat(m));
         let scales = [1.0, tiny].repeat(m);
-        let pa = PackedMat::new(m, k, 16, PackLayout::RowGroups, a_mans.repeat(m), scales);
+        let pa = PackedMat::new(m, k, 16, a_mans.repeat(m), scales);
         let want = chain_oracle(
             (m, k, n),
             |i, p| a.data()[i * k + p],
@@ -753,7 +759,6 @@ fn packed_row(p: &PackedMat, i: usize) -> PackedMat {
         1,
         k,
         g,
-        PackLayout::RowGroups,
         (0..k).map(|j| p.mantissa(i, j)).collect(),
         (0..k.div_ceil(g).max(1))
             .map(|b| p.scale(i, b * g))

@@ -171,22 +171,44 @@ fn main() {
         stride: 2,
         ..conv_dims
     };
-    let patch_floors: [f64; 6] = alternating_floors(warmup, iters, |which| {
-        let (d, axis) = match which / 2 {
-            0 => (conv_dims, GroupAxis::AlongCol),
-            1 => (conv_dims, GroupAxis::AlongRow),
-            _ => (s2_dims, GroupAxis::AlongCol),
-        };
-        if which % 2 == 0 {
+    // The served ResNet's stage-0 operand (batch 1, 16 channels, 32×32):
+    // the shape most of a served request's packing time goes to.
+    let serve_dims = Conv2dDims {
+        batch: 1,
+        in_c: 16,
+        in_h: 32,
+        in_w: 32,
+        out_c: 16,
+        ..conv_dims
+    };
+    let serve_image = Tensor::from_vec(
+        vec![1, 16, 32, 32],
+        (0..16 * 1024).map(|i| (i as f32 * 0.07).cos()).collect(),
+    );
+    // Each timed row as (shape, input, axis, packed from the tensor).
+    let (col, row) = (GroupAxis::AlongCol, GroupAxis::AlongRow);
+    let patch_rows = [
+        (conv_dims, &image, col, true),
+        (conv_dims, &image, col, false),
+        (conv_dims, &image, row, true),
+        (conv_dims, &image, row, false),
+        (s2_dims, &image, col, true),
+        (s2_dims, &image, col, false),
+        (serve_dims, &serve_image, col, true),
+        (s2_dims, &image, row, true),
+    ];
+    let patch_floors: [f64; 8] = alternating_floors(warmup, iters, |which| {
+        let (d, x, axis, from_tensor) = patch_rows[which];
+        if from_tensor {
             black_box(prepare_patches(
                 &mut session,
-                black_box(&image),
+                black_box(x),
                 d,
                 act_fmt,
                 axis,
             ));
         } else {
-            let cols = im2col(black_box(&image), d);
+            let cols = im2col(black_box(x), d);
             black_box(prepare_owned(&mut session, cols, act_fmt, axis));
         }
     });
@@ -197,6 +219,8 @@ fn main() {
         "im2col_pack_c8_row_ns",
         "pack_patches_c8_s2_ns",
         "im2col_pack_c8_s2_ns",
+        "pack_patches_serve_s0_col_ns",
+        "pack_patches_c8_s2_row_ns",
     ]
     .into_iter()
     .zip(patch_floors)
@@ -561,14 +585,15 @@ fn main() {
         ),
         ("col2im_over_im2col_x", im2col_floor / col2im_floor, 0.5),
         // Packing a conv operand from the tensor against materializing it
-        // first (both axes): under 1.1 the source path has stopped paying
-        // for itself (1.3–1.4 on the recording machine). And the nearest
+        // first (both axes): under 1.2 the lane loads have lost their lead
+        // (1.44–1.48 at sixteen lanes and 1.31 at eight, forced, on the
+        // recording machine; 1.3–1.4 with the staged tiles). And the nearest
         // pack's time over the 8-bit-SR pack's: under 0.5 the SR pack has
         // lost its bulk noise (≈ 0.7 with it, 0.31 without).
         (
             "im2col_pack_over_pack_patches_x",
             (patch_floors[1] + patch_floors[3]) / (patch_floors[0] + patch_floors[2]),
-            1.1,
+            1.2,
         ),
         (
             "pack_nearest_over_sr8_x",

@@ -54,9 +54,9 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the pack's lane body runs at sixteen lanes
-// on an AVX-512 host, which takes one `unsafe` call into a
-// `#[target_feature]` function (`packed::panel_quads`).
+// `deny` rather than `forbid`: the pack kernels load their lanes with
+// masked loads and gathers, and run at sixteen lanes on an AVX-512 host
+// through one `#[target_feature]` function (`packed::stripe_x16`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -11,15 +11,13 @@
 //! on the same integer rounding (both call `kernel::quantize_plain`;
 //! DESIGN.md §9), so its bits.
 //!
-//! The two kernels (one per [`GroupAxis`]) read their input through a
-//! [`RowSource`], tile by tile: [`DenseRows`] lends a slice's rows without
-//! copying ([`pack_matrix`]), and [`FillRows`] produces rows on demand —
-//! the `im2col` patch matrix of a conv layer — into a staging tile of at
-//! most `g × 256` values, so the paper's converter position (between memory
-//! and the array, Fig 14) is reproduced: the tensor is converted on its way
-//! out of memory and no FP32 patch matrix exists ([`pack_rows`]). The
-//! `AlongCol` kernel writes its output in the order the integer GEMM
-//! kernels read it ([`ColPanels`]), so that operand is never relaid.
+//! The two kernels (one per [`GroupAxis`]) read their input as *lanes* of a
+//! [`RowSource`], in place: [`DenseRows`] is a slice's own rows, and
+//! `fast_tensor::Im2colRows` a conv layer's patch matrix read straight from
+//! the NCHW tensor — the paper's converter position (between memory and the
+//! array, Fig 14): no FP32 patch matrix exists ([`pack_rows`]). The
+//! `AlongCol` kernel writes the order the integer GEMM kernels read
+//! ([`ColPanels`]), so that operand is never relaid.
 //!
 //! Packing is restricted to the cases where the per-group loop takes its
 //! plain path for every group, so the reconstruction identity holds with no
@@ -31,13 +29,11 @@
 //!   `i8 × f32` pair cannot replay.
 //!
 //! [`pack_rows`] detects both conditions draw-free, over exactly the
-//! matrix's values — a prescan of a slice that holds them, or a check of
-//! each tile as it is staged — and returns the [`Refusal`] that names
-//! which one failed, having consumed **no** stochastic-rounding noise
-//! (noise is positional), so the caller's
-//! fallback — the per-group walk of [`crate::fake_quantize_matrix`], then
-//! the dense GEMM — draws from an unperturbed source. Each element draws at
-//! its own offset either way.
+//! matrix's values, and returns the [`Refusal`] that names which one failed,
+//! having consumed **no** stochastic-rounding noise (noise is positional),
+//! so the caller's fallback — the per-group walk of
+//! [`crate::fake_quantize_matrix`], then the dense GEMM — draws from an
+//! unperturbed source.
 
 use crate::format::BfpFormat;
 use crate::group::ExponentWindow;
@@ -77,12 +73,12 @@ impl Refusal {
 }
 
 /// Minimum elements each extra worker must be handed before a pack shards.
-/// A scoped spawn + join measures ≈ 18 µs (2-vCPU Xeon), which is
-/// ≈ 16 k elements at the 1.0–1.1 ns/element the nearest pack runs at
-/// (`pack_m4_nearest_ns`; 8-bit SR ≈ 1.4): below this a worker costs more
-/// to start than it takes off the pass. The threshold bounds the loss, it
-/// does not promise a gain.
-const MIN_ELEMS_PER_WORKER: usize = 1 << 14;
+/// A scoped spawn + join measures 19–25 µs (2-vCPU Xeon), ≈ 30–40 k
+/// elements at the 0.5–0.6 ns/element the nearest column-grouped pack of a
+/// conv operand runs at (dense and row-grouped 0.7–1.0, 8-bit SR ≈
+/// 1.1–1.4): below this a worker costs more to start than it takes off the
+/// pass. The threshold bounds the loss, it does not promise a gain.
+const MIN_ELEMS_PER_WORKER: usize = 1 << 15;
 
 /// Effective worker count for a sharded pack: capped so every worker gets
 /// at least [`MIN_ELEMS_PER_WORKER`] elements, never below one.
@@ -223,13 +219,27 @@ impl ColPanels {
     }
 }
 
-/// A row-major `rows × cols` f32 matrix the pack kernels read tile by tile:
-/// either one that exists in memory ([`DenseRows`], which lends its rows
-/// without copying) or a *virtual* one whose rows are produced on demand
-/// into a small staging buffer ([`FillRows`]) — e.g. the `im2col` patch
-/// matrix gathered straight from an NCHW tensor, which then never exists in
-/// f32 (DESIGN.md §9). `Sync` because a sharded pass reads it from every
-/// stripe.
+/// Lane `c` of one row's [`ColPanels::WIDTH`]-column panel: where its value
+/// lies in the source's [`RowSource::values`] slice, or that the matrix
+/// holds a zero there. Lanes past the matrix's last column are invalid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes {
+    /// Offset of each lane's value in [`RowSource::values`]; read only
+    /// where the lane is valid.
+    pub offsets: [i32; ColPanels::WIDTH],
+    /// Bit `c` set when lane `c` holds `values()[offsets[c]]`; clear where
+    /// the matrix holds a zero (a conv's padding) and past its last column.
+    pub valid: u16,
+    /// Whether `offsets[c] == offsets[0] + c` for every lane, valid or not:
+    /// the panel row is then one masked contiguous load, else a gather.
+    pub contiguous: bool,
+}
+
+/// A row-major `rows × cols` f32 matrix whose elements are read in place
+/// from one slice: either the matrix itself ([`DenseRows`]) or a *view* of
+/// other data — e.g. the `im2col` patch matrix of an NCHW tensor, which then
+/// never exists in f32 (DESIGN.md §9). `Sync` because a sharded pass reads
+/// it from every stripe.
 pub trait RowSource: Sync {
     /// Row count of the matrix.
     fn rows(&self) -> usize;
@@ -237,27 +247,25 @@ pub trait RowSource: Sync {
     /// Column count of the matrix.
     fn cols(&self) -> usize;
 
-    /// The tile of rows `row0 .. row0 + nrows` × columns
-    /// `col0 .. col0 + ncols` as `(data, stride)`: row `k` of the tile is
-    /// `data[k * stride..][..ncols]`. A source that holds the matrix lends
-    /// it and leaves `stage` alone; one that produces rows on demand writes
-    /// every element of the tile into `stage` (growing it as needed) and
-    /// lends that.
-    fn tile<'a>(
-        &'a self,
-        row0: usize,
-        nrows: usize,
-        col0: usize,
-        ncols: usize,
-        stage: &'a mut Vec<f32>,
-    ) -> (&'a [f32], usize);
+    /// The slice every lane reads. Its length must fit `i32`; a valid lane
+    /// whose offset lies outside it reads `0.0`.
+    fn values(&self) -> &[f32];
 
-    /// A slice holding exactly the matrix's values — up to order, repetition
-    /// and exact zeros, none of which the prescan's maximum-magnitude and
-    /// plainness reduction can see — if the source has one. Without it the
-    /// kernels check plainness on each tile they stage, and a windowed pack
-    /// first walks the rows through [`RowSource::tile`] for the maximum.
-    fn values(&self) -> Option<&[f32]>;
+    /// Whether every element of [`RowSource::values`] is some valid lane's,
+    /// so that the slice holds the matrix's values up to order, repetition
+    /// and exact zeros, which the prescan cannot see; else the kernels
+    /// check each group they load, and a window walks the rows first.
+    fn covers_values(&self) -> bool;
+
+    /// The lanes of row `row`, columns `col0 .. col0 + 16` (`col0` a panel
+    /// edge).
+    fn lanes(&self, row: usize, col0: usize) -> Lanes;
+
+    /// Row `row` as one run of [`RowSource::values`], if it lies there
+    /// whole: the `AlongRow` kernel then reads it without loading lanes.
+    fn row(&self, _row: usize) -> Option<&[f32]> {
+        None
+    }
 }
 
 /// The [`RowSource`] of a matrix that exists: a borrowed row-major slice.
@@ -289,75 +297,29 @@ impl RowSource for DenseRows<'_> {
         self.cols
     }
 
+    fn values(&self) -> &[f32] {
+        self.data
+    }
+
+    fn covers_values(&self) -> bool {
+        true
+    }
+
+    fn row(&self, row: usize) -> Option<&[f32]> {
+        Some(&self.data[row * self.cols..][..self.cols])
+    }
+
     #[inline(always)]
-    fn tile<'a>(
-        &'a self,
-        row0: usize,
-        _nrows: usize,
-        col0: usize,
-        _ncols: usize,
-        _stage: &'a mut Vec<f32>,
-    ) -> (&'a [f32], usize) {
-        (&self.data[row0 * self.cols + col0..], self.cols)
-    }
-
-    fn values(&self) -> Option<&[f32]> {
-        Some(self.data)
-    }
-}
-
-/// The [`RowSource`] of a virtual matrix whose rows a *filler* produces on
-/// demand: `fill(row, col0, out)` writes columns `col0 .. col0 + out.len()`
-/// of `row` into `out` — every element of it, since the staging tile it is
-/// handed is reused.
-pub struct FillRows<'a, F> {
-    rows: usize,
-    cols: usize,
-    fill: F,
-    values: Option<&'a [f32]>,
-}
-
-impl<'a, F: Fn(usize, usize, &mut [f32]) + Sync> FillRows<'a, F> {
-    /// A `rows × cols` matrix produced by `fill`. `values` is the slice
-    /// [`RowSource::values`] reports — one holding exactly the matrix's
-    /// values up to order, repetition and exact zeros, if the caller has
-    /// one (pass `None` when unsure: the pack then goes by the rows alone).
-    pub fn new(rows: usize, cols: usize, fill: F, values: Option<&'a [f32]>) -> Self {
-        FillRows {
-            rows,
-            cols,
-            fill,
-            values,
+    fn lanes(&self, row: usize, col0: usize) -> Lanes {
+        const IOTA: [i32; ColPanels::WIDTH] =
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+        let first = (row * self.cols + col0) as i32;
+        let left = (self.cols - col0).min(ColPanels::WIDTH) as u32;
+        Lanes {
+            offsets: IOTA.map(|c| first.wrapping_add(c)),
+            valid: (u32::MAX >> (32 - left)) as u16,
+            contiguous: true,
         }
-    }
-}
-
-impl<F: Fn(usize, usize, &mut [f32]) + Sync> RowSource for FillRows<'_, F> {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn tile<'a>(
-        &'a self,
-        row0: usize,
-        nrows: usize,
-        col0: usize,
-        ncols: usize,
-        stage: &'a mut Vec<f32>,
-    ) -> (&'a [f32], usize) {
-        stage.resize(nrows * ncols, 0.0);
-        for (k, row) in stage.chunks_mut(ncols.max(1)).enumerate() {
-            (self.fill)(row0 + k, col0, row);
-        }
-        (stage, ncols)
-    }
-
-    fn values(&self) -> Option<&[f32]> {
-        self.values
     }
 }
 
@@ -396,7 +358,8 @@ pub fn pack_matrix(
 ///
 /// # Panics
 ///
-/// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`.
+/// Panics if `rounding` is `Stochastic` with `noise_bits` outside `1..=31`,
+/// or if `src.values()` is longer than `i32::MAX`.
 pub fn pack_rows<S: RowSource>(
     src: &S,
     axis: GroupAxis,
@@ -409,21 +372,25 @@ pub fn pack_rows<S: RowSource>(
     if fmt.mantissa_bits() > MAX_PACKED_MANTISSA_BITS {
         return Err(Refusal::Wide);
     }
+    assert!(
+        src.values().len() <= i32::MAX as usize,
+        "lane offsets are i32"
+    );
     // Draw-free prescan: the packed path requires every group to take the
     // per-group loop's plain path, which holds exactly when every
     // value is a normal number or zero (window clamping only ever *raises*
     // a group exponent toward the matrix maximum, so `e ∈ [natural, 127]`
-    // is automatic). The scan also yields the matrix maximum for the window.
-    let scan = match src.values() {
-        Some(values) => Some(scan_group(values)),
-        // The window is anchored at the matrix maximum, which must be known
-        // before the first group is quantized: walk the rows for it.
-        None if use_window => Some(scan_rows(src)),
-        // Plainness alone the kernels check tile by tile as they stage
-        // them, so a source that produces its rows is read once.
-        None => None,
-    };
-    let (max_bits, plain) = scan.unwrap_or((0, true));
+    // is automatic). The scan also yields the matrix maximum for the window;
+    // without a window, a source that does not cover its slice is checked
+    // group by group as the kernels load it, so it is read once.
+    let check_plain = !src.covers_values() && !use_window;
+    let (mut max_bits, mut plain) = (0, true);
+    if !check_plain {
+        each_chunk(src, |values| {
+            let (chunk_max, chunk_plain) = scan_group(values);
+            (max_bits, plain) = (max_bits.max(chunk_max), plain && chunk_plain);
+        });
+    }
     if !plain {
         return Err(non_plain(src));
     }
@@ -436,44 +403,49 @@ pub fn pack_rows<S: RowSource>(
         },
         exponent_bits: fmt.exponent_bits(),
     });
-    let check_plain = scan.is_none();
-    with_round_op!(rounding, op => pack_sharded(src, axis, fmt, op, noise, window, check_plain))
-        .ok_or_else(|| non_plain(src))
+    with_round_op!(rounding, op => {
+        let pass = Pass { src, fmt, round: op, window, check_plain };
+        pack_sharded(&pass, axis, noise)
+    })
+    .ok_or_else(|| non_plain(src))
 }
 
-/// Names what makes a refused matrix non-plain: walks its values (the
-/// slice [`RowSource::values`] lends, or the rows one at a time) for a NaN
+/// Names what makes a refused matrix non-plain: walks its values for a NaN
 /// or an infinity, and calls it subnormal when there is none. Runs only
 /// after a refusal.
 fn non_plain<S: RowSource>(src: &S) -> Refusal {
-    let finite = |values: &[f32]| values.iter().all(|v| v.is_finite());
-    let all_finite = match src.values() {
-        Some(values) => finite(values),
-        None => {
-            let cols = src.cols();
-            let mut stage = Vec::new();
-            (0..src.rows()).all(|r| finite(&src.tile(r, 1, 0, cols, &mut stage).0[..cols]))
+    let mut nonfinite = false;
+    each_chunk(src, |values| {
+        nonfinite |= values.iter().any(|v| !v.is_finite())
+    });
+    [Refusal::Subnormal, Refusal::NonFinite][usize::from(nonfinite)]
+}
+
+/// Hands `f` the matrix's values: the source's slice when every element of
+/// it is read ([`RowSource::covers_values`]), else each row, loaded.
+fn each_chunk<S: RowSource>(src: &S, mut f: impl FnMut(&[f32])) {
+    const W: usize = ColPanels::WIDTH;
+    let (cols, values) = (src.cols(), src.values());
+    if src.covers_values() {
+        return f(values);
+    }
+    let mut row = vec![0.0f32; cols.next_multiple_of(W)];
+    for r in 0..src.rows() {
+        for (col0, out) in (0..cols).step_by(W).zip(row.chunks_exact_mut(W)) {
+            out.copy_from_slice(&load::<8>(values, &src.lanes(r, col0)));
         }
-    };
-    if all_finite {
-        Refusal::Subnormal
-    } else {
-        Refusal::NonFinite
+        f(&row[..cols]);
     }
 }
 
-/// [`scan_group`] over the rows of `src`, staged one at a time.
-fn scan_rows<S: RowSource>(src: &S) -> (u32, bool) {
-    let cols = src.cols();
-    let mut stage = Vec::new();
-    let (mut max_bits, mut plain) = (0u32, true);
-    for r in 0..src.rows() {
-        let (row, _) = src.tile(r, 1, 0, cols, &mut stage);
-        let (row_max, row_plain) = scan_group(&row[..cols]);
-        max_bits = max_bits.max(row_max);
-        plain &= row_plain;
-    }
-    (max_bits, plain)
+/// One pack's inputs besides its stripe and noise cursor.
+struct Pass<'a, S, R> {
+    src: &'a S,
+    fmt: BfpFormat,
+    round: &'a R,
+    window: Option<ExponentWindow>,
+    /// Set when no prescan saw the values: each group is checked as loaded.
+    check_plain: bool,
 }
 
 /// Packing sharded across `noise.workers` threads: `AlongRow` in stripes
@@ -481,33 +453,35 @@ fn scan_rows<S: RowSource>(src: &S) -> (u32, bool) {
 /// outputs concatenate exactly because both layouts are stored stripe by
 /// stripe — row-major rows, panel-major panels; every stripe addresses its
 /// noise by absolute element offset. `None` when `check_plain` is set and
-/// some stripe staged a value that is neither normal nor zero.
+/// some stripe loaded a value that is neither normal nor zero.
 fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
-    src: &S,
+    pass: &Pass<S, R>,
     axis: GroupAxis,
-    fmt: BfpFormat,
-    round: &R,
     noise: Noise,
-    window: Option<ExponentWindow>,
-    check_plain: bool,
 ) -> Option<PackedData> {
     let Noise { rng, base, workers } = noise;
-    let kernel = |stripe: Range<usize>| {
+    // Sixteen lanes on an AVX-512 (F, BW and VL) host, else eight, each
+    // kernel one body over the lane count `L`; read here, so a forced width
+    // reaches every stripe.
+    let wide = wide_lanes();
+    let kernel = |range: Range<usize>| {
         let mut bits = CounterBits::new(rng, base);
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: `wide_lanes` confirmed AVX-512F, -BW and -VL.
+            #[allow(unsafe_code)]
+            return unsafe { stripe_x16(pass, axis, range, &mut bits) };
+        }
         match axis {
-            GroupAxis::AlongRow => {
-                pack_along_row(src, stripe, fmt, round, &mut bits, window, check_plain)
-            }
-            GroupAxis::AlongCol => {
-                pack_along_col(src, stripe, fmt, round, &mut bits, window, check_plain)
-            }
+            GroupAxis::AlongRow => pack_along_row::<S, R, 8>(pass, range, &mut bits),
+            GroupAxis::AlongCol => pack_along_col::<S, R, 8>(pass, range, &mut bits),
         }
     };
     let (len, granule) = match axis {
-        GroupAxis::AlongRow => (src.rows(), 1),
-        GroupAxis::AlongCol => (src.cols(), ColPanels::WIDTH),
+        GroupAxis::AlongRow => (pass.src.rows(), 1),
+        GroupAxis::AlongCol => (pass.src.cols(), ColPanels::WIDTH),
     };
-    let workers = effective_workers(workers, src.rows() * src.cols());
+    let workers = effective_workers(workers, pass.src.rows() * pass.src.cols());
     if workers == 1 {
         return kernel(0..len);
     }
@@ -533,23 +507,141 @@ fn pack_sharded<S: RowSource, R: RoundOp + Sync>(
     Some(out)
 }
 
-/// Columns per staged tile. Measured on the c8 16×16 patch rows of
-/// `bench_json` (interleaved binaries, floor of six): 128 is 12–17 % slower
-/// (half a 16×16 plane per source call), and 256, 512 and 1024 sit within 5 %
-/// of one another — so the smallest of the plateau, which keeps a `g = 16`
-/// `AlongCol` tile at 16 KiB of f32 plus 2 KiB of per-column state, inside
-/// L1d next to the output rows.
-const COL_TILE: usize = 256;
+/// A stripe at sixteen lanes, compiled for AVX-512: one register per lane
+/// array, where the x86-64-v3 build spills at sixteen.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+fn stripe_x16<S: RowSource, R: RoundOp>(
+    pass: &Pass<S, R>,
+    axis: GroupAxis,
+    range: Range<usize>,
+    bits: &mut CounterBits,
+) -> Option<PackedData> {
+    match axis {
+        GroupAxis::AlongRow => pack_along_row::<S, R, 16>(pass, range, bits),
+        GroupAxis::AlongCol => pack_along_col::<S, R, 16>(pass, range, bits),
+    }
+}
+
+/// Whether this thread's packs run sixteen lanes: the host runs AVX-512F,
+/// -BW and -VL (detected once) and no test forced eight
+/// ([`force_eight_lanes`]).
+fn wide_lanes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        let host = *WIDE.get_or_init(|| {
+            std::is_x86_feature_detected!("avx512f")
+                && std::is_x86_feature_detected!("avx512bw")
+                && std::is_x86_feature_detected!("avx512vl")
+        });
+        host && !EIGHT_LANES.get()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+thread_local! {
+    static EIGHT_LANES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Test support: makes the packs this thread starts run the eight-lane
+/// body, which every host without AVX-512 runs, whatever this host runs
+/// (`false` restores the host's width). Bits do not depend on the width.
+#[doc(hidden)]
+pub fn force_eight_lanes(on: bool) {
+    EIGHT_LANES.set(on);
+}
+
+/// The panel row `lanes` describes, read in place from `values`, `0.0` in
+/// every invalid lane: a plain copy where all sixteen lanes are valid,
+/// consecutive and inside `values`, else [`load_lanes`] `L` at a time.
+#[inline(always)]
+fn load<const L: usize>(values: &[f32], lanes: &Lanes) -> [f32; ColPanels::WIDTH] {
+    const W: usize = ColPanels::WIDTH;
+    let at = usize::try_from(lanes.offsets[0]).ok();
+    let run = at.filter(|&at| lanes.contiguous && at + W <= values.len());
+    match run {
+        Some(at) if lanes.valid == u16::MAX => values[at..at + W].try_into().expect("W"),
+        _ => {
+            let mut out = [0.0f32; W];
+            for h in (0..W).step_by(L) {
+                *lane_mut(&mut out, h) = load_lanes::<L>(values, lanes, h, run.is_some());
+            }
+            out
+        }
+    }
+}
+
+/// Lanes `h .. h + L` of `lanes` (`L` is 8 or 16): each valid lane's value,
+/// `0.0` in every other lane — one masked load where the panel row is
+/// consecutive and `inside` `values`, a masked gather otherwise. A lane
+/// whose offset lies outside `values` reads `0.0`, so a wrong source
+/// cannot read out of bounds.
+#[inline(always)]
+fn load_lanes<const L: usize>(values: &[f32], lanes: &Lanes, h: usize, inside: bool) -> [f32; L] {
+    let mut out = [0.0f32; L];
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    // SAFETY: `L == 16` runs only inside `stripe_x16` (AVX-512F/BW/VL
+    // confirmed), `L == 8` only where AVX2 is compiled in; a masked load
+    // reads `inside` the slice, a gather only the lanes whose offsets are,
+    // and `out` holds `L` floats.
+    unsafe {
+        use std::arch::x86_64::*;
+        let (base, len) = (values.as_ptr(), values.len() as i32);
+        let offsets = lanes.offsets.as_ptr().add(h);
+        let first = base.wrapping_offset(*offsets as isize);
+        if L == 16 {
+            let off = _mm512_loadu_si512(offsets.cast());
+            let v = if inside {
+                _mm512_maskz_loadu_ps(lanes.valid, first)
+            } else {
+                let k = lanes.valid & _mm512_cmplt_epu32_mask(off, _mm512_set1_epi32(len));
+                _mm512_mask_i32gather_ps(_mm512_setzero_ps(), k, off, base, 4)
+            };
+            _mm512_storeu_ps(out.as_mut_ptr(), v);
+            return out;
+        }
+        #[cfg(target_feature = "avx2")]
+        if L == 8 {
+            let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            let valid = _mm256_set1_epi32(i32::from(lanes.valid >> h));
+            let valid = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(valid, bit), bit));
+            let v = if inside {
+                _mm256_and_ps(_mm256_loadu_ps(first), valid)
+            } else {
+                let off = _mm256_loadu_si256(offsets.cast());
+                let lo = _mm256_cmpgt_epi32(off, _mm256_set1_epi32(-1));
+                let hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(len), off);
+                let k = _mm256_and_ps(valid, _mm256_castsi256_ps(_mm256_and_si256(lo, hi)));
+                _mm256_mask_i32gather_ps(_mm256_setzero_ps(), base, off, k, 4)
+            };
+            _mm256_storeu_ps(out.as_mut_ptr(), v);
+            return out;
+        }
+    }
+    let _ = inside;
+    for (c, v) in (h..).zip(&mut out) {
+        let at = usize::try_from(lanes.offsets[c])
+            .ok()
+            .filter(|_| lanes.valid >> c & 1 != 0);
+        *v = at.and_then(|i| values.get(i).copied()).unwrap_or(0.0);
+    }
+    out
+}
+
+/// Columns per row segment of the `AlongRow` kernel, before rounding to
+/// whole groups and panels. Measured on the c8 16×16 patch rows of
+/// `bench_json` (interleaved binaries, floor of six): 128 is 12–17 % slower,
+/// and 256, 512 and 1024 sit within 5 % of one another.
+const ROW_SEGMENT: usize = 256;
 
 /// The element loop of the `AlongRow` kernel: quantizes the run of plain
-/// (normal-or-zero) values whose first element sits at noise `offset`,
-/// `values[i]` against `t_base[i]`, into `out[i]`. Under 8-bit stochastic
-/// rounding the run's draws are prefetched into `noise` in bulk; other
-/// stochastic widths draw at the cursor. The arithmetic is
-/// `fake_quantize_group_plain`'s, so `out[i] as f32 * scale` reproduces its
-/// written f32s bit for bit. The zero and saturation counters are
-/// loop-carried sums the vectorizer keeps in registers and reduces once per
-/// run.
+/// values whose first element sits at noise `offset`, `values[i]` against
+/// `t_base[i]`, into `out[i]` — 8-bit draws prefetched in bulk, other
+/// widths drawn at the cursor — with `fake_quantize_group_plain`'s
+/// arithmetic, so `out[i] as f32 * scale` is its f32, bit for bit.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the lanes' inputs, outputs and format
 fn pack_lanes<R: RoundOp>(
@@ -601,22 +693,22 @@ fn group_max(values: &[f32]) -> u32 {
 /// (`pack_m4_nearest_ns`-shaped operands, floor of six interleaved runs).
 const FIXED_GROUP: usize = 16;
 
-/// `AlongRow` packing of source rows `row0 .. row1`: groups are contiguous
-/// within each row, which is staged and packed one segment of whole groups
-/// (about [`COL_TILE`] columns) at a time — the groups' shared exponents are
-/// spread to one `t_base` per lane, then the segment takes [`pack_lanes`].
-/// With `check_plain`, `None` at the first staged segment holding a value
-/// that is neither normal nor zero.
-fn pack_along_row<S: RowSource, R: RoundOp>(
-    src: &S,
+/// `AlongRow` packing of source rows `rows`: groups are contiguous within
+/// each row, which is loaded and packed one segment of whole groups and
+/// whole panels (about [`ROW_SEGMENT`] columns) at a time — the segment's
+/// lanes land in a scratch row, the groups' shared exponents are spread to
+/// one `t_base` per lane, then the segment takes [`pack_lanes`]. With
+/// `check_plain`, `None` at the first segment holding a value that is
+/// neither normal nor zero.
+#[inline(always)]
+fn pack_along_row<S: RowSource, R: RoundOp, const L: usize>(
+    pass: &Pass<S, R>,
     rows: Range<usize>,
-    fmt: BfpFormat,
-    round: &R,
     bits: &mut CounterBits,
-    window: Option<ExponentWindow>,
-    check_plain: bool,
 ) -> Option<PackedData> {
-    let cols = src.cols();
+    const W: usize = ColPanels::WIDTH;
+    let (src, fmt, round, window) = (pass.src, pass.fmt, pass.round, pass.window);
+    let (cols, source) = (src.cols(), src.values());
     let g = fmt.group_size();
     let m = fmt.mantissa_bits();
     let max_mag = fmt.max_magnitude() as u32;
@@ -628,17 +720,29 @@ fn pack_along_row<S: RowSource, R: RoundOp>(
         groups: nrows * cols.div_ceil(g),
         ..QuantStats::default()
     };
-    let seg = (COL_TILE / g).max(1) * g;
-    let mut stage = Vec::new();
+    // Whole groups and whole panels: a multiple of `lcm(g, W)`.
+    let lcm = g << (W.trailing_zeros() - g.trailing_zeros().min(W.trailing_zeros()));
+    let seg = (ROW_SEGMENT / lcm).max(1) * lcm;
+    let mut stage = vec![0.0f32; seg];
     let mut t_base = vec![0i32; seg];
     let mut noise = vec![0u8; seg]; // a segment's bulk draws (8-bit SR only)
     let rows_out = mans.chunks_mut(cols.max(1)).zip(scales.chunks_mut(gpr));
     for (r, (man_row, scale_row)) in rows.zip(rows_out) {
         let segments = man_row.chunks_mut(seg).zip(scale_row.chunks_mut(seg / g));
         for (c0, (out, seg_scales)) in (0..cols).step_by(seg).zip(segments) {
-            let (values, _) = src.tile(r, 1, c0, out.len(), &mut stage);
-            let values = &values[..out.len()];
-            if check_plain && !scan_group(values).1 {
+            let values = match src.row(r) {
+                Some(row) => &row[c0..][..out.len()],
+                None => {
+                    let panels = stage
+                        .chunks_exact_mut(W)
+                        .zip((c0..c0 + out.len()).step_by(W));
+                    for (panel, col0) in panels {
+                        panel.copy_from_slice(&load::<L>(source, &src.lanes(r, col0)));
+                    }
+                    &stage[..out.len()]
+                }
+            };
+            if pass.check_plain && !scan_group(values).1 {
                 return None;
             }
             let groups = values.chunks(g).zip(t_base.chunks_mut(g));
@@ -667,26 +771,22 @@ fn pack_along_row<S: RowSource, R: RoundOp>(
 }
 
 /// `AlongCol` packing of source columns `cols` (whole panels from a panel
-/// edge) into their [`ColPanels`]: lane-wise over `g`-row ×
-/// [`COL_TILE`]-column tiles — every column group of a tile quantized
-/// simultaneously, tiled so that a source producing rows on demand stages
-/// `g × COL_TILE` values, never the matrix. Each group's rows are then
-/// written four at a time as the panels' quad rows ([`quad_rows`]). Element
-/// order is free because nearest/truncate rounding draws no bits and
-/// stochastic rounding keys its noise on element offsets; each tile row's
-/// draws are taken in one run before its panels are written. With
-/// `check_plain`, `None` at the first staged tile holding a value that is
-/// neither normal nor zero.
-fn pack_along_col<S: RowSource, R: RoundOp>(
-    src: &S,
+/// edge) into their [`ColPanels`], panel by panel and group by group: each
+/// group's `g` rows of the panel are loaded as lanes ([`load`]) with the
+/// columns' maxima taken on the way, then quantized four rows at a time
+/// into the panel's quad rows, appended in layout order — every byte
+/// written once, the biased-zero padding past the group and the matrix
+/// included. Lanes past the last column load `0.0` and their zero counts
+/// are taken back. With `check_plain`, `None` at the first group holding a
+/// value that is neither normal nor zero.
+#[inline(always)]
+fn pack_along_col<S: RowSource, R: RoundOp, const L: usize>(
+    pass: &Pass<S, R>,
     cols: Range<usize>,
-    fmt: BfpFormat,
-    round: &R,
     bits: &mut CounterBits,
-    window: Option<ExponentWindow>,
-    check_plain: bool,
 ) -> Option<PackedData> {
     const W: usize = ColPanels::WIDTH;
+    let (src, fmt, round, window) = (pass.src, pass.fmt, pass.round, pass.window);
     let (rows, width) = (src.rows(), src.cols());
     let g = fmt.group_size();
     let m = fmt.mantissa_bits();
@@ -696,80 +796,61 @@ fn pack_along_col<S: RowSource, R: RoundOp>(
         cols: cols.len(),
         group: g,
     };
-    let (qpb, panel_rows, nblocks) = (
-        layout.quads_per_block(),
-        layout.quad_rows(),
-        layout.blocks(),
-    );
-    let mut mans = vec![i8::MIN; layout.len()];
-    let mut scales = vec![0.0f32; layout.scales()];
+    let mut mans: Vec<i8> = Vec::with_capacity(layout.len());
+    let mut scales: Vec<f32> = Vec::with_capacity(layout.scales());
     let mut stats = QuantStats {
         groups: layout.blocks() * cols.len(),
         ..QuantStats::default()
     };
-    let mut stage = Vec::new();
-    let mut col_max = [0u32; COL_TILE];
-    let mut t_base = [0i32; COL_TILE];
-    let mut tile_scales = [0.0f32; COL_TILE];
-    // A tile's draws, row by row: bulk 8-bit draws, or other widths'.
-    let tile_noise = |on: bool| if on { g.min(rows) * COL_TILE } else { 0 };
-    let mut noise8 = vec![0u8; tile_noise(R::NOISE8)];
-    let mut noise = vec![0u32; tile_noise(R::DRAWS && !R::NOISE8)];
-    for (bb, block) in (0..rows).step_by(g).enumerate() {
-        let rb = g.min(rows - block);
-        for c0 in cols.clone().step_by(COL_TILE) {
-            let tw = COL_TILE.min(cols.end - c0);
-            let (tile, stride) = src.tile(block, rb, c0, tw, &mut stage);
-            let col_max = &mut col_max[..tw];
-            col_max.fill(0);
-            for k in 0..rb {
-                let values = &tile[k * stride..][..tw];
-                if check_plain && !scan_group(values).1 {
-                    return None;
-                }
-                for (mx, &v) in col_max.iter_mut().zip(values) {
-                    *mx = (*mx).max(v.to_bits() & 0x7FFF_FFFF);
+    // One group's lanes and its draws, row by row.
+    let quads = layout.quads_per_block();
+    let mut group = vec![[0.0f32; W]; g.min(rows)];
+    let mut noise = vec![[0u32; W]; if R::DRAWS { g.min(rows) } else { 0 }];
+    // Zero counts of lanes outside the matrix, taken back at the end.
+    let mut padding = 0u64;
+    for col0 in cols.clone().step_by(W) {
+        let w = W.min(cols.end - col0);
+        for block in (0..rows).step_by(g) {
+            let rb = g.min(rows - block);
+            let max = load_rows::<S, L>(src, block, col0, &mut group[..rb]);
+            // The rows' draws (8-bit: all sixteen; lanes past the matrix
+            // hold `0.0`, which rounds to zero against any).
+            for (k, drawn) in noise.iter_mut().take(rb).enumerate() {
+                let first = ((block + k) * width + col0) as u64;
+                if R::NOISE8 {
+                    *drawn = bits.draws16(first).map(u32::from);
+                } else {
+                    bits.seek(first, 1);
+                    drawn[..w].iter_mut().for_each(|d| *d = round.draw(bits));
                 }
             }
-            let params = t_base.iter_mut().zip(&mut tile_scales).zip(col_max.iter());
+            if pass.check_plain && !group[..rb].iter().all(|row| scan_group(row).1) {
+                return None;
+            }
+            let (mut t_base, mut scale) = ([0i32; W], [0.0f32; W]);
+            let params = t_base.iter_mut().zip(&mut scale).zip(max);
             // Without a window the loop is branch-free and vectorizes: a
             // shared `window` argument kept it scalar, 15 % of the pack.
             match window {
-                None => params.for_each(|((t, s), &mx)| (*t, *s) = plain_group_params(mx, m, None)),
-                Some(_) => {
-                    params.for_each(|((t, s), &mx)| (*t, *s) = plain_group_params(mx, m, window))
+                None => params.for_each(|((t, s), mx)| (*t, *s) = plain_group_params(mx, m, None)),
+                window => {
+                    params.for_each(|((t, s), mx)| (*t, *s) = plain_group_params(mx, m, window))
                 }
             }
-            for k in 0..rb {
-                bits.seek(((block + k) * width + c0) as u64, 1);
-                if R::NOISE8 {
-                    bits.fill8(&mut noise8[k * COL_TILE..][..tw]);
-                } else if R::DRAWS {
-                    for r in &mut noise[k * COL_TILE..][..tw] {
-                        *r = round.draw(bits);
-                    }
-                }
+            scales.extend_from_slice(&scale);
+            // Quads holding rows of the group; the rest are padding.
+            let live = rb.div_ceil(4);
+            let rows = (&group[..rb], &noise[..]);
+            let counts = quad_rows::<R, L>(rows, &t_base, (max_mag, round), &mut mans);
+            for _ in live..quads {
+                mans.extend_from_slice(&[i8::MIN; ColPanels::QUAD]);
             }
-            let j0 = c0 - cols.start; // a panel edge: COL_TILE is whole panels
-            for p0 in (0..tw).step_by(W) {
-                let (q, w) = ((j0 + p0) / W, W.min(tw - p0));
-                let scales = &mut scales[(q * nblocks + bb) * W..][..w];
-                scales.copy_from_slice(&tile_scales[p0..p0 + w]);
-                let out = &mut mans[(q * panel_rows + bb * qpb) * ColPanels::QUAD..];
-                let group = Group {
-                    tile: &tile[p0..],
-                    stride,
-                    rows: rb,
-                    width: w,
-                    t_base: &t_base[p0..],
-                    noise8: noise8.get(p0..).unwrap_or_default(),
-                    noise: noise.get(p0..).unwrap_or_default(),
-                    max_mag,
-                };
-                quad_rows(group, &mut out[..qpb * ColPanels::QUAD], round, &mut stats);
-            }
+            stats.zeros += counts.0;
+            stats.saturated += counts.1;
+            padding += (4 * live * W - rb * w) as u64;
         }
     }
+    stats.zeros -= padding;
     Some(PackedData {
         mantissas: mans,
         scales,
@@ -777,180 +858,95 @@ fn pack_along_col<S: RowSource, R: RoundOp>(
     })
 }
 
-/// One group of one panel's columns of a tile, as the lane body reads it:
-/// `rows` tile rows of `width ≤ 16` values (`tile[k * stride..]`), their
-/// columns' `t_base`, each tile row's draws (`COL_TILE` apart) and the
-/// format's `max_mag`.
-#[derive(Clone, Copy)]
-struct Group<'a> {
-    tile: &'a [f32],
-    stride: usize,
-    rows: usize,
-    width: usize,
-    t_base: &'a [i32],
-    noise8: &'a [u8],
-    noise: &'a [u32],
-    max_mag: u32,
-}
-
-/// Quantizes one group of one panel's columns into the group's quad rows
-/// of `out` ([`panel_quads`]). A panel narrower than 16 columns is first
-/// copied into a zero-padded one; the padding quantizes to the biased
-/// zero, and its zero counts are taken back.
+/// Loads rows `row0 ..` of the panel at `col0` into `group` (one lane array
+/// per row) and returns each column's largest magnitude bit pattern.
+/// `group` is a `&mut` of its own, so the compiler knows no store to it
+/// moves the source's tables.
 #[inline(always)]
-fn quad_rows<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
-    const W: usize = ColPanels::WIDTH;
-    let (w, rows) = (group.width, group.rows);
-    if w == W {
-        return panel_quads(group, out, round, stats);
-    }
-    let mut tile = vec![0.0f32; rows * W];
-    let mut t_base = [0i32; W];
-    t_base[..w].copy_from_slice(&group.t_base[..w]);
-    let mut noise8 = vec![0u8; if R::NOISE8 { rows * COL_TILE } else { 0 }];
-    let mut noise = vec![
-        0u32;
-        if R::DRAWS && !R::NOISE8 {
-            rows * COL_TILE
-        } else {
-            0
-        }
-    ];
-    for k in 0..rows {
-        tile[k * W..][..w].copy_from_slice(&group.tile[k * group.stride..][..w]);
-        if R::NOISE8 {
-            noise8[k * COL_TILE..][..w].copy_from_slice(&group.noise8[k * COL_TILE..][..w]);
-        } else if R::DRAWS {
-            noise[k * COL_TILE..][..w].copy_from_slice(&group.noise[k * COL_TILE..][..w]);
-        }
-    }
-    let padded = Group {
-        tile: &tile,
-        stride: W,
-        width: W,
-        t_base: &t_base,
-        noise8: &noise8,
-        noise: &noise,
-        ..group
-    };
-    panel_quads(padded, out, round, stats);
-    stats.zeros -= ((W - w) * rows) as u64;
-}
-
-/// The panel writer's lane body on the host's widest lanes: sixteen on an
-/// AVX-512 (F, BW and VL) host, eight otherwise ([`lane_body`]). Out of
-/// line, so its slices keep their no-alias guarantee whatever the caller
-/// inlined: inlined into a pack over an im2col source it ran 4× slower.
-#[inline(never)]
-fn panel_quads<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
-    #[cfg(target_arch = "x86_64")]
-    if wide_lanes() && !eight_lanes_forced() {
-        // SAFETY: `wide_lanes` confirmed AVX-512F, -BW and -VL at runtime.
-        #[allow(unsafe_code)]
-        return unsafe { panel_quads_x16(group, out, round, stats) };
-    }
-    lane_body::<R, 8>(group, out, round, stats)
-}
-
-/// Whether the host runs AVX-512F, AVX-512BW and AVX-512VL — the features
-/// [`panel_quads_x16`] is compiled for — detected once.
-#[cfg(target_arch = "x86_64")]
-fn wide_lanes() -> bool {
-    static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *WIDE.get_or_init(|| {
-        std::is_x86_feature_detected!("avx512f")
-            && std::is_x86_feature_detected!("avx512bw")
-            && std::is_x86_feature_detected!("avx512vl")
-    })
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Set by a test to run the eight-lane body on this thread whatever
-    /// the host runs ([`eight_lanes_forced`]).
-    static EIGHT_LANES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Whether a test asked this thread for the eight-lane body, which every
-/// host without AVX-512 runs; never outside the crate's tests.
-#[cfg(target_arch = "x86_64")]
-fn eight_lanes_forced() -> bool {
-    #[cfg(test)]
-    return EIGHT_LANES.get();
-    #[cfg(not(test))]
-    false
-}
-
-/// [`lane_body`] at sixteen lanes, compiled for AVX-512: one register per
-/// array, where the x86-64-v3 build spills at sixteen.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-fn panel_quads_x16<R: RoundOp>(group: Group, out: &mut [i8], round: &R, stats: &mut QuantStats) {
-    lane_body::<R, 16>(group, out, round, stats)
-}
-
-/// The panel writer's lane body, written once over the lane count `L`
-/// (8 or 16): for one group of one panel, `16 / L` column blocks of `L`
-/// lanes each quantize four rows at a time and gather their mantissas
-/// into `L` `u32` lanes of a quad row (`m ^ 0x80` per byte) — fixed-width
-/// arrays the vectorizer keeps in one register each. Every rounding mode
-/// takes it. Rows past the group keep the biased zero `out` already holds.
-#[inline(always)]
-fn lane_body<R: RoundOp, const L: usize>(
-    group: Group,
-    out: &mut [i8],
-    round: &R,
-    stats: &mut QuantStats,
-) {
-    let Group {
-        tile,
-        stride,
-        rows,
-        max_mag,
-        ..
-    } = group;
-    // Per-lane counters, reduced once per panel: reduced per row, they
-    // cost as much as the row's arithmetic.
-    let (mut zeros, mut saturated) = ([0u32; L], [0u32; L]);
-    for c0 in (0..ColPanels::WIDTH).step_by(L) {
-        let t_base: &[i32; L] = group.t_base[c0..c0 + L].try_into().expect("a full panel");
-        for (quad, dst) in out.chunks_exact_mut(ColPanels::QUAD).enumerate() {
-            let first = 4 * quad;
-            if first >= rows {
-                break;
+fn load_rows<S: RowSource, const L: usize>(
+    src: &S,
+    row0: usize,
+    col0: usize,
+    group: &mut [[f32; ColPanels::WIDTH]],
+) -> [u32; ColPanels::WIDTH] {
+    let values = src.values();
+    let mut max = [0u32; ColPanels::WIDTH];
+    for (k, row) in group.iter_mut().enumerate() {
+        *row = load::<L>(values, &src.lanes(row0 + k, col0));
+        for h in (0..ColPanels::WIDTH).step_by(L) {
+            let (v, max) = (lane_ref::<_, L>(row, h), lane_mut::<_, L>(&mut max, h));
+            for c in 0..L {
+                max[c] = max[c].max(v[c].to_bits() & 0x7FFF_FFFF);
             }
-            let mut words = [0u32; L];
-            for s in 0..(rows - first).min(4) {
-                let k = first + s;
-                let values: &[f32; L] = tile[k * stride + c0..][..L].try_into().expect("L");
-                let noise: [u32; L] = if R::NOISE8 {
-                    let drawn = &group.noise8[k * COL_TILE + c0..][..L];
-                    <&[u8; L]>::try_from(drawn).expect("L").map(u32::from)
-                } else if R::DRAWS {
-                    *<&[u32; L]>::try_from(&group.noise[k * COL_TILE + c0..][..L]).expect("L")
-                } else {
-                    [0; L]
+        }
+    }
+    max
+}
+
+/// Quantizes one group of one panel — `group`'s rows against their
+/// columns' `t_base`, each row with its `noise` (none for the deterministic
+/// modes) — and appends the group's quad rows holding them to `out`: `16/L`
+/// column blocks of `L` lanes each gather four rows' mantissas into `L`
+/// `u32` lanes (`m ^ 0x80` per byte), fixed-width arrays the vectorizer
+/// keeps in one register each. Returns the `(zeros, saturated)` counts of
+/// the bytes written, padding included.
+#[inline(always)]
+fn quad_rows<R: RoundOp, const L: usize>(
+    (group, noise): (&[[f32; ColPanels::WIDTH]], &[[u32; ColPanels::WIDTH]]),
+    t_base: &[i32; ColPanels::WIDTH],
+    (max_mag, round): (u32, &R),
+    out: &mut Vec<i8>,
+) -> (u64, u64) {
+    const W: usize = ColPanels::WIDTH;
+    // Zeros and saturations are counted on the written bytes, 64 at a time:
+    // the biased zero, and the biased `±max_mag`.
+    let (sat_hi, sat_lo) = (0x80 + max_mag as u8, 0x80 - max_mag as u8);
+    let (mut zeros, mut saturated) = (0u64, 0u64);
+    for (quad, rows) in group.chunks(4).enumerate() {
+        let mut words = [0u32; W];
+        for h in (0..W).step_by(L) {
+            let t_base: &[i32; L] = lane_ref(t_base, h);
+            let words = lane_mut::<_, L>(&mut words, h);
+            // Rows past the group keep the biased zero. (At eight lanes a
+            // constant four rows were vectorized across the rows, 1.7×
+            // slower.)
+            for (s, row) in rows.iter().enumerate() {
+                let values: &[f32; L] = lane_ref(row, h);
+                let noise: [u32; L] = match noise.get(4 * quad + s) {
+                    Some(drawn) => *lane_ref(drawn, h),
+                    None => [0; L],
                 };
                 // Indexed, not zipped: see `pack_lanes`.
                 for c in 0..L {
-                    let (mag, man) =
-                        quantize_plain(values[c].to_bits(), t_base[c], max_mag, round, noise[c]);
-                    // `mag == 0` and `mag == max_mag` (`mag ≤ max_mag`,
-                    // `max_mag ≥ 1`) as arithmetic: counted from compares,
-                    // the lanes' counters compiled to ~40 shuffles.
-                    zeros[c] += 1 - mag.min(1);
-                    saturated[c] += (mag + 1).saturating_sub(max_mag);
+                    let raw = values[c].to_bits();
+                    let (_, man) = quantize_plain(raw, t_base[c], max_mag, round, noise[c]);
                     words[c] |= (man as u32 & 0xFF) << (8 * s);
                 }
             }
-            let bytes = words.map(|w| (w ^ 0x8080_8080).to_le_bytes());
-            for (d, &b) in dst[4 * c0..][..4 * L].iter_mut().zip(bytes.as_flattened()) {
-                *d = b as i8;
-            }
         }
+        let bytes = words.map(|w| (w ^ 0x8080_8080).to_le_bytes());
+        let bytes: &[u8; ColPanels::QUAD] = bytes.as_flattened().try_into().expect("a quad");
+        let count = |hit: fn(u8, u8, u8) -> bool| {
+            let hits = bytes.iter().map(|&b| u8::from(hit(b, sat_hi, sat_lo)));
+            u64::from(hits.sum::<u8>())
+        };
+        zeros += count(|b, _, _| b == 0x80);
+        saturated += count(|b, hi, lo| (b == hi) | (b == lo));
+        out.extend_from_slice(&bytes.map(|b| b as i8));
     }
-    stats.zeros += zeros.iter().sum::<u32>() as u64;
-    stats.saturated += saturated.iter().sum::<u32>() as u64;
+    (zeros, saturated)
+}
+
+/// Lanes `h .. h + L` of a panel-wide array.
+#[inline(always)]
+fn lane_ref<T, const L: usize>(panel: &[T; ColPanels::WIDTH], h: usize) -> &[T; L] {
+    panel[h..h + L].try_into().expect("L lanes")
+}
+
+/// Lanes `h .. h + L` of a panel-wide array, mutably.
+#[inline(always)]
+fn lane_mut<T, const L: usize>(panel: &mut [T; ColPanels::WIDTH], h: usize) -> &mut [T; L] {
+    (&mut panel[h..h + L]).try_into().expect("L lanes")
 }
 
 #[cfg(test)]
@@ -1108,10 +1104,10 @@ mod tests {
                     let fmt = BfpFormat::new(g, m, 8).expect("a valid format");
                     let ctx = format!("({rows}x{cols}) g={g} {rounding:?}");
                     let pack = |eight: bool| {
-                        EIGHT_LANES.set(eight);
+                        force_eight_lanes(eight);
                         let p =
                             pack_matrix(&data, rows, cols, along, fmt, rounding, noise(), false);
-                        EIGHT_LANES.set(false);
+                        force_eight_lanes(false);
                         p.expect("plain data must pack")
                     };
                     let (host, eight) = (pack(false), pack(true));
@@ -1150,22 +1146,102 @@ mod tests {
             assert_eq!(got.err(), Some(why), "{bad} must force the fallback");
         }
         // A subnormal beside a NaN: the non-finite value names the refusal,
-        // from a source that lends its values and from one that stages rows.
+        // from a source that vouches for its slice and from one whose
+        // groups are checked as they load.
         let data = [1e-40f32, 1.0, f32::NAN, 0.5];
-        let fill = |r: usize, c0: usize, out: &mut [f32]| {
-            out.copy_from_slice(&data[r * 2 + c0..][..out.len()]);
-        };
-        for values in [Some(&data[..]), None] {
-            let src = FillRows::new(2, 2, fill, values);
-            let got = pack_rows(
-                &src,
-                GroupAxis::AlongCol,
-                BfpFormat::high(),
-                Rounding::Nearest,
-                noise(),
-                false,
-            );
-            assert_eq!(got.err(), Some(Refusal::NonFinite));
+        for covers in [true, false] {
+            let src = Transposed {
+                data: &data,
+                rows: 2,
+                cols: 2,
+                covers,
+            };
+            for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+                let fmt = BfpFormat::high();
+                let got = pack_rows(&src, axis, fmt, Rounding::Nearest, noise(), false);
+                assert_eq!(got.err(), Some(Refusal::NonFinite));
+            }
+        }
+    }
+
+    /// The transpose of a row-major `cols × rows` slice as a `rows × cols`
+    /// source: every panel row a strided gather.
+    struct Transposed<'a> {
+        data: &'a [f32],
+        rows: usize,
+        cols: usize,
+        covers: bool,
+    }
+
+    impl RowSource for Transposed<'_> {
+        fn rows(&self) -> usize {
+            self.rows
+        }
+
+        fn cols(&self) -> usize {
+            self.cols
+        }
+
+        fn values(&self) -> &[f32] {
+            self.data
+        }
+
+        fn covers_values(&self) -> bool {
+            self.covers
+        }
+
+        fn lanes(&self, row: usize, col0: usize) -> Lanes {
+            let left = self.cols - col0;
+            Lanes {
+                offsets: std::array::from_fn(|c| ((col0 + c) * self.rows + row) as i32),
+                valid: if left >= 16 {
+                    u16::MAX
+                } else {
+                    (1 << left) - 1
+                },
+                contiguous: self.rows == 1,
+            }
+        }
+    }
+
+    /// A gathering source packs as the matrix it views does, at both lane
+    /// widths, on both axes, vouched for or checked group by group.
+    #[test]
+    fn gathered_lanes_pack_as_the_materialized_matrix() {
+        for (rows, cols) in [(1usize, 5usize), (5, 1), (7, 33), (40, 17), (16, 48)] {
+            let data = rand_data(rows * cols, (rows * 7 + cols) as u64);
+            let transposed: Vec<f32> = (0..rows * cols)
+                .map(|i| data[i % cols * rows + i / cols])
+                .collect();
+            for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+                for (fmt, rounding) in [
+                    (BfpFormat::high(), Rounding::STOCHASTIC8),
+                    (BfpFormat::new(5, 3, 8).unwrap(), Rounding::Nearest),
+                    (
+                        BfpFormat::new(32, 6, 8).unwrap(),
+                        Rounding::Stochastic { noise_bits: 7 },
+                    ),
+                ] {
+                    let want =
+                        pack_matrix(&transposed, rows, cols, axis, fmt, rounding, noise(), false)
+                            .unwrap();
+                    for (covers, eight) in [(true, false), (false, false), (false, true)] {
+                        let src = Transposed {
+                            data: &data,
+                            rows,
+                            cols,
+                            covers,
+                        };
+                        force_eight_lanes(eight);
+                        let got = pack_rows(&src, axis, fmt, rounding, noise(), false).unwrap();
+                        force_eight_lanes(false);
+                        let ctx = format!("({rows}x{cols}) {axis:?} {fmt} {covers} {eight}");
+                        assert_eq!(got.mantissas, want.mantissas, "{ctx}");
+                        assert_eq!(got.scales, want.scales, "{ctx}");
+                        assert_eq!(got.stats, want.stats, "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -186,6 +186,22 @@ impl CounterBits {
     }
 }
 
+impl CounterBits {
+    /// The sixteen 8-bit draws at local offsets `base .. base + 16` — the
+    /// bytes [`CounterBits::fill8`] writes there — from three mixed words,
+    /// inline and branch-free, leaving the cursor where it is: one
+    /// 16-column panel row's draws.
+    #[inline(always)]
+    pub(crate) fn draws16(&self, base: u64) -> [u8; 16] {
+        let pos = self.origin + base;
+        let (block, lane) = (pos >> 3, (pos & 7) as usize);
+        let words = [0, 1, 2].map(|i| mix64(self.rng.seed, block + i).to_le_bytes());
+        words.as_flattened()[lane..lane + 16]
+            .try_into()
+            .expect("16 draws")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +236,19 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn draws16_are_the_bulk_draws() {
+        let rng = CounterRng::new(0xBEEF);
+        let bits = CounterBits::new(rng, 1000);
+        for base in [0u64, 1, 7, 8, 13, 64, 1 << 33] {
+            let mut want = [0u8; 16];
+            let mut cursor = bits.clone();
+            cursor.seek(base, 1);
+            cursor.fill8(&mut want);
+            assert_eq!(bits.draws16(base), want, "base={base}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! paper Theorem 1.
 
 use fast_bfp::dot::{dot_chunked, dot_dequantized, dot_f32};
-use fast_bfp::packed::{pack_matrix, pack_rows, ColPanels, FillRows, PackedData};
+use fast_bfp::packed::{force_eight_lanes, pack_matrix, pack_rows, ColPanels, PackedData, Refusal};
 use fast_bfp::{
     exponent_of, relative_improvement, BfpFormat, BfpGroup, BitSource, ChunkedGroup, CounterRng,
     GroupAxis, Lfsr16, Noise, RngBits, Rounding,
@@ -394,7 +394,7 @@ proptest! {
 /// `fake_quantize_matrix` takes its per-group walk.
 #[test]
 fn sharded_kernels_are_bit_identical_to_seed() {
-    let (rows, cols) = (160, 512);
+    let (rows, cols) = (320, 512);
     let fmt = BfpFormat::high();
     let values: Vec<f32> = (0..rows * cols)
         .map(|i| ((i as f32 * 0.37).sin() * 3.0) * 2.0f32.powi(i as i32 % 9 - 4))
@@ -491,8 +491,11 @@ fn sharded_kernels_are_bit_identical_to_seed() {
 // must be indistinguishable from packing the materialized matrix.
 // ---------------------------------------------------------------------------
 
+/// The comparable bits of a packed operand.
+type Parts<'a> = (&'a [i8], Vec<u32>, (usize, u64, u64));
+
 /// A packed operand as comparable bits: mantissas, scale bit patterns, stats.
-fn packed_parts(p: &PackedData) -> (&[i8], Vec<u32>, (usize, u64, u64)) {
+fn packed_parts(p: &PackedData) -> Parts<'_> {
     (
         &p.mantissas,
         p.scales.iter().map(|s| s.to_bits()).collect(),
@@ -500,8 +503,18 @@ fn packed_parts(p: &PackedData) -> (&[i8], Vec<u32>, (usize, u64, u64)) {
     )
 }
 
-/// Packs `x`'s patch matrix both ways — from the source and from the
-/// materialized `im2col` — and returns `(from_source, from_matrix)`.
+/// A pack's outcome: the operand, or its refusal.
+type Outcome = Result<PackedData, Refusal>;
+
+/// An outcome as comparable bits, or its refusal.
+fn outcome_parts(o: &Outcome) -> Result<Parts<'_>, Refusal> {
+    o.as_ref().map(packed_parts).map_err(|r| *r)
+}
+
+/// Packs `x`'s patch matrix both ways — from the source, at the host's lane
+/// width and at eight lanes (which must agree byte for byte, refusal for
+/// refusal), and from the materialized `im2col` at one worker — and returns
+/// `(from_source, from_matrix)`.
 fn pack_both_ways(
     x: &Tensor,
     d: Conv2dDims,
@@ -510,13 +523,18 @@ fn pack_both_ways(
     rounding: Rounding,
     noise: Noise,
     windowed: bool,
-) -> (Option<PackedData>, Option<PackedData>) {
+) -> (Outcome, Outcome) {
     // The source as `fast_nn::qgemm::prepare_patches` builds it.
-    let patches = Im2colRows::new(x, d);
-    let values = patches.covers_input().then(|| patches.input());
-    let fill = |krow: usize, p0: usize, out: &mut [f32]| patches.fill_row(krow, p0, out);
-    let src = FillRows::new(d.k_dim(), d.p_dim(), fill, values);
-    let from_source = pack_rows(&src, axis, fmt, rounding, noise, windowed).ok();
+    let src = Im2colRows::new(x, d);
+    let from_source = pack_rows(&src, axis, fmt, rounding, noise, windowed);
+    force_eight_lanes(true);
+    let eight = pack_rows(&src, axis, fmt, rounding, noise, windowed);
+    force_eight_lanes(false);
+    assert_eq!(
+        outcome_parts(&eight),
+        outcome_parts(&from_source),
+        "eight lanes against the host's"
+    );
     let cols = im2col(x, d);
     let one_worker = Noise {
         workers: 1,
@@ -531,8 +549,7 @@ fn pack_both_ways(
         rounding,
         one_worker,
         windowed,
-    )
-    .ok();
+    );
     (from_source, from_matrix)
 }
 
@@ -622,8 +639,8 @@ fn assert_prescan_is_coverage_exact(
                 let (got, want) =
                     pack_both_ways(&poisoned, d, axis, fmt, rounding, noise, windowed);
                 prop_assert!(
-                    got.is_none() && want.is_none(),
-                    "read {} at {} must refuse (window={})",
+                    got.is_err() && got.as_ref().err() == want.as_ref().err(),
+                    "read {} at {} must refuse as the matrix does (window={})",
                     poison,
                     at,
                     windowed
@@ -636,9 +653,15 @@ fn assert_prescan_is_coverage_exact(
 
 proptest! {
     /// Packing from the patch source equals `pack_matrix(im2col(x))` —
-    /// mantissas, scales and `QuantStats` — over the `im2col` oracle's
-    /// geometry family, both axes, every rounding family, windowed or not,
-    /// ragged and full groups, with the prescan coverage-exact.
+    /// mantissas, scales and `QuantStats`, at sixteen lanes and at eight —
+    /// over the `im2col` oracle's geometry family (panels straddling two
+    /// images, `P < 16`, strides 1–3, pads 0–2, kernels 1, 3 and 5, inputs
+    /// no patch covers), both axes, every packable width, the vector
+    /// kernels' group sizes and two odd ones, every rounding, windowed or
+    /// not, one to three workers, with the prescan coverage-exact. A salted
+    /// NaN or subnormal that a patch reads refuses the pack for the same
+    /// reason the matrix's pack gives (noise is positional: a refusal draws
+    /// nothing its fallback could miss).
     #[test]
     fn pack_from_patch_source_equals_pack_of_im2col(
         kernel in prop::sample::select(vec![1usize, 3, 5]),
@@ -649,19 +672,16 @@ proptest! {
         slack in 0usize..3,
         batch in 2usize..=3,
         in_c in 1usize..=3,
-        g in prop::sample::select(vec![16usize, 16, 5, 300]),
-        m in 2u32..=7,
+        g in prop::sample::select(vec![4usize, 8, 16, 16, 32, 5, 300]),
+        m in 1u32..=7,
         along_col in 0u32..=1,
-        rounding in prop::sample::select(vec![
-            Rounding::Nearest,
-            Rounding::Truncate,
-            Rounding::STOCHASTIC8,
-            Rounding::Stochastic { noise_bits: 3 },
-        ]),
+        rounding in any_pack_rounding(),
         windowed in 0u32..=1,
-        workers in prop::sample::select(vec![1usize, 4]),
+        workers in 1usize..=3,
         seed in 0u64..1 << 32,
         base in 0u64..=1 << 40,
+        salt in 0u32..=5,
+        at in 0usize..=usize::MAX,
     ) {
         let extent = |o: usize| ((o - 1) * stride + kernel + slack % stride).checked_sub(2 * pad);
         let (in_h, in_w) = match (extent(oh), extent(ow)) {
@@ -672,8 +692,17 @@ proptest! {
         let fmt = BfpFormat::new(g, m, 3).expect("valid format");
         let axis = if along_col == 1 { GroupAxis::AlongCol } else { GroupAxis::AlongRow };
         let noise = Noise { rng: CounterRng::new(seed), base, workers };
-        let x = plain_tensor(d, seed);
+        let mut x = plain_tensor(d, seed);
+        let salted = [f32::NAN, 1e-40].get(salt as usize).copied();
+        if let Some(bad) = salted {
+            let n = x.numel();
+            x.data_mut()[at % n] = bad;
+        }
         let (got, want) = pack_both_ways(&x, d, axis, fmt, rounding, noise, windowed == 1);
+        if salted.is_some() {
+            prop_assert_eq!(outcome_parts(&got), outcome_parts(&want));
+            return Ok(());
+        }
         let (got, want) = (got.expect("plain data packs"), want.expect("plain data packs"));
         prop_assert_eq!(packed_parts(&got), packed_parts(&want));
         assert_prescan_is_coverage_exact(&x, d, axis, fmt, rounding, noise)?;
@@ -717,9 +746,10 @@ fn patch_prescan_skips_unread_rows_and_columns() {
     }
 }
 
-/// The sharded source path: operands large enough that four stripes engage
-/// — row ranges of the source, each addressing its noise by absolute offset
-/// — against the one-worker pack of the materialized matrix. The second
+/// The sharded source path: operands large enough that two to four stripes
+/// engage — row ranges or panel ranges of the source, each addressing its
+/// noise by absolute offset, at both lane widths — against the one-worker
+/// pack of the materialized matrix. The second
 /// geometry leaves input unread, so its unwindowed pack has every stripe
 /// check its own tiles: a non-plain value only the last stripe stages must
 /// still refuse the whole operand.
@@ -736,7 +766,7 @@ fn sharded_patch_source_is_bit_identical_to_one_worker() {
         pad: 1,
     };
     let shortcut = Conv2dDims {
-        batch: 4,
+        batch: 8,
         in_c: 64,
         in_h: 32,
         in_w: 32,
@@ -745,17 +775,17 @@ fn sharded_patch_source_is_bit_identical_to_one_worker() {
         stride: 2,
         pad: 0,
     };
-    let noise = Noise {
-        rng: CounterRng::new(0xFA57),
-        base: 12_345,
-        workers: 4,
-    };
-    let pack = |x: &Tensor, d, axis, windowed| {
+    let pack = |x: &Tensor, d, axis, windowed, workers| {
+        let noise = Noise {
+            rng: CounterRng::new(0xFA57),
+            base: 12_345,
+            workers,
+        };
         let (fmt, rounding) = (BfpFormat::high(), Rounding::STOCHASTIC8);
         pack_both_ways(x, d, axis, fmt, rounding, noise, windowed)
     };
-    for d in [same, shortcut] {
-        assert!(d.k_dim() * d.p_dim() >= 4 << 14, "four stripes must engage");
+    for (d, workers) in [(same, 4), (shortcut, 4), (same, 3), (shortcut, 2)] {
+        assert!(d.k_dim() * d.p_dim() >= 4 << 15, "four stripes must engage");
         let x = plain_tensor(d, 11);
         // The last element a patch reads: the final matrix row's.
         let unread = uncovered_positions(d);
@@ -765,7 +795,7 @@ fn sharded_patch_source_is_bit_identical_to_one_worker() {
             .expect("some element is read");
         for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
             for windowed in [false, true] {
-                let (got, want) = pack(&x, d, axis, windowed);
+                let (got, want) = pack(&x, d, axis, windowed, workers);
                 let (got, want) = (got.expect("packs"), want.expect("packs"));
                 assert_eq!(
                     packed_parts(&got),
@@ -774,9 +804,10 @@ fn sharded_patch_source_is_bit_identical_to_one_worker() {
                 );
                 let mut poisoned = x.clone();
                 poisoned.data_mut()[last_read] = f32::NAN;
-                let (got, want) = pack(&poisoned, d, axis, windowed);
+                let (got, want) = pack(&poisoned, d, axis, windowed, workers);
                 assert!(
-                    got.is_none() && want.is_none(),
+                    got.as_ref().err() == Some(&Refusal::NonFinite)
+                        && want.as_ref().err() == got.as_ref().err(),
                     "{axis:?} window={windowed}: a NaN in the last stripe must refuse"
                 );
             }
@@ -995,8 +1026,9 @@ proptest! {
     /// column panels — mantissa bytes, scales and stats — at depths and
     /// widths off the 16-grid and under four rows, every packable width,
     /// the group sizes the vector kernels take, every rounding and one to
-    /// three workers (the matrix widened enough to shard). A salted NaN or
-    /// subnormal refuses the pack, non-finite first.
+    /// three workers (the matrix widened enough to shard), at the host's
+    /// lane width and at eight. A salted NaN or subnormal refuses the pack,
+    /// non-finite first.
     #[test]
     fn col_panels_are_the_row_major_pack_relaid(
         rows in 1usize..=70,
@@ -1012,7 +1044,7 @@ proptest! {
     ) {
         let g = [4usize, 8, 16, 32][g_sel];
         // Wide enough for `workers` stripes of the pack's sharding floor.
-        let cols = cols + (workers - 1) * (1usize << 14).div_ceil(rows);
+        let cols = cols + (workers - 1) * (1usize << 15).div_ceil(rows);
         let fmt = BfpFormat::new(g, m, 8).expect("valid format");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut values: Vec<f32> = (0..rows * cols)
@@ -1026,15 +1058,20 @@ proptest! {
             })
             .collect();
         let salted = match salt {
-            0 => Some((f32::NAN, fast_bfp::packed::Refusal::NonFinite)),
-            1 => Some((1e-40, fast_bfp::packed::Refusal::Subnormal)),
+            0 => Some((f32::NAN, Refusal::NonFinite)),
+            1 => Some((1e-40, Refusal::Subnormal)),
             _ => None,
         };
         if let Some((bad, _)) = salted {
             values[at % (rows * cols)] = bad;
         }
         let noise = Noise { rng: CounterRng::new(seed ^ 0x5EED), base, workers };
-        let got = pack_matrix(&values, rows, cols, GroupAxis::AlongCol, fmt, rounding, noise, false);
+        let along = GroupAxis::AlongCol;
+        let got = pack_matrix(&values, rows, cols, along, fmt, rounding, noise, false);
+        force_eight_lanes(true);
+        let eight = pack_matrix(&values, rows, cols, along, fmt, rounding, noise, false);
+        force_eight_lanes(false);
+        prop_assert_eq!(outcome_parts(&eight), outcome_parts(&got));
         if let Some((_, why)) = salted {
             prop_assert_eq!(got.err(), Some(why));
             return Ok(());

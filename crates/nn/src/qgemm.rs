@@ -11,8 +11,8 @@
 //!    mantissas + per-group scales, no dequantized f32 copy), and
 //!    everything else falls back to a quantized dense copy.
 //!    [`prepare_patches`] does the same for a conv layer's `im2col`
-//!    operand straight from the NCHW tensor: the pack kernels gather the
-//!    patches tile by tile, so the `K × P` f32 matrix is never written.
+//!    operand straight from the NCHW tensor: the pack kernels load the
+//!    patches as lanes in place, so the `K × P` f32 matrix is never written.
 //! 2. [`execute`] multiplies the prepared operands through
 //!    `fast_tensor::qgemm`: a packed×packed pair grouped along the
 //!    reduction axis runs the integer kernels — `i8×i8→i32` mantissa dot
@@ -41,7 +41,7 @@
 
 use crate::layer::Session;
 use crate::quant::NumericFormat;
-use fast_bfp::packed::{pack_rows, DenseRows, FillRows, Refusal, RowSource};
+use fast_bfp::packed::{pack_rows, DenseRows, Refusal, RowSource};
 use fast_bfp::{GroupAxis, Noise, QuantStats};
 use fast_tensor::qgemm::{qmatmul, qmatmul_nt, qmatmul_tn, runs_integer, Operand, PackedMat};
 use fast_tensor::{im2col, Conv2dDims, Im2colRows, Tensor};
@@ -317,15 +317,10 @@ pub fn prepare_patches(
     let _span = fast_telemetry::span!("qgemm.prepare");
     let (rows, cols) = (d.k_dim(), d.p_dim());
     let (noise, stats) = session.quant_parts(fmt, rows * cols);
-    // The patch matrix as a pack source: rows are gathered into the
-    // kernels' staging tile on demand. The prescan must see exactly the
-    // virtual matrix, so the input stands in for it only when every input
-    // element is in some patch.
+    // The patch matrix as a pack source: the kernels load its lanes in
+    // place from the NCHW tensor.
     let patches = Im2colRows::new(x, d);
-    let values = patches.covers_input().then(|| patches.input());
-    let fill = |krow: usize, p0: usize, out: &mut [f32]| patches.fill_row(krow, p0, out);
-    let src = FillRows::new(rows, cols, fill, values);
-    let (p, refusal) = match try_pack(noise, stats, &src, fmt, axis) {
+    let (p, refusal) = match try_pack(noise, stats, &patches, fmt, axis) {
         Ok(p) => (p, None),
         Err(refusal) => {
             let mut t = im2col(x, d);

@@ -177,9 +177,20 @@ fn worker_loop(
         let mut expired: Vec<Request> = Vec::new();
         let (batch, reload, popped_at) = {
             let mut state = queue.state.lock().expect(POISONED);
+            let mut yielded = false;
             loop {
                 let reload_pending = state.reload.as_ref().is_some_and(|t| t.gen > applied_gen);
-                if state.queued_samples > 0 || reload_pending {
+                let queued = state.queued_samples;
+                if queued > 0 && queued < cfg.max_batch && !yielded {
+                    // A partial batch: let a client that shares this CPU
+                    // finish its burst once before popping (DESIGN.md §8).
+                    drop(state);
+                    std::thread::yield_now();
+                    yielded = true;
+                    state = queue.state.lock().expect(POISONED);
+                    continue;
+                }
+                if queued > 0 || reload_pending {
                     break;
                 }
                 if state.shutdown {

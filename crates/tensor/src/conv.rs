@@ -15,6 +15,9 @@
 
 use crate::matmul::{matmul, matmul_nt, matmul_tn};
 use crate::tensor::Tensor;
+use fast_bfp::packed::{ColPanels, Lanes, RowSource};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Geometry of a 2-D convolution with square kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,14 +77,121 @@ impl Conv2dDims {
 }
 
 /// The im2col matrix of an NCHW input as a *virtual* row-major `(K, P)`
-/// matrix: [`Im2colRows::fill_row`] produces any column range of any row on
-/// demand, so a consumer that reads the matrix once (the BFP pack kernels,
-/// DESIGN.md §9) never needs it in memory. This is the one definition of the
-/// patch geometry — [`im2col`] is the filler applied to every row.
-#[derive(Debug, Clone, Copy)]
+/// matrix, the one definition of the patch geometry. A consumer that reads
+/// the matrix once reads it in place: as a [`RowSource`] (the BFP pack
+/// kernels, DESIGN.md §9), element `(krow, p)` is the input at a per-row
+/// offset for `krow = (c, kh, kw)` plus a per-column offset for
+/// `p = (b, oy, ox)`, valid where the patch pixel lies inside the image;
+/// [`Im2colRows::fill_row`] copies any column range of any row out, and
+/// [`im2col`] is that filler applied to every row.
+#[derive(Debug, Clone)]
 pub struct Im2colRows<'a> {
     input: &'a [f32],
     d: Conv2dDims,
+    tables: Arc<LaneTables>,
+}
+
+/// The lane tables of one patch geometry, built once per thread and
+/// geometry ([`LaneTables::of`]): a served request or a training step runs
+/// the same few convs again and again, and building them costs as much as
+/// packing a 3-channel stem.
+#[derive(Debug)]
+struct LaneTables {
+    /// Per 16-column panel: each column's input offset of its patch's
+    /// `(kh, kw) = (0, 0)` pixel, `b·C·H·W + y·W + x` with
+    /// `(y, x) = (oy, ox)·stride − pad` (consecutive past `P`), and whether
+    /// the panel's offsets are consecutive (one masked load).
+    panels: Vec<([i32; ColPanels::WIDTH], bool)>,
+    /// Per kernel tap `(kh, kw)`, per panel: bit `c` set when column `c`'s
+    /// patch pixel `(y + kh, x + kw)` lies inside the image; clear past `P`.
+    masks: Vec<u16>,
+    /// Per row `(c, kh, kw)`: the input offset `c·H·W + kh·W + kw` and the
+    /// index of its tap's first mask.
+    rows: Vec<[u32; 2]>,
+}
+
+impl LaneTables {
+    /// Geometries whose tables a thread keeps, most recently used last:
+    /// more than the distinct conv shapes of the workspace's ResNets.
+    const CACHED: usize = 16;
+
+    /// This thread's tables for geometry `d` (whose `out_c` they ignore).
+    fn of(d: Conv2dDims) -> Arc<LaneTables> {
+        thread_local! {
+            static CACHE: RefCell<Vec<(Conv2dDims, Arc<LaneTables>)>> =
+                const { RefCell::new(Vec::new()) };
+        }
+        let key = Conv2dDims { out_c: 0, ..d };
+        CACHE.with_borrow_mut(|cache| {
+            let tables = match cache.iter().position(|(k, _)| *k == key) {
+                Some(at) => cache.remove(at).1,
+                None => Arc::new(LaneTables::build(d)),
+            };
+            if cache.len() == Self::CACHED {
+                cache.remove(0);
+            }
+            cache.push((key, Arc::clone(&tables)));
+            tables
+        })
+    }
+
+    fn build(d: Conv2dDims) -> LaneTables {
+        const W: usize = ColPanels::WIDTH;
+        let (oh, ow, k) = (d.out_h(), d.out_w(), d.kernel);
+        let plane = d.in_h * d.in_w;
+        let npanels = d.p_dim().div_ceil(W);
+        let mut panels = Vec::with_capacity(npanels);
+        // Per panel, the `kh` masks then the `kw` masks, combined below.
+        let mut axes = vec![0u16; npanels * 2 * k];
+        // The taps `t < k` whose pixel `o + t` lies inside `0..n`.
+        let taps = |o: i32, n: usize| {
+            let k = k as i32;
+            (-o).clamp(0, k) as usize..(n as i32 - o).clamp(0, k) as usize
+        };
+        let contiguous =
+            |off: &[i32; W]| off.iter().enumerate().all(|(c, &o)| o == off[0] + c as i32);
+        let (mut off, mut lane) = ([0i32; W], 0);
+        for b in 0..d.batch {
+            for oy in 0..oh {
+                let y = (oy * d.stride) as i32 - d.pad as i32;
+                for ox in 0..ow {
+                    let x = (ox * d.stride) as i32 - d.pad as i32;
+                    off[lane] = (b * d.in_c * plane) as i32 + y * d.in_w as i32 + x;
+                    let m = &mut axes[2 * k * panels.len()..][..2 * k];
+                    taps(y, d.in_h).for_each(|kh| m[kh] |= 1 << lane);
+                    taps(x, d.in_w).for_each(|kw| m[k + kw] |= 1 << lane);
+                    lane += 1;
+                    if lane == W {
+                        panels.push((off, contiguous(&off)));
+                        lane = 0;
+                    }
+                }
+            }
+        }
+        if lane > 0 {
+            // The last panel's lanes past `P` run on, invalid in every row.
+            (lane..W).for_each(|c| off[c] = off[c - 1] + 1);
+            panels.push((off, contiguous(&off)));
+        }
+        let masks = (0..k * k)
+            .flat_map(|tap| {
+                let axes = &axes;
+                (0..npanels).map(move |q| axes[2 * k * q + tap / k] & axes[2 * k * q + k + tap % k])
+            })
+            .collect();
+        let rows = (0..d.k_dim())
+            .map(|krow| {
+                let (c, tap) = (krow / (k * k), krow % (k * k));
+                let off = c * plane + tap / k * d.in_w + tap % k;
+                [off as u32, (tap * npanels) as u32]
+            })
+            .collect();
+        LaneTables {
+            panels,
+            masks,
+            rows,
+        }
+    }
 }
 
 impl<'a> Im2colRows<'a> {
@@ -89,7 +199,8 @@ impl<'a> Im2colRows<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `input` is not `(batch, in_c, in_h, in_w)`.
+    /// Panics if `input` is not `(batch, in_c, in_h, in_w)`, or holds
+    /// more than `i32::MAX / 2` values.
     pub fn new(input: &'a Tensor, d: Conv2dDims) -> Self {
         d.validate();
         assert_eq!(
@@ -97,9 +208,11 @@ impl<'a> Im2colRows<'a> {
             &[d.batch, d.in_c, d.in_h, d.in_w],
             "input shape does not match conv dims"
         );
+        assert!(input.numel() <= i32::MAX as usize / 2, "input too large");
         Im2colRows {
             input: input.data(),
             d,
+            tables: LaneTables::of(d),
         }
     }
 
@@ -215,6 +328,38 @@ impl<'a> Im2colRows<'a> {
                     }
                 }
             }
+        }
+    }
+}
+
+impl RowSource for Im2colRows<'_> {
+    fn rows(&self) -> usize {
+        self.d.k_dim()
+    }
+
+    fn cols(&self) -> usize {
+        self.d.p_dim()
+    }
+
+    fn values(&self) -> &[f32] {
+        self.input
+    }
+
+    fn covers_values(&self) -> bool {
+        self.covers_input()
+    }
+
+    /// Row `krow = (c, kh, kw)` reads pixel `(y + kh, x + kw)` of channel
+    /// `c` for the column whose patch origin is `(y, x)`.
+    #[inline(always)]
+    fn lanes(&self, krow: usize, col0: usize) -> Lanes {
+        let (q, t) = (col0 / ColPanels::WIDTH, &*self.tables);
+        let [row_off, masks] = t.rows[krow];
+        let (offsets, contiguous) = &t.panels[q];
+        Lanes {
+            offsets: offsets.map(|o| o.wrapping_add(row_off as i32)),
+            valid: t.masks[masks as usize + q],
+            contiguous: *contiguous,
         }
     }
 }

@@ -55,7 +55,7 @@ use std::borrow::Cow;
 
 use fast_bfp::packed::ColPanels;
 
-use crate::parallel::shard_rows;
+use crate::parallel::{shard_rows, DENSE_MAC_NS};
 use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
 use crate::tensor::Tensor;
 
@@ -233,6 +233,20 @@ pub(crate) enum MicroKernel {
     /// panel (u8 k-quads), one whole group per instruction, and the close
     /// folded in AVX-512.
     Tile,
+}
+
+impl MicroKernel {
+    /// The micro-kernel's rate as the sharding grain counts it: tile
+    /// 50–116 MAC/ns measured on the ResNets' `Nn` products (one worker,
+    /// floor of 25); VNNI and `madd` scaled from their serving-GEMM ratios
+    /// over the dense kernel (6.1–7.4 and 3.6–5.0, tile 10.7–12.2).
+    fn macs_per_ns(self) -> f64 {
+        match self {
+            MicroKernel::Madd => 25.0,
+            MicroKernel::Dpbusd => 40.0,
+            MicroKernel::Tile => 60.0,
+        }
+    }
 }
 
 /// The widest micro-kernel this host runs, detected once: `None` without
@@ -489,7 +503,8 @@ fn nn_scalar(
     let (_m, k, n) = dims;
     let segs = segments(k, ga, gb);
     let (bman, bscale) = b.row_major();
-    shard_rows(out, n, 2 * k * n, 1, |row_start, panel| {
+    let row_ns = (k * n) as f64 * DENSE_MAC_NS;
+    shard_rows(out, n, row_ns, 1, |row_start, panel| {
         let mut iacc = vec![0i32; n];
         for (ri, c_row) in panel.chunks_mut(n).enumerate() {
             let i = row_start + ri;
@@ -541,7 +556,8 @@ fn vector_product(
         "{mk:?} is not available on this host"
     );
     let stage = simd::NnStage::build(a, b, g, dims);
-    shard_rows(out, n, 2 * k * n, ROW_QUAD, |row_start, panel| {
+    let row_ns = (k * n) as f64 / mk.macs_per_ns();
+    shard_rows(out, n, row_ns, ROW_QUAD, |row_start, panel| {
         // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
         // its target features at runtime.
         unsafe {
@@ -640,7 +656,8 @@ fn nt_core<D: Dot>(
     out: &mut [f32],
 ) {
     let (k, n) = kn;
-    shard_rows(out, n, 2 * k * n, 1, |row_start, panel| {
+    let row_ns = (k * n) as f64 * DENSE_MAC_NS;
+    shard_rows(out, n, row_ns, 1, |row_start, panel| {
         for (ri, c_row) in panel.chunks_mut(n).enumerate() {
             let i = row_start + ri;
             let arow = &a.man[i * k..i * k + k];
@@ -1832,8 +1849,11 @@ mod tests {
                 .flat_map(move |(m, n)| TAIL_KS.into_iter().map(move |k| (g, m, n, k)))
         });
         let shapes = SHAPES.into_iter().map(|(m, k, n)| (16, m, n, k));
+        // The first is deep enough that the work-size heuristic shards it
+        // on every micro-kernel; `worker_count_does_not_change_bits` shards
+        // the others' paths.
         let sharded = [
-            (16, 61, 70, 301),
+            (16, 61, 70, 2901),
             (6, 9, 70, 512),
             (32, 12, 40, 302),
             (96, 33, 17, 200),
@@ -2135,15 +2155,15 @@ mod tests {
         );
         // Deep enough that the work-size heuristic shards the gathered path.
         let (abig, btbig) = (
-            random_pack(64, 512, 16, PackLayout::RowGroups, 88),
-            random_pack(96, 512, 16, PackLayout::RowGroups, 89),
+            random_pack(64, 3072, 16, PackLayout::RowGroups, 88),
+            random_pack(96, 3072, 16, PackLayout::RowGroups, 89),
         );
         // Five column panels (the last 6 wide) over fifteen row quads and a
         // remainder row, odd `k`: the workers split the row quads, and each
         // reads every panel.
         let (awide, bwide) = (
-            random_pack(61, 301, 16, PackLayout::RowGroups, 90),
-            random_pack(301, 70, 16, PackLayout::ColGroups, 91),
+            random_pack(61, 4301, 16, PackLayout::RowGroups, 90),
+            random_pack(4301, 70, 16, PackLayout::ColGroups, 91),
         );
         set_parallelism(Parallelism::sequential());
         let s1 = int_nn(&a, &b);

@@ -554,48 +554,49 @@ pub fn force_eight_lanes(on: bool) {
 }
 
 /// The panel row `lanes` describes, read in place from `values`, `0.0` in
-/// every invalid lane: a plain copy where all sixteen lanes are valid,
-/// consecutive and inside `values`, else [`load_lanes`] `L` at a time.
+/// every invalid lane: [`load_lanes`] `L` at a time, from the first offset
+/// where all sixteen are consecutive and inside `values`.
 #[inline(always)]
 fn load<const L: usize>(values: &[f32], lanes: &Lanes) -> [f32; ColPanels::WIDTH] {
     const W: usize = ColPanels::WIDTH;
     let at = usize::try_from(lanes.offsets[0]).ok();
     let run = at.filter(|&at| lanes.contiguous && at + W <= values.len());
-    match run {
-        Some(at) if lanes.valid == u16::MAX => values[at..at + W].try_into().expect("W"),
-        _ => {
-            let mut out = [0.0f32; W];
-            for h in (0..W).step_by(L) {
-                *lane_mut(&mut out, h) = load_lanes::<L>(values, lanes, h, run.is_some());
-            }
-            out
-        }
+    let mut out = [0.0f32; W];
+    for h in (0..W).step_by(L) {
+        *lane_mut(&mut out, h) = load_lanes::<L>(values, lanes, h, run);
     }
+    out
 }
 
 /// Lanes `h .. h + L` of `lanes` (`L` is 8 or 16): each valid lane's value,
-/// `0.0` in every other lane — one masked load where the panel row is
-/// consecutive and `inside` `values`, a masked gather otherwise. A lane
-/// whose offset lies outside `values` reads `0.0`, so a wrong source
-/// cannot read out of bounds.
+/// `0.0` in every other lane — one masked load from `values[run + h ..]`
+/// where the caller found the panel row consecutive and inside `values`
+/// from `run`, a masked gather otherwise. Either way only what the caller
+/// or the gather checked is read, and a lane whose offset lies outside
+/// `values` reads `0.0`, so a wrong source cannot read out of bounds.
 #[inline(always)]
-fn load_lanes<const L: usize>(values: &[f32], lanes: &Lanes, h: usize, inside: bool) -> [f32; L] {
+fn load_lanes<const L: usize>(
+    values: &[f32],
+    lanes: &Lanes,
+    h: usize,
+    run: Option<usize>,
+) -> [f32; L] {
     let mut out = [0.0f32; L];
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
     // SAFETY: `L == 16` runs only inside `stripe_x16` (AVX-512F/BW/VL
-    // confirmed), `L == 8` only where AVX2 is compiled in; a masked load
-    // reads `inside` the slice, a gather only the lanes whose offsets are,
-    // and `out` holds `L` floats.
+    // confirmed), `L == 8` only where AVX2 is compiled in; a load from
+    // `run` reads `values[run + h .. run + h + L]`, inside the slice since
+    // `load` checked `run + 16 <= values.len()`, a gather only the lanes
+    // whose offsets are inside, and `out` holds `L` floats.
     unsafe {
         use std::arch::x86_64::*;
         let (base, len) = (values.as_ptr(), values.len() as i32);
         let offsets = lanes.offsets.as_ptr().add(h);
-        let first = base.wrapping_offset(*offsets as isize);
         if L == 16 {
             let off = _mm512_loadu_si512(offsets.cast());
-            let v = if inside {
-                _mm512_maskz_loadu_ps(lanes.valid, first)
+            let v = if let Some(at) = run {
+                _mm512_maskz_loadu_ps(lanes.valid, base.add(at + h))
             } else {
                 let k = lanes.valid & _mm512_cmplt_epu32_mask(off, _mm512_set1_epi32(len));
                 _mm512_mask_i32gather_ps(_mm512_setzero_ps(), k, off, base, 4)
@@ -608,8 +609,8 @@ fn load_lanes<const L: usize>(values: &[f32], lanes: &Lanes, h: usize, inside: b
             let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
             let valid = _mm256_set1_epi32(i32::from(lanes.valid >> h));
             let valid = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(valid, bit), bit));
-            let v = if inside {
-                _mm256_and_ps(_mm256_loadu_ps(first), valid)
+            let v = if let Some(at) = run {
+                _mm256_and_ps(_mm256_loadu_ps(base.add(at + h)), valid)
             } else {
                 let off = _mm256_loadu_si256(offsets.cast());
                 let lo = _mm256_cmpgt_epi32(off, _mm256_set1_epi32(-1));
@@ -621,11 +622,9 @@ fn load_lanes<const L: usize>(values: &[f32], lanes: &Lanes, h: usize, inside: b
             return out;
         }
     }
-    let _ = inside;
     for (c, v) in (h..).zip(&mut out) {
-        let at = usize::try_from(lanes.offsets[c])
-            .ok()
-            .filter(|_| lanes.valid >> c & 1 != 0);
+        let at = run.map_or(usize::try_from(lanes.offsets[c]).ok(), |at| Some(at + c));
+        let at = at.filter(|_| lanes.valid >> c & 1 != 0);
         *v = at.and_then(|i| values.get(i).copied()).unwrap_or(0.0);
     }
     out
@@ -1241,6 +1240,70 @@ mod tests {
                         assert_eq!(got.stats, want.stats, "{ctx}");
                     }
                 }
+            }
+        }
+    }
+
+    /// A row-major matrix, with sixteen spare values behind it, whose
+    /// sources claim consecutive lanes but give lanes `8..` offsets far
+    /// outside the slice: the kernels read a consecutive panel row from
+    /// its first offset, the one `load` bounds-checked, at both widths.
+    struct Consecutive<'a> {
+        data: &'a [f32],
+        rows: usize,
+        cols: usize,
+    }
+
+    impl RowSource for Consecutive<'_> {
+        fn rows(&self) -> usize {
+            self.rows
+        }
+
+        fn cols(&self) -> usize {
+            self.cols
+        }
+
+        fn values(&self) -> &[f32] {
+            self.data
+        }
+
+        fn covers_values(&self) -> bool {
+            false
+        }
+
+        fn lanes(&self, row: usize, col0: usize) -> Lanes {
+            let first = (row * self.cols + col0) as i32;
+            let left = (self.cols - col0).min(16);
+            Lanes {
+                offsets: std::array::from_fn(|c| {
+                    [first + c as i32, i32::MAX - c as i32][usize::from(c >= 8)]
+                }),
+                valid: (u32::MAX >> (32 - left)) as u16,
+                contiguous: true,
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_lanes_read_from_the_checked_offset() {
+        let (rows, cols) = (5, 40);
+        let data = rand_data(rows * cols + 16, 61);
+        let src = Consecutive {
+            data: &data,
+            rows,
+            cols,
+        };
+        for axis in [GroupAxis::AlongRow, GroupAxis::AlongCol] {
+            let (fmt, rounding) = (BfpFormat::high(), Rounding::STOCHASTIC8);
+            let matrix = &data[..rows * cols];
+            let want = pack_matrix(matrix, rows, cols, axis, fmt, rounding, noise(), false);
+            let want = want.unwrap();
+            for eight in [false, true] {
+                force_eight_lanes(eight);
+                let got = pack_rows(&src, axis, fmt, rounding, noise(), false).unwrap();
+                force_eight_lanes(false);
+                assert_eq!(got.mantissas, want.mantissas, "{axis:?} {eight}");
+                assert_eq!(got.scales, want.scales, "{axis:?} {eight}");
             }
         }
     }

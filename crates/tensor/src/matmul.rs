@@ -23,7 +23,7 @@
 //! `tests/proptests.rs` pins all three against a naive triple loop, for
 //! every worker count.
 
-use crate::parallel::{shard_rows, DENSE_MAC_NS};
+use crate::parallel::shard_rows;
 use crate::tensor::Tensor;
 
 /// `C (m×n) = A (m×k) · B (k×n)`. Every element is the serial
@@ -156,8 +156,7 @@ const NR: usize = 32;
 fn nn_impl(a: Rows, b: Rows, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
-        let row_ns = (k * n) as f64 * DENSE_MAC_NS;
-        shard_rows(&mut out, n, row_ns, MR, |row_start, c| {
+        shard_rows(&mut out, n, 2 * k * n, MR, |row_start, c| {
             let quads = c.len() / n / MR * MR;
             let (c_quads, c_rest) = c.split_at_mut(quads * n);
             if quads > 0 {
@@ -298,8 +297,7 @@ const TR: usize = 2;
 fn nt_impl(a: Rows, b: Rows, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
-        let row_ns = (k * n) as f64 * DENSE_MAC_NS;
-        shard_rows(&mut out, n, row_ns, 1, |row_start, c| {
+        shard_rows(&mut out, n, 2 * k * n, 1, |row_start, c| {
             let rows = row_start..row_start + c.len() / n;
             if m <= n {
                 // Lanes run over A's rows: the tile holds a piece of Cᵀ.
@@ -412,8 +410,7 @@ fn nt_tile<const RB: usize, const L: usize>(
 fn tn_impl(a: Rows, b: Rows, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 {
-        let row_ns = (k * n) as f64 * DENSE_MAC_NS;
-        shard_rows(&mut out, n, row_ns, TR, |row_start, c| {
+        shard_rows(&mut out, n, 2 * k * n, TR, |row_start, c| {
             let rows = c.len() / n;
             for j0 in (0..n).step_by(NR) {
                 let bp = Panel {

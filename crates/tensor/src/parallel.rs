@@ -89,44 +89,55 @@ pub fn parallelism() -> Parallelism {
     }
 }
 
-/// What one extra worker costs the caller: a scoped spawn + join reads
-/// 19–25 µs alone (p50 22 µs, 2-vCPU Xeon), but a worker also starts on
-/// cold caches and, on the tile unit, a first AMX use: the integer
-/// products paid 80–150 µs a call for a second worker. A worker pays for
-/// itself only with a share of work at least this long.
-const SPAWN_NS: f64 = 100_000.0;
+/// Minimum per-worker share of multiply-accumulates before a GEMM is worth
+/// sharding (thread spawn/join costs ~10µs; this is ~50µs of MACs).
+const MIN_FLOPS_PER_WORKER: usize = 1 << 17;
 
-/// The dense kernels' time per multiply-accumulate as the sharding grain
-/// counts it: a 2^16-MAC share per worker, the grain they have always run
-/// at (≈ 0.15–0.3 ns measured, by shape and orientation).
-pub(crate) const DENSE_MAC_NS: f64 = SPAWN_NS / 65_536.0;
-
-/// Runs `work(row_start, panel)` over contiguous `row_len`-wide panels of
-/// `out`, sharded across the configured workers. `row_ns` is the calling
-/// kernel's estimate of one row's time: a product shards only across
-/// workers whose share outlasts a spawn ([`SPAWN_NS`]), and small ones run
-/// inline on the caller's thread. Panel splits are aligned to `granule`
-/// rows so a kernel's row-blocking decomposition — and therefore its
-/// per-element arithmetic — is identical for every worker count.
-pub(crate) fn shard_rows<F>(out: &mut [f32], row_len: usize, row_ns: f64, granule: usize, work: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let rows = out.len().checked_div(row_len).unwrap_or(0);
-    let max_useful = (rows as f64 * row_ns / SPAWN_NS) as usize;
+/// Rows per worker panel when [`shard_rows`] splits `rows` rows of
+/// `flops_per_row` each, a multiple of `granule`; `rows` itself (or more)
+/// when the job runs inline on the caller's thread, which it does unless
+/// every worker's share reaches [`MIN_FLOPS_PER_WORKER`].
+pub(crate) fn panel_rows(rows: usize, flops_per_row: usize, granule: usize) -> usize {
+    let max_useful = if flops_per_row == 0 {
+        1
+    } else {
+        (rows * flops_per_row) / MIN_FLOPS_PER_WORKER
+    };
     let workers = parallelism()
         .workers()
         .min(rows.max(1))
         .min(max_useful.max(1));
     if workers <= 1 {
+        return rows;
+    }
+    rows.div_ceil(workers).div_ceil(granule) * granule
+}
+
+/// Runs `work(row_start, panel)` over contiguous `row_len`-wide panels of
+/// `out`, sharded across the configured workers. `flops_per_row` sizes the
+/// job: small GEMMs run inline on the caller's thread ([`panel_rows`]).
+/// Panel splits are aligned to `granule` rows so a kernel's row-blocking
+/// decomposition — and therefore its per-element arithmetic — is identical
+/// for every worker count.
+pub(crate) fn shard_rows<F>(
+    out: &mut [f32],
+    row_len: usize,
+    flops_per_row: usize,
+    granule: usize,
+    work: F,
+) where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let rows = out.len().checked_div(row_len).unwrap_or(0);
+    let panel = panel_rows(rows, flops_per_row, granule);
+    if panel >= rows {
         work(0, out);
         return;
     }
-    let rows_per_worker = rows.div_ceil(workers).div_ceil(granule) * granule;
     std::thread::scope(|scope| {
-        for (w, panel) in out.chunks_mut(rows_per_worker * row_len).enumerate() {
+        for (w, panel_out) in out.chunks_mut(panel * row_len).enumerate() {
             let work = &work;
-            scope.spawn(move || work(w * rows_per_worker, panel));
+            scope.spawn(move || work(w * panel, panel_out));
         }
     });
 }

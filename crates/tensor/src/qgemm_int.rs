@@ -55,7 +55,7 @@ use std::borrow::Cow;
 
 use fast_bfp::packed::ColPanels;
 
-use crate::parallel::{shard_rows, DENSE_MAC_NS};
+use crate::parallel::shard_rows;
 use crate::qgemm::{PackLayout, PackedMat, MAX_INT_SEGMENT};
 use crate::tensor::Tensor;
 
@@ -233,20 +233,6 @@ pub(crate) enum MicroKernel {
     /// panel (u8 k-quads), one whole group per instruction, and the close
     /// folded in AVX-512.
     Tile,
-}
-
-impl MicroKernel {
-    /// The micro-kernel's rate as the sharding grain counts it: tile
-    /// 50–116 MAC/ns measured on the ResNets' `Nn` products (one worker,
-    /// floor of 25); VNNI and `madd` scaled from their serving-GEMM ratios
-    /// over the dense kernel (6.1–7.4 and 3.6–5.0, tile 10.7–12.2).
-    fn macs_per_ns(self) -> f64 {
-        match self {
-            MicroKernel::Madd => 25.0,
-            MicroKernel::Dpbusd => 40.0,
-            MicroKernel::Tile => 60.0,
-        }
-    }
 }
 
 /// The widest micro-kernel this host runs, detected once: `None` without
@@ -503,8 +489,7 @@ fn nn_scalar(
     let (_m, k, n) = dims;
     let segs = segments(k, ga, gb);
     let (bman, bscale) = b.row_major();
-    let row_ns = (k * n) as f64 * DENSE_MAC_NS;
-    shard_rows(out, n, row_ns, 1, |row_start, panel| {
+    shard_rows(out, n, 2 * k * n, 1, |row_start, panel| {
         let mut iacc = vec![0i32; n];
         for (ri, c_row) in panel.chunks_mut(n).enumerate() {
             let i = row_start + ri;
@@ -535,6 +520,22 @@ fn nn_scalar(
 /// granule, so the row decomposition is identical for every worker count.
 const ROW_QUAD: usize = 4;
 
+/// How many of the vector kernels' flops the sharding grain counts as one
+/// dense flop: they shard only at 128 × the dense kernels' per-worker
+/// share, 2²³ MACs. A second worker starts on cold caches and, on the tile
+/// unit, with a first AMX use: forced to shard, a tile product paid
+/// 70–80 µs a call for it, and two workers broke even at a share of about
+/// 4.7 M MACs and won (0.74×) at 19 M (`Nn`, 16–64 rows, K 144–576, one
+/// and two workers alternated, medians of 41; 2-vCPU Xeon). The slower
+/// `vpdpbusd` and `madd` kernels take longer over the same share, so they
+/// never shard at a loss either, though they could gain from a smaller one.
+const INT_GRAIN: usize = 128;
+
+/// The sharding grain's flops for one output row of a vector product.
+fn vector_flops_per_row(k: usize, n: usize) -> usize {
+    2 * k * n / INT_GRAIN
+}
+
 /// Runs the pair on the vector kernel, on micro-kernel `mk`. Workers split
 /// the rows; each reads B's panels in place.
 ///
@@ -556,18 +557,23 @@ fn vector_product(
         "{mk:?} is not available on this host"
     );
     let stage = simd::NnStage::build(a, b, g, dims);
-    let row_ns = (k * n) as f64 / mk.macs_per_ns();
-    shard_rows(out, n, row_ns, ROW_QUAD, |row_start, panel| {
-        // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
-        // its target features at runtime.
-        unsafe {
-            match mk {
-                MicroKernel::Madd => simd::madd_worker(&stage, row_start, panel),
-                MicroKernel::Dpbusd => simd::vnni_worker(&stage, row_start, panel),
-                MicroKernel::Tile => simd::tile_worker(&stage, row_start, panel),
+    shard_rows(
+        out,
+        n,
+        vector_flops_per_row(k, n),
+        ROW_QUAD,
+        |row_start, panel| {
+            // SAFETY: `mk` is no wider than `host_kernel()`, which confirmed
+            // its target features at runtime.
+            unsafe {
+                match mk {
+                    MicroKernel::Madd => simd::madd_worker(&stage, row_start, panel),
+                    MicroKernel::Dpbusd => simd::vnni_worker(&stage, row_start, panel),
+                    MicroKernel::Tile => simd::tile_worker(&stage, row_start, panel),
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -656,8 +662,7 @@ fn nt_core<D: Dot>(
     out: &mut [f32],
 ) {
     let (k, n) = kn;
-    let row_ns = (k * n) as f64 * DENSE_MAC_NS;
-    shard_rows(out, n, row_ns, 1, |row_start, panel| {
+    shard_rows(out, n, 2 * k * n, 1, |row_start, panel| {
         for (ri, c_row) in panel.chunks_mut(n).enumerate() {
             let i = row_start + ri;
             let arow = &a.man[i * k..i * k + k];
@@ -1830,12 +1835,12 @@ mod tests {
     /// gathered `Nt` (from four rows; below, the dots). Over the tail grid
     /// at groups of both residues mod 4 (a `g ≡ 2` pair takes the scalar
     /// kernels), the shapes above and four shapes deep enough to shard —
-    /// one at a group the tile unit chains over two K-chunks — at 1–3
-    /// workers.
+    /// one on the scalar core, one at a group the tile unit chains over two
+    /// K-chunks — at 1–3 workers.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn vector_paths_agree_with_the_segment_oracle_bitwise() {
-        use crate::parallel::{parallelism, set_parallelism, Parallelism};
+        use crate::parallel::{panel_rows, parallelism, set_parallelism, Parallelism};
         use crate::qgemm::Orient;
         use segment_oracle::segment_product;
         let kernels = host_kernels();
@@ -1849,16 +1854,23 @@ mod tests {
                 .flat_map(move |(m, n)| TAIL_KS.into_iter().map(move |k| (g, m, n, k)))
         });
         let shapes = SHAPES.into_iter().map(|(m, k, n)| (16, m, n, k));
-        // The first is deep enough that the work-size heuristic shards it
-        // on every micro-kernel; `worker_count_does_not_change_bits` shards
-        // the others' paths.
+        // Deep enough that the work-size heuristic splits their rows at
+        // two workers and more, on every micro-kernel (asserted below).
         let sharded = [
-            (16, 61, 70, 2901),
+            (16, 61, 70, 4301),
             (6, 9, 70, 512),
-            (32, 12, 40, 302),
-            (96, 33, 17, 200),
+            (32, 12, 40, 35022),
+            (96, 33, 17, 29960),
         ];
         let saved = parallelism();
+        set_parallelism(Parallelism::new(2));
+        for (g, m, n, k) in sharded {
+            let (flops, granule) = match g % 4 {
+                0 => (vector_flops_per_row(k, n), ROW_QUAD),
+                _ => (2 * k * n, 1),
+            };
+            assert!(panel_rows(m, flops, granule) < m, "({m},{k},{n}) g={g}");
+        }
         for (g, m, n, k) in shapes.chain(sharded).chain(grid) {
             let seed = (61 * m + 67 * n + 71 * k + g) as u64;
             let a = random_pack(m, k, g, PackLayout::RowGroups, seed);
@@ -2143,11 +2155,12 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_bits() {
-        use crate::parallel::{parallelism, set_parallelism, Parallelism};
+        use crate::parallel::{panel_rows, parallelism, set_parallelism, Parallelism};
         let saved = parallelism();
-        let a = random_pack(37, 96, 16, PackLayout::RowGroups, 81);
-        let b = random_pack(96, 41, 16, PackLayout::ColGroups, 83);
-        let bt = random_pack(41, 96, 16, PackLayout::RowGroups, 85);
+        // Every product below splits its rows at two workers and more.
+        let a = random_pack(37, 11104, 16, PackLayout::RowGroups, 81);
+        let b = random_pack(11104, 41, 16, PackLayout::ColGroups, 83);
+        let bt = random_pack(41, 11104, 16, PackLayout::RowGroups, 85);
         // Odd groups keep `int_nt` on the segment-dot path.
         let (a3, bt3) = (
             random_pack(37, 96, 3, PackLayout::RowGroups, 87),
@@ -2165,6 +2178,12 @@ mod tests {
             random_pack(61, 4301, 16, PackLayout::RowGroups, 90),
             random_pack(4301, 70, 16, PackLayout::ColGroups, 91),
         );
+        set_parallelism(Parallelism::new(2));
+        let vector = [(37, 11104, 41), (64, 3072, 96), (61, 4301, 70)];
+        for (m, k, n) in vector {
+            assert!(panel_rows(m, vector_flops_per_row(k, n), ROW_QUAD) < m);
+        }
+        assert!(panel_rows(37, 2 * 96 * 41, 1) < 37, "the dots");
         set_parallelism(Parallelism::sequential());
         let s1 = int_nn(&a, &b);
         let s2 = int_nt(&a, &bt);
